@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport bench-diff pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
+.PHONY: all build vet check depguard size test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport bench-diff pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -16,8 +16,21 @@ vet:
 # and fault-injection packages under the race detector (the striped DM
 # server's concurrency — and the chaos/lease-reaping tests — are only
 # trustworthy raced).
-check: vet
+check: vet depguard
 	$(GO) test -race ./internal/live/... ./internal/liverpc/... ./internal/dmwire/... ./internal/faultnet/... ./internal/pool/... ./internal/loadgen/... ./internal/registry/... ./internal/migrate/... ./internal/refcache/...
+
+# Dependency guard: the DM server binary must not link the simulated
+# stack's argument layer. internal/live imported internal/core only for a
+# superseded Arg shim; this keeps it from coming back. (sim, simnet,
+# transport and rpc still ride in through internal/dm — ROADMAP item 4.)
+depguard:
+	@if $(GO) list -deps ./cmd/dmserverd | grep -qx 'repro/internal/core'; then \
+		echo 'depguard: cmd/dmserverd links repro/internal/core' >&2; exit 1; fi
+
+# The two size numbers ROADMAP item 2 tracks (and every CHANGES.md line
+# records): non-test lines and exported declarations of the live stack.
+size:
+	@$(GO) run scripts/size.go internal/live internal/pool internal/liverpc internal/dmwire
 
 # Full suite: unit, property, invariant and paper-shape tests (~4 min),
 # gated on the race-checked hot path and a brief fuzz pass over every
@@ -69,8 +82,8 @@ bench-pool:
 # named metrics — run a fresh bench-pool to a scratch file, then compare
 # it against the checked-in baseline:
 #   make bench-diff OLD=BENCH_pool.json NEW=/tmp/BENCH_pool.json
-# The default self-compare (NEW = OLD) is the CI smoke: it proves the
-# tool still parses the committed record and its metric plumbing works.
+# With no arguments it compares BENCH_pool.json with itself, which only
+# proves the tool still parses the committed record.
 bench-diff:
 	$(GO) run ./cmd/benchdiff -metrics ns_per_op,mb_per_sec,hit-rate,p99-ns,repair-secs,migrate-secs \
 		$(or $(OLD),BENCH_pool.json) $(or $(NEW),$(or $(OLD),BENCH_pool.json))

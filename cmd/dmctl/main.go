@@ -34,10 +34,12 @@ func main() {
 		usage()
 	}
 
-	// chain deploys its own service processes and DM sessions (the
-	// -server flag may name a comma-separated DM pool for it).
+	// chain deploys its own service processes and DM sessions: one
+	// live session per hop on a single -server, one pool session per hop
+	// over a comma-separated shard list.
 	if args[0] == "chain" {
-		cmdChain(strings.Split(*server, ","), args[1:])
+		addrs := strings.Split(*server, ",")
+		cmdChain(addrs, len(addrs) > 1, args[1:])
 		return
 	}
 	// pool commands drive the sharded cluster layer: -server lists the
@@ -72,7 +74,8 @@ commands:
   bench     -size <n> -n <ops>  measure stage/readref/free latency
   chain     -hops <h> -size <n> -n <ops>
                                 run the liverpc chain app against the
-                                server pool by value and by ref, compare
+                                server by value and by ref, compare (a
+                                comma-separated -server = pool chain)
   pool [-replicas <R>] [-cache-bytes <B>] <subcommand>
                                 drive the sharded cluster layer; -server
                                 lists shard addresses in shard-ID order,
@@ -179,10 +182,14 @@ func cmdBench(cl *live.Client, args []string) {
 	fmt.Printf("free_ref: %s\n", free.Summarize())
 }
 
-// cmdChain runs the liverpc chain application (paper Fig 5) against the
-// DM pool, once passing the payload by value through every hop and once
-// passing it by reference, then prints the side-by-side latencies.
-func cmdChain(dmAddrs []string, args []string) {
+// cmdChain runs the liverpc chain application (paper Fig 5), once passing
+// the payload by value through every hop and once passing it by
+// reference, then prints the side-by-side latencies. Each hop opens its
+// own DM session: a live.Client on the single server, or — pooled, the
+// `pool chain` subcommand and any multi-address -server — a pool.Client
+// over the shard list, so refs travel in the located (v1) wire form and
+// each stage is ring-routed.
+func cmdChain(addrs []string, pooled bool, args []string) {
 	fs := flag.NewFlagSet("chain", flag.ExitOnError)
 	hops := fs.Int("hops", 3, "chain length (services)")
 	size := fs.Int("size", 65536, "payload size in bytes")
@@ -193,8 +200,28 @@ func cmdChain(dmAddrs []string, args []string) {
 	apps.FillPayload(payload, uint64(*size))
 	want := apps.Aggregate(payload)
 
+	deploy := func(cfg liverpc.Config) (*liverpc.ChainDeployment, error) {
+		return liverpc.DeployChain(*hops, addrs[0], cfg)
+	}
+	label := "chain"
+	if pooled {
+		label = fmt.Sprintf("pool chain over %d shards", len(addrs))
+		deploy = func(cfg liverpc.Config) (*liverpc.ChainDeployment, error) {
+			return liverpc.DeployChainWith(*hops, func() (liverpc.DM, error) {
+				p, err := pool.Dial(pool.Config{Shards: addrs})
+				if err != nil {
+					return nil, err
+				}
+				if err := p.Register(); err != nil {
+					p.Close()
+					return nil, err
+				}
+				return p, nil
+			}, cfg)
+		}
+	}
 	run := func(mode string, cfg liverpc.Config) *stats.Histogram {
-		d, err := liverpc.DeployChain(*hops, dmAddrs, cfg)
+		d, err := deploy(cfg)
 		exitOn(err)
 		defer d.Close()
 		var h stats.Histogram
@@ -211,8 +238,8 @@ func cmdChain(dmAddrs []string, args []string) {
 		return &h
 	}
 
-	fmt.Printf("chain: %d hops, %s payload, %d calls per mode\n",
-		*hops, stats.Bytes(int64(*size)), *n)
+	fmt.Printf("%s: %d hops, %s payload, %d calls per mode\n",
+		label, *hops, stats.Bytes(int64(*size)), *n)
 	val := run("by-value", liverpc.Config{ForceInline: true})
 	ref := run("by-ref", liverpc.Config{})
 	vm, rm := val.Mean(), ref.Mean()
@@ -242,7 +269,7 @@ func cmdPool(addrs []string, args []string) {
 		usage()
 	}
 	if args[0] == "chain" {
-		cmdPoolChain(addrs, args[1:])
+		cmdChain(addrs, true, args[1:])
 		return
 	}
 	// The registry and rebalance subcommands only make sense with the
@@ -409,62 +436,6 @@ func cmdPoolRegistry(p *pool.Client, args []string) {
 	for _, r := range rows {
 		fmt.Printf("shard %d: key=%#x size=%d epoch=%d replicas=%v\n",
 			r.Shard, r.Key, r.Size, r.Epoch, r.Replicas)
-	}
-}
-
-// cmdPoolChain is cmdChain with every hop holding its own POOL session:
-// refs cross the chain in the v1 located wire form, so any hop can fetch
-// from whichever shard the payload landed on.
-func cmdPoolChain(addrs []string, args []string) {
-	fs := flag.NewFlagSet("pool chain", flag.ExitOnError)
-	hops := fs.Int("hops", 3, "chain length (services)")
-	size := fs.Int("size", 65536, "payload size in bytes")
-	n := fs.Int("n", 200, "calls per mode")
-	fs.Parse(args)
-
-	payload := make([]byte, *size)
-	apps.FillPayload(payload, uint64(*size))
-	want := apps.Aggregate(payload)
-
-	newSession := func() (liverpc.DM, error) {
-		p, err := pool.Dial(pool.Config{Shards: addrs})
-		if err != nil {
-			return nil, err
-		}
-		if err := p.Register(); err != nil {
-			p.Close()
-			return nil, err
-		}
-		return p, nil
-	}
-	run := func(mode string, cfg liverpc.Config) *stats.Histogram {
-		d, err := liverpc.DeployChainWith(*hops, newSession, cfg)
-		exitOn(err)
-		defer d.Close()
-		var h stats.Histogram
-		for i := 0; i < *n; i++ {
-			t0 := time.Now()
-			got, err := d.Client.Do(payload)
-			exitOn(err)
-			h.Record(time.Since(t0).Nanoseconds())
-			if got != want {
-				exitOn(fmt.Errorf("%s chain returned sum %d, want %d", mode, got, want))
-			}
-		}
-		fmt.Printf("%-8s  %s\n", mode, h.Summarize())
-		return &h
-	}
-
-	fmt.Printf("pool chain: %d hops over %d shards, %s payload, %d calls per mode\n",
-		*hops, len(addrs), stats.Bytes(int64(*size)), *n)
-	val := run("by-value", liverpc.Config{ForceInline: true})
-	ref := run("by-ref", liverpc.Config{})
-	vm, rm := val.Mean(), ref.Mean()
-	switch {
-	case rm < vm:
-		fmt.Printf("by-ref wins: %.2fx faster at this size\n", vm/rm)
-	default:
-		fmt.Printf("by-value wins: %.2fx faster at this size (payload below crossover)\n", rm/vm)
 	}
 }
 

@@ -6,8 +6,10 @@
 //
 //	dmserverd -listen :7640 -pages 65536 -pagesize 4096
 //
-// Clients connect with internal/live.Dial and use the Table II API
-// (ralloc/rfree/create_ref/map_ref/rread/rwrite plus stage/read-by-ref).
+// A client opens one session on this server with internal/live.Dial(addr)
+// and uses the Table II API (ralloc/rfree/create_ref/map_ref/rread/rwrite
+// plus stage/read-by-ref); several dmserverd processes become one
+// cluster — sharded, replicated, cached — behind internal/pool.Dial.
 // See examples/live for an end-to-end flow.
 package main
 

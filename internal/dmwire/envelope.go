@@ -41,8 +41,8 @@ type CallArg struct {
 	// Ref names the staged pages (valid when IsRef).
 	Ref dm.Ref
 	// Located marks a v1 cluster-addressed ref (see locref.go): Ref.Server
-	// is a cluster-wide shard ID from the pool's consistent-hash ring, not
-	// a connection-local server index. Valid when IsRef.
+	// is a cluster-wide shard ID from the pool's consistent-hash ring; an
+	// unlocated ref's Server names nothing. Valid when IsRef.
 	Located bool
 	// Replicas is the v2 replica-hint list (shard IDs believed to hold a
 	// copy of the payload, primary included). Non-empty only for

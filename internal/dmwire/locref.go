@@ -8,21 +8,21 @@ import (
 )
 
 // Versioned location-aware ref codec for the sharded DM cluster layer
-// (internal/pool). A v0 ref is the original dm.Ref wire form, whose
-// Server field is a connection-local pool index — meaningful only to the
-// client that dialed the servers in that order. A v1 (located) ref marks
-// the same 20 bytes as cluster-addressed: Server carries a cluster-wide
-// shard ID from the pool's consistent-hash ring, so any process holding
-// the shard map can resolve the ref to the server that stores its pages
-// with no extra hop. The two forms are distinguished by an explicit
-// version byte prefix on v1+, and — for raw buffers — by length (a bare
-// v0 ref is exactly dm.EncodedRefSize bytes and carries no version byte),
-// so old single-server refs still parse.
+// (internal/pool). A v0 ref is the original dm.Ref wire form, minted by
+// a single-server session (live.Client): its Server field is 0 and names
+// no server — meaningful only next to the session's address. A v1
+// (located) ref marks the same 20 bytes as cluster-addressed: Server
+// carries a cluster-wide shard ID from the pool's consistent-hash ring,
+// so any process holding the shard map can resolve the ref to the server
+// that stores its pages with no extra hop. The two forms are
+// distinguished by an explicit version byte prefix on v1+, and — for raw
+// buffers — by length (a bare v0 ref is exactly dm.EncodedRefSize bytes
+// and carries no version byte), so old single-server refs still parse.
 
 // Ref codec versions.
 const (
-	// RefV0 marks the legacy unversioned form: dm.Ref with a
-	// connection-local Server index and no version byte.
+	// RefV0 marks the legacy unversioned form: dm.Ref with an unlocated
+	// Server field and no version byte.
 	RefV0 = 0
 	// RefV1 marks the located form: a version byte followed by dm.Ref
 	// whose Server field is a cluster-wide shard ID.
@@ -53,8 +53,8 @@ var ErrBadRefVersion = errors.New("dmwire: unknown located-ref version")
 var ErrTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas")
 
 // LocatedRef pairs a ref with its codec version. Located reports whether
-// Ref.Server is a cluster-wide shard ID (v1) rather than a
-// connection-local index (v0).
+// Ref.Server is a cluster-wide shard ID (v1) rather than unlocated
+// (v0).
 type LocatedRef struct {
 	Version uint8
 	Ref     dm.Ref

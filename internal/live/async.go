@@ -113,19 +113,12 @@ type AsyncOp struct {
 	p       *Pending
 	err     error
 	consume func(resp []byte) error
-	// complete, when set, is a pre-resolved result (a hot-ref cache hit
-	// that never touched the wire); Wait runs it exactly once, which is
-	// where the cached Buf's hold is consumed.
-	complete func() error
 }
 
 // Wait blocks for the operation's result.
 func (op *AsyncOp) Wait() error {
 	if op.err != nil {
 		return op.err
-	}
-	if op.complete != nil {
-		return op.complete()
 	}
 	return op.p.Wait(op.consume)
 }
@@ -136,55 +129,34 @@ func (op *AsyncOp) Wait() error {
 // the call retries. Issue several and Wait in order to pipeline writes
 // over one connection.
 func (cl *Client) WriteAsync(addr dm.RemoteAddr, src []byte) *AsyncOp {
-	idx, raw := splitAddr(addr)
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return &AsyncOp{err: err}
 	}
 	if err := checkWireRange("write", 0, int64(len(src))); err != nil {
 		return &AsyncOp{err: err}
 	}
-	return &AsyncOp{p: cl.node.CallAsync(srv, dmwire.MWrite,
-		dmwire.WriteReq{PID: pid, Addr: raw}.MarshalHdr(), src, idemOpts())}
+	return &AsyncOp{p: cl.node.CallAsync(cl.addr, dmwire.MWrite,
+		dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, idemOpts())}
 }
 
 // ReadRefAsync starts a by-ref read into dst and returns a future; dst is
-// filled when Wait returns nil and must not be read before that. A
-// whole-object read that hits the hot-ref cache resolves without
-// touching the wire (the copy into dst is deferred to Wait); a cacheable
-// miss offers the fetched payload for admission.
+// filled when Wait returns nil and must not be read before that.
 func (cl *Client) ReadRefAsync(ref dm.Ref, off int64, dst []byte) *AsyncOp {
-	cacheable := cl.refCacheable(ref, off, int64(len(dst)))
-	if cacheable {
-		if b, ok := cl.cache.Get(refCacheKey(ref)); ok {
-			return &AsyncOp{complete: func() error {
-				copy(dst, b.Bytes())
-				b.Release()
-				return nil
-			}}
-		}
-	}
-	srv, _, err := cl.server(int(ref.Server))
-	if err != nil {
+	if _, err := cl.session(); err != nil {
 		return &AsyncOp{err: err}
 	}
 	if err := checkWireRange("readref", off, int64(len(dst))); err != nil {
 		return &AsyncOp{err: err}
 	}
 	return &AsyncOp{
-		p: cl.node.CallAsync(srv, dmwire.MReadRef,
+		p: cl.node.CallAsync(cl.addr, dmwire.MReadRef,
 			dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(len(dst))}.Marshal(), nil, idemOpts()),
 		consume: func(resp []byte) error {
 			if len(resp) != len(dst) {
 				return fmt.Errorf("live: readref returned %d bytes, want %d", len(resp), len(dst))
 			}
 			copy(dst, resp)
-			if cacheable {
-				// Admission copies the payload (the pooled resp cannot be
-				// retained); mk runs only if the sketch admits the key.
-				cl.cache.Add(refCacheKey(ref), ref.Size, cl.cacheTTL(int(ref.Server)),
-					func() *Buf { return NewBuf(resp) })
-			}
 			return nil
 		},
 	}
@@ -193,24 +165,22 @@ func (cl *Client) ReadRefAsync(ref dm.Ref, off int64, dst []byte) *AsyncOp {
 // AsyncRef is an in-flight StageRefAsync; Wait must be called exactly
 // once and yields the staged ref.
 type AsyncRef struct {
-	op     AsyncOp
-	server uint32
-	size   int64
-	key    uint64
+	op   AsyncOp
+	size int64
+	key  uint64
 }
 
 // StageRefAsync starts staging data into fresh pages and returns a
 // future for the ref. data must stay valid and unmodified until Wait
 // returns (it is re-sent if the tokened call retries).
 func (cl *Client) StageRefAsync(data []byte) *AsyncRef {
-	idx := cl.next()
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return &AsyncRef{op: AsyncOp{err: err}}
 	}
-	ar := &AsyncRef{server: uint32(idx), size: int64(len(data))}
+	ar := &AsyncRef{size: int64(len(data))}
 	ar.op = AsyncOp{
-		p: cl.node.CallAsync(srv, dmwire.MStage, dmwire.StageReq{PID: pid}.MarshalHdr(), data, cl.mutOpts()),
+		p: cl.node.CallAsync(cl.addr, dmwire.MStage, dmwire.StageReq{PID: pid}.MarshalHdr(), data, cl.mutOpts()),
 		consume: func(resp []byte) error {
 			r, err := dmwire.UnmarshalRefKeyResp(resp)
 			if err != nil {
@@ -223,17 +193,17 @@ func (cl *Client) StageRefAsync(data []byte) *AsyncRef {
 	return ar
 }
 
-// StageRefAtAsync starts a caller-keyed stage on a specific server
-// (MStageAt — the replica-placement primitive) and returns a future for
-// the ref. data must stay valid and unmodified until Wait returns.
-func (cl *Client) StageRefAtAsync(server int, key uint64, data []byte) *AsyncRef {
-	srv, pid, err := cl.server(server)
+// StageRefAtAsync starts a caller-keyed stage (MStageAt — the
+// replica-placement primitive) and returns a future for the ref. data
+// must stay valid and unmodified until Wait returns.
+func (cl *Client) StageRefAtAsync(key uint64, data []byte) *AsyncRef {
+	pid, err := cl.session()
 	if err != nil {
 		return &AsyncRef{op: AsyncOp{err: err}}
 	}
-	ar := &AsyncRef{server: uint32(server), size: int64(len(data)), key: key}
+	ar := &AsyncRef{size: int64(len(data)), key: key}
 	ar.op = AsyncOp{
-		p: cl.node.CallAsync(srv, dmwire.MStageAt,
+		p: cl.node.CallAsync(cl.addr, dmwire.MStageAt,
 			dmwire.StageAtReq{PID: pid, Key: key}.MarshalHdr(), data, cl.mutOpts()),
 		consume: func(resp []byte) error {
 			_, err := dmwire.UnmarshalRefKeyResp(resp)
@@ -248,5 +218,5 @@ func (ar *AsyncRef) Wait() (dm.Ref, error) {
 	if err := ar.op.Wait(); err != nil {
 		return dm.Ref{}, err
 	}
-	return dm.Ref{Server: ar.server, Key: ar.key, Size: ar.size}, nil
+	return dm.Ref{Key: ar.key, Size: ar.size}, nil
 }

@@ -264,13 +264,13 @@ func TestSessionHealthObservesFailures(t *testing.T) {
 	if err := cl.Register(); err != nil {
 		t.Fatal(err)
 	}
-	if h := cl.SessionHealth()[addr]; h != 0 {
+	if h := cl.SessionHealth(); h != 0 {
 		t.Fatalf("health %d before any failure", h)
 	}
 
 	inj.Partition()
 	waitFor(t, 10*time.Second, "two consecutive heartbeat failures", func() bool {
-		return cbFails.load() >= 2 && cl.SessionHealth()[addr] >= 1
+		return cbFails.load() >= 2 && cl.SessionHealth() >= 1
 	})
 	if cbMax.load() < 2 {
 		t.Fatalf("callback never saw consecutive>=2 (got %d)", cbMax.load())
@@ -278,7 +278,7 @@ func TestSessionHealthObservesFailures(t *testing.T) {
 
 	inj.Heal()
 	waitFor(t, 10*time.Second, "health back to zero after heal", func() bool {
-		return cl.SessionHealth()[addr] == 0
+		return cl.SessionHealth() == 0
 	})
 }
 

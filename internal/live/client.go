@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dm"
 	"repro/internal/dmwire"
-	"repro/internal/refcache"
 	"repro/internal/registry"
 	"repro/internal/rpc"
 	"repro/internal/stats"
@@ -24,29 +23,20 @@ import (
 type ClientConfig struct {
 	Net NodeConfig
 	// HeartbeatInterval paces the lease-renewal heartbeats started after
-	// Register against every leasing server. 0 derives TTL/3 from the
+	// Register when the server leases sessions. 0 derives TTL/3 from the
 	// server's granted lease; negative disables heartbeats (the client
 	// then survives only one TTL — test hook for crash simulation).
 	HeartbeatInterval time.Duration
 	// OnHeartbeatFailure, when set, is invoked from the heartbeat loop
 	// after each failed lease renewal with the running count of
-	// consecutive failures for that server (resetting to zero on the next
-	// success), so applications can observe an expiring session before
-	// data calls start failing. It must not block; see also
-	// Client.SessionHealth.
+	// consecutive failures (resetting to zero on the next success), so
+	// applications can observe an expiring session before data calls
+	// start failing. It must not block; see also Client.SessionHealth.
 	OnHeartbeatFailure func(addr string, consecutive int, err error)
-	// CacheBytes enables the client-side hot-ref payload cache
-	// (DESIGN.md §D15): full-object ReadRef/ReadRefLease/ReadRefAsync
-	// results are retained up to this many bytes, TinyLFU-admitted, and
-	// served without crossing the wire until the server's invalidation
-	// epoch advances, the entry's lease-bounded TTL lapses, or a local
-	// FreeRef/Write/Reregister drops them. 0 disables caching.
-	CacheBytes int64
 	// OnEpochAdvance, when set, is invoked from the heartbeat loop each
-	// time a server's cache-invalidation epoch is observed to advance
-	// (after the client's own cache entries for it are dropped) — the
-	// hook the pool uses to invalidate its cluster-level cache. It must
-	// not block.
+	// time the server's cache-invalidation epoch is observed to advance
+	// (DESIGN.md §D15) — the hook the pool uses to invalidate its
+	// cluster-level cache. It must not block.
 	OnEpochAdvance func(addr string, epoch uint64)
 }
 
@@ -55,42 +45,42 @@ func DefaultClientConfig() ClientConfig {
 	return ClientConfig{Net: DefaultNodeConfig()}
 }
 
-// Client is a process's live handle on a DM server pool: the Table II API
-// over real TCP connections, with allocations round-robined across
-// servers, mirroring dmnet.Client. Methods are safe for concurrent use.
+// Client is a process's live session on one DM server: the Table II API
+// over a real TCP connection. A cluster of servers is a pool.Client,
+// which holds one Client per shard. Methods are safe for concurrent use.
+//
+// Refs minted here carry Server 0 and the Server field of a ref passed in
+// is not interpreted — the session has exactly one server to ask — so a
+// pool can hand its located refs (Server = shard ID) straight through.
 //
 // Failure model (DESIGN.md §D8): every call carries a deadline; reads are
 // retried as idempotent, mutations carry dedup tokens so server-side
-// retry deduplication keeps them at-most-once; sessions are kept alive by
-// background heartbeats, and a client that dies is reaped by the server
-// within one lease TTL.
+// retry deduplication keeps them at-most-once; the session is kept alive
+// by a background heartbeat, and a client that dies is reaped by the
+// server within one lease TTL.
 type Client struct {
-	mu     sync.Mutex
-	cfg    ClientConfig
-	node   *Node
-	addrs  []string
-	pids   []uint32
-	leases []time.Duration
-	shards []int64 // shard ID each server announced at register; -1 = none
-	ready  bool
-	rr     atomic.Uint64 // round-robin cursor for Alloc/StageRef targets
+	mu    sync.Mutex
+	cfg   ClientConfig
+	node  *Node
+	addr  string
+	pid   uint32
+	lease time.Duration
+	shard int64 // shard ID the server announced at register; -1 = none
+	ready bool
 
 	cid      uint64        // dedup token identity, stable across reconnects
 	seq      atomic.Uint64 // dedup token sequence
 	hbStop   chan struct{}
 	hbOnce   sync.Once
 	hbWG     sync.WaitGroup
-	hbFails  []atomic.Int32  // per-server consecutive heartbeat failures
-	hbDead   []atomic.Bool   // per-server "session reaped" latch (see SessionReaped)
-	hbCancel []chan struct{} // per-server heartbeat cancel, mu-guarded (Reregister)
-	hbTotal  atomic.Int64    // cumulative heartbeat failures (never resets)
+	hbFails  atomic.Int32  // consecutive heartbeat failures
+	hbDead   atomic.Bool   // "session reaped" latch (see SessionReaped)
+	hbCancel chan struct{} // heartbeat cancel, mu-guarded (Reregister)
+	hbTotal  atomic.Int64  // cumulative heartbeat failures (never resets)
 
-	// cache is the hot-ref payload cache (nil when disabled); epochSeen
-	// tracks, per server, the last invalidation epoch a heartbeat
-	// carried (-1 until first observed) so an advance drops that
-	// server's cached entries.
-	cache     *refcache.Cache[*Buf]
-	epochSeen []atomic.Int64
+	// epochSeen is the last invalidation epoch the server reported (-1
+	// until registration), so an advance fires OnEpochAdvance.
+	epochSeen atomic.Int64
 }
 
 // conn is one multiplexed TCP connection to a DM server. All request
@@ -114,62 +104,41 @@ type response struct {
 	payload []byte
 }
 
-// Dial connects to every server address in order with the default
-// configuration. The order must match across processes sharing refs
-// (Ref.Server is the pool index).
-func Dial(addrs ...string) (*Client, error) {
-	return DialConfig(DefaultClientConfig(), addrs...)
+// Dial connects to the server at addr with the default configuration.
+func Dial(addr string) (*Client, error) {
+	return DialConfig(DefaultClientConfig(), addr)
 }
 
 // DialConfig is Dial with explicit configuration.
-func DialConfig(cfg ClientConfig, addrs ...string) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("live: need at least one server address")
-	}
+func DialConfig(cfg ClientConfig, addr string) (*Client, error) {
 	cid := rand.Uint64()
 	if cid == 0 {
 		cid = 1 // the zero token means "no dedup"
 	}
 	cl := &Client{
-		cfg:       cfg,
-		node:      NewNodeWith(cfg.Net),
-		addrs:     addrs,
-		pids:      make([]uint32, len(addrs)),
-		leases:    make([]time.Duration, len(addrs)),
-		shards:    make([]int64, len(addrs)),
-		cid:       cid,
-		hbStop:    make(chan struct{}),
-		hbFails:   make([]atomic.Int32, len(addrs)),
-		hbDead:    make([]atomic.Bool, len(addrs)),
-		hbCancel:  make([]chan struct{}, len(addrs)),
-		epochSeen: make([]atomic.Int64, len(addrs)),
+		cfg:    cfg,
+		node:   NewNodeWith(cfg.Net),
+		addr:   addr,
+		shard:  -1,
+		cid:    cid,
+		hbStop: make(chan struct{}),
 	}
-	for i := range cl.shards {
-		cl.shards[i] = -1
-		cl.epochSeen[i].Store(-1)
-	}
-	if cfg.CacheBytes > 0 {
-		cl.cache = refcache.New[*Buf](refcache.Config{MaxBytes: cfg.CacheBytes})
-	}
+	cl.epochSeen.Store(-1)
 	dialDeadline := time.Time{}
 	if d := cl.node.cfg.DialTimeout; d > 0 {
 		dialDeadline = time.Now().Add(d)
 	}
-	for _, a := range addrs {
-		if _, err := cl.node.peer(a, dialDeadline); err != nil {
-			cl.Close()
-			return nil, err
-		}
+	if _, err := cl.node.peer(addr, dialDeadline); err != nil {
+		cl.Close()
+		return nil, err
 	}
 	return cl, nil
 }
 
-// Close stops the heartbeats, releases every cached payload, and tears
-// down every connection.
+// Close stops the heartbeat and tears down the connection.
 func (cl *Client) Close() error {
 	cl.hbOnce.Do(func() { close(cl.hbStop) })
 	cl.hbWG.Wait()
-	cl.cache.Flush()
 	return cl.node.Close()
 }
 
@@ -394,71 +363,56 @@ func (c *conn) await(m rpc.Method, id uint64, ch chan response, deadline time.Ti
 	}
 }
 
-// Register obtains a PID (and lease) from every server, then starts the
-// lease-renewal heartbeats; must complete before other calls.
+// Register obtains a PID (and lease) from the server, then starts the
+// lease-renewal heartbeat; must complete before other calls.
 func (cl *Client) Register() error {
-	for i, a := range cl.addrs {
-		if err := cl.registerOne(i, a); err != nil {
-			return err
-		}
+	if err := cl.register(); err != nil {
+		return err
 	}
 	cl.mu.Lock()
 	cl.ready = true
 	cl.mu.Unlock()
-	for i := range cl.addrs {
-		cl.startHeartbeat(i)
-	}
+	cl.startHeartbeat()
 	return nil
 }
 
-// registerOne obtains a PID (and lease) from server i and records them,
-// along with the server's invalidation-epoch baseline: captured BEFORE
-// any read can populate the cache, so the first heartbeat's epoch
+// register obtains a PID (and lease) and records them, along with the
+// server's invalidation-epoch baseline: captured BEFORE any read can
+// populate a cache above this session, so the first heartbeat's epoch
 // compares against registration time, not against whenever the
 // heartbeat loop happened to fire first (a free landing in that gap
 // must still invalidate, §D15).
-func (cl *Client) registerOne(i int, a string) error {
-	var pid uint32
-	var lease time.Duration
-	var epoch uint64
-	shard := int64(-1)
-	err := cl.node.CallConsumeOpts(a, dmwire.MRegister, nil, nil, func(resp []byte) error {
-		r, err := dmwire.UnmarshalRegisterResp(resp)
-		if err != nil {
-			return err
-		}
-		pid = r.PID
-		lease = time.Duration(r.LeaseMillis) * time.Millisecond
-		epoch = r.Epoch
-		if r.HasShard {
-			shard = int64(r.Shard)
-		}
-		// Adopt the server's advertised async credit window.
-		cl.node.setPeerCredits(a, r.Credits)
-		return nil
+func (cl *Client) register() error {
+	var r dmwire.RegisterResp
+	err := cl.node.CallConsumeOpts(cl.addr, dmwire.MRegister, nil, nil, func(resp []byte) (err error) {
+		r, err = dmwire.UnmarshalRegisterResp(resp)
+		return err
 	}, cl.mutOpts())
 	if err != nil {
 		return err
 	}
-	cl.epochSeen[i].Store(int64(epoch))
+	// Adopt the server's advertised async credit window.
+	cl.node.setPeerCredits(cl.addr, r.Credits)
+	cl.epochSeen.Store(int64(r.Epoch))
 	cl.mu.Lock()
-	cl.pids[i] = pid
-	cl.leases[i] = lease
-	cl.shards[i] = shard
+	cl.pid = r.PID
+	cl.lease = time.Duration(r.LeaseMillis) * time.Millisecond
+	cl.shard = -1
+	if r.HasShard {
+		cl.shard = int64(r.Shard)
+	}
 	cl.mu.Unlock()
 	return nil
 }
 
-// startHeartbeat spawns the renewal loop for server i if it leases
-// sessions and heartbeats are enabled.
-func (cl *Client) startHeartbeat(i int) {
+// startHeartbeat spawns the renewal loop if the server leases sessions
+// and heartbeats are enabled.
+func (cl *Client) startHeartbeat() {
 	if cl.cfg.HeartbeatInterval < 0 {
 		return
 	}
 	cl.mu.Lock()
-	lease := cl.leases[i]
-	pid := cl.pids[i]
-	addr := cl.addrs[i]
+	lease, pid := cl.lease, cl.pid
 	cl.mu.Unlock()
 	if lease <= 0 {
 		return // server does not lease sessions
@@ -472,21 +426,21 @@ func (cl *Client) startHeartbeat(i int) {
 	}
 	cancel := make(chan struct{})
 	cl.mu.Lock()
-	cl.hbCancel[i] = cancel
+	cl.hbCancel = cancel
 	cl.mu.Unlock()
 	cl.hbWG.Add(1)
-	go cl.heartbeatLoop(i, addr, pid, interval, cancel)
+	go cl.heartbeatLoop(pid, interval, cancel)
 }
 
-// heartbeatLoop renews one server's lease until Close, Reregister
-// (cancel), or until the server reports the session gone (reaped), at
-// which point renewing is pointless — the hbDead latch is set so
-// SessionReaped observers (the pool rejoin poller) can re-register, and
-// subsequent data calls surface the dead session as dm.ErrBadAddress.
-// Renewal outcomes feed the per-server consecutive failure counter behind
-// SessionHealth and the OnHeartbeatFailure hook, so an expiring session
-// is observable before data calls start failing.
-func (cl *Client) heartbeatLoop(i int, addr string, pid uint32, interval time.Duration, cancel chan struct{}) {
+// heartbeatLoop renews the lease until Close, Reregister (cancel), or
+// until the server reports the session gone (reaped), at which point
+// renewing is pointless — the hbDead latch is set so SessionReaped
+// observers (the pool rejoin poller) can re-register, and subsequent data
+// calls surface the dead session as dm.ErrBadAddress. Renewal outcomes
+// feed the consecutive failure counter behind SessionHealth and the
+// OnHeartbeatFailure hook, so an expiring session is observable before
+// data calls start failing.
+func (cl *Client) heartbeatLoop(pid uint32, interval time.Duration, cancel chan struct{}) {
 	defer cl.hbWG.Done()
 	req := dmwire.HeartbeatReq{PID: pid}.Marshal()
 	tick := time.NewTicker(interval)
@@ -500,118 +454,91 @@ func (cl *Client) heartbeatLoop(i int, addr string, pid uint32, interval time.Du
 		case <-tick.C:
 			opts := idemOpts()
 			opts.Timeout = interval
-			err := cl.node.CallConsumeOpts(addr, dmwire.MHeartbeat, req, nil, func(resp []byte) error {
+			err := cl.node.CallConsumeOpts(cl.addr, dmwire.MHeartbeat, req, nil, func(resp []byte) error {
 				r, err := dmwire.UnmarshalHeartbeatResp(resp)
 				if err != nil {
 					return err
 				}
 				// Refresh the async credit window from the renewal.
-				cl.node.setPeerCredits(addr, r.Credits)
-				cl.observeEpoch(i, addr, r.Epoch)
+				cl.node.setPeerCredits(cl.addr, r.Credits)
+				cl.observeEpoch(r.Epoch)
 				return nil
 			}, opts)
 			if err == nil {
-				cl.hbFails[i].Store(0)
+				cl.hbFails.Store(0)
 				continue
 			}
-			n := cl.hbFails[i].Add(1)
+			n := cl.hbFails.Add(1)
 			cl.hbTotal.Add(1)
 			if cb := cl.cfg.OnHeartbeatFailure; cb != nil {
-				cb(addr, int(n), err)
+				cb(cl.addr, int(n), err)
 			}
 			if errors.Is(err, dm.ErrBadAddress) {
-				cl.hbDead[i].Store(true)
-				// A reaped session's refs are gone server-side; cached
-				// payloads must never outlive the reap (§D15).
-				cl.cache.InvalidateServer(uint32(i))
+				cl.hbDead.Store(true)
 				return // session reaped; the counter stays nonzero
 			}
 		}
 	}
 }
 
-// observeEpoch folds one heartbeat's invalidation epoch into the
-// per-server record: the first observation is the baseline (entries
-// cached before it are covered by the one-heartbeat staleness bound),
-// any advance drops the server's cached entries and fires the
-// OnEpochAdvance hook.
-func (cl *Client) observeEpoch(i int, addr string, epoch uint64) {
-	if cl.cache == nil && cl.cfg.OnEpochAdvance == nil {
+// observeEpoch folds one heartbeat's invalidation epoch into the record
+// and fires the OnEpochAdvance hook on any advance past the
+// registration baseline.
+func (cl *Client) observeEpoch(epoch uint64) {
+	cb := cl.cfg.OnEpochAdvance
+	if cb == nil {
 		return
 	}
-	prev := cl.epochSeen[i].Swap(int64(epoch))
-	if prev < 0 || uint64(prev) == epoch {
-		return
-	}
-	cl.cache.InvalidateServer(uint32(i))
-	if cb := cl.cfg.OnEpochAdvance; cb != nil {
-		cb(addr, epoch)
+	if prev := cl.epochSeen.Swap(int64(epoch)); prev >= 0 && uint64(prev) != epoch {
+		cb(cl.addr, epoch)
 	}
 }
 
-// SessionReaped reports whether server i declared this client's session
-// gone (heartbeat answered dm.ErrBadAddress — the server restarted or
-// reaped the lease). A reaped session never recovers by itself; call
-// Reregister to re-admit the server with a fresh PID.
-func (cl *Client) SessionReaped(i int) bool {
-	if i < 0 || i >= len(cl.hbDead) {
-		return false
-	}
-	return cl.hbDead[i].Load()
-}
+// SessionReaped reports whether the server declared this client's
+// session gone (heartbeat answered dm.ErrBadAddress — the server
+// restarted or reaped the lease). A reaped session never recovers by
+// itself; call Reregister to obtain a fresh PID.
+func (cl *Client) SessionReaped() bool { return cl.hbDead.Load() }
 
-// Reregister re-establishes the session with server i after the server
-// reaped it (process restart or lease expiry): the dead heartbeat loop is
-// stopped, a fresh PID and lease are obtained, and renewal restarts.
-// Every resource the old PID held on that server is gone — callers (the
-// pool rejoin poller) must treat the shard as empty and re-replicate.
-func (cl *Client) Reregister(i int) error {
+// Reregister re-establishes the session after the server reaped it
+// (process restart or lease expiry): the dead heartbeat loop is stopped,
+// a fresh PID and lease are obtained, and renewal restarts. Every
+// resource the old PID held on the server is gone — callers (the pool
+// rejoin poller) must treat the shard as empty and re-replicate.
+func (cl *Client) Reregister() error {
 	cl.mu.Lock()
-	if i < 0 || i >= len(cl.addrs) {
-		cl.mu.Unlock()
-		return dm.ErrBadAddress
-	}
-	a := cl.addrs[i]
-	if c := cl.hbCancel[i]; c != nil {
+	if c := cl.hbCancel; c != nil {
 		close(c)
-		cl.hbCancel[i] = nil
+		cl.hbCancel = nil
 	}
 	cl.mu.Unlock()
-	// The old session's server-side state is gone; drop cached payloads
-	// and re-baseline the epoch (the fresh server may start from 0).
-	cl.cache.InvalidateServer(uint32(i))
-	cl.epochSeen[i].Store(-1)
-	if err := cl.registerOne(i, a); err != nil {
+	// Re-baseline the epoch: the fresh server may start from 0.
+	cl.epochSeen.Store(-1)
+	if err := cl.register(); err != nil {
 		return err
 	}
-	cl.hbFails[i].Store(0)
-	cl.hbDead[i].Store(false)
-	cl.startHeartbeat(i)
+	cl.hbFails.Store(0)
+	cl.hbDead.Store(false)
+	cl.startHeartbeat()
 	return nil
 }
 
 // SessionHealth reports the number of consecutive failed lease renewals
-// per server address (0 = healthy). A count that keeps climbing toward
-// TTL/interval heartbeats means the session will be reaped and data calls
-// will start returning dm.ErrBadAddress.
-func (cl *Client) SessionHealth() map[string]int {
-	out := make(map[string]int, len(cl.addrs))
-	for i, a := range cl.addrs {
-		out[a] = int(cl.hbFails[i].Load())
-	}
-	return out
-}
+// (0 = healthy). A count that keeps climbing toward TTL/interval
+// heartbeats means the session will be reaped and data calls will start
+// returning dm.ErrBadAddress.
+func (cl *Client) SessionHealth() int { return int(cl.hbFails.Load()) }
 
-// ServerShard returns the cluster-wide shard ID server i announced at
+// ServerShard returns the cluster-wide shard ID the server announced at
 // registration (ServerConfig.ShardID), and whether it announced one.
 // Single-server deployments that never set a shard report false.
-func (cl *Client) ServerShard(i int) (uint32, bool) {
+func (cl *Client) ServerShard() (uint32, bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if i < 0 || i >= len(cl.shards) || cl.shards[i] < 0 {
+	if cl.shard < 0 {
 		return 0, false
 	}
-	return uint32(cl.shards[i]), true
+	return uint32(cl.shard), true
 }
 
 // Stats is a point-in-time snapshot of a client's call-level counters.
@@ -636,7 +563,7 @@ type Stats struct {
 	// unreachable-or-crashed failure class.
 	TransportErrors int64
 	// HeartbeatFailures counts failed lease renewals, cumulatively
-	// (SessionHealth reports the resetting per-server consecutive count).
+	// (SessionHealth reports the resetting consecutive count).
 	HeartbeatFailures int64
 	// CreditWaits counts async submissions that had to block for a
 	// session credit; a climbing rate means the in-flight window, not
@@ -649,8 +576,9 @@ type Stats struct {
 	// CacheHits .. CacheCoalesced mirror the hot-ref cache's counters
 	// (DESIGN.md §D15): reads served from memory, reads that went to the
 	// wire, entries admitted/evicted/invalidated, and concurrent cold
-	// reads coalesced behind another caller's fetch. All zero when
-	// ClientConfig.CacheBytes is 0.
+	// reads coalesced behind another caller's fetch. The cache lives in
+	// pool.Client, so only pool.Client.Stats fills them; a bare
+	// live.Client reports zeros.
 	CacheHits          int64
 	CacheMisses        int64
 	CacheAdmits        int64
@@ -664,21 +592,8 @@ type Stats struct {
 func (cl *Client) Stats() Stats {
 	s := cl.node.ops.snapshot()
 	s.HeartbeatFailures = cl.hbTotal.Load()
-	if cl.cache != nil {
-		cs := cl.cache.Stats()
-		s.CacheHits = cs.Hits
-		s.CacheMisses = cs.Misses
-		s.CacheAdmits = cs.Admits
-		s.CacheEvictions = cs.Evictions
-		s.CacheInvalidations = cs.Invalidations
-		s.CacheCoalesced = cs.Coalesced
-	}
 	return s
 }
-
-// CacheStats snapshots the hot-ref cache's own counters and gauges
-// (zero when the cache is disabled).
-func (cl *Client) CacheStats() refcache.Stats { return cl.cache.Stats() }
 
 // Latency summarizes the client's per-op latency distribution
 // (submission to completion, retries included; sync and async ops, in
@@ -689,89 +604,32 @@ func (cl *Client) Latency() stats.Summary { return cl.node.Latency() }
 // merging across clients or custom quantiles.
 func (cl *Client) LatencyHistogram() *stats.Histogram { return cl.node.LatencyHistogram() }
 
-// Lease returns the lease duration server i granted at registration
-// (0 when the server does not lease sessions or i is out of range).
-func (cl *Client) Lease(i int) time.Duration {
+// Lease returns the lease duration the server granted at registration
+// (0 when it does not lease sessions).
+func (cl *Client) Lease() time.Duration {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if i < 0 || i >= len(cl.leases) {
-		return 0
-	}
-	return cl.leases[i]
+	return cl.lease
 }
 
-// refCacheable reports whether a ref read can be served from or
-// admitted to the hot-ref cache: whole-object reads of a nonempty ref
-// only — partial reads bypass so the cache never stores a fragment
-// under a whole-object key.
-func (cl *Client) refCacheable(ref dm.Ref, off, size int64) bool {
-	return cl.cache != nil && off == 0 && size > 0 && size == ref.Size
-}
-
-func refCacheKey(ref dm.Ref) refcache.Key {
-	return refcache.Key{Server: ref.Server, Ref: ref.Key}
-}
-
-// cacheTTL caps a cached entry's lifetime at server i's lease so a
-// missed invalidation can serve stale bytes for at most one TTL and an
-// entry never outlives a reap window; sessions without leasing fall
-// back to the refcache default.
-func (cl *Client) cacheTTL(i int) time.Duration {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if i >= 0 && i < len(cl.leases) {
-		return cl.leases[i] // 0 (no leasing) selects the refcache default
-	}
-	return 0
-}
-
-// cachedReadRef serves a whole-object ref read through the hot-ref
-// cache, going to the wire (once, under singleflight) on a miss. The
-// returned Buf is retained for the caller.
-func (cl *Client) cachedReadRef(ref dm.Ref) (*Buf, error) {
-	return cl.cache.GetOrLoad(refCacheKey(ref), ref.Size, cl.cacheTTL(int(ref.Server)),
-		func() (*Buf, error) { return cl.readRefLeaseWire(ref, 0, ref.Size) })
-}
-
-// server picks the pool entry for index i.
-func (cl *Client) server(i int) (string, uint32, error) {
+// session returns the registered session's PID.
+func (cl *Client) session() (uint32, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if !cl.ready {
-		return "", 0, fmt.Errorf("live: client not registered")
+		return 0, fmt.Errorf("live: client not registered")
 	}
-	if i < 0 || i >= len(cl.addrs) {
-		return "", 0, dm.ErrBadAddress
-	}
-	return cl.addrs[i], cl.pids[i], nil
-}
-
-// next round-robins the target server for allocations and staging; a
-// lock-free atomic cursor, since it sits on the small-op hot path.
-func (cl *Client) next() int {
-	return int((cl.rr.Add(1) - 1) % uint64(len(cl.addrs)))
-}
-
-// Address tagging matches dmnet: the pool index rides in the top byte.
-const serverShift = 56
-
-func tagAddr(server int, a dm.RemoteAddr) dm.RemoteAddr {
-	return dm.RemoteAddr(uint64(server)<<serverShift | uint64(a))
-}
-
-func splitAddr(a dm.RemoteAddr) (int, dm.RemoteAddr) {
-	return int(uint64(a) >> serverShift), dm.RemoteAddr(uint64(a) & (1<<serverShift - 1))
+	return cl.pid, nil
 }
 
 // Alloc reserves size bytes (ralloc).
 func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
-	idx := cl.next()
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return 0, err
 	}
 	var addr dm.RemoteAddr
-	err = cl.node.CallConsumeOpts(srv, dmwire.MAlloc, dmwire.AllocReq{PID: pid, Size: size}.Marshal(), nil,
+	err = cl.node.CallConsumeOpts(cl.addr, dmwire.MAlloc, dmwire.AllocReq{PID: pid, Size: size}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalAllocResp(resp)
 			if err != nil {
@@ -780,41 +638,36 @@ func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
 			addr = r.Addr
 			return nil
 		}, cl.mutOpts())
-	if err != nil {
-		return 0, err
-	}
-	return tagAddr(idx, addr), nil
+	return addr, err
 }
 
 // Free releases the region at addr (rfree).
 func (cl *Client) Free(addr dm.RemoteAddr) error {
-	idx, raw := splitAddr(addr)
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(srv, dmwire.MFree, dmwire.FreeReq{PID: pid, Addr: raw}.Marshal(), nil, nil, cl.mutOpts())
+	return cl.node.CallConsumeOpts(cl.addr, dmwire.MFree, dmwire.FreeReq{PID: pid, Addr: addr}.Marshal(), nil, nil, cl.mutOpts())
 }
 
 // CreateRef shares [addr, addr+size) read-only (create_ref).
 func (cl *Client) CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error) {
-	idx, raw := splitAddr(addr)
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return dm.Ref{}, err
 	}
-	key, err := cl.callRefKey(srv, dmwire.MCreateRef, dmwire.CreateRefReq{PID: pid, Addr: raw, Size: size}.Marshal(), nil)
+	key, err := cl.callRefKey(dmwire.MCreateRef, dmwire.CreateRefReq{PID: pid, Addr: addr, Size: size}.Marshal(), nil)
 	if err != nil {
 		return dm.Ref{}, err
 	}
-	return dm.Ref{Server: uint32(idx), Key: key, Size: size}, nil
+	return dm.Ref{Key: key, Size: size}, nil
 }
 
 // callRefKey runs a tokened call whose successful response is a
 // RefKeyResp.
-func (cl *Client) callRefKey(srv string, m rpc.Method, hdr, payload []byte) (uint64, error) {
+func (cl *Client) callRefKey(m rpc.Method, hdr, payload []byte) (uint64, error) {
 	var key uint64
-	err := cl.node.CallConsumeOpts(srv, m, hdr, payload, func(resp []byte) error {
+	err := cl.node.CallConsumeOpts(cl.addr, m, hdr, payload, func(resp []byte) error {
 		r, err := dmwire.UnmarshalRefKeyResp(resp)
 		if err != nil {
 			return err
@@ -827,12 +680,12 @@ func (cl *Client) callRefKey(srv string, m rpc.Method, hdr, payload []byte) (uin
 
 // MapRef maps a ref into this process's DM address space (map_ref).
 func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
-	srv, pid, err := cl.server(int(ref.Server))
+	pid, err := cl.session()
 	if err != nil {
 		return 0, err
 	}
 	var addr dm.RemoteAddr
-	err = cl.node.CallConsumeOpts(srv, dmwire.MMapRef, dmwire.MapRefReq{PID: pid, Key: ref.Key}.Marshal(), nil,
+	err = cl.node.CallConsumeOpts(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{PID: pid, Key: ref.Key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalMapRefResp(resp)
 			if err != nil {
@@ -841,23 +694,15 @@ func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 			addr = r.Addr
 			return nil
 		}, cl.mutOpts())
-	if err != nil {
-		return 0, err
-	}
-	return tagAddr(int(ref.Server), addr), nil
+	return addr, err
 }
 
-// FreeRef drops the ref's own page hold. The cached payload (if any)
-// is dropped regardless of outcome: even a failed free may have
-// applied server-side (retry ambiguity), and over-invalidating only
-// costs a refetch.
+// FreeRef drops the ref's own page hold.
 func (cl *Client) FreeRef(ref dm.Ref) error {
-	defer cl.cache.Invalidate(refCacheKey(ref))
-	srv, _, err := cl.server(int(ref.Server))
-	if err != nil {
+	if _, err := cl.session(); err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(srv, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil, cl.mutOpts())
+	return cl.node.CallConsumeOpts(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil, cl.mutOpts())
 }
 
 // checkWireRange validates that off and size fit the protocol's u32
@@ -879,63 +724,52 @@ const maxWireU32 = int64(^uint32(0))
 // straight from src — no marshal copy. Writing the same bytes twice is
 // harmless, so retries treat it as idempotent.
 func (cl *Client) Write(addr dm.RemoteAddr, src []byte) error {
-	idx, raw := splitAddr(addr)
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return err
 	}
 	if err := checkWireRange("write", 0, int64(len(src))); err != nil {
 		return err
 	}
-	// A local write invalidates the whole server's cached entries
-	// before the next read, ahead of the epoch advance the heartbeat
-	// would deliver (§D15: write-through-own-session invalidates
-	// locally). CoW keeps existing refs byte-stable, so this is
-	// conservatism, not correctness.
-	defer cl.cache.InvalidateServer(uint32(idx))
-	return cl.node.CallConsumeOpts(srv, dmwire.MWrite, dmwire.WriteReq{PID: pid, Addr: raw}.MarshalHdr(), src, nil, idemOpts())
+	return cl.node.CallConsumeOpts(cl.addr, dmwire.MWrite, dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, nil, idemOpts())
 }
 
-// Read loads len(dst) bytes from addr (rread); the response body is
-// copied once, pooled buffer to dst.
+// Read loads len(dst) bytes from addr (rread): ReadLease plus the one
+// copy, pooled response frame to dst.
 func (cl *Client) Read(addr dm.RemoteAddr, dst []byte) error {
-	idx, raw := splitAddr(addr)
-	srv, pid, err := cl.server(idx)
+	b, err := cl.ReadLease(addr, int64(len(dst)))
 	if err != nil {
 		return err
 	}
-	if err := checkWireRange("read", 0, int64(len(dst))); err != nil {
-		return err
-	}
-	return cl.node.CallConsumeOpts(srv, dmwire.MRead,
-		dmwire.ReadReq{PID: pid, Addr: raw, Size: uint32(len(dst))}.Marshal(), nil,
-		func(resp []byte) error {
-			if len(resp) != len(dst) {
-				return fmt.Errorf("live: read returned %d bytes, want %d", len(resp), len(dst))
-			}
-			copy(dst, resp)
-			return nil
-		}, idemOpts())
+	copy(dst, b.Bytes())
+	b.Release()
+	return nil
 }
 
-// ReadLease is Read without the final copy: it loads size bytes from
-// addr and leases the caller the pooled response frame itself as a Buf.
-// The caller must Release it exactly once; the bytes are invalid after.
+// ReadLease loads size bytes from addr and leases the caller the pooled
+// response frame itself as a Buf. The caller must Release it exactly
+// once; the bytes are invalid after.
 func (cl *Client) ReadLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
-	idx, raw := splitAddr(addr)
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return nil, err
 	}
 	if err := checkWireRange("read", 0, size); err != nil {
 		return nil, err
 	}
+	return cl.callLease(dmwire.MRead, dmwire.ReadReq{PID: pid, Addr: addr, Size: uint32(size)}.Marshal(), size)
+}
+
+// callLease runs an idempotent read whose response body must be exactly
+// size bytes and keeps the pooled frame it arrived in as a leased Buf.
+// On any error (including a failed or timed-out call) no Buf is leased
+// and the transport recycles the frame itself.
+func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64) (*Buf, error) {
 	var out *Buf
-	err = cl.node.callConsumer(srv, dmwire.MRead,
-		dmwire.ReadReq{PID: pid, Addr: raw, Size: uint32(size)}.Marshal(), nil,
+	err := cl.node.callConsumer(cl.addr, m, hdr, nil,
 		consumer{own: func(frame, body []byte) error {
 			if int64(len(body)) != size {
-				return fmt.Errorf("live: read returned %d bytes, want %d", len(body), size)
+				return fmt.Errorf("live: read %#x returned %d bytes, want %d", uint16(m), len(body), size)
 			}
 			out = newLeasedBuf(frame, body)
 			return nil
@@ -949,56 +783,52 @@ func (cl *Client) ReadLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
 // StageRef stages data into fresh pages in one round trip; data rides the
 // socket directly (no marshal copy).
 func (cl *Client) StageRef(data []byte) (dm.Ref, error) {
-	idx := cl.next()
-	srv, pid, err := cl.server(idx)
+	pid, err := cl.session()
 	if err != nil {
 		return dm.Ref{}, err
 	}
-	key, err := cl.callRefKey(srv, dmwire.MStage, dmwire.StageReq{PID: pid}.MarshalHdr(), data)
+	key, err := cl.callRefKey(dmwire.MStage, dmwire.StageReq{PID: pid}.MarshalHdr(), data)
 	if err != nil {
 		return dm.Ref{}, err
 	}
-	return dm.Ref{Server: uint32(idx), Key: key, Size: int64(len(data))}, nil
+	return dm.Ref{Key: key, Size: int64(len(data))}, nil
 }
 
-// StageRefAt stages data on a specific server under a caller-chosen key
-// (MStageAt): the replica-placement primitive behind the pool's R-way
-// replication. The key must carry dmwire.ReplicaKeyBit; a key the server
-// already holds fails with dm.ErrRefExists, which makes repair re-stages
-// idempotent.
-func (cl *Client) StageRefAt(server int, key uint64, data []byte) (dm.Ref, error) {
-	srv, pid, err := cl.server(server)
+// StageRefAt stages data under a caller-chosen key (MStageAt): the
+// replica-placement primitive behind the pool's R-way replication. The
+// key must carry dmwire.ReplicaKeyBit; a key the server already holds
+// fails with dm.ErrRefExists, which makes repair re-stages idempotent.
+func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
+	pid, err := cl.session()
 	if err != nil {
 		return dm.Ref{}, err
 	}
-	if _, err := cl.callRefKey(srv, dmwire.MStageAt, dmwire.StageAtReq{PID: pid, Key: key}.MarshalHdr(), data); err != nil {
+	if _, err := cl.callRefKey(dmwire.MStageAt, dmwire.StageAtReq{PID: pid, Key: key}.MarshalHdr(), data); err != nil {
 		return dm.Ref{}, err
 	}
-	return dm.Ref{Server: uint32(server), Key: key, Size: int64(len(data))}, nil
+	return dm.Ref{Key: key, Size: int64(len(data))}, nil
 }
 
-// RegPut hands a cluster ref's directory entry to server's registry
+// RegPut hands a cluster ref's directory entry to the server's registry
 // slice (DESIGN.md §D16): the staging client's handoff (epoch 1) or a
 // migration placement flip (bumped epoch). The server merges
 // higher-epoch-wins, so retries and races are idempotent.
-func (cl *Client) RegPut(server int, ent registry.Entry) error {
-	srv, _, err := cl.server(server)
-	if err != nil {
+func (cl *Client) RegPut(ent registry.Entry) error {
+	if _, err := cl.session(); err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(srv, dmwire.MRegPut,
+	return cl.node.CallConsumeOpts(cl.addr, dmwire.MRegPut,
 		dmwire.RegPutReq{Entry: ent}.Marshal(), nil, nil, idemOpts())
 }
 
-// RegGet queries server's directory slice for one key; dm.ErrBadRef
-// when that shard holds no entry.
-func (cl *Client) RegGet(server int, key uint64) (registry.Entry, error) {
-	srv, _, err := cl.server(server)
-	if err != nil {
+// RegGet queries the server's directory slice for one key; dm.ErrBadRef
+// when it holds no entry.
+func (cl *Client) RegGet(key uint64) (registry.Entry, error) {
+	if _, err := cl.session(); err != nil {
 		return registry.Entry{}, err
 	}
 	var ent registry.Entry
-	err = cl.node.CallConsumeOpts(srv, dmwire.MRegGet,
+	err := cl.node.CallConsumeOpts(cl.addr, dmwire.MRegGet,
 		dmwire.RegGetReq{Key: key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalRegGetResp(resp)
@@ -1011,19 +841,18 @@ func (cl *Client) RegGet(server int, key uint64) (registry.Entry, error) {
 	return ent, err
 }
 
-// RegSync pulls one anti-entropy page of server's directory: up to
+// RegSync pulls one anti-entropy page of the server's directory: up to
 // limit entries with keys strictly after afterKey, ascending. A short
 // page ends the scan.
-func (cl *Client) RegSync(server int, afterKey uint64, limit int) ([]registry.Entry, error) {
-	srv, _, err := cl.server(server)
-	if err != nil {
+func (cl *Client) RegSync(afterKey uint64, limit int) ([]registry.Entry, error) {
+	if _, err := cl.session(); err != nil {
 		return nil, err
 	}
 	if limit <= 0 || limit > dmwire.MaxRegSyncEntries {
 		limit = dmwire.MaxRegSyncEntries
 	}
 	var ents []registry.Entry
-	err = cl.node.CallConsumeOpts(srv, dmwire.MRegSync,
+	err := cl.node.CallConsumeOpts(cl.addr, dmwire.MRegSync,
 		dmwire.RegSyncReq{AfterKey: afterKey, Limit: uint32(limit)}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalRegSyncResp(resp)
@@ -1036,79 +865,29 @@ func (cl *Client) RegSync(server int, afterKey uint64, limit int) ([]registry.En
 	return ents, err
 }
 
-// ReadRef reads the ref's snapshot without mapping it. Whole-object
-// reads are served through the hot-ref cache when one is configured.
+// ReadRef reads the ref's snapshot without mapping it: ReadRefLease plus
+// the one copy, pooled response frame to dst.
 func (cl *Client) ReadRef(ref dm.Ref, off int64, dst []byte) error {
-	if cl.refCacheable(ref, off, int64(len(dst))) {
-		b, err := cl.cachedReadRef(ref)
-		if err != nil {
-			return err
-		}
-		copy(dst, b.Bytes())
-		b.Release()
-		return nil
-	}
-	return cl.readRefWire(ref, off, dst)
-}
-
-// readRefWire is the uncached MReadRef exchange: the response body is
-// copied once, pooled buffer to dst.
-func (cl *Client) readRefWire(ref dm.Ref, off int64, dst []byte) error {
-	srv, _, err := cl.server(int(ref.Server))
+	b, err := cl.ReadRefLease(ref, off, int64(len(dst)))
 	if err != nil {
 		return err
 	}
-	if err := checkWireRange("readref", off, int64(len(dst))); err != nil {
-		return err
-	}
-	return cl.node.CallConsumeOpts(srv, dmwire.MReadRef,
-		dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(len(dst))}.Marshal(), nil,
-		func(resp []byte) error {
-			if len(resp) != len(dst) {
-				return fmt.Errorf("live: readref returned %d bytes, want %d", len(resp), len(dst))
-			}
-			copy(dst, resp)
-			return nil
-		}, idemOpts())
+	copy(dst, b.Bytes())
+	b.Release()
+	return nil
 }
 
-// ReadRefLease is ReadRef without the final copy (DESIGN.md §D12): the
-// pooled frame the response arrived in is leased to the caller as a Buf
-// whose Bytes are the read payload. The caller must Release it exactly
-// once — the bytes recycle into the transport's frame pool and are
-// invalid after. On any error (including a failed or timed-out call) no
-// Buf is leased and the transport recycles the frame itself.
-// Whole-object reads are served through the hot-ref cache when one is
-// configured; a cached Buf's bytes are shared with other readers and
-// must be treated as read-only (which leased bytes always are).
+// ReadRefLease is the by-ref read primitive (DESIGN.md §D12): the pooled
+// frame the response arrived in is leased to the caller as a Buf whose
+// Bytes are the read payload. The caller must Release it exactly once —
+// the bytes recycle into the transport's frame pool and are invalid
+// after.
 func (cl *Client) ReadRefLease(ref dm.Ref, off, size int64) (*Buf, error) {
-	if cl.refCacheable(ref, off, size) {
-		return cl.cachedReadRef(ref)
-	}
-	return cl.readRefLeaseWire(ref, off, size)
-}
-
-// readRefLeaseWire is the uncached zero-copy MReadRef exchange.
-func (cl *Client) readRefLeaseWire(ref dm.Ref, off, size int64) (*Buf, error) {
-	srv, _, err := cl.server(int(ref.Server))
-	if err != nil {
+	if _, err := cl.session(); err != nil {
 		return nil, err
 	}
 	if err := checkWireRange("readref", off, size); err != nil {
 		return nil, err
 	}
-	var out *Buf
-	err = cl.node.callConsumer(srv, dmwire.MReadRef,
-		dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), nil,
-		consumer{own: func(frame, body []byte) error {
-			if int64(len(body)) != size {
-				return fmt.Errorf("live: readref returned %d bytes, want %d", len(body), size)
-			}
-			out = newLeasedBuf(frame, body)
-			return nil
-		}}, idemOpts())
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), size)
 }

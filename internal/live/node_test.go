@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dm"
 	"repro/internal/rpc"
 )
@@ -163,37 +162,33 @@ func TestNodeReconnectsAfterPeerRestart(t *testing.T) {
 }
 
 // TestLiveMicroservicesEndToEnd runs the paper's flow over real TCP:
-// producer -> forwarder -> consumer microservices exchanging a size-aware
-// Arg whose payload lives in a live DM server.
+// producer -> forwarder -> consumer microservices exchanging a 20-byte
+// Ref whose payload lives in a live DM server.
 func TestLiveMicroservicesEndToEnd(t *testing.T) {
 	// The DM pool.
 	dmSrv, dmAddr := startServer(t, ServerConfig{NumPages: 1024, PageSize: 4096})
 
-	// Consumer microservice: opens the Arg, checksums the payload.
+	// Consumer microservice: reads the ref, checksums the payload.
 	consumerDM := dialClient(t, dmAddr)
 	consumer := NewNode()
 	consumer.Handle(0x0500, func(from net.Addr, body []byte) ([]byte, error) {
-		arg := core.DecodeArg(rpc.NewDec(body))
-		d, err := consumerDM.Open(arg)
+		ref, err := dm.UnmarshalRef(body)
 		if err != nil {
 			return nil, err
 		}
-		buf, err := d.Bytes()
-		if err != nil {
+		buf := make([]byte, ref.Size)
+		if err := consumerDM.ReadRef(ref, 0, buf); err != nil {
 			return nil, err
 		}
 		var sum uint64
 		for _, b := range buf {
 			sum += uint64(b)
 		}
-		if err := d.Close(); err != nil {
-			return nil, err
-		}
 		return rpc.NewEnc(8).U64(sum).Bytes(), nil
 	})
 	consumerAddr := startNode(t, consumer)
 
-	// Forwarder microservice: relays the Arg without touching the payload.
+	// Forwarder microservice: relays the Ref without touching the payload.
 	forwarder := NewNode()
 	forwarder.Handle(0x0500, func(from net.Addr, body []byte) ([]byte, error) {
 		if len(body) > 64 {
@@ -203,7 +198,7 @@ func TestLiveMicroservicesEndToEnd(t *testing.T) {
 	})
 	forwarderAddr := startNode(t, forwarder)
 
-	// Producer: stages 64 KiB, sends only the Arg through the chain.
+	// Producer: stages 64 KiB, sends only the Ref through the chain.
 	producerDM := dialClient(t, dmAddr)
 	producer := NewNode()
 	defer producer.Close()
@@ -213,20 +208,18 @@ func TestLiveMicroservicesEndToEnd(t *testing.T) {
 		payload[i] = byte(i * 7)
 		want += uint64(payload[i])
 	}
-	arg, err := producerDM.MakeArg(payload, 0)
+	ref, err := producerDM.StageRef(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := rpc.NewEnc(arg.WireSize())
-	arg.Encode(e)
-	resp, err := producer.Call(forwarderAddr, 0x0500, e.Bytes())
+	resp, err := producer.Call(forwarderAddr, 0x0500, ref.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rpc.NewDec(resp).U64(); got != want {
 		t.Fatalf("checksum %d, want %d", got, want)
 	}
-	if err := producerDM.Release(arg); err != nil {
+	if err := producerDM.FreeRef(ref); err != nil {
 		t.Fatal(err)
 	}
 	if err := dmSrv.CheckInvariants(); err != nil {

@@ -18,46 +18,46 @@ func TestRegistryOps(t *testing.T) {
 	cl := dialClient(t, addr)
 
 	key := dmwire.ReplicaKeyBit | 7
-	if _, err := cl.RegGet(0, key); !errors.Is(err, dm.ErrBadRef) {
+	if _, err := cl.RegGet(key); !errors.Is(err, dm.ErrBadRef) {
 		t.Fatalf("RegGet on empty directory: %v, want ErrBadRef", err)
 	}
 	ent := registry.Entry{Key: key, Size: 64, Epoch: 1, Replicas: []uint32{0, 2}}
-	if err := cl.RegPut(0, ent); err != nil {
+	if err := cl.RegPut(ent); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.RegGet(0, key)
+	got, err := cl.RegGet(key)
 	if err != nil || got.Epoch != 1 || len(got.Replicas) != 2 {
 		t.Fatalf("RegGet: %+v, %v", got, err)
 	}
 	// A stale put loses; a newer epoch flips the placement.
-	if err := cl.RegPut(0, registry.Entry{Key: key, Size: 64, Epoch: 0, Replicas: []uint32{9}}); err != nil {
+	if err := cl.RegPut(registry.Entry{Key: key, Size: 64, Epoch: 0, Replicas: []uint32{9}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ = cl.RegGet(0, key); got.Replicas[0] != 0 {
+	if got, _ = cl.RegGet(key); got.Replicas[0] != 0 {
 		t.Fatalf("stale put applied: %+v", got)
 	}
-	if err := cl.RegPut(0, registry.Entry{Key: key, Size: 64, Epoch: 2, Replicas: []uint32{1}}); err != nil {
+	if err := cl.RegPut(registry.Entry{Key: key, Size: 64, Epoch: 2, Replicas: []uint32{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ = cl.RegGet(0, key); got.Epoch != 2 || got.Replicas[0] != 1 {
+	if got, _ = cl.RegGet(key); got.Epoch != 2 || got.Replicas[0] != 1 {
 		t.Fatalf("newer put not applied: %+v", got)
 	}
 
 	// A counter-keyed put must be rejected: the directory only tracks
 	// the pool-minted half of the key space.
-	if err := cl.RegPut(0, registry.Entry{Key: 7, Size: 1, Epoch: 1, Replicas: []uint32{0}}); err == nil {
+	if err := cl.RegPut(registry.Entry{Key: 7, Size: 1, Epoch: 1, Replicas: []uint32{0}}); err == nil {
 		t.Fatal("counter-keyed RegPut accepted")
 	}
 
 	for k := uint64(1); k <= 5; k++ {
-		if err := cl.RegPut(0, registry.Entry{Key: dmwire.ReplicaKeyBit | (100 + k), Size: 8, Epoch: 1, Replicas: []uint32{0}}); err != nil {
+		if err := cl.RegPut(registry.Entry{Key: dmwire.ReplicaKeyBit | (100 + k), Size: 8, Epoch: 1, Replicas: []uint32{0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var total int
 	after := uint64(0)
 	for {
-		page, err := cl.RegSync(0, after, 3)
+		page, err := cl.RegSync(after, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +81,13 @@ func TestRegistryOps(t *testing.T) {
 	if err := cl.FreeRef(dm.Ref{Server: 0, Key: key, Size: 64}); !errors.Is(err, dm.ErrBadRef) {
 		t.Fatalf("free of directory-only key: %v, want ErrBadRef (no payload)", err)
 	}
-	if _, err := cl.RegGet(0, key); !errors.Is(err, dm.ErrBadRef) {
+	if _, err := cl.RegGet(key); !errors.Is(err, dm.ErrBadRef) {
 		t.Fatal("directory entry survived free_ref")
 	}
-	if err := cl.RegPut(0, registry.Entry{Key: key, Size: 64, Epoch: 2, Replicas: []uint32{1}}); err != nil {
+	if err := cl.RegPut(registry.Entry{Key: key, Size: 64, Epoch: 2, Replicas: []uint32{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RegGet(0, key); !errors.Is(err, dm.ErrBadRef) {
+	if _, err := cl.RegGet(key); !errors.Is(err, dm.ErrBadRef) {
 		t.Fatal("tombstoned entry resurrected by stale put")
 	}
 	if srv.Registry().Len() != 5 {
@@ -108,15 +108,15 @@ func TestRegistryHandoffSurvivesReap(t *testing.T) {
 	payload := []byte("directory-owned payload")
 	keyKept := dmwire.ReplicaKeyBit | 41
 	keySwept := dmwire.ReplicaKeyBit | 42
-	refKept, err := producer.StageRefAt(0, keyKept, payload)
+	refKept, err := producer.StageRefAt(keyKept, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := producer.StageRefAt(0, keySwept, payload); err != nil {
+	if _, err := producer.StageRefAt(keySwept, payload); err != nil {
 		t.Fatal(err)
 	}
 	// Hand only keyKept off to the cluster directory.
-	if err := producer.RegPut(0, registry.Entry{Key: keyKept, Size: int64(len(payload)), Epoch: 1, Replicas: []uint32{0}}); err != nil {
+	if err := producer.RegPut(registry.Entry{Key: keyKept, Size: int64(len(payload)), Epoch: 1, Replicas: []uint32{0}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +151,7 @@ func TestRegistryHandoffSurvivesReap(t *testing.T) {
 	if srv.LiveRefs() != 0 {
 		t.Fatalf("%d live refs after free", srv.LiveRefs())
 	}
-	if _, err := consumer.RegGet(0, keyKept); !errors.Is(err, dm.ErrBadRef) {
+	if _, err := consumer.RegGet(keyKept); !errors.Is(err, dm.ErrBadRef) {
 		t.Fatal("directory entry survived explicit free")
 	}
 	if err := srv.CheckInvariants(); err != nil {

@@ -107,7 +107,7 @@ func TestCtxCallAsyncFanOut(t *testing.T) {
 // also exercises the stage-then-call overlap.
 func TestChainDoAsyncPipelined(t *testing.T) {
 	_, dmAddr := startDM(t, smallDM())
-	d, err := DeployChain(3, []string{dmAddr}, Config{InlineThreshold: 1024})
+	d, err := DeployChain(3, dmAddr, Config{InlineThreshold: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func benchChainConfig(mode string) Config {
 
 func benchChain(b *testing.B, dmAddr, mode string) *ChainDeployment {
 	b.Helper()
-	d, err := DeployChain(benchHops, []string{dmAddr}, benchChainConfig(mode))
+	d, err := DeployChain(benchHops, dmAddr, benchChainConfig(mode))
 	if err != nil {
 		b.Fatal(err)
 	}

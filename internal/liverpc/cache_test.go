@@ -6,20 +6,22 @@ import (
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/pool"
 )
 
-// dialCachedDM registers a DM session with a hot-ref cache enabled.
-func dialCachedDM(t *testing.T, cacheBytes int64, addrs ...string) *live.Client {
+// dialCachedDM registers a one-shard pool session on addr with a hot-ref
+// cache of cacheBytes (0 = off) — the cached form of a single server.
+func dialCachedDM(t *testing.T, cacheBytes int64, addr string) *pool.Client {
 	t.Helper()
-	cl, err := live.DialConfig(live.ClientConfig{CacheBytes: cacheBytes}, addrs...)
+	p, err := pool.Dial(pool.Config{Shards: []string{addr}, CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
-	if err := cl.Register(); err != nil {
+	t.Cleanup(func() { p.Close() })
+	if err := p.Register(); err != nil {
 		t.Fatal(err)
 	}
-	return cl
+	return p
 }
 
 // TestFetchRepeatHitsCache: a consumer that fetches the same ref payload
@@ -28,7 +30,7 @@ func dialCachedDM(t *testing.T, cacheBytes int64, addrs ...string) *live.Client 
 // from the session's hot-ref cache, byte-identical.
 func TestFetchRepeatHitsCache(t *testing.T) {
 	_, dmAddr := startDM(t, live.ServerConfig{NumPages: 256, PageSize: 4096, LeaseTTL: 2 * time.Second})
-	producer := dialDM(t, dmAddr)
+	producer := dialCachedDM(t, 0, dmAddr)
 	consumer := dialCachedDM(t, 1<<20, dmAddr)
 
 	pc := NewCaller(producer, Config{})
@@ -80,8 +82,8 @@ func TestFetchRepeatHitsCache(t *testing.T) {
 
 // TestForceInlineBypassesCache pins the ForceInline contract: with
 // pass-by-reference disabled nothing is ever staged, so no ref exists
-// for the hot-ref cache to key on — CacheBytes is inert and every
-// payload round-trips by value.
+// for the hot-ref cache to key on — pool.Config.CacheBytes is inert and
+// every payload round-trips by value.
 func TestForceInlineBypassesCache(t *testing.T) {
 	_, dmAddr := startDM(t, smallDM())
 	cdm := dialCachedDM(t, 1<<20, dmAddr)

@@ -133,13 +133,18 @@ type ChainDeployment struct {
 }
 
 // DeployChain starts hops chain services on loopback listeners against
-// the single-pool DM servers at dmAddrs and returns the running
-// deployment. When cfg.ForceInline is set no DM sessions are opened at
-// all (the by-value baseline needs none). Callers must Close the
-// deployment.
-func DeployChain(hops int, dmAddrs []string, cfg Config) (*ChainDeployment, error) {
-	return DeployChainWith(hops, func() (DM, error) {
-		cl, err := live.Dial(dmAddrs...)
+// the DM server at dmAddr and returns the running deployment. When
+// cfg.ForceInline is set no DM sessions are opened at all (the by-value
+// baseline needs none). Callers must Close the deployment.
+func DeployChain(hops int, dmAddr string, cfg Config) (*ChainDeployment, error) {
+	return DeployChainWith(hops, liveSession(dmAddr), cfg)
+}
+
+// liveSession returns a session factory that dials and registers one
+// live.Client on the DM server at addr per call.
+func liveSession(addr string) func() (DM, error) {
+	return func() (DM, error) {
+		cl, err := live.Dial(addr)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +153,7 @@ func DeployChain(hops int, dmAddrs []string, cfg Config) (*ChainDeployment, erro
 			return nil, err
 		}
 		return cl, nil
-	}, cfg)
+	}
 }
 
 // DeployChainWith is DeployChain over an arbitrary DM-session factory —

@@ -9,9 +9,9 @@ import (
 	"repro/internal/live"
 )
 
-func deployTestChain(t *testing.T, hops int, cfg Config, dmAddrs ...string) *ChainDeployment {
+func deployTestChain(t *testing.T, hops int, cfg Config, dmAddr string) *ChainDeployment {
 	t.Helper()
-	d, err := DeployChain(hops, dmAddrs, cfg)
+	d, err := DeployChain(hops, dmAddr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestChainByRefAndByValueAgree(t *testing.T) {
 
 func TestSocialNetComposeAndRead(t *testing.T) {
 	srv, dmAddr := startDM(t, smallDM())
-	dep, err := DeploySocialNet([]string{dmAddr}, Config{InlineThreshold: 256})
+	dep, err := DeploySocialNet(dmAddr, Config{InlineThreshold: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSocialNetAdoptSurvivesComposerCrash(t *testing.T) {
 		NumPages: 256, PageSize: 4096,
 		LeaseTTL: ttl, DrainTimeout: 100 * time.Millisecond,
 	})
-	dep, err := DeploySocialNet([]string{dmAddr}, Config{InlineThreshold: 256})
+	dep, err := DeploySocialNet(dmAddr, Config{InlineThreshold: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,11 @@ import (
 )
 
 // DM is the disaggregated-memory surface liverpc stages and fetches
-// through: satisfied by *live.Client (a single server pool) and
-// *pool.Client (a sharded cluster). Backends whose refs are
-// cluster-addressed additionally implement LocatedDM, making every
-// staged payload travel in dmwire's versioned v1 located-ref form.
+// through: satisfied by *live.Client (one session on one server) and
+// *pool.Client (a sharded cluster, or one cached server at K=1).
+// Backends whose refs are cluster-addressed additionally implement
+// LocatedDM, making every staged payload travel in dmwire's versioned
+// v1 located-ref form.
 type DM interface {
 	StageRef(data []byte) (dm.Ref, error)
 	ReadRef(ref dm.Ref, off int64, dst []byte) error
@@ -45,7 +46,7 @@ type DM interface {
 }
 
 // LocatedDM marks a DM backend whose Ref.Server fields are cluster-wide
-// shard IDs rather than connection-local indices.
+// shard IDs (a live.Client's refs carry no location at all).
 type LocatedDM interface {
 	DM
 	LocatedRefs() bool
@@ -120,8 +121,8 @@ type Config struct {
 	// ForceInline disables pass-by-reference entirely, producing the
 	// pass-by-value (eRPC-style) baseline from the same application code.
 	// It also bypasses the DM backend's hot-ref cache as a side effect:
-	// with nothing staged there are no refs to key on, so CacheBytes on
-	// the backend is inert under ForceInline.
+	// with nothing staged there are no refs to key on, so
+	// pool.Config.CacheBytes on the backend is inert under ForceInline.
 	ForceInline bool
 	// DM is the endpoint's default staging backend — a *live.Client or a
 	// sharded *pool.Client — used when the constructor's dmc argument is
@@ -513,9 +514,9 @@ func (c *Ctx) Adopt(p Payload) (Payload, error) {
 }
 
 // errLocatedRef is returned when a cluster-addressed (v1) ref payload
-// reaches an endpoint whose DM backend only understands connection-local
-// server indices — resolving it there would silently read the wrong
-// server's pages, so it is refused instead.
+// reaches an endpoint whose DM backend is a single-server session that
+// does not interpret Ref.Server — resolving it there could silently read
+// the wrong server's pages, so it is refused instead.
 var errLocatedRef = fmt.Errorf("liverpc: located ref payload reached a non-cluster DM backend")
 
 // checkRefBackend validates that dmc can resolve ref payload p.
@@ -529,26 +530,19 @@ func checkRefBackend(dmc DM, p Payload) error {
 	return nil
 }
 
-// fetch reads a payload's bytes: inline aliased, refs via read_ref.
+// fetch reads a payload's bytes: inline aliased, refs as fetchLease plus
+// the one copy into a fresh buffer.
 func fetch(dmc DM, p Payload) ([]byte, error) {
 	if !p.IsRef() {
 		return p.Inline(), nil
 	}
-	if err := checkRefBackend(dmc, p); err != nil {
+	b, err := fetchLease(dmc, p)
+	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, p.Size())
-	if rd, ok := dmc.(ReplicatedDM); ok && p.Located() {
-		// Failover read: the payload's carried replica hints join the
-		// backend's own view of where the copies live.
-		if err := rd.ReadRefFrom(p.Ref(), p.Replicas(), 0, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	if err := dmc.ReadRef(p.Ref(), 0, buf); err != nil {
-		return nil, err
-	}
+	buf := make([]byte, b.Len())
+	copy(buf, b.Bytes())
+	b.Release()
 	return buf, nil
 }
 

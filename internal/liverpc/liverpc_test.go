@@ -43,9 +43,9 @@ func startDM(t *testing.T, cfg live.ServerConfig) (*live.Server, string) {
 func smallDM() live.ServerConfig { return live.ServerConfig{NumPages: 256, PageSize: 4096} }
 
 // dialDM registers a fresh DM session.
-func dialDM(t *testing.T, addrs ...string) *live.Client {
+func dialDM(t *testing.T, addr string) *live.Client {
 	t.Helper()
-	cl, err := live.Dial(addrs...)
+	cl, err := live.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/live"
 	"repro/internal/rpc"
 )
 
@@ -198,20 +197,10 @@ type SocialNetDeployment struct {
 	lns  []net.Listener
 }
 
-// DeploySocialNet starts the services against the single-server DM pool
-// at dmAddrs with one frontend. Callers must Close the deployment.
-func DeploySocialNet(dmAddrs []string, cfg Config) (*SocialNetDeployment, error) {
-	return DeploySocialNetWith(func() (DM, error) {
-		cl, err := live.Dial(dmAddrs...)
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.Register(); err != nil {
-			cl.Close()
-			return nil, err
-		}
-		return cl, nil
-	}, 1, cfg)
+// DeploySocialNet starts the services against the DM server at dmAddr
+// with one frontend. Callers must Close the deployment.
+func DeploySocialNet(dmAddr string, cfg Config) (*SocialNetDeployment, error) {
+	return DeploySocialNetWith(liveSession(dmAddr), 1, cfg)
 }
 
 // DeploySocialNetWith starts the social network with every service's DM

@@ -158,10 +158,11 @@ type Executor struct {
 	// Registry enables the FLIP step: publish the new placement (at
 	// Epoch+1) to every wanted shard before dropping surplus copies.
 	Registry bool
-	// Skip, when set, is consulted immediately before each move runs; a
-	// true return drops the move. Plans are snapshots, so the caller
-	// uses this to fence refs freed after planning — without it a stale
-	// move would resurrect a freed ref by re-staging its payload.
+	// Skip, when set, is consulted immediately before each move runs and
+	// again after each copy lands; a true return drops the move (and the
+	// copy). Plans are snapshots, so the caller uses this to fence refs
+	// freed after planning — without it a stale move would resurrect a
+	// freed ref by re-staging its payload.
 	Skip func(key uint64) bool
 
 	// OnCopied, when set, fires for each wanted shard confirmed to hold
@@ -273,6 +274,12 @@ func (e *Executor) runMove(mv Move, res *Result) int64 {
 				continue
 			}
 			switch err := e.Ops.StageAt(tgt, mv.Key, payload); {
+			case err == nil && e.Skip != nil && e.Skip(mv.Key):
+				// Freed while the copy was in flight: the free may have
+				// probed tgt before the copy landed, so nobody else will
+				// reclaim it — take it back rather than resurrect the ref.
+				e.Ops.FreeRef(tgt, mv.Key)
+				return staged
 			case err == nil:
 				staged += mv.Size
 				res.CopiedBytes += mv.Size

@@ -280,6 +280,35 @@ func TestExecutorRacingRepairer(t *testing.T) {
 	}
 }
 
+// TestExecutorFreedMidCopy: a ref freed after its move started (Skip
+// flips to true once the source has been read) must not be resurrected
+// by the copy that was already in flight — the executor takes the copy
+// back and leaves the surplus to the free that is underway.
+func TestExecutorFreedMidCopy(t *testing.T) {
+	f := newFake(2)
+	key := K | 14
+	payload := []byte("freed while copying")
+	f.put(0, key, payload)
+
+	moves := []Move{{
+		Key: key, Size: int64(len(payload)), Epoch: 1,
+		Want: []uint32{1}, Sources: []uint32{0},
+		CopyTo: []uint32{1}, DropFrom: []uint32{0},
+	}}
+	checks := 0
+	ex := &Executor{Ops: f, Skip: func(uint64) bool {
+		checks++
+		return checks > 1 // alive when the move starts, freed by the time the copy lands
+	}}
+	res := ex.Run(moves)
+	if got := f.holders(key); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("holders after a mid-copy free: %v, want the copy on 1 taken back and 0 untouched", got)
+	}
+	if res.CopiedReplicas != 0 || res.ReclaimedReplicas != 0 {
+		t.Fatalf("result: %+v", res)
+	}
+}
+
 func TestExecutorStopAborts(t *testing.T) {
 	f := newFake(2)
 	var cur []Placement

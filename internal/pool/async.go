@@ -1,8 +1,6 @@
 package pool
 
 import (
-	"time"
-
 	"repro/internal/dm"
 	"repro/internal/live"
 )
@@ -12,8 +10,9 @@ import (
 // frame on the wire immediately, and Wait carries the shard's retry and
 // dedup semantics unchanged. Futures returned for located refs rewrite
 // Ref.Server to the shard ID at Wait time. At ReplicaFactor > 1, stage
-// futures fan the payload out to every replica shard and by-ref read
-// futures fail over to the remaining replicas at Wait time.
+// futures fan the payload out to every replica shard; by-ref read
+// futures fall back to the pool's one read path (replica.go) at Wait
+// time.
 
 // AsyncRef is an in-flight StageRefAsync; Wait must be called exactly
 // once and yields a located ref.
@@ -68,16 +67,11 @@ func (p *Client) StageRefKeyedAsync(key uint64, data []byte) *AsyncRef {
 // called exactly once.
 type AsyncOp struct {
 	inner *live.AsyncOp
-	// retry, when set, runs a synchronous failover pass after the
-	// in-flight attempt fails with a failover-worthy error.
-	retry func(firstErr error) error
-	// complete, when set, is a pre-resolved result (a pool-cache hit
-	// that never touched the wire); Wait runs it exactly once.
-	complete func() error
-	// admit, when set, offers the fetched payload for pool-cache
-	// admission after a successful wait.
-	admit func()
-	err   error
+	// fallback, when set, finishes the operation synchronously: on its
+	// own when there is no in-flight attempt, or after the in-flight
+	// attempt failed with a failover-worthy error.
+	fallback func() error
+	err      error
 }
 
 // Wait blocks for the operation's result.
@@ -85,60 +79,36 @@ func (op *AsyncOp) Wait() error {
 	if op.err != nil {
 		return op.err
 	}
-	if op.complete != nil {
-		return op.complete()
+	if op.inner == nil {
+		return op.fallback()
 	}
 	err := op.inner.Wait()
-	if err != nil && op.retry != nil && failoverWorthy(err) {
-		err = op.retry(err)
+	if err == nil || op.fallback == nil || !failoverWorthy(err) {
+		return err
 	}
-	if err == nil && op.admit != nil {
-		op.admit()
+	if ferr := op.fallback(); ferr == nil || !failoverWorthy(ferr) {
+		return ferr
 	}
-	return err
+	return err // nobody else could serve it either: the primary's answer stands
 }
 
-// ReadRefAsync starts a by-ref read from the ref's primary shard into
-// dst and returns a future; dst is filled when Wait returns nil. If the
-// primary fails, Wait falls back to the ref's remaining replicas
-// synchronously. A whole-object read that hits the pool cache resolves
-// without touching the wire (the copy into dst is deferred to Wait); a
-// cacheable miss offers the fetched payload for admission after Wait
-// succeeds.
+// ReadRefAsync starts a by-ref read into dst and returns a future; dst
+// is filled when Wait returns nil. With the cache off the read is
+// pipelined to the ref's primary shard, and Wait falls back to the
+// synchronous read path over the remaining replicas only if that attempt
+// fails. With the cache on there is nothing to put on the wire yet — a
+// hit or a tombstone needs no RPC and a miss must load through the
+// cache's singleflight — so the whole read resolves in Wait.
 func (p *Client) ReadRefAsync(ref dm.Ref, off int64, dst []byte) *AsyncOp {
-	cacheable := p.refCacheable(ref, off, int64(len(dst)))
-	if cacheable {
-		if b, ok := p.cache.Get(p.cacheKey(ref)); ok {
-			return &AsyncOp{complete: func() error {
-				copy(dst, b.Bytes())
-				b.Release()
-				return nil
-			}}
-		}
-	}
 	s, err := p.byID(ref.Server)
-	if err != nil {
-		// The primary is unresolvable; a replicated ref may still be
-		// readable through its replicas.
-		return &AsyncOp{err: p.readRefFailover(ref, off, dst, ref.Server, err)}
+	if err != nil || p.cache != nil {
+		// An unresolvable primary may still be readable through replicas.
+		return &AsyncOp{fallback: func() error { return p.readInto(ref, nil, off, dst, noShard) }}
 	}
-	local := ref
-	local.Server = 0
-	op := &AsyncOp{
-		inner: s.cl.ReadRefAsync(local, off, dst),
-		retry: func(firstErr error) error {
-			return p.readRefFailover(ref, off, dst, ref.Server, firstErr)
-		},
+	return &AsyncOp{
+		inner:    s.cl.ReadRefAsync(ref, off, dst),
+		fallback: func() error { return p.readInto(ref, nil, off, dst, ref.Server) },
 	}
-	if cacheable {
-		op.admit = func() {
-			// Admission copies dst (the caller's buffer cannot be
-			// retained); mk runs only if the sketch admits the key.
-			p.cache.Add(p.cacheKey(ref), ref.Size, time.Duration(p.cacheTTL.Load()),
-				func() *live.Buf { return live.NewBuf(dst) })
-		}
-	}
-	return op
 }
 
 // WriteAsync starts an rwrite of src at addr on its shard and returns a

@@ -286,8 +286,8 @@ func producerAddrs(t *testing.T, p *Client) []string {
 }
 
 // TestFreedRefDenied: after FreeRef, the negative cache short-circuits
-// reads of the dead key — one map lookup, no replica probe storm — until
-// the epoch watcher clears the tombstone.
+// reads of the dead key through every entry point — one map lookup, no
+// replica probe storm — until the epoch watcher clears the tombstone.
 func TestFreedRefDenied(t *testing.T) {
 	scfg := live.ServerConfig{NumPages: 512, PageSize: 4096}
 	pcfg := Config{
@@ -309,14 +309,26 @@ func TestFreedRefDenied(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(payload))
-	wireCalls := p.Stats().Calls
-	for i := 0; i < 4; i++ {
-		if err := p.ReadRef(ref, 0, dst); !errors.Is(err, dm.ErrBadRef) {
-			t.Fatalf("read %d of freed ref: %v, want ErrBadRef", i, err)
-		}
+	reads := map[string]func() error{
+		"ReadRef":      func() error { return p.ReadRef(ref, 0, dst) },
+		"ReadRefFrom":  func() error { return p.ReadRefFrom(ref, []uint32{0, 1, 2}, 0, dst) },
+		"ReadRefAsync": func() error { return p.ReadRefAsync(ref, 0, dst).Wait() },
+		"ReadRefLease": func() error {
+			b, err := p.ReadRefLease(ref, 0, ref.Size)
+			if err == nil {
+				b.Release()
+			}
+			return err
+		},
 	}
-	if got := p.Stats().Calls - wireCalls; got != 0 {
-		t.Fatalf("denied reads still crossed the wire %d times", got)
+	for name, read := range reads {
+		wireCalls := p.Stats().Calls
+		if err := read(); !errors.Is(err, dm.ErrBadRef) {
+			t.Fatalf("%s of freed ref: %v, want ErrBadRef", name, err)
+		}
+		if got := p.Stats().Calls - wireCalls; got != 0 {
+			t.Fatalf("denied %s still crossed the wire %d times", name, got)
+		}
 	}
 	if st := p.CacheStats(); st.NegHits < 4 || st.NegAdds == 0 {
 		t.Fatalf("negative cache did not serve the denials: %+v", st)

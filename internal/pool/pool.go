@@ -71,9 +71,8 @@ type Config struct {
 	// memory — checked before shard routing and before replica failover
 	// — up to this budget, invalidated by per-shard epoch advances,
 	// local frees/writes, ejection and session reap, and bounded by the
-	// shard lease TTL. 0 disables. The pool cache subsumes the per-shard
-	// one, so Client.CacheBytes is ignored (forced to 0) for the shard
-	// sessions the pool dials.
+	// shard lease TTL. 0 disables. This is the stack's only cache: a
+	// cached single server is a one-shard pool.
 	CacheBytes int64
 }
 
@@ -97,7 +96,7 @@ type shard struct {
 // Client is a process's handle on the shard cluster: the full
 // live.Client surface (sync and async), with placements routed through
 // the ring and refs/addresses made location-aware — Ref.Server and the
-// address tag byte carry the shard ID instead of a dial-order index.
+// address tag byte carry the shard ID.
 // Methods are safe for concurrent use.
 type Client struct {
 	cfg Config
@@ -147,10 +146,10 @@ type Client struct {
 	wg       sync.WaitGroup
 }
 
-// Address tagging: as in live and dmnet, the routing identity rides the
-// top byte of a dm.RemoteAddr — here the cluster-wide shard ID. Each
-// per-shard live.Client is single-address, so the addresses it mints
-// always carry tag 0 and the pool's tag byte is free to claim.
+// Address tagging: as in dmnet, the routing identity rides the top byte
+// of a dm.RemoteAddr — here the cluster-wide shard ID. A live.Client
+// hands out the server's raw addresses, whose top byte is always 0, so
+// the pool's tag byte is free to claim.
 const shardShift = 56
 
 func tagShard(id uint32, a dm.RemoteAddr) dm.RemoteAddr {
@@ -205,10 +204,6 @@ func (p *Client) newShard(id uint32, addr string) (*shard, error) {
 	s := &shard{id: id, addr: addr}
 	s.healthy.Store(true)
 	ccfg := p.cfg.Client
-	// The pool-level cache sits above shard routing; a second cache
-	// inside each shard session would double the memory for the same
-	// hits, so the per-shard knob is forced off.
-	ccfg.CacheBytes = 0
 	base := ccfg.OnHeartbeatFailure
 	ccfg.OnHeartbeatFailure = func(addr string, consecutive int, err error) {
 		if base != nil {
@@ -268,13 +263,13 @@ func (p *Client) AddShard(addr string) (uint32, error) {
 		s.cl.Close()
 		return 0, fmt.Errorf("pool: joining shard %d (%s): %w", id, addr, err)
 	}
-	if announced, ok := s.cl.ServerShard(0); ok && announced != id {
+	if announced, ok := s.cl.ServerShard(); ok && announced != id {
 		s.cl.Close()
 		return 0, fmt.Errorf("pool: server %s announces shard %d but joins as shard %d",
 			addr, announced, id)
 	}
 	// A shorter lease on the newcomer tightens the cache-staleness cap.
-	if l := s.cl.Lease(0); l > 0 {
+	if l := s.cl.Lease(); l > 0 {
 		if cur := time.Duration(p.cacheTTL.Load()); cur == 0 || l < cur {
 			p.cacheTTL.Store(int64(l))
 		}
@@ -303,7 +298,7 @@ func (p *Client) Register() error {
 		if err := s.cl.Register(); err != nil {
 			return fmt.Errorf("pool: shard %d (%s): %w", s.id, s.addr, err)
 		}
-		if announced, ok := s.cl.ServerShard(0); ok && announced != s.id {
+		if announced, ok := s.cl.ServerShard(); ok && announced != s.id {
 			return fmt.Errorf("pool: server %s announces shard %d but is listed as shard %d",
 				s.addr, announced, s.id)
 		}
@@ -313,7 +308,7 @@ func (p *Client) Register() error {
 	// and never across a reap (§D15).
 	var minLease time.Duration
 	for _, s := range p.shardList() {
-		if l := s.cl.Lease(0); l > 0 && (minLease == 0 || l < minLease) {
+		if l := s.cl.Lease(); l > 0 && (minLease == 0 || l < minLease) {
 			minLease = l
 		}
 	}
@@ -390,11 +385,11 @@ func (p *Client) rejoinLoop() {
 				if s.healthy.Load() {
 					continue
 				}
-				if s.cl.SessionReaped(0) {
-					if err := s.cl.Reregister(0); err != nil {
+				if s.cl.SessionReaped() {
+					if err := s.cl.Reregister(); err != nil {
 						continue // still down; retry next poll
 					}
-					if announced, ok := s.cl.ServerShard(0); ok && announced != s.id {
+					if announced, ok := s.cl.ServerShard(); ok && announced != s.id {
 						continue // a different server came up on the address
 					}
 					// Everything the old session held on this shard is
@@ -402,7 +397,7 @@ func (p *Client) rejoinLoop() {
 					// reads don't chase vanished copies and the repairer
 					// re-stages onto it.
 					p.invalidateShard(s.id)
-				} else if s.cl.SessionHealth()[s.addr] != 0 {
+				} else if s.cl.SessionHealth() != 0 {
 					continue
 				}
 				if s.healthy.CompareAndSwap(false, true) {
@@ -459,7 +454,7 @@ func (p *Client) SessionHealth() map[string]int {
 	shards := p.shardList()
 	out := make(map[string]int, len(shards))
 	for _, s := range shards {
-		out[s.addr] = s.cl.SessionHealth()[s.addr]
+		out[s.addr] = s.cl.SessionHealth()
 	}
 	return out
 }
@@ -601,9 +596,7 @@ func (p *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 	if err != nil {
 		return 0, err
 	}
-	local := ref
-	local.Server = 0
-	addr, err := s.cl.MapRef(local)
+	addr, err := s.cl.MapRef(ref)
 	if err != nil {
 		return 0, err
 	}
@@ -631,9 +624,7 @@ func (p *Client) FreeRef(ref dm.Ref) error {
 	if err != nil {
 		return err
 	}
-	local := ref
-	local.Server = 0
-	return s.cl.FreeRef(local)
+	return s.cl.FreeRef(ref)
 }
 
 // StageRef stages data onto a ring-chosen shard and returns a located
@@ -671,27 +662,20 @@ func (p *Client) StageRefKeyed(key uint64, data []byte) (dm.Ref, error) {
 	return ref, nil
 }
 
-// ReadRef reads a located ref's snapshot, failing over across the ref's
-// replicas when the primary shard errors or has been ejected
-// (replica.go).
+// ReadRef reads a located ref's snapshot into dst, failing over across
+// the ref's replicas when the primary shard errors or has been ejected:
+// the leased read (replica.go) plus the one copy.
 func (p *Client) ReadRef(ref dm.Ref, off int64, dst []byte) error {
 	return p.ReadRefFrom(ref, nil, off, dst)
 }
 
 // ReadRefLease reads a located ref's snapshot as a leased zero-copy
-// buffer (live.Client.ReadRefLease), with the same replica failover as
-// ReadRef; the caller must Release it exactly once.
+// buffer (live.Client.ReadRefLease), with the same cache and replica
+// failover as ReadRef; the caller must Release it exactly once. A
+// cached Buf's bytes are shared with other readers and must be treated
+// as read-only (which leased bytes always are).
 func (p *Client) ReadRefLease(ref dm.Ref, off, size int64) (*live.Buf, error) {
-	return p.ReadRefLeaseFrom(ref, nil, off, size)
-}
-
-// --- hot-ref cache read-through (§D15) ---
-
-// refCacheable reports whether a by-ref read can be served through the
-// pool cache: only whole-object reads, so one cached Buf satisfies
-// every repeat reader without range bookkeeping.
-func (p *Client) refCacheable(ref dm.Ref, off, size int64) bool {
-	return p.cache != nil && off == 0 && size > 0 && size == ref.Size
+	return p.readLease(ref, nil, off, size, noShard)
 }
 
 // cacheKey keys a located ref by (nominal primary shard, ref key); the
@@ -699,15 +683,4 @@ func (p *Client) refCacheable(ref dm.Ref, off, size int64) bool {
 // fallback replica still dedups with primary-served reads.
 func (p *Client) cacheKey(ref dm.Ref) refcache.Key {
 	return refcache.Key{Server: ref.Server, Ref: ref.Key}
-}
-
-// cachedRead serves a whole-object read through the cache: hit returns
-// a retained cached Buf, miss runs one leased wire read (with full
-// replica failover) under singleflight and offers it for admission.
-// The caller must Release the returned Buf exactly once.
-func (p *Client) cachedRead(ref dm.Ref, hints []uint32) (*live.Buf, error) {
-	return p.cache.GetOrLoad(p.cacheKey(ref), ref.Size, time.Duration(p.cacheTTL.Load()),
-		func() (*live.Buf, error) {
-			return p.readRefLeaseFromWire(ref, hints, 0, ref.Size)
-		})
 }

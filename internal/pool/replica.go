@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -159,6 +160,28 @@ func (p *Client) invalidateShard(id uint32) {
 	p.refMu.Unlock()
 }
 
+// successors returns the ring successors to probe for a replicated key:
+// R of them, but never fewer than 2 — a replicated ref minted by a
+// session with a larger R than ours still has at least 2 copies.
+func (p *Client) successors(key uint64) []uint32 {
+	r := p.replicaFactor()
+	if r < 2 {
+		r = 2
+	}
+	return p.ring.Successors(key, r)
+}
+
+// tracked appends the replica set this session tracks for key to dst.
+func (p *Client) tracked(dst []uint32, key uint64) ([]uint32, bool) {
+	p.refMu.Lock()
+	defer p.refMu.Unlock()
+	m, ok := p.refs[key]
+	if !ok {
+		return dst, false
+	}
+	return append(dst, m.replicas...), true
+}
+
 // Replicas returns the shard IDs believed to hold ref, primary first
 // where known: the tracked set for refs staged by this client, else —
 // for replicated refs minted elsewhere — the current ring successors of
@@ -167,39 +190,33 @@ func (p *Client) Replicas(ref dm.Ref) []uint32 {
 	if ref.Key&dmwire.ReplicaKeyBit == 0 {
 		return nil
 	}
-	p.refMu.Lock()
-	if m, ok := p.refs[ref.Key]; ok {
-		out := append([]uint32(nil), m.replicas...)
-		p.refMu.Unlock()
-		return out
+	if ids, ok := p.tracked(nil, ref.Key); ok {
+		return ids
 	}
-	p.refMu.Unlock()
-	r := p.replicaFactor()
-	if r < 2 {
-		r = 2 // a foreign replicated ref has at least 2 copies to probe
-	}
-	return p.ring.Successors(ref.Key, r)
+	return p.successors(ref.Key)
 }
 
 // candidates builds the read-failover order for ref: the ref's own
-// Server field, then the tracked/derived replica set, then any wire
-// hints (a v2 ref's shard list, possibly stale), then the current ring
-// successors — deduplicated, healthy shards first. Unhealthy candidates
-// stay at the tail: an ejected shard may still answer (ejection is a
-// heartbeat verdict, not proof of death), and trying it last costs
-// nothing when everything else failed.
+// Server field, then the tracked replica set (the ring successors when
+// this session does not track the ref), then any wire hints (a v2 ref's
+// shard list, possibly stale), then the current ring successors —
+// deduplicated, healthy shards first. Unhealthy candidates stay at the
+// tail: an ejected shard may still answer (ejection is a heartbeat
+// verdict, not proof of death), and trying it last costs nothing when
+// everything else failed.
 func (p *Client) candidates(ref dm.Ref, hints []uint32) []uint32 {
 	ids := make([]uint32, 0, 8)
 	ids = append(ids, ref.Server)
-	ids = append(ids, p.Replicas(ref)...)
-	ids = append(ids, hints...)
+	var succ []uint32
 	if ref.Key&dmwire.ReplicaKeyBit != 0 {
-		r := p.replicaFactor()
-		if r < 2 {
-			r = 2
+		succ = p.successors(ref.Key)
+		var own bool
+		if ids, own = p.tracked(ids, ref.Key); !own {
+			ids = append(ids, succ...)
 		}
-		ids = append(ids, p.ring.Successors(ref.Key, r)...)
 	}
+	ids = append(ids, hints...)
+	ids = append(ids, succ...) // repeats fall to the dedup below
 	seen := make(map[uint32]struct{}, len(ids))
 	healthy := make([]uint32, 0, len(ids))
 	var sick []uint32
@@ -229,26 +246,14 @@ func failoverWorthy(err error) bool {
 }
 
 // ReadRefFrom is ReadRef with explicit replica hints (e.g. the shard
-// list carried by a v2 wire ref from another process). Whole-object
-// reads are served through the pool's hot-ref cache when enabled —
-// checked before shard routing, so a hit costs no RPC at all; a miss
-// runs the wire path below, which still fails over across replicas.
+// list carried by a v2 wire ref from another process).
 func (p *Client) ReadRefFrom(ref dm.Ref, hints []uint32, off int64, dst []byte) error {
-	// A freed-ref tombstone fails the read in one map lookup instead of
-	// probing every replica (§D16).
-	if p.cache.Denied(p.cacheKey(ref)) {
-		return dm.ErrBadRef
-	}
-	if p.refCacheable(ref, off, int64(len(dst))) {
-		b, err := p.cachedRead(ref, hints)
-		if err != nil {
-			return err
-		}
-		copy(dst, b.Bytes())
-		b.Release()
-		return nil
-	}
-	return p.readRefFromWire(ref, hints, off, dst)
+	return p.readInto(ref, hints, off, dst, noShard)
+}
+
+// ReadRefLeaseFrom is ReadRefLease with explicit replica hints.
+func (p *Client) ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
+	return p.readLease(ref, hints, off, size, noShard)
 }
 
 // registryLocate is the last-resort resolution for a located ref that
@@ -261,18 +266,14 @@ func (p *Client) registryLocate(key uint64) []uint32 {
 	if !p.cfg.RegistryHandoff || key&dmwire.ReplicaKeyBit == 0 {
 		return nil
 	}
-	r := p.replicaFactor()
-	if r < 2 {
-		r = 2
-	}
 	shards := p.shardList()
 	var best registry.Entry
 	found := false
-	for _, id := range p.ring.Successors(key, r) {
+	for _, id := range p.successors(key) {
 		if int(id) >= len(shards) || !shards[id].healthy.Load() {
 			continue
 		}
-		ent, err := shards[id].cl.RegGet(0, key)
+		ent, err := shards[id].cl.RegGet(key)
 		if err != nil {
 			continue
 		}
@@ -287,146 +288,80 @@ func (p *Client) registryLocate(key uint64) []uint32 {
 	return append([]uint32(nil), best.Replicas...)
 }
 
-// readRefFromWire is ReadRefFrom's wire path: candidates are tried in
-// failover order; a success on any non-first candidate counts as a
-// failover read.
-func (p *Client) readRefFromWire(ref dm.Ref, hints []uint32, off int64, dst []byte) error {
-	local := ref
-	local.Server = 0
-	var lastErr error
-	tried := make(map[uint32]struct{}, 8)
-	for _, id := range p.candidates(ref, hints) {
-		tried[id] = struct{}{}
-		s, err := p.byID(id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.cl.ReadRef(local, off, dst); err == nil {
-			// Served by anyone but the ref's own primary = a failover
-			// read (an ejected primary is skipped, not "tried first").
-			if id != ref.Server {
-				p.failoverReads.Add(1)
-				s.failoverServed.Add(1)
-			}
-			return nil
-		} else {
-			lastErr = err
-			if !failoverWorthy(err) {
-				return err
-			}
-		}
+// readInto is the copying read: the leased read plus the one copy.
+func (p *Client) readInto(ref dm.Ref, hints []uint32, off int64, dst []byte, skip uint32) error {
+	b, err := p.readLease(ref, hints, off, int64(len(dst)), skip)
+	if err != nil {
+		return err
 	}
-	// Every placement-derived candidate missed: the ref may have been
-	// migrated by a client with a different view — ask the directory.
-	for _, id := range p.registryLocate(ref.Key) {
-		if _, dup := tried[id]; dup {
-			continue
-		}
-		s, err := p.byID(id)
-		if err != nil {
-			continue
-		}
-		if err := s.cl.ReadRef(local, off, dst); err == nil {
-			p.failoverReads.Add(1)
-			s.failoverServed.Add(1)
-			return nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = dm.ErrBadRef
-	}
-	return lastErr
+	copy(dst, b.Bytes())
+	b.Release()
+	return nil
 }
 
-// readRefFailover finishes a by-ref read whose first attempt (against
-// shard `tried`) already failed with firstErr: the remaining candidates
-// are probed in failover order. Used by ReadRefAsync's Wait path.
-func (p *Client) readRefFailover(ref dm.Ref, off int64, dst []byte, tried uint32, firstErr error) error {
-	if !failoverWorthy(firstErr) {
-		return firstErr
-	}
-	if p.cache.Denied(p.cacheKey(ref)) {
-		return dm.ErrBadRef
-	}
-	local := ref
-	local.Server = 0
-	lastErr := firstErr
-	for _, id := range p.candidates(ref, nil) {
-		if id == tried {
-			continue
-		}
-		s, err := p.byID(id)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.cl.ReadRef(local, off, dst); err == nil {
-			p.failoverReads.Add(1)
-			s.failoverServed.Add(1)
-			return nil
-		} else {
-			lastErr = err
-			if !failoverWorthy(err) {
-				return err
-			}
-		}
-	}
-	return lastErr
-}
+// noShard is readLease's skip argument when no shard has been tried yet;
+// no shard ID reaches it (the address tag byte caps a cluster at 256).
+const noShard = ^uint32(0)
 
-// ReadRefLeaseFrom is ReadRefLease with explicit replica hints and the
-// same failover order as ReadRefFrom. A whole-object read that hits the
-// pool cache returns the cached Buf retained — zero copies, zero RPCs;
-// the caller must Release it exactly once either way.
-func (p *Client) ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
-	if p.cache.Denied(p.cacheKey(ref)) {
+// readLease is the pool's one by-ref read: every entry point — copying
+// or leased, hinted or not, sync or an async read's fallback — ends
+// here. A freed-ref tombstone fails the read in one map lookup instead
+// of probing every replica (§D16). A whole-object read is served through
+// the hot-ref cache when enabled (§D15) — checked before shard routing,
+// so a hit costs no RPC at all and returns the cached Buf retained; a
+// miss runs one wire read under singleflight and offers it for
+// admission. Only whole-object reads are cached, so one cached Buf
+// satisfies every repeat reader without range bookkeeping. skip names a
+// shard the caller already tried (noShard for none). The caller must
+// Release the returned Buf exactly once.
+func (p *Client) readLease(ref dm.Ref, hints []uint32, off, size int64, skip uint32) (*live.Buf, error) {
+	key := p.cacheKey(ref)
+	if p.cache.Denied(key) {
 		return nil, dm.ErrBadRef
 	}
-	if p.refCacheable(ref, off, size) {
-		return p.cachedRead(ref, hints)
+	if p.cache != nil && off == 0 && size > 0 && size == ref.Size {
+		b, err := p.cache.GetOrLoad(key, size, time.Duration(p.cacheTTL.Load()),
+			func() (*live.Buf, error) { return p.readFailover(ref, hints, 0, size, skip) })
+		if err == nil && int64(b.Len()) != size {
+			// The entry was cached under this key at another size: a ref
+			// (refs arrive off the wire) whose Size is not what was staged.
+			// Refuse it rather than hand back bytes of the wrong length.
+			b.Release()
+			return nil, dm.ErrOutOfRange
+		}
+		return b, err
 	}
-	return p.readRefLeaseFromWire(ref, hints, off, size)
+	return p.readFailover(ref, hints, off, size, skip)
 }
 
-// readRefLeaseFromWire is ReadRefLeaseFrom's wire path (also the cache
-// loader, which is why it must not consult the cache itself).
-func (p *Client) readRefLeaseFromWire(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
-	local := ref
-	local.Server = 0
+// readFailover is readLease's wire path (also the cache loader, which is
+// why it must not consult the cache itself): candidates are tried in
+// failover order, and everything but a deterministic range violation
+// fails over to the next.
+func (p *Client) readFailover(ref dm.Ref, hints []uint32, off, size int64, skip uint32) (*live.Buf, error) {
 	var lastErr error
-	tried := make(map[uint32]struct{}, 8)
-	for _, id := range p.candidates(ref, hints) {
-		tried[id] = struct{}{}
-		s, err := p.byID(id)
-		if err != nil {
-			lastErr = err
+	cands := p.candidates(ref, hints)
+	for _, id := range cands {
+		if id == skip {
 			continue
 		}
-		b, err := s.cl.ReadRefLease(local, off, size)
+		b, err := p.readShard(id, ref, off, size)
 		if err == nil {
-			if id != ref.Server {
-				p.failoverReads.Add(1)
-				s.failoverServed.Add(1)
-			}
 			return b, nil
 		}
-		lastErr = err
 		if !failoverWorthy(err) {
 			return nil, err
 		}
+		lastErr = err
 	}
+	// Every placement-derived candidate missed: the ref may have been
+	// migrated by a client with a different view — ask the directory and
+	// probe whatever it names that has not been tried.
 	for _, id := range p.registryLocate(ref.Key) {
-		if _, dup := tried[id]; dup {
+		if slices.Contains(cands, id) {
 			continue
 		}
-		s, err := p.byID(id)
-		if err != nil {
-			continue
-		}
-		if b, err := s.cl.ReadRefLease(local, off, size); err == nil {
-			p.failoverReads.Add(1)
-			s.failoverServed.Add(1)
+		if b, err := p.readShard(id, ref, off, size); err == nil {
 			return b, nil
 		}
 	}
@@ -436,6 +371,22 @@ func (p *Client) readRefLeaseFromWire(ref dm.Ref, hints []uint32, off, size int6
 	return nil, lastErr
 }
 
+// readShard issues the leased read against one shard. A success on
+// anyone but the ref's own primary counts as a failover read (an ejected
+// primary is skipped, not "tried first").
+func (p *Client) readShard(id uint32, ref dm.Ref, off, size int64) (*live.Buf, error) {
+	s, err := p.byID(id)
+	if err != nil {
+		return nil, err
+	}
+	b, err := s.cl.ReadRefLease(ref, off, size)
+	if err == nil && id != ref.Server {
+		p.failoverReads.Add(1)
+		s.failoverServed.Add(1)
+	}
+	return b, err
+}
+
 // freeReplicated frees a replicated ref on every shard that may hold a
 // copy. Replicas the repairer already lost race-free report dm.ErrBadRef
 // and are ignored; the free succeeds when at least one copy was
@@ -443,8 +394,6 @@ func (p *Client) readRefLeaseFromWire(ref dm.Ref, hints []uint32, off, size int6
 func (p *Client) freeReplicated(ref dm.Ref) error {
 	cands := p.candidates(ref, nil)
 	p.untrack(ref.Key)
-	local := ref
-	local.Server = 0
 	freed := false
 	var lastErr error
 	for _, id := range cands {
@@ -452,7 +401,7 @@ func (p *Client) freeReplicated(ref dm.Ref) error {
 		if err != nil {
 			continue
 		}
-		switch err := s.cl.FreeRef(local); {
+		switch err := s.cl.FreeRef(ref); {
 		case err == nil:
 			freed = true
 		case errors.Is(err, dm.ErrBadRef):
@@ -503,8 +452,7 @@ func (p *Client) stageReplicatedAsync(data []byte, attempt int) *AsyncRef {
 		if err != nil {
 			continue
 		}
-		// Index 0: each shard's live client is single-address.
-		rs.futs[i] = s.cl.StageRefAtAsync(0, key, data)
+		rs.futs[i] = s.cl.StageRefAtAsync(key, data)
 	}
 	return &AsyncRef{rep: rs}
 }
@@ -567,7 +515,7 @@ func (rs *repStage) wait() (dm.Ref, error) {
 func (p *Client) regPublish(ent registry.Entry) {
 	for _, id := range ent.Replicas {
 		if s, err := p.byID(id); err == nil && s.healthy.Load() {
-			s.cl.RegPut(0, ent)
+			s.cl.RegPut(ent)
 		}
 	}
 }
@@ -649,7 +597,7 @@ func (o poolShardOps) StageAt(id uint32, key uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.cl.StageRefAt(0, key, data)
+	_, err = s.cl.StageRefAt(key, data)
 	return err
 }
 
@@ -666,7 +614,7 @@ func (o poolShardOps) RegPut(id uint32, ent registry.Entry) error {
 	if err != nil {
 		return err
 	}
-	return s.cl.RegPut(0, ent)
+	return s.cl.RegPut(ent)
 }
 
 // placements snapshots the tracked refs as planner input, sorted by key
@@ -777,7 +725,7 @@ func (p *Client) syncPass() {
 		p.refMu.Lock()
 		after := p.syncCursors[s.id]
 		p.refMu.Unlock()
-		page, err := s.cl.RegSync(0, after, pageLimit)
+		page, err := s.cl.RegSync(after, pageLimit)
 		if err != nil {
 			continue // partitioned mid-sync; retry next pass
 		}
@@ -947,7 +895,7 @@ func (p *Client) RegistryEntries(shard uint32, afterKey uint64, limit int) ([]re
 	if err != nil {
 		return nil, err
 	}
-	return s.cl.RegSync(0, afterKey, limit)
+	return s.cl.RegSync(afterKey, limit)
 }
 
 // RegistryLookup queries one shard's directory for a single key;
@@ -957,7 +905,7 @@ func (p *Client) RegistryLookup(shard uint32, key uint64) (registry.Entry, error
 	if err != nil {
 		return registry.Entry{}, err
 	}
-	return s.cl.RegGet(0, key)
+	return s.cl.RegGet(key)
 }
 
 // ReplicaStat is one shard's replication counters (dmctl pool stats).

@@ -36,11 +36,9 @@ func TestReplicatedStagePlacement(t *testing.T) {
 			t.Fatalf("ref %d primary %d, want first successor %d", i, ref.Server, want[0])
 		}
 		// Both copies must be independently readable, shard-direct.
-		local := ref
-		local.Server = 0
 		for _, id := range got {
 			buf := make([]byte, len(body))
-			if err := p.shards[id].cl.ReadRef(local, 0, buf); err != nil {
+			if err := p.shards[id].cl.ReadRef(ref, 0, buf); err != nil {
 				t.Fatalf("ref %d: replica on shard %d unreadable: %v", i, id, err)
 			}
 			if !bytes.Equal(buf, body) {
@@ -119,9 +117,7 @@ func TestReplicatedReadFailover(t *testing.T) {
 	}
 
 	// Kill the primary's copy behind the pool's back.
-	local := ref
-	local.Server = 0
-	if err := p.shards[ref.Server].cl.FreeRef(local); err != nil {
+	if err := p.shards[ref.Server].cl.FreeRef(ref); err != nil {
 		t.Fatal(err)
 	}
 
