@@ -37,14 +37,17 @@ const (
 	// cluster-wide key (ReplicaKeyBit set) and stages the same payload
 	// under it on every replica shard, so a single 8-byte key resolves the
 	// data on any of them. Staging an already-present key fails with
-	// StatusRefExists instead of overwriting.
+	// StatusRefExists instead of overwriting. The request may carry the
+	// ref's replica set, which the server records as the key's epoch-1
+	// directory entry together with the ref (DESIGN.md §D16) — the handoff
+	// that lets the ref survive its producer's lease reap.
 	MStageAt
-	// MRegPut hands a cluster ref's registry entry (key -> replica set,
-	// size, epoch) to the shard's directory (DESIGN.md §D16). The staging
-	// client puts at epoch 1 right after a replicated stage — the handoff
-	// that lets the ref survive its producer's lease reap — and the
-	// migration engine puts at a bumped epoch to flip placement. The
-	// server merges higher-epoch-wins and always answers StatusOK.
+	// MRegPut merges a cluster ref's registry entry (key -> replica set,
+	// size, epoch) into the shard's directory (DESIGN.md §D16): the
+	// migration engine puts at a bumped epoch to flip placement, and a
+	// stage that placed fewer copies than it targeted puts a corrected
+	// entry at epoch 2. The server merges higher-epoch-wins and always
+	// answers StatusOK.
 	MRegPut
 	// MRegGet queries one registry entry by key; StatusBadRef when the
 	// shard's directory has no entry. Last-resort located-ref resolution:
@@ -527,33 +530,57 @@ func UnmarshalStageReq(b []byte) (StageReq, error) {
 }
 
 // StageAtReq is the body of an MStageAt request: stage Data under the
-// caller-chosen Key (which must have ReplicaKeyBit set). Data aliases
-// the message buffer.
+// caller-chosen Key (which must have ReplicaKeyBit set). A non-empty
+// Replicas list also records the ref's directory entry — Key, len(Data),
+// epoch 1, Replicas — on the server, atomically with the ref (the
+// registry handoff, DESIGN.md §D16), so a replicated stage costs one
+// exchange per replica. An empty list records nothing: repair and
+// migration re-stages, and every stage with the registry off. Data
+// aliases the message buffer.
+//
+//	PID u32 | Key u64 | nreps u8 | Replicas u32 x n | Data
+//
+// Lists longer than MaxRefReplicas are truncated on encode and rejected
+// on decode.
 type StageAtReq struct {
-	PID  uint32
-	Key  uint64
-	Data []byte
+	PID      uint32
+	Key      uint64
+	Replicas []uint32
+	Data     []byte
+}
+
+// stageAtFixed is the size of the request prefix before the replica list.
+const stageAtFixed = 4 + 8 + 1
+
+// encodeHdr encodes everything but Data into a buffer with room for
+// extra more bytes.
+func (r StageAtReq) encodeHdr(extra int) *rpc.Enc {
+	e := rpc.NewEnc(stageAtFixed + 4*len(r.Replicas) + extra)
+	encodeReplicas(e.U32(r.PID).U64(r.Key), r.Replicas)
+	return e
 }
 
 // Marshal encodes the request body.
-func (r StageAtReq) Marshal() []byte {
-	e := rpc.NewEnc(12 + len(r.Data))
-	return e.U32(r.PID).U64(r.Key).Raw(r.Data).Bytes()
-}
+func (r StageAtReq) Marshal() []byte { return r.encodeHdr(len(r.Data)).Raw(r.Data).Bytes() }
 
-// MarshalHdr encodes only the fixed-size prefix of the request body, for
+// MarshalHdr encodes only the prefix of the request body, for
 // transports that write Data as its own vectored segment (zero-copy
 // framing): Marshal() == append(MarshalHdr(), Data...).
-func (r StageAtReq) MarshalHdr() []byte {
-	return rpc.NewEnc(12).U32(r.PID).U64(r.Key).Bytes()
-}
+func (r StageAtReq) MarshalHdr() []byte { return r.encodeHdr(0).Bytes() }
 
 // UnmarshalStageAtReq decodes the request body.
 func UnmarshalStageAtReq(b []byte) (StageAtReq, error) {
 	d := rpc.NewDec(b)
 	r := StageAtReq{PID: d.U32(), Key: d.U64()}
-	r.Data = d.Remaining()
-	return r, d.Err()
+	reps, err := decodeReplicas(d)
+	if err == nil {
+		err = d.Err()
+	}
+	if err != nil {
+		return StageAtReq{}, err
+	}
+	r.Replicas, r.Data = reps, d.Remaining()
+	return r, nil
 }
 
 // ReadRefReq is the body of an MReadRef request.

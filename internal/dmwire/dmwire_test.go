@@ -3,6 +3,7 @@ package dmwire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -199,5 +200,51 @@ func TestMarshalHdrMatchesMarshal(t *testing.T) {
 	}
 	if err := quick.Check(sprop, nil); err != nil {
 		t.Fatalf("StageReq: %v", err)
+	}
+}
+
+// TestStageAtReqForms pins the one stage_at wire form at every replica
+// count the pool can send: the body round-trips (Marshal and
+// MarshalHdr+Data alike), every strict prefix that cuts into the
+// replica list is refused, and a count past MaxRefReplicas is rejected.
+func TestStageAtReqForms(t *testing.T) {
+	data := []byte("payload")
+	for _, n := range []int{0, 1, 2, MaxRefReplicas} {
+		var reps []uint32
+		for i := 0; i < n; i++ {
+			reps = append(reps, uint32(3*i+1))
+		}
+		req := StageAtReq{PID: 5, Key: ReplicaKeyBit | 77, Replicas: reps, Data: data}
+		b := req.Marshal()
+		if want := stageAtFixed + 4*n + len(data); len(b) != want {
+			t.Fatalf("n=%d: %d-byte body, want %d", n, len(b), want)
+		}
+		if !bytes.Equal(b, append(req.MarshalHdr(), data...)) {
+			t.Fatalf("n=%d: Marshal != MarshalHdr + Data", n)
+		}
+		got, err := UnmarshalStageAtReq(b)
+		if err != nil || got.PID != req.PID || got.Key != req.Key ||
+			!reflect.DeepEqual(got.Replicas, reps) || !bytes.Equal(got.Data, data) {
+			t.Fatalf("n=%d: round trip %+v, %v", n, got, err)
+		}
+		// Anything shorter than the full prefix is malformed; past it the
+		// remainder is (possibly empty) payload.
+		for i := 0; i < stageAtFixed+4*n; i++ {
+			if _, err := UnmarshalStageAtReq(b[:i]); err == nil {
+				t.Fatalf("n=%d: %d-byte truncation accepted", n, i)
+			}
+		}
+	}
+	over := rpc.NewEnc(0).U32(1).U64(ReplicaKeyBit | 1).U8(MaxRefReplicas + 1)
+	for i := 0; i <= MaxRefReplicas; i++ {
+		over.U32(uint32(i))
+	}
+	if _, err := UnmarshalStageAtReq(over.Raw(data).Bytes()); !errors.Is(err, ErrTooManyReplicas) {
+		t.Fatalf("count MaxRefReplicas+1: %v, want ErrTooManyReplicas", err)
+	}
+	// The encoder never emits such a body: over-long lists are truncated.
+	long := StageAtReq{PID: 1, Key: ReplicaKeyBit | 1, Replicas: make([]uint32, MaxRefReplicas+3)}
+	if got, err := UnmarshalStageAtReq(long.Marshal()); err != nil || len(got.Replicas) != MaxRefReplicas {
+		t.Fatalf("over-long list: %d replicas, %v", len(got.Replicas), err)
 	}
 }

@@ -86,10 +86,7 @@ func (a CallArg) encode(e *rpc.Enc, skipInlineBytes bool) {
 			e.U8(3)
 			e.U8(RefV2)
 			a.Ref.Encode(e)
-			e.U8(uint8(len(a.Replicas)))
-			for _, id := range a.Replicas {
-				e.U32(id)
-			}
+			encodeReplicas(e, a.Replicas)
 			return
 		}
 		if a.Located {
@@ -123,19 +120,16 @@ func decodeCallArg(d *rpc.Dec) (CallArg, error) {
 			return CallArg{}, ErrBadRefVersion
 		}
 		a := CallArg{IsRef: true, Located: true, Ref: dm.DecodeRef(d)}
-		n := int(d.U8())
-		if n > MaxRefReplicas {
-			return CallArg{}, ErrTooManyReplicas
+		reps, err := decodeReplicas(d)
+		if err != nil {
+			return CallArg{}, err
 		}
-		if n == 0 {
+		if reps == nil {
 			// Canonical encoders emit flag 3 only with replicas present; an
 			// empty list would re-encode as flag 2 and break canonicality.
 			return CallArg{}, ErrBadEnvelope
 		}
-		a.Replicas = make([]uint32, n)
-		for i := range a.Replicas {
-			a.Replicas[i] = d.U32()
-		}
+		a.Replicas = reps
 		return a, nil
 	case 2:
 		if d.U8() != RefV1 {

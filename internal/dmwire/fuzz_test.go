@@ -35,6 +35,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Epoch: 1}.Marshal())
 	f.Add(uint8(15), Token{CID: 3, Seq: 4}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Data: []byte("hi")}.Marshal())
+	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: []uint32{0, 2}, Data: []byte("hi")}.Marshal())
 	f.Add(uint8(17), RegPutReq{Entry: registry.Entry{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 1, Replicas: []uint32{0, 2}}}.Marshal())
 	f.Add(uint8(18), RegGetResp{Entry: registry.Entry{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 3, Replicas: []uint32{1}}}.Marshal())
 	f.Add(uint8(19), RegSyncResp{Entries: []registry.Entry{

@@ -48,9 +48,39 @@ const MaxRefReplicas = 16
 // ErrBadRefVersion reports an unknown located-ref version byte.
 var ErrBadRefVersion = errors.New("dmwire: unknown located-ref version")
 
-// ErrTooManyReplicas reports a v2 ref whose replica list exceeds
-// MaxRefReplicas.
+// ErrTooManyReplicas reports a replica list that exceeds MaxRefReplicas.
 var ErrTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas")
+
+// encodeReplicas appends the one wire form of a replica list — u8 count,
+// then that many u32 shard IDs — shared by v2 refs, call-arg flag 3,
+// registry entries and stage_at. Lists past MaxRefReplicas are
+// truncated.
+func encodeReplicas(e *rpc.Enc, reps []uint32) {
+	if len(reps) > MaxRefReplicas {
+		reps = reps[:MaxRefReplicas]
+	}
+	e.U8(uint8(len(reps)))
+	for _, id := range reps {
+		e.U32(id)
+	}
+}
+
+// decodeReplicas reads a replica list off d (nil when the count is 0),
+// rejecting a count past MaxRefReplicas. The caller checks d.Err().
+func decodeReplicas(d *rpc.Dec) ([]uint32, error) {
+	n := int(d.U8())
+	if n > MaxRefReplicas {
+		return nil, ErrTooManyReplicas
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	reps := make([]uint32, n)
+	for i := range reps {
+		reps[i] = d.U32()
+	}
+	return reps, nil
+}
 
 // LocatedRef pairs a ref with its codec version. Located reports whether
 // Ref.Server is a cluster-wide shard ID (v1) rather than unlocated
@@ -99,10 +129,7 @@ func (r LocatedRef) Marshal() []byte {
 		e := rpc.NewEnc(LocatedRefSize + 1 + 4*len(r.Replicas))
 		e.U8(r.Version)
 		r.Ref.Encode(e)
-		e.U8(uint8(len(r.Replicas)))
-		for _, id := range r.Replicas {
-			e.U32(id)
-		}
+		encodeReplicas(e, r.Replicas)
 		return e.Bytes()
 	}
 	e := rpc.NewEnc(LocatedRefSize)
@@ -134,19 +161,14 @@ func UnmarshalLocatedRef(b []byte) (LocatedRef, error) {
 	}
 	r := LocatedRef{Version: v, Ref: ref}
 	if v == RefV2 {
-		n := int(d.U8())
-		if n > MaxRefReplicas {
-			return LocatedRef{}, ErrTooManyReplicas
+		reps, err := decodeReplicas(d)
+		if err == nil {
+			err = d.Err()
 		}
-		if n > 0 {
-			r.Replicas = make([]uint32, n)
-			for i := range r.Replicas {
-				r.Replicas[i] = d.U32()
-			}
-		}
-		if err := d.Err(); err != nil {
+		if err != nil {
 			return LocatedRef{}, err
 		}
+		r.Replicas = reps
 	}
 	return r, nil
 }

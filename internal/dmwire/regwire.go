@@ -30,29 +30,18 @@ const regEntrySize = 25
 
 // encodeRegEntry appends one entry to e.
 func encodeRegEntry(e *rpc.Enc, ent registry.Entry) {
-	reps := ent.Replicas
-	if len(reps) > MaxRefReplicas {
-		reps = reps[:MaxRefReplicas]
-	}
-	e.U64(ent.Key).I64(ent.Size).U64(ent.Epoch).U8(uint8(len(reps)))
-	for _, id := range reps {
-		e.U32(id)
-	}
+	e.U64(ent.Key).I64(ent.Size).U64(ent.Epoch)
+	encodeReplicas(e, ent.Replicas)
 }
 
 // decodeRegEntry reads one entry off d. The caller checks d.Err().
 func decodeRegEntry(d *rpc.Dec) (registry.Entry, error) {
 	ent := registry.Entry{Key: d.U64(), Size: d.I64(), Epoch: d.U64()}
-	n := int(d.U8())
-	if n > MaxRefReplicas {
-		return ent, ErrTooManyReplicas
+	reps, err := decodeReplicas(d)
+	if err != nil {
+		return ent, err
 	}
-	if n > 0 {
-		ent.Replicas = make([]uint32, n)
-		for i := range ent.Replicas {
-			ent.Replicas[i] = d.U32()
-		}
-	}
+	ent.Replicas = reps
 	return ent, d.Err()
 }
 

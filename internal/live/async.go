@@ -194,9 +194,11 @@ func (cl *Client) StageRefAsync(data []byte) *AsyncRef {
 }
 
 // StageRefAtAsync starts a caller-keyed stage (MStageAt — the
-// replica-placement primitive) and returns a future for the ref. data
-// must stay valid and unmodified until Wait returns.
-func (cl *Client) StageRefAtAsync(key uint64, data []byte) *AsyncRef {
+// replica-placement primitive) and returns a future for the ref. A
+// non-empty replicas list makes the server record the key's epoch-1
+// directory entry together with the ref (the §D16 handoff); nil records
+// nothing. data must stay valid and unmodified until Wait returns.
+func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *AsyncRef {
 	pid, err := cl.session()
 	if err != nil {
 		return &AsyncRef{op: AsyncOp{err: err}}
@@ -204,13 +206,24 @@ func (cl *Client) StageRefAtAsync(key uint64, data []byte) *AsyncRef {
 	ar := &AsyncRef{size: int64(len(data)), key: key}
 	ar.op = AsyncOp{
 		p: cl.node.CallAsync(cl.addr, dmwire.MStageAt,
-			dmwire.StageAtReq{PID: pid, Key: key}.MarshalHdr(), data, cl.mutOpts()),
+			dmwire.StageAtReq{PID: pid, Key: key, Replicas: replicas}.MarshalHdr(), data, cl.mutOpts()),
 		consume: func(resp []byte) error {
 			_, err := dmwire.UnmarshalRefKeyResp(resp)
 			return err
 		},
 	}
 	return ar
+}
+
+// FreeRefAsync starts dropping the ref's own page hold and returns a
+// future; the free is tokened (at-most-once across retries) exactly
+// like the synchronous FreeRef.
+func (cl *Client) FreeRefAsync(ref dm.Ref) *AsyncOp {
+	if _, err := cl.session(); err != nil {
+		return &AsyncOp{err: err}
+	}
+	return &AsyncOp{p: cl.node.CallAsync(cl.addr, dmwire.MFreeRef,
+		dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, cl.mutOpts())}
 }
 
 // Wait blocks for the staging result.

@@ -798,6 +798,9 @@ func (cl *Client) StageRef(data []byte) (dm.Ref, error) {
 // replica-placement primitive behind the pool's R-way replication. The
 // key must carry dmwire.ReplicaKeyBit; a key the server already holds
 // fails with dm.ErrRefExists, which makes repair re-stages idempotent.
+// It records no directory entry: it is the repair and migration copy,
+// whose placement the executor's flip publishes (StageRefAtAsync carries
+// a first stage's entry).
 func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
 	pid, err := cl.session()
 	if err != nil {
@@ -809,10 +812,11 @@ func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
 	return dm.Ref{Key: key, Size: int64(len(data))}, nil
 }
 
-// RegPut hands a cluster ref's directory entry to the server's registry
-// slice (DESIGN.md §D16): the staging client's handoff (epoch 1) or a
-// migration placement flip (bumped epoch). The server merges
-// higher-epoch-wins, so retries and races are idempotent.
+// RegPut merges a cluster ref's directory entry into the server's
+// registry slice (DESIGN.md §D16): a migration placement flip or a
+// partial-placement correction (bumped epoch; the first stage's epoch-1
+// entry rides stage_at). The server merges higher-epoch-wins, so retries
+// and races are idempotent.
 func (cl *Client) RegPut(ent registry.Entry) error {
 	if _, err := cl.session(); err != nil {
 		return err

@@ -18,10 +18,17 @@ import (
 // older than the retention window; retries arrive within a call's overall
 // deadline, which is orders of magnitude shorter.
 type dedupTable struct {
-	mu        sync.Mutex
-	m         map[dmwire.Token]*dedupEntry
-	inserts   int
-	retention time.Duration
+	mu sync.Mutex
+	m  map[dmwire.Token]*dedupEntry
+	// oldest and newest end the entries' insertion-order list. A sweep
+	// pops expired entries off the old end and stops at the first one
+	// still in flight or inside the window, so it costs what it drops,
+	// not what the table holds: a full scan under mu stalled every tokened
+	// request on the node for milliseconds once a write-heavy load had
+	// filled the window.
+	oldest, newest *dedupEntry
+	inserts        int
+	retention      time.Duration
 }
 
 type dedupEntry struct {
@@ -29,6 +36,8 @@ type dedupEntry struct {
 	status   byte
 	resp     []byte // private copy, owned by the table
 	doneAtNS int64  // completion time, 0 while in flight
+	tok      dmwire.Token
+	next     *dedupEntry // the next-newer entry, guarded by the table's mu
 }
 
 // prunePeriod is how many inserts pass between retention sweeps.
@@ -51,8 +60,14 @@ func (t *dedupTable) run(tok dmwire.Token, fn func() (byte, []byte)) (status byt
 		<-e.done
 		return e.status, e.resp, true
 	}
-	e := &dedupEntry{done: make(chan struct{}), status: dmwire.StatusErr}
+	e := &dedupEntry{done: make(chan struct{}), status: dmwire.StatusErr, tok: tok}
 	t.m[tok] = e
+	if t.newest == nil {
+		t.oldest = e
+	} else {
+		t.newest.next = e
+	}
+	t.newest = e
 	t.inserts++
 	if t.inserts%prunePeriod == 0 {
 		t.pruneLocked(time.Now())
@@ -71,20 +86,28 @@ func (t *dedupTable) run(tok dmwire.Token, fn func() (byte, []byte)) (status byt
 	return status, resp, false
 }
 
-// pruneLocked drops entries whose execution completed before the
-// retention window; in-flight entries are never dropped.
+// pruneLocked drops the oldest entries whose execution completed before
+// the retention window, up to the first that did not; in-flight entries
+// are never dropped. An entry that finished before an older one waits for
+// it — retained a little longer, never less.
 func (t *dedupTable) pruneLocked(now time.Time) {
 	if t.retention <= 0 {
 		return
 	}
 	cutoff := now.Add(-t.retention).UnixNano()
-	for tok, e := range t.m {
+	for e := t.oldest; e != nil; e = e.next {
 		select {
 		case <-e.done:
-			if e.doneAtNS < cutoff {
-				delete(t.m, tok)
+			if e.doneAtNS >= cutoff {
+				return
 			}
 		default:
+			return // still in flight
+		}
+		delete(t.m, e.tok)
+		t.oldest = e.next
+		if t.oldest == nil {
+			t.newest = nil
 		}
 	}
 }

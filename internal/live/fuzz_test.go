@@ -3,6 +3,8 @@ package live
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/dmwire"
 )
 
 // FuzzReadFrame hardens the TCP framing against arbitrary streams: no
@@ -41,13 +43,18 @@ func FuzzReadFrame(f *testing.F) {
 
 // FuzzServerDispatch throws arbitrary bodies at every method; the server
 // must return an error status rather than panic, and its invariants must
-// hold afterwards.
+// hold afterwards. PID 0 is registered, so bodies naming it get past the
+// session lookup.
 func FuzzServerDispatch(f *testing.F) {
 	f.Add(uint16(0x0100), []byte{})
 	f.Add(uint16(0x0101), []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 16})
 	f.Add(uint16(0x0109), make([]byte, 16))
+	f.Add(uint16(dmwire.MStageAt), dmwire.StageAtReq{
+		PID: 0, Key: dmwire.ReplicaKeyBit | 1, Replicas: []uint32{0, 1}, Data: []byte("hi"),
+	}.Marshal())
 	f.Fuzz(func(t *testing.T, m uint16, body []byte) {
 		s := NewServer(ServerConfig{NumPages: 16, PageSize: 512})
+		s.register()
 		s.dispatch(methodOf(m), body)
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("invariants broken by method %#x: %v", m, err)

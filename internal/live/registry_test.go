@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -157,4 +158,101 @@ func TestRegistryHandoffSurvivesReap(t *testing.T) {
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStageAtCarriesDirectoryEntry pins the one-exchange handoff
+// (§D16): a stage_at carrying replicas records the key's epoch-1
+// directory entry in the same locked section that publishes the ref, so
+// a lease reap landing right after the ack already finds the ref
+// registry-owned; a stage_at that fails records nothing.
+func TestStageAtCarriesDirectoryEntry(t *testing.T) {
+	cfg := smallConfig()
+	cfg.LeaseTTL = time.Hour // the test expires leases by hand
+	srv, addr := startServer(t, cfg)
+	check := func(what string) {
+		t.Helper()
+		if err := srv.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	reap := func(cl *Client) {
+		t.Helper()
+		srv.pidMu.RLock()
+		ps := srv.pids[cl.pid]
+		srv.pidMu.RUnlock()
+		ps.lease.Store(1) // long expired
+		srv.reapPID(cl.pid, ps, false)
+		if _, err := srv.pidState(cl.pid); err == nil {
+			t.Fatal("non-forced reap of an expired lease did not run")
+		}
+	}
+
+	// Owned: staged with its replica set, then the producer is reaped
+	// before it could send anything else. Its count-0 sibling is swept.
+	producer := dialClient(t, addr)
+	payload := []byte("one exchange per replica")
+	owned, swept := dmwire.ReplicaKeyBit|51, dmwire.ReplicaKeyBit|52
+	ref, err := producer.StageRefAtAsync(owned, []uint32{0, 2}, payload).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := producer.StageRefAtAsync(swept, nil, payload).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := registry.Entry{Key: owned, Size: int64(len(payload)), Epoch: 1, Replicas: []uint32{0, 2}}
+	if got, ok := srv.Registry().Get(owned); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("entry after stage_at: %+v (held %v), want %+v", got, ok, want)
+	}
+	if _, ok := srv.Registry().Get(swept); ok {
+		t.Fatal("count-0 stage_at recorded a directory entry")
+	}
+	reap(producer)
+	consumer := dialClient(t, addr)
+	dst := make([]byte, len(payload))
+	if err := consumer.ReadRef(ref, 0, dst); err != nil || string(dst) != string(payload) {
+		t.Fatalf("directory-owned ref after reap: %q, %v", dst, err)
+	}
+	if err := consumer.ReadRef(dm.Ref{Key: swept, Size: ref.Size}, 0, dst); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("count-0 sibling survived the reap: %v", err)
+	}
+	check("after reap")
+
+	// Collided: the key is already held (without an entry), so the
+	// stage_at fails and must not hand the existing ref to the directory.
+	taken := dmwire.ReplicaKeyBit | 53
+	if _, err := consumer.StageRefAt(taken, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := consumer.StageRefAtAsync(taken, []uint32{0, 1}, payload).Wait(); !errors.Is(err, dm.ErrRefExists) {
+		t.Fatalf("stage_at on a held key: %v, want ErrRefExists", err)
+	}
+	if _, ok := srv.Registry().Get(taken); ok {
+		t.Fatal("collided stage_at recorded a directory entry")
+	}
+	check("after collision")
+
+	// Gone: the reaper has fenced the session (gone set under its lock)
+	// but not yet dropped it from the PID table, so the stage_at gets as
+	// far as copying into frames before it sees the fence.
+	doomed := dialClient(t, addr)
+	srv.pidMu.RLock()
+	ps := srv.pids[doomed.pid]
+	srv.pidMu.RUnlock()
+	ps.mu.Lock()
+	ps.gone = true
+	ps.mu.Unlock()
+	free := srv.FreePages()
+	key := dmwire.ReplicaKeyBit | 54
+	status, _ := srv.dispatch(dmwire.MStageAt,
+		dmwire.StageAtReq{PID: doomed.pid, Key: key, Replicas: []uint32{0, 1}, Data: payload}.Marshal())
+	if status != dmwire.StatusBadAddr {
+		t.Fatalf("stage_at on a gone PID: status %d, want %d", status, dmwire.StatusBadAddr)
+	}
+	if got := srv.FreePages(); got != free {
+		t.Fatalf("gone-PID stage_at kept frames: %d free, want %d", got, free)
+	}
+	if _, ok := srv.Registry().Get(key); ok {
+		t.Fatal("gone-PID stage_at recorded a directory entry")
+	}
+	check("after gone-PID stage")
 }

@@ -266,10 +266,10 @@ type Server struct {
 	// within one heartbeat of the change.
 	epoch atomic.Uint64
 	// reg is this shard's slice of the cluster ref directory (DESIGN.md
-	// §D16): cluster-keyed refs handed off by their staging clients so
-	// placement survives the producer's lease reap, merged
-	// higher-epoch-wins via MRegPut/MRegSync. A ref with a directory
-	// entry is registry-owned: the lease reaper skips it (only an
+	// §D16): cluster-keyed refs handed off by their staging clients (the
+	// entry rides MStageAt) so placement survives the producer's lease
+	// reap, merged higher-epoch-wins via MRegPut/MRegSync. A ref with a
+	// directory entry is registry-owned: the lease reaper skips it (only an
 	// explicit free_ref — which also drops the entry — or a migration
 	// reclaim releases its pages).
 	reg *registry.Registry
@@ -1019,7 +1019,10 @@ var errStageAtKeySpace = errors.New("live: stage_at key outside replica key spac
 // (dmwire.ReplicaKeyBit set) so it can never collide with this server's
 // own counter; staging a key the server already holds fails with
 // dm.ErrRefExists and leaves the existing ref untouched, which makes
-// repair re-stages idempotent.
+// repair re-stages idempotent. A request carrying replicas also records
+// the key's epoch-1 directory entry (§D16) in the same locked section
+// that publishes the ref: a racing lease reap sees both or neither, and
+// a failed stage records nothing.
 func (s *Server) stageAt(body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalStageAtReq(body)
 	if err != nil {
@@ -1079,6 +1082,9 @@ func (s *Server) stageAt(body []byte) ([]byte, error) {
 			s.decRef(f)
 		}
 		return nil, dm.ErrRefExists
+	}
+	if len(req.Replicas) > 0 {
+		s.reg.Put(registry.Entry{Key: req.Key, Size: int64(len(req.Data)), Epoch: 1, Replicas: req.Replicas})
 	}
 	sh.m[req.Key] = &refEntry{frames: frames, size: int64(len(req.Data)), owner: req.PID}
 	sh.mu.Unlock()

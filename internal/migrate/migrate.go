@@ -228,6 +228,18 @@ func (e *Executor) Run(moves []Move) Result {
 	return res
 }
 
+// freedMidCopy reports whether the ref was freed while a copy to id was
+// in flight, and if so takes that copy back: the free may have probed id
+// before the copy landed, so nobody else would reclaim it, and keeping it
+// would resurrect the ref.
+func (e *Executor) freedMidCopy(id uint32, key uint64) bool {
+	if e.Skip == nil || !e.Skip(key) {
+		return false
+	}
+	e.Ops.FreeRef(id, key)
+	return true
+}
+
 // stopC returns the stop channel (nil-safe: a nil Stop never fires).
 func (e *Executor) stopC() <-chan struct{} { return e.Stop }
 
@@ -274,11 +286,7 @@ func (e *Executor) runMove(mv Move, res *Result) int64 {
 				continue
 			}
 			switch err := e.Ops.StageAt(tgt, mv.Key, payload); {
-			case err == nil && e.Skip != nil && e.Skip(mv.Key):
-				// Freed while the copy was in flight: the free may have
-				// probed tgt before the copy landed, so nobody else will
-				// reclaim it — take it back rather than resurrect the ref.
-				e.Ops.FreeRef(tgt, mv.Key)
+			case err == nil && e.freedMidCopy(tgt, mv.Key):
 				return staged
 			case err == nil:
 				staged += mv.Size
@@ -332,6 +340,9 @@ func (e *Executor) runMove(mv Move, res *Result) int64 {
 			return staged
 		}
 		switch err := e.Ops.StageAt(id, mv.Key, payload); {
+		case err == nil && e.freedMidCopy(id, mv.Key):
+			// The probe most likely missed because of that free.
+			return staged
 		case err == nil:
 			staged += mv.Size
 			res.CopiedBytes += mv.Size

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -108,9 +109,9 @@ func wantFixed(m map[uint64][]uint32) func(uint64) []uint32 {
 
 func TestPlanDiffs(t *testing.T) {
 	cur := []Placement{
-		{Key: K | 1, Size: 10, Epoch: 1, Have: []uint32{0, 1}}, // on target
-		{Key: K | 2, Size: 20, Epoch: 1, Have: []uint32{0, 2}}, // 2 -> 1
-		{Key: K | 3, Size: 30, Epoch: 1, Have: []uint32{0}},    // under-replicated
+		{Key: K | 1, Size: 10, Epoch: 1, Have: []uint32{0, 1}},    // on target
+		{Key: K | 2, Size: 20, Epoch: 1, Have: []uint32{0, 2}},    // 2 -> 1
+		{Key: K | 3, Size: 30, Epoch: 1, Have: []uint32{0}},       // under-replicated
 		{Key: K | 4, Size: 40, Epoch: 1, Have: []uint32{0, 1, 2}}, // surplus only
 	}
 	want := wantFixed(map[uint64][]uint32{
@@ -281,31 +282,47 @@ func TestExecutorRacingRepairer(t *testing.T) {
 }
 
 // TestExecutorFreedMidCopy: a ref freed after its move started (Skip
-// flips to true once the source has been read) must not be resurrected
-// by the copy that was already in flight — the executor takes the copy
-// back and leaves the surplus to the free that is underway.
+// flips to true at the freedAt-th check) must not be resurrected by a
+// copy that was already in flight — COPY's stage to a new target, or
+// VERIFY's re-stage of a wanted copy whose probe missed because the free
+// had already taken it. The executor takes that copy back and leaves the
+// rest to the free that is underway.
 func TestExecutorFreedMidCopy(t *testing.T) {
-	f := newFake(2)
-	key := K | 14
 	payload := []byte("freed while copying")
-	f.put(0, key, payload)
-
-	moves := []Move{{
-		Key: key, Size: int64(len(payload)), Epoch: 1,
-		Want: []uint32{1}, Sources: []uint32{0},
-		CopyTo: []uint32{1}, DropFrom: []uint32{0},
-	}}
-	checks := 0
-	ex := &Executor{Ops: f, Skip: func(uint64) bool {
-		checks++
-		return checks > 1 // alive when the move starts, freed by the time the copy lands
-	}}
-	res := ex.Run(moves)
-	if got := f.holders(key); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("holders after a mid-copy free: %v, want the copy on 1 taken back and 0 untouched", got)
-	}
-	if res.CopiedReplicas != 0 || res.ReclaimedReplicas != 0 {
-		t.Fatalf("result: %+v", res)
+	for _, tc := range []struct {
+		name       string
+		mv         Move
+		freedAt    int      // 1 is the check before the move starts
+		wantHeld   []uint32 // sorted
+		wantCopied int
+	}{
+		{"copy", Move{Want: []uint32{1}, Sources: []uint32{0}, CopyTo: []uint32{1}, DropFrom: []uint32{0}},
+			2, []uint32{0}, 0},
+		// Shard 2 is believed to hold a copy, but the free took it.
+		{"verify", Move{Want: []uint32{1, 2}, Sources: []uint32{0, 2}, CopyTo: []uint32{1}, DropFrom: []uint32{0}},
+			3, []uint32{0, 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFake(3)
+			key := K | 14
+			f.put(0, key, payload)
+			mv := tc.mv
+			mv.Key, mv.Size, mv.Epoch = key, int64(len(payload)), 1
+			checks := 0
+			ex := &Executor{Ops: f, Skip: func(uint64) bool {
+				checks++
+				return checks >= tc.freedAt
+			}}
+			res := ex.Run([]Move{mv})
+			got := f.holders(key)
+			slices.Sort(got)
+			if !slices.Equal(got, tc.wantHeld) {
+				t.Fatalf("holders after a mid-copy free: %v, want %v", got, tc.wantHeld)
+			}
+			if res.CopiedReplicas != tc.wantCopied || res.ReclaimedReplicas != 0 {
+				t.Fatalf("result: %+v", res)
+			}
+		})
 	}
 }
 

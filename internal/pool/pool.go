@@ -56,15 +56,18 @@ type Config struct {
 	// still kick an immediate pass).
 	RepairInterval time.Duration
 	// RegistryHandoff hands staged replicated refs off to the cluster ref
-	// registry (DESIGN.md §D16): after a replicated stage the placement is
-	// published to each replica shard's directory, making the ref
-	// registry-owned — it survives its producer's lease reap and is
-	// released only by an explicit free or a migration reclaim. The
-	// repairer additionally anti-entropy-syncs directory pages from the
-	// shards (adopting refs staged by departed clients) and read failover
-	// falls back to a directory lookup when every placement-derived
-	// candidate misses. Off by default: without it the pool behaves as
-	// before (refs die with their producer's session).
+	// registry (DESIGN.md §D16): each replica's stage_at carries the
+	// target list, and the shard records the directory entry together
+	// with the copy — no extra exchange — making the ref registry-owned:
+	// it survives its producer's lease reap and is released only by an
+	// explicit free or a migration reclaim. A stage that placed fewer
+	// copies than it targeted publishes a corrected entry (reg_put at
+	// epoch 2) to the shards that hold one. The repairer additionally
+	// anti-entropy-syncs directory pages from the shards (adopting refs
+	// staged by departed clients) and read failover falls back to a
+	// directory lookup when every placement-derived candidate misses. Off
+	// by default: without it every stage_at carries an empty list and the
+	// pool behaves as before (refs die with their producer's session).
 	RegistryHandoff bool
 	// CacheBytes enables the cluster-level hot-ref payload cache
 	// (DESIGN.md §D15): whole-object by-ref reads are served from

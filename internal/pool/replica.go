@@ -66,10 +66,10 @@ func (p *Client) mintKey() uint64 {
 }
 
 // track records a freshly staged replicated ref for the repairer.
-func (p *Client) track(key uint64, size int64, replicas []uint32) {
+func (p *Client) track(key uint64, size int64, replicas []uint32, epoch uint64) {
 	cp := append([]uint32(nil), replicas...)
 	p.refMu.Lock()
-	p.refs[key] = &refMeta{size: size, replicas: cp, epoch: 1}
+	p.refs[key] = &refMeta{size: size, replicas: cp, epoch: epoch}
 	p.refMu.Unlock()
 }
 
@@ -394,14 +394,24 @@ func (p *Client) readShard(id uint32, ref dm.Ref, off, size int64) (*live.Buf, e
 func (p *Client) freeReplicated(ref dm.Ref) error {
 	cands := p.candidates(ref, nil)
 	p.untrack(ref.Key)
+	return p.freeOn(cands, ref)
+}
+
+// freeOn frees ref's copy on every shard in ids, issuing all the frees
+// before waiting on any, so R copies cost one round trip, not R. It
+// succeeds when at least one copy was released.
+func (p *Client) freeOn(ids []uint32, ref dm.Ref) error {
 	freed := false
 	var lastErr error
-	for _, id := range cands {
-		s, err := p.byID(id)
-		if err != nil {
-			continue
+	var buf [4]*live.AsyncOp
+	ops := buf[:0]
+	for _, id := range ids {
+		if s, err := p.byID(id); err == nil {
+			ops = append(ops, s.cl.FreeRefAsync(ref))
 		}
-		switch err := s.cl.FreeRef(ref); {
+	}
+	for _, op := range ops {
+		switch err := op.Wait(); {
 		case err == nil:
 			freed = true
 		case errors.Is(err, dm.ErrBadRef):
@@ -438,12 +448,19 @@ type repStage struct {
 }
 
 // stageReplicatedAsync mints a cluster key and starts the fan-out; the
-// returned AsyncRef's Wait collects the copies and tracks the ref.
+// returned AsyncRef's Wait collects the copies and tracks the ref. Under
+// RegistryHandoff every stage_at carries the target list, so each copy
+// lands together with its shard's epoch-1 directory entry (§D16) and the
+// handoff costs no exchange of its own.
 func (p *Client) stageReplicatedAsync(data []byte, attempt int) *AsyncRef {
 	key := p.mintKey()
 	targets := p.ring.Successors(key, p.replicaFactor())
 	if len(targets) == 0 {
 		return &AsyncRef{err: ErrNoShards}
+	}
+	var entry []uint32
+	if p.cfg.RegistryHandoff {
+		entry = targets
 	}
 	rs := &repStage{p: p, key: key, data: data, attempt: attempt, targets: targets}
 	rs.futs = make([]*live.AsyncRef, len(targets))
@@ -452,7 +469,7 @@ func (p *Client) stageReplicatedAsync(data []byte, attempt int) *AsyncRef {
 		if err != nil {
 			continue
 		}
-		rs.futs[i] = s.cl.StageRefAtAsync(key, data)
+		rs.futs[i] = s.cl.StageRefAtAsync(key, entry, data)
 	}
 	return &AsyncRef{rep: rs}
 }
@@ -478,13 +495,10 @@ func (rs *repStage) wait() (dm.Ref, error) {
 		}
 	}
 	if collided {
-		// Another client owns this key. Roll back our copies and re-mint.
-		local := dm.Ref{Key: rs.key, Size: int64(len(rs.data))}
-		for _, id := range placed {
-			if s, err := rs.p.byID(id); err == nil {
-				s.cl.FreeRef(local)
-			}
-		}
+		// Another client owns this key. Roll back our copies (and the
+		// directory entries they carried) and re-mint. Best effort: the
+		// collision itself is a one-in-2^63 draw.
+		_ = rs.p.freeOn(placed, dm.Ref{Key: rs.key, Size: int64(len(rs.data))})
 		if rs.attempt+1 >= maxStageAttempts {
 			return dm.Ref{}, dm.ErrRefExists
 		}
@@ -497,14 +511,19 @@ func (rs *repStage) wait() (dm.Ref, error) {
 		return dm.Ref{}, lastErr
 	}
 	ref := dm.Ref{Server: placed[0], Key: rs.key, Size: int64(len(rs.data))}
-	rs.p.track(rs.key, ref.Size, placed)
-	// Registry handoff (§D16): publish the placement to each replica
-	// shard's directory, making the ref cluster-owned — it now survives
-	// this producer's lease reap and any client can repair or migrate it.
-	if rs.p.cfg.RegistryHandoff {
-		rs.p.regPublish(registry.Entry{Key: rs.key, Size: ref.Size, Epoch: 1, Replicas: placed})
+	// Under RegistryHandoff each copy landed with its directory entry, so
+	// a fully placed ref is already cluster-owned.
+	partial := len(placed) < len(rs.targets)
+	epoch := uint64(1)
+	if partial && rs.p.cfg.RegistryHandoff {
+		// The entries name targets that hold nothing, and equal epochs
+		// are first-writer-wins: correct them at epoch 2 (the repairer's
+		// later flip lands at 3).
+		epoch = 2
+		rs.p.regPublish(registry.Entry{Key: rs.key, Size: ref.Size, Epoch: epoch, Replicas: placed})
 	}
-	if len(placed) < len(rs.targets) {
+	rs.p.track(rs.key, ref.Size, placed, epoch)
+	if partial {
 		rs.p.kickRepair() // born under-replicated
 	}
 	return ref, nil

@@ -71,7 +71,9 @@ func New() *Registry {
 // Put records e if it is news: a higher epoch than the stored entry (or
 // any tombstone) wins, an equal epoch is idempotent (first writer
 // stays), a lower epoch is ignored. Reports whether the directory
-// changed.
+// changed. The registry keeps e.Replicas as given (Get and Page hand out
+// copies), so the caller must not modify it afterwards — a server
+// stores the slice it just decoded off the wire without a second copy.
 func (r *Registry) Put(e Entry) bool {
 	if e.Key == 0 || len(e.Replicas) == 0 {
 		return false
@@ -85,7 +87,7 @@ func (r *Registry) Put(e Entry) bool {
 		return false
 	}
 	delete(r.tombs, e.Key)
-	r.entries[e.Key] = e.clone()
+	r.entries[e.Key] = e
 	return true
 }
 
