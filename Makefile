@@ -146,7 +146,6 @@ fuzz-smoke:
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=5s
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzStatusRoundTrip -fuzztime=5s
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzCallEnvelope -fuzztime=5s
-	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzLocatedRef -fuzztime=5s
 
 # Brief fuzzing passes over every wire-facing decoder.
 fuzz:
@@ -155,8 +154,9 @@ fuzz:
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=30s
 	$(GO) test ./internal/rpc -run='^$$' -fuzz=FuzzDec -fuzztime=30s
 	$(GO) test ./internal/dm -run='^$$' -fuzz=FuzzUnmarshalRef -fuzztime=30s
+	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=30s
+	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzStatusRoundTrip -fuzztime=30s
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzCallEnvelope -fuzztime=30s
-	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzLocatedRef -fuzztime=30s
 
 clean:
 	$(GO) clean ./...

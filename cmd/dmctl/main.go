@@ -84,7 +84,8 @@ commands:
                                 -cache-bytes enables the hot-ref payload
                                 cache (whole-object reads from memory):
     pool stage -text <s>          stage onto a ring-chosen shard, print
-                                  the located ref and its v1 wire form
+                                  the located ref, its shards and its
+                                  size as a call arg on the wire
     pool read  -size <n> -n <k>   stage k objects, read each back via its
                                   located ref, print the shard spread
     pool chain -hops <h> -size <n> -n <ops>
@@ -187,8 +188,8 @@ func cmdBench(cl *live.Client, args []string) {
 // reference, then prints the side-by-side latencies. Each hop opens its
 // own DM session: a live.Client on the single server, or — pooled, the
 // `pool chain` subcommand and any multi-address -server — a pool.Client
-// over the shard list, so refs travel in the located (v1) wire form and
-// each stage is ring-routed.
+// over the shard list, so refs travel as located call args and each
+// stage is ring-routed.
 func cmdChain(addrs []string, pooled bool, args []string) {
 	fs := flag.NewFlagSet("chain", flag.ExitOnError)
 	hops := fs.Int("hops", 3, "chain length (services)")
@@ -301,15 +302,14 @@ func cmdPoolStage(p *pool.Client, args []string) {
 	fs.Parse(args)
 	ref, err := p.StageRef([]byte(*text))
 	exitOn(err)
-	if reps := p.Replicas(ref); len(reps) >= 2 {
-		wire := dmwire.LocateReplicated(ref, reps).Marshal()
-		fmt.Printf("staged %d bytes on shards %v as %v (replicated wire form %d bytes: %x)\n",
-			len(*text), reps, ref, len(wire), wire)
-		return
+	// The payload liverpc would pass for this ref, and its envelope size.
+	arg := liverpc.ByReplicated(ref, p.Replicas(ref))
+	shards := arg.Replicas()
+	if shards == nil {
+		shards = []uint32{ref.Server}
 	}
-	wire := dmwire.Locate(ref).Marshal()
-	fmt.Printf("staged %d bytes on shard %d as %v (located wire form %d bytes: %x)\n",
-		len(*text), ref.Server, ref, len(wire), wire)
+	fmt.Printf("staged %d bytes on shards %v as %v (located call arg, %d bytes on the wire)\n",
+		len(*text), shards, ref, arg.WireSize())
 }
 
 func cmdPoolRead(p *pool.Client, args []string) {

@@ -1,33 +1,31 @@
 package dmwire
 
 import (
-	"bytes"
+	"errors"
 	"testing"
 )
 
-// TestRegisterRespCreditForms pins the three length-disambiguated wire
-// forms of the register response and their round-trips: credits force the
-// 17-byte extended form (with and without a shard), no credits keep the
-// legacy 8/12-byte bodies byte-identical to pre-credit servers.
+// TestRegisterRespCreditForms: every combination of the optional fields
+// — shard identity, credit window, epoch — round-trips through the one
+// 25-byte register-response form.
 func TestRegisterRespCreditForms(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		r       RegisterResp
-		wantLen int
+		name string
+		r    RegisterResp
 	}{
-		{"base", RegisterResp{PID: 7, LeaseMillis: 15000}, 8},
-		{"legacy shard", RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 3}, 12},
-		{"credits", RegisterResp{PID: 7, LeaseMillis: 15000, Credits: 256}, 17},
-		{"credits+shard", RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Credits: 64}, 17},
-		{"credits max", RegisterResp{PID: 1, LeaseMillis: 1, Credits: 1<<32 - 1}, 17},
-		{"epoch", RegisterResp{PID: 7, LeaseMillis: 15000, Epoch: 9}, 25},
-		{"credits+epoch", RegisterResp{PID: 7, LeaseMillis: 15000, Credits: 256, Epoch: 9}, 25},
-		{"credits+epoch+shard", RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Credits: 64, Epoch: 1 << 40}, 25},
+		{"base", RegisterResp{PID: 7, LeaseMillis: 15000}},
+		{"shard", RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 3}},
+		{"credits", RegisterResp{PID: 7, LeaseMillis: 15000, Credits: 256}},
+		{"credits+shard", RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Credits: 64}},
+		{"credits max", RegisterResp{PID: 1, LeaseMillis: 1, Credits: 1<<32 - 1}},
+		{"epoch", RegisterResp{PID: 7, LeaseMillis: 15000, Epoch: 9}},
+		{"credits+epoch", RegisterResp{PID: 7, LeaseMillis: 15000, Credits: 256, Epoch: 9}},
+		{"credits+epoch+shard", RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Credits: 64, Epoch: 1 << 40}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.r.Marshal()
-			if len(b) != tc.wantLen {
-				t.Fatalf("marshalled length = %d, want %d", len(b), tc.wantLen)
+			if len(b) != registerRespSize {
+				t.Fatalf("marshalled length = %d, want %d", len(b), registerRespSize)
 			}
 			got, err := UnmarshalRegisterResp(b)
 			if err != nil {
@@ -40,69 +38,22 @@ func TestRegisterRespCreditForms(t *testing.T) {
 	}
 }
 
-// TestRegisterRespLegacyBytesStillDecode: a pre-credit server's exact
-// bytes decode with Credits = 0, and the re-encoding reproduces them —
-// the interop contract in both directions.
-func TestRegisterRespLegacyBytesStillDecode(t *testing.T) {
-	legacy := RegisterResp{PID: 42, LeaseMillis: 9000, HasShard: true, Shard: 5}
-	b := legacy.Marshal()
-	got, err := UnmarshalRegisterResp(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Credits != 0 || got != legacy {
-		t.Fatalf("legacy decode = %+v, want %+v with zero credits", got, legacy)
-	}
-	if !bytes.Equal(got.Marshal(), b) {
-		t.Fatal("legacy bytes not reproduced by re-encoding")
-	}
-}
-
-// TestRegisterRespEpochFoldBack: a 25-byte body whose epoch field is
-// zero is non-canonical — canonical encoders only emit the epoch form
-// when the epoch is set — so it decodes to the 8-byte base form and its
-// re-encoding is a prefix of the input, the fuzz invariant.
-func TestRegisterRespEpochFoldBack(t *testing.T) {
-	for _, flags := range []byte{registerRespExt | registerRespEpoch, registerRespExt | registerRespEpoch | 1} {
-		long := make([]byte, 0, 25)
-		long = appendU32(long, 42)   // PID
-		long = appendU32(long, 9000) // LeaseMillis
-		long = append(long, flags)
-		long = appendU32(long, 5)                   // Shard
-		long = appendU32(long, 64)                  // Credits
-		long = append(long, 0, 0, 0, 0, 0, 0, 0, 0) // epoch = 0
-		got, err := UnmarshalRegisterResp(long)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := RegisterResp{PID: 42, LeaseMillis: 9000}
-		if got != want {
-			t.Fatalf("flags %#x: fold-back decode = %+v, want %+v", flags, got, want)
-		}
-		reenc := got.Marshal()
-		if len(reenc) > len(long) || !bytes.Equal(reenc, long[:len(reenc)]) {
-			t.Fatalf("flags %#x: re-encoding is not a prefix of the long form", flags)
-		}
-	}
-}
-
-// TestHeartbeatRespCreditForms: the renewed window rides the heartbeat
-// response as a 4-byte suffix, absent when credits are off.
+// TestHeartbeatRespCreditForms: the renewed window and the epoch ride
+// the one 16-byte heartbeat-response form, zero or not.
 func TestHeartbeatRespCreditForms(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		r       HeartbeatResp
-		wantLen int
+		name string
+		r    HeartbeatResp
 	}{
-		{"base", HeartbeatResp{LeaseMillis: 250}, 4},
-		{"credits", HeartbeatResp{LeaseMillis: 250, Credits: 128}, 8},
-		{"epoch", HeartbeatResp{LeaseMillis: 250, Epoch: 7}, 16},
-		{"credits+epoch", HeartbeatResp{LeaseMillis: 250, Credits: 128, Epoch: 1 << 40}, 16},
+		{"base", HeartbeatResp{LeaseMillis: 250}},
+		{"credits", HeartbeatResp{LeaseMillis: 250, Credits: 128}},
+		{"epoch", HeartbeatResp{LeaseMillis: 250, Epoch: 7}},
+		{"credits+epoch", HeartbeatResp{LeaseMillis: 250, Credits: 128, Epoch: 1 << 40}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.r.Marshal()
-			if len(b) != tc.wantLen {
-				t.Fatalf("marshalled length = %d, want %d", len(b), tc.wantLen)
+			if len(b) != heartbeatRespSize {
+				t.Fatalf("marshalled length = %d, want %d", len(b), heartbeatRespSize)
 			}
 			got, err := UnmarshalHeartbeatResp(b)
 			if err != nil {
@@ -115,38 +66,35 @@ func TestHeartbeatRespCreditForms(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRespEpochFoldBack: a 16-byte body carrying an explicit
-// zero epoch is non-canonical — it decodes to the shorter form and its
-// re-encoding is a prefix of the input, which is the invariant the
-// fuzz target enforces for every accepted body.
-func TestHeartbeatRespEpochFoldBack(t *testing.T) {
+// TestSessionRespFixedLength: the register and heartbeat responses are
+// fixed-length, so every truncation of a valid body, a trailing byte
+// past it, and a register flags byte with any reserved bit set are all
+// rejected.
+func TestSessionRespFixedLength(t *testing.T) {
+	reg := RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Credits: 64, Epoch: 3}.Marshal()
+	hb := HeartbeatResp{LeaseMillis: 250, Credits: 128, Epoch: 7}.Marshal()
 	for _, tc := range []struct {
-		name string
-		r    HeartbeatResp
+		name   string
+		body   []byte
+		decode func([]byte) error
 	}{
-		{"zero epoch zero credits", HeartbeatResp{LeaseMillis: 300}},
-		{"zero epoch with credits", HeartbeatResp{LeaseMillis: 300, Credits: 64}},
+		{"RegisterResp", reg, func(b []byte) error { _, err := UnmarshalRegisterResp(b); return err }},
+		{"HeartbeatResp", hb, func(b []byte) error { _, err := UnmarshalHeartbeatResp(b); return err }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			long := make([]byte, 0, 16)
-			long = append(long, tc.r.Marshal()[:4]...)
-			long = appendU32(long, tc.r.Credits)
-			long = append(long, 0, 0, 0, 0, 0, 0, 0, 0) // epoch = 0
-			got, err := UnmarshalHeartbeatResp(long)
-			if err != nil {
-				t.Fatal(err)
+		for i := 0; i < len(tc.body); i++ {
+			if err := tc.decode(tc.body[:i]); err == nil {
+				t.Fatalf("%s: %d-byte truncation accepted", tc.name, i)
 			}
-			if got != tc.r {
-				t.Fatalf("fold-back decode = %+v, want %+v", got, tc.r)
-			}
-			reenc := got.Marshal()
-			if len(reenc) > len(long) || !bytes.Equal(reenc, long[:len(reenc)]) {
-				t.Fatal("re-encoding is not a prefix of the long form")
-			}
-		})
+		}
+		if err := tc.decode(append(append([]byte(nil), tc.body...), 0)); !errors.Is(err, errBodyForm) {
+			t.Fatalf("%s: trailing byte: %v, want errBodyForm", tc.name, err)
+		}
 	}
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	for bit := 1; bit < 8; bit++ {
+		bad := append([]byte(nil), reg...)
+		bad[8] |= 1 << bit
+		if _, err := UnmarshalRegisterResp(bad); !errors.Is(err, errBodyForm) {
+			t.Fatalf("reserved flag bit %d: %v, want errBodyForm", bit, err)
+		}
+	}
 }

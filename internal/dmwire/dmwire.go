@@ -6,6 +6,8 @@
 package dmwire
 
 import (
+	"errors"
+
 	"repro/internal/dm"
 	"repro/internal/rpc"
 )
@@ -122,43 +124,36 @@ func ErrOf(status byte, msg string) error {
 	}
 }
 
-// RegisterResp is the body of a successful MRegister response.
+// errBodyForm rejects a fixed-length body of any other length, or with
+// a reserved flag bit set.
+var errBodyForm = errors.New("dmwire: body has the wrong length or a reserved bit set")
+
+// RegisterResp is the body of a successful MRegister response, in one
+// 25-byte form (flags bit0 = HasShard; the other bits must be 0):
+//
+//	PID u32 | LeaseMillis u32 | flags u8 | Shard u32 | Credits u32 | Epoch u64
+//
+// Both ends of a session are built from the same commit, so no field is
+// optional on the wire.
+//
 // LeaseMillis is the session lease TTL granted to the PID, in
 // milliseconds; 0 means the server does not lease sessions and the PID
-// lives until the server shuts down (the pre-lease behaviour).
+// lives until the server shuts down.
 //
 // HasShard/Shard report the server's cluster shard identity
 // (dmserverd -shard-id): a server deployed as one shard of a
 // consistent-hash pool (internal/pool) advertises its shard ID so
-// clients can verify their ring configuration against reality. The field
-// is appended to the original 8-byte body only when set, so pre-shard
-// clients still parse the prefix and pre-shard servers still satisfy new
-// clients (HasShard simply stays false).
+// clients can verify their ring configuration against reality.
 //
 // Credits is the per-session async credit window the server grants
 // (live credit-based flow control): a client should keep at most this
-// many asynchronous calls in flight per session. 0 means the server does
-// not advertise credits (pre-credit servers, or crediting disabled) and
-// the client falls back to its own configured limit.
+// many asynchronous calls in flight per session. 0 means crediting is
+// disabled and the client falls back to its own configured limit.
 //
 // Epoch is the server's cache-invalidation epoch at registration (§D15):
 // the hot-ref cache's coherence baseline, so a client observing a LATER
 // epoch on a heartbeat knows something it may have cached was freed,
-// overwritten, or reaped. 0 means the server has never invalidated (or
-// predates epochs — indistinguishable, and equally safe as a baseline).
-//
-// Wire forms, disambiguated by body length:
-//
-//	8 bytes:  PID | LeaseMillis                          (base)
-//	12 bytes: PID | LeaseMillis | Shard                  (legacy shard)
-//	17 bytes: PID | LeaseMillis | flags u8 | Shard | Credits
-//	25 bytes: PID | LeaseMillis | flags u8 | Shard | Credits | Epoch
-//
-// The 17-byte form is emitted only when Credits > 0; the 25-byte form
-// only when Epoch > 0 (flags bit2 set). The flags byte (bit1 always set
-// as the extended-form marker, bit0 = HasShard, bit2 = epoch present)
-// can never collide with a legacy 12-byte body, which is exactly 12
-// bytes.
+// overwritten, or reaped. 0 means the server has never invalidated.
 type RegisterResp struct {
 	PID         uint32
 	LeaseMillis uint32
@@ -168,71 +163,26 @@ type RegisterResp struct {
 	Epoch       uint64
 }
 
-// registerRespExt marks the extended register-response form (flags bit1);
-// registerRespEpoch marks the epoch-carrying form (flags bit2).
-const (
-	registerRespExt   = 0x02
-	registerRespEpoch = 0x04
-)
+// registerRespSize is the one wire length of a RegisterResp.
+const registerRespSize = 4 + 4 + 1 + 4 + 4 + 8
 
-// Marshal encodes the response body in its shortest canonical form.
+// Marshal encodes the response body.
 func (r RegisterResp) Marshal() []byte {
-	if r.Epoch > 0 {
-		flags := byte(registerRespExt | registerRespEpoch)
-		if r.HasShard {
-			flags |= 1
-		}
-		return rpc.NewEnc(25).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U32(r.Credits).U64(r.Epoch).Bytes()
+	var flags uint8
+	if r.HasShard {
+		flags = 1
 	}
-	if r.Credits > 0 {
-		flags := byte(registerRespExt)
-		if r.HasShard {
-			flags |= 1
-		}
-		return rpc.NewEnc(17).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U32(r.Credits).Bytes()
-	}
-	if !r.HasShard {
-		return rpc.NewEnc(8).U32(r.PID).U32(r.LeaseMillis).Bytes()
-	}
-	return rpc.NewEnc(12).U32(r.PID).U32(r.LeaseMillis).U32(r.Shard).Bytes()
+	return rpc.NewEnc(registerRespSize).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U32(r.Credits).U64(r.Epoch).Bytes()
 }
 
-// UnmarshalRegisterResp decodes the response body (any of the four
-// length-disambiguated forms).
+// UnmarshalRegisterResp decodes the response body.
 func UnmarshalRegisterResp(b []byte) (RegisterResp, error) {
+	if len(b) != registerRespSize || b[8] > 1 {
+		return RegisterResp{}, errBodyForm
+	}
 	d := rpc.NewDec(b)
-	r := RegisterResp{PID: d.U32(), LeaseMillis: d.U32()}
-	if err := d.Err(); err != nil {
-		return r, err
-	}
-	rem := d.Remaining()
-	if len(rem) >= 9 && rem[0]&registerRespExt != 0 && rem[0]>>3 == 0 {
-		flags := d.U8()
-		r.Shard = d.U32()
-		r.Credits = d.U32()
-		if flags&registerRespEpoch != 0 {
-			r.Epoch = d.U64()
-		}
-		if err := d.Err(); err != nil {
-			return r, err
-		}
-		if flags&registerRespEpoch != 0 && r.Epoch == 0 {
-			// Canonical encoders never emit the epoch form with a zero
-			// epoch; decode it as the base form so re-encoding stays a
-			// prefix of the input.
-			return RegisterResp{PID: r.PID, LeaseMillis: r.LeaseMillis}, nil
-		}
-		if flags&registerRespEpoch == 0 && r.Credits == 0 {
-			// Likewise for the credit form with zero credits.
-			return RegisterResp{PID: r.PID, LeaseMillis: r.LeaseMillis}, nil
-		}
-		r.HasShard = flags&1 != 0
-		return r, nil
-	}
-	if len(rem) >= 4 {
-		r.Shard = d.U32()
-		r.HasShard = true
-	}
+	r := RegisterResp{PID: d.U32(), LeaseMillis: d.U32(), HasShard: d.U8() == 1}
+	r.Shard, r.Credits, r.Epoch = d.U32(), d.U32(), d.U64()
 	return r, d.Err()
 }
 
@@ -251,48 +201,32 @@ func UnmarshalHeartbeatReq(b []byte) (HeartbeatReq, error) {
 	return r, d.Err()
 }
 
-// HeartbeatResp is the body of a successful MHeartbeat response: the
-// renewed lease TTL in milliseconds, plus — when the server advertises
-// credit-based flow control — the refreshed per-session async credit
-// window, plus — once the server has ever freed, overwritten or reaped
-// a ref — its cache-invalidation epoch (DESIGN.md §D15). Like the
-// credit extension, each field is appended only when nonzero and the
-// forms are length-disambiguated, so peers from any era interoperate:
-// 4 bytes (lease), 8 (lease+credits), 16 (lease+credits+epoch).
+// HeartbeatResp is the body of a successful MHeartbeat response, in one
+// 16-byte form — LeaseMillis u32 | Credits u32 | Epoch u64: the renewed
+// lease TTL, the refreshed per-session async credit window (0 =
+// crediting disabled) and the server's cache-invalidation epoch
+// (DESIGN.md §D15).
 type HeartbeatResp struct {
 	LeaseMillis uint32
 	Credits     uint32
 	Epoch       uint64
 }
 
-// Marshal encodes the response body in its shortest canonical form.
+// heartbeatRespSize is the one wire length of a HeartbeatResp.
+const heartbeatRespSize = 4 + 4 + 8
+
+// Marshal encodes the response body.
 func (r HeartbeatResp) Marshal() []byte {
-	if r.Epoch > 0 {
-		return rpc.NewEnc(16).U32(r.LeaseMillis).U32(r.Credits).U64(r.Epoch).Bytes()
-	}
-	if r.Credits > 0 {
-		return rpc.NewEnc(8).U32(r.LeaseMillis).U32(r.Credits).Bytes()
-	}
-	return rpc.NewEnc(4).U32(r.LeaseMillis).Bytes()
+	return rpc.NewEnc(heartbeatRespSize).U32(r.LeaseMillis).U32(r.Credits).U64(r.Epoch).Bytes()
 }
 
-// UnmarshalHeartbeatResp decodes the response body, folding
-// non-canonical long forms (explicit zero epoch) back to the shorter
-// canonical value so decode∘encode is always a prefix of the input.
+// UnmarshalHeartbeatResp decodes the response body.
 func UnmarshalHeartbeatResp(b []byte) (HeartbeatResp, error) {
+	if len(b) != heartbeatRespSize {
+		return HeartbeatResp{}, errBodyForm
+	}
 	d := rpc.NewDec(b)
-	r := HeartbeatResp{LeaseMillis: d.U32()}
-	if err := d.Err(); err != nil {
-		return r, err
-	}
-	if len(d.Remaining()) >= 12 {
-		r.Credits = d.U32()
-		r.Epoch = d.U64()
-		return r, d.Err()
-	}
-	if len(d.Remaining()) >= 4 {
-		r.Credits = d.U32()
-	}
+	r := HeartbeatResp{LeaseMillis: d.U32(), Credits: d.U32(), Epoch: d.U64()}
 	return r, d.Err()
 }
 

@@ -32,21 +32,63 @@ var (
 	ErrBadEnvelope   = errors.New("dmwire: malformed call envelope")
 )
 
+// MaxRefReplicas caps every replica list on the wire (located call args,
+// stage_at, registry entries): a defensive decode limit, so no hostile
+// count can balloon memory, and far above any sane replication factor.
+const MaxRefReplicas = 16
+
+// ErrTooManyReplicas reports a replica list that exceeds MaxRefReplicas.
+var ErrTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas")
+
+// encodeReplicas appends the one wire form of a replica list — u8 count,
+// then that many u32 shard IDs. Lists past MaxRefReplicas are truncated.
+func encodeReplicas(e *rpc.Enc, reps []uint32) {
+	if len(reps) > MaxRefReplicas {
+		reps = reps[:MaxRefReplicas]
+	}
+	e.U8(uint8(len(reps)))
+	for _, id := range reps {
+		e.U32(id)
+	}
+}
+
+// decodeReplicas reads a replica list off d (nil when the count is 0),
+// rejecting a count past MaxRefReplicas. The caller checks d.Err().
+func decodeReplicas(d *rpc.Dec) ([]uint32, error) {
+	n := int(d.U8())
+	if n > MaxRefReplicas {
+		return nil, ErrTooManyReplicas
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	reps := make([]uint32, n)
+	for i := range reps {
+		reps[i] = d.U32()
+	}
+	return reps, nil
+}
+
 // CallArg is one size-aware argument descriptor: inline payload bytes or
 // a Ref into disaggregated memory. Exactly the paper's pass-by-value /
-// pass-by-reference split, at the wire layer.
+// pass-by-reference split, at the wire layer. A leading flag byte picks
+// one of three encodings (ref is dm.Ref's 20-byte form):
+//
+//	0 | len u32 | bytes              inline
+//	1 | ref                          unlocated ref
+//	2 | ref | nreps u8 | nreps×u32   located ref with its replica list
 type CallArg struct {
 	// IsRef selects the representation.
 	IsRef bool
 	// Ref names the staged pages (valid when IsRef).
 	Ref dm.Ref
-	// Located marks a v1 cluster-addressed ref (see locref.go): Ref.Server
-	// is a cluster-wide shard ID from the pool's consistent-hash ring; an
-	// unlocated ref's Server names nothing. Valid when IsRef.
+	// Located marks a cluster-addressed ref: Ref.Server is a cluster-wide
+	// shard ID from the pool's consistent-hash ring; an unlocated ref
+	// (a single-server live.Client's) names no server. Valid when IsRef.
 	Located bool
-	// Replicas is the v2 replica-hint list (shard IDs believed to hold a
-	// copy of the payload, primary included). Non-empty only for
-	// replicated located refs; implies Located.
+	// Replicas is a located ref's replica-hint list (shard IDs believed
+	// to hold a copy of the payload, primary included). A non-empty list
+	// implies Located.
 	Replicas []uint32
 	// Inline is the in-message payload (valid when !IsRef). Unmarshal
 	// aliases the envelope buffer; callers that retain it must copy.
@@ -61,85 +103,52 @@ func (a CallArg) Size() int64 {
 	return int64(len(a.Inline))
 }
 
-// wireSize returns the argument's encoded length.
-func (a CallArg) wireSize() int {
-	if a.IsRef {
-		if len(a.Replicas) > 0 {
-			return 1 + LocatedRefSize + 1 + 4*len(a.Replicas)
-		}
-		if a.Located {
-			return 1 + LocatedRefSize
-		}
+// located reports whether the argument takes the located (flag 2) form.
+func (a CallArg) located() bool { return a.IsRef && (a.Located || len(a.Replicas) > 0) }
+
+// WireSize returns the argument's encoded length inside an envelope —
+// the quantity pass-by-reference shrinks from megabytes to tens of bytes.
+func (a CallArg) WireSize() int {
+	switch {
+	case a.located():
+		return 1 + dm.EncodedRefSize + 1 + 4*min(len(a.Replicas), MaxRefReplicas)
+	case a.IsRef:
 		return 1 + dm.EncodedRefSize
+	default:
+		return 1 + 4 + len(a.Inline)
 	}
-	return 1 + 4 + len(a.Inline)
 }
 
 // encode appends the argument. When skipInlineBytes is set the inline
 // length prefix is written but the raw bytes are omitted (the bulk-arg
 // vectored-write path).
 func (a CallArg) encode(e *rpc.Enc, skipInlineBytes bool) {
-	if a.IsRef {
-		if len(a.Replicas) > 0 {
-			// Replicated (v2) ref: flag, version byte, the standard ref
-			// encoding, then the u8-counted replica shard-ID list.
-			e.U8(3)
-			e.U8(RefV2)
-			a.Ref.Encode(e)
-			encodeReplicas(e, a.Replicas)
-			return
-		}
-		if a.Located {
-			// Located (v1) ref: flag, version byte, then the standard ref
-			// encoding with Server carrying the shard ID.
-			e.U8(2)
-			e.U8(RefV1)
-			a.Ref.Encode(e)
-			return
-		}
-		e.U8(1)
-		a.Ref.Encode(e)
-		return
+	switch {
+	case a.located():
+		a.Ref.Encode(e.U8(2))
+		encodeReplicas(e, a.Replicas)
+	case a.IsRef:
+		a.Ref.Encode(e.U8(1))
+	case skipInlineBytes:
+		e.U8(0).U32(uint32(len(a.Inline)))
+	default:
+		e.U8(0).Blob(a.Inline)
 	}
-	e.U8(0)
-	if skipInlineBytes {
-		e.U32(uint32(len(a.Inline)))
-		return
-	}
-	e.Blob(a.Inline)
 }
 
 // decodeCallArg reads one argument, aliasing d's buffer for inline data.
-// Flags other than 0/1/2/3 are rejected so the codec stays canonical; a
-// located arg must carry the ref version matching its flag (flag 2 = v1,
-// flag 3 = v2 with a non-empty replica list).
+// Unknown flags are rejected so the codec stays canonical.
 func decodeCallArg(d *rpc.Dec) (CallArg, error) {
 	switch d.U8() {
-	case 3:
-		if d.U8() != RefV2 {
-			return CallArg{}, ErrBadRefVersion
-		}
-		a := CallArg{IsRef: true, Located: true, Ref: dm.DecodeRef(d)}
-		reps, err := decodeReplicas(d)
-		if err != nil {
-			return CallArg{}, err
-		}
-		if reps == nil {
-			// Canonical encoders emit flag 3 only with replicas present; an
-			// empty list would re-encode as flag 2 and break canonicality.
-			return CallArg{}, ErrBadEnvelope
-		}
-		a.Replicas = reps
-		return a, nil
-	case 2:
-		if d.U8() != RefV1 {
-			return CallArg{}, ErrBadRefVersion
-		}
-		return CallArg{IsRef: true, Located: true, Ref: dm.DecodeRef(d)}, nil
-	case 1:
-		return CallArg{IsRef: true, Ref: dm.DecodeRef(d)}, nil
 	case 0:
 		return CallArg{Inline: d.Blob()}, nil
+	case 1:
+		return CallArg{IsRef: true, Ref: dm.DecodeRef(d)}, nil
+	case 2:
+		a := CallArg{IsRef: true, Located: true, Ref: dm.DecodeRef(d)}
+		reps, err := decodeReplicas(d)
+		a.Replicas = reps
+		return a, err
 	default:
 		return CallArg{}, ErrBadEnvelope
 	}
@@ -169,7 +178,7 @@ type CallEnvelope struct {
 func (env CallEnvelope) marshal(hdrOnly bool) []byte {
 	n := 4 + len(env.Method) + 8 + 1 + 4 + 1
 	for _, a := range env.Args {
-		n += a.wireSize()
+		n += a.WireSize()
 	}
 	e := rpc.NewEnc(n)
 	e.Str(env.Method)
@@ -246,7 +255,7 @@ type ReturnEnvelope struct {
 func (env ReturnEnvelope) Marshal() []byte {
 	n := 1
 	for _, a := range env.Args {
-		n += a.wireSize()
+		n += a.WireSize()
 	}
 	e := rpc.NewEnc(n)
 	e.U8(uint8(len(env.Args)))

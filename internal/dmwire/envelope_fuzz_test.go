@@ -12,6 +12,8 @@ import (
 // re-encode to a prefix-identical wire form (the envelope codec is
 // canonical), and decoded envelopes must respect the documented caps.
 func FuzzCallEnvelope(f *testing.F) {
+	// One arg per wire form: inline, unlocated ref, located ref with an
+	// empty and with a non-empty replica list.
 	env := CallEnvelope{
 		Method:         "chain.do",
 		TraceID:        0xabcdef,
@@ -21,6 +23,7 @@ func FuzzCallEnvelope(f *testing.F) {
 			{Inline: []byte("inline arg")},
 			{IsRef: true, Ref: dm.Ref{Server: 1, Key: 99, Size: 1 << 16}},
 			{IsRef: true, Located: true, Ref: dm.Ref{Server: 7, Key: 3, Size: 4096}},
+			{IsRef: true, Located: true, Ref: dm.Ref{Server: 2, Key: ReplicaKeyBit | 5, Size: 4096}, Replicas: []uint32{2, 0}},
 		},
 	}
 	f.Add(uint8(0), env.Marshal())

@@ -3,6 +3,7 @@ package dmwire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/dm"
@@ -114,5 +115,149 @@ func TestCallEnvelopeMalformed(t *testing.T) {
 	}
 	if _, err := UnmarshalReturnEnvelope([]byte{2, 0, 0xff}); err == nil {
 		t.Fatal("truncated return envelope accepted")
+	}
+}
+
+// argWire returns a's encoding on its own: a one-arg return envelope
+// minus the leading count byte.
+func argWire(a CallArg) []byte { return ReturnEnvelope{Args: []CallArg{a}}.Marshal()[1:] }
+
+// decodeArg decodes one argument encoding.
+func decodeArg(b []byte) (CallArg, error) {
+	env, err := UnmarshalReturnEnvelope(append([]byte{1}, b...))
+	if err != nil {
+		return CallArg{}, err
+	}
+	return env.Args[0], nil
+}
+
+// TestLocatedRefRoundTrip pins the located arg with a replica count of
+// 0 — flag 2, the 20-byte ref, a zero count: 22 bytes — next to the
+// 21-byte unlocated form, and rejects every other flag.
+func TestLocatedRefRoundTrip(t *testing.T) {
+	ref := dm.Ref{Server: 1234, Key: 0xdeadbeef, Size: 1 << 20}
+	located := CallArg{IsRef: true, Located: true, Ref: ref}
+	b := argWire(located)
+	if len(b) != 22 || len(b) != located.WireSize() || b[0] != 2 || b[21] != 0 {
+		t.Fatalf("located arg wire = %x (WireSize %d), want 2 | ref | 0", b, located.WireSize())
+	}
+	got, err := decodeArg(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.IsRef || !got.Located || got.Ref != ref || got.Replicas != nil {
+		t.Fatalf("located round trip = %+v", got)
+	}
+
+	unlocated := CallArg{IsRef: true, Ref: dm.Ref{Key: 42, Size: 4096}}
+	b = argWire(unlocated)
+	if len(b) != 21 || len(b) != unlocated.WireSize() || b[0] != 1 {
+		t.Fatalf("unlocated arg wire = %x (WireSize %d)", b, unlocated.WireSize())
+	}
+	if got, err := decodeArg(b); err != nil || got.Located || got.Ref != unlocated.Ref {
+		t.Fatalf("unlocated round trip = %+v, %v", got, err)
+	}
+
+	for _, flag := range []byte{3, 4, 0xff} {
+		bad := append([]byte{flag}, argWire(located)[1:]...)
+		if _, err := decodeArg(bad); !errors.Is(err, ErrBadEnvelope) {
+			t.Fatalf("flag %d: %v, want ErrBadEnvelope", flag, err)
+		}
+	}
+}
+
+// TestReplicatedRefRoundTrip pins the replica list of a located arg at
+// the cap: MaxRefReplicas round-trips, a wire count of MaxRefReplicas+1
+// is rejected before allocation, and encoding a longer list truncates
+// it to the cap, so every encoder output decodes.
+func TestReplicatedRefRoundTrip(t *testing.T) {
+	ref := dm.Ref{Server: 7, Key: ReplicaKeyBit | 99, Size: 1 << 16}
+	reps := make([]uint32, MaxRefReplicas+3)
+	for i := range reps {
+		reps[i] = uint32(i)
+	}
+	full := CallArg{IsRef: true, Located: true, Ref: ref, Replicas: reps[:MaxRefReplicas]}
+	b := argWire(full)
+	if want := 22 + 4*MaxRefReplicas; len(b) != want || full.WireSize() != want {
+		t.Fatalf("%d-replica arg: %d bytes (WireSize %d), want %d", MaxRefReplicas, len(b), full.WireSize(), want)
+	}
+	got, err := decodeArg(b)
+	if err != nil || !reflect.DeepEqual(got, full) {
+		t.Fatalf("%d-replica round trip = %+v, %v", MaxRefReplicas, got, err)
+	}
+
+	over := append(append([]byte(nil), b[:21]...), MaxRefReplicas+1)
+	for i := 0; i <= MaxRefReplicas; i++ {
+		over = append(over, 0, 0, 0, byte(i))
+	}
+	if _, err := decodeArg(over); !errors.Is(err, ErrTooManyReplicas) {
+		t.Fatalf("count MaxRefReplicas+1: %v, want ErrTooManyReplicas", err)
+	}
+
+	long := CallArg{IsRef: true, Located: true, Ref: ref, Replicas: reps}
+	if lb := argWire(long); !bytes.Equal(lb, b) || long.WireSize() != len(b) {
+		t.Fatalf("over-long list not truncated to the cap: %d bytes, WireSize %d", len(lb), long.WireSize())
+	}
+}
+
+// TestEnvelopeReplicatedArg pins a located arg with replica hints in
+// call and return envelopes: the hint set survives the round trip, a
+// list alone marks the arg located, and each hint costs 4 bytes over
+// the 22-byte located form.
+func TestEnvelopeReplicatedArg(t *testing.T) {
+	hinted := CallArg{IsRef: true, Replicas: []uint32{2, 5},
+		Ref: dm.Ref{Server: 2, Key: ReplicaKeyBit | 4, Size: 128}}
+	env := CallEnvelope{Method: "m", Args: []CallArg{hinted, {Inline: []byte("tail")}}}
+	dec, err := UnmarshalCallEnvelope(env.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := dec.Args[0]
+	if !a.IsRef || !a.Located || !reflect.DeepEqual(a.Replicas, hinted.Replicas) {
+		t.Fatalf("replicated arg lost its hint set: %+v", a)
+	}
+	if !bytes.Equal(dec.Marshal(), env.Marshal()) {
+		t.Fatal("envelope with replicated arg does not round-trip")
+	}
+	if n := len(argWire(a)); n != 1+dm.EncodedRefSize+1+4*2 {
+		t.Fatalf("2-replica arg is %d bytes", n)
+	}
+
+	ret := ReturnEnvelope{Args: []CallArg{a}}
+	rdec, err := UnmarshalReturnEnvelope(ret.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rdec.Args[0], a) {
+		t.Fatalf("return envelope lost replicas: %+v", rdec.Args[0])
+	}
+}
+
+// TestEnvelopeLocatedArg pins the located and unlocated ref forms side
+// by side inside one call envelope.
+func TestEnvelopeLocatedArg(t *testing.T) {
+	env := CallEnvelope{
+		Method: "m",
+		Args: []CallArg{
+			{IsRef: true, Located: true, Ref: dm.Ref{Server: 3, Key: 7, Size: 64}},
+			{IsRef: true, Ref: dm.Ref{Server: 0, Key: 8, Size: 32}},
+			{Inline: []byte("tail")},
+		},
+	}
+	dec, err := UnmarshalCallEnvelope(env.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec.Args) != 3 {
+		t.Fatalf("decoded %d args, want 3", len(dec.Args))
+	}
+	if !dec.Args[0].Located || dec.Args[0].Ref.Server != 3 {
+		t.Fatalf("located arg lost its shard: %+v", dec.Args[0])
+	}
+	if dec.Args[1].Located {
+		t.Fatalf("unlocated ref arg decoded as located: %+v", dec.Args[1])
+	}
+	if !bytes.Equal(dec.Marshal(), env.Marshal()) {
+		t.Fatal("envelope with located arg does not round-trip")
 	}
 }

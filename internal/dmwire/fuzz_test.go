@@ -10,12 +10,12 @@ import (
 // FuzzUnmarshal throws arbitrary bodies at every request/response decoder
 // in the protocol: none may panic, and any body a decoder accepts must
 // re-encode to a prefix-identical wire form (the codecs are
-// canonical — no alternative encodings). Seeded with one valid frame per
-// codec so the fuzzer starts from the interesting region.
+// canonical — no alternative encodings). Seeded with a valid body of
+// every codec's one form, zero and full-valued where fields are optional
+// or counted, so the fuzzer starts from the interesting region.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000}.Marshal())
-	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, Credits: 256, Epoch: 9}.Marshal())
-	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, Epoch: 1}.Marshal())
+	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 2, Credits: 256, Epoch: 9}.Marshal())
 	f.Add(uint8(1), AllocReq{PID: 1, Size: 4096}.Marshal())
 	f.Add(uint8(2), AllocResp{Addr: 0x1000}.Marshal())
 	f.Add(uint8(3), FreeReq{PID: 1, Addr: 0x1000}.Marshal())
@@ -30,19 +30,20 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(12), ReadRefReq{Key: 9, Off: 0, Size: 2}.Marshal())
 	f.Add(uint8(13), HeartbeatReq{PID: 1}.Marshal())
 	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100}.Marshal())
-	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Credits: 32}.Marshal())
 	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Credits: 32, Epoch: 9}.Marshal())
-	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Epoch: 1}.Marshal())
 	f.Add(uint8(15), Token{CID: 3, Seq: 4}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Data: []byte("hi")}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: []uint32{0, 2}, Data: []byte("hi")}.Marshal())
+	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: make([]uint32, MaxRefReplicas), Data: []byte("hi")}.Marshal())
 	f.Add(uint8(17), RegPutReq{Entry: registry.Entry{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 1, Replicas: []uint32{0, 2}}}.Marshal())
 	f.Add(uint8(18), RegGetResp{Entry: registry.Entry{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 3, Replicas: []uint32{1}}}.Marshal())
 	f.Add(uint8(19), RegSyncResp{Entries: []registry.Entry{
 		{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 1, Replicas: []uint32{0, 2}},
 		{Key: ReplicaKeyBit | 10, Size: 32, Epoch: 2, Replicas: []uint32{1}},
 	}}.Marshal())
+	f.Add(uint8(19), RegSyncResp{}.Marshal())
 	f.Add(uint8(19), RegSyncReq{AfterKey: ReplicaKeyBit, Limit: 256}.Marshal())
+	f.Add(uint8(19), RegGetReq{Key: ReplicaKeyBit | 9}.Marshal())
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		check := func(name string, reenc []byte, err error) {
 			t.Helper()

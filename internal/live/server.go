@@ -512,6 +512,31 @@ func (s *Server) decRef(f int32) {
 	}
 }
 
+// fillFrames takes frames for data off the free list and copies data
+// into them, zero-filling the last frame's tail; each frame leaves with
+// one reference. The frames are invisible to every other request until
+// the caller publishes them, so the copy needs no lock at all.
+func (s *Server) fillFrames(data []byte) ([]int32, error) {
+	frames := s.popFrames(dm.PageCount(int64(len(data)), s.cfg.PageSize))
+	if frames == nil {
+		return nil, dm.ErrOutOfMemory
+	}
+	for i, f := range frames {
+		fr := s.frame(f)
+		n := copy(fr, data[i*s.cfg.PageSize:])
+		clear(fr[n:])
+		s.refcnt[f].Store(1)
+	}
+	return frames, nil
+}
+
+// releaseFrames drops one reference on each of frames.
+func (s *Server) releaseFrames(frames []int32) {
+	for _, f := range frames {
+		s.decRef(f)
+	}
+}
+
 // --- operations ---
 
 // leaseMillis is the granted TTL on the wire (0 = leasing disabled).
@@ -721,9 +746,7 @@ func (s *Server) createRef(body []byte) ([]byte, error) {
 		if err != nil {
 			// Roll back the holds taken for earlier pages so a partial
 			// create_ref cannot leak refcounts.
-			for _, g := range frames {
-				s.decRef(g)
-			}
+			s.releaseFrames(frames)
 			return nil, err
 		}
 		// materialize's pin becomes the ref's own hold (CoW protection).
@@ -767,16 +790,12 @@ func (s *Server) mapRef(body []byte) ([]byte, error) {
 	if ps.gone {
 		// The mapping holds taken above roll back; the ref itself (if it
 		// belonged to another live PID) is untouched.
-		for _, f := range frames {
-			s.decRef(f)
-		}
+		s.releaseFrames(frames)
 		return nil, dm.ErrBadAddress
 	}
 	addr, err := ps.va.Alloc(size)
 	if err != nil {
-		for _, f := range frames {
-			s.decRef(f)
-		}
+		s.releaseFrames(frames)
 		return nil, err
 	}
 	basePage := uint64(addr) / uint64(s.pageSize())
@@ -815,9 +834,7 @@ func (s *Server) freeRef(body []byte) ([]byte, error) {
 	if !ok {
 		return nil, dm.ErrBadRef
 	}
-	for _, f := range ref.frames {
-		s.decRef(f)
-	}
+	s.releaseFrames(ref.frames)
 	s.epoch.Add(1)
 	return nil, nil
 }
@@ -970,23 +987,9 @@ func (s *Server) stage(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pages := dm.PageCount(int64(len(req.Data)), s.cfg.PageSize)
-	frames := s.popFrames(pages)
-	if frames == nil {
-		return nil, dm.ErrOutOfMemory
-	}
-	// The frames are invisible to every other request until the ref is
-	// published below, so the bulk copy needs no lock at all.
-	for i, f := range frames {
-		lo := i * s.cfg.PageSize
-		hi := lo + s.cfg.PageSize
-		if hi > len(req.Data) {
-			hi = len(req.Data)
-		}
-		fr := s.frame(f)
-		n := copy(fr, req.Data[lo:hi])
-		clear(fr[n:])
-		s.refcnt[f].Store(1)
+	frames, err := s.fillFrames(req.Data)
+	if err != nil {
+		return nil, err
 	}
 	key := s.nextKey.Add(1) - 1
 	// Publish under the owner's shared lock: the lease reaper holds
@@ -996,9 +999,7 @@ func (s *Server) stage(body []byte) ([]byte, error) {
 	ps.mu.RLock()
 	if ps.gone {
 		ps.mu.RUnlock()
-		for _, f := range frames {
-			s.decRef(f)
-		}
+		s.releaseFrames(frames)
 		return nil, dm.ErrBadAddress
 	}
 	sh := s.refShardOf(key)
@@ -1048,39 +1049,23 @@ func (s *Server) stageAt(body []byte) ([]byte, error) {
 	if exists {
 		return nil, dm.ErrRefExists
 	}
-	pages := dm.PageCount(int64(len(req.Data)), s.cfg.PageSize)
-	frames := s.popFrames(pages)
-	if frames == nil {
-		return nil, dm.ErrOutOfMemory
-	}
-	for i, f := range frames {
-		lo := i * s.cfg.PageSize
-		hi := lo + s.cfg.PageSize
-		if hi > len(req.Data) {
-			hi = len(req.Data)
-		}
-		fr := s.frame(f)
-		n := copy(fr, req.Data[lo:hi])
-		clear(fr[n:])
-		s.refcnt[f].Store(1)
+	frames, err := s.fillFrames(req.Data)
+	if err != nil {
+		return nil, err
 	}
 	// Publish under the owner's shared lock exactly like stage(); on any
 	// failure past this point the frames roll back to the free list.
 	ps.mu.RLock()
 	if ps.gone {
 		ps.mu.RUnlock()
-		for _, f := range frames {
-			s.decRef(f)
-		}
+		s.releaseFrames(frames)
 		return nil, dm.ErrBadAddress
 	}
 	sh.mu.Lock()
 	if _, dup := sh.m[req.Key]; dup {
 		sh.mu.Unlock()
 		ps.mu.RUnlock()
-		for _, f := range frames {
-			s.decRef(f)
-		}
+		s.releaseFrames(frames)
 		return nil, dm.ErrRefExists
 	}
 	if len(req.Replicas) > 0 {

@@ -34,8 +34,8 @@ import (
 // through: satisfied by *live.Client (one session on one server) and
 // *pool.Client (a sharded cluster, or one cached server at K=1).
 // Backends whose refs are cluster-addressed additionally implement
-// LocatedDM, making every staged payload travel in dmwire's versioned
-// v1 located-ref form.
+// LocatedDM, making every staged payload travel as a located dmwire
+// call arg.
 type DM interface {
 	StageRef(data []byte) (dm.Ref, error)
 	ReadRef(ref dm.Ref, off int64, dst []byte) error
@@ -55,7 +55,7 @@ type LocatedDM interface {
 // ReplicatedDM marks a DM backend that replicates staged payloads and
 // can fail reads over across replicas: satisfied by *pool.Client at
 // ReplicaFactor > 1 (and at R=1, where the hint paths just degrade to
-// plain reads). Stage emits replicated (v2) payloads through it, and
+// plain reads). Stage emits replicated payloads through it, and
 // Fetch/FetchLease feed a payload's carried replica hints back into the
 // failover read path — so a consumer can survive the primary's death
 // even when the ref was staged by another process. The hints are
@@ -513,7 +513,7 @@ func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	return ByRef(own), nil
 }
 
-// errLocatedRef is returned when a cluster-addressed (v1) ref payload
+// errLocatedRef is returned when a cluster-addressed ref payload
 // reaches an endpoint whose DM backend is a single-server session that
 // does not interpret Ref.Server — resolving it there could silently read
 // the wrong server's pages, so it is refused instead.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestStaleHintsResolveAfterMigration covers the zero-loss read window
-// of DESIGN.md §D16 at the RPC layer: a replicated (v2) ref payload
+// of DESIGN.md §D16 at the RPC layer: a replicated ref payload
 // marshals the staging-time replica hints into its wire form, a
 // migration then moves the copies onto a grown ring's wanted placement
 // and reclaims the originals, and a consumer that receives the OLD wire

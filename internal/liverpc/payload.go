@@ -28,13 +28,13 @@ func Inline(data []byte) Payload { return Payload{inline: data} }
 func ByRef(ref dm.Ref) Payload { return Payload{isRef: true, ref: ref} }
 
 // ByLocated wraps a cluster-addressed ref (Ref.Server is a shard ID
-// from a pool.Client) as a payload; it travels in dmwire's versioned v1
-// wire form, so any endpoint sharing the cluster map can resolve it.
+// from a pool.Client) as a payload; it travels as a located dmwire
+// call arg, so any endpoint sharing the cluster map can resolve it.
 func ByLocated(ref dm.Ref) Payload { return Payload{isRef: true, located: true, ref: ref} }
 
 // ByReplicated wraps a cluster-addressed ref together with the shard IDs
-// believed to hold its copies (pool.Client.Replicas). It travels in
-// dmwire's v2 wire form, so a receiving endpoint can fail a read over to
+// believed to hold its copies (pool.Client.Replicas). The located call
+// arg carries the list, so a receiving endpoint can fail a read over to
 // a surviving replica even if its own cluster map lags. With fewer than
 // two shards it degrades to ByLocated.
 func ByReplicated(ref dm.Ref, shards []uint32) Payload {
@@ -100,20 +100,8 @@ func (p Payload) Size() int64 {
 }
 
 // WireSize returns how many bytes the payload occupies inside a call
-// envelope — the quantity pass-by-reference shrinks from megabytes to
-// tens of bytes.
-func (p Payload) WireSize() int {
-	if len(p.replicas) > 0 {
-		return 1 + dmwire.LocatedRefSize + 1 + 4*len(p.replicas)
-	}
-	if p.located {
-		return 1 + dmwire.LocatedRefSize
-	}
-	if p.isRef {
-		return 1 + dm.EncodedRefSize
-	}
-	return 1 + 4 + len(p.inline)
-}
+// envelope (dmwire.CallArg.WireSize).
+func (p Payload) WireSize() int { return p.wireArg().WireSize() }
 
 func (p Payload) String() string {
 	if len(p.replicas) > 0 {

@@ -37,7 +37,7 @@ func dialPool(t *testing.T, addrs []string) *Client {
 }
 
 // TestLiverpcOverPool wires the RPC framework onto the sharded cluster:
-// a caller stages a large argument through its pool (producing a v1
+// a caller stages a large argument through its pool (producing a
 // located payload on the wire), a service with its OWN pool session
 // fetches it by shard ID, adopts it, and serves it back later — the
 // full Ctx.Fetch/Ctx.Adopt path over located refs.

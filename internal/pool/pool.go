@@ -442,7 +442,7 @@ func (p *Client) byID(id uint32) (*shard, error) {
 
 // LocatedRefs marks this backend's refs as cluster-addressed: Ref.Server
 // is a shard ID valid across every process sharing the cluster map, so
-// liverpc encodes them in the versioned v1 wire form.
+// liverpc encodes them as located call args.
 func (p *Client) LocatedRefs() bool { return true }
 
 // Shards returns the cluster size.

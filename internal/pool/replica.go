@@ -198,9 +198,9 @@ func (p *Client) Replicas(ref dm.Ref) []uint32 {
 
 // candidates builds the read-failover order for ref: the ref's own
 // Server field, then the tracked replica set (the ring successors when
-// this session does not track the ref), then any wire hints (a v2 ref's
-// shard list, possibly stale), then the current ring successors —
-// deduplicated, healthy shards first. Unhealthy candidates stay at the
+// this session does not track the ref), then any wire hints (a located
+// call arg's shard list, possibly stale), then the current ring
+// successors — deduplicated, healthy shards first. Unhealthy candidates stay at the
 // tail: an ejected shard may still answer (ejection is a heartbeat
 // verdict, not proof of death), and trying it last costs nothing when
 // everything else failed.
@@ -246,7 +246,7 @@ func failoverWorthy(err error) bool {
 }
 
 // ReadRefFrom is ReadRef with explicit replica hints (e.g. the shard
-// list carried by a v2 wire ref from another process).
+// list carried by a located call arg from another process).
 func (p *Client) ReadRefFrom(ref dm.Ref, hints []uint32, off int64, dst []byte) error {
 	return p.readInto(ref, hints, off, dst, noShard)
 }

@@ -1,6 +1,6 @@
 // Package pool is the sharded DM cluster layer: it routes the live DM
 // protocol across N dmserverd instances through a consistent-hash ring,
-// makes refs location-aware (dmwire's versioned v1 codec, whose Server
+// makes refs location-aware (dmwire's located call arg, whose Server
 // field carries a cluster-wide shard ID), and multiplexes one
 // live.Client per shard so every session keeps the single-server
 // lease/heartbeat/retry/dedup machinery it already has. Per-shard
