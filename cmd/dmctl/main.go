@@ -457,7 +457,6 @@ type poolCacheDoc struct {
 	Hits          int64   `json:"hits"`
 	Misses        int64   `json:"misses"`
 	Admits        int64   `json:"admits"`
-	Rejects       int64   `json:"rejects"`
 	Evictions     int64   `json:"evictions"`
 	Invalidations int64   `json:"invalidations"`
 	Coalesced     int64   `json:"coalesced"`
@@ -587,7 +586,6 @@ func cmdPoolStats(p *pool.Client, args []string) {
 				Hits:          cs.Hits,
 				Misses:        cs.Misses,
 				Admits:        cs.Admits,
-				Rejects:       cs.Rejects,
 				Evictions:     cs.Evictions,
 				Invalidations: cs.Invalidations,
 				Coalesced:     cs.Coalesced,
@@ -626,9 +624,9 @@ func cmdPoolStats(p *pool.Client, args []string) {
 	}
 	if p.CacheEnabled() {
 		cs := p.CacheStats()
-		fmt.Printf("cache: hits=%d misses=%d hit_rate=%.2f admits=%d rejects=%d evictions=%d invalidations=%d coalesced=%d bytes=%d entries=%d\n",
+		fmt.Printf("cache: hits=%d misses=%d hit_rate=%.2f admits=%d evictions=%d invalidations=%d coalesced=%d bytes=%d entries=%d\n",
 			cs.Hits, cs.Misses, hitRate(cs.Hits, cs.Misses),
-			cs.Admits, cs.Rejects, cs.Evictions, cs.Invalidations, cs.Coalesced, cs.Bytes, cs.Entries)
+			cs.Admits, cs.Evictions, cs.Invalidations, cs.Coalesced, cs.Bytes, cs.Entries)
 	}
 }
 

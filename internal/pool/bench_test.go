@@ -143,8 +143,10 @@ func BenchmarkPoolReadRefThroughput(b *testing.B) {
 // BenchmarkPoolZipfRead prices the hot-ref cache under the paper's
 // skewed-popularity read pattern: 4 closed-loop readers draw from a
 // Zipf(s=1.1) distribution over a working set 8x the cache budget, so
-// the cache can only win by keeping the hot head resident (TinyLFU
-// admission) — it cannot fit the set. The cache=off run is the wire
+// the cache cannot fit the set and wins only as far as LRU recency keeps
+// the hot head resident while tail misses cycle through. Popularity is
+// static and nothing is rewritten — the shape a frequency filter would
+// favour, which this cache does not have. The cache=off run is the wire
 // baseline; cache=on must beat it on throughput by serving the head
 // from memory, and both runs report hit-rate / p50-ns / p99-ns extras
 // so BENCH_pool.json records the speedup AND the tail it comes from.

@@ -151,6 +151,62 @@ func TestCacheWriteThroughOwnSessionInvalidates(t *testing.T) {
 	}
 }
 
+// TestCacheAdmitsRestagedRef: a rewrite mints a fresh ref key, and the
+// reader's cache must hold it from its first read even though the dead
+// keys it replaces were read far more often. Heartbeats are off, so no
+// epoch advance clears the dead entries first: only eviction makes room.
+func TestCacheAdmitsRestagedRef(t *testing.T) {
+	const size, n = 8192, 4
+	_, addr := startShard(t, 0, live.ServerConfig{NumPages: 256, PageSize: 4096})
+	cfg := Config{Shards: []string{addr}, CacheBytes: n * size}
+	cfg.Client.HeartbeatInterval = -1
+	reader := dialCachePool(t, cfg)
+	cfg.CacheBytes = 0
+	writer := dialCachePool(t, cfg)
+
+	bodyOf := func(gen, i int) []byte { return bytes.Repeat([]byte{byte(gen<<4 | i)}, size) }
+	stage := func(gen int) []dm.Ref {
+		t.Helper()
+		refs := make([]dm.Ref, n)
+		for i := range refs {
+			ref, err := writer.StageRef(bodyOf(gen, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = ref
+		}
+		return refs
+	}
+	got := make([]byte, size)
+	read := func(gen int, refs []dm.Ref, times int) {
+		t.Helper()
+		for i, ref := range refs {
+			for j := 0; j < times; j++ {
+				if err := reader.ReadRef(ref, 0, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, bodyOf(gen, i)) {
+					t.Fatalf("generation %d ref %d returned wrong bytes", gen, i)
+				}
+			}
+		}
+	}
+
+	old := stage(1)
+	read(1, old, 10)
+	for _, ref := range old {
+		if err := writer.FreeRef(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := stage(2)
+	before := reader.CacheStats()
+	read(2, fresh, 2)
+	if hits := reader.CacheStats().Hits - before.Hits; hits != n {
+		t.Fatalf("re-staged refs read twice each hit %d times, want %d: %+v", hits, n, reader.CacheStats())
+	}
+}
+
 // TestChaosKillShardCacheOn is the cache-on replication gauntlet, run
 // under -race in make check: an R=2 cluster of three shards serves a
 // hot read set through the pool cache, one shard is CRASHED (listener

@@ -610,16 +610,13 @@ func (p *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 // key) are freed on every replica shard; single-copy refs on their one
 // shard.
 func (p *Client) FreeRef(ref dm.Ref) error {
-	// Drop the cached payload whether or not the free reports success (a
-	// timed-out free may still have landed on the server, §D15), then
-	// tombstone the key so failover reads of the dead ref short-circuit
-	// instead of probing every replica (§D16). The epoch watcher clears
-	// the tombstone if the shard's key population changes.
-	defer func() {
-		k := p.cacheKey(ref)
-		p.cache.Invalidate(k)
-		p.cache.Deny(k, time.Duration(p.cacheTTL.Load()))
-	}()
+	// Tombstone the key whether or not the free reports success (a
+	// timed-out free may still have landed on the server, §D15): Deny
+	// drops the cached payload, poisons in-flight loads, and makes
+	// failover reads of the dead ref short-circuit instead of probing
+	// every replica (§D16). The epoch watcher clears the tombstone if the
+	// shard's key population changes.
+	defer p.cache.Deny(p.cacheKey(ref), time.Duration(p.cacheTTL.Load()))
 	if ref.Key&dmwire.ReplicaKeyBit != 0 {
 		return p.freeReplicated(ref)
 	}

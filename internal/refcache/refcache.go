@@ -1,12 +1,13 @@
-// Package refcache is a size-bounded, frequency-admission payload
-// cache for located DM refs (DESIGN.md §D15). It is the client-side
-// half of the hot-ref read path: immutable staged-once payloads are
-// retained (zero-copy lease Bufs) keyed by (server, ref key), admitted
-// TinyLFU-style — an LRU victim is only evicted when a count-min
-// sketch says the candidate is accessed at least as often — and served
-// back without crossing the wire. Concurrent fetches of the same cold
-// key are coalesced through a singleflight table so N readers cost one
-// RPC.
+// Package refcache is a size-bounded LRU payload cache for located DM
+// refs (DESIGN.md §D15). It is the client-side half of the hot-ref read
+// path: immutable staged-once payloads are retained (zero-copy lease
+// Bufs) keyed by (server, ref key) and served back without crossing the
+// wire. Every successful load is admitted, evicting least-recently-used
+// entries until it fits. There is no frequency contest: a rewrite mints a
+// fresh ref key, so a per-key popularity count would start cold for
+// exactly the payload readers want next while the dead keys it replaced
+// kept theirs. Concurrent fetches of the same cold key are coalesced
+// through a singleflight table so N readers cost one RPC.
 //
 // Coherence is the caller's contract, not the cache's: entries carry a
 // TTL (the session lease, so nothing outlives a reap) and the owner
@@ -21,7 +22,6 @@
 package refcache
 
 import (
-	"container/list"
 	"sync"
 	"time"
 )
@@ -46,7 +46,7 @@ type Key struct {
 // Config sizes the cache.
 type Config struct {
 	// MaxBytes bounds the sum of cached payload sizes. <= 0 disables
-	// admission entirely (every Get misses).
+	// admission entirely (every GetOrLoad runs its loader).
 	MaxBytes int64
 	// DefaultTTL caps entry lifetime when the caller passes ttl <= 0
 	// (for example, a session with leasing disabled). 0 means
@@ -61,11 +61,10 @@ const DefaultTTL = 30 * time.Second
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits          int64 // served from cache
-	Misses        int64 // not present (loader ran or caller went to the wire)
+	Misses        int64 // not present (the loader ran or joined a flight)
 	Admits        int64 // entries inserted
-	Rejects       int64 // candidates refused by the admission sketch
 	Evictions     int64 // entries displaced by the byte budget
-	Invalidations int64 // entries dropped by Invalidate*/Flush/TTL expiry
+	Invalidations int64 // entries dropped by InvalidateServer/Deny/Flush/TTL expiry
 	Coalesced     int64 // GetOrLoad callers served by another caller's flight
 	Bytes         int64 // current cached payload bytes (gauge)
 	Entries       int64 // current entry count (gauge)
@@ -75,15 +74,20 @@ type Stats struct {
 }
 
 // MaxNegEntries bounds the freed-ref tombstone set; when full, the
-// tombstone closest to expiry is shed first.
+// oldest tombstone is shed first.
 const MaxNegEntries = 1024
 
+// entry is one cached payload (on the LRU list) or one tombstone (on the
+// tombstone queue, with a zero val). Both lists are circular through a
+// sentinel in Cache. A dropped entry is cleared and pushed onto the
+// cache's free list, chained through next, so a warm cache admits and
+// denies without allocating.
 type entry[V Value] struct {
-	key    Key
-	val    V
-	size   int64
-	expire time.Time // zero = no TTL
-	elem   *list.Element
+	key        Key
+	val        V
+	size       int64
+	expire     time.Time // zero = no TTL
+	prev, next *entry[V]
 }
 
 // flight is one in-progress load. Waiters register under the cache
@@ -107,9 +111,9 @@ type Cache[V Value] struct {
 	mu      sync.Mutex
 	cfg     Config
 	table   map[Key]*entry[V]
-	lru     *list.List // front = most recent
+	lru     entry[V] // sentinel: lru.next is the most recent, lru.prev the next victim
+	free    *entry[V]
 	flights map[Key]*flight[V]
-	sketch  sketch
 	bytes   int64
 	st      Stats
 	// neg is the freed-ref tombstone set (DESIGN.md §D16): Deny records
@@ -118,8 +122,11 @@ type Cache[V Value] struct {
 	// costs one map lookup instead of R wire errors. Tombstones expire
 	// by TTL and are cleared per-server by InvalidateServer (the epoch
 	// watcher), since an epoch advance means the server's key population
-	// changed and the denial may be stale.
-	neg map[Key]time.Time
+	// changed and the denial may be stale. negq orders them by last Deny;
+	// a session denies with one TTL, so its oldest is its soonest to
+	// expire and is what a full set sheds.
+	neg  map[Key]*entry[V]
+	negq entry[V] // sentinel: negq.prev is the oldest tombstone
 }
 
 // New builds a cache. A nil *Cache is valid and always misses, so
@@ -131,34 +138,12 @@ func New[V Value](cfg Config) *Cache[V] {
 	c := &Cache[V]{
 		cfg:     cfg,
 		table:   make(map[Key]*entry[V]),
-		lru:     list.New(),
 		flights: make(map[Key]*flight[V]),
-		neg:     make(map[Key]time.Time),
+		neg:     make(map[Key]*entry[V]),
 	}
-	c.sketch.init(cfg.MaxBytes)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	c.negq.prev, c.negq.next = &c.negq, &c.negq
 	return c
-}
-
-// Get returns the cached value for k, retained for the caller, or
-// (zero, false) on a miss. Every call counts toward the key's
-// admission frequency.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sketch.add(k)
-	e := c.lookup(k)
-	if e == nil {
-		c.st.Misses++
-		return zero, false
-	}
-	c.st.Hits++
-	c.lru.MoveToFront(e.elem)
-	e.val.Retain()
-	return e.val, true
 }
 
 // GetOrLoad returns the cached value for k or runs load to fetch it,
@@ -174,10 +159,10 @@ func (c *Cache[V]) GetOrLoad(k Key, size int64, ttl time.Duration, load func() (
 		return zero, errNilCache
 	}
 	c.mu.Lock()
-	c.sketch.add(k)
 	if e := c.lookup(k); e != nil {
 		c.st.Hits++
-		c.lru.MoveToFront(e.elem)
+		unlink(e)
+		pushFront(&c.lru, e)
 		e.val.Retain()
 		v := e.val
 		c.mu.Unlock()
@@ -217,40 +202,13 @@ func (c *Cache[V]) GetOrLoad(k Key, size int64, ttl time.Duration, load func() (
 	return val, err
 }
 
-// Add offers a value for admission without a read: the async-read
-// paths use it after a wire fetch already filled the caller's buffer.
-// mk is invoked only if the sketch admits the key, so rejected offers
-// cost nothing; the cache owns the sole hold on the made value.
-func (c *Cache[V]) Add(k Key, size int64, ttl time.Duration, mk func() V) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sketch.add(k)
-	if c.lookup(k) != nil {
-		return
-	}
-	if f := c.flights[k]; f != nil && f.noAdmit {
-		return
-	}
-	if !c.wouldAdmit(k, size) {
-		c.st.Rejects++
-		return
-	}
-	// admit takes the cache's own Retain; drop the hold mk minted with
-	// so the cache ends up the sole owner.
-	v := mk()
-	c.admit(k, v, size, ttl)
-	v.Release()
-}
-
 // Deny records a freed-ref tombstone for k: until it expires (ttl <= 0
 // uses the config default) Denied(k) reports true, letting read paths
 // fail a dead key fast instead of probing every replica. Deny also
 // drops any cached payload for k and poisons in-flight loads — a freed
 // ref must never serve cached bytes. The tombstone set is bounded by
-// MaxNegEntries; when full, the entry closest to expiry is shed.
+// MaxNegEntries; when full, the oldest tombstone is shed. Denying a key
+// again renews its tombstone.
 func (c *Cache[V]) Deny(k Key, ttl time.Duration) {
 	if c == nil {
 		return
@@ -267,17 +225,19 @@ func (c *Cache[V]) Deny(k Key, ttl time.Duration) {
 	if ttl <= 0 {
 		ttl = c.cfg.DefaultTTL
 	}
-	if _, have := c.neg[k]; !have && len(c.neg) >= MaxNegEntries {
-		var victim Key
-		var soonest time.Time
-		for nk, exp := range c.neg {
-			if soonest.IsZero() || exp.Before(soonest) {
-				victim, soonest = nk, exp
-			}
+	e := c.neg[k]
+	if e != nil {
+		unlink(e)
+	} else {
+		if len(c.neg) >= MaxNegEntries {
+			c.undeny(c.negq.prev)
 		}
-		delete(c.neg, victim)
+		e = c.alloc()
+		e.key = k
+		c.neg[k] = e
 	}
-	c.neg[k] = time.Now().Add(ttl)
+	e.expire = time.Now().Add(ttl)
+	pushFront(&c.negq, e)
 	c.st.NegAdds++
 }
 
@@ -289,37 +249,15 @@ func (c *Cache[V]) Denied(k Key) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	exp, ok := c.neg[k]
-	if !ok {
-		return false
-	}
-	if time.Now().After(exp) {
-		delete(c.neg, k)
-		return false
-	}
-	c.st.NegHits++
-	return true
-}
-
-// Invalidate drops k if cached and poisons any in-flight load of it.
-// Reports whether an entry was dropped. Tombstones are untouched —
-// invalidation means "refetch", denial means "gone", and a free path
-// that wants both calls Invalidate then Deny.
-func (c *Cache[V]) Invalidate(k Key) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f := c.flights[k]; f != nil {
-		f.noAdmit = true
-	}
-	e := c.table[k]
+	e := c.neg[k]
 	if e == nil {
 		return false
 	}
-	c.drop(e)
-	c.st.Invalidations++
+	if time.Now().After(e.expire) {
+		c.undeny(e)
+		return false
+	}
+	c.st.NegHits++
 	return true
 }
 
@@ -346,9 +284,9 @@ func (c *Cache[V]) InvalidateServer(server uint32) int {
 	}
 	// An epoch advance means the server's key population changed, so its
 	// tombstones may deny keys that exist again — clear them (§D16).
-	for k := range c.neg {
+	for k, e := range c.neg {
 		if k.Server == server {
-			delete(c.neg, k)
+			c.undeny(e)
 		}
 	}
 	c.st.Invalidations += int64(n)
@@ -370,7 +308,9 @@ func (c *Cache[V]) Flush() {
 	for _, e := range c.table {
 		c.drop(e)
 	}
-	clear(c.neg)
+	for _, e := range c.neg {
+		c.undeny(e)
+	}
 	c.st.Invalidations += int64(n)
 }
 
@@ -403,62 +343,77 @@ func (c *Cache[V]) lookup(k Key) *entry[V] {
 	return e
 }
 
-// wouldAdmit runs the TinyLFU contest without mutating the LRU: the
-// candidate wins only if it is at least as frequent as every victim
-// the byte budget would force out. Caller holds c.mu.
-func (c *Cache[V]) wouldAdmit(k Key, size int64) bool {
-	if size <= 0 || size > c.cfg.MaxBytes {
-		return false
-	}
-	need := c.bytes + size - c.cfg.MaxBytes
-	if need <= 0 {
-		return true
-	}
-	cf := c.sketch.estimate(k)
-	for el := c.lru.Back(); el != nil && need > 0; el = el.Prev() {
-		v := el.Value.(*entry[V])
-		if c.sketch.estimate(v.key) > cf {
-			return false
-		}
-		need -= v.size
-	}
-	return need <= 0
-}
-
-// admit inserts val (taking the cache's own Retain) if the admission
-// contest passes, evicting colder victims to fit; otherwise it counts
-// a reject and releases nothing — the caller keeps its holds either
+// admit inserts val, taking the cache's own Retain, after evicting
+// least-recently-used entries until it fits. A payload larger than the
+// whole budget is not cached; the caller keeps its own holds either
 // way. Caller holds c.mu.
 func (c *Cache[V]) admit(k Key, val V, size int64, ttl time.Duration) {
-	if !c.wouldAdmit(k, size) {
-		c.st.Rejects++
+	if size <= 0 || size > c.cfg.MaxBytes {
 		return
 	}
+	// c.bytes is the sum of positive entry sizes, so while it exceeds the
+	// room left the list is non-empty and lru.prev is a real entry.
 	for c.bytes+size > c.cfg.MaxBytes {
-		el := c.lru.Back()
-		if el == nil {
-			return
-		}
-		c.drop(el.Value.(*entry[V]))
+		c.drop(c.lru.prev)
 		c.st.Evictions++
 	}
 	if ttl <= 0 {
 		ttl = c.cfg.DefaultTTL
 	}
 	val.Retain()
-	e := &entry[V]{key: k, val: val, size: size, expire: time.Now().Add(ttl)}
-	e.elem = c.lru.PushFront(e)
+	e := c.alloc()
+	e.key, e.val, e.size, e.expire = k, val, size, time.Now().Add(ttl)
+	pushFront(&c.lru, e)
 	c.table[k] = e
 	c.bytes += size
 	c.st.Admits++
 }
 
-// drop removes e and releases the cache's hold. Caller holds c.mu.
+// drop removes cached entry e and releases the cache's hold. Caller
+// holds c.mu.
 func (c *Cache[V]) drop(e *entry[V]) {
 	delete(c.table, e.key)
-	c.lru.Remove(e.elem)
+	unlink(e)
 	c.bytes -= e.size
 	e.val.Release()
+	c.recycle(e)
+}
+
+// undeny removes tombstone e. Caller holds c.mu.
+func (c *Cache[V]) undeny(e *entry[V]) {
+	delete(c.neg, e.key)
+	unlink(e)
+	c.recycle(e)
+}
+
+// alloc takes a cleared entry off the free list, or makes one. Caller
+// holds c.mu.
+func (c *Cache[V]) alloc() *entry[V] {
+	e := c.free
+	if e == nil {
+		return new(entry[V])
+	}
+	c.free, e.next = e.next, nil
+	return e
+}
+
+// recycle clears e, so the free list pins no payload, and pushes it onto
+// the free list. Caller holds c.mu.
+func (c *Cache[V]) recycle(e *entry[V]) {
+	*e = entry[V]{next: c.free}
+	c.free = e
+}
+
+// pushFront links e in right after the sentinel l.
+func pushFront[V Value](l, e *entry[V]) {
+	e.prev, e.next = l, l.next
+	l.next.prev = e
+	l.next = e
+}
+
+// unlink removes e from the list holding it.
+func unlink[V Value](e *entry[V]) {
+	e.prev.next, e.next.prev = e.next, e.prev
 }
 
 type nilCacheError struct{}

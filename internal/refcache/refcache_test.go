@@ -38,6 +38,19 @@ func (b *fakeBuf) Release() {
 	}
 }
 
+var errProbe = errors.New("probe miss")
+
+// cached reports whether k is served from the table. The probe's loader
+// fails, so a miss admits nothing.
+func cached(c *Cache[*fakeBuf], k Key) bool {
+	v, err := c.GetOrLoad(k, 1, 0, func() (*fakeBuf, error) { return nil, errProbe })
+	if err != nil {
+		return false
+	}
+	v.Release()
+	return true
+}
+
 func TestGetOrLoadHitAndRefcounts(t *testing.T) {
 	var gauge atomic.Int64
 	c := New[*fakeBuf](Config{MaxBytes: 1 << 20})
@@ -157,34 +170,37 @@ func TestLoadErrorNotCached(t *testing.T) {
 	c.Flush()
 }
 
-func TestAdmissionPrefersHotKeys(t *testing.T) {
+// TestEvictsLeastRecentlyUsed: every load is admitted, and the victim
+// is the least recently used entry however often it was read.
+func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	var gauge atomic.Int64
 	// Room for exactly two 100-byte entries.
 	c := New[*fakeBuf](Config{MaxBytes: 200})
 	hot, warm, cold := Key{Ref: 1}, Key{Ref: 2}, Key{Ref: 3}
+	load := func(k Key) {
+		t.Helper()
+		v, err := c.GetOrLoad(k, 100, time.Minute, func() (*fakeBuf, error) { return newFake(&gauge), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Release()
+	}
 
-	mk := func() (*fakeBuf, error) { return newFake(&gauge), nil }
-	// Make hot and warm genuinely frequent.
 	for i := 0; i < 10; i++ {
-		v, _ := c.GetOrLoad(hot, 100, time.Minute, mk)
-		v.Release()
-		v, _ = c.GetOrLoad(warm, 100, time.Minute, mk)
-		v.Release()
+		load(hot)
 	}
-	// A one-hit wonder must not displace either.
-	v, err := c.GetOrLoad(cold, 100, time.Minute, mk)
-	if err != nil {
-		t.Fatal(err)
+	load(warm)
+	load(cold) // hot is least recent despite its ten reads
+	if cached(c, hot) || !cached(c, warm) || !cached(c, cold) {
+		t.Fatal("newcomer did not evict the least-recently-used entry")
 	}
-	v.Release()
-	h, ok := c.Get(hot)
-	if !ok {
-		t.Fatal("hot key evicted by a cold candidate")
+	// The probes above touched warm, then cold: warm is the victim now.
+	load(hot)
+	if cached(c, warm) || !cached(c, cold) || !cached(c, hot) {
+		t.Fatal("a hit did not refresh recency")
 	}
-	h.Release()
-	st := c.Stats()
-	if st.Rejects == 0 {
-		t.Fatalf("expected admission rejects, stats = %+v", st)
+	if st := c.Stats(); st.Admits != 4 || st.Evictions != 2 || st.Entries != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 	c.Flush()
 	if gauge.Load() != 0 {
@@ -196,16 +212,14 @@ func TestEvictionRespectsBudget(t *testing.T) {
 	var gauge atomic.Int64
 	c := New[*fakeBuf](Config{MaxBytes: 300})
 	mk := func() (*fakeBuf, error) { return newFake(&gauge), nil }
-	// Three entries fill the budget; a fourth (equally frequent) forces
-	// an eviction of the LRU victim.
-	for r := 0; r < 3; r++ { // equalize sketch frequencies
-		for i := uint64(1); i <= 4; i++ {
-			v, err := c.GetOrLoad(Key{Ref: i}, 100, time.Minute, mk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v.Release()
+	// Three entries fill the budget; a fourth forces an eviction of the
+	// LRU victim.
+	for i := uint64(1); i <= 4; i++ {
+		v, err := c.GetOrLoad(Key{Ref: i}, 100, time.Minute, mk)
+		if err != nil {
+			t.Fatal(err)
 		}
+		v.Release()
 	}
 	st := c.Stats()
 	if st.Bytes > 300 {
@@ -214,8 +228,8 @@ func TestEvictionRespectsBudget(t *testing.T) {
 	if st.Entries > 3 {
 		t.Fatalf("entries = %d, want <= 3", st.Entries)
 	}
-	if st.Evictions == 0 && st.Rejects == 0 {
-		t.Fatalf("no displacement recorded: %+v", st)
+	if st.Evictions == 0 {
+		t.Fatalf("no eviction recorded: %+v", st)
 	}
 	c.Flush()
 	if gauge.Load() != 0 {
@@ -233,7 +247,7 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	v.Release()
 	time.Sleep(20 * time.Millisecond)
-	if _, ok := c.Get(k); ok {
+	if cached(c, k) {
 		t.Fatal("expired entry served")
 	}
 	if gauge.Load() != 0 {
@@ -254,9 +268,9 @@ func TestInvalidateKeyAndServer(t *testing.T) {
 			v.Release()
 		}
 	}
-	if !c.Invalidate(Key{Server: 0, Ref: 1}) {
-		t.Fatal("Invalidate missed a cached key")
-	}
+	// A key-level drop is a tombstone (the free path); it counts as an
+	// invalidation.
+	c.Deny(Key{Server: 0, Ref: 1}, time.Minute)
 	if n := c.InvalidateServer(1); n != 3 {
 		t.Fatalf("InvalidateServer dropped %d, want 3", n)
 	}
@@ -264,7 +278,7 @@ func TestInvalidateKeyAndServer(t *testing.T) {
 	if st.Entries != 2 || st.Invalidations != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, ok := c.Get(Key{Server: 1, Ref: 0}); ok {
+	if cached(c, Key{Server: 1, Ref: 0}) {
 		t.Fatal("server-invalidated entry served")
 	}
 	c.Flush()
@@ -273,81 +287,65 @@ func TestInvalidateKeyAndServer(t *testing.T) {
 	}
 }
 
+// TestInvalidateDuringFlightPoisonsAdmit: a server invalidation or a
+// key's tombstone landing mid-load hands the value to the loader but
+// never caches it.
 func TestInvalidateDuringFlightPoisonsAdmit(t *testing.T) {
-	var gauge atomic.Int64
-	c := New[*fakeBuf](Config{MaxBytes: 1 << 20})
-	k := Key{Server: 3, Ref: 5}
-	gate := make(chan struct{})
-	done := make(chan *fakeBuf)
-	go func() {
-		v, _ := c.GetOrLoad(k, 10, time.Minute, func() (*fakeBuf, error) {
-			<-gate
-			return newFake(&gauge), nil
-		})
-		done <- v
-	}()
-	// Wait for the flight, then invalidate mid-load.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		c.mu.Lock()
-		inFlight := c.flights[k] != nil
-		c.mu.Unlock()
-		if inFlight {
-			break
+	for name, invalidate := range map[string]func(*Cache[*fakeBuf], Key){
+		"InvalidateServer": func(c *Cache[*fakeBuf], k Key) { c.InvalidateServer(k.Server) },
+		"Deny":             func(c *Cache[*fakeBuf], k Key) { c.Deny(k, time.Minute) },
+	} {
+		var gauge atomic.Int64
+		c := New[*fakeBuf](Config{MaxBytes: 1 << 20})
+		k := Key{Server: 3, Ref: 5}
+		gate := make(chan struct{})
+		done := make(chan *fakeBuf)
+		go func() {
+			v, _ := c.GetOrLoad(k, 10, time.Minute, func() (*fakeBuf, error) {
+				<-gate
+				return newFake(&gauge), nil
+			})
+			done <- v
+		}()
+		// Wait for the flight, then invalidate mid-load.
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			c.mu.Lock()
+			inFlight := c.flights[k] != nil
+			c.mu.Unlock()
+			if inFlight {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: flight never started", name)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("flight never started")
+		invalidate(c, k)
+		close(gate)
+		v := <-done
+		if v == nil {
+			t.Fatalf("%s: loader value lost", name)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	c.InvalidateServer(k.Server)
-	close(gate)
-	v := <-done
-	if v == nil {
-		t.Fatal("loader value lost")
-	}
-	v.Release()
-	if _, ok := c.Get(k); ok {
-		t.Fatal("poisoned flight was admitted")
-	}
-	if gauge.Load() != 0 {
-		t.Fatalf("gauge = %d, want 0 (value not cached)", gauge.Load())
+		v.Release()
+		if cached(c, k) {
+			t.Fatalf("%s: poisoned flight was admitted", name)
+		}
+		if gauge.Load() != 0 {
+			t.Fatalf("%s: gauge = %d, want 0 (value not cached)", name, gauge.Load())
+		}
 	}
 }
 
 func TestNilCacheIsSafe(t *testing.T) {
 	var c *Cache[*fakeBuf]
-	if _, ok := c.Get(Key{}); ok {
-		t.Fatal("nil cache hit")
+	if _, err := c.GetOrLoad(Key{}, 1, 0, func() (*fakeBuf, error) { t.Fatal("load ran"); return nil, nil }); err == nil {
+		t.Fatal("nil cache served a value")
 	}
-	c.Invalidate(Key{})
 	c.InvalidateServer(0)
 	c.Flush()
-	c.Add(Key{}, 1, 0, func() *fakeBuf { t.Fatal("mk ran"); return nil })
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestAddAdmitsWithoutRead(t *testing.T) {
-	var gauge atomic.Int64
-	c := New[*fakeBuf](Config{MaxBytes: 1 << 20})
-	k := Key{Ref: 77}
-	made := false
-	c.Add(k, 10, time.Minute, func() *fakeBuf { made = true; return newFake(&gauge) })
-	if !made {
-		t.Fatal("mk not invoked on admit")
-	}
-	v, ok := c.Get(k)
-	if !ok {
-		t.Fatal("Add'ed entry not served")
-	}
-	v.Release()
-	// Oversized offers must be rejected without invoking mk.
-	c.Add(Key{Ref: 78}, 2<<20, time.Minute, func() *fakeBuf { t.Fatal("mk ran for oversized"); return nil })
-	c.Flush()
-	if gauge.Load() != 0 {
-		t.Fatalf("gauge = %d, want 0", gauge.Load())
 	}
 }
 
@@ -367,7 +365,7 @@ func TestDenyShortCircuits(t *testing.T) {
 	if !c.Denied(k) {
 		t.Fatal("freshly denied key not denied")
 	}
-	if _, ok := c.Get(k); ok {
+	if cached(c, k) {
 		t.Fatal("denied key still served a cached payload")
 	}
 	st := c.Stats()
@@ -402,22 +400,26 @@ func TestDenyClearedByEpochWatcher(t *testing.T) {
 }
 
 // TestDenyBounded: the tombstone set caps at MaxNegEntries, shedding
-// the entry closest to expiry.
+// the oldest first; a re-denial renews a tombstone's place.
 func TestDenyBounded(t *testing.T) {
 	c := New[*fakeBuf](Config{MaxBytes: 1 << 20})
-	short := Key{Server: 0, Ref: 1}
-	c.Deny(short, time.Second) // closest to expiry -> first shed
+	key := func(i int) Key { return Key{Server: 0, Ref: uint64(100 + i)} }
 	for i := 0; i < MaxNegEntries; i++ {
-		c.Deny(Key{Server: 0, Ref: uint64(100 + i)}, time.Hour)
+		c.Deny(key(i), time.Hour)
 	}
+	c.Deny(key(1), time.Hour) // renewed: now the newest
+	c.Deny(key(MaxNegEntries), time.Hour)
+	c.Deny(key(MaxNegEntries+1), time.Hour)
 	if got := c.Stats().NegEntries; got != MaxNegEntries {
 		t.Fatalf("tombstone set grew to %d, cap %d", got, MaxNegEntries)
 	}
-	if c.Denied(short) {
-		t.Fatal("soonest-expiring tombstone not shed at cap")
-	}
-	if !c.Denied(Key{Server: 0, Ref: 100}) {
-		t.Fatal("long-TTL tombstone shed instead")
+	for i, want := range map[int]bool{
+		0: false, 2: false, // the two oldest, shed in order
+		1: true, 3: true, MaxNegEntries: true, MaxNegEntries + 1: true,
+	} {
+		if c.Denied(key(i)) != want {
+			t.Fatalf("tombstone %d denied = %v, want %v", i, !want, want)
+		}
 	}
 }
 
