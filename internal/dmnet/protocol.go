@@ -27,6 +27,8 @@ const (
 	MWrite     = dmwire.MWrite
 	MStage     = dmwire.MStage
 	MReadRef   = dmwire.MReadRef
+	// MConsumeRef is read_ref and free_ref in one exchange.
+	MConsumeRef = dmwire.MConsumeRef
 )
 
 // toAppError maps shared dm errors onto wire statuses.

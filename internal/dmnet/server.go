@@ -107,6 +107,7 @@ func NewServer(h *simnet.Host, port int, id uint32, cfg ServerConfig) *Server {
 	s.node.Handle(MWrite, s.handleWrite)
 	s.node.Handle(MStage, s.handleStage)
 	s.node.Handle(MReadRef, s.handleReadRef)
+	s.node.Handle(MConsumeRef, s.handleConsumeRef)
 	return s
 }
 
@@ -483,6 +484,20 @@ func (s *Server) handleReadRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 		}
 		s.dev.Read(ctx.P, ref.frames[page], int(pageOff), out[pos:pos+n])
 		pos += n
+	}
+	return out, nil
+}
+
+// handleConsumeRef is read_ref followed by free_ref, so the simulated
+// server serves the same Table II ops as the live one.
+func (s *Server) handleConsumeRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
+	out, err := s.handleReadRef(ctx, body)
+	if err != nil {
+		return nil, err
+	}
+	req, _ := dmwire.UnmarshalReadRefReq(body) // handleReadRef decoded it
+	if _, err := s.handleFreeRef(ctx, dmwire.FreeRefReq{Key: req.Key}.Marshal()); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -61,6 +61,12 @@ const (
 	// page back in until a short page; higher-epoch-wins merging on the
 	// puller's side makes the exchange convergent and restartable.
 	MRegSync
+	// MConsumeRef fuses MReadRef and MFreeRef: it reads a ref and frees it
+	// in one exchange, so the last reader of a ref drops it without a
+	// wire call of its own. The body is a ReadRefReq and the response is
+	// the read payload; a range error frees nothing. It is neither
+	// tokened nor retried, so a lost response surfaces as an error.
+	MConsumeRef
 )
 
 // ReplicaKeyBit partitions the ref-key space: keys minted by a server's
@@ -517,7 +523,7 @@ func UnmarshalStageAtReq(b []byte) (StageAtReq, error) {
 	return r, nil
 }
 
-// ReadRefReq is the body of an MReadRef request.
+// ReadRefReq is the body of an MReadRef or MConsumeRef request.
 type ReadRefReq struct {
 	Key  uint64
 	Off  uint32

@@ -172,13 +172,17 @@ type CallEnvelope struct {
 	Args []CallArg
 }
 
-// marshal encodes the envelope; when hdrOnly is set and the final
-// argument is inline, that argument's raw bytes are omitted so they can
-// ride the socket as their own iovec.
+// marshal encodes the envelope; when hdrOnly is set the final argument
+// (inline, as MarshalHdr guarantees) has its raw bytes omitted so they
+// can ride the socket as their own iovec, and the buffer is sized
+// without them.
 func (env CallEnvelope) marshal(hdrOnly bool) []byte {
 	n := 4 + len(env.Method) + 8 + 1 + 4 + 1
 	for _, a := range env.Args {
 		n += a.WireSize()
+	}
+	if hdrOnly {
+		n -= len(env.Args[len(env.Args)-1].Inline)
 	}
 	e := rpc.NewEnc(n)
 	e.Str(env.Method)

@@ -62,6 +62,20 @@ func TestCallEnvelopeMarshalHdrBulk(t *testing.T) {
 	}
 }
 
+// TestCallEnvelopeMarshalHdrSized: the header of a bulk inline arg is
+// sized without the bytes it leaves out, so a by-value hop does not
+// allocate a payload-sized buffer to write a few dozen bytes into.
+func TestCallEnvelopeMarshalHdrSized(t *testing.T) {
+	env := CallEnvelope{Method: "chain.do", Args: []CallArg{{Inline: make([]byte, 32<<10)}}}
+	hdr := env.MarshalHdr()
+	if cap(hdr) > len(hdr) {
+		t.Fatalf("MarshalHdr of a 32 KiB inline arg: len %d, cap %d", len(hdr), cap(hdr))
+	}
+	if !bytes.Equal(append(hdr, env.Bulk()...), env.Marshal()) {
+		t.Fatal("MarshalHdr+Bulk != Marshal")
+	}
+}
+
 func TestReturnEnvelopeRoundTrip(t *testing.T) {
 	env := ReturnEnvelope{Args: []CallArg{
 		{Inline: []byte{1, 2, 3}},

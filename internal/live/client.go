@@ -757,14 +757,14 @@ func (cl *Client) ReadLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
 	if err := checkWireRange("read", 0, size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MRead, dmwire.ReadReq{PID: pid, Addr: addr, Size: uint32(size)}.Marshal(), size)
+	return cl.callLease(dmwire.MRead, dmwire.ReadReq{PID: pid, Addr: addr, Size: uint32(size)}.Marshal(), size, idemOpts())
 }
 
-// callLease runs an idempotent read whose response body must be exactly
-// size bytes and keeps the pooled frame it arrived in as a leased Buf.
-// On any error (including a failed or timed-out call) no Buf is leased
-// and the transport recycles the frame itself.
-func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64) (*Buf, error) {
+// callLease runs a read whose response body must be exactly size bytes
+// and keeps the pooled frame it arrived in as a leased Buf. On any error
+// (including a failed or timed-out call) no Buf is leased and the
+// transport recycles the frame itself.
+func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64, opts CallOpts) (*Buf, error) {
 	var out *Buf
 	err := cl.node.callConsumer(cl.addr, m, hdr, nil,
 		consumer{own: func(frame, body []byte) error {
@@ -773,7 +773,7 @@ func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64) (*Buf, error) 
 			}
 			out = newLeasedBuf(frame, body)
 			return nil
-		}}, idemOpts())
+		}}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -893,5 +893,22 @@ func (cl *Client) ReadRefLease(ref dm.Ref, off, size int64) (*Buf, error) {
 	if err := checkWireRange("readref", off, size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), size)
+	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), size, idemOpts())
+}
+
+// ConsumeRefLease reads the whole ref as a leased Buf and frees it in the
+// same exchange (consume_ref): the last reader's fetch and free fused.
+// The call is neither tokened nor retried — a dedup entry would retain a
+// payload-sized response, and a retry after a lost response would find
+// the ref gone — so a transport failure surfaces as an error, after which
+// the ref may or may not have been freed. The caller must Release the Buf
+// exactly once.
+func (cl *Client) ConsumeRefLease(ref dm.Ref) (*Buf, error) {
+	if _, err := cl.session(); err != nil {
+		return nil, err
+	}
+	if err := checkWireRange("consumeref", 0, ref.Size); err != nil {
+		return nil, err
+	}
+	return cl.callLease(dmwire.MConsumeRef, dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Marshal(), ref.Size, CallOpts{})
 }

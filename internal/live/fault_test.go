@@ -173,6 +173,38 @@ func TestSlowHandlerSemaphore(t *testing.T) {
 	}
 }
 
+// TestSlowWorkersReused: slow requests on one connection reuse its
+// persistent worker — 1000 sequential calls start exactly one — and
+// closing the connection ends every worker.
+func TestSlowWorkersReused(t *testing.T) {
+	srv := NewNode()
+	srv.Handle(rpc.Method(0x0301), func(_ net.Addr, body []byte) ([]byte, error) { return body, nil })
+	addr := startNode(t, srv)
+	base := runtime.NumGoroutine()
+
+	cl := NewNode()
+	for i := 0; i < 1000; i++ {
+		got, err := cl.Call(addr, rpc.Method(0x0301), []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("call %d echoed %v", i, got)
+		}
+	}
+	if n := srv.slowWorkers.Load(); n != 1 {
+		t.Fatalf("1000 sequential slow calls started %d workers, want 1", n)
+	}
+	cl.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the connection closed, %d before it opened", n, base)
+	}
+}
+
 // --- deadlines and retries ---
 
 // TestStalledServerCallDeadline is the issue's acceptance criterion for

@@ -37,10 +37,11 @@ type NodeConfig struct {
 	// rejected before any allocation, so a corrupt or hostile length
 	// prefix cannot balloon memory. Default 16 MiB.
 	MaxFrameSize uint32
-	// MaxSlowPerConn caps concurrent goroutine-per-request (slow)
-	// handlers on one connection; past the cap the connection's read
-	// loop blocks, backpressuring the peer instead of exhausting server
-	// memory. Default 64.
+	// MaxSlowPerConn caps the persistent workers that run one
+	// connection's slow (Handle-registered) handlers; with every worker
+	// busy at the cap the connection's read loop blocks, backpressuring
+	// the peer instead of exhausting server memory. Default 64; negative
+	// removes the cap.
 	MaxSlowPerConn int
 	// WriteTimeout bounds one response write, so a peer that stops
 	// reading cannot wedge a serving loop forever. Default 30s.
@@ -196,6 +197,9 @@ type Node struct {
 	ops      opStats
 	credits  map[string]*creditGate // per-peer async credit windows
 	lat      stats.AtomicHistogram  // per-call latency, ns, sync + async
+	// slowWorkers counts slow-handler workers started, over every
+	// connection (tests).
+	slowWorkers atomic.Int64
 }
 
 // WriteStats snapshots the node's wire-write counters, aggregated across
@@ -364,12 +368,24 @@ func (n *Node) Shutdown(grace time.Duration) error {
 	return err
 }
 
+// slowReq is one request for a slow handler, handed from a connection's
+// read loop to one of its workers.
+type slowReq struct {
+	e       handlerEntry
+	ok      bool // e is registered; false answers errNoSuchMethod
+	tok     dmwire.Token
+	reqID   uint64
+	payload []byte // the pooled request frame, recycled after the response
+	body    []byte // the request body within payload
+}
+
 // serveConn handles one inbound connection. Fast handlers run to
-// completion on this goroutine; slow handlers get one goroutine per
-// request — at most MaxSlowPerConn at a time. All responses go out
-// through the connection's coalescing writer (batchwriter.go): small
-// ones are copied into the submission queue and group-committed, large
-// ones take the direct zero-copy path.
+// completion on this goroutine; slow handlers run on the connection's
+// persistent workers, at most MaxSlowPerConn of them, so a worker's
+// grown stack is reused rather than grown again for every request. All
+// responses go out through the connection's coalescing writer
+// (batchwriter.go): small ones are copied into the submission queue and
+// group-committed, large ones take the direct zero-copy path.
 func (n *Node) serveConn(c net.Conn) {
 	defer c.Close()
 	// On a write failure the writer closes the socket so this read loop
@@ -379,10 +395,17 @@ func (n *Node) serveConn(c net.Conn) {
 	bw := newBatchWriter(c, n.cfg.batchConfig(), &n.wstats, func(error) { c.Close() })
 	defer bw.close()
 	br := bufio.NewReaderSize(c, 64<<10)
-	var sem chan struct{}
-	if n.cfg.MaxSlowPerConn > 0 {
-		sem = make(chan struct{}, n.cfg.MaxSlowPerConn)
-	}
+	// A slow request goes to an idle worker over work, else to a new
+	// worker while fewer than MaxSlowPerConn exist, else the send blocks
+	// until a worker frees up — backpressure on this read loop. busy
+	// counts requests whose handler has not returned: a worker past its
+	// handler counts as idle, since all it has left is to queue the
+	// response, so a request that the response itself prompted never
+	// starts a second worker. Closing work on return ends the workers.
+	work := make(chan slowReq)
+	defer close(work)
+	var busy atomic.Int32
+	workers := 0
 	var hdr [frameHeaderSize]byte
 	for {
 		kind, reqID, payload, err := readFrameBuf(br, hdr[:], n.cfg.MaxFrameSize)
@@ -428,35 +451,45 @@ func (n *Node) serveConn(c net.Conn) {
 			}
 			continue
 		}
-		if sem != nil {
-			// Blocking here backpressures this connection's read loop —
-			// the frame-level cap on slow-handler fan-out.
-			sem <- struct{}{}
+		req := slowReq{e: e, ok: ok, tok: tok, reqID: reqID, payload: payload, body: reqBody}
+		if int(busy.Add(1)) > workers && (n.cfg.MaxSlowPerConn <= 0 || workers < n.cfg.MaxSlowPerConn) {
+			workers++
+			n.slowWorkers.Add(1)
+			go n.slowWorker(c, bw, &busy, work, req)
+			continue
 		}
-		go func() {
-			defer func() {
-				if sem != nil {
-					<-sem
-				}
-			}()
-			var status byte
-			var resp []byte
-			if !ok {
-				status, resp = dmwire.StatusErr, []byte(errNoSuchMethod.Error())
-			} else {
-				status, resp, _ = n.dedup.run(tok, func() (byte, []byte) {
-					return runHandler(e.h, c.RemoteAddr(), reqBody)
-				})
-			}
-			// writeResponse consumes resp synchronously (small: copied
-			// into a queued frame; large: fully written) before returning,
-			// so the request buffer — which resp may alias — recycles
-			// safely after it. resp itself is handler-owned (or
-			// dedup-cached) and is not recycled here.
-			_ = n.writeResponse(bw, reqID, status, resp, false, false)
-			putBuf(payload)
-		}()
+		work <- req
 	}
+}
+
+// slowWorker serves req, then whatever its connection's read loop hands
+// it, until the loop closes work.
+func (n *Node) slowWorker(c net.Conn, bw *batchWriter, busy *atomic.Int32, work <-chan slowReq, req slowReq) {
+	n.serveSlow(c, bw, busy, req)
+	for req := range work {
+		n.serveSlow(c, bw, busy, req)
+	}
+}
+
+// serveSlow runs one slow request and writes its response.
+func (n *Node) serveSlow(c net.Conn, bw *batchWriter, busy *atomic.Int32, req slowReq) {
+	var status byte
+	var resp []byte
+	if !req.ok {
+		status, resp = dmwire.StatusErr, []byte(errNoSuchMethod.Error())
+	} else {
+		status, resp, _ = n.dedup.run(req.tok, func() (byte, []byte) {
+			return runHandler(req.e.h, c.RemoteAddr(), req.body)
+		})
+	}
+	busy.Add(-1)
+	// writeResponse consumes resp synchronously (small: copied into a
+	// queued frame; large: fully written) before returning, so the
+	// request buffer — which resp may alias — recycles safely after it.
+	// resp itself is handler-owned (or dedup-cached) and is not recycled
+	// here.
+	_ = n.writeResponse(bw, req.reqID, status, resp, false, false)
+	putBuf(req.payload)
 }
 
 // writeResponse ships one response frame through the connection's

@@ -144,9 +144,9 @@ type ServerConfig struct {
 	DrainTimeout time.Duration
 	// MaxFrameSize caps one request frame's payload (0 = 16 MiB default).
 	MaxFrameSize uint32
-	// MaxSlowPerConn caps per-connection slow-handler goroutines
-	// (0 = default 64). The DM ops themselves are fast handlers; this
-	// guards extra Handle-registered methods.
+	// MaxSlowPerConn caps per-connection slow-handler workers
+	// (NodeConfig.MaxSlowPerConn; 0 = default 64). The DM ops themselves
+	// are fast handlers; this guards extra Handle-registered methods.
 	MaxSlowPerConn int
 	// CoalesceLimit / CoalesceBatchBytes / CoalesceSpin tune the
 	// per-connection response coalescing writer (NodeConfig fields of the
@@ -338,7 +338,7 @@ func NewServer(cfg ServerConfig) *Server {
 		dmwire.MRegister, dmwire.MAlloc, dmwire.MFree, dmwire.MCreateRef,
 		dmwire.MMapRef, dmwire.MFreeRef, dmwire.MRead, dmwire.MWrite,
 		dmwire.MStage, dmwire.MReadRef, dmwire.MHeartbeat, dmwire.MStageAt,
-		dmwire.MRegPut, dmwire.MRegGet, dmwire.MRegSync,
+		dmwire.MRegPut, dmwire.MRegGet, dmwire.MRegSync, dmwire.MConsumeRef,
 	} {
 		m := m
 		// DM operations are short and never block on other RPCs, so they
@@ -445,6 +445,8 @@ func (s *Server) handle(m rpc.Method, body []byte) ([]byte, error) {
 		return s.stageAt(body)
 	case dmwire.MReadRef:
 		return s.readRef(body)
+	case dmwire.MConsumeRef:
+		return s.consumeRef(body)
 	case dmwire.MHeartbeat:
 		return s.heartbeat(body)
 	case dmwire.MRegPut:
@@ -821,22 +823,27 @@ func (s *Server) freeRef(body []byte) ([]byte, error) {
 		delete(sh.m, req.Key)
 	}
 	sh.mu.Unlock()
-	// An explicit free also retires the key's directory entry (with a
-	// tombstone, so a stale anti-entropy page cannot resurrect it) —
-	// free_ref is the directory-delete op; there is no separate RegDelete
-	// on the wire. This runs even when the payload is absent, so the pool
-	// can scrub a stale entry off a shard that no longer holds a copy.
-	if req.Key&dmwire.ReplicaKeyBit != 0 {
-		if ent, held := s.reg.Get(req.Key); held {
-			s.reg.Delete(req.Key, ent.Epoch)
-		}
-	}
+	// An explicit free also retires the key's directory entry — free_ref
+	// is the directory-delete op; there is no separate RegDelete on the
+	// wire. This runs even when the payload is absent, so the pool can
+	// scrub a stale entry off a shard that no longer holds a copy.
+	s.retireDirEntry(req.Key)
 	if !ok {
 		return nil, dm.ErrBadRef
 	}
 	s.releaseFrames(ref.frames)
 	s.epoch.Add(1)
 	return nil, nil
+}
+
+// retireDirEntry deletes a replica key's directory entry with a
+// tombstone, so a stale anti-entropy page cannot resurrect it.
+func (s *Server) retireDirEntry(key uint64) {
+	if key&dmwire.ReplicaKeyBit != 0 {
+		if ent, held := s.reg.Get(key); held {
+			s.reg.Delete(key, ent.Epoch)
+		}
+	}
 }
 
 // lookupPage returns the frame backing key with a transient pin, or false
@@ -1161,22 +1168,57 @@ func (s *Server) readRef(body []byte) ([]byte, error) {
 	frames := ref.frames
 	sh.mu.RUnlock()
 
-	out := getBuf(int(size))
-	pos := int64(0)
-	for pos < size {
-		page := (off + pos) / s.pageSize()
-		pageOff := (off + pos) % s.pageSize()
-		n := s.pageSize() - pageOff
-		if n > size-pos {
-			n = size - pos
-		}
-		copy(out[pos:pos+n], s.frame(frames[page])[pageOff:])
-		pos += n
-	}
+	out := s.copyOut(frames, off, size)
 	for p := first; p <= last; p++ {
 		s.decRef(frames[p])
 	}
 	return out, nil
+}
+
+// consumeRef is read_ref and free_ref in one exchange (MConsumeRef). The
+// entry is unpublished under the ref-shard write lock before the copy, so
+// of racing consumes and frees exactly one wins the ref; the winner then
+// copies through the ref's own frame holds, which no one else can drop,
+// and releases them. A range error leaves the ref live.
+func (s *Server) consumeRef(body []byte) ([]byte, error) {
+	req, err := dmwire.UnmarshalReadRefReq(body)
+	if err != nil {
+		return nil, err
+	}
+	sh := s.refShardOf(req.Key)
+	sh.mu.Lock()
+	ref, ok := sh.m[req.Key]
+	if !ok {
+		sh.mu.Unlock()
+		return nil, dm.ErrBadRef
+	}
+	off, size := int64(req.Off), int64(req.Size)
+	if off+size > ref.size {
+		sh.mu.Unlock()
+		return nil, dm.ErrOutOfRange
+	}
+	delete(sh.m, req.Key)
+	sh.mu.Unlock()
+	s.retireDirEntry(req.Key)
+	out := s.copyOut(ref.frames, off, size)
+	s.releaseFrames(ref.frames)
+	s.epoch.Add(1)
+	return out, nil
+}
+
+// copyOut copies [off, off+size) of a ref's frames into a pooled
+// response buffer. The caller keeps those frames from being reclaimed
+// (pins, or holds it owns) until copyOut returns.
+func (s *Server) copyOut(frames []int32, off, size int64) []byte {
+	out := getBuf(int(size))
+	for pos := int64(0); pos < size; {
+		page := (off + pos) / s.pageSize()
+		pageOff := (off + pos) % s.pageSize()
+		n := min(s.pageSize()-pageOff, size-pos)
+		copy(out[pos:pos+n], s.frame(frames[page])[pageOff:])
+		pos += n
+	}
+	return out
 }
 
 // CheckInvariants validates the page manager bookkeeping. It requires the

@@ -6,6 +6,7 @@ import (
 	"net"
 
 	"repro/internal/apps"
+	"repro/internal/dm"
 	"repro/internal/live"
 )
 
@@ -36,11 +37,15 @@ func NewChainHop(name string, dmc DM, next string, cfg Config) *Service {
 			// forwards as its descriptor; an inline one re-serializes.
 			return ctx.Call(next, ChainMethod, args[0])
 		}
-		buf, err := ctx.Fetch(args[0])
+		// The terminal is the payload's last reader: consume it — read and
+		// free in one exchange — and aggregate over the leased bytes.
+		b, err := ctx.Consume(args[0])
 		if err != nil {
 			return nil, err
 		}
-		return []Payload{U64(apps.Aggregate(buf))}, nil
+		sum := apps.Aggregate(b.Bytes())
+		b.Release()
+		return []Payload{U64(sum)}, nil
 	})
 	return s
 }
@@ -60,18 +65,31 @@ func NewChainClient(dmc DM, first string, cfg Config) *ChainClient {
 func (cc *ChainClient) Close() error { return cc.caller.Close() }
 
 // Do issues one end-to-end chained request carrying payload and returns
-// the terminal service's aggregate. Large payloads are staged once; the
-// staged ref is released when the chain completes (even on error), since
-// the chain only reads it.
+// the terminal service's aggregate. Large payloads are staged once and
+// the terminal consumes the staged ref, so Do releases it only when the
+// call failed (see finish).
 func (cc *ChainClient) Do(payload []byte) (uint64, error) {
 	arg, err := cc.caller.Stage(payload)
 	if err != nil {
 		return 0, err
 	}
-	defer cc.caller.Release(arg)
 	res, err := cc.caller.Call(cc.first, ChainMethod, arg)
+	return cc.finish(arg, res, err)
+}
+
+// finish settles one request's staged argument and decodes its
+// aggregate. A failed call may have failed before the terminal's
+// consume, so the ref is released; dm.ErrBadRef from that release means
+// the consume did run, and is dropped like any other release error. A
+// successful call consumed the ref: a backend that tracks the refs it
+// staged for repair (a replicated pool) is told to forget it.
+func (cc *ChainClient) finish(arg Payload, res []Payload, err error) (uint64, error) {
 	if err != nil {
+		_ = cc.caller.Release(arg)
 		return 0, err
+	}
+	if f, ok := cc.caller.dm.(interface{ Forget(dm.Ref) }); ok && arg.IsRef() {
+		f.Forget(arg.Ref())
 	}
 	if len(res) != 1 {
 		return 0, fmt.Errorf("liverpc: chain returned %d payloads, want 1", len(res))
@@ -102,20 +120,13 @@ func (cc *ChainClient) DoAsync(payload []byte) *ChainPending {
 }
 
 // Wait blocks for one pipelined request's aggregate, releasing the staged
-// ref (the chain only reads it). Call exactly once.
+// ref only if the call failed, as Do does. Call exactly once.
 func (cp *ChainPending) Wait() (uint64, error) {
 	if cp.err != nil {
 		return 0, cp.err
 	}
 	res, err := cp.pc.Wait()
-	cp.cc.caller.Release(cp.arg)
-	if err != nil {
-		return 0, err
-	}
-	if len(res) != 1 {
-		return 0, fmt.Errorf("liverpc: chain returned %d payloads, want 1", len(res))
-	}
-	return res[0].AsU64()
+	return cp.cc.finish(cp.arg, res, err)
 }
 
 // ChainDeployment is an in-process deployment of the whole chain app:

@@ -2,6 +2,8 @@ package liverpc
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -49,6 +51,76 @@ func TestChainByRefAndByValueAgree(t *testing.T) {
 	}
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChainConsumesStagedRef: the terminal consumes the staged ref, so
+// each Do costs the client's DM session one call (the stage, no free)
+// and leaves no ref, frame or leased Buf behind.
+func TestChainConsumesStagedRef(t *testing.T) {
+	srv, dmAddr := startDM(t, smallDM())
+	d := deployTestChain(t, 3, Config{InlineThreshold: 1024}, dmAddr)
+	sess := d.Client.caller.dm.(*live.Client)
+	baseFree, baseLeases := srv.FreePages(), live.LeasedBufs()
+	payload := make([]byte, 32<<10)
+	apps.FillPayload(payload, 3)
+	want := apps.Aggregate(payload)
+	const n = 8
+	calls := sess.Stats().Calls
+	for i := 0; i < n; i++ {
+		got, err := d.Client.Do(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("chain sum = %d, want %d", got, want)
+		}
+	}
+	if got := sess.Stats().Calls - calls; got != n {
+		t.Fatalf("%d Dos made %d DM calls on the client session, want %d", n, got, n)
+	}
+	if refs, free := srv.LiveRefs(), srv.FreePages(); refs != 0 || free != baseFree {
+		t.Fatalf("LiveRefs %d, FreePages %d (want 0, %d)", refs, free, baseFree)
+	}
+	if got := live.LeasedBufs(); got != baseLeases {
+		t.Fatalf("LeasedBufs = %d, baseline %d", got, baseLeases)
+	}
+}
+
+// TestChainFailureLeavesNothing: a chain whose terminal fails before or
+// after consuming its argument leaves no ref and no frame behind — the
+// client releases the staged ref on failure, and a release that finds
+// it already consumed is harmless.
+func TestChainFailureLeavesNothing(t *testing.T) {
+	for _, consumed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("consumed=%v", consumed), func(t *testing.T) {
+			srv, dmAddr := startDM(t, smallDM())
+			baseFree := srv.FreePages()
+			cfg := Config{InlineThreshold: 1024}
+			term := NewService("term", dialDM(t, dmAddr), cfg)
+			term.Handle(ChainMethod, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+				if consumed {
+					b, err := ctx.Consume(args[0])
+					if err != nil {
+						return nil, err
+					}
+					b.Release()
+				}
+				return nil, errors.New("terminal failed")
+			})
+			hop := NewChainHop("hop", dialDM(t, dmAddr), serveService(t, term), cfg)
+			cc := NewChainClient(dialDM(t, dmAddr), serveService(t, hop), cfg)
+			defer cc.Close()
+			if _, err := cc.Do(make([]byte, 32<<10)); err == nil {
+				t.Fatal("Do succeeded through a failing terminal")
+			}
+			if refs, free := srv.LiveRefs(), srv.FreePages(); refs != 0 || free != baseFree {
+				t.Fatalf("LiveRefs %d, FreePages %d (want 0, %d)", refs, free, baseFree)
+			}
+			if err := srv.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -120,3 +120,33 @@ func TestFetchLeaseCopyBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConsumeCopyBridge: a backend with no consume path still serves
+// Consume — fetch, then free — so the ref is gone afterwards and the
+// lease balances.
+func TestConsumeCopyBridge(t *testing.T) {
+	srv, addr := startDM(t, smallDM())
+	bridged := copyOnlyDM{inner: dialDM(t, addr)}
+	c := NewCaller(bridged, Config{InlineThreshold: 512})
+	defer c.Close()
+	payload := bytes.Repeat([]byte("abc"), 1024)
+	p, err := c.Stage(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := live.LeasedBufs()
+	b, err := consume(bridged, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), payload) {
+		t.Fatal("bridged consume payload mismatch")
+	}
+	b.Release()
+	if got := live.LeasedBufs(); got != base {
+		t.Fatalf("gauge after bridged consume = %d, want %d", got, base)
+	}
+	if n := srv.LiveRefs(); n != 0 {
+		t.Fatalf("LiveRefs after bridged consume = %d, want 0", n)
+	}
+}

@@ -9,10 +9,14 @@
 // argument model, but between real processes over real TCP.
 //
 // Ownership model: whoever stages a payload owns its ref and releases it
-// (Caller.Release) once the call chain no longer needs it; a consumer
-// that wants the data to outlive the producer's session re-owns it under
-// its own PID (Adopt), so per-frame refcounts keep the pages alive and a
-// crashed producer's lease reap cannot take them away (DESIGN.md §D9).
+// (Caller.Release) once the call chain no longer needs it, unless a
+// consumer that is the payload's last reader takes the release over by
+// consuming it (Ctx.Consume: read and free in one exchange) — then the
+// producer releases only if the call failed, when the consume may not
+// have run; a consumer that wants the data to outlive the producer's
+// session re-owns it under its own PID (Adopt), so per-frame refcounts
+// keep the pages alive and a crashed producer's lease reap cannot take
+// them away (DESIGN.md §D9).
 package liverpc
 
 import (
@@ -68,15 +72,19 @@ type ReplicatedDM interface {
 	Replicas(ref dm.Ref) []uint32
 	ReadRefFrom(ref dm.Ref, hints []uint32, off int64, dst []byte) error
 	ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error)
+	ConsumeRefLeaseFrom(ref dm.Ref, hints []uint32) (*live.Buf, error)
 }
 
 // BufDM marks a DM backend with a zero-copy read path: ReadRefLease
 // hands back the transport's pooled response frame as a refcounted
-// live.Buf instead of copying into a caller buffer. Satisfied by
-// *live.Client and *pool.Client; FetchLease uses it when available.
+// live.Buf instead of copying into a caller buffer, and ConsumeRefLease
+// does the same for a whole ref it frees in the same exchange. Satisfied
+// by *live.Client and *pool.Client; FetchLease and Consume use it when
+// available.
 type BufDM interface {
 	DM
 	ReadRefLease(ref dm.Ref, off, size int64) (*live.Buf, error)
+	ConsumeRefLease(ref dm.Ref) (*live.Buf, error)
 }
 
 // normDM collapses typed-nil backend pointers to a nil interface, so
@@ -328,8 +336,9 @@ func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]P
 
 // Handler processes one service call. args alias transport buffers:
 // inline payload bytes are valid only until the handler returns —
-// handlers that retain them must copy (Fetch on a ref payload always
-// returns a fresh buffer). Handlers may issue nested calls via ctx.
+// handlers that retain them must copy (Fetch on a ref payload returns a
+// fresh buffer; FetchLease and Consume lease a pooled one until its
+// Release). Handlers may issue nested calls via ctx.
 type Handler func(ctx *Ctx, args []Payload) ([]Payload, error)
 
 // Service is one liverpc endpoint serving named methods over TCP — the
@@ -476,6 +485,14 @@ func (c *Ctx) Fetch(p Payload) ([]byte, error) { return fetch(c.Svc.caller.dm, p
 // (see Caller.FetchLease); the caller must Release it exactly once.
 func (c *Ctx) FetchLease(p Payload) (*live.Buf, error) { return fetchLease(c.Svc.caller.dm, p) }
 
+// Consume materializes a payload as a leased buffer, like FetchLease, and
+// frees its ref in the same exchange (consume_ref): a handler that is the
+// payload's last reader takes over its release, and the producer must not
+// release it again. Inline payloads are wrapped as in FetchLease. A
+// backend with no consume path fetches, then frees. The caller must
+// Release the Buf exactly once.
+func (c *Ctx) Consume(p Payload) (*live.Buf, error) { return consume(c.Svc.caller.dm, p) }
+
 // Release drops a staged payload's ref hold (see Caller.Release).
 func (c *Ctx) Release(p Payload) error { return release(c.Svc.caller.dm, p) }
 
@@ -568,6 +585,33 @@ func fetchLease(dmc DM, p Payload) (*live.Buf, error) {
 		return nil, err
 	}
 	return live.WrapBuf(buf), nil
+}
+
+// consume reads a payload as a leased live.Buf and frees its ref in the
+// same exchange when the backend has a consume path (the replica-aware
+// one for located payloads), else fetches, then frees.
+func consume(dmc DM, p Payload) (*live.Buf, error) {
+	if !p.IsRef() {
+		return live.WrapBuf(p.Inline()), nil
+	}
+	if err := checkRefBackend(dmc, p); err != nil {
+		return nil, err
+	}
+	if rd, ok := dmc.(ReplicatedDM); ok && p.Located() {
+		return rd.ConsumeRefLeaseFrom(p.Ref(), p.Replicas())
+	}
+	if bd, ok := dmc.(BufDM); ok {
+		return bd.ConsumeRefLease(p.Ref())
+	}
+	b, err := fetchLease(dmc, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := dmc.FreeRef(p.Ref()); err != nil {
+		b.Release()
+		return nil, err
+	}
+	return b, nil
 }
 
 // release drops a ref payload's hold.

@@ -335,22 +335,30 @@ func (p *Client) readLease(ref dm.Ref, hints []uint32, off, size int64, skip uin
 }
 
 // readFailover is readLease's wire path (also the cache loader, which is
-// why it must not consult the cache itself): candidates are tried in
-// failover order, and everything but a deterministic range violation
-// fails over to the next.
+// why it must not consult the cache itself).
 func (p *Client) readFailover(ref dm.Ref, hints []uint32, off, size int64, skip uint32) (*live.Buf, error) {
+	b, _, err := p.failover(ref, p.candidates(ref, hints), skip, func(cl *live.Client) (*live.Buf, error) {
+		return cl.ReadRefLease(ref, off, size)
+	})
+	return b, err
+}
+
+// failover runs one leased read of ref — op against a shard's session —
+// on cands in failover order, skipping skip, and returns the first
+// success with the shard that served it. Everything but a deterministic
+// range violation fails over to the next candidate.
+func (p *Client) failover(ref dm.Ref, cands []uint32, skip uint32, op func(*live.Client) (*live.Buf, error)) (*live.Buf, uint32, error) {
 	var lastErr error
-	cands := p.candidates(ref, hints)
 	for _, id := range cands {
 		if id == skip {
 			continue
 		}
-		b, err := p.readShard(id, ref, off, size)
+		b, err := p.onShard(id, ref, op)
 		if err == nil {
-			return b, nil
+			return b, id, nil
 		}
 		if !failoverWorthy(err) {
-			return nil, err
+			return nil, 0, err
 		}
 		lastErr = err
 	}
@@ -361,30 +369,84 @@ func (p *Client) readFailover(ref dm.Ref, hints []uint32, off, size int64, skip 
 		if slices.Contains(cands, id) {
 			continue
 		}
-		if b, err := p.readShard(id, ref, off, size); err == nil {
-			return b, nil
+		if b, err := p.onShard(id, ref, op); err == nil {
+			return b, id, nil
 		}
 	}
 	if lastErr == nil {
 		lastErr = dm.ErrBadRef
 	}
-	return nil, lastErr
+	return nil, 0, lastErr
 }
 
-// readShard issues the leased read against one shard. A success on
+// onShard issues one leased read of ref against shard id. A success on
 // anyone but the ref's own primary counts as a failover read (an ejected
 // primary is skipped, not "tried first").
-func (p *Client) readShard(id uint32, ref dm.Ref, off, size int64) (*live.Buf, error) {
+func (p *Client) onShard(id uint32, ref dm.Ref, op func(*live.Client) (*live.Buf, error)) (*live.Buf, error) {
 	s, err := p.byID(id)
 	if err != nil {
 		return nil, err
 	}
-	b, err := s.cl.ReadRefLease(ref, off, size)
+	b, err := op(s.cl)
 	if err == nil && id != ref.Server {
 		p.failoverReads.Add(1)
 		s.failoverServed.Add(1)
 	}
 	return b, err
+}
+
+// ConsumeRefLease reads a located ref whole as a leased Buf and frees it
+// (consume_ref): see ConsumeRefLeaseFrom.
+func (p *Client) ConsumeRefLease(ref dm.Ref) (*live.Buf, error) {
+	return p.ConsumeRefLeaseFrom(ref, nil)
+}
+
+// ConsumeRefLeaseFrom is the last reader's fetch and free in one: a
+// single-copy ref is consumed in one exchange on its shard; a replicated
+// one is consumed from the first candidate that serves (failing over
+// like a read), after which every other copy is freed — never before,
+// so a consume that fails everywhere frees nothing. Like FreeRef it
+// tombstones the cache key, unless the ref was refused as out of range
+// (which frees nothing). The consume itself is not retried (see
+// live.Client.ConsumeRefLease). The caller must Release the Buf exactly
+// once.
+func (p *Client) ConsumeRefLeaseFrom(ref dm.Ref, hints []uint32) (*live.Buf, error) {
+	b, err := p.consume(ref, hints)
+	if !errors.Is(err, dm.ErrOutOfRange) {
+		p.cache.Deny(p.cacheKey(ref), time.Duration(p.cacheTTL.Load()))
+	}
+	return b, err
+}
+
+func (p *Client) consume(ref dm.Ref, hints []uint32) (*live.Buf, error) {
+	if ref.Key&dmwire.ReplicaKeyBit == 0 {
+		s, err := p.byID(ref.Server)
+		if err != nil {
+			return nil, err
+		}
+		return s.cl.ConsumeRefLease(ref)
+	}
+	cands := p.candidates(ref, hints)
+	b, served, err := p.failover(ref, cands, noShard, func(cl *live.Client) (*live.Buf, error) {
+		return cl.ConsumeRefLease(ref)
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.untrack(ref.Key)
+	rest := slices.DeleteFunc(cands, func(id uint32) bool { return id == served })
+	_ = p.freeOn(rest, ref) // copies already gone answer ErrBadRef; the consume stands
+	return b, nil
+}
+
+// Forget drops a replicated ref from this client's repair set without
+// touching the wire: for a ref this client staged that another process
+// consumed, so the repairer does not keep maintaining a ref that no
+// longer exists.
+func (p *Client) Forget(ref dm.Ref) {
+	if ref.Key&dmwire.ReplicaKeyBit != 0 {
+		p.untrack(ref.Key)
+	}
 }
 
 // freeReplicated frees a replicated ref on every shard that may hold a
