@@ -34,12 +34,10 @@ func main() {
 		usage()
 	}
 
-	// chain deploys its own service processes and DM sessions: one
-	// live session per hop on a single -server, one pool session per hop
-	// over a comma-separated shard list.
+	// chain deploys its own service processes and DM sessions: one pool
+	// session per hop over -server's shard list (one address = one shard).
 	if args[0] == "chain" {
-		addrs := strings.Split(*server, ",")
-		cmdChain(addrs, len(addrs) > 1, args[1:])
+		cmdChain(strings.Split(*server, ","), args[1:])
 		return
 	}
 	// pool commands drive the sharded cluster layer: -server lists the
@@ -73,9 +71,9 @@ commands:
   roundtrip -size <n>           stage n bytes, read them back, verify
   bench     -size <n> -n <ops>  measure stage/readref/free latency
   chain     -hops <h> -size <n> -n <ops>
-                                run the liverpc chain app against the
-                                server by value and by ref, compare (a
-                                comma-separated -server = pool chain)
+                                run the liverpc chain app by value and
+                                by ref, every hop on its own pool
+                                session over -server (= pool chain)
   pool [-replicas <R>] [-cache-bytes <B>] <subcommand>
                                 drive the sharded cluster layer; -server
                                 lists shard addresses in shard-ID order,
@@ -89,8 +87,8 @@ commands:
     pool read  -size <n> -n <k>   stage k objects, read each back via its
                                   located ref, print the shard spread
     pool chain -hops <h> -size <n> -n <ops>
-                                  chain app with every hop on its own
-                                  pool session (located refs end-to-end)
+                                  the chain command (located refs
+                                  end-to-end)
     pool stats -size <n> -n <k> [-json]
                                   run a burst, print aggregate and
                                   per-shard client counters (-json emits
@@ -186,11 +184,9 @@ func cmdBench(cl *live.Client, args []string) {
 // cmdChain runs the liverpc chain application (paper Fig 5), once passing
 // the payload by value through every hop and once passing it by
 // reference, then prints the side-by-side latencies. Each hop opens its
-// own DM session: a live.Client on the single server, or — pooled, the
-// `pool chain` subcommand and any multi-address -server — a pool.Client
-// over the shard list, so refs travel as located call args and each
-// stage is ring-routed.
-func cmdChain(addrs []string, pooled bool, args []string) {
+// own pool session over the shard list (K=1 for one address), so refs
+// travel as located call args and each stage is ring-routed.
+func cmdChain(addrs []string, args []string) {
 	fs := flag.NewFlagSet("chain", flag.ExitOnError)
 	hops := fs.Int("hops", 3, "chain length (services)")
 	size := fs.Int("size", 65536, "payload size in bytes")
@@ -201,28 +197,19 @@ func cmdChain(addrs []string, pooled bool, args []string) {
 	apps.FillPayload(payload, uint64(*size))
 	want := apps.Aggregate(payload)
 
-	deploy := func(cfg liverpc.Config) (*liverpc.ChainDeployment, error) {
-		return liverpc.DeployChain(*hops, addrs[0], cfg)
-	}
-	label := "chain"
-	if pooled {
-		label = fmt.Sprintf("pool chain over %d shards", len(addrs))
-		deploy = func(cfg liverpc.Config) (*liverpc.ChainDeployment, error) {
-			return liverpc.DeployChainWith(*hops, func() (liverpc.DM, error) {
-				p, err := pool.Dial(pool.Config{Shards: addrs})
-				if err != nil {
-					return nil, err
-				}
-				if err := p.Register(); err != nil {
-					p.Close()
-					return nil, err
-				}
-				return p, nil
-			}, cfg)
+	session := func() (liverpc.DM, error) {
+		p, err := pool.Dial(pool.Config{Shards: addrs})
+		if err != nil {
+			return nil, err
 		}
+		if err := p.Register(); err != nil {
+			p.Close()
+			return nil, err
+		}
+		return p, nil
 	}
 	run := func(mode string, cfg liverpc.Config) *stats.Histogram {
-		d, err := deploy(cfg)
+		d, err := liverpc.DeployChainWith(*hops, session, cfg)
 		exitOn(err)
 		defer d.Close()
 		var h stats.Histogram
@@ -239,8 +226,8 @@ func cmdChain(addrs []string, pooled bool, args []string) {
 		return &h
 	}
 
-	fmt.Printf("%s: %d hops, %s payload, %d calls per mode\n",
-		label, *hops, stats.Bytes(int64(*size)), *n)
+	fmt.Printf("chain over %d shard(s): %d hops, %s payload, %d calls per mode\n",
+		len(addrs), *hops, stats.Bytes(int64(*size)), *n)
 	val := run("by-value", liverpc.Config{ForceInline: true})
 	ref := run("by-ref", liverpc.Config{})
 	vm, rm := val.Mean(), ref.Mean()
@@ -270,7 +257,7 @@ func cmdPool(addrs []string, args []string) {
 		usage()
 	}
 	if args[0] == "chain" {
-		cmdChain(addrs, true, args[1:])
+		cmdChain(addrs, args[1:])
 		return
 	}
 	// The registry and rebalance subcommands only make sense with the
@@ -303,7 +290,7 @@ func cmdPoolStage(p *pool.Client, args []string) {
 	ref, err := p.StageRef([]byte(*text))
 	exitOn(err)
 	// The payload liverpc would pass for this ref, and its envelope size.
-	arg := liverpc.ByReplicated(ref, p.Replicas(ref))
+	arg := liverpc.ByRef(ref, p.Replicas(ref))
 	shards := arg.Replicas()
 	if shards == nil {
 		shards = []uint32{ref.Server}

@@ -1,9 +1,11 @@
 // Liverpc demonstrates the application-level DmRPC framework on real
 // sockets: two named services — a resizer that forwards and a terminal
-// aggregator — plus a DM server, all on loopback TCP. The client stages
-// a large payload once; only a ~21-byte ref crosses the two service
-// hops, and the terminal service reads the bytes straight from the DM
-// server. Small payloads skip staging and ride inline automatically.
+// aggregator — plus a DM server, all on loopback TCP. Every endpoint
+// reaches the server through its own one-shard pool session. The client
+// stages a large payload once; only a ~21-byte ref crosses the two
+// service hops, and the terminal service reads the bytes straight from
+// the DM server. Small payloads skip staging and ride inline
+// automatically.
 //
 //	go run ./examples/liverpc
 package main
@@ -15,6 +17,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/live"
 	"repro/internal/liverpc"
+	"repro/internal/pool"
 )
 
 func main() {
@@ -46,10 +49,8 @@ func main() {
 	frontAddr := serve(front)
 
 	// Client: stage once, call through the chain.
-	cdm, err := live.Dial(dmAddr)
-	check(err)
+	cdm := session(dmAddr)
 	defer cdm.Close()
-	check(cdm.Register())
 	caller := liverpc.NewCaller(cdm, liverpc.Config{})
 	defer caller.Close()
 
@@ -73,11 +74,16 @@ func main() {
 	fmt.Printf("inline sum = %d (want 6)\n", sum)
 }
 
-func newService(name, dmAddr string) *liverpc.Service {
-	dmc, err := live.Dial(dmAddr)
+// session registers a DM session on the server: a one-shard pool.
+func session(dmAddr string) *pool.Client {
+	p, err := pool.Dial(pool.Config{Shards: []string{dmAddr}})
 	check(err)
-	check(dmc.Register())
-	return liverpc.NewService(name, dmc, liverpc.Config{})
+	check(p.Register())
+	return p
+}
+
+func newService(name, dmAddr string) *liverpc.Service {
+	return liverpc.NewService(name, session(dmAddr), liverpc.Config{})
 }
 
 func serve(s *liverpc.Service) string {

@@ -84,7 +84,7 @@ type CallArg struct {
 	Ref dm.Ref
 	// Located marks a cluster-addressed ref: Ref.Server is a cluster-wide
 	// shard ID from the pool's consistent-hash ring; an unlocated ref
-	// (a single-server live.Client's) names no server. Valid when IsRef.
+	// names no server, and liverpc refuses one. Valid when IsRef.
 	Located bool
 	// Replicas is a located ref's replica-hint list (shard IDs believed
 	// to hold a copy of the payload, primary included). A non-empty list

@@ -37,8 +37,8 @@ func (pc *PendingCall) Wait() ([]Payload, error) {
 		}
 		// The response buffer is pooled and recycled after consume
 		// returns, so inline results must be copied out.
-		out = payloadsFromWire(renv.Args, true)
-		return nil
+		out, err = payloadsFromWire(renv.Args, true)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/live"
 )
 
 // TestCallerAsyncPipelines proves service-level pipelining: N futures
@@ -107,11 +106,7 @@ func TestCtxCallAsyncFanOut(t *testing.T) {
 // also exercises the stage-then-call overlap.
 func TestChainDoAsyncPipelined(t *testing.T) {
 	_, dmAddr := startDM(t, smallDM())
-	d, err := DeployChain(3, dmAddr, Config{InlineThreshold: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+	d := deployChain(t, 3, dmAddr, Config{InlineThreshold: 1024})
 
 	payload := make([]byte, 8192)
 	for i := range payload {
@@ -150,5 +145,4 @@ func TestChainDoAsyncPipelined(t *testing.T) {
 	if got != want {
 		t.Fatalf("sync aggregate = %d, want %d", got, want)
 	}
-	_ = live.ErrDeadline // keep the live import tied to this test file's intent
 }

@@ -42,12 +42,7 @@ func benchChainConfig(mode string) Config {
 
 func benchChain(b *testing.B, dmAddr, mode string) *ChainDeployment {
 	b.Helper()
-	d, err := DeployChain(benchHops, dmAddr, benchChainConfig(mode))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(d.Close)
-	return d
+	return deployChain(b, benchHops, dmAddr, benchChainConfig(mode))
 }
 
 // BenchmarkLiveRPCChain sweeps payload size across the 3-hop chain app in

@@ -9,29 +9,14 @@ import (
 	"repro/internal/pool"
 )
 
-// dialCachedDM registers a one-shard pool session on addr with a hot-ref
-// cache of cacheBytes (0 = off) — the cached form of a single server.
-func dialCachedDM(t *testing.T, cacheBytes int64, addr string) *pool.Client {
-	t.Helper()
-	p, err := pool.Dial(pool.Config{Shards: []string{addr}, CacheBytes: cacheBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	if err := p.Register(); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // TestFetchRepeatHitsCache: a consumer that fetches the same ref payload
 // repeatedly — the fan-out pattern where one staged argument feeds many
 // calls — pays the wire once; every later Fetch and FetchLease is served
 // from the session's hot-ref cache, byte-identical.
 func TestFetchRepeatHitsCache(t *testing.T) {
 	_, dmAddr := startDM(t, live.ServerConfig{NumPages: 256, PageSize: 4096, LeaseTTL: 2 * time.Second})
-	producer := dialCachedDM(t, 0, dmAddr)
-	consumer := dialCachedDM(t, 1<<20, dmAddr)
+	producer := dialDM(t, dmAddr)
+	consumer := dialPool(t, pool.Config{Shards: []string{dmAddr}, CacheBytes: 1 << 20})
 
 	pc := NewCaller(producer, Config{})
 	defer pc.Close()
@@ -86,7 +71,7 @@ func TestFetchRepeatHitsCache(t *testing.T) {
 // every payload round-trips by value.
 func TestForceInlineBypassesCache(t *testing.T) {
 	_, dmAddr := startDM(t, smallDM())
-	cdm := dialCachedDM(t, 1<<20, dmAddr)
+	cdm := dialPool(t, pool.Config{Shards: []string{dmAddr}, CacheBytes: 1 << 20})
 
 	c := NewCaller(cdm, Config{ForceInline: true})
 	defer c.Close()

@@ -2,12 +2,9 @@ package liverpc
 
 import (
 	"fmt"
-	"io"
 	"net"
 
 	"repro/internal/apps"
-	"repro/internal/dm"
-	"repro/internal/live"
 )
 
 // The nested-RPC-calls application of paper §VI-B (Fig 5), ported from
@@ -81,15 +78,15 @@ func (cc *ChainClient) Do(payload []byte) (uint64, error) {
 // aggregate. A failed call may have failed before the terminal's
 // consume, so the ref is released; dm.ErrBadRef from that release means
 // the consume did run, and is dropped like any other release error. A
-// successful call consumed the ref: a backend that tracks the refs it
-// staged for repair (a replicated pool) is told to forget it.
+// successful call consumed the ref, so the backend, which tracks the
+// refs it staged for repair, is told to forget it.
 func (cc *ChainClient) finish(arg Payload, res []Payload, err error) (uint64, error) {
 	if err != nil {
 		_ = cc.caller.Release(arg)
 		return 0, err
 	}
-	if f, ok := cc.caller.dm.(interface{ Forget(dm.Ref) }); ok && arg.IsRef() {
-		f.Forget(arg.Ref())
+	if arg.IsRef() {
+		cc.caller.dm.Forget(arg.Ref())
 	}
 	if len(res) != 1 {
 		return 0, fmt.Errorf("liverpc: chain returned %d payloads, want 1", len(res))
@@ -139,39 +136,16 @@ type ChainDeployment struct {
 	Addrs  []string // per-hop service addresses, in chain order
 
 	svcs []*Service
-	dms  []io.Closer
+	dms  []DM
 	lns  []net.Listener
 }
 
-// DeployChain starts hops chain services on loopback listeners against
-// the DM server at dmAddr and returns the running deployment. When
-// cfg.ForceInline is set no DM sessions are opened at all (the by-value
-// baseline needs none). Callers must Close the deployment.
-func DeployChain(hops int, dmAddr string, cfg Config) (*ChainDeployment, error) {
-	return DeployChainWith(hops, liveSession(dmAddr), cfg)
-}
-
-// liveSession returns a session factory that dials and registers one
-// live.Client on the DM server at addr per call.
-func liveSession(addr string) func() (DM, error) {
-	return func() (DM, error) {
-		cl, err := live.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.Register(); err != nil {
-			cl.Close()
-			return nil, err
-		}
-		return cl, nil
-	}
-}
-
-// DeployChainWith is DeployChain over an arbitrary DM-session factory —
-// each hop (and the client) gets its own session, as separate processes
-// would, so a sharded deployment passes a factory dialing a pool.Client.
-// The factory is not called when cfg.ForceInline is set; sessions whose
-// backend implements io.Closer are closed with the deployment.
+// DeployChainWith starts hops chain services on loopback listeners and
+// returns the running deployment. Each hop (and the client) gets its own
+// DM session from newSession, as separate processes would; the factory
+// is not called when cfg.ForceInline is set (the by-value baseline needs
+// none). The sessions are closed with the deployment, which callers must
+// Close.
 func DeployChainWith(hops int, newSession func() (DM, error), cfg Config) (*ChainDeployment, error) {
 	if hops < 1 {
 		return nil, fmt.Errorf("liverpc: chain needs at least one hop")
@@ -195,9 +169,7 @@ func DeployChainWith(hops int, newSession func() (DM, error), cfg Config) (*Chai
 		if err != nil {
 			return nil, err
 		}
-		if cl, ok := dmc.(io.Closer); ok {
-			d.dms = append(d.dms, cl)
-		}
+		d.dms = append(d.dms, dmc)
 		return dmc, nil
 	}
 	for i := 0; i < hops; i++ {
@@ -231,8 +203,8 @@ func (d *ChainDeployment) Close() {
 	for _, s := range d.svcs {
 		s.Close()
 	}
-	for _, cl := range d.dms {
-		cl.Close()
+	for _, dmc := range d.dms {
+		dmc.Close()
 	}
 	for _, ln := range d.lns {
 		ln.Close()

@@ -9,17 +9,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/live"
+	"repro/internal/pool"
 )
-
-func deployTestChain(t *testing.T, hops int, cfg Config, dmAddr string) *ChainDeployment {
-	t.Helper()
-	d, err := DeployChain(hops, dmAddr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-	return d
-}
 
 func TestChainByRefAndByValueAgree(t *testing.T) {
 	srv, dmAddr := startDM(t, smallDM())
@@ -27,7 +18,7 @@ func TestChainByRefAndByValueAgree(t *testing.T) {
 	apps.FillPayload(payload, 7)
 	want := apps.Aggregate(payload)
 
-	byRef := deployTestChain(t, 3, Config{InlineThreshold: 1024}, dmAddr)
+	byRef := deployChain(t, 3, dmAddr, Config{InlineThreshold: 1024})
 	got, err := byRef.Client.Do(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +27,7 @@ func TestChainByRefAndByValueAgree(t *testing.T) {
 		t.Fatalf("by-ref chain sum = %d, want %d", got, want)
 	}
 
-	byVal := deployTestChain(t, 3, Config{ForceInline: true}, dmAddr)
+	byVal := deployChain(t, 3, dmAddr, Config{ForceInline: true})
 	got, err = byVal.Client.Do(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +50,11 @@ func TestChainByRefAndByValueAgree(t *testing.T) {
 // and leaves no ref, frame or leased Buf behind.
 func TestChainConsumesStagedRef(t *testing.T) {
 	srv, dmAddr := startDM(t, smallDM())
-	d := deployTestChain(t, 3, Config{InlineThreshold: 1024}, dmAddr)
-	sess := d.Client.caller.dm.(*live.Client)
+	cfg := Config{InlineThreshold: 1024}
+	d := deployChain(t, 3, dmAddr, cfg)
+	sess := dialDM(t, dmAddr)
+	cc := NewChainClient(sess, d.Addrs[0], cfg)
+	defer cc.Close()
 	baseFree, baseLeases := srv.FreePages(), live.LeasedBufs()
 	payload := make([]byte, 32<<10)
 	apps.FillPayload(payload, 3)
@@ -68,7 +62,7 @@ func TestChainConsumesStagedRef(t *testing.T) {
 	const n = 8
 	calls := sess.Stats().Calls
 	for i := 0; i < n; i++ {
-		got, err := d.Client.Do(payload)
+		got, err := cc.Do(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +120,7 @@ func TestChainFailureLeavesNothing(t *testing.T) {
 
 func TestSocialNetComposeAndRead(t *testing.T) {
 	srv, dmAddr := startDM(t, smallDM())
-	dep, err := DeploySocialNet(dmAddr, Config{InlineThreshold: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
+	dep := deploySocialNet(t, dmAddr, Config{InlineThreshold: 256})
 
 	cdm := dialDM(t, dmAddr)
 	cl := NewSocialNetClient(cdm, dep.Frontend, Config{InlineThreshold: 256})
@@ -178,21 +168,14 @@ func TestSocialNetAdoptSurvivesComposerCrash(t *testing.T) {
 		NumPages: 256, PageSize: 4096,
 		LeaseTTL: ttl, DrainTimeout: 100 * time.Millisecond,
 	})
-	dep, err := DeploySocialNet(dmAddr, Config{InlineThreshold: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
+	dep := deploySocialNet(t, dmAddr, Config{InlineThreshold: 256})
 
 	// Composer with heartbeats disabled: once it stops calling, its lease
 	// silently expires — a crash as far as the server can tell.
-	ccfg := live.DefaultClientConfig()
-	ccfg.HeartbeatInterval = -1
-	cdm, err := live.DialConfig(ccfg, dmAddr)
+	pcfg := pool.Config{Shards: []string{dmAddr}}
+	pcfg.Client.HeartbeatInterval = -1
+	cdm, err := newSession(pcfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cdm.Register(); err != nil {
 		t.Fatal(err)
 	}
 	composer := NewCaller(cdm, Config{InlineThreshold: 256})

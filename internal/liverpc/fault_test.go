@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/faultnet"
 	"repro/internal/live"
+	"repro/internal/pool"
 )
 
 // TestMidChainCrashReclaimsRefs is the liverpc chaos test: a 3-service
@@ -41,11 +42,8 @@ func TestMidChainCrashReclaimsRefs(t *testing.T) {
 
 	// Mid: adopts every payload (accumulating ref holds it never frees,
 	// as a caching tier would) before forwarding the original.
-	mdm, err := live.Dial(dmAddr)
+	mdm, err := newSession(pool.Config{Shards: []string{dmAddr}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mdm.Register(); err != nil {
 		t.Fatal(err)
 	}
 	var held atomic.Int32

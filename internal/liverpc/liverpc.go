@@ -3,10 +3,11 @@
 // stubs with deadline/trace propagation reusing the transport's
 // retry/dedup machinery, and size-aware Payload arguments whose small
 // values travel inline while large ones are staged once into the DM
-// server pool and flow through the rest of the call chain as a Ref
-// (paper §IV). It is the real-socket counterpart of the simulator's
-// internal/core + internal/msvc service layer: the same pass-by-reference
-// argument model, but between real processes over real TCP.
+// server pool (a pool.Client session, one shard or many) and flow
+// through the rest of the call chain as a located Ref (paper §IV). It
+// is the real-socket counterpart of the simulator's internal/core +
+// internal/msvc service layer: the same pass-by-reference argument
+// model, but between real processes over real TCP.
 //
 // Ownership model: whoever stages a payload owns its ref and releases it
 // (Caller.Release) once the call chain no longer needs it, unless a
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,77 +34,37 @@ import (
 	"repro/internal/rpc"
 )
 
-// DM is the disaggregated-memory surface liverpc stages and fetches
-// through: satisfied by *live.Client (one session on one server) and
-// *pool.Client (a sharded cluster, or one cached server at K=1).
-// Backends whose refs are cluster-addressed additionally implement
-// LocatedDM, making every staged payload travel as a located dmwire
-// call arg.
+// DM is the disaggregated-memory backend liverpc stages, fetches and
+// consumes through: exactly the surface it calls on *pool.Client (one
+// server is a one-shard pool). Ref.Server is a cluster-wide shard ID,
+// so every ref payload travels located, with its replica hints
+// (Replicas). The *From reads fail over across replicas, past stale
+// hints too: a migration (DESIGN.md §D16) may have moved the copies
+// since the payload was marshaled, and the backend falls back on its
+// ring successors and the cluster registry.
 type DM interface {
 	StageRef(data []byte) (dm.Ref, error)
-	ReadRef(ref dm.Ref, off int64, dst []byte) error
+	Replicas(ref dm.Ref) []uint32
+	ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error)
+	ConsumeRefLeaseFrom(ref dm.Ref, hints []uint32) (*live.Buf, error)
 	FreeRef(ref dm.Ref) error
+	// Forget stops the backend tracking a ref that another endpoint
+	// freed (a consumed chain argument), so repair never revives it.
+	Forget(ref dm.Ref)
 	MapRef(ref dm.Ref) (dm.RemoteAddr, error)
 	CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error)
 	Free(addr dm.RemoteAddr) error
+	Close() error
 }
 
-// LocatedDM marks a DM backend whose Ref.Server fields are cluster-wide
-// shard IDs (a live.Client's refs carry no location at all).
-type LocatedDM interface {
-	DM
-	LocatedRefs() bool
-}
-
-// ReplicatedDM marks a DM backend that replicates staged payloads and
-// can fail reads over across replicas: satisfied by *pool.Client at
-// ReplicaFactor > 1 (and at R=1, where the hint paths just degrade to
-// plain reads). Stage emits replicated payloads through it, and
-// Fetch/FetchLease feed a payload's carried replica hints back into the
-// failover read path — so a consumer can survive the primary's death
-// even when the ref was staged by another process. The hints are
-// advisory, not authoritative: a migration (DESIGN.md §D16) may have
-// moved the copies since the payload was marshaled, and ReadRefFrom is
-// expected to fail over past stale hints through the backend's own
-// placement knowledge (ring successors, cluster registry).
-type ReplicatedDM interface {
-	DM
-	Replicas(ref dm.Ref) []uint32
-	ReadRefFrom(ref dm.Ref, hints []uint32, off int64, dst []byte) error
-	ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error)
-	ConsumeRefLeaseFrom(ref dm.Ref, hints []uint32) (*live.Buf, error)
-}
-
-// BufDM marks a DM backend with a zero-copy read path: ReadRefLease
-// hands back the transport's pooled response frame as a refcounted
-// live.Buf instead of copying into a caller buffer, and ConsumeRefLease
-// does the same for a whole ref it frees in the same exchange. Satisfied
-// by *live.Client and *pool.Client; FetchLease and Consume use it when
-// available.
-type BufDM interface {
-	DM
-	ReadRefLease(ref dm.Ref, off, size int64) (*live.Buf, error)
-	ConsumeRefLease(ref dm.Ref) (*live.Buf, error)
-}
-
-// normDM collapses typed-nil backend pointers to a nil interface, so
-// call sites holding a nil *live.Client keep getting the inline-only
-// behaviour (errNoDM on ref ops) instead of a nil-pointer panic.
-func normDM(dmc DM) DM {
-	if dmc == nil {
-		return nil
-	}
-	if v := reflect.ValueOf(dmc); v.Kind() == reflect.Pointer && v.IsNil() {
-		return nil
-	}
-	return dmc
-}
-
-// located reports whether dmc mints cluster-addressed refs.
-func located(dmc DM) bool {
-	l, ok := dmc.(LocatedDM)
-	return ok && l.LocatedRefs()
-}
+// LocatedDM, ReplicatedDM and BufDM are the names of the capability
+// interfaces DM replaced, kept as aliases for code that still asserts
+// them.
+type (
+	LocatedDM    = DM
+	ReplicatedDM = DM
+	BufDM        = DM
+)
 
 // MethodCall is the single transport-level method every liverpc service
 // registers on its live.Node; application methods are dispatched by name
@@ -132,12 +92,6 @@ type Config struct {
 	// with nothing staged there are no refs to key on, so
 	// pool.Config.CacheBytes on the backend is inert under ForceInline.
 	ForceInline bool
-	// DM is the endpoint's default staging backend — a *live.Client or a
-	// sharded *pool.Client — used when the constructor's dmc argument is
-	// nil. Passing the cluster here is how an application flips a whole
-	// deployment from single-server to sharded without touching its
-	// service constructors.
-	DM DM
 }
 
 // threshold resolves the staging cutoff.
@@ -188,24 +142,17 @@ type Caller struct {
 
 // NewCaller builds a client stub endpoint. dmc may be nil when the
 // configuration never stages (ForceInline), or when the caller only
-// sends inline payloads and never materializes refs; a nil dmc falls
-// back to cfg.DM.
+// sends inline payloads and never materializes refs.
 func NewCaller(dmc DM, cfg Config) *Caller {
 	cid := rand.Uint64()
 	if cid == 0 {
 		cid = 1
-	}
-	if dmc = normDM(dmc); dmc == nil {
-		dmc = normDM(cfg.DM)
 	}
 	return &Caller{node: live.NewNodeWith(cfg.Net), dm: dmc, cfg: cfg, cid: cid}
 }
 
 // Close tears down the caller's transport (not the borrowed DM client).
 func (c *Caller) Close() error { return c.node.Close() }
-
-// DM returns the borrowed DM backend (nil for inline-only callers).
-func (c *Caller) DM() DM { return c.dm }
 
 // token mints the dedup token for one non-idempotent call.
 func (c *Caller) token() dmwire.Token {
@@ -230,15 +177,7 @@ func (c *Caller) Stage(data []byte) (Payload, error) {
 	if err != nil {
 		return Payload{}, err
 	}
-	if located(c.dm) {
-		if rd, ok := c.dm.(ReplicatedDM); ok {
-			if shards := rd.Replicas(ref); len(shards) >= 2 {
-				return ByReplicated(ref, shards), nil
-			}
-		}
-		return ByLocated(ref), nil
-	}
-	return ByRef(ref), nil
+	return ByRef(ref, c.dm.Replicas(ref)), nil
 }
 
 // Fetch materializes a payload: inline bytes are returned as-is
@@ -249,12 +188,11 @@ func (c *Caller) Fetch(p Payload) ([]byte, error) {
 }
 
 // FetchLease materializes a payload as a leased buffer (DESIGN.md §D12):
-// ref payloads read through a zero-copy BufDM backend arrive in the
-// transport's pooled response frame with no final copy; the caller must
-// Release the Buf exactly once. Inline payloads are wrapped without
-// copying and still alias their transport buffer — treat them with
-// Fetch's inline lifetime rules. Non-BufDM backends fall back to a
-// copying read delivered under the same Buf contract.
+// ref payloads arrive in the transport's pooled response frame (or the
+// backend's hot-ref cache) with no final copy; the caller must Release
+// the Buf exactly once. Inline payloads are wrapped without copying and
+// still alias their transport buffer — treat them with Fetch's inline
+// lifetime rules.
 func (c *Caller) FetchLease(p Payload) (*live.Buf, error) {
 	return fetchLease(c.dm, p)
 }
@@ -325,8 +263,8 @@ func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]P
 			}
 			// The response buffer is pooled and recycled after consume
 			// returns, so inline results must be copied out.
-			out = payloadsFromWire(renv.Args, true)
-			return nil
+			out, err = payloadsFromWire(renv.Args, true)
+			return err
 		}, lopts)
 	if err != nil {
 		return nil, err
@@ -353,8 +291,8 @@ type Service struct {
 }
 
 // NewService builds a service named name over a borrowed DM backend
-// (nil for inline-only services, e.g. pure movers in by-value mode; a
-// nil dmc falls back to cfg.DM). Register handlers, then Serve.
+// (nil for inline-only services, e.g. pure movers in by-value mode).
+// Register handlers, then Serve.
 func NewService(name string, dmc DM, cfg Config) *Service {
 	s := &Service{
 		name:   name,
@@ -414,7 +352,11 @@ func (s *Service) dispatch(from net.Addr, body []byte) ([]byte, error) {
 	}
 	// Inline args alias the request buffer, which outlives the handler
 	// (recycled only after the response is written) — no copy here.
-	out, err := h(ctx, payloadsFromWire(env.Args, false))
+	args, err := payloadsFromWire(env.Args, false)
+	if err != nil {
+		return nil, err
+	}
+	out, err := h(ctx, args)
 	if err != nil {
 		return nil, err
 	}
@@ -488,29 +430,28 @@ func (c *Ctx) FetchLease(p Payload) (*live.Buf, error) { return fetchLease(c.Svc
 // Consume materializes a payload as a leased buffer, like FetchLease, and
 // frees its ref in the same exchange (consume_ref): a handler that is the
 // payload's last reader takes over its release, and the producer must not
-// release it again. Inline payloads are wrapped as in FetchLease. A
-// backend with no consume path fetches, then frees. The caller must
-// Release the Buf exactly once.
+// release it again. Inline payloads are wrapped as in FetchLease. The
+// caller must Release the Buf exactly once.
 func (c *Ctx) Consume(p Payload) (*live.Buf, error) { return consume(c.Svc.caller.dm, p) }
 
 // Release drops a staged payload's ref hold (see Caller.Release).
 func (c *Ctx) Release(p Payload) error { return release(c.Svc.caller.dm, p) }
 
 // Adopt re-owns a ref payload under this service's session: the shared
-// frames are mapped (taking this PID's own per-frame holds), re-shared
-// as a fresh ref, and the private mapping released. The returned payload
-// survives the original producer's death or lease reap — this is the
-// ownership-handoff primitive for consumers that persist data beyond the
-// call (e.g. a storage service keeping a composed post). Inline payloads
-// are copied (they alias a transport buffer). A located ref adopts on
-// the shard that stores it and yields a located payload.
+// frames are mapped on the shard that stores them (taking this PID's own
+// per-frame holds), re-shared as a fresh ref, and the private mapping
+// released. The returned payload survives the original producer's death
+// or lease reap — this is the ownership-handoff primitive for consumers
+// that persist data beyond the call (e.g. a storage service keeping a
+// composed post). Inline payloads are copied (they alias a transport
+// buffer).
 func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	if !p.IsRef() {
 		return Inline(append([]byte(nil), p.Inline()...)), nil
 	}
 	dmc := c.Svc.caller.dm
-	if err := checkRefBackend(dmc, p); err != nil {
-		return Payload{}, err
+	if dmc == nil {
+		return Payload{}, errNoDM
 	}
 	addr, err := dmc.MapRef(p.Ref())
 	if err != nil {
@@ -524,27 +465,7 @@ func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	if err := dmc.Free(addr); err != nil {
 		return Payload{}, err
 	}
-	if located(dmc) {
-		return ByLocated(own), nil
-	}
-	return ByRef(own), nil
-}
-
-// errLocatedRef is returned when a cluster-addressed ref payload
-// reaches an endpoint whose DM backend is a single-server session that
-// does not interpret Ref.Server — resolving it there could silently read
-// the wrong server's pages, so it is refused instead.
-var errLocatedRef = fmt.Errorf("liverpc: located ref payload reached a non-cluster DM backend")
-
-// checkRefBackend validates that dmc can resolve ref payload p.
-func checkRefBackend(dmc DM, p Payload) error {
-	if dmc == nil {
-		return errNoDM
-	}
-	if p.Located() && !located(dmc) {
-		return errLocatedRef
-	}
-	return nil
+	return ByRef(own, nil), nil
 }
 
 // fetch reads a payload's bytes: inline aliased, refs as fetchLease plus
@@ -564,54 +485,28 @@ func fetch(dmc DM, p Payload) ([]byte, error) {
 }
 
 // fetchLease reads a payload as a leased live.Buf: inline bytes wrapped
-// as-is (aliased), refs through the backend's zero-copy ReadRefLease
-// when it has one, else a copying ReadRef bridged into the same
-// ownership contract.
+// as-is (aliased), refs through the backend's replica-aware zero-copy
+// read, fed the payload's replica hints.
 func fetchLease(dmc DM, p Payload) (*live.Buf, error) {
 	if !p.IsRef() {
 		return live.WrapBuf(p.Inline()), nil
 	}
-	if err := checkRefBackend(dmc, p); err != nil {
-		return nil, err
+	if dmc == nil {
+		return nil, errNoDM
 	}
-	if rd, ok := dmc.(ReplicatedDM); ok && p.Located() {
-		return rd.ReadRefLeaseFrom(p.Ref(), p.Replicas(), 0, p.Size())
-	}
-	if bd, ok := dmc.(BufDM); ok {
-		return bd.ReadRefLease(p.Ref(), 0, p.Size())
-	}
-	buf := make([]byte, p.Size())
-	if err := dmc.ReadRef(p.Ref(), 0, buf); err != nil {
-		return nil, err
-	}
-	return live.WrapBuf(buf), nil
+	return dmc.ReadRefLeaseFrom(p.Ref(), p.Replicas(), 0, p.Size())
 }
 
 // consume reads a payload as a leased live.Buf and frees its ref in the
-// same exchange when the backend has a consume path (the replica-aware
-// one for located payloads), else fetches, then frees.
+// same exchange, failing over across its replicas like a read.
 func consume(dmc DM, p Payload) (*live.Buf, error) {
 	if !p.IsRef() {
 		return live.WrapBuf(p.Inline()), nil
 	}
-	if err := checkRefBackend(dmc, p); err != nil {
-		return nil, err
+	if dmc == nil {
+		return nil, errNoDM
 	}
-	if rd, ok := dmc.(ReplicatedDM); ok && p.Located() {
-		return rd.ConsumeRefLeaseFrom(p.Ref(), p.Replicas())
-	}
-	if bd, ok := dmc.(BufDM); ok {
-		return bd.ConsumeRefLease(p.Ref())
-	}
-	b, err := fetchLease(dmc, p)
-	if err != nil {
-		return nil, err
-	}
-	if err := dmc.FreeRef(p.Ref()); err != nil {
-		b.Release()
-		return nil, err
-	}
-	return b, nil
+	return dmc.ConsumeRefLeaseFrom(p.Ref(), p.Replicas())
 }
 
 // release drops a ref payload's hold.
@@ -619,8 +514,8 @@ func release(dmc DM, p Payload) error {
 	if !p.IsRef() {
 		return nil
 	}
-	if err := checkRefBackend(dmc, p); err != nil {
-		return err
+	if dmc == nil {
+		return errNoDM
 	}
 	return dmc.FreeRef(p.Ref())
 }

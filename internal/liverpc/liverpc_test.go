@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dmwire"
 	"repro/internal/faultnet"
 	"repro/internal/live"
+	"repro/internal/pool"
 	"repro/internal/rpc"
 )
 
@@ -42,18 +44,71 @@ func startDM(t *testing.T, cfg live.ServerConfig) (*live.Server, string) {
 
 func smallDM() live.ServerConfig { return live.ServerConfig{NumPages: 256, PageSize: 4096} }
 
-// dialDM registers a fresh DM session.
-func dialDM(t *testing.T, addr string) *live.Client {
-	t.Helper()
-	cl, err := live.Dial(addr)
+// newSession dials and registers one pool session: the one DM backend
+// liverpc runs on. A single server is the one-shard pool
+// pool.Config{Shards: {addr}}.
+func newSession(cfg pool.Config) (*pool.Client, error) {
+	p, err := pool.Dial(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	t.Cleanup(func() { cl.Close() })
-	if err := cl.Register(); err != nil {
-		t.Fatal(err)
+	if err := p.Register(); err != nil {
+		p.Close()
+		return nil, err
 	}
-	return cl
+	return p, nil
+}
+
+// dialPool registers a pool session for a test, closed at cleanup.
+func dialPool(tb testing.TB, cfg pool.Config) *pool.Client {
+	tb.Helper()
+	p, err := newSession(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close() })
+	return p
+}
+
+// dialDM registers a one-shard pool session on the DM server at addr.
+func dialDM(tb testing.TB, addr string) *pool.Client {
+	tb.Helper()
+	return dialPool(tb, pool.Config{Shards: []string{addr}})
+}
+
+// sessions is the Deploy*With session factory for the DM server at
+// addr: one one-shard pool session per call, closed with the deployment.
+func sessions(addr string) func() (DM, error) {
+	return func() (DM, error) {
+		p, err := newSession(pool.Config{Shards: []string{addr}})
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+}
+
+// deployChain deploys a hops-long chain on the DM server at addr.
+func deployChain(tb testing.TB, hops int, addr string, cfg Config) *ChainDeployment {
+	tb.Helper()
+	d, err := DeployChainWith(hops, sessions(addr), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(d.Close)
+	return d
+}
+
+// deploySocialNet deploys the social network, one frontend, on the DM
+// server at addr.
+func deploySocialNet(tb testing.TB, addr string, cfg Config) *SocialNetDeployment {
+	tb.Helper()
+	d, err := DeploySocialNetWith(sessions(addr), 1, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(d.Close)
+	return d
 }
 
 // serveService starts s on a loopback listener and returns its address.
@@ -328,5 +383,77 @@ func TestRefPayloadAtDMlessEndpoint(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Call(addr, "touch", arg); err == nil {
 		t.Fatal("DM-less service materialized a ref payload")
+	}
+}
+
+// TestUnlocatedRefRefused: a ref argument in the unlocated wire form
+// names no shard, so resolving it on a cluster backend could read
+// another shard's pages. The envelope boundary refuses it in both
+// directions: a service answers an error without running the handler or
+// touching its DM session, and a caller refuses such a result, sync and
+// async.
+func TestUnlocatedRefRefused(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		cfg := smallDM()
+		cfg.HasShard, cfg.ShardID = true, uint32(i)
+		_, addr := startDM(t, cfg)
+		addrs = append(addrs, addr)
+	}
+	stager := dialPool(t, pool.Config{Shards: addrs})
+	data := bytes.Repeat([]byte{7}, 4096)
+	ref, err := stager.StageRef(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stager.FreeRef(ref)
+	unlocated := []dmwire.CallArg{{IsRef: true, Ref: ref}}
+
+	// Heartbeats off, so any DM call the service makes shows in Calls.
+	scfg := pool.Config{Shards: addrs}
+	scfg.Client.HeartbeatInterval = -1
+	svcDM := dialPool(t, scfg)
+	var runs atomic.Int32
+	s := NewService("sink", svcDM, Config{})
+	s.Handle("read", func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		runs.Add(1)
+		_, err := ctx.Fetch(args[0])
+		return nil, err
+	})
+	addr := serveService(t, s)
+
+	node := live.NewNodeWith(live.NodeConfig{})
+	defer node.Close()
+	calls := svcDM.Stats().Calls
+	env := dmwire.CallEnvelope{Method: "read", TraceID: 1, Args: unlocated}
+	_, err = node.Call(addr, MethodCall, env.Marshal())
+	if err == nil || !strings.Contains(err.Error(), errUnlocatedRef.Error()) {
+		t.Fatalf("unlocated ref argument: %v, want the unlocated-ref refusal", err)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("handler ran %d times on an unlocated ref", n)
+	}
+	if d := svcDM.Stats().Calls - calls; d != 0 {
+		t.Fatalf("service session made %d DM calls on an unlocated ref, want 0", d)
+	}
+
+	// The result direction: a peer answering with an unlocated ref.
+	peer := live.NewNodeWith(live.NodeConfig{})
+	defer peer.Close()
+	peer.Handle(MethodCall, func(net.Addr, []byte) ([]byte, error) {
+		return dmwire.ReturnEnvelope{Args: unlocated}.Marshal(), nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go peer.Serve(ln)
+	c := NewCaller(dialDM(t, addrs[0]), Config{})
+	defer c.Close()
+	if _, err := c.Call(ln.Addr().String(), "read"); !errors.Is(err, errUnlocatedRef) {
+		t.Fatalf("unlocated ref result: %v, want errUnlocatedRef", err)
+	}
+	if _, err := c.CallAsync(ln.Addr().String(), "read").Wait(); !errors.Is(err, errUnlocatedRef) {
+		t.Fatalf("unlocated ref async result: %v, want errUnlocatedRef", err)
 	}
 }

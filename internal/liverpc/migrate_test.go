@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dmwire"
 	"repro/internal/live"
 	"repro/internal/pool"
 )
@@ -29,29 +30,21 @@ func TestStaleHintsResolveAfterMigration(t *testing.T) {
 		srvs[i] = srv
 		addrs = append(addrs, addr)
 	}
-	dialPool := func(shards []string) *pool.Client {
+	dialShards := func(shards []string) *pool.Client {
 		t.Helper()
-		p, err := pool.Dial(pool.Config{
+		return dialPool(t, pool.Config{
 			Shards:            shards,
 			ReplicaFactor:     2,
 			RegistryHandoff:   true,
 			RepairInterval:    -1, // no background pass; migration is explicit below
 			RepairBytesPerSec: -1,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		if err := p.Register(); err != nil {
-			t.Fatal(err)
-		}
-		return p
 	}
 
 	// Producer sees only the original 3 shards; its payloads land on
 	// that ring's successors and the wire args carry those shards as
 	// replica hints.
-	producer := dialPool(addrs[:3])
+	producer := dialShards(addrs[:3])
 	const n = 16
 	payloads := make([][]byte, n)
 	wire := make([]Payload, n)
@@ -71,13 +64,17 @@ func TestStaleHintsResolveAfterMigration(t *testing.T) {
 		}
 		// Round-trip through the wire form, exactly as a call envelope
 		// would carry it between services.
-		wire[i] = fromWire(ByReplicated(ref, reps).wireArg())
+		got, err := payloadsFromWire([]dmwire.CallArg{ByRef(ref, reps).wireArg()}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire[i] = got[0]
 	}
 
 	// The migrator sees all 4 shards: its sync pass adopts the handed-off
 	// directory entries, and its rebalance passes migrate remapped refs
 	// onto the grown ring and reclaim the now-surplus originals.
-	migrator := dialPool(addrs)
+	migrator := dialShards(addrs)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		res := migrator.Rebalance()
@@ -96,7 +93,7 @@ func TestStaleHintsResolveAfterMigration(t *testing.T) {
 	// A consumer on the new topology materializes every old wire payload
 	// even though the hints baked into it may now point at shards whose
 	// copy was reclaimed.
-	consumer := dialPool(addrs)
+	consumer := dialShards(addrs)
 	for i, p := range wire {
 		got, err := fetch(consumer, p)
 		if err != nil {

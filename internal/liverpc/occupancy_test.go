@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/live"
 )
 
 // BenchmarkLiveRPCChainOccupancy verifies that DoAsync-style pipelining
@@ -42,14 +41,7 @@ func BenchmarkLiveRPCChainOccupancy(b *testing.B) {
 			inflight := make([]atomic.Int64, hops)
 			maxIn := make([]atomic.Int64, hops)
 			for i := 0; i < hops; i++ {
-				dmc, err := live.Dial(dmAddr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := dmc.Register(); err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { dmc.Close() })
+				dmc := dialDM(b, dmAddr)
 				next := ""
 				if i < hops-1 {
 					next = addrs[i+1]
@@ -76,15 +68,7 @@ func BenchmarkLiveRPCChainOccupancy(b *testing.B) {
 				go s.Serve(lns[i])
 				b.Cleanup(func() { s.Close() })
 			}
-			dmc, err := live.Dial(dmAddr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := dmc.Register(); err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { dmc.Close() })
-			caller := NewCaller(dmc, cfg)
+			caller := NewCaller(dialDM(b, dmAddr), cfg)
 			b.Cleanup(func() { caller.Close() })
 			payload := make([]byte, size)
 			apps.FillPayload(payload, uint64(size))

@@ -1,6 +1,7 @@
 package liverpc
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dm"
@@ -14,9 +15,8 @@ import (
 // (paper §IV-B). Payloads are plain values, safe to copy.
 type Payload struct {
 	isRef    bool
-	located  bool
 	ref      dm.Ref
-	replicas []uint32 // replica-hint shard IDs (replicated located refs)
+	replicas []uint32 // replica-hint shard IDs (replicated refs)
 	inline   []byte
 }
 
@@ -24,28 +24,21 @@ type Payload struct {
 // copied; treat them as read-only while the payload is in flight.
 func Inline(data []byte) Payload { return Payload{inline: data} }
 
-// ByRef wraps an already-staged Ref as a payload.
-func ByRef(ref dm.Ref) Payload { return Payload{isRef: true, ref: ref} }
-
-// ByLocated wraps a cluster-addressed ref (Ref.Server is a shard ID
-// from a pool.Client) as a payload; it travels as a located dmwire
-// call arg, so any endpoint sharing the cluster map can resolve it.
-func ByLocated(ref dm.Ref) Payload { return Payload{isRef: true, located: true, ref: ref} }
-
-// ByReplicated wraps a cluster-addressed ref together with the shard IDs
-// believed to hold its copies (pool.Client.Replicas). The located call
-// arg carries the list, so a receiving endpoint can fail a read over to
-// a surviving replica even if its own cluster map lags. With fewer than
-// two shards it degrades to ByLocated.
-func ByReplicated(ref dm.Ref, shards []uint32) Payload {
+// ByRef wraps an already-staged cluster-addressed ref (Ref.Server is a
+// shard ID) as a payload, together with the shard IDs believed to hold
+// its copies (DM.Replicas). It travels as a located dmwire call arg
+// carrying the list, so any endpoint sharing the cluster map can resolve
+// it and fail a read over to a surviving replica even if its own map
+// lags. Fewer than two shards carry no list.
+func ByRef(ref dm.Ref, shards []uint32) Payload {
 	if len(shards) < 2 {
-		return ByLocated(ref)
+		return Payload{isRef: true, ref: ref}
 	}
 	cp := shards
 	if len(cp) > dmwire.MaxRefReplicas {
 		cp = cp[:dmwire.MaxRefReplicas]
 	}
-	return Payload{isRef: true, located: true, ref: ref, replicas: append([]uint32(nil), cp...)}
+	return Payload{isRef: true, ref: ref, replicas: append([]uint32(nil), cp...)}
 }
 
 // U64 builds an inline payload holding one big-endian uint64 — the
@@ -72,9 +65,6 @@ func (p Payload) AsU64() (uint64, error) {
 
 // IsRef reports whether the payload passes by reference.
 func (p Payload) IsRef() bool { return p.isRef }
-
-// Located reports whether a ref payload is cluster-addressed.
-func (p Payload) Located() bool { return p.isRef && p.located }
 
 // Replicas returns the replica-hint shard IDs carried by a replicated
 // ref payload (nil for unreplicated payloads), aliased.
@@ -107,11 +97,8 @@ func (p Payload) String() string {
 	if len(p.replicas) > 0 {
 		return fmt.Sprintf("payload(shards %v %v)", p.replicas, p.ref)
 	}
-	if p.located {
-		return fmt.Sprintf("payload(shard %d %v)", p.ref.Server, p.ref)
-	}
 	if p.isRef {
-		return fmt.Sprintf("payload(%v)", p.ref)
+		return fmt.Sprintf("payload(shard %d %v)", p.ref.Server, p.ref)
 	}
 	return fmt.Sprintf("payload(inline %dB)", len(p.inline))
 }
@@ -119,18 +106,15 @@ func (p Payload) String() string {
 // wireArg converts to the envelope codec's descriptor.
 func (p Payload) wireArg() dmwire.CallArg {
 	if p.isRef {
-		return dmwire.CallArg{IsRef: true, Located: p.located, Ref: p.ref, Replicas: p.replicas}
+		return dmwire.CallArg{IsRef: true, Located: true, Ref: p.ref, Replicas: p.replicas}
 	}
 	return dmwire.CallArg{Inline: p.inline}
 }
 
-// fromWire converts an envelope descriptor, aliasing inline bytes.
-func fromWire(a dmwire.CallArg) Payload {
-	if a.IsRef {
-		return Payload{isRef: true, located: a.Located, ref: a.Ref, replicas: a.Replicas}
-	}
-	return Payload{inline: a.Inline}
-}
+// errUnlocatedRef refuses a ref argument without a cluster location
+// (the unlocated call-arg form): its Ref.Server means nothing to a
+// cluster backend, so resolving it could read another shard's pages.
+var errUnlocatedRef = errors.New("liverpc: unlocated ref payload refused")
 
 // payloadsToWire converts an argument list for marshalling.
 func payloadsToWire(ps []Payload) []dmwire.CallArg {
@@ -144,19 +128,26 @@ func payloadsToWire(ps []Payload) []dmwire.CallArg {
 	return args
 }
 
-// payloadsFromWire converts a decoded list; when copyInline is set,
-// inline bytes are copied out of the (transport-owned, soon-recycled)
-// envelope buffer so the payloads may outlive it.
-func payloadsFromWire(args []dmwire.CallArg, copyInline bool) []Payload {
+// payloadsFromWire converts a decoded list, aliasing inline bytes unless
+// copyInline is set, in which case they are copied out of the
+// (transport-owned, soon-recycled) envelope buffer so the payloads may
+// outlive it. A ref argument that is not located is refused.
+func payloadsFromWire(args []dmwire.CallArg, copyInline bool) ([]Payload, error) {
 	if len(args) == 0 {
-		return nil
+		return nil, nil
 	}
 	ps := make([]Payload, len(args))
 	for i, a := range args {
-		if copyInline && !a.IsRef {
-			a.Inline = append([]byte(nil), a.Inline...)
+		switch {
+		case a.IsRef && !a.Located:
+			return nil, errUnlocatedRef
+		case a.IsRef:
+			ps[i] = Payload{isRef: true, ref: a.Ref, replicas: a.Replicas}
+		case copyInline:
+			ps[i] = Inline(append([]byte(nil), a.Inline...))
+		default:
+			ps[i] = Inline(a.Inline)
 		}
-		ps[i] = fromWire(a)
 	}
-	return ps
+	return ps, nil
 }

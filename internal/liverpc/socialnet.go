@@ -2,7 +2,6 @@ package liverpc
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -193,24 +192,17 @@ type SocialNetDeployment struct {
 	Frontends []string // every client-facing address (load balancing)
 
 	svcs []*Service
-	dms  []io.Closer
+	dms  []DM
 	lns  []net.Listener
 }
 
-// DeploySocialNet starts the services against the DM server at dmAddr
-// with one frontend. Callers must Close the deployment.
-func DeploySocialNet(dmAddr string, cfg Config) (*SocialNetDeployment, error) {
-	return DeploySocialNetWith(liveSession(dmAddr), 1, cfg)
-}
-
 // DeploySocialNetWith starts the social network with every service's DM
-// session minted by newSession — a live.Dial factory for a single
-// server, a pool.Dial factory for a sharded cluster (mirroring
-// DeployChainWith) — and frontends frontend movers sharing the same
-// compose/home/user tiers, so load generators can spread clients across
-// client-facing endpoints. newSession is not called when cfg.ForceInline
-// is set (the by-value baseline needs no DM). Callers must Close the
-// deployment.
+// session minted by newSession (mirroring DeployChainWith) and frontends
+// frontend movers sharing the same compose/home/user tiers, so load
+// generators can spread clients across client-facing endpoints.
+// newSession is not called when cfg.ForceInline is set (the by-value
+// baseline needs no DM). The sessions are closed with the deployment,
+// which callers must Close.
 func DeploySocialNetWith(newSession func() (DM, error), frontends int, cfg Config) (*SocialNetDeployment, error) {
 	if frontends < 1 {
 		frontends = 1
@@ -230,9 +222,7 @@ func DeploySocialNetWith(newSession func() (DM, error), frontends int, cfg Confi
 				d.Close()
 				return "", err
 			}
-			if cl, ok := dmc.(io.Closer); ok {
-				d.dms = append(d.dms, cl)
-			}
+			d.dms = append(d.dms, dmc)
 		}
 		s := build(dmc)
 		d.svcs = append(d.svcs, s)
@@ -272,8 +262,8 @@ func (d *SocialNetDeployment) Close() {
 	for _, s := range d.svcs {
 		s.Close()
 	}
-	for _, cl := range d.dms {
-		cl.Close()
+	for _, dmc := range d.dms {
+		dmc.Close()
 	}
 	for _, ln := range d.lns {
 		ln.Close()
@@ -286,8 +276,8 @@ type SocialNetClient struct {
 	frontend string
 }
 
-// NewSocialNetClient builds a client stub against the frontend. dmc is
-// any DM backend (a *live.Client session or a sharded *pool.Client).
+// NewSocialNetClient builds a client stub against the frontend over the
+// DM session dmc.
 func NewSocialNetClient(dmc DM, frontend string, cfg Config) *SocialNetClient {
 	return &SocialNetClient{caller: NewCaller(dmc, cfg), frontend: frontend}
 }

@@ -143,10 +143,10 @@ func (e *Env) Defaults() *Env {
 	return e
 }
 
-// NewSession mints one registered DM session over the cluster — always
-// a pool.Client (located refs, failover reads, replica placement), even
-// at K=1 — and tracks it so SessionTotals can aggregate its counters.
-// The session is closed by CloseSessions, not by its scenario.
+// NewSession mints one registered pool session over the cluster as a
+// liverpc DM backend, for the Deploy*With factories and the scenarios'
+// RPC clients, and tracks it so SessionTotals can aggregate its
+// counters. The session is closed by CloseSessions, not by its scenario.
 func (e *Env) NewSession() (liverpc.DM, error) {
 	p, err := e.newPool()
 	if err != nil {

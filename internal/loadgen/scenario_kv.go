@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/dm"
-	"repro/internal/liverpc"
+	"repro/internal/pool"
 	"repro/internal/workload"
 )
 
@@ -20,7 +20,7 @@ import (
 // long-lived shared session so worker churn never reaps live values;
 // reads run on per-worker sessions, which is where failover shows up.
 type kvScenario struct {
-	shared liverpc.DM
+	shared *pool.Client
 	slots  []kvSlot
 	value  int
 
@@ -40,7 +40,7 @@ func KV() Scenario { return &kvScenario{} }
 func (s *kvScenario) Name() string { return "kv" }
 
 func (s *kvScenario) Setup(env *Env) error {
-	sess, err := env.NewSession()
+	sess, err := env.newPool()
 	if err != nil {
 		return err
 	}
@@ -61,7 +61,7 @@ func (s *kvScenario) Setup(env *Env) error {
 }
 
 func (s *kvScenario) NewWorker(env *Env, w int) (Worker, error) {
-	sess, err := env.NewSession()
+	sess, err := env.newPool()
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func (s *kvScenario) Close() error { return nil }
 
 type kvWorker struct {
 	s        *kvScenario
-	sess     liverpc.DM
+	sess     *pool.Client
 	rng      *rand.Rand
 	keys     workload.KeyGen
 	readFrac float64

@@ -31,7 +31,7 @@ func TestConsumeSingleCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		calls := p.Stats().Calls
-		b, err := p.ConsumeRefLease(ref)
+		b, err := p.ConsumeRefLeaseFrom(ref, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestConsumeReplicated(t *testing.T) {
 	oversize := ref
 	oversize.Size += 4096
 	calls := p.Stats().Calls
-	if _, err := p.ConsumeRefLease(oversize); !errors.Is(err, dm.ErrOutOfRange) {
+	if _, err := p.ConsumeRefLeaseFrom(oversize, nil); !errors.Is(err, dm.ErrOutOfRange) {
 		t.Fatalf("oversize consume: %v, want ErrOutOfRange", err)
 	}
 	if d := p.Stats().Calls - calls; d != 1 {
@@ -152,7 +152,7 @@ func TestConsumeFailsOverPastDeadPrimary(t *testing.T) {
 	}
 	crash()
 	failovers := p.FailoverReads()
-	b, err := p.ConsumeRefLease(ref)
+	b, err := p.ConsumeRefLeaseFrom(ref, nil)
 	if err != nil {
 		t.Fatalf("consume with the primary down: %v", err)
 	}

@@ -52,12 +52,10 @@ func TestLiverpcOverPool(t *testing.T) {
 
 	big := bytes.Repeat([]byte{0xcd}, 64<<10)
 	var adopted liverpc.Payload
-	// The service's pool arrives via Config.DM — the "flip a deployment
-	// to sharded without touching constructors" path.
-	svc := liverpc.NewService("store", nil, liverpc.Config{DM: svcPool})
+	svc := liverpc.NewService("store", svcPool, liverpc.Config{})
 	svc.Handle("put", func(ctx *liverpc.Ctx, args []liverpc.Payload) ([]liverpc.Payload, error) {
-		if len(args) != 1 || !args[0].Located() {
-			return nil, errors.New("want one located arg")
+		if len(args) != 1 || !args[0].IsRef() {
+			return nil, errors.New("want one ref arg")
 		}
 		got, err := ctx.Fetch(args[0])
 		if err != nil {
@@ -85,8 +83,8 @@ func TestLiverpcOverPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !arg.Located() {
-		t.Fatal("pool-staged payload is not located")
+	if !arg.IsRef() {
+		t.Fatal("pool-staged payload did not pass by ref")
 	}
 	res, err := caller.Call(addr, "put", arg)
 	if err != nil {
@@ -103,8 +101,8 @@ func TestLiverpcOverPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res[0].Located() {
-		t.Fatal("adopted payload came back unlocated")
+	if !res[0].IsRef() {
+		t.Fatal("adopted payload came back inline")
 	}
 	got, err := caller.Fetch(res[0])
 	if err != nil {
@@ -114,31 +112,6 @@ func TestLiverpcOverPool(t *testing.T) {
 		t.Fatal("adopted payload has wrong bytes")
 	}
 	checkAllInvariants(t, srvs)
-}
-
-// TestLocatedRefRefusedBySingleClient pins the safety check: a located
-// payload must not resolve through a plain single-server live.Client,
-// whose Server fields mean dial order, not shard ID.
-func TestLocatedRefRefusedBySingleClient(t *testing.T) {
-	_, addr := startShard(t, 0, smallShard())
-	cl, err := live.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	if err := cl.Register(); err != nil {
-		t.Fatal(err)
-	}
-	caller := liverpc.NewCaller(cl, liverpc.Config{})
-	defer caller.Close()
-	ref, err := cl.StageRef([]byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = caller.Fetch(liverpc.ByLocated(ref))
-	if err == nil {
-		t.Fatal("located payload resolved through a non-cluster client")
-	}
 }
 
 // TestChainOverPool deploys the paper's nested-call chain with every

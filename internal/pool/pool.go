@@ -440,11 +440,6 @@ func (p *Client) byID(id uint32) (*shard, error) {
 	return shards[id], nil
 }
 
-// LocatedRefs marks this backend's refs as cluster-addressed: Ref.Server
-// is a shard ID valid across every process sharing the cluster map, so
-// liverpc encodes them as located call args.
-func (p *Client) LocatedRefs() bool { return true }
-
 // Shards returns the cluster size.
 func (p *Client) Shards() int { return len(p.shardList()) }
 

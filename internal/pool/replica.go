@@ -395,12 +395,6 @@ func (p *Client) onShard(id uint32, ref dm.Ref, op func(*live.Client) (*live.Buf
 	return b, err
 }
 
-// ConsumeRefLease reads a located ref whole as a leased Buf and frees it
-// (consume_ref): see ConsumeRefLeaseFrom.
-func (p *Client) ConsumeRefLease(ref dm.Ref) (*live.Buf, error) {
-	return p.ConsumeRefLeaseFrom(ref, nil)
-}
-
 // ConsumeRefLeaseFrom is the last reader's fetch and free in one: a
 // single-copy ref is consumed in one exchange on its shard; a replicated
 // one is consumed from the first candidate that serves (failing over
