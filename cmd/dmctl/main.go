@@ -460,8 +460,6 @@ type poolCounters struct {
 	Timeouts          int64 `json:"timeouts"`
 	TransportErrors   int64 `json:"transport_errors"`
 	HeartbeatFailures int64 `json:"heartbeat_failures"`
-	CreditWaits       int64 `json:"credit_waits"`
-	CreditSheds       int64 `json:"credit_sheds"`
 	CacheHits         int64 `json:"cache_hits"`
 	CacheMisses       int64 `json:"cache_misses"`
 	CacheAdmits       int64 `json:"cache_admits"`
@@ -501,8 +499,6 @@ func poolCountersOf(st live.Stats, lat stats.Summary) poolCounters {
 		Timeouts:          st.Timeouts,
 		TransportErrors:   st.TransportErrors,
 		HeartbeatFailures: st.HeartbeatFailures,
-		CreditWaits:       st.CreditWaits,
-		CreditSheds:       st.CreditSheds,
 		CacheHits:         st.CacheHits,
 		CacheMisses:       st.CacheMisses,
 		CacheAdmits:       st.CacheAdmits,
@@ -587,9 +583,9 @@ func cmdPoolStats(p *pool.Client, args []string) {
 		return
 	}
 
-	fmt.Printf("aggregate: calls=%d retries=%d dedup_replays=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d credit_waits=%d credit_sheds=%d p50=%s p99=%s\n",
+	fmt.Printf("aggregate: calls=%d retries=%d dedup_replays=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d p50=%s p99=%s\n",
 		agg.Calls, agg.Retries, agg.DedupReplays, agg.Failures, agg.Timeouts, agg.TransportErrors,
-		agg.HeartbeatFailures, agg.CreditWaits, agg.CreditSheds, stats.Dur(lat.P50), stats.Dur(lat.P99))
+		agg.HeartbeatFailures, stats.Dur(lat.P50), stats.Dur(lat.P99))
 	for id, st := range shardStats {
 		fmt.Printf("  shard %d: calls=%d retries=%d dedup_replays=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d p50=%s p99=%s\n",
 			id, st.Calls, st.Retries, st.DedupReplays, st.Failures, st.Timeouts, st.TransportErrors,

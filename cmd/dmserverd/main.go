@@ -33,11 +33,9 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "session lease TTL; an unrenewed session is reaped after this long (0 disables leasing)")
 	drain := flag.Duration("drain", time.Second, "graceful drain window on shutdown before connections are cut")
 	maxFrame := flag.Uint("max-frame", live.DefaultMaxFrameSize, "maximum accepted frame payload in bytes")
-	maxSlow := flag.Int("max-slow", 64, "maximum concurrent slow handlers per connection")
 	coalesceLimit := flag.Int("coalesce-limit", 0, "largest response coalesced into batched writes, bytes (0 = default, negative disables)")
 	coalesceBatch := flag.Int("coalesce-batch", 0, "max bytes per group-commit flush (0 = default)")
 	coalesceSpin := flag.Duration("coalesce-spin", 0, "adaptive spin-then-flush window cap (0 = default, negative disables)")
-	credits := flag.Int("credits", 0, "per-session async credit window advertised to clients (0 = default, negative disables advertisement)")
 	statsEvery := flag.Duration("stats", 0, "print free-page/live-ref/writer counters at this interval (0 disables)")
 	shardID := flag.Int("shard-id", -1, "cluster-wide shard ID announced to pool clients (-1 = single-server, no shard)")
 	flag.Parse()
@@ -48,11 +46,9 @@ func main() {
 		LeaseTTL:           *leaseTTL,
 		DrainTimeout:       *drain,
 		MaxFrameSize:       uint32(*maxFrame),
-		MaxSlowPerConn:     *maxSlow,
 		CoalesceLimit:      *coalesceLimit,
 		CoalesceBatchBytes: *coalesceBatch,
 		CoalesceSpin:       *coalesceSpin,
-		SessionCredits:     *credits,
 	}
 	if *shardID >= 0 {
 		cfg.HasShard = true

@@ -135,9 +135,9 @@ func ErrOf(status byte, msg string) error {
 var errBodyForm = errors.New("dmwire: body has the wrong length or a reserved bit set")
 
 // RegisterResp is the body of a successful MRegister response, in one
-// 25-byte form (flags bit0 = HasShard; the other bits must be 0):
+// 21-byte form (flags bit0 = HasShard; the other bits must be 0):
 //
-//	PID u32 | LeaseMillis u32 | flags u8 | Shard u32 | Credits u32 | Epoch u64
+//	PID u32 | LeaseMillis u32 | flags u8 | Shard u32 | Epoch u64
 //
 // Both ends of a session are built from the same commit, so no field is
 // optional on the wire.
@@ -151,11 +151,6 @@ var errBodyForm = errors.New("dmwire: body has the wrong length or a reserved bi
 // consistent-hash pool (internal/pool) advertises its shard ID so
 // clients can verify their ring configuration against reality.
 //
-// Credits is the per-session async credit window the server grants
-// (live credit-based flow control): a client should keep at most this
-// many asynchronous calls in flight per session. 0 means crediting is
-// disabled and the client falls back to its own configured limit.
-//
 // Epoch is the server's cache-invalidation epoch at registration (§D15):
 // the hot-ref cache's coherence baseline, so a client observing a LATER
 // epoch on a heartbeat knows something it may have cached was freed,
@@ -165,12 +160,11 @@ type RegisterResp struct {
 	LeaseMillis uint32
 	HasShard    bool
 	Shard       uint32
-	Credits     uint32
 	Epoch       uint64
 }
 
 // registerRespSize is the one wire length of a RegisterResp.
-const registerRespSize = 4 + 4 + 1 + 4 + 4 + 8
+const registerRespSize = 4 + 4 + 1 + 4 + 8
 
 // Marshal encodes the response body.
 func (r RegisterResp) Marshal() []byte {
@@ -178,7 +172,7 @@ func (r RegisterResp) Marshal() []byte {
 	if r.HasShard {
 		flags = 1
 	}
-	return rpc.NewEnc(registerRespSize).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U32(r.Credits).U64(r.Epoch).Bytes()
+	return rpc.NewEnc(registerRespSize).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U64(r.Epoch).Bytes()
 }
 
 // UnmarshalRegisterResp decodes the response body.
@@ -188,7 +182,7 @@ func UnmarshalRegisterResp(b []byte) (RegisterResp, error) {
 	}
 	d := rpc.NewDec(b)
 	r := RegisterResp{PID: d.U32(), LeaseMillis: d.U32(), HasShard: d.U8() == 1}
-	r.Shard, r.Credits, r.Epoch = d.U32(), d.U32(), d.U64()
+	r.Shard, r.Epoch = d.U32(), d.U64()
 	return r, d.Err()
 }
 
@@ -208,22 +202,19 @@ func UnmarshalHeartbeatReq(b []byte) (HeartbeatReq, error) {
 }
 
 // HeartbeatResp is the body of a successful MHeartbeat response, in one
-// 16-byte form — LeaseMillis u32 | Credits u32 | Epoch u64: the renewed
-// lease TTL, the refreshed per-session async credit window (0 =
-// crediting disabled) and the server's cache-invalidation epoch
-// (DESIGN.md §D15).
+// 12-byte form — LeaseMillis u32 | Epoch u64: the renewed lease TTL and
+// the server's cache-invalidation epoch (DESIGN.md §D15).
 type HeartbeatResp struct {
 	LeaseMillis uint32
-	Credits     uint32
 	Epoch       uint64
 }
 
 // heartbeatRespSize is the one wire length of a HeartbeatResp.
-const heartbeatRespSize = 4 + 4 + 8
+const heartbeatRespSize = 4 + 8
 
 // Marshal encodes the response body.
 func (r HeartbeatResp) Marshal() []byte {
-	return rpc.NewEnc(heartbeatRespSize).U32(r.LeaseMillis).U32(r.Credits).U64(r.Epoch).Bytes()
+	return rpc.NewEnc(heartbeatRespSize).U32(r.LeaseMillis).U64(r.Epoch).Bytes()
 }
 
 // UnmarshalHeartbeatResp decodes the response body.
@@ -232,7 +223,7 @@ func UnmarshalHeartbeatResp(b []byte) (HeartbeatResp, error) {
 		return HeartbeatResp{}, errBodyForm
 	}
 	d := rpc.NewDec(b)
-	r := HeartbeatResp{LeaseMillis: d.U32(), Credits: d.U32(), Epoch: d.U64()}
+	r := HeartbeatResp{LeaseMillis: d.U32(), Epoch: d.U64()}
 	return r, d.Err()
 }
 

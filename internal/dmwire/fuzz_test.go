@@ -15,7 +15,7 @@ import (
 // or counted, so the fuzzer starts from the interesting region.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000}.Marshal())
-	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 2, Credits: 256, Epoch: 9}.Marshal())
+	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 2, Epoch: 9}.Marshal())
 	f.Add(uint8(1), AllocReq{PID: 1, Size: 4096}.Marshal())
 	f.Add(uint8(2), AllocResp{Addr: 0x1000}.Marshal())
 	f.Add(uint8(3), FreeReq{PID: 1, Addr: 0x1000}.Marshal())
@@ -30,7 +30,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(12), ReadRefReq{Key: 9, Off: 0, Size: 2}.Marshal())
 	f.Add(uint8(13), HeartbeatReq{PID: 1}.Marshal())
 	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100}.Marshal())
-	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Credits: 32, Epoch: 9}.Marshal())
+	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Epoch: 9}.Marshal())
 	f.Add(uint8(15), Token{CID: 3, Seq: 4}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Data: []byte("hi")}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: []uint32{0, 2}, Data: []byte("hi")}.Marshal())

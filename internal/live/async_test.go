@@ -10,12 +10,24 @@ import (
 	"time"
 
 	"repro/internal/dm"
+	"repro/internal/dmwire"
 	"repro/internal/faultnet"
 )
 
+// writeAsync starts an rwrite of src at addr and returns its future, so
+// a test can queue several frames on one connection before waiting.
+func writeAsync(cl *Client, addr dm.RemoteAddr, src []byte) *AsyncOp {
+	pid, err := cl.session()
+	if err != nil {
+		return &AsyncOp{err: err}
+	}
+	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MWrite,
+		dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, idemOpts())}
+}
+
 // TestCallAsyncOverlaps is the deterministic pipelining proof: one node
 // issues N futures back-to-back and every request reaches the server
-// BEFORE any Wait — impossible on the synchronous path, where request
+// BEFORE any wait — impossible on the synchronous path, where request
 // i+1 cannot ship until response i returns.
 func TestCallAsyncOverlaps(t *testing.T) {
 	const n = 4
@@ -31,21 +43,21 @@ func TestCallAsyncOverlaps(t *testing.T) {
 
 	cli := NewNode()
 	defer cli.Close()
-	ps := make([]*Pending, n)
+	ps := make([]*pending, n)
 	for i := range ps {
-		ps[i] = cli.CallAsync(addr, 7, nil, []byte{byte(i)}, CallOpts{Timeout: 10 * time.Second})
+		ps[i] = cli.callAsync(addr, 7, nil, []byte{byte(i)}, CallOpts{Timeout: 10 * time.Second})
 	}
 	for i := 0; i < n; i++ {
 		select {
 		case <-arrived:
 		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d of %d pipelined requests arrived before any Wait", i, n)
+			t.Fatalf("only %d of %d pipelined requests arrived before any wait", i, n)
 		}
 	}
 	close(release)
 	for i, p := range ps {
 		want := []byte{'r', ':', byte(i)}
-		err := p.Wait(func(resp []byte) error {
+		err := p.wait(func(resp []byte) error {
 			if !bytes.Equal(resp, want) {
 				return fmt.Errorf("resp %q, want %q", resp, want)
 			}
@@ -57,9 +69,10 @@ func TestCallAsyncOverlaps(t *testing.T) {
 	}
 }
 
-// TestClientAsyncRoundTrip drives the Client-level futures end to end:
-// a pipelined burst of StageRefAsync, ReadRefAsync verification, a
-// WriteAsync, and full teardown with conservation intact.
+// TestClientAsyncRoundTrip drives the Client-level futures the pool's
+// fan-outs use end to end: a pipelined burst of StageRefAtAsync, a
+// read-back of each ref, a pipelined burst of FreeRefAsync, and full
+// teardown with conservation intact.
 func TestClientAsyncRoundTrip(t *testing.T) {
 	srv, addr := startServer(t, smallConfig())
 	cl := dialClient(t, addr)
@@ -69,7 +82,7 @@ func TestClientAsyncRoundTrip(t *testing.T) {
 	stages := make([]*AsyncRef, k)
 	for i := range stages {
 		payloads[i] = bytes.Repeat([]byte{byte('a' + i)}, 4096)
-		stages[i] = cl.StageRefAsync(payloads[i])
+		stages[i] = cl.StageRefAtAsync(dmwire.ReplicaKeyBit|uint64(100+i), nil, payloads[i])
 	}
 	refs := make([]dm.Ref, 0, k)
 	for i, ar := range stages {
@@ -77,46 +90,32 @@ func TestClientAsyncRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stage %d: %v", i, err)
 		}
+		if want := dmwire.ReplicaKeyBit | uint64(100+i); ref.Key != want || ref.Size != int64(len(payloads[i])) {
+			t.Fatalf("stage %d: ref %+v, want key %#x size %d", i, ref, want, len(payloads[i]))
+		}
 		refs = append(refs, ref)
 	}
-
-	reads := make([]*AsyncOp, k)
-	got := make([][]byte, k)
 	for i, ref := range refs {
-		got[i] = make([]byte, len(payloads[i]))
-		reads[i] = cl.ReadRefAsync(ref, 0, got[i])
-	}
-	for i, op := range reads {
-		if err := op.Wait(); err != nil {
+		got := make([]byte, len(payloads[i]))
+		if err := cl.ReadRef(ref, 0, got); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-		if !bytes.Equal(got[i], payloads[i]) {
+		if !bytes.Equal(got, payloads[i]) {
 			t.Fatalf("read %d corrupted", i)
 		}
 	}
 
-	a, err := cl.Alloc(8192)
-	if err != nil {
-		t.Fatal(err)
+	frees := make([]*AsyncOp, k)
+	for i, ref := range refs {
+		frees[i] = cl.FreeRefAsync(ref)
 	}
-	msg := bytes.Repeat([]byte("wr"), 2048)
-	if err := cl.WriteAsync(a, msg).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	back := make([]byte, len(msg))
-	if err := cl.Read(a, back); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, msg) {
-		t.Fatal("async write round trip corrupted")
-	}
-	if err := cl.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	for _, ref := range refs {
-		if err := cl.FreeRef(ref); err != nil {
-			t.Fatal(err)
+	for i, op := range frees {
+		if err := op.Wait(); err != nil {
+			t.Fatalf("free %d: %v", i, err)
 		}
+	}
+	if err := cl.FreeRefAsync(refs[0]).Wait(); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("second free = %v, want dm.ErrBadRef", err)
 	}
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -213,7 +212,7 @@ func TestBatchWriterFailureUnderFaultnet(t *testing.T) {
 	ops := make([]*AsyncOp, burst)
 	src := bytes.Repeat([]byte{0xCD}, 512)
 	for i := range ops {
-		ops[i] = cl.WriteAsync(a, src)
+		ops[i] = writeAsync(cl, a, src)
 	}
 	inj.Partition() // cut mid-flush: the blocked write fails
 	for i, op := range ops {

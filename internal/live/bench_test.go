@@ -246,8 +246,7 @@ func BenchmarkLiveCoWWrite(b *testing.B) {
 
 // BenchmarkLiveSmallOpThroughput is the tentpole's figure of merit:
 // aggregate small-op throughput with N workers multiplexing 4 KiB
-// StageRef+ReadRef+FreeRef cycles (via the async ops, whose frames ride
-// the submission queue) over ONE shared connection, with the coalescing
+// StageRef+ReadRef+FreeRef cycles over ONE shared connection, with the coalescing
 // writer on versus off (CoalesceLimit=-1 on both ends). With several
 // requests in flight per conn, group commit turns the per-frame write()
 // storm into few vectored writes; the frames/batch and batches/s extra
@@ -289,12 +288,12 @@ func BenchmarkLiveSmallOpThroughput(b *testing.B) {
 						defer wg.Done()
 						buf := make([]byte, size)
 						for iters.Add(-1) >= 0 {
-							ref, err := cl.StageRefAsync(payload).Wait()
+							ref, err := cl.StageRef(payload)
 							if err != nil {
 								errs <- err
 								return
 							}
-							if err := cl.ReadRefAsync(ref, 0, buf).Wait(); err != nil {
+							if err := cl.ReadRef(ref, 0, buf); err != nil {
 								errs <- err
 								return
 							}
@@ -323,41 +322,5 @@ func BenchmarkLiveSmallOpThroughput(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkLiveAsyncWritePipeline measures what the futures buy a single
-// caller: a ring of `depth` in-flight WriteAsync ops, waiting on the
-// oldest before issuing the next. depth=1 is the synchronous baseline;
-// deeper rings overlap round trips and feed the coalescing writer
-// multi-frame batches.
-func BenchmarkLiveAsyncWritePipeline(b *testing.B) {
-	const size = 4096
-	for _, depth := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			_, cl := benchSetup(b)
-			a, err := cl.Alloc(size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := make([]byte, size)
-			b.SetBytes(size)
-			b.ResetTimer()
-			ring := make([]*AsyncOp, 0, depth)
-			for i := 0; i < b.N; i++ {
-				if len(ring) == depth {
-					if err := ring[0].Wait(); err != nil {
-						b.Fatal(err)
-					}
-					ring = ring[1:]
-				}
-				ring = append(ring, cl.WriteAsync(a, src))
-			}
-			for _, op := range ring {
-				if err := op.Wait(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -225,7 +225,7 @@ func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline t
 // header, optional dedup token, method, hdr, payload — returning the
 // request id and the response channel for await. Small frames are copied
 // whole into the coalescing writer's queue (send returns once the frame
-// is accepted, not written — the pipelining CallAsync builds on); bodies
+// is accepted, not written — the pipelining callAsync builds on); bodies
 // above the coalesce cutoff go out synchronously as a vectored write with
 // no intermediate copy of payload — the zero-copy path large rwrite/stage
 // bodies ride. sync marks a caller about to block on the response: its
@@ -391,8 +391,6 @@ func (cl *Client) register() error {
 	if err != nil {
 		return err
 	}
-	// Adopt the server's advertised async credit window.
-	cl.node.setPeerCredits(cl.addr, r.Credits)
 	cl.epochSeen.Store(int64(r.Epoch))
 	cl.mu.Lock()
 	cl.pid = r.PID
@@ -459,8 +457,6 @@ func (cl *Client) heartbeatLoop(pid uint32, interval time.Duration, cancel chan 
 				if err != nil {
 					return err
 				}
-				// Refresh the async credit window from the renewal.
-				cl.node.setPeerCredits(cl.addr, r.Credits)
 				cl.observeEpoch(r.Epoch)
 				return nil
 			}, opts)
@@ -551,7 +547,10 @@ type Stats struct {
 	// an upper bound on server-side replayed responses, since a tokened
 	// retry either re-executes (first attempt never applied) or replays.
 	DedupReplays int64
-	// Failures counts calls that exhausted their retry budget.
+	// Failures counts calls that a transient error ended: the retry
+	// budget or deadline ran out, or the call was not retryable.
+	// Application answers (the dm sentinels, AppError statuses) are not
+	// failures; they surface to the caller uncounted.
 	Failures int64
 	// Timeouts counts attempts that failed by exceeding a deadline
 	// (overall or per-attempt) — the slow-but-alive failure class.
@@ -565,14 +564,6 @@ type Stats struct {
 	// HeartbeatFailures counts failed lease renewals, cumulatively
 	// (SessionHealth reports the resetting consecutive count).
 	HeartbeatFailures int64
-	// CreditWaits counts async submissions that had to block for a
-	// session credit; a climbing rate means the in-flight window, not
-	// the wire, is the bottleneck.
-	CreditWaits int64
-	// CreditSheds counts async submissions shed with ErrCredits because
-	// the credit window stayed exhausted for their whole attempt
-	// deadline — the bounded-queueing response to a stalled server.
-	CreditSheds int64
 	// CacheHits .. CacheCoalesced mirror the hot-ref cache's counters
 	// (DESIGN.md §D15): reads served from memory, reads that went to the
 	// wire, entries admitted/evicted/invalidated, and concurrent cold

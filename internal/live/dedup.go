@@ -28,7 +28,6 @@ type dedupTable struct {
 	// filled the window.
 	oldest, newest *dedupEntry
 	inserts        int
-	retention      time.Duration
 }
 
 type dedupEntry struct {
@@ -42,6 +41,10 @@ type dedupEntry struct {
 
 // prunePeriod is how many inserts pass between retention sweeps.
 const prunePeriod = 1024
+
+// dedupRetention is how long a completed tokened mutation's response
+// stays replayable.
+const dedupRetention = 60 * time.Second
 
 // run executes fn under the token's at-most-once guarantee. A zero token
 // bypasses the table. cached reports that resp is table-owned replayed
@@ -91,10 +94,7 @@ func (t *dedupTable) run(tok dmwire.Token, fn func() (byte, []byte)) (status byt
 // are never dropped. An entry that finished before an older one waits for
 // it — retained a little longer, never less.
 func (t *dedupTable) pruneLocked(now time.Time) {
-	if t.retention <= 0 {
-		return
-	}
-	cutoff := now.Add(-t.retention).UnixNano()
+	cutoff := now.Add(-dedupRetention).UnixNano()
 	for e := t.oldest; e != nil; e = e.next {
 		select {
 		case <-e.done:

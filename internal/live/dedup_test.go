@@ -14,7 +14,7 @@ import (
 // insertion-order list in step (including emptying and refilling it); a
 // later sweep picks up what an in-flight entry held back.
 func TestDedupPruneOldestFirst(t *testing.T) {
-	tbl := &dedupTable{retention: time.Minute}
+	tbl := &dedupTable{}
 	tok := func(seq uint64) dmwire.Token { return dmwire.Token{CID: 1, Seq: seq} }
 	ok := func() (byte, []byte) { return dmwire.StatusOK, nil }
 	held := func(now time.Time) []uint64 {

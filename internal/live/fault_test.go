@@ -673,7 +673,7 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Stall()
-	if err := acl.ReadRefAsync(aref, 0, make([]byte, 512)).Wait(); err == nil {
+	if err := acl.FreeRefAsync(aref).Wait(); err == nil {
 		t.Fatal("async op through a stalled fabric succeeded")
 	}
 	ast := acl.Stats()
@@ -728,5 +728,56 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 	}
 	if dst.Timeouts != 0 {
 		t.Fatalf("dead endpoint misclassified as timeouts: %+v", dst)
+	}
+}
+
+// TestFailuresCountOnlyTransientEnds: Stats.Failures counts the calls a
+// transient error ended, never an application answer. A free of an
+// unknown key answers dm.ErrBadRef and leaves Failures and Retries
+// unchanged; an idempotent read that runs out of retries across a
+// partition counts exactly one failure.
+func TestFailuresCountOnlyTransientEnds(t *testing.T) {
+	_, addr := startServer(t, smallConfig())
+	inj := faultnet.New()
+	ccfg := DefaultClientConfig()
+	ccfg.HeartbeatInterval = -1
+	ccfg.Net.Dialer = injectedDialer(inj)
+	ccfg.Net.MaxRetries = 2
+	ccfg.Net.RetryBackoff = time.Millisecond
+	cl, err := DialConfig(ccfg, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Register(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cl.StageRef(make([]byte, 512))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := cl.Stats()
+	if err := cl.FreeRef(dm.Ref{Key: ref.Key + 1, Size: 512}); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("free of an unknown key: %v, want dm.ErrBadRef", err)
+	}
+	after := cl.Stats()
+	if after.Failures != before.Failures || after.Retries != before.Retries {
+		t.Fatalf("an ErrBadRef answer moved Failures %d -> %d, Retries %d -> %d",
+			before.Failures, after.Failures, before.Retries, after.Retries)
+	}
+
+	inj.Partition()
+	before = cl.Stats()
+	if err := cl.ReadRef(ref, 0, make([]byte, 512)); err == nil {
+		t.Fatal("read across a partition succeeded")
+	}
+	after = cl.Stats()
+	inj.Heal()
+	if d := after.Failures - before.Failures; d != 1 {
+		t.Fatalf("a read that ran out of retries counted %d failures, want 1", d)
+	}
+	if d := after.Retries - before.Retries; d != 2 {
+		t.Fatalf("the partitioned read retried %d times, want 2", d)
 	}
 }

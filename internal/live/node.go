@@ -43,9 +43,6 @@ type NodeConfig struct {
 	// the peer instead of exhausting server memory. Default 64; negative
 	// removes the cap.
 	MaxSlowPerConn int
-	// WriteTimeout bounds one response write, so a peer that stops
-	// reading cannot wedge a serving loop forever. Default 30s.
-	WriteTimeout time.Duration
 	// CallTimeout is the default overall deadline for one Call,
 	// including every retry. Default 15s. Negative disables.
 	CallTimeout time.Duration
@@ -62,9 +59,6 @@ type NodeConfig struct {
 	// (with jitter) up to RetryBackoffMax. Defaults 5ms / 500ms.
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
-	// DedupRetention is how long a completed tokened mutation's response
-	// stays replayable. Default 60s.
-	DedupRetention time.Duration
 	// Dialer replaces net.DialTimeout, letting tests route connections
 	// through fault injectors (internal/faultnet). Nil uses TCP.
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -89,32 +83,26 @@ type NodeConfig struct {
 	// inline fast path. 0 uses DefaultCoalesceSpin; negative disables the
 	// spin (flush-immediately, the pre-adaptive behaviour).
 	CoalesceSpin time.Duration
-	// AsyncCredits is the client-side default for the per-peer credit
-	// window bounding in-flight asynchronous calls; servers override it
-	// per session via register/heartbeat advertisements. Async
-	// submissions past the window block (or shed with ErrCredits at
-	// their attempt deadline). 0 uses DefaultSessionCredits; negative
-	// disables credit gating entirely.
-	AsyncCredits int
 }
+
+// writeTimeout bounds one response write, so a peer that stops reading
+// cannot wedge a serving loop forever.
+const writeTimeout = 30 * time.Second
 
 // DefaultNodeConfig returns the production defaults described per field.
 func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
 		MaxFrameSize:       DefaultMaxFrameSize,
 		MaxSlowPerConn:     64,
-		WriteTimeout:       30 * time.Second,
 		CallTimeout:        15 * time.Second,
 		AttemptTimeout:     3 * time.Second,
 		DialTimeout:        3 * time.Second,
 		MaxRetries:         3,
 		RetryBackoff:       5 * time.Millisecond,
 		RetryBackoffMax:    500 * time.Millisecond,
-		DedupRetention:     60 * time.Second,
 		CoalesceLimit:      DefaultCoalesceLimit,
 		CoalesceBatchBytes: DefaultCoalesceBatchBytes,
 		CoalesceSpin:       DefaultCoalesceSpin,
-		AsyncCredits:       DefaultSessionCredits,
 	}
 }
 
@@ -126,9 +114,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.MaxSlowPerConn == 0 {
 		c.MaxSlowPerConn = d.MaxSlowPerConn
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = d.WriteTimeout
 	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = d.CallTimeout
@@ -148,9 +133,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.RetryBackoffMax == 0 {
 		c.RetryBackoffMax = d.RetryBackoffMax
 	}
-	if c.DedupRetention == 0 {
-		c.DedupRetention = d.DedupRetention
-	}
 	if c.CoalesceLimit == 0 {
 		c.CoalesceLimit = d.CoalesceLimit
 	}
@@ -159,9 +141,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.CoalesceSpin == 0 {
 		c.CoalesceSpin = d.CoalesceSpin
-	}
-	if c.AsyncCredits == 0 {
-		c.AsyncCredits = d.AsyncCredits
 	}
 	return c
 }
@@ -173,7 +152,7 @@ func (c NodeConfig) batchConfig() batchWriterConfig {
 		limit:        c.CoalesceLimit,
 		batchBytes:   c.CoalesceBatchBytes,
 		queueBytes:   4 * c.CoalesceBatchBytes,
-		writeTimeout: c.WriteTimeout,
+		writeTimeout: writeTimeout,
 		spin:         c.CoalesceSpin,
 	}
 }
@@ -195,8 +174,7 @@ type Node struct {
 	dedup    dedupTable
 	wstats   writeStats
 	ops      opStats
-	credits  map[string]*creditGate // per-peer async credit windows
-	lat      stats.AtomicHistogram  // per-call latency, ns, sync + async
+	lat      stats.AtomicHistogram // per-call latency, ns, sync + async
 	// slowWorkers counts slow-handler workers started, over every
 	// connection (tests).
 	slowWorkers atomic.Int64
@@ -244,9 +222,7 @@ func NewNodeWith(cfg NodeConfig) *Node {
 		peers:   make(map[string]*conn),
 		inbound: make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
-		credits: make(map[string]*creditGate),
 	}
-	n.dedup.retention = n.cfg.DedupRetention
 	empty := make(map[rpc.Method]handlerEntry)
 	n.handlers.Store(&empty)
 	return n

@@ -118,15 +118,13 @@ type opStats struct {
 	failures      atomic.Int64
 	timeouts      atomic.Int64
 	transportErrs atomic.Int64
-	creditWaits   atomic.Int64
-	creditSheds   atomic.Int64
 }
 
 // classify splits one failed attempt's transient error by cause —
 // deadline expiry vs transport (dial/conn/write) failure — so operators
 // can tell a slow-but-alive server from a dead or unreachable one
-// without parsing error strings. Non-transient (application) errors are
-// deliberately uncounted here; they surface to the caller.
+// without parsing error strings. Non-transient (application) errors
+// never reach it; they surface to the caller uncounted.
 func (o *opStats) classify(err error) {
 	switch {
 	case errors.Is(err, ErrDeadline) || errors.Is(err, os.ErrDeadlineExceeded):
@@ -146,16 +144,14 @@ func (o *opStats) snapshot() Stats {
 		Failures:        o.failures.Load(),
 		Timeouts:        o.timeouts.Load(),
 		TransportErrors: o.transportErrs.Load(),
-		CreditWaits:     o.creditWaits.Load(),
-		CreditSheds:     o.creditSheds.Load(),
 	}
 }
 
 // withRetries is the shared retry engine behind the synchronous calls and
-// the async futures: it runs first once, then — while the call is
+// the pool's fan-out futures: it runs first once, then — while the call is
 // retryable (idempotent or tokened), the error transient, the attempt
 // budget unspent, and the deadline unmet — runs again after a jittered
-// exponential backoff. The first/again split lets an async Wait resume an
+// exponential backoff. The first/again split lets an async wait resume an
 // attempt already in flight (await only) and fall back to full re-sends.
 func (n *Node) withRetries(opts CallOpts, deadline time.Time, first, again func() error) error {
 	n.ops.calls.Add(1)
@@ -173,9 +169,12 @@ func (n *Node) withRetries(opts CallOpts, deadline time.Time, first, again func(
 		if err == nil {
 			return nil
 		}
+		if !isTransient(err) {
+			return err // an application answer, not a failure of the call
+		}
 		n.ops.classify(err)
 		f = again
-		if !canRetry || attempt >= n.cfg.MaxRetries || !isTransient(err) {
+		if !canRetry || attempt >= n.cfg.MaxRetries {
 			n.ops.failures.Add(1)
 			return err
 		}

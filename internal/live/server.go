@@ -144,10 +144,6 @@ type ServerConfig struct {
 	DrainTimeout time.Duration
 	// MaxFrameSize caps one request frame's payload (0 = 16 MiB default).
 	MaxFrameSize uint32
-	// MaxSlowPerConn caps per-connection slow-handler workers
-	// (NodeConfig.MaxSlowPerConn; 0 = default 64). The DM ops themselves
-	// are fast handlers; this guards extra Handle-registered methods.
-	MaxSlowPerConn int
 	// CoalesceLimit / CoalesceBatchBytes / CoalesceSpin tune the
 	// per-connection response coalescing writer (NodeConfig fields of the
 	// same names): frames up to CoalesceLimit bytes are group-committed
@@ -158,13 +154,6 @@ type ServerConfig struct {
 	CoalesceLimit      int
 	CoalesceBatchBytes int
 	CoalesceSpin       time.Duration
-	// SessionCredits is the per-session window of in-flight asynchronous
-	// calls advertised to every client at register time and refreshed on
-	// each heartbeat (credit-based flow control, DESIGN.md §D12). Clients
-	// honoring it bound their pending maps to this many calls per
-	// session. 0 advertises DefaultSessionCredits; negative advertises
-	// nothing (clients fall back to their own configured window).
-	SessionCredits int
 	// HasShard / ShardID announce this server's cluster-wide shard identity
 	// in every register response, so pool clients can verify that the server
 	// they dialed is the shard their ring expects. Unset (the zero value)
@@ -316,7 +305,6 @@ func NewServer(cfg ServerConfig) *Server {
 		pids:   make(map[uint32]*pidState),
 		node: NewNodeWith(NodeConfig{
 			MaxFrameSize:       cfg.MaxFrameSize,
-			MaxSlowPerConn:     cfg.MaxSlowPerConn,
 			CoalesceLimit:      cfg.CoalesceLimit,
 			CoalesceBatchBytes: cfg.CoalesceBatchBytes,
 			CoalesceSpin:       cfg.CoalesceSpin,
@@ -546,19 +534,6 @@ func (s *Server) leaseMillis() uint32 {
 	return uint32(s.cfg.LeaseTTL / time.Millisecond)
 }
 
-// sessionCredits is the advertised async credit window on the wire
-// (0 = no advertisement).
-func (s *Server) sessionCredits() uint32 {
-	switch {
-	case s.cfg.SessionCredits > 0:
-		return uint32(s.cfg.SessionCredits)
-	case s.cfg.SessionCredits == 0:
-		return DefaultSessionCredits
-	default:
-		return 0
-	}
-}
-
 func (s *Server) register() ([]byte, error) {
 	pid := s.nextPID.Add(1) - 1
 	ps := &pidState{va: dm.NewVAAllocator(s.cfg.PageSize, 1<<16, 1<<40)}
@@ -573,7 +548,6 @@ func (s *Server) register() ([]byte, error) {
 		LeaseMillis: s.leaseMillis(),
 		HasShard:    s.cfg.HasShard,
 		Shard:       s.cfg.ShardID,
-		Credits:     s.sessionCredits(),
 		// The invalidation-epoch baseline (§D15): anything the client
 		// caches from now on is covered by epoch advances piggybacked on
 		// its heartbeats.
@@ -602,7 +576,6 @@ func (s *Server) heartbeat(body []byte) ([]byte, error) {
 	}
 	return dmwire.HeartbeatResp{
 		LeaseMillis: s.leaseMillis(),
-		Credits:     s.sessionCredits(),
 		Epoch:       s.epoch.Load(),
 	}.Marshal(), nil
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/dmwire"
 )
 
 // TestStripedServerStress hammers one striped server from many clients at
@@ -169,7 +171,7 @@ func TestBatchedWriterStress(t *testing.T) {
 				for j := range stages {
 					small[j] = make([]byte, rng.Intn(2048)+1)
 					rng.Read(small[j])
-					stages[j] = cl.StageRefAsync(small[j])
+					stages[j] = cl.StageRefAtAsync(dmwire.ReplicaKeyBit|uint64(w)<<32|uint64(i*burst+j), nil, small[j])
 				}
 				for j, ar := range stages {
 					ref, err := ar.Wait()

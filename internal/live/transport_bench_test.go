@@ -90,10 +90,9 @@ func BenchmarkTransportSmallOpClosedLoop(b *testing.B) {
 }
 
 // BenchmarkTransportAsyncOpenLoop is the open-loop counterpart: a single
-// caller keeps a deep ring of WriteAsync futures in flight, so submission
-// outruns completion and ops queue behind the credit gate and coalescing
-// writer. The p99/p999 spread versus the closed-loop probe is the
-// queueing delay the credit window is meant to bound.
+// caller keeps a deep ring of rwrite futures in flight, so submission
+// outruns completion and ops queue behind the coalescing writer. The
+// p99/p999 spread versus the closed-loop probe is that queueing delay.
 func BenchmarkTransportAsyncOpenLoop(b *testing.B) {
 	const size = 4096
 	for _, depth := range []int{16, 64} {
@@ -114,7 +113,7 @@ func BenchmarkTransportAsyncOpenLoop(b *testing.B) {
 					}
 					ring = ring[1:]
 				}
-				ring = append(ring, cl.WriteAsync(a, src))
+				ring = append(ring, writeAsync(cl, a, src))
 			}
 			for _, op := range ring {
 				if err := op.Wait(); err != nil {

@@ -28,7 +28,7 @@ func TestWriteStatsComputedFieldsQuiesce(t *testing.T) {
 			}
 			ring = ring[1:]
 		}
-		ring = append(ring, cl.WriteAsync(a, src))
+		ring = append(ring, writeAsync(cl, a, src))
 	}
 	for _, op := range ring {
 		if err := op.Wait(); err != nil {

@@ -122,47 +122,3 @@ func BenchmarkLiveRPCChainCrossover(b *testing.B) {
 	// crossover must be attached here to survive into the result line.
 	b.ReportMetric(float64(crossover), "crossover-bytes")
 }
-
-// BenchmarkLiveRPCChainPipelined keeps a ring of `depth` chained requests
-// in flight via DoAsync (4 KiB payloads by ref): request i+1's staging
-// and hop traversal overlap request i's round trip, so deeper rings lift
-// aggregate chain throughput without touching the services. The gain is
-// bounded by spare cores: the chain's per-op cost on loopback is almost
-// entirely CPU (protocol work at six endpoints), so on a single-core
-// host pipelining only reclaims scheduler dead time (~1.2-1.4x) even
-// though the ring genuinely fills — BenchmarkLiveRPCChainOccupancy's
-// per-hop gauges prove every hop runs `depth` handlers at once.
-func BenchmarkLiveRPCChainPipelined(b *testing.B) {
-	dmAddr := benchDM(b)
-	const size = 4 << 10
-	for _, depth := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			d := benchChain(b, dmAddr, "ref")
-			payload := make([]byte, size)
-			apps.FillPayload(payload, uint64(size))
-			want := apps.Aggregate(payload)
-			check := func(cp *ChainPending) {
-				got, err := cp.Wait()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want {
-					b.Fatalf("sum = %d, want %d", got, want)
-				}
-			}
-			b.SetBytes(int64(size))
-			b.ResetTimer()
-			ring := make([]*ChainPending, 0, depth)
-			for i := 0; i < b.N; i++ {
-				if len(ring) == depth {
-					check(ring[0])
-					ring = ring[1:]
-				}
-				ring = append(ring, d.Client.DoAsync(payload))
-			}
-			for _, cp := range ring {
-				check(cp)
-			}
-		})
-	}
-}

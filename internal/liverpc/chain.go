@@ -63,24 +63,17 @@ func (cc *ChainClient) Close() error { return cc.caller.Close() }
 
 // Do issues one end-to-end chained request carrying payload and returns
 // the terminal service's aggregate. Large payloads are staged once and
-// the terminal consumes the staged ref, so Do releases it only when the
-// call failed (see finish).
+// the terminal consumes the staged ref. A failed call may have failed
+// before that consume, so Do releases the ref; dm.ErrBadRef from that
+// release means the consume did run, and is dropped like any other
+// release error. A successful call consumed the ref, so the backend,
+// which tracks the refs it staged for repair, is told to forget it.
 func (cc *ChainClient) Do(payload []byte) (uint64, error) {
 	arg, err := cc.caller.Stage(payload)
 	if err != nil {
 		return 0, err
 	}
 	res, err := cc.caller.Call(cc.first, ChainMethod, arg)
-	return cc.finish(arg, res, err)
-}
-
-// finish settles one request's staged argument and decodes its
-// aggregate. A failed call may have failed before the terminal's
-// consume, so the ref is released; dm.ErrBadRef from that release means
-// the consume did run, and is dropped like any other release error. A
-// successful call consumed the ref, so the backend, which tracks the
-// refs it staged for repair, is told to forget it.
-func (cc *ChainClient) finish(arg Payload, res []Payload, err error) (uint64, error) {
 	if err != nil {
 		_ = cc.caller.Release(arg)
 		return 0, err
@@ -92,38 +85,6 @@ func (cc *ChainClient) finish(arg Payload, res []Payload, err error) (uint64, er
 		return 0, fmt.Errorf("liverpc: chain returned %d payloads, want 1", len(res))
 	}
 	return res[0].AsU64()
-}
-
-// ChainPending is one in-flight pipelined chain request (see DoAsync).
-type ChainPending struct {
-	cc  *ChainClient
-	arg Payload
-	pc  *PendingCall
-	err error
-}
-
-// DoAsync starts one chained request and returns a future: the payload is
-// staged (one synchronous round trip to the DM pool when large), the call
-// ships immediately, and Wait collects the aggregate later. Keeping a few
-// requests in flight pipelines the chain — request i+1's staging and hop
-// traversal overlap request i's — which is how a real producer drives it;
-// payload must stay valid until Wait returns.
-func (cc *ChainClient) DoAsync(payload []byte) *ChainPending {
-	arg, err := cc.caller.Stage(payload)
-	if err != nil {
-		return &ChainPending{err: err}
-	}
-	return &ChainPending{cc: cc, arg: arg, pc: cc.caller.CallAsync(cc.first, ChainMethod, arg)}
-}
-
-// Wait blocks for one pipelined request's aggregate, releasing the staged
-// ref only if the call failed, as Do does. Call exactly once.
-func (cp *ChainPending) Wait() (uint64, error) {
-	if cp.err != nil {
-		return 0, cp.err
-	}
-	res, err := cp.pc.Wait()
-	return cp.cc.finish(cp.arg, res, err)
 }
 
 // ChainDeployment is an in-process deployment of the whole chain app:

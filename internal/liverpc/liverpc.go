@@ -222,11 +222,11 @@ func (c *Caller) CallOpts(addr, method string, opts CallOpts, args ...Payload) (
 	return c.issue(addr, env, opts)
 }
 
-// prepare resolves opts against the endpoint defaults, stamps the
-// deadline budget into the envelope, and builds the transport options
-// (idempotent flag or a fresh dedup token). Shared by the synchronous
-// and asynchronous issue paths.
-func (c *Caller) prepare(env *dmwire.CallEnvelope, opts CallOpts) live.CallOpts {
+// issue resolves opts against the endpoint defaults, stamps the
+// deadline budget into the envelope, sends it with the transport options
+// (idempotent flag or a fresh dedup token) and decodes the result list;
+// shared by top-level and nested (Ctx) calls.
+func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]Payload, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = c.cfg.callTimeout()
@@ -247,13 +247,6 @@ func (c *Caller) prepare(env *dmwire.CallEnvelope, opts CallOpts) live.CallOpts 
 	} else {
 		lopts.Token = c.token()
 	}
-	return lopts
-}
-
-// issue sends one envelope and decodes the result list; shared by
-// top-level and nested (Ctx) calls.
-func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]Payload, error) {
-	lopts := c.prepare(&env, opts)
 	var out []Payload
 	err := c.node.CallConsumeOpts(addr, MethodCall, env.MarshalHdr(), env.Bulk(),
 		func(resp []byte) error {

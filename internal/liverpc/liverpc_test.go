@@ -390,8 +390,7 @@ func TestRefPayloadAtDMlessEndpoint(t *testing.T) {
 // names no shard, so resolving it on a cluster backend could read
 // another shard's pages. The envelope boundary refuses it in both
 // directions: a service answers an error without running the handler or
-// touching its DM session, and a caller refuses such a result, sync and
-// async.
+// touching its DM session, and a caller refuses such a result.
 func TestUnlocatedRefRefused(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 2; i++ {
@@ -452,8 +451,5 @@ func TestUnlocatedRefRefused(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Call(ln.Addr().String(), "read"); !errors.Is(err, errUnlocatedRef) {
 		t.Fatalf("unlocated ref result: %v, want errUnlocatedRef", err)
-	}
-	if _, err := c.CallAsync(ln.Addr().String(), "read").Wait(); !errors.Is(err, errUnlocatedRef) {
-		t.Fatalf("unlocated ref async result: %v, want errUnlocatedRef", err)
 	}
 }

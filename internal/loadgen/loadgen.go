@@ -221,8 +221,6 @@ func (e *Env) SessionTotals() SessionTotals {
 		t.Timeouts += st.Timeouts
 		t.TransportErrors += st.TransportErrors
 		t.HeartbeatFailures += st.HeartbeatFailures
-		t.CreditWaits += st.CreditWaits
-		t.CreditSheds += st.CreditSheds
 		t.CacheHits += st.CacheHits
 		t.CacheMisses += st.CacheMisses
 		t.CacheAdmits += st.CacheAdmits

@@ -97,7 +97,7 @@ type shard struct {
 }
 
 // Client is a process's handle on the shard cluster: the full
-// live.Client surface (sync and async), with placements routed through
+// live.Client surface, with placements routed through
 // the ring and refs/addresses made location-aware — Ref.Server and the
 // address tag byte carry the shard ID.
 // Methods are safe for concurrent use.
@@ -470,8 +470,6 @@ func (p *Client) Stats() live.Stats {
 		sum.Timeouts += st.Timeouts
 		sum.TransportErrors += st.TransportErrors
 		sum.HeartbeatFailures += st.HeartbeatFailures
-		sum.CreditWaits += st.CreditWaits
-		sum.CreditSheds += st.CreditSheds
 	}
 	cs := p.cache.Stats()
 	sum.CacheHits += cs.Hits
@@ -630,7 +628,7 @@ func (p *Client) FreeRef(ref dm.Ref) error {
 // least one copy lands.
 func (p *Client) StageRef(data []byte) (dm.Ref, error) {
 	if p.replicaFactor() > 1 {
-		return p.stageReplicatedAsync(data, 0).Wait()
+		return p.stageReplicated(p.mintKey(), data, 0)
 	}
 	return p.StageRefKeyed(p.cursor.Add(1), data)
 }
@@ -643,7 +641,7 @@ func (p *Client) StageRef(data []byte) (dm.Ref, error) {
 // own minted cluster key instead.
 func (p *Client) StageRefKeyed(key uint64, data []byte) (dm.Ref, error) {
 	if p.replicaFactor() > 1 {
-		return p.stageReplicatedAsync(data, 0).Wait()
+		return p.stageReplicated(p.mintKey(), data, 0)
 	}
 	s, err := p.route(key)
 	if err != nil {
@@ -670,7 +668,7 @@ func (p *Client) ReadRef(ref dm.Ref, off int64, dst []byte) error {
 // cached Buf's bytes are shared with other readers and must be treated
 // as read-only (which leased bytes always are).
 func (p *Client) ReadRefLease(ref dm.Ref, off, size int64) (*live.Buf, error) {
-	return p.readLease(ref, nil, off, size, noShard)
+	return p.readLease(ref, nil, off, size)
 }
 
 // cacheKey keys a located ref by (nominal primary shard, ref key); the

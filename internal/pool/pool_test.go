@@ -200,46 +200,6 @@ func TestPoolAllocWriteReadFree(t *testing.T) {
 	checkAllInvariants(t, srvs)
 }
 
-// TestPoolAsyncPipelines drives the async surface: a burst of staged
-// futures, then async reads back, all located.
-func TestPoolAsyncPipelines(t *testing.T) {
-	srvs, p := startCluster(t, 2, smallShard(), Config{})
-	const burst = 16
-	body := bytes.Repeat([]byte{7}, 8192)
-	pend := make([]*AsyncRef, burst)
-	for i := range pend {
-		pend[i] = p.StageRefAsync(body)
-	}
-	refs := make([]dm.Ref, burst)
-	for i, ar := range pend {
-		ref, err := ar.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[i] = ref
-	}
-	reads := make([]*AsyncOp, burst)
-	bufs := make([][]byte, burst)
-	for i, ref := range refs {
-		bufs[i] = make([]byte, len(body))
-		reads[i] = p.ReadRefAsync(ref, 0, bufs[i])
-	}
-	for i, op := range reads {
-		if err := op.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bufs[i], body) {
-			t.Fatalf("async read %d wrong bytes", i)
-		}
-	}
-	for _, ref := range refs {
-		if err := p.FreeRef(ref); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkAllInvariants(t, srvs)
-}
-
 // TestPoolShardIDVerification pins the registration safety check: a pool
 // whose server list disagrees with the servers' announced shard IDs must
 // refuse to register.

@@ -44,10 +44,6 @@ var readEntryPoints = []struct {
 		defer b.Release()
 		return bytes.Clone(b.Bytes()), nil
 	}},
-	{"ReadRefAsync", func(p *Client, ref dm.Ref, off, n int64) ([]byte, error) {
-		dst := make([]byte, n)
-		return dst, p.ReadRefAsync(ref, off, dst).Wait()
-	}},
 }
 
 // TestReadEntryPointsAgree pins the one-read-path contract: whichever

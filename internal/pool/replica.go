@@ -248,12 +248,12 @@ func failoverWorthy(err error) bool {
 // ReadRefFrom is ReadRef with explicit replica hints (e.g. the shard
 // list carried by a located call arg from another process).
 func (p *Client) ReadRefFrom(ref dm.Ref, hints []uint32, off int64, dst []byte) error {
-	return p.readInto(ref, hints, off, dst, noShard)
+	return p.readInto(ref, hints, off, dst)
 }
 
 // ReadRefLeaseFrom is ReadRefLease with explicit replica hints.
 func (p *Client) ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
-	return p.readLease(ref, hints, off, size, noShard)
+	return p.readLease(ref, hints, off, size)
 }
 
 // registryLocate is the last-resort resolution for a located ref that
@@ -289,8 +289,8 @@ func (p *Client) registryLocate(key uint64) []uint32 {
 }
 
 // readInto is the copying read: the leased read plus the one copy.
-func (p *Client) readInto(ref dm.Ref, hints []uint32, off int64, dst []byte, skip uint32) error {
-	b, err := p.readLease(ref, hints, off, int64(len(dst)), skip)
+func (p *Client) readInto(ref dm.Ref, hints []uint32, off int64, dst []byte) error {
+	b, err := p.readLease(ref, hints, off, int64(len(dst)))
 	if err != nil {
 		return err
 	}
@@ -299,29 +299,23 @@ func (p *Client) readInto(ref dm.Ref, hints []uint32, off int64, dst []byte, ski
 	return nil
 }
 
-// noShard is readLease's skip argument when no shard has been tried yet;
-// no shard ID reaches it (the address tag byte caps a cluster at 256).
-const noShard = ^uint32(0)
-
 // readLease is the pool's one by-ref read: every entry point — copying
-// or leased, hinted or not, sync or an async read's fallback — ends
-// here. A freed-ref tombstone fails the read in one map lookup instead
-// of probing every replica (§D16). A whole-object read is served through
-// the hot-ref cache when enabled (§D15) — checked before shard routing,
-// so a hit costs no RPC at all and returns the cached Buf retained; a
-// miss runs one wire read under singleflight and offers it for
-// admission. Only whole-object reads are cached, so one cached Buf
-// satisfies every repeat reader without range bookkeeping. skip names a
-// shard the caller already tried (noShard for none). The caller must
-// Release the returned Buf exactly once.
-func (p *Client) readLease(ref dm.Ref, hints []uint32, off, size int64, skip uint32) (*live.Buf, error) {
+// or leased, hinted or not — ends here. A freed-ref tombstone fails the
+// read in one map lookup instead of probing every replica (§D16). A
+// whole-object read is served through the hot-ref cache when enabled
+// (§D15) — checked before shard routing, so a hit costs no RPC at all
+// and returns the cached Buf retained; a miss runs one wire read under
+// singleflight and offers it for admission. Only whole-object reads are
+// cached, so one cached Buf satisfies every repeat reader without range
+// bookkeeping. The caller must Release the returned Buf exactly once.
+func (p *Client) readLease(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
 	key := p.cacheKey(ref)
 	if p.cache.Denied(key) {
 		return nil, dm.ErrBadRef
 	}
 	if p.cache != nil && off == 0 && size > 0 && size == ref.Size {
 		b, err := p.cache.GetOrLoad(key, size, time.Duration(p.cacheTTL.Load()),
-			func() (*live.Buf, error) { return p.readFailover(ref, hints, 0, size, skip) })
+			func() (*live.Buf, error) { return p.readFailover(ref, hints, 0, size) })
 		if err == nil && int64(b.Len()) != size {
 			// The entry was cached under this key at another size: a ref
 			// (refs arrive off the wire) whose Size is not what was staged.
@@ -331,28 +325,25 @@ func (p *Client) readLease(ref dm.Ref, hints []uint32, off, size int64, skip uin
 		}
 		return b, err
 	}
-	return p.readFailover(ref, hints, off, size, skip)
+	return p.readFailover(ref, hints, off, size)
 }
 
 // readFailover is readLease's wire path (also the cache loader, which is
 // why it must not consult the cache itself).
-func (p *Client) readFailover(ref dm.Ref, hints []uint32, off, size int64, skip uint32) (*live.Buf, error) {
-	b, _, err := p.failover(ref, p.candidates(ref, hints), skip, func(cl *live.Client) (*live.Buf, error) {
+func (p *Client) readFailover(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
+	b, _, err := p.failover(ref, p.candidates(ref, hints), func(cl *live.Client) (*live.Buf, error) {
 		return cl.ReadRefLease(ref, off, size)
 	})
 	return b, err
 }
 
 // failover runs one leased read of ref — op against a shard's session —
-// on cands in failover order, skipping skip, and returns the first
-// success with the shard that served it. Everything but a deterministic
-// range violation fails over to the next candidate.
-func (p *Client) failover(ref dm.Ref, cands []uint32, skip uint32, op func(*live.Client) (*live.Buf, error)) (*live.Buf, uint32, error) {
+// on cands in failover order, and returns the first success with the
+// shard that served it. Everything but a deterministic range violation
+// fails over to the next candidate.
+func (p *Client) failover(ref dm.Ref, cands []uint32, op func(*live.Client) (*live.Buf, error)) (*live.Buf, uint32, error) {
 	var lastErr error
 	for _, id := range cands {
-		if id == skip {
-			continue
-		}
 		b, err := p.onShard(id, ref, op)
 		if err == nil {
 			return b, id, nil
@@ -421,7 +412,7 @@ func (p *Client) consume(ref dm.Ref, hints []uint32) (*live.Buf, error) {
 		return s.cl.ConsumeRefLease(ref)
 	}
 	cands := p.candidates(ref, hints)
-	b, served, err := p.failover(ref, cands, noShard, func(cl *live.Client) (*live.Buf, error) {
+	b, served, err := p.failover(ref, cands, func(cl *live.Client) (*live.Buf, error) {
 		return cl.ConsumeRefLease(ref)
 	})
 	if err != nil {
@@ -492,58 +483,42 @@ func (p *Client) freeOn(ids []uint32, ref dm.Ref) error {
 // rare, but the loop must terminate).
 const maxStageAttempts = 3
 
-// repStage is an in-flight replicated stage: one minted key, one
-// pipelined MStageAt fan-out to the key's ring successors.
-type repStage struct {
-	p       *Client
-	key     uint64
-	data    []byte
-	attempt int
-	targets []uint32
-	futs    []*live.AsyncRef
-}
-
-// stageReplicatedAsync mints a cluster key and starts the fan-out; the
-// returned AsyncRef's Wait collects the copies and tracks the ref. Under
-// RegistryHandoff every stage_at carries the target list, so each copy
-// lands together with its shard's epoch-1 directory entry (§D16) and the
-// handoff costs no exchange of its own.
-func (p *Client) stageReplicatedAsync(data []byte, attempt int) *AsyncRef {
-	key := p.mintKey()
+// stageReplicated stages data under key on the key's R ring
+// successors. Every stage_at is started before any is waited on, so R
+// copies cost one round trip, not R. Under RegistryHandoff every
+// stage_at carries the target list, so each copy lands together with
+// its shard's epoch-1 directory entry (§D16) and the handoff costs no
+// exchange of its own. The stage succeeds when at least one copy lands
+// (missing replicas are handed to the repairer); a key collision frees
+// what landed and retries under a fresh key.
+func (p *Client) stageReplicated(key uint64, data []byte, attempt int) (dm.Ref, error) {
 	targets := p.ring.Successors(key, p.replicaFactor())
 	if len(targets) == 0 {
-		return &AsyncRef{err: ErrNoShards}
+		return dm.Ref{}, ErrNoShards
 	}
 	var entry []uint32
 	if p.cfg.RegistryHandoff {
 		entry = targets
 	}
-	rs := &repStage{p: p, key: key, data: data, attempt: attempt, targets: targets}
-	rs.futs = make([]*live.AsyncRef, len(targets))
-	for i, id := range targets {
-		s, err := p.byID(id)
-		if err != nil {
-			continue
+	var buf [4]*live.AsyncRef
+	futs := buf[:0]
+	for _, id := range targets {
+		var f *live.AsyncRef
+		if s, err := p.byID(id); err == nil {
+			f = s.cl.StageRefAtAsync(key, entry, data)
 		}
-		rs.futs[i] = s.cl.StageRefAtAsync(key, entry, data)
+		futs = append(futs, f)
 	}
-	return &AsyncRef{rep: rs}
-}
-
-// wait collects the fan-out. The stage succeeds when at least one copy
-// lands (missing replicas are handed to the repairer); a key collision
-// frees what landed and retries under a fresh key.
-func (rs *repStage) wait() (dm.Ref, error) {
 	var placed []uint32
 	var collided bool
 	var lastErr error
-	for i, f := range rs.futs {
+	for i, f := range futs {
 		if f == nil {
 			continue
 		}
 		switch _, err := f.Wait(); {
 		case err == nil:
-			placed = append(placed, rs.targets[i])
+			placed = append(placed, targets[i])
 		case errors.Is(err, dm.ErrRefExists):
 			collided = true
 		default:
@@ -554,11 +529,11 @@ func (rs *repStage) wait() (dm.Ref, error) {
 		// Another client owns this key. Roll back our copies (and the
 		// directory entries they carried) and re-mint. Best effort: the
 		// collision itself is a one-in-2^63 draw.
-		_ = rs.p.freeOn(placed, dm.Ref{Key: rs.key, Size: int64(len(rs.data))})
-		if rs.attempt+1 >= maxStageAttempts {
+		_ = p.freeOn(placed, dm.Ref{Key: key, Size: int64(len(data))})
+		if attempt+1 >= maxStageAttempts {
 			return dm.Ref{}, dm.ErrRefExists
 		}
-		return rs.p.stageReplicatedAsync(rs.data, rs.attempt+1).Wait()
+		return p.stageReplicated(p.mintKey(), data, attempt+1)
 	}
 	if len(placed) == 0 {
 		if lastErr == nil {
@@ -566,21 +541,21 @@ func (rs *repStage) wait() (dm.Ref, error) {
 		}
 		return dm.Ref{}, lastErr
 	}
-	ref := dm.Ref{Server: placed[0], Key: rs.key, Size: int64(len(rs.data))}
+	ref := dm.Ref{Server: placed[0], Key: key, Size: int64(len(data))}
 	// Under RegistryHandoff each copy landed with its directory entry, so
 	// a fully placed ref is already cluster-owned.
-	partial := len(placed) < len(rs.targets)
+	partial := len(placed) < len(targets)
 	epoch := uint64(1)
-	if partial && rs.p.cfg.RegistryHandoff {
+	if partial && p.cfg.RegistryHandoff {
 		// The entries name targets that hold nothing, and equal epochs
 		// are first-writer-wins: correct them at epoch 2 (the repairer's
 		// later flip lands at 3).
 		epoch = 2
-		rs.p.regPublish(registry.Entry{Key: rs.key, Size: ref.Size, Epoch: epoch, Replicas: placed})
+		p.regPublish(registry.Entry{Key: key, Size: ref.Size, Epoch: epoch, Replicas: placed})
 	}
-	rs.p.track(rs.key, ref.Size, placed, epoch)
+	p.track(key, ref.Size, placed, epoch)
 	if partial {
-		rs.p.kickRepair() // born under-replicated
+		p.kickRepair() // born under-replicated
 	}
 	return ref, nil
 }

@@ -2,10 +2,12 @@ package pool
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/dm"
 	"repro/internal/dmwire"
+	"repro/internal/live"
 )
 
 // TestReplicatedStagePlacement pins the R=2 placement invariant: every
@@ -102,8 +104,8 @@ func TestReplicatedStagePlacement(t *testing.T) {
 
 // TestReplicatedReadFailover pins read failover without any network
 // fault: the primary's copy is deleted shard-direct, after which
-// ReadRef, ReadRefLease and ReadRefAsync must all serve from the
-// surviving replica and count the failovers.
+// ReadRef and ReadRefLease must both serve from the surviving replica
+// and count the failovers.
 func TestReplicatedReadFailover(t *testing.T) {
 	srvs, p := startCluster(t, 3, smallShard(), Config{ReplicaFactor: 2, RepairInterval: -1})
 	body := bytes.Repeat([]byte{0x3e}, 8192)
@@ -136,20 +138,13 @@ func TestReplicatedReadFailover(t *testing.T) {
 		t.Fatal("failover lease read returned wrong bytes")
 	}
 	b.Release()
-	clear(got)
-	if err := p.ReadRefAsync(ref, 0, got).Wait(); err != nil {
-		t.Fatalf("failover async read: %v", err)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatal("failover async read returned wrong bytes")
-	}
 
-	if n := p.FailoverReads(); n != 3 {
-		t.Fatalf("FailoverReads = %d, want 3", n)
+	if n := p.FailoverReads(); n != 2 {
+		t.Fatalf("FailoverReads = %d, want 2", n)
 	}
 	secondary := reps[1]
-	if n := p.ReplicaStats()[secondary].FailoverReads; n != 3 {
-		t.Fatalf("shard %d served %d failover reads, want 3", secondary, n)
+	if n := p.ReplicaStats()[secondary].FailoverReads; n != 2 {
+		t.Fatalf("shard %d served %d failover reads, want 2", secondary, n)
 	}
 
 	// FreeRef still succeeds: the surviving copy is released.
@@ -182,6 +177,74 @@ func TestReplicatedSingleShardDegrades(t *testing.T) {
 	}
 	if err := p.FreeRef(ref); err != nil {
 		t.Fatal(err)
+	}
+	checkAllInvariants(t, srvs)
+}
+
+// TestStageReplicatedKeyCollision: a minted key that another session
+// already owns on one of its target shards collides there, so the stage
+// frees the copy that landed on the other target, re-mints, and returns
+// a ref under a fresh key; the foreign ref stays intact, and freeing
+// both leaves every shard as it started.
+func TestStageReplicatedKeyCollision(t *testing.T) {
+	srvs, p := startCluster(t, 3, smallShard(),
+		Config{ReplicaFactor: 2, RegistryHandoff: true, RepairInterval: -1, RejoinPoll: -1})
+	base := make([]int, len(srvs))
+	for i, srv := range srvs {
+		base[i] = srv.FreePages()
+	}
+
+	key := p.mintKey()
+	targets := p.ring.Successors(key, 2)
+	if len(targets) != 2 {
+		t.Fatalf("targets %v, want 2", targets)
+	}
+	other, err := live.Dial(p.cfg.Shards[targets[1]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.Register(); err != nil {
+		t.Fatal(err)
+	}
+	foreignBody := []byte("owned by another session")
+	foreign, err := other.StageRefAtAsync(key, nil, foreignBody).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body := bytes.Repeat([]byte{0x5c}, 8192)
+	ref, err := p.stageReplicated(key, body, 0)
+	if err != nil {
+		t.Fatalf("stage over a colliding key: %v", err)
+	}
+	if ref.Key == key || ref.Key&dmwire.ReplicaKeyBit == 0 {
+		t.Fatalf("ref key %#x, want a fresh cluster key other than %#x", ref.Key, key)
+	}
+	got := make([]byte, len(body))
+	if err := p.ReadRef(ref, 0, got); err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("re-minted ref read back %v", err)
+	}
+	// The copy that landed on the non-colliding target was rolled back.
+	lost := dm.Ref{Key: key, Size: int64(len(body))}
+	if err := p.shards[targets[0]].cl.ReadRef(lost, 0, got); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("rolled-back copy on shard %d: %v, want ErrBadRef", targets[0], err)
+	}
+	fgot := make([]byte, len(foreignBody))
+	if err := other.ReadRef(foreign, 0, fgot); err != nil || !bytes.Equal(fgot, foreignBody) {
+		t.Fatalf("foreign ref after the collision: %q, %v", fgot, err)
+	}
+
+	if err := p.FreeRef(ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.FreeRef(foreign); err != nil {
+		t.Fatal(err)
+	}
+	for i, srv := range srvs {
+		if free := srv.FreePages(); free != base[i] {
+			t.Errorf("shard %d: %d free pages, baseline %d", i, free, base[i])
+		}
 	}
 	checkAllInvariants(t, srvs)
 }
