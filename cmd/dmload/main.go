@@ -34,7 +34,11 @@ import (
 	"repro/internal/loadgen"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run drives every scenario, writes the report, and returns the exit
+// status: 1 when an operation failed in a run with no fault armed.
+func run() int {
 	launch := flag.Int("launch", 0, "launch an in-process cluster with this many shards (0 = attach via -shards)")
 	shards := flag.String("shards", "", "comma-separated dmserverd addresses to attach to (shard ID = position)")
 	pages := flag.Int("pages", 1<<14, "pool pages per launched shard")
@@ -165,6 +169,10 @@ func main() {
 		rep.Env = append(rep.Env, fmt.Sprintf("dmload-fault: join-shard join-at=%s", *joinAt))
 	}
 
+	// Failed operations fail the run unless a fault was armed, when some
+	// errors are the expected cost of the crash or the join.
+	faulted := *killShard >= 0 || *joinShard
+	var failed int64
 	for _, name := range strings.Split(*scenarios, ",") {
 		var s loadgen.Scenario
 		switch strings.TrimSpace(name) {
@@ -201,6 +209,7 @@ func main() {
 		}
 		printResult(res)
 		loadgen.Append(&rep, res)
+		failed += res.Errors
 	}
 
 	if *out == "" {
@@ -209,12 +218,17 @@ func main() {
 			log.Fatal(err)
 		}
 		os.Stdout.Write(append(b, '\n'))
-		return
+	} else {
+		if err := rep.WriteFile(*out); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "dmload: wrote %s\n", *out)
 	}
-	if err := rep.WriteFile(*out); err != nil {
-		log.Fatal(err)
+	if failed > 0 && !faulted {
+		fmt.Fprintf(os.Stderr, "dmload: %d operations failed with no fault armed\n", failed)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "dmload: wrote %s\n", *out)
+	return 0
 }
 
 // scheduleFault arms the kill/restart timers against the launched

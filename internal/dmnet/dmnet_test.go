@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dm"
+	"repro/internal/dmwire"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -755,4 +756,59 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAdoptRefMovesKey: adopt_ref on the simulated server gives the live
+// server's result — the bytes read back under the new key, the old key
+// is dead to reads, frees and a second adopt, and no page moves.
+func TestAdoptRefMovesKey(t *testing.T) {
+	r := newRig(t, 1, 1, nil)
+	srv := r.servers[0]
+	start := srv.FreePages()
+	r.run(t, func(p *sim.Proc) error {
+		data := bytes.Repeat([]byte("adopted!"), 1000)
+		ref, err := r.c1.StageRef(p, data)
+		if err != nil {
+			return err
+		}
+		staged := srv.FreePages()
+		adopt := func(key uint64) (uint64, error) {
+			resp, err := r.c2.node.Call(p, r.addrs[0], MAdoptRef,
+				dmwire.AdoptRefReq{PID: r.c2.pids[0], Key: key}.Marshal())
+			if err != nil {
+				return 0, fromAppError(err)
+			}
+			rk, err := dmwire.UnmarshalRefKeyResp(resp)
+			return rk.Key, err
+		}
+		key, err := adopt(ref.Key)
+		if err != nil {
+			return err
+		}
+		if key == ref.Key {
+			t.Fatalf("adopt kept key %d", key)
+		}
+		if got := srv.FreePages(); got != staged {
+			t.Errorf("adopt moved pages: %d free, want %d", got, staged)
+		}
+		own := dm.Ref{Key: key, Size: ref.Size}
+		got := make([]byte, len(data))
+		if err := r.c2.ReadRef(p, own, 0, got); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("read under new key: %v", err)
+		}
+		if err := r.c1.ReadRef(p, ref, 0, got); !errors.Is(err, dm.ErrBadRef) {
+			t.Errorf("read under old key: %v", err)
+		}
+		if _, err := adopt(ref.Key); !errors.Is(err, dm.ErrBadRef) {
+			t.Errorf("second adopt: %v", err)
+		}
+		if err := r.c1.FreeRef(p, ref); !errors.Is(err, dm.ErrBadRef) {
+			t.Errorf("free of old key: %v", err)
+		}
+		return r.c2.FreeRef(p, own)
+	})
+	if got := srv.FreePages(); got != start {
+		t.Fatalf("pages leaked: %d free, started %d", got, start)
+	}
+	r.checkInvariants(t)
 }

@@ -29,6 +29,8 @@ const (
 	MReadRef   = dmwire.MReadRef
 	// MConsumeRef is read_ref and free_ref in one exchange.
 	MConsumeRef = dmwire.MConsumeRef
+	// MAdoptRef moves a ref to a new key in one exchange.
+	MAdoptRef = dmwire.MAdoptRef
 )
 
 // toAppError maps shared dm errors onto wire statuses.

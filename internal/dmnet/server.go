@@ -1,6 +1,7 @@
 package dmnet
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dm"
@@ -108,6 +109,7 @@ func NewServer(h *simnet.Host, port int, id uint32, cfg ServerConfig) *Server {
 	s.node.Handle(MStage, s.handleStage)
 	s.node.Handle(MReadRef, s.handleReadRef)
 	s.node.Handle(MConsumeRef, s.handleConsumeRef)
+	s.node.Handle(MAdoptRef, s.handleAdoptRef)
 	return s
 }
 
@@ -501,6 +503,43 @@ func (s *Server) handleConsumeRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	}
 	return out, nil
 }
+
+// handleAdoptRef republishes a ref under a new key, as the live server's
+// adopt_ref does: the old key dies, no frame is copied and no refcount
+// moves. The simulated server keeps neither ref owners nor a directory,
+// so ownership passes with the key alone and the replica list is unused.
+func (s *Server) handleAdoptRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
+	req, err := dmwire.UnmarshalAdoptRefReq(body)
+	if err != nil {
+		return nil, err
+	}
+	if req.NewKey != 0 && req.NewKey&dmwire.ReplicaKeyBit == 0 {
+		return nil, toAppError(errAdoptKeySpace)
+	}
+	if _, err := s.va(req.PID); err != nil {
+		return nil, toAppError(err)
+	}
+	ctx.P.Sleep(s.cfg.TranslateTime)
+	ref, ok := s.refs[req.Key]
+	if !ok {
+		return nil, toAppError(dm.ErrBadRef)
+	}
+	key := req.NewKey
+	if key == 0 {
+		key = s.nextRefKey
+		s.nextRefKey++
+	}
+	if _, dup := s.refs[key]; dup {
+		return nil, toAppError(dm.ErrRefExists)
+	}
+	delete(s.refs, req.Key)
+	s.refs[key] = ref
+	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
+}
+
+// errAdoptKeySpace rejects a caller-chosen adopt_ref key that could
+// collide with the server's own counter-minted keys.
+var errAdoptKeySpace = errors.New("dmnet: adopt_ref key outside replica key space")
 
 // CheckInvariants validates the page manager's bookkeeping:
 //

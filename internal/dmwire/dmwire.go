@@ -67,6 +67,13 @@ const (
 	// the read payload; a range error frees nothing. It is neither
 	// tokened nor retried, so a lost response surfaces as an error.
 	MConsumeRef
+	// MAdoptRef moves a ref to the caller in one exchange: the old key is
+	// retired and the same frames are republished under a new key owned
+	// by the caller's PID. No frame is copied and no refcount moves. The
+	// body is an AdoptRefReq and the response a RefKeyResp naming the new
+	// key. Of racing adopts, consumes and frees of one key exactly one
+	// wins; the losers answer StatusBadRef.
+	MAdoptRef
 )
 
 // ReplicaKeyBit partitions the ref-key space: keys minted by a server's
@@ -320,7 +327,8 @@ func UnmarshalCreateRefReq(b []byte) (CreateRefReq, error) {
 	return r, d.Err()
 }
 
-// RefKeyResp is the body of a successful MCreateRef or MStage response.
+// RefKeyResp is the body of a successful MCreateRef, MStage, MStageAt
+// or MAdoptRef response.
 type RefKeyResp struct {
 	Key uint64
 }
@@ -531,4 +539,44 @@ func UnmarshalReadRefReq(b []byte) (ReadRefReq, error) {
 	d := rpc.NewDec(b)
 	r := ReadRefReq{Key: d.U64(), Off: d.U32(), Size: d.U32()}
 	return r, d.Err()
+}
+
+// AdoptRefReq is the body of an MAdoptRef request: move the ref under
+// Key to PID, republishing it under NewKey. NewKey 0 lets the server
+// mint the key from its own counter; otherwise it is a pool-minted key
+// (ReplicaKeyBit set), and a non-empty Replicas list records its epoch-1
+// directory entry together with the move, as MStageAt does.
+//
+//	PID u32 | Key u64 | NewKey u64 | nreps u8 | Replicas u32 x n
+type AdoptRefReq struct {
+	PID      uint32
+	Key      uint64
+	NewKey   uint64
+	Replicas []uint32
+}
+
+// Marshal encodes the request body.
+func (r AdoptRefReq) Marshal() []byte {
+	e := rpc.NewEnc(4 + 8 + 8 + 1 + 4*len(r.Replicas))
+	encodeReplicas(e.U32(r.PID).U64(r.Key).U64(r.NewKey), r.Replicas)
+	return e.Bytes()
+}
+
+// UnmarshalAdoptRefReq decodes the request body; trailing bytes are
+// rejected.
+func UnmarshalAdoptRefReq(b []byte) (AdoptRefReq, error) {
+	d := rpc.NewDec(b)
+	r := AdoptRefReq{PID: d.U32(), Key: d.U64(), NewKey: d.U64()}
+	reps, err := decodeReplicas(d)
+	if err == nil {
+		err = d.Err()
+	}
+	if err == nil && len(d.Remaining()) != 0 {
+		err = errBodyForm
+	}
+	if err != nil {
+		return AdoptRefReq{}, err
+	}
+	r.Replicas = reps
+	return r, nil
 }

@@ -248,3 +248,28 @@ func TestStageAtReqForms(t *testing.T) {
 		t.Fatalf("over-long list: %d replicas, %v", len(got.Replicas), err)
 	}
 }
+
+// TestAdoptRefReqForms pins adopt_ref's one wire form: the body
+// round-trips with and without a replica list, and every truncation and
+// any trailing byte is refused.
+func TestAdoptRefReqForms(t *testing.T) {
+	for _, reps := range [][]uint32{nil, {0, 2}} {
+		req := AdoptRefReq{PID: 5, Key: ReplicaKeyBit | 7, NewKey: ReplicaKeyBit | 8, Replicas: reps}
+		b := req.Marshal()
+		if want := 4 + 8 + 8 + 1 + 4*len(reps); len(b) != want {
+			t.Fatalf("%d replicas: %d-byte body, want %d", len(reps), len(b), want)
+		}
+		got, err := UnmarshalAdoptRefReq(b)
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("%d replicas: round trip %+v, %v", len(reps), got, err)
+		}
+		for i := 0; i < len(b); i++ {
+			if _, err := UnmarshalAdoptRefReq(b[:i]); err == nil {
+				t.Fatalf("%d replicas: %d-byte truncation accepted", len(reps), i)
+			}
+		}
+		if _, err := UnmarshalAdoptRefReq(append(b, 0)); err == nil {
+			t.Fatalf("%d replicas: trailing byte accepted", len(reps))
+		}
+	}
+}

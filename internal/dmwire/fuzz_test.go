@@ -44,6 +44,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(19), RegSyncResp{}.Marshal())
 	f.Add(uint8(19), RegSyncReq{AfterKey: ReplicaKeyBit, Limit: 256}.Marshal())
 	f.Add(uint8(19), RegGetReq{Key: ReplicaKeyBit | 9}.Marshal())
+	f.Add(uint8(20), AdoptRefReq{PID: 1, Key: 9}.Marshal())
+	f.Add(uint8(20), AdoptRefReq{PID: 1, Key: ReplicaKeyBit | 9, NewKey: ReplicaKeyBit | 10, Replicas: []uint32{0, 2}}.Marshal())
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		check := func(name string, reenc []byte, err error) {
 			t.Helper()
@@ -54,7 +56,7 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("%s: accepted body does not round-trip", name)
 			}
 		}
-		switch which % 20 {
+		switch which % 21 {
 		case 0:
 			r, err := UnmarshalRegisterResp(body)
 			check("RegisterResp", r.Marshal(), err)
@@ -119,6 +121,9 @@ func FuzzUnmarshal(f *testing.F) {
 			check("RegSyncReq", q.Marshal(), err)
 			g, err := UnmarshalRegGetReq(body)
 			check("RegGetReq", g.Marshal(), err)
+		case 20:
+			r, err := UnmarshalAdoptRefReq(body)
+			check("AdoptRefReq", r.Marshal(), err)
 		}
 	})
 }

@@ -92,8 +92,8 @@ func (op *AsyncOp) Wait() error {
 	return op.p.wait(op.consume)
 }
 
-// AsyncRef is an in-flight StageRefAtAsync; Wait must be called exactly
-// once and yields the staged ref.
+// AsyncRef is an in-flight StageRefAtAsync or AdoptRefAsync; Wait must
+// be called exactly once and yields the staged or adopted ref.
 type AsyncRef struct {
 	op   AsyncOp
 	size int64
@@ -117,10 +117,27 @@ func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *A
 		op: AsyncOp{
 			p: cl.node.callAsync(cl.addr, dmwire.MStageAt,
 				dmwire.StageAtReq{PID: pid, Key: key, Replicas: replicas}.MarshalHdr(), data, cl.mutOpts()),
-			consume: func(resp []byte) error {
-				_, err := dmwire.UnmarshalRefKeyResp(resp)
-				return err
-			},
+			consume: checkRefKeyResp,
+		},
+	}
+}
+
+// AdoptRefAsync starts moving ref to this session under the
+// caller-chosen newKey (see AdoptRef) and returns a future for the
+// adopted ref: the pool's replicated adopt issues one per copy before
+// waiting on any.
+func (cl *Client) AdoptRefAsync(ref dm.Ref, newKey uint64, replicas []uint32) *AsyncRef {
+	pid, err := cl.session()
+	if err != nil {
+		return &AsyncRef{op: AsyncOp{err: err}}
+	}
+	return &AsyncRef{
+		size: ref.Size,
+		key:  newKey,
+		op: AsyncOp{
+			p: cl.node.callAsync(cl.addr, dmwire.MAdoptRef,
+				dmwire.AdoptRefReq{PID: pid, Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil, cl.mutOpts()),
+			consume: checkRefKeyResp,
 		},
 	}
 }
@@ -136,7 +153,13 @@ func (cl *Client) FreeRefAsync(ref dm.Ref) *AsyncOp {
 		dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, cl.mutOpts())}
 }
 
-// Wait blocks for the staging result.
+// checkRefKeyResp validates a stage_at or adopt_ref response body.
+func checkRefKeyResp(resp []byte) error {
+	_, err := dmwire.UnmarshalRefKeyResp(resp)
+	return err
+}
+
+// Wait blocks for the staging or adoption result.
 func (ar *AsyncRef) Wait() (dm.Ref, error) {
 	if err := ar.op.Wait(); err != nil {
 		return dm.Ref{}, err

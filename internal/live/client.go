@@ -696,6 +696,26 @@ func (cl *Client) FreeRef(ref dm.Ref) error {
 	return cl.node.CallConsumeOpts(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil, cl.mutOpts())
 }
 
+// AdoptRef moves ref to this session in one exchange (adopt_ref): the
+// server retires ref's key and republishes the same frames under a new
+// key owned by this session's PID, which it returns in the ref. newKey 0
+// lets the server mint the key; otherwise it must carry
+// dmwire.ReplicaKeyBit, and non-empty replicas record its epoch-1
+// directory entry with the move. The old key is dead afterwards. The
+// call is tokened and retried like CreateRef: its 8-byte response is all
+// a retry replays.
+func (cl *Client) AdoptRef(ref dm.Ref, newKey uint64, replicas []uint32) (dm.Ref, error) {
+	pid, err := cl.session()
+	if err != nil {
+		return dm.Ref{}, err
+	}
+	key, err := cl.callRefKey(dmwire.MAdoptRef, dmwire.AdoptRefReq{PID: pid, Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil)
+	if err != nil {
+		return dm.Ref{}, err
+	}
+	return dm.Ref{Key: key, Size: ref.Size}, nil
+}
+
 // checkWireRange validates that off and size fit the protocol's u32
 // fields before they are narrowed — the failure mode it prevents is a
 // silently truncated offset or length corrupting the request into a

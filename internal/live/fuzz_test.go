@@ -53,6 +53,10 @@ func FuzzServerDispatch(f *testing.F) {
 		PID: 0, Key: dmwire.ReplicaKeyBit | 1, Replicas: []uint32{0, 1}, Data: []byte("hi"),
 	}.Marshal())
 	f.Add(uint16(dmwire.MConsumeRef), dmwire.ReadRefReq{Key: 0, Size: 16}.Marshal())
+	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{PID: 0, Key: 0}.Marshal())
+	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{
+		PID: 0, Key: dmwire.ReplicaKeyBit | 1, NewKey: dmwire.ReplicaKeyBit | 2, Replicas: []uint32{0, 1},
+	}.Marshal())
 	f.Fuzz(func(t *testing.T, m uint16, body []byte) {
 		s := NewServer(ServerConfig{NumPages: 16, PageSize: 512})
 		s.register()

@@ -175,17 +175,6 @@ func TestStageAtCarriesDirectoryEntry(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	reap := func(cl *Client) {
-		t.Helper()
-		srv.pidMu.RLock()
-		ps := srv.pids[cl.pid]
-		srv.pidMu.RUnlock()
-		ps.lease.Store(1) // long expired
-		srv.reapPID(cl.pid, ps, false)
-		if _, err := srv.pidState(cl.pid); err == nil {
-			t.Fatal("non-forced reap of an expired lease did not run")
-		}
-	}
 
 	// Owned: staged with its replica set, then the producer is reaped
 	// before it could send anything else. Its count-0 sibling is swept.
@@ -206,7 +195,7 @@ func TestStageAtCarriesDirectoryEntry(t *testing.T) {
 	if _, ok := srv.Registry().Get(swept); ok {
 		t.Fatal("count-0 stage_at recorded a directory entry")
 	}
-	reap(producer)
+	reapNow(t, srv, producer)
 	consumer := dialClient(t, addr)
 	dst := make([]byte, len(payload))
 	if err := consumer.ReadRef(ref, 0, dst); err != nil || string(dst) != string(payload) {

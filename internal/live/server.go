@@ -327,6 +327,7 @@ func NewServer(cfg ServerConfig) *Server {
 		dmwire.MMapRef, dmwire.MFreeRef, dmwire.MRead, dmwire.MWrite,
 		dmwire.MStage, dmwire.MReadRef, dmwire.MHeartbeat, dmwire.MStageAt,
 		dmwire.MRegPut, dmwire.MRegGet, dmwire.MRegSync, dmwire.MConsumeRef,
+		dmwire.MAdoptRef,
 	} {
 		m := m
 		// DM operations are short and never block on other RPCs, so they
@@ -435,6 +436,8 @@ func (s *Server) handle(m rpc.Method, body []byte) ([]byte, error) {
 		return s.readRef(body)
 	case dmwire.MConsumeRef:
 		return s.consumeRef(body)
+	case dmwire.MAdoptRef:
+		return s.adoptRef(body)
 	case dmwire.MHeartbeat:
 		return s.heartbeat(body)
 	case dmwire.MRegPut:
@@ -1177,6 +1180,82 @@ func (s *Server) consumeRef(body []byte) ([]byte, error) {
 	s.releaseFrames(ref.frames)
 	s.epoch.Add(1)
 	return out, nil
+}
+
+// adoptRef moves a ref to the caller in one exchange (MAdoptRef): the
+// entry leaves its old key and is republished, with the same frames and
+// holds, under a new key owned by the adopting PID, so the ref outlives
+// its producer's lease reap and dies with the adopter's. The move runs
+// under the adopter's shared ps.mu (a reaped adopter adopts nothing, as
+// in stageAt) and under both keys' ref-shard write locks, so of racing
+// adopts, consumes and frees of the old key exactly one wins. The old
+// key's directory entry is retired, and a request carrying replicas
+// records the new key's epoch-1 entry in the same locked section.
+func (s *Server) adoptRef(body []byte) ([]byte, error) {
+	req, err := dmwire.UnmarshalAdoptRefReq(body)
+	if err != nil {
+		return nil, err
+	}
+	// A caller-chosen key comes from the pool-minted half of the key
+	// space, and only such keys have directory entries.
+	if (req.NewKey != 0 || len(req.Replicas) > 0) && req.NewKey&dmwire.ReplicaKeyBit == 0 {
+		return nil, errStageAtKeySpace
+	}
+	ps, err := s.pidState(req.PID)
+	if err != nil {
+		return nil, err
+	}
+	ps.mu.RLock()
+	defer ps.mu.RUnlock()
+	if ps.gone {
+		return nil, dm.ErrBadAddress
+	}
+	newKey := req.NewKey
+	if newKey == 0 {
+		newKey = s.nextKey.Add(1) - 1
+	}
+	osh, nsh := s.refShardOf(req.Key), s.refShardOf(newKey)
+	s.lockRefPair(req.Key, newKey)
+	ref, ok := osh.m[req.Key]
+	if !ok {
+		s.unlockRefPair(req.Key, newKey)
+		return nil, dm.ErrBadRef
+	}
+	if _, dup := nsh.m[newKey]; dup {
+		s.unlockRefPair(req.Key, newKey)
+		return nil, dm.ErrRefExists
+	}
+	delete(osh.m, req.Key)
+	s.retireDirEntry(req.Key)
+	if len(req.Replicas) > 0 {
+		s.reg.Put(registry.Entry{Key: newKey, Size: ref.size, Epoch: 1, Replicas: req.Replicas})
+	}
+	// The owner is read only under the shard lock (the reaper's sweep);
+	// readers that found the entry under the old key use frames and size.
+	ref.owner = req.PID
+	nsh.m[newKey] = ref
+	s.unlockRefPair(req.Key, newKey)
+	s.epoch.Add(1)
+	return dmwire.RefKeyResp{Key: newKey}.Marshal(), nil
+}
+
+// lockRefPair write-locks the ref stripes of keys a and b (once when
+// they share one) in stripe order, so two movers never deadlock.
+func (s *Server) lockRefPair(a, b uint64) {
+	i, j := a&(refShardCount-1), b&(refShardCount-1)
+	s.refs[min(i, j)].mu.Lock()
+	if i != j {
+		s.refs[max(i, j)].mu.Lock()
+	}
+}
+
+// unlockRefPair releases what lockRefPair(a, b) took.
+func (s *Server) unlockRefPair(a, b uint64) {
+	i, j := a&(refShardCount-1), b&(refShardCount-1)
+	if i != j {
+		s.refs[max(i, j)].mu.Unlock()
+	}
+	s.refs[min(i, j)].mu.Unlock()
 }
 
 // copyOut copies [off, off+size) of a ref's frames into a pooled

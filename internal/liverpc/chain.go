@@ -63,23 +63,12 @@ func (cc *ChainClient) Close() error { return cc.caller.Close() }
 
 // Do issues one end-to-end chained request carrying payload and returns
 // the terminal service's aggregate. Large payloads are staged once and
-// the terminal consumes the staged ref. A failed call may have failed
-// before that consume, so Do releases the ref; dm.ErrBadRef from that
-// release means the consume did run, and is dropped like any other
-// release error. A successful call consumed the ref, so the backend,
-// which tracks the refs it staged for repair, is told to forget it.
+// the terminal consumes the staged ref, so Do releases it only when the
+// call failed (see Caller.handOff).
 func (cc *ChainClient) Do(payload []byte) (uint64, error) {
-	arg, err := cc.caller.Stage(payload)
+	res, err := cc.caller.handOff(cc.first, ChainMethod, payload)
 	if err != nil {
 		return 0, err
-	}
-	res, err := cc.caller.Call(cc.first, ChainMethod, arg)
-	if err != nil {
-		_ = cc.caller.Release(arg)
-		return 0, err
-	}
-	if arg.IsRef() {
-		cc.caller.dm.Forget(arg.Ref())
 	}
 	if len(res) != 1 {
 		return 0, fmt.Errorf("liverpc: chain returned %d payloads, want 1", len(res))

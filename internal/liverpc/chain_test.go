@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/dm"
 	"repro/internal/live"
 	"repro/internal/pool"
 )
@@ -158,28 +159,165 @@ func TestSocialNetComposeAndRead(t *testing.T) {
 	}
 }
 
-// TestSocialNetAdoptSurvivesComposerCrash is the ownership-handoff proof:
-// storage adopts composed media under its own DM session, so a post
-// remains readable after the composing client dies without cleanup and
-// the lease reaper collects its session.
-func TestSocialNetAdoptSurvivesComposerCrash(t *testing.T) {
-	ttl := 100 * time.Millisecond
-	srv, dmAddr := startDM(t, live.ServerConfig{
-		NumPages: 256, PageSize: 4096,
-		LeaseTTL: ttl, DrainTimeout: 100 * time.Millisecond,
-	})
-	dep := deploySocialNet(t, dmAddr, Config{InlineThreshold: 256})
-
-	// Composer with heartbeats disabled: once it stops calling, its lease
-	// silently expires — a crash as far as the server can tell.
-	pcfg := pool.Config{Shards: []string{dmAddr}}
-	pcfg.Client.HeartbeatInterval = -1
-	cdm, err := newSession(pcfg)
+// TestComposeMakesTwoDMCalls: a by-ref compose costs the whole
+// deployment two DM calls — the composer's stage and storage's adopt —
+// and leaves exactly storage's ref per post.
+func TestComposeMakesTwoDMCalls(t *testing.T) {
+	srv, dmAddr := startDM(t, smallDM())
+	cfg := Config{InlineThreshold: 256}
+	var sess []*pool.Client
+	dep, err := DeploySocialNetWith(func() (DM, error) {
+		p, err := newSession(pool.Config{Shards: []string{dmAddr}})
+		if err == nil {
+			sess = append(sess, p)
+		}
+		return p, err
+	}, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	composer := NewCaller(cdm, Config{InlineThreshold: 256})
+	defer dep.Close()
+	cdm := dialDM(t, dmAddr)
+	sess = append(sess, cdm)
+	cl := NewSocialNetClient(cdm, dep.Frontend, cfg)
+	defer cl.Close()
+	calls := func() (n int64) {
+		for _, p := range sess {
+			n += p.Stats().Calls
+		}
+		return n
+	}
+	media := make([]byte, 8<<10)
+	apps.FillMedia(media, 5)
+	const n = 8
+	before := calls()
+	for i := 0; i < n; i++ {
+		if _, err := cl.Compose(media); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := calls() - before; got != 2*n {
+		t.Fatalf("%d composes made %d DM calls across the deployment, want %d", n, got, 2*n)
+	}
+	if refs := srv.LiveRefs(); refs != n {
+		t.Fatalf("LiveRefs after %d composes = %d, want %d (storage's)", n, refs, n)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
 
+// TestComposeFailureAfterAdopt: a hop fails after storage adopted the
+// media. The composer sees the failure and releases its staged ref,
+// which finds the key dead and is harmless; storage's ref is the only
+// one left and the post reads back.
+func TestComposeFailureAfterAdopt(t *testing.T) {
+	srv, dmAddr := startDM(t, smallDM())
+	cfg := Config{InlineThreshold: 256}
+	storage := serveService(t, newSNStorage(dialDM(t, dmAddr), cfg))
+	front := NewService("front", dialDM(t, dmAddr), cfg)
+	front.Handle(SNCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		if _, err := ctx.Call(storage, SNStore, args...); err != nil {
+			return nil, err
+		}
+		return nil, errors.New("front failed after the store")
+	})
+	front.Handle(SNRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(storage, SNFetch, args...)
+	})
+	cl := NewSocialNetClient(dialDM(t, dmAddr), serveService(t, front), cfg)
+	defer cl.Close()
+	baseLeases := live.LeasedBufs()
+
+	media := make([]byte, 8<<10)
+	apps.FillMedia(media, 9)
+	if _, err := cl.Compose(media); err == nil {
+		t.Fatal("compose succeeded through a failing hop")
+	}
+	if n := srv.LiveRefs(); n != 1 {
+		t.Fatalf("LiveRefs after the failed compose = %d, want 1 (storage's)", n)
+	}
+	got, err := cl.ReadHome(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !bytes.Equal(got[0], media) {
+		t.Fatalf("post after the failed compose: %d posts", len(got))
+	}
+	if n := live.LeasedBufs(); n != baseLeases {
+		t.Fatalf("LeasedBufs = %d, baseline %d", n, baseLeases)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSocialNetAdoptSurvivesComposerCrash is the ownership-handoff proof,
+// at one copy and at two: storage adopts composed media under its own
+// DM session, so every copy sits under the new key, the composer's key
+// is dead on every shard, the post remains readable after the composing
+// client dies without cleanup and the lease reaper collects its session,
+// and the copies go only when storage's own session is reaped.
+func TestSocialNetAdoptSurvivesComposerCrash(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) { testAdoptSurvivesComposerCrash(t, r) })
+	}
+}
+
+func testAdoptSurvivesComposerCrash(t *testing.T, r int) {
+	ttl := 100 * time.Millisecond
+	srvs := make([]*live.Server, r)
+	addrs := make([]string, r)
+	baseFree := make([]int, r)
+	for i := range srvs {
+		srvs[i], addrs[i] = startDM(t, live.ServerConfig{
+			NumPages: 256, PageSize: 4096,
+			LeaseTTL: ttl, DrainTimeout: 100 * time.Millisecond,
+		})
+		baseFree[i] = srvs[i].FreePages()
+	}
+	// waitRefs polls until every shard holds want refs.
+	waitRefs := func(want int, deadline time.Time) {
+		t.Helper()
+		for {
+			ok := true
+			for _, srv := range srvs {
+				ok = ok && srv.LiveRefs() == want
+			}
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				for i, srv := range srvs {
+					t.Errorf("shard %d: LiveRefs %d, want %d", i, srv.LiveRefs(), want)
+				}
+				t.FailNow()
+			}
+			time.Sleep(ttl / 4)
+		}
+	}
+	cfg := Config{InlineThreshold: 256}
+	pcfg := pool.Config{Shards: addrs, ReplicaFactor: r}
+	dep, err := DeploySocialNetWith(func() (DM, error) { return newSession(pcfg) }, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depOpen := true
+	defer func() {
+		if depOpen {
+			dep.Close()
+		}
+	}()
+
+	// Composer with heartbeats disabled: once it stops calling, its lease
+	// silently expires — a crash as far as the servers can tell.
+	ccfg := pcfg
+	ccfg.Client.HeartbeatInterval = -1
+	cdm, err := newSession(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	composer := NewCaller(cdm, cfg)
 	media := make([]byte, 16*1024) // well above the threshold: travels by ref
 	apps.FillMedia(media, 42)
 	arg, err := composer.Stage(media)
@@ -189,35 +327,27 @@ func TestSocialNetAdoptSurvivesComposerCrash(t *testing.T) {
 	if !arg.IsRef() {
 		t.Fatal("media did not stage by ref")
 	}
+	// A second staged ref the composer never hands off: its sweep is
+	// how the test sees the composer's reap happen.
+	if _, err := composer.Stage(media); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := composer.Call(dep.Frontend, SNCompose, arg); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: drop the transport without releasing the staged ref. The
-	// composer's own hold dies with its lease; storage's adopted hold on
-	// the same frames must not.
+	// Crash: drop the transport without releasing anything.
 	composer.Close()
 	cdm.Close()
-
-	// Wait for the reaper to collect the composer's session: its staged
-	// ref disappears, leaving exactly storage's adopted ref live.
 	deadline := time.Now().Add(20 * ttl)
-	for time.Now().Before(deadline) {
-		if srv.LiveRefs() == 1 {
-			break
-		}
-		time.Sleep(ttl / 4)
-	}
-	if n := srv.LiveRefs(); n != 1 {
-		t.Fatalf("LiveRefs after composer reap = %d, want 1 (storage's adopted ref)", n)
-	}
+	waitRefs(1, deadline)
 
-	rdm := dialDM(t, dmAddr)
-	reader := NewSocialNetClient(rdm, dep.Frontend, Config{InlineThreshold: 256})
-	defer reader.Close()
-	var got [][]byte
-	for time.Now().Before(deadline) {
-		got, err = reader.ReadHome(0, 1)
-		if err == nil {
+	reader := dialPool(t, pcfg)
+	rc := NewCaller(reader, cfg)
+	defer rc.Close()
+	var res []Payload
+	for {
+		res, err = rc.CallOpts(dep.Frontend, SNRead, CallOpts{Idempotent: true}, snParams(0, 1))
+		if err == nil || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(ttl / 4)
@@ -225,10 +355,47 @@ func TestSocialNetAdoptSurvivesComposerCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read after composer crash: %v", err)
 	}
-	if len(got) != 1 || !bytes.Equal(got[0], media) {
-		t.Fatalf("post corrupted after composer reap: got %d posts", len(got))
+	if len(res) != 1 || !res[0].IsRef() {
+		t.Fatalf("timeline page %v, want one ref post", res)
 	}
-	if err := srv.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	own := res[0].Ref()
+	if own.Key == arg.Ref().Key {
+		t.Fatal("storage kept the composer's key")
+	}
+	got, err := rc.Fetch(res[0])
+	if err != nil || !bytes.Equal(got, media) {
+		t.Fatalf("post after composer reap: %v", err)
+	}
+	// Every copy is under the new key; the composer's key is dead on
+	// every shard.
+	for i, addr := range addrs {
+		shard, err := live.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shard.Close()
+		if err := shard.Register(); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, len(media))
+		if err := shard.ReadRef(own, 0, buf); err != nil || !bytes.Equal(buf, media) {
+			t.Fatalf("shard %d: copy under the new key: %v", i, err)
+		}
+		if err := shard.ReadRef(arg.Ref(), 0, buf); !errors.Is(err, dm.ErrBadRef) {
+			t.Fatalf("shard %d: composer's key answered %v, want ErrBadRef", i, err)
+		}
+	}
+	// The copies are storage's: reaping the deployment's sessions frees
+	// them, and every frame comes home.
+	dep.Close()
+	depOpen = false
+	waitRefs(0, time.Now().Add(20*ttl))
+	for i, srv := range srvs {
+		if free := srv.FreePages(); free != baseFree[i] {
+			t.Fatalf("shard %d: FreePages %d after storage's reap, want %d", i, free, baseFree[i])
+		}
+		if err := srv.CheckInvariants(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 
 // TestMidChainCrashReclaimsRefs is the liverpc chaos test: a 3-service
 // chain where the middle service adopts (takes DM ownership of) every
-// payload it forwards, then dies abruptly while holding those refs and
+// payload and forwards the adopted ref, then dies abruptly while holding
+// those refs and
 // while the client's network is misbehaving. The server's lease reaper
 // must reclaim every frame the dead service held within a few TTLs —
 // refcount conservation (D6) and lease-reaping (D8) hold end to end
@@ -40,8 +41,9 @@ func TestMidChainCrashReclaimsRefs(t *testing.T) {
 	})
 	tailAddr := serveService(t, tail)
 
-	// Mid: adopts every payload (accumulating ref holds it never frees,
-	// as a caching tier would) before forwarding the original.
+	// Mid: adopts every payload (accumulating refs it never frees, as a
+	// caching tier would) and forwards what it adopted: the producer's
+	// key is dead once mid owns the ref.
 	mdm, err := newSession(pool.Config{Shards: []string{dmAddr}})
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +51,12 @@ func TestMidChainCrashReclaimsRefs(t *testing.T) {
 	var held atomic.Int32
 	mid := NewService("mid", mdm, cfg)
 	mid.Handle("sum", func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		if _, err := ctx.Adopt(args[0]); err != nil {
+		own, err := ctx.Adopt(args[0])
+		if err != nil {
 			return nil, err
 		}
 		held.Add(1)
-		return ctx.Call(tailAddr, "sum", args...)
+		return ctx.Call(tailAddr, "sum", own)
 	})
 	midLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -104,7 +107,7 @@ func TestMidChainCrashReclaimsRefs(t *testing.T) {
 	if held.Load() != 6 {
 		t.Fatalf("mid adopted %d refs, want 6", held.Load())
 	}
-	if srv.LiveRefs() != 6 { // client released its stages; only mid's holds remain
+	if srv.LiveRefs() != 6 { // mid adopted every stage; only its refs remain
 		t.Fatalf("LiveRefs before crash = %d, want 6", srv.LiveRefs())
 	}
 

@@ -12,12 +12,11 @@
 // Ownership model: whoever stages a payload owns its ref and releases it
 // (Caller.Release) once the call chain no longer needs it, unless a
 // consumer that is the payload's last reader takes the release over by
-// consuming it (Ctx.Consume: read and free in one exchange) — then the
-// producer releases only if the call failed, when the consume may not
-// have run; a consumer that wants the data to outlive the producer's
-// session re-owns it under its own PID (Adopt), so per-frame refcounts
-// keep the pages alive and a crashed producer's lease reap cannot take
-// them away (DESIGN.md §D9).
+// consuming it (Ctx.Consume: read and free in one exchange) or adopting
+// it (Ctx.Adopt: the ref moves under the consumer's own PID in one
+// exchange, so a crashed producer's lease reap cannot take it away) —
+// then the producer releases only if the call failed, when the consume
+// or adopt may not have run (DESIGN.md §D9).
 package liverpc
 
 import (
@@ -47,13 +46,12 @@ type DM interface {
 	Replicas(ref dm.Ref) []uint32
 	ReadRefLeaseFrom(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error)
 	ConsumeRefLeaseFrom(ref dm.Ref, hints []uint32) (*live.Buf, error)
+	AdoptRefFrom(ref dm.Ref, hints []uint32) (dm.Ref, error)
 	FreeRef(ref dm.Ref) error
 	// Forget stops the backend tracking a ref that another endpoint
-	// freed (a consumed chain argument), so repair never revives it.
+	// freed or adopted (a consumed chain argument, composed media), so
+	// repair never revives it.
 	Forget(ref dm.Ref)
-	MapRef(ref dm.Ref) (dm.RemoteAddr, error)
-	CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error)
-	Free(addr dm.RemoteAddr) error
 	Close() error
 }
 
@@ -200,6 +198,30 @@ func (c *Caller) FetchLease(p Payload) (*live.Buf, error) {
 // Release drops a staged payload's ref hold. Inline payloads are no-ops.
 func (c *Caller) Release(p Payload) error {
 	return release(c.dm, p)
+}
+
+// handOff calls method at addr with data, staged by size, as the first
+// argument and extra after it, for a callee that takes the staged ref
+// over by consuming or adopting it. A failed call may have failed before
+// that takeover, so handOff then releases the ref; dm.ErrBadRef from the
+// release means the takeover did run, and is dropped like any other
+// release error. After a successful call the backend, which tracks the
+// refs it staged for repair, is told to forget the ref.
+func (c *Caller) handOff(addr, method string, data []byte, extra ...Payload) ([]Payload, error) {
+	arg, err := c.Stage(data)
+	if err != nil {
+		return nil, err
+	}
+	var buf [2]Payload // room for every caller's args without a heap slice
+	res, err := c.Call(addr, method, append(append(buf[:0], arg), extra...)...)
+	if err != nil {
+		_ = c.Release(arg)
+		return nil, err
+	}
+	if arg.IsRef() {
+		c.dm.Forget(arg.Ref())
+	}
+	return res, nil
 }
 
 // Call invokes method at addr with args and default options.
@@ -430,14 +452,13 @@ func (c *Ctx) Consume(p Payload) (*live.Buf, error) { return consume(c.Svc.calle
 // Release drops a staged payload's ref hold (see Caller.Release).
 func (c *Ctx) Release(p Payload) error { return release(c.Svc.caller.dm, p) }
 
-// Adopt re-owns a ref payload under this service's session: the shared
-// frames are mapped on the shard that stores them (taking this PID's own
-// per-frame holds), re-shared as a fresh ref, and the private mapping
-// released. The returned payload survives the original producer's death
-// or lease reap — this is the ownership-handoff primitive for consumers
-// that persist data beyond the call (e.g. a storage service keeping a
-// composed post). Inline payloads are copied (they alias a transport
-// buffer).
+// Adopt moves a ref payload under this service's session in one
+// exchange (adopt_ref) and returns it under its new key: the ownership
+// handoff for consumers that keep data beyond the call (a storage
+// service keeping a composed post), which then survives the producer's
+// death or lease reap. As with Consume, the argument's key is dead
+// afterwards and the producer must not release it again. Inline
+// payloads are copied (they alias a transport buffer).
 func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	if !p.IsRef() {
 		return Inline(append([]byte(nil), p.Inline()...)), nil
@@ -446,19 +467,11 @@ func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	if dmc == nil {
 		return Payload{}, errNoDM
 	}
-	addr, err := dmc.MapRef(p.Ref())
+	own, err := dmc.AdoptRefFrom(p.Ref(), p.Replicas())
 	if err != nil {
 		return Payload{}, err
 	}
-	own, err := dmc.CreateRef(addr, p.Ref().Size)
-	if err != nil {
-		dmc.Free(addr)
-		return Payload{}, err
-	}
-	if err := dmc.Free(addr); err != nil {
-		return Payload{}, err
-	}
-	return ByRef(own, nil), nil
+	return ByRef(own, dmc.Replicas(own)), nil
 }
 
 // fetch reads a payload's bytes: inline aliased, refs as fetchLease plus

@@ -13,14 +13,14 @@ import (
 // read-user-timeline paths through a frontend data mover, with post
 // media as size-aware payloads. On compose, the media payload crosses
 // frontend → compose → storage; with pass-by-reference only the staged
-// ref travels and storage *adopts* it (re-owns the shared frames under
-// its own DM session), so the post survives the composing client's exit
-// or crash — the ownership-handoff half of the paper's argument. On
-// read, storage returns a page of posts; by-ref timelines unwind as
-// descriptors and the reader fetches media straight from the DM server,
-// never through the service chain. The user-timeline tier filters the
-// same store by author, exercising a second read path with a different
-// storage access pattern.
+// ref travels and storage *adopts* it (the ref moves under storage's own
+// DM session in one exchange), so the post survives the composing
+// client's exit or crash — the ownership-handoff half of the paper's
+// argument. On read, storage returns a page of posts; by-ref timelines
+// unwind as descriptors and the reader fetches media straight from the
+// DM server, never through the service chain. The user-timeline tier
+// filters the same store by author, exercising a second read path with
+// a different storage access pattern.
 
 // SocialNet method names.
 const (
@@ -62,9 +62,10 @@ func decodeSNUserParams(p Payload) (uint64, uint64, uint16, error) {
 }
 
 // newSNStorage deploys the post-storage service: it adopts incoming
-// media (taking ownership under its own DM session) and serves pages of
-// posts back to timeline reads — the whole store for home timelines,
-// one author's posts for user timelines.
+// media (the composer's ref moves under storage's own DM session, and
+// the composer's key dies) and serves pages of posts back to timeline
+// reads — the whole store for home timelines, one author's posts for
+// user timelines.
 func newSNStorage(dmc DM, cfg Config) *Service {
 	s := NewService("sn-storage", dmc, cfg)
 	var mu sync.Mutex
@@ -83,8 +84,9 @@ func newSNStorage(dmc DM, cfg Config) *Service {
 			user = u
 		}
 		// Adopt before publishing: inline media is copied out of the
-		// transport buffer, ref media is re-owned via map_ref+create_ref
-		// so the composer's session can die without losing the post.
+		// transport buffer, ref media moves to storage's session in one
+		// adopt_ref, so the composer's session can die without losing
+		// the post.
 		own, err := ctx.Adopt(args[0])
 		if err != nil {
 			return nil, err
@@ -291,15 +293,10 @@ func (c *SocialNetClient) Compose(media []byte) (uint64, error) {
 }
 
 // ComposeAs publishes one post authored by user and returns its id.
-// Large media is staged once; storage adopts it, so the client's own ref
-// hold is released as soon as the call returns.
+// Large media is staged once and storage adopts the staged ref, so the
+// client releases it only when the call failed (see Caller.handOff).
 func (c *SocialNetClient) ComposeAs(user uint64, media []byte) (uint64, error) {
-	arg, err := c.caller.Stage(media)
-	if err != nil {
-		return 0, err
-	}
-	defer c.caller.Release(arg)
-	res, err := c.caller.Call(c.frontend, SNCompose, arg, U64(user))
+	res, err := c.caller.handOff(c.frontend, SNCompose, media, U64(user))
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/dm"
 	"repro/internal/live"
 	"repro/internal/liverpc"
 )
@@ -40,7 +41,8 @@ func dialPool(t *testing.T, addrs []string) *Client {
 // a caller stages a large argument through its pool (producing a
 // located payload on the wire), a service with its OWN pool session
 // fetches it by shard ID, adopts it, and serves it back later — the
-// full Ctx.Fetch/Ctx.Adopt path over located refs.
+// full Ctx.Fetch/Ctx.Adopt path over located refs. The adopt moves the
+// ref, so the producer's later release finds its key dead.
 func TestLiverpcOverPool(t *testing.T) {
 	const k = 3
 	srvs := make([]*live.Server, k)
@@ -93,9 +95,10 @@ func TestLiverpcOverPool(t *testing.T) {
 	if n, err := res[0].AsU64(); err != nil || n != uint64(len(big)) {
 		t.Fatalf("put returned (%d, %v)", n, err)
 	}
-	// Producer drops its ref; the adopted copy must survive.
-	if err := caller.Release(arg); err != nil {
-		t.Fatal(err)
+	// Storage took the ref over: the producer's release answers
+	// ErrBadRef, and the adopted payload must survive it.
+	if err := caller.Release(arg); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("producer release after adopt: %v, want dm.ErrBadRef", err)
 	}
 	res, err = caller.Call(addr, "get")
 	if err != nil {

@@ -424,10 +424,97 @@ func (p *Client) consume(ref dm.Ref, hints []uint32) (*live.Buf, error) {
 	return b, nil
 }
 
+// AdoptRefFrom moves ref to this session (adopt_ref): every copy is
+// republished under a new key owned by this session's PID on its shard,
+// so the returned ref survives the producer's lease reap and dies with
+// this session's. ref's key is dead afterwards, and its cache key is
+// tombstoned whatever the outcome. A single-copy ref moves in one
+// exchange on its shard. A replicated one is adopted under one freshly
+// minted key on every candidate shard in one fan-out. It succeeds when
+// at least one copy moved; the old key is then freed on every candidate
+// that failed for another reason than holding no copy, and the new key
+// is tracked at the shards that moved theirs — off its ring placement,
+// which the rebalancer restores as after a migration (DESIGN.md §D16).
+func (p *Client) AdoptRefFrom(ref dm.Ref, hints []uint32) (dm.Ref, error) {
+	defer p.cache.Deny(p.cacheKey(ref), time.Duration(p.cacheTTL.Load()))
+	if ref.Key&dmwire.ReplicaKeyBit != 0 {
+		return p.adoptReplicated(ref, hints)
+	}
+	s, err := p.byID(ref.Server)
+	if err != nil {
+		return dm.Ref{}, err
+	}
+	own, err := s.cl.AdoptRef(ref, 0, nil)
+	if err != nil {
+		return dm.Ref{}, err
+	}
+	own.Server = s.id
+	return own, nil
+}
+
+func (p *Client) adoptReplicated(ref dm.Ref, hints []uint32) (dm.Ref, error) {
+	cands := p.candidates(ref, hints)
+	key := p.mintKey()
+	var entry []uint32
+	if p.cfg.RegistryHandoff {
+		entry = cands
+	}
+	var buf [4]*live.AsyncRef
+	futs := buf[:0]
+	for _, id := range cands {
+		var f *live.AsyncRef
+		if s, err := p.byID(id); err == nil {
+			f = s.cl.AdoptRefAsync(ref, key, entry)
+		}
+		futs = append(futs, f)
+	}
+	var adopted, rest []uint32
+	var lastErr error
+	for i, f := range futs {
+		if f == nil {
+			continue
+		}
+		switch _, err := f.Wait(); {
+		case err == nil:
+			adopted = append(adopted, cands[i])
+		case errors.Is(err, dm.ErrBadRef):
+			// this shard holds no copy
+		default:
+			// A transport failure or a key collision: the shard may still
+			// hold its copy under the old key.
+			lastErr = err
+			rest = append(rest, cands[i])
+		}
+	}
+	if len(adopted) == 0 {
+		if lastErr == nil {
+			lastErr = dm.ErrBadRef
+		}
+		return dm.Ref{}, lastErr
+	}
+	p.untrack(ref.Key)
+	if len(rest) > 0 {
+		_ = p.freeOn(rest, ref) // the adopt stands; a copy this misses dies with its producer's session
+	}
+	own := dm.Ref{Server: adopted[0], Key: key, Size: ref.Size}
+	epoch := uint64(1)
+	if p.cfg.RegistryHandoff && len(adopted) < len(cands) {
+		// The entries name candidates that moved nothing: correct them at
+		// epoch 2, as a partially placed stage does.
+		epoch = 2
+		p.regPublish(registry.Entry{Key: key, Size: own.Size, Epoch: epoch, Replicas: adopted})
+	}
+	p.track(key, own.Size, adopted, epoch)
+	if len(adopted) < p.replicaFactor() {
+		p.kickRepair()
+	}
+	return own, nil
+}
+
 // Forget drops a replicated ref from this client's repair set without
 // touching the wire: for a ref this client staged that another process
-// consumed, so the repairer does not keep maintaining a ref that no
-// longer exists.
+// consumed or adopted, so the repairer does not keep maintaining a ref
+// that no longer exists under its key.
 func (p *Client) Forget(ref dm.Ref) {
 	if ref.Key&dmwire.ReplicaKeyBit != 0 {
 		p.untrack(ref.Key)
