@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check depguard size test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport bench-diff pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
+.PHONY: all build vet check depguard size test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -22,12 +22,12 @@ check: vet depguard
 # Dependency guard: the DM server binary must not link the simulated
 # stack's argument layer. internal/live imported internal/core only for a
 # superseded Arg shim; this keeps it from coming back. (sim, simnet,
-# transport and rpc still ride in through internal/dm — ROADMAP item 4.)
+# transport and rpc still ride in through internal/dm — ROADMAP item 7a.)
 depguard:
 	@if $(GO) list -deps ./cmd/dmserverd | grep -qx 'repro/internal/core'; then \
 		echo 'depguard: cmd/dmserverd links repro/internal/core' >&2; exit 1; fi
 
-# The two size numbers ROADMAP item 2 tracks (and every CHANGES.md line
+# The two size numbers ROADMAP item 6 tracks (and every CHANGES.md line
 # records): non-test lines and exported declarations of the live stack.
 size:
 	@$(GO) run scripts/size.go internal/live internal/pool internal/liverpc internal/dmwire
@@ -77,16 +77,6 @@ bench-liverpc:
 # cache-path nor migration-path regression can slip out of the record.
 bench-pool:
 	$(GO) test -run '^$$' -bench 'BenchmarkPool' -benchtime=2s -benchmem ./internal/pool | $(GO) run ./cmd/benchjson -require-extra 'BenchmarkPoolRepair:repair-secs,BenchmarkPoolRepair:under-replicated-max,BenchmarkPoolZipfRead:hit-rate,BenchmarkPoolZipfRead:p50-ns,BenchmarkPoolZipfRead:p99-ns,BenchmarkPoolRebalance:migrate-secs,BenchmarkPoolRebalance:moved-bytes,BenchmarkPoolRebalance:remap-frac-after' -out BENCH_pool.json
-
-# Diff two benchfmt perf records and fail on >10% regressions in the
-# named metrics — run a fresh bench-pool to a scratch file, then compare
-# it against the checked-in baseline:
-#   make bench-diff OLD=BENCH_pool.json NEW=/tmp/BENCH_pool.json
-# With no arguments it compares BENCH_pool.json with itself, which only
-# proves the tool still parses the committed record.
-bench-diff:
-	$(GO) run ./cmd/benchdiff -metrics ns_per_op,mb_per_sec,hit-rate,p99-ns,repair-secs,migrate-secs \
-		$(or $(OLD),BENCH_pool.json) $(or $(NEW),$(or $(OLD),BENCH_pool.json))
 
 # Transport latency-distribution benchmarks (eRPC-lean path): closed-loop
 # and open-loop probes plus the copy-vs-lease delivery comparison. Every

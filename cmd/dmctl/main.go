@@ -455,7 +455,6 @@ type poolCacheDoc struct {
 type poolCounters struct {
 	Calls             int64 `json:"calls"`
 	Retries           int64 `json:"retries"`
-	DedupReplays      int64 `json:"dedup_replays"`
 	Failures          int64 `json:"failures"`
 	Timeouts          int64 `json:"timeouts"`
 	TransportErrors   int64 `json:"transport_errors"`
@@ -494,7 +493,6 @@ func poolCountersOf(st live.Stats, lat stats.Summary) poolCounters {
 	return poolCounters{
 		Calls:             st.Calls,
 		Retries:           st.Retries,
-		DedupReplays:      st.DedupReplays,
 		Failures:          st.Failures,
 		Timeouts:          st.Timeouts,
 		TransportErrors:   st.TransportErrors,
@@ -583,12 +581,12 @@ func cmdPoolStats(p *pool.Client, args []string) {
 		return
 	}
 
-	fmt.Printf("aggregate: calls=%d retries=%d dedup_replays=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d p50=%s p99=%s\n",
-		agg.Calls, agg.Retries, agg.DedupReplays, agg.Failures, agg.Timeouts, agg.TransportErrors,
+	fmt.Printf("aggregate: calls=%d retries=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d p50=%s p99=%s\n",
+		agg.Calls, agg.Retries, agg.Failures, agg.Timeouts, agg.TransportErrors,
 		agg.HeartbeatFailures, stats.Dur(lat.P50), stats.Dur(lat.P99))
 	for id, st := range shardStats {
-		fmt.Printf("  shard %d: calls=%d retries=%d dedup_replays=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d p50=%s p99=%s\n",
-			id, st.Calls, st.Retries, st.DedupReplays, st.Failures, st.Timeouts, st.TransportErrors,
+		fmt.Printf("  shard %d: calls=%d retries=%d failures=%d timeouts=%d transport_errors=%d heartbeat_failures=%d p50=%s p99=%s\n",
+			id, st.Calls, st.Retries, st.Failures, st.Timeouts, st.TransportErrors,
 			st.HeartbeatFailures, stats.Dur(shardLat[id].P50), stats.Dur(shardLat[id].P99))
 	}
 	for addr, consec := range p.SessionHealth() {

@@ -64,8 +64,7 @@ const (
 	// MConsumeRef fuses MReadRef and MFreeRef: it reads a ref and frees it
 	// in one exchange, so the last reader of a ref drops it without a
 	// wire call of its own. The body is a ReadRefReq and the response is
-	// the read payload; a range error frees nothing. It is neither
-	// tokened nor retried, so a lost response surfaces as an error.
+	// the read payload; a range error frees nothing.
 	MConsumeRef
 	// MAdoptRef moves a ref to the caller in one exchange: the old key is
 	// retired and the same frames are republished under a new key owned
@@ -94,7 +93,13 @@ const (
 	// StatusRefExists reports an MStageAt key collision: the server
 	// already holds a ref under the requested key.
 	StatusRefExists = 6
+	// StatusStale refuses a late duplicate whose session stamp is below
+	// its slot's last one; it is never run again.
+	StatusStale = 7
 )
+
+// ErrStale is the error a StatusStale refusal maps to.
+var ErrStale = errors.New("dmwire: stale request refused: its session slot has moved on")
 
 // StatusOf maps the shared dm errors onto wire statuses.
 func StatusOf(err error) byte {
@@ -111,6 +116,8 @@ func StatusOf(err error) byte {
 		return StatusRange
 	case dm.ErrRefExists:
 		return StatusRefExists
+	case ErrStale:
+		return StatusStale
 	default:
 		return StatusErr
 	}
@@ -132,6 +139,8 @@ func ErrOf(status byte, msg string) error {
 		return dm.ErrOutOfRange
 	case StatusRefExists:
 		return dm.ErrRefExists
+	case StatusStale:
+		return ErrStale
 	default:
 		return &rpc.AppError{Status: status, Msg: msg}
 	}
@@ -232,33 +241,6 @@ func UnmarshalHeartbeatResp(b []byte) (HeartbeatResp, error) {
 	d := rpc.NewDec(b)
 	r := HeartbeatResp{LeaseMillis: d.U32(), Epoch: d.U64()}
 	return r, d.Err()
-}
-
-// TokenSize is the wire width of a dedup Token.
-const TokenSize = 16
-
-// Token identifies one logical mutation for at-most-once retry
-// deduplication: CID is a client-chosen random identity stable across
-// reconnects, Seq a per-client monotonic sequence number. A retried
-// non-idempotent request carries the same Token as the original, so a
-// server that already executed it replays the recorded response instead
-// of applying the mutation twice. The zero Token means "no dedup".
-type Token struct {
-	CID uint64
-	Seq uint64
-}
-
-// IsZero reports whether the token is absent.
-func (t Token) IsZero() bool { return t == Token{} }
-
-// Marshal encodes the token as 16 big-endian bytes.
-func (t Token) Marshal() []byte { return rpc.NewEnc(TokenSize).U64(t.CID).U64(t.Seq).Bytes() }
-
-// UnmarshalToken decodes a token from the first TokenSize bytes of b.
-func UnmarshalToken(b []byte) (Token, error) {
-	d := rpc.NewDec(b)
-	t := Token{CID: d.U64(), Seq: d.U64()}
-	return t, d.Err()
 }
 
 // AllocReq is the body of an MAlloc request.

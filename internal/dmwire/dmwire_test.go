@@ -12,7 +12,7 @@ import (
 )
 
 func TestStatusRoundTrip(t *testing.T) {
-	for _, err := range []error{dm.ErrOutOfMemory, dm.ErrBadAddress, dm.ErrBadRef, dm.ErrOutOfRange} {
+	for _, err := range []error{dm.ErrOutOfMemory, dm.ErrBadAddress, dm.ErrBadRef, dm.ErrOutOfRange, ErrStale} {
 		status := StatusOf(err)
 		back := ErrOf(status, err.Error())
 		if !errors.Is(back, err) {
@@ -51,18 +51,6 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		r, err := UnmarshalHeartbeatResp(HeartbeatResp{LeaseMillis: 250}.Marshal())
 		if err != nil || r.LeaseMillis != 250 {
 			t.Errorf("HeartbeatResp: %+v %v", r, err)
-		}
-	}
-	{
-		tok, err := UnmarshalToken(Token{CID: 0xDEAD, Seq: 42}.Marshal())
-		if err != nil || tok.CID != 0xDEAD || tok.Seq != 42 {
-			t.Errorf("Token: %+v %v", tok, err)
-		}
-		if tok.IsZero() || !(Token{}).IsZero() {
-			t.Error("IsZero misclassifies tokens")
-		}
-		if len(tok.Marshal()) != TokenSize {
-			t.Errorf("Token width %d, want %d", len(tok.Marshal()), TokenSize)
 		}
 	}
 	{

@@ -31,7 +31,6 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(13), HeartbeatReq{PID: 1}.Marshal())
 	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100}.Marshal())
 	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Epoch: 9}.Marshal())
-	f.Add(uint8(15), Token{CID: 3, Seq: 4}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Data: []byte("hi")}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: []uint32{0, 2}, Data: []byte("hi")}.Marshal())
 	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: make([]uint32, MaxRefReplicas), Data: []byte("hi")}.Marshal())
@@ -44,8 +43,9 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(19), RegSyncResp{}.Marshal())
 	f.Add(uint8(19), RegSyncReq{AfterKey: ReplicaKeyBit, Limit: 256}.Marshal())
 	f.Add(uint8(19), RegGetReq{Key: ReplicaKeyBit | 9}.Marshal())
-	f.Add(uint8(20), AdoptRefReq{PID: 1, Key: 9}.Marshal())
-	f.Add(uint8(20), AdoptRefReq{PID: 1, Key: ReplicaKeyBit | 9, NewKey: ReplicaKeyBit | 10, Replicas: []uint32{0, 2}}.Marshal())
+	f.Add(uint8(15), AdoptRefReq{PID: 1, Key: 9}.Marshal())
+	f.Add(uint8(15), AdoptRefReq{PID: 1, Key: 9, NewKey: ReplicaKeyBit | 11}.Marshal())
+	f.Add(uint8(15), AdoptRefReq{PID: 1, Key: ReplicaKeyBit | 9, NewKey: ReplicaKeyBit | 10, Replicas: []uint32{0, 2}}.Marshal())
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		check := func(name string, reenc []byte, err error) {
 			t.Helper()
@@ -56,7 +56,7 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("%s: accepted body does not round-trip", name)
 			}
 		}
-		switch which % 21 {
+		switch which % 20 {
 		case 0:
 			r, err := UnmarshalRegisterResp(body)
 			check("RegisterResp", r.Marshal(), err)
@@ -103,8 +103,8 @@ func FuzzUnmarshal(f *testing.F) {
 			r, err := UnmarshalHeartbeatResp(body)
 			check("HeartbeatResp", r.Marshal(), err)
 		case 15:
-			tok, err := UnmarshalToken(body)
-			check("Token", tok.Marshal(), err)
+			r, err := UnmarshalAdoptRefReq(body)
+			check("AdoptRefReq", r.Marshal(), err)
 		case 16:
 			r, err := UnmarshalStageAtReq(body)
 			check("StageAtReq", r.Marshal(), err)
@@ -121,9 +121,6 @@ func FuzzUnmarshal(f *testing.F) {
 			check("RegSyncReq", q.Marshal(), err)
 			g, err := UnmarshalRegGetReq(body)
 			check("RegGetReq", g.Marshal(), err)
-		case 20:
-			r, err := UnmarshalAdoptRefReq(body)
-			check("AdoptRefReq", r.Marshal(), err)
 		}
 	})
 }
@@ -132,7 +129,7 @@ func FuzzUnmarshal(f *testing.F) {
 // any message must map to an error (or nil for OK) whose status maps back
 // to itself for the statuses the protocol defines.
 func FuzzStatusRoundTrip(f *testing.F) {
-	for s := byte(0); s <= StatusRefExists; s++ {
+	for s := byte(0); s <= StatusStale; s++ {
 		f.Add(s, "boom")
 	}
 	f.Fuzz(func(t *testing.T, status byte, msg string) {
@@ -146,7 +143,7 @@ func FuzzStatusRoundTrip(f *testing.F) {
 		if err == nil {
 			t.Fatalf("status %d mapped to nil", status)
 		}
-		if status <= StatusRefExists {
+		if status <= StatusStale {
 			if got := StatusOf(err); got != status {
 				t.Fatalf("status %d round-tripped to %d", status, got)
 			}

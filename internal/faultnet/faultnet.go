@@ -2,9 +2,9 @@
 // script-controlled fault injection: added latency, read/write stalls,
 // mid-stream connection resets after a byte budget, truncated writes, and
 // full partitions. It exists so the live DM path's failure handling
-// (internal/live: leases, deadlines, retries, dedup) can be driven through
-// real sockets exhibiting the failures a datacenter actually produces —
-// without flaky sleeps or OS-level tricks.
+// (internal/live: leases, deadlines, at-most-once retries) can be driven
+// through real sockets exhibiting the failures a datacenter actually
+// produces — without flaky sleeps or OS-level tricks.
 //
 // An Injector is shared by every connection it wraps; its zero value is
 // transparent. All knobs are safe for concurrent use and take effect on

@@ -12,9 +12,10 @@ import (
 // request immediately (through the connection's coalescing writer, so a
 // burst of futures issued back-to-back group-commits into few vectored
 // writes) and returns a future; wait collects the response later, with
-// the same deadline, retry, and dedup semantics as the synchronous path.
-// Every caller waits on each future it starts, so the in-flight calls
-// stay bounded by callers × fan-out width.
+// the same deadline, retry and at-most-once semantics as the synchronous
+// path: the future holds one session slot from callAsync until wait
+// returns. Every caller waits on each future it starts, so the in-flight
+// calls stay bounded by callers × fan-out width.
 
 // pending is one in-flight asynchronous call. It is not safe for
 // concurrent use, and wait must be called exactly once: an abandoned
@@ -25,10 +26,10 @@ type pending struct {
 	m        rpc.Method
 	hdr      []byte
 	payload  []byte
-	opts     CallOpts
 	deadline time.Time // overall, spans retries
 	attDL    time.Time // first attempt's deadline
 	start    time.Time // submission instant, for the latency histogram
+	seq      uint64    // the session stamp; 0 when no slot was free in time
 	c        *conn
 	id       uint64
 	ch       chan response
@@ -39,10 +40,13 @@ type pending struct {
 // response. The request is handed to the wire immediately; errors —
 // including submission failures — surface from wait, which also runs the
 // retry loop, so hdr and payload must stay valid and unmodified until
-// wait returns. opts follows CallConsumeOpts.
-func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte, opts CallOpts) *pending {
-	p := &pending{n: n, addr: addr, m: m, hdr: hdr, payload: payload, opts: opts, start: time.Now()}
-	p.deadline = n.overallDeadline(opts)
+// wait returns. The call takes the node's default deadline.
+func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte) *pending {
+	p := &pending{n: n, addr: addr, m: m, hdr: hdr, payload: payload, start: time.Now()}
+	p.deadline = n.overallDeadline(CallOpts{})
+	if p.seq, p.err = n.sess.acquire(p.deadline); p.err != nil {
+		return p
+	}
 	p.attDL = n.attemptDeadline(p.deadline)
 	c, err := n.peer(addr, p.attDL)
 	if err != nil {
@@ -50,7 +54,7 @@ func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte, opts Ca
 		return p
 	}
 	p.c = c
-	p.id, p.ch, p.err = c.send(m, hdr, payload, p.attDL, opts.Token, false)
+	p.id, p.ch, p.err = c.send(m, hdr, payload, p.attDL, p.seq, false)
 	return p
 }
 
@@ -58,9 +62,15 @@ func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte, opts Ca
 // (which must not retain it; nil ignores the body), exactly like
 // CallConsumeOpts. A transient failure of the in-flight attempt —
 // including a submission error from callAsync — is retried with full
-// re-sends when the call is idempotent or tokened. The call's
-// submission-to-completion latency lands in the node's histogram.
+// re-sends. The call's submission-to-completion latency lands in the
+// node's histogram.
 func (p *pending) wait(consume func(resp []byte) error) error {
+	if p.seq == 0 {
+		p.n.ops.calls.Add(1)
+		p.n.ops.fail(p.err)
+		return p.err
+	}
+	defer p.n.sess.release(p.seq)
 	cons := consumer{fn: consume}
 	first := func() error {
 		if p.err != nil {
@@ -69,9 +79,9 @@ func (p *pending) wait(consume func(resp []byte) error) error {
 		return p.c.await(p.m, p.id, p.ch, p.attDL, cons)
 	}
 	again := func() error {
-		return p.n.attempt(p.addr, p.m, p.hdr, p.payload, cons, p.deadline, p.opts.Token)
+		return p.n.attempt(p.addr, p.m, p.hdr, p.payload, cons, p.deadline, p.seq)
 	}
-	err := p.n.withRetries(p.opts, p.deadline, first, again)
+	err := p.n.withRetries(p.deadline, first, again)
 	p.n.lat.Record(time.Since(p.start).Nanoseconds())
 	return err
 }
@@ -105,7 +115,7 @@ type AsyncRef struct {
 // non-empty replicas list makes the server record the key's epoch-1
 // directory entry together with the ref (the §D16 handoff); nil records
 // nothing. data must stay valid and unmodified until Wait returns (it is
-// re-sent if the tokened call retries).
+// re-sent if the call retries).
 func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *AsyncRef {
 	pid, err := cl.session()
 	if err != nil {
@@ -116,7 +126,7 @@ func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *A
 		key:  key,
 		op: AsyncOp{
 			p: cl.node.callAsync(cl.addr, dmwire.MStageAt,
-				dmwire.StageAtReq{PID: pid, Key: key, Replicas: replicas}.MarshalHdr(), data, cl.mutOpts()),
+				dmwire.StageAtReq{PID: pid, Key: key, Replicas: replicas}.MarshalHdr(), data),
 			consume: checkRefKeyResp,
 		},
 	}
@@ -136,21 +146,20 @@ func (cl *Client) AdoptRefAsync(ref dm.Ref, newKey uint64, replicas []uint32) *A
 		key:  newKey,
 		op: AsyncOp{
 			p: cl.node.callAsync(cl.addr, dmwire.MAdoptRef,
-				dmwire.AdoptRefReq{PID: pid, Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil, cl.mutOpts()),
+				dmwire.AdoptRefReq{PID: pid, Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil),
 			consume: checkRefKeyResp,
 		},
 	}
 }
 
 // FreeRefAsync starts dropping the ref's own page hold and returns a
-// future; the free is tokened (at-most-once across retries) exactly
-// like the synchronous FreeRef.
+// future.
 func (cl *Client) FreeRefAsync(ref dm.Ref) *AsyncOp {
 	if _, err := cl.session(); err != nil {
 		return &AsyncOp{err: err}
 	}
 	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MFreeRef,
-		dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, cl.mutOpts())}
+		dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil)}
 }
 
 // checkRefKeyResp validates a stage_at or adopt_ref response body.

@@ -22,7 +22,7 @@ func writeAsync(cl *Client, addr dm.RemoteAddr, src []byte) *AsyncOp {
 		return &AsyncOp{err: err}
 	}
 	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MWrite,
-		dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, idemOpts())}
+		dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src)}
 }
 
 // TestCallAsyncOverlaps is the deterministic pipelining proof: one node
@@ -45,7 +45,7 @@ func TestCallAsyncOverlaps(t *testing.T) {
 	defer cli.Close()
 	ps := make([]*pending, n)
 	for i := range ps {
-		ps[i] = cli.callAsync(addr, 7, nil, []byte{byte(i)}, CallOpts{Timeout: 10 * time.Second})
+		ps[i] = cli.callAsync(addr, 7, nil, []byte{byte(i)})
 	}
 	for i := 0; i < n; i++ {
 		select {
@@ -143,7 +143,7 @@ func TestLateResponseAfterTimeoutNoLeak(t *testing.T) {
 	cli := NewNodeWith(NodeConfig{MaxRetries: -1})
 	defer cli.Close()
 	err := cli.CallConsumeOpts(addr, 9, nil, nil, nil,
-		CallOpts{Timeout: 100 * time.Millisecond, Idempotent: true})
+		CallOpts{Timeout: 100 * time.Millisecond})
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("slow call returned %v, want ErrDeadline", err)
 	}

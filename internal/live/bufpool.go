@@ -13,8 +13,9 @@ import "sync"
 //   - A buffer sent over a channel (client response dispatch) transfers
 //     ownership to the receiver.
 //   - Fast (run-to-completion) handlers may return pooled response
-//     bodies; the serve loop putBufs them after the response is written.
-//     A fast handler's response must therefore never alias its request.
+//     bodies; the request's session slot keeps one until the slot is
+//     reused, then putBufs it (session.go). A fast handler's response
+//     must therefore never alias its request.
 //   - putBuf on a buffer that did not come from getBuf is safe: only
 //     slices whose capacity matches a size class are pooled.
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -53,11 +52,11 @@ func DefaultClientConfig() ClientConfig {
 // is not interpreted — the session has exactly one server to ask — so a
 // pool can hand its located refs (Server = shard ID) straight through.
 //
-// Failure model (DESIGN.md §D8): every call carries a deadline; reads are
-// retried as idempotent, mutations carry dedup tokens so server-side
-// retry deduplication keeps them at-most-once; the session is kept alive
-// by a background heartbeat, and a client that dies is reaped by the
-// server within one lease TTL.
+// Failure model (DESIGN.md §D8): every call carries a deadline and is
+// retried across transport failures, at most once in effect: the node's
+// session stamp lets the server replay a response instead of running the
+// call again. The DM session is kept alive by a background heartbeat, and
+// a client that dies is reaped by the server within one lease TTL.
 type Client struct {
 	mu    sync.Mutex
 	cfg   ClientConfig
@@ -68,8 +67,6 @@ type Client struct {
 	shard int64 // shard ID the server announced at register; -1 = none
 	ready bool
 
-	cid      uint64        // dedup token identity, stable across reconnects
-	seq      atomic.Uint64 // dedup token sequence
 	hbStop   chan struct{}
 	hbOnce   sync.Once
 	hbWG     sync.WaitGroup
@@ -83,7 +80,7 @@ type Client struct {
 	epochSeen atomic.Int64
 }
 
-// conn is one multiplexed TCP connection to a DM server. All request
+// conn is one multiplexed TCP connection to a peer node. All request
 // frames leave through bw, the connection's coalescing writer
 // (batchwriter.go): small frames are copied whole into its submission
 // queue and group-committed, large ones ride its direct zero-copy path.
@@ -91,6 +88,7 @@ type conn struct {
 	c        net.Conn
 	bw       *batchWriter
 	maxFrame uint32
+	session  uint64 // the dialing node's session ID, stamped on every request
 	pmu      sync.Mutex
 	pending  map[uint64]chan response
 	nextID   uint64
@@ -111,16 +109,11 @@ func Dial(addr string) (*Client, error) {
 
 // DialConfig is Dial with explicit configuration.
 func DialConfig(cfg ClientConfig, addr string) (*Client, error) {
-	cid := rand.Uint64()
-	if cid == 0 {
-		cid = 1 // the zero token means "no dedup"
-	}
 	cl := &Client{
 		cfg:    cfg,
 		node:   NewNodeWith(cfg.Net),
 		addr:   addr,
 		shard:  -1,
-		cid:    cid,
 		hbStop: make(chan struct{}),
 	}
 	cl.epochSeen.Store(-1)
@@ -141,17 +134,6 @@ func (cl *Client) Close() error {
 	cl.hbWG.Wait()
 	return cl.node.Close()
 }
-
-// token mints the dedup token for one non-idempotent mutation.
-func (cl *Client) token() dmwire.Token {
-	return dmwire.Token{CID: cl.cid, Seq: cl.seq.Add(1)}
-}
-
-// mutOpts marks a call as a tokened (at-most-once, retryable) mutation.
-func (cl *Client) mutOpts() CallOpts { return CallOpts{Token: cl.token()} }
-
-// idemOpts marks a call as idempotent (retryable without a token).
-func idemOpts() CallOpts { return CallOpts{Idempotent: true} }
 
 // readLoop dispatches responses to waiting calls. The send happens under
 // pmu and every pending channel is buffered (cap 1), so a caller that
@@ -213,8 +195,8 @@ func (c *conn) fail(err error) {
 
 // call performs one request/response exchange bounded by deadline (zero
 // means none): send ships the request, await collects the response.
-func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, tok dmwire.Token) error {
-	id, ch, err := c.send(m, hdr, payload, deadline, tok, true)
+func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, seq uint64) error {
+	id, ch, err := c.send(m, hdr, payload, deadline, seq, true)
 	if err != nil {
 		return err
 	}
@@ -222,7 +204,7 @@ func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline t
 }
 
 // send registers a pending entry and ships one request frame — frame
-// header, optional dedup token, method, hdr, payload — returning the
+// header, session stamp, method, hdr, payload — returning the
 // request id and the response channel for await. Small frames are copied
 // whole into the coalescing writer's queue (send returns once the frame
 // is accepted, not written — the pipelining callAsync builds on); bodies
@@ -232,7 +214,7 @@ func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline t
 // frame may be written inline when the connection is idle (skipping the
 // flusher handoff), while async submitters always queue so their bursts
 // coalesce.
-func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, tok dmwire.Token, sync bool) (uint64, chan response, error) {
+func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, seq uint64, sync bool) (uint64, chan response, error) {
 	ch := make(chan response, 1)
 	c.pmu.Lock()
 	if dead := c.dead; dead != nil {
@@ -244,20 +226,14 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, tok d
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	tokLen := 0
-	kind := byte(kindRequest)
-	if !tok.IsZero() {
-		tokLen = dmwire.TokenSize
-		kind = kindRequestTok
-	}
-	head := frameHeaderSize + tokLen + 2 + len(hdr)
+	head := frameHeaderSize + stampSize + 2 + len(hdr)
 	total := head + len(payload)
 	var err error
 	if c.bw.coalesce(total) {
 		// One pooled buffer holds the whole frame; ownership transfers to
 		// the writer, which recycles it after the group-commit flush.
 		frame := getBuf(total)
-		fillRequestHead(frame, total-frameHeaderSize, kind, id, tok, tokLen, m, hdr)
+		c.fillRequestHead(frame, total-frameHeaderSize, id, seq, m, hdr)
 		copy(frame[head:], payload)
 		if sync {
 			err = c.bw.enqueueInline(frame, deadline)
@@ -266,7 +242,7 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, tok d
 		}
 	} else {
 		scratch := getBuf(head)
-		fillRequestHead(scratch, total-frameHeaderSize, kind, id, tok, tokLen, m, hdr)
+		c.fillRequestHead(scratch, total-frameHeaderSize, id, seq, m, hdr)
 		bufs := net.Buffers{scratch}
 		if len(payload) > 0 {
 			bufs = append(bufs, payload)
@@ -291,18 +267,16 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, tok d
 }
 
 // fillRequestHead lays down everything ahead of the bulk payload: frame
-// header (bodyLen, kind, request id), optional dedup token, method, and
-// the request header bytes.
-func fillRequestHead(buf []byte, bodyLen int, kind byte, id uint64, tok dmwire.Token, tokLen int, m rpc.Method, hdr []byte) {
+// header (bodyLen, kind, request id), session stamp, method, and the
+// request header bytes.
+func (c *conn) fillRequestHead(buf []byte, bodyLen int, id, seq uint64, m rpc.Method, hdr []byte) {
 	binary.BigEndian.PutUint32(buf, uint32(bodyLen))
-	buf[4] = kind
+	buf[4] = kindRequest
 	binary.BigEndian.PutUint64(buf[5:], id)
 	off := frameHeaderSize
-	if tokLen > 0 {
-		binary.BigEndian.PutUint64(buf[off:], tok.CID)
-		binary.BigEndian.PutUint64(buf[off+8:], tok.Seq)
-		off += tokLen
-	}
+	binary.BigEndian.PutUint64(buf[off:], c.session)
+	binary.BigEndian.PutUint64(buf[off+8:], seq)
+	off += stampSize
 	binary.BigEndian.PutUint16(buf[off:], uint16(m))
 	copy(buf[off+2:], hdr)
 }
@@ -384,10 +358,10 @@ func (cl *Client) Register() error {
 // must still invalidate, §D15).
 func (cl *Client) register() error {
 	var r dmwire.RegisterResp
-	err := cl.node.CallConsumeOpts(cl.addr, dmwire.MRegister, nil, nil, func(resp []byte) (err error) {
+	err := cl.node.CallConsume(cl.addr, dmwire.MRegister, nil, nil, func(resp []byte) (err error) {
 		r, err = dmwire.UnmarshalRegisterResp(resp)
 		return err
-	}, cl.mutOpts())
+	})
 	if err != nil {
 		return err
 	}
@@ -450,8 +424,6 @@ func (cl *Client) heartbeatLoop(pid uint32, interval time.Duration, cancel chan 
 		case <-cancel:
 			return
 		case <-tick.C:
-			opts := idemOpts()
-			opts.Timeout = interval
 			err := cl.node.CallConsumeOpts(cl.addr, dmwire.MHeartbeat, req, nil, func(resp []byte) error {
 				r, err := dmwire.UnmarshalHeartbeatResp(resp)
 				if err != nil {
@@ -459,7 +431,7 @@ func (cl *Client) heartbeatLoop(pid uint32, interval time.Duration, cancel chan 
 				}
 				cl.observeEpoch(r.Epoch)
 				return nil
-			}, opts)
+			}, CallOpts{Timeout: interval})
 			if err == nil {
 				cl.hbFails.Store(0)
 				continue
@@ -541,14 +513,11 @@ func (cl *Client) ServerShard() (uint32, bool) {
 type Stats struct {
 	// Calls counts calls started (every public op plus heartbeats).
 	Calls int64
-	// Retries counts extra attempts after a transient failure.
+	// Retries counts extra attempts after a transient failure; a server
+	// answers one with a replay if the call had already run there.
 	Retries int64
-	// DedupReplays counts retried attempts that carried a dedup token —
-	// an upper bound on server-side replayed responses, since a tokened
-	// retry either re-executes (first attempt never applied) or replays.
-	DedupReplays int64
 	// Failures counts calls that a transient error ended: the retry
-	// budget or deadline ran out, or the call was not retryable.
+	// budget or deadline ran out.
 	// Application answers (the dm sentinels, AppError statuses) are not
 	// failures; they surface to the caller uncounted.
 	Failures int64
@@ -620,7 +589,7 @@ func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
 		return 0, err
 	}
 	var addr dm.RemoteAddr
-	err = cl.node.CallConsumeOpts(cl.addr, dmwire.MAlloc, dmwire.AllocReq{PID: pid, Size: size}.Marshal(), nil,
+	err = cl.node.CallConsume(cl.addr, dmwire.MAlloc, dmwire.AllocReq{PID: pid, Size: size}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalAllocResp(resp)
 			if err != nil {
@@ -628,7 +597,7 @@ func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
 			}
 			addr = r.Addr
 			return nil
-		}, cl.mutOpts())
+		})
 	return addr, err
 }
 
@@ -638,7 +607,7 @@ func (cl *Client) Free(addr dm.RemoteAddr) error {
 	if err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(cl.addr, dmwire.MFree, dmwire.FreeReq{PID: pid, Addr: addr}.Marshal(), nil, nil, cl.mutOpts())
+	return cl.node.CallConsume(cl.addr, dmwire.MFree, dmwire.FreeReq{PID: pid, Addr: addr}.Marshal(), nil, nil)
 }
 
 // CreateRef shares [addr, addr+size) read-only (create_ref).
@@ -654,18 +623,17 @@ func (cl *Client) CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error) {
 	return dm.Ref{Key: key, Size: size}, nil
 }
 
-// callRefKey runs a tokened call whose successful response is a
-// RefKeyResp.
+// callRefKey runs a call whose successful response is a RefKeyResp.
 func (cl *Client) callRefKey(m rpc.Method, hdr, payload []byte) (uint64, error) {
 	var key uint64
-	err := cl.node.CallConsumeOpts(cl.addr, m, hdr, payload, func(resp []byte) error {
+	err := cl.node.CallConsume(cl.addr, m, hdr, payload, func(resp []byte) error {
 		r, err := dmwire.UnmarshalRefKeyResp(resp)
 		if err != nil {
 			return err
 		}
 		key = r.Key
 		return nil
-	}, cl.mutOpts())
+	})
 	return key, err
 }
 
@@ -676,7 +644,7 @@ func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 		return 0, err
 	}
 	var addr dm.RemoteAddr
-	err = cl.node.CallConsumeOpts(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{PID: pid, Key: ref.Key}.Marshal(), nil,
+	err = cl.node.CallConsume(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{PID: pid, Key: ref.Key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalMapRefResp(resp)
 			if err != nil {
@@ -684,7 +652,7 @@ func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 			}
 			addr = r.Addr
 			return nil
-		}, cl.mutOpts())
+		})
 	return addr, err
 }
 
@@ -693,7 +661,7 @@ func (cl *Client) FreeRef(ref dm.Ref) error {
 	if _, err := cl.session(); err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil, cl.mutOpts())
+	return cl.node.CallConsume(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil)
 }
 
 // AdoptRef moves ref to this session in one exchange (adopt_ref): the
@@ -701,9 +669,7 @@ func (cl *Client) FreeRef(ref dm.Ref) error {
 // key owned by this session's PID, which it returns in the ref. newKey 0
 // lets the server mint the key; otherwise it must carry
 // dmwire.ReplicaKeyBit, and non-empty replicas record its epoch-1
-// directory entry with the move. The old key is dead afterwards. The
-// call is tokened and retried like CreateRef: its 8-byte response is all
-// a retry replays.
+// directory entry with the move. The old key is dead afterwards.
 func (cl *Client) AdoptRef(ref dm.Ref, newKey uint64, replicas []uint32) (dm.Ref, error) {
 	pid, err := cl.session()
 	if err != nil {
@@ -732,8 +698,7 @@ func checkWireRange(op string, off, size int64) error {
 const maxWireU32 = int64(^uint32(0))
 
 // Write stores src at addr (rwrite). The payload is written to the socket
-// straight from src — no marshal copy. Writing the same bytes twice is
-// harmless, so retries treat it as idempotent.
+// straight from src — no marshal copy.
 func (cl *Client) Write(addr dm.RemoteAddr, src []byte) error {
 	pid, err := cl.session()
 	if err != nil {
@@ -742,7 +707,7 @@ func (cl *Client) Write(addr dm.RemoteAddr, src []byte) error {
 	if err := checkWireRange("write", 0, int64(len(src))); err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(cl.addr, dmwire.MWrite, dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, nil, idemOpts())
+	return cl.node.CallConsume(cl.addr, dmwire.MWrite, dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, nil)
 }
 
 // Read loads len(dst) bytes from addr (rread): ReadLease plus the one
@@ -768,14 +733,14 @@ func (cl *Client) ReadLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
 	if err := checkWireRange("read", 0, size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MRead, dmwire.ReadReq{PID: pid, Addr: addr, Size: uint32(size)}.Marshal(), size, idemOpts())
+	return cl.callLease(dmwire.MRead, dmwire.ReadReq{PID: pid, Addr: addr, Size: uint32(size)}.Marshal(), size)
 }
 
 // callLease runs a read whose response body must be exactly size bytes
 // and keeps the pooled frame it arrived in as a leased Buf. On any error
 // (including a failed or timed-out call) no Buf is leased and the
 // transport recycles the frame itself.
-func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64, opts CallOpts) (*Buf, error) {
+func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64) (*Buf, error) {
 	var out *Buf
 	err := cl.node.callConsumer(cl.addr, m, hdr, nil,
 		consumer{own: func(frame, body []byte) error {
@@ -784,7 +749,7 @@ func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64, opts CallOpts)
 			}
 			out = newLeasedBuf(frame, body)
 			return nil
-		}}, opts)
+		}}, CallOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -832,8 +797,7 @@ func (cl *Client) RegPut(ent registry.Entry) error {
 	if _, err := cl.session(); err != nil {
 		return err
 	}
-	return cl.node.CallConsumeOpts(cl.addr, dmwire.MRegPut,
-		dmwire.RegPutReq{Entry: ent}.Marshal(), nil, nil, idemOpts())
+	return cl.node.CallConsume(cl.addr, dmwire.MRegPut, dmwire.RegPutReq{Entry: ent}.Marshal(), nil, nil)
 }
 
 // RegGet queries the server's directory slice for one key; dm.ErrBadRef
@@ -843,7 +807,7 @@ func (cl *Client) RegGet(key uint64) (registry.Entry, error) {
 		return registry.Entry{}, err
 	}
 	var ent registry.Entry
-	err := cl.node.CallConsumeOpts(cl.addr, dmwire.MRegGet,
+	err := cl.node.CallConsume(cl.addr, dmwire.MRegGet,
 		dmwire.RegGetReq{Key: key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalRegGetResp(resp)
@@ -852,7 +816,7 @@ func (cl *Client) RegGet(key uint64) (registry.Entry, error) {
 			}
 			ent = r.Entry
 			return nil
-		}, idemOpts())
+		})
 	return ent, err
 }
 
@@ -867,7 +831,7 @@ func (cl *Client) RegSync(afterKey uint64, limit int) ([]registry.Entry, error) 
 		limit = dmwire.MaxRegSyncEntries
 	}
 	var ents []registry.Entry
-	err := cl.node.CallConsumeOpts(cl.addr, dmwire.MRegSync,
+	err := cl.node.CallConsume(cl.addr, dmwire.MRegSync,
 		dmwire.RegSyncReq{AfterKey: afterKey, Limit: uint32(limit)}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalRegSyncResp(resp)
@@ -876,7 +840,7 @@ func (cl *Client) RegSync(afterKey uint64, limit int) ([]registry.Entry, error) 
 			}
 			ents = r.Entries
 			return nil
-		}, idemOpts())
+		})
 	return ents, err
 }
 
@@ -904,16 +868,12 @@ func (cl *Client) ReadRefLease(ref dm.Ref, off, size int64) (*Buf, error) {
 	if err := checkWireRange("readref", off, size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), size, idemOpts())
+	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), size)
 }
 
 // ConsumeRefLease reads the whole ref as a leased Buf and frees it in the
 // same exchange (consume_ref): the last reader's fetch and free fused.
-// The call is neither tokened nor retried — a dedup entry would retain a
-// payload-sized response, and a retry after a lost response would find
-// the ref gone — so a transport failure surfaces as an error, after which
-// the ref may or may not have been freed. The caller must Release the Buf
-// exactly once.
+// The caller must Release the Buf exactly once.
 func (cl *Client) ConsumeRefLease(ref dm.Ref) (*Buf, error) {
 	if _, err := cl.session(); err != nil {
 		return nil, err
@@ -921,5 +881,5 @@ func (cl *Client) ConsumeRefLease(ref dm.Ref) (*Buf, error) {
 	if err := checkWireRange("consumeref", 0, ref.Size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MConsumeRef, dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Marshal(), ref.Size, CallOpts{})
+	return cl.callLease(dmwire.MConsumeRef, dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Marshal(), ref.Size)
 }

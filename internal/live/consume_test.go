@@ -3,11 +3,14 @@ package live
 import (
 	"bytes"
 	"errors"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dm"
 	"repro/internal/dmwire"
+	"repro/internal/faultnet"
 	"repro/internal/registry"
 )
 
@@ -146,5 +149,66 @@ func TestConsumeRefRaces(t *testing.T) {
 	}
 	if n, free := s.LiveRefs(), s.FreePages(); n != 0 || free != pages {
 		t.Fatalf("LiveRefs %d, FreePages %d of %d", n, free, pages)
+	}
+}
+
+// TestConsumeRefRetriesAcrossCut: a mid-frame cut drops consume_ref's
+// response after the server ran it. The retry carries the same stamp, so
+// the server replays the payload byte for byte instead of consuming
+// again, and the ref is freed exactly once.
+func TestConsumeRefRetriesAcrossCut(t *testing.T) {
+	srv := NewServer(smallConfig())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultnet.New()
+	go srv.Serve(inj.Listener(ln))
+	t.Cleanup(func() { srv.Close() })
+	ccfg := DefaultClientConfig()
+	ccfg.HeartbeatInterval = -1
+	ccfg.Net.AttemptTimeout = time.Second
+	cl, err := DialConfig(ccfg, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Register(); err != nil {
+		t.Fatal(err)
+	}
+	baseFree, baseLeases := srv.FreePages(), LeasedBufs()
+
+	payload := bytes.Repeat([]byte("retried!"), 1500) // 12 000 B, 3 pages
+	ref, err := cl.StageRef(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server reads the whole request, then its response write is cut
+	// 100 bytes in.
+	req := dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Marshal()
+	inj.CutAfter(int64(frameHeaderSize + stampSize + 2 + len(req) + 100))
+	retries := cl.Stats().Retries
+	b, err := cl.ConsumeRefLease(ref)
+	if err != nil {
+		t.Fatalf("consume did not survive a cut response: %v", err)
+	}
+	if cl.Stats().Retries == retries {
+		t.Fatal("the consume was not retried: the cut missed its response")
+	}
+	if !bytes.Equal(b.Bytes(), payload) {
+		t.Fatal("the replayed payload differs from the staged one")
+	}
+	b.Release()
+	if n, free := srv.LiveRefs(), srv.FreePages(); n != 0 || free != baseFree {
+		t.Fatalf("after the retried consume: LiveRefs %d, FreePages %d (want 0, %d)", n, free, baseFree)
+	}
+	if _, err := cl.ConsumeRefLease(ref); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("second consume: %v, want ErrBadRef", err)
+	}
+	if n := LeasedBufs(); n != baseLeases {
+		t.Fatalf("LeasedBufs = %d, baseline %d", n, baseLeases)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

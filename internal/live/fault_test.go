@@ -80,7 +80,7 @@ func TestOversizedFrameClosesConn(t *testing.T) {
 }
 
 // TestMalformedFrameClosesConn covers bad frame kinds and truncated
-// tokened requests: the server must close the stream, not panic or hang.
+// requests: the server must close the stream, not panic or hang.
 func TestMalformedFrameClosesConn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -89,8 +89,8 @@ func TestMalformedFrameClosesConn(t *testing.T) {
 	}{
 		{"unknown kind", []byte{0, 1, 2, 3}, 9},
 		{"response kind to server", []byte{dmwire.StatusOK}, kindResponse},
-		{"tokened request shorter than a token", []byte{1, 2, 3}, kindRequestTok},
-		{"request without a method", []byte{7}, kindRequest},
+		{"request shorter than its stamp", []byte{1, 2, 3}, kindRequest},
+		{"request without a method", make([]byte, stampSize+1), kindRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, addr := startServer(t, smallConfig())
@@ -274,8 +274,9 @@ func TestStalledServerCallDeadline(t *testing.T) {
 }
 
 // TestDedupTokenAppliesOnce exercises the at-most-once guarantee directly:
-// two calls carrying the same token execute the handler once and observe
-// the same response bytes; a fresh token executes again.
+// the same stamp sent twice — the second time over a fresh connection, as
+// a retry would — runs the handler once and replays its bytes; the next
+// sequence on that slot runs the handler again.
 func TestDedupTokenAppliesOnce(t *testing.T) {
 	srv := NewNode()
 	var count atomic.Int32
@@ -284,36 +285,29 @@ func TestDedupTokenAppliesOnce(t *testing.T) {
 	})
 	addr := startNode(t, srv)
 
-	cl := NewNode()
-	defer cl.Close()
-	get := func(tok dmwire.Token) string {
-		var out string
-		err := cl.CallConsumeOpts(addr, rpc.Method(0x0301), nil, nil, func(resp []byte) error {
-			out = string(resp)
-			return nil
-		}, CallOpts{Token: tok})
-		if err != nil {
-			t.Fatal(err)
+	const session, seq = 7, sessionWindow + 9
+	get := func(seq uint64) string {
+		t.Helper()
+		status, resp := stampedCall(t, dialRaw(t, addr), session, seq, 0x0301, nil)
+		if status != dmwire.StatusOK {
+			t.Fatalf("seq %d: status %d %q", seq, status, resp)
 		}
-		return out
+		return string(resp)
 	}
-	tok := dmwire.Token{CID: 7, Seq: 9}
-	r1 := get(tok)
-	r2 := get(tok)
-	if r1 != "run-1" || r2 != "run-1" {
-		t.Fatalf("tokened duplicate: got %q then %q, want run-1 twice", r1, r2)
+	if r1, r2 := get(seq), get(seq); r1 != "run-1" || r2 != "run-1" {
+		t.Fatalf("duplicate stamp: got %q then %q, want run-1 twice", r1, r2)
 	}
 	if n := count.Load(); n != 1 {
-		t.Fatalf("handler ran %d times for one token, want 1", n)
+		t.Fatalf("handler ran %d times for one stamp, want 1", n)
 	}
-	if r3 := get(dmwire.Token{CID: 7, Seq: 10}); r3 != "run-2" {
-		t.Fatalf("fresh token: got %q, want run-2", r3)
+	if r3 := get(seq + sessionWindow); r3 != "run-2" {
+		t.Fatalf("next sequence on the slot: got %q, want run-2", r3)
 	}
 }
 
 // TestTokenedCallRetriesAcrossTornWrite kills the client's first request
-// write mid-frame; the retry path must redial and the dedup token must
-// keep the mutation at-most-once.
+// write mid-frame; the retry path must redial, and the call's stamp must
+// keep it at-most-once.
 func TestTokenedCallRetriesAcrossTornWrite(t *testing.T) {
 	srv := NewNode()
 	var count atomic.Int32
@@ -332,12 +326,12 @@ func TestTokenedCallRetriesAcrossTornWrite(t *testing.T) {
 
 	inj.TruncateNextWrite()
 	var got string
-	err := cl.CallConsumeOpts(addr, rpc.Method(0x0302), nil, []byte("m1"), func(resp []byte) error {
+	err := cl.CallConsume(addr, rpc.Method(0x0302), nil, []byte("m1"), func(resp []byte) error {
 		got = string(resp)
 		return nil
-	}, CallOpts{Token: dmwire.Token{CID: 3, Seq: 1}})
+	})
 	if err != nil {
-		t.Fatalf("tokened call did not survive a torn write: %v", err)
+		t.Fatalf("call did not survive a torn write: %v", err)
 	}
 	if got != "echo:m1" {
 		t.Fatalf("got %q, want echo:m1", got)
@@ -345,12 +339,8 @@ func TestTokenedCallRetriesAcrossTornWrite(t *testing.T) {
 	if n := count.Load(); n != 1 {
 		t.Fatalf("handler ran %d times, want 1", n)
 	}
-
-	// A call that is neither idempotent nor tokened must NOT retry: the
-	// torn write surfaces as an error.
-	inj.TruncateNextWrite()
-	if err := cl.CallConsume(addr, rpc.Method(0x0302), nil, []byte("m2"), nil); err == nil {
-		t.Fatal("unmarked call silently retried across a torn write")
+	if r := cl.ops.retries.Load(); r < 1 {
+		t.Fatalf("Retries = %d after a torn write, want ≥ 1", r)
 	}
 }
 

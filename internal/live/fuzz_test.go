@@ -8,13 +8,17 @@ import (
 )
 
 // FuzzReadFrame hardens the TCP framing against arbitrary streams: no
-// panics, and a frame that round-trips must match.
+// panics, a frame that round-trips must match, and a request whose stamp
+// and method parse must re-encode to the same payload.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0, 0, 1})
-	var good bytes.Buffer
+	var good, stamped bytes.Buffer
 	_ = writeFrame(&good, kindRequest, 42, []byte("hello"))
 	f.Add(good.Bytes())
+	_ = writeFrame(&stamped, kindRequest, 43, stampedRequest(7, sessionWindow+3, dmwire.MReadRef,
+		dmwire.ReadRefReq{Key: 9, Size: 16}.Marshal()))
+	f.Add(stamped.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, reqID, payload, err := readFrame(bytes.NewReader(data), DefaultMaxFrameSize)
 		// The pooled-buffer reader must agree with the plain one on both
@@ -31,6 +35,13 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatal("readFrame and readFrameBuf disagree")
 		}
 		putBuf(bpayload)
+		if session, seq, m, body, ok := parseRequest(payload); ok {
+			if !bytes.Equal(stampedRequest(session, seq, m, body), payload) {
+				t.Fatal("request stamp re-encode mismatch")
+			}
+		} else if len(payload) >= stampSize+2 {
+			t.Fatalf("a %d-byte request did not parse", len(payload))
+		}
 		var out bytes.Buffer
 		if err := writeFrame(&out, kind, reqID, payload); err != nil {
 			t.Fatal(err)

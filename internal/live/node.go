@@ -52,8 +52,8 @@ type NodeConfig struct {
 	// DialTimeout bounds connection establishment. Default 3s.
 	DialTimeout time.Duration
 	// MaxRetries is how many times a failed attempt is retried (beyond
-	// the first attempt). Only idempotent or dedup-tokened calls retry.
-	// Default 3. Negative disables retries.
+	// the first attempt). Every call retries: its session stamp keeps it
+	// at-most-once (session.go). Default 3. Negative disables retries.
 	MaxRetries int
 	// RetryBackoff is the first retry's backoff; it doubles per attempt
 	// (with jitter) up to RetryBackoffMax. Defaults 5ms / 500ms.
@@ -171,7 +171,8 @@ type Node struct {
 	closed   chan struct{}
 	once     sync.Once
 	conns    sync.WaitGroup
-	dedup    dedupTable
+	sess     *callerSession // this node's calls
+	sessions sessionTable   // the sessions calling this node
 	wstats   writeStats
 	ops      opStats
 	lat      stats.AtomicHistogram // per-call latency, ns, sync + async
@@ -222,6 +223,7 @@ func NewNodeWith(cfg NodeConfig) *Node {
 		peers:   make(map[string]*conn),
 		inbound: make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
+		sess:    newCallerSession(),
 	}
 	empty := make(map[rpc.Method]handlerEntry)
 	n.handlers.Store(&empty)
@@ -344,14 +346,14 @@ func (n *Node) Shutdown(grace time.Duration) error {
 	return err
 }
 
-// slowReq is one request for a slow handler, handed from a connection's
-// read loop to one of its workers.
-type slowReq struct {
+// request is one inbound request; a slow one is handed from its
+// connection's read loop to one of its workers.
+type request struct {
 	e       handlerEntry
-	ok      bool // e is registered; false answers errNoSuchMethod
-	tok     dmwire.Token
+	sess    *serverSession
+	seq     uint64
 	reqID   uint64
-	payload []byte // the pooled request frame, recycled after the response
+	payload []byte // the pooled request frame
 	body    []byte // the request body within payload
 }
 
@@ -378,56 +380,46 @@ func (n *Node) serveConn(c net.Conn) {
 	// handler counts as idle, since all it has left is to queue the
 	// response, so a request that the response itself prompted never
 	// starts a second worker. Closing work on return ends the workers.
-	work := make(chan slowReq)
+	work := make(chan request)
 	defer close(work)
 	var busy atomic.Int32
 	workers := 0
 	var hdr [frameHeaderSize]byte
+	// sess caches the session this connection's requests last named, so
+	// the node's session table is consulted only when a stamp names
+	// another or the idle sweep dropped it.
+	var sess *serverSession
 	for {
 		kind, reqID, payload, err := readFrameBuf(br, hdr[:], n.cfg.MaxFrameSize)
 		if err != nil {
 			return
 		}
-		body := payload
-		var tok dmwire.Token
-		switch kind {
-		case kindRequest:
-		case kindRequestTok:
-			if len(body) < dmwire.TokenSize {
-				putBuf(payload)
-				return
-			}
-			tok, _ = dmwire.UnmarshalToken(body[:dmwire.TokenSize])
-			body = body[dmwire.TokenSize:]
-		default:
+		id, seq, m, reqBody, ok := parseRequest(payload)
+		if kind != kindRequest || !ok {
 			putBuf(payload)
 			return
 		}
-		if len(body) < 2 {
-			putBuf(payload)
-			return
+		if sess == nil || sess.id != id || sess.gone.Load() {
+			sess = n.sessions.get(id)
 		}
-		m := rpc.Method(binary.BigEndian.Uint16(body))
-		reqBody := body[2:]
 		e, ok := n.lookup(m)
-		if ok && e.fast {
-			status, resp, cached := n.dedup.run(tok, func() (byte, []byte) {
-				return runHandler(e.h, c.RemoteAddr(), reqBody)
-			})
-			// fast contract: resp never aliases payload, so the request
-			// buffer recycles immediately; resp recycles unless the dedup
-			// table retained it (writeResponse handles both paths). The
-			// response may write inline only when no further request is
-			// already buffered: with a pipeline behind this request, it
-			// queues instead so reading overlaps the flusher's writes.
-			werr := n.writeResponse(bw, reqID, status, resp, !cached, br.Buffered() == 0)
+		if !ok {
+			e = handlerEntry{h: noSuchMethod}
+		}
+		if e.fast {
+			// fast contract: the response never aliases the request, so
+			// the request buffer recycles right after. The response may
+			// write inline only when no further request is already
+			// buffered: with a pipeline behind this request, it queues
+			// instead so reading overlaps the flusher's writes.
+			sess, err = n.serve(c, bw, nil, request{e: e, sess: sess, seq: seq, reqID: reqID, body: reqBody}, br.Buffered() == 0)
 			putBuf(payload)
-			if werr != nil {
+			if err != nil {
 				return
 			}
 			continue
 		}
-		req := slowReq{e: e, ok: ok, tok: tok, reqID: reqID, payload: payload, body: reqBody}
+		req := request{e: e, sess: sess, seq: seq, reqID: reqID, payload: payload, body: reqBody}
 		if int(busy.Add(1)) > workers && (n.cfg.MaxSlowPerConn <= 0 || workers < n.cfg.MaxSlowPerConn) {
 			workers++
 			n.slowWorkers.Add(1)
@@ -438,34 +430,54 @@ func (n *Node) serveConn(c net.Conn) {
 	}
 }
 
+// parseRequest splits a request payload into its stamp, method and body;
+// ok is false when the payload is too short to hold the first two.
+func parseRequest(payload []byte) (session, seq uint64, m rpc.Method, body []byte, ok bool) {
+	if len(payload) < stampSize+2 {
+		return 0, 0, 0, nil, false
+	}
+	session = binary.BigEndian.Uint64(payload)
+	seq = binary.BigEndian.Uint64(payload[8:])
+	m = rpc.Method(binary.BigEndian.Uint16(payload[stampSize:]))
+	return session, seq, m, payload[stampSize+2:], true
+}
+
 // slowWorker serves req, then whatever its connection's read loop hands
 // it, until the loop closes work.
-func (n *Node) slowWorker(c net.Conn, bw *batchWriter, busy *atomic.Int32, work <-chan slowReq, req slowReq) {
-	n.serveSlow(c, bw, busy, req)
+func (n *Node) slowWorker(c net.Conn, bw *batchWriter, busy *atomic.Int32, work <-chan request, req request) {
+	n.serve(c, bw, busy, req, false)
 	for req := range work {
-		n.serveSlow(c, bw, busy, req)
+		n.serve(c, bw, busy, req, false)
 	}
 }
 
-// serveSlow runs one slow request and writes its response.
-func (n *Node) serveSlow(c net.Conn, bw *batchWriter, busy *atomic.Int32, req slowReq) {
-	var status byte
-	var resp []byte
-	if !req.ok {
-		status, resp = dmwire.StatusErr, []byte(errNoSuchMethod.Error())
-	} else {
-		status, resp, _ = n.dedup.run(req.tok, func() (byte, []byte) {
-			return runHandler(req.e.h, c.RemoteAddr(), req.body)
-		})
+// serve answers one request: it runs the handler unless the request's
+// slot answers for it (a replay or the stale refusal), records the
+// response in the slot and writes it. The slot keeps a buffer until it
+// moves on: a fast handler's pooled response, or a slow request's frame,
+// which the response may alias; serve recycles that frame otherwise, and
+// drops a slow request's busy count once the handler has returned.
+func (n *Node) serve(c net.Conn, bw *batchWriter, busy *atomic.Int32, req request, idle bool) (*serverSession, error) {
+	sess, run, status, resp := n.admit(req.sess, req.seq)
+	hold := req.payload
+	if run {
+		status, resp = runHandler(req.e.h, c.RemoteAddr(), req.body)
+		if req.e.fast && capClass(cap(resp)) >= 0 {
+			hold = resp
+		}
 	}
-	busy.Add(-1)
-	// writeResponse consumes resp synchronously (small: copied into a
-	// queued frame; large: fully written) before returning, so the
-	// request buffer — which resp may alias — recycles safely after it.
-	// resp itself is handler-owned (or dedup-cached) and is not recycled
-	// here.
-	_ = n.writeResponse(bw, req.reqID, status, resp, false, false)
-	putBuf(req.payload)
+	if busy != nil {
+		busy.Add(-1)
+	}
+	if !run {
+		err := n.writeResponse(bw, req.reqID, status, resp, true, idle)
+		putBuf(hold)
+		return sess, err
+	}
+	kept := sess.publish(req.seq, status, resp, hold)
+	err := n.writeResponse(bw, req.reqID, status, resp, false, idle)
+	sess.settle(req.seq, hold, kept)
+	return sess, err
 }
 
 // writeResponse ships one response frame through the connection's
@@ -473,10 +485,10 @@ func (n *Node) serveSlow(c net.Conn, bw *batchWriter, busy *atomic.Int32, req sl
 // into a single pooled buffer (header + status + body) and enqueued for
 // group commit; larger ones are written synchronously as a zero-copy
 // vectored write. resp is consumed before return either way. own marks
-// resp as pool-recyclable once consumed (fast-path responses the dedup
-// table did not retain). idle marks a connection with nothing further
-// buffered to read — only then may the response write inline from this
-// goroutine instead of riding the queue.
+// resp as pool-recyclable once consumed (a replay's private copy). idle
+// marks a connection with nothing further buffered to read — only then
+// may the response write inline from this goroutine instead of riding
+// the queue.
 func (n *Node) writeResponse(bw *batchWriter, reqID uint64, status byte, resp []byte, own, idle bool) error {
 	total := frameHeaderSize + 1 + len(resp)
 	if bw.coalesce(total) {
@@ -516,6 +528,9 @@ func (n *Node) writeResponse(bw *batchWriter, reqID uint64, status byte, resp []
 
 // errNoSuchMethod is the catch-all for unknown methods.
 var errNoSuchMethod = errors.New("live: no such method")
+
+// noSuchMethod is the handler of every unregistered method.
+func noSuchMethod(net.Addr, []byte) ([]byte, error) { return nil, errNoSuchMethod }
 
 // runHandler invokes h and maps its result onto a wire status.
 func runHandler(h Handler, from net.Addr, body []byte) (byte, []byte) {
@@ -564,7 +579,7 @@ func (n *Node) peer(addr string, deadline time.Time) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", errConnFailed, addr, err)
 	}
-	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, pending: make(map[uint64]chan response)}
+	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, session: n.sess.id, pending: make(map[uint64]chan response)}
 	// The writer's failure hook poisons the whole conn (and closes the
 	// socket), so a flush error surfaces to every pending call, not just
 	// the frames that were in the failed batch.

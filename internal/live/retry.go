@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dmwire"
 	"repro/internal/rpc"
 )
 
@@ -17,23 +16,16 @@ import (
 var ErrDeadline = errors.New("live: deadline exceeded")
 
 // errConnFailed tags transport-level failures (dial errors, dead or
-// poisoned connections, failed writes). Calls that fail with it may or
-// may not have executed on the server, so only idempotent or
-// dedup-tokened calls retry across it.
+// poisoned connections, failed writes). A call that failed with it may
+// or may not have executed on the server; its retry carries the same
+// session stamp, so the server runs it at most once.
 var errConnFailed = errors.New("live: connection failed")
 
 // CallOpts tunes one call's failure behaviour.
 type CallOpts struct {
-	// Timeout is the overall deadline for the call including retries.
-	// 0 uses NodeConfig.CallTimeout; negative disables the deadline.
+	// Timeout bounds the whole call: the wait for a session slot and every
+	// attempt. 0 uses NodeConfig.CallTimeout; negative disables it.
 	Timeout time.Duration
-	// Idempotent marks the call safe to retry without a dedup token
-	// (reads, heartbeats, same-bytes writes).
-	Idempotent bool
-	// Token, when nonzero, rides the request frame so the server
-	// deduplicates retried executions of a non-idempotent mutation
-	// (at-most-once application, response replayed on duplicates).
-	Token dmwire.Token
 }
 
 // isTransient reports whether err is a transport-level failure that a
@@ -60,24 +52,31 @@ type consumer struct {
 
 // CallConsumeOpts is CallConsume with explicit failure-behaviour options:
 // an overall deadline spanning every attempt, per-attempt timeouts so a
-// stalled server cannot absorb the whole budget, and — for idempotent or
-// dedup-tokened calls — exponential-backoff retries over the node's
-// reconnect path. consume runs at most once, on the successful attempt.
+// stalled server cannot absorb the whole budget, and exponential-backoff
+// retries over the node's reconnect path. consume runs at most once, on
+// the successful attempt.
 func (n *Node) CallConsumeOpts(addr string, m rpc.Method, hdr, payload []byte, consume func(resp []byte) error, opts CallOpts) error {
 	return n.callConsumer(addr, m, hdr, payload, consumer{fn: consume}, opts)
 }
 
 // callConsumer is the consumer-typed core of CallConsumeOpts; the lease
-// paths reach it directly with an owning consumer. Every synchronous
-// call's submission-to-completion latency (retries included) lands in
-// the node's histogram here.
+// paths reach it directly with an owning consumer. Every attempt carries
+// the stamp of the one session slot the call holds. Every synchronous
+// call's latency (retries included) lands in the node's histogram here.
 func (n *Node) callConsumer(addr string, m rpc.Method, hdr, payload []byte, cons consumer, opts CallOpts) error {
 	start := time.Now()
 	deadline := n.overallDeadline(opts)
-	attempt := func() error {
-		return n.attempt(addr, m, hdr, payload, cons, deadline, opts.Token)
+	seq, err := n.sess.acquire(deadline)
+	if err != nil {
+		n.ops.calls.Add(1)
+		n.ops.fail(err)
+	} else {
+		attempt := func() error {
+			return n.attempt(addr, m, hdr, payload, cons, deadline, seq)
+		}
+		err = n.withRetries(deadline, attempt, attempt)
+		n.sess.release(seq)
 	}
-	err := n.withRetries(opts, deadline, attempt, attempt)
 	n.lat.Record(time.Since(start).Nanoseconds())
 	return err
 }
@@ -114,10 +113,15 @@ func (n *Node) attemptDeadline(deadline time.Time) time.Time {
 type opStats struct {
 	calls         atomic.Int64
 	retries       atomic.Int64
-	tokenRetries  atomic.Int64
 	failures      atomic.Int64
 	timeouts      atomic.Int64
 	transportErrs atomic.Int64
+}
+
+// fail counts a call that the transient error err ended.
+func (o *opStats) fail(err error) {
+	o.classify(err)
+	o.failures.Add(1)
 }
 
 // classify splits one failed attempt's transient error by cause —
@@ -140,7 +144,6 @@ func (o *opStats) snapshot() Stats {
 	return Stats{
 		Calls:           o.calls.Load(),
 		Retries:         o.retries.Load(),
-		DedupReplays:    o.tokenRetries.Load(),
 		Failures:        o.failures.Load(),
 		Timeouts:        o.timeouts.Load(),
 		TransportErrors: o.transportErrs.Load(),
@@ -148,22 +151,18 @@ func (o *opStats) snapshot() Stats {
 }
 
 // withRetries is the shared retry engine behind the synchronous calls and
-// the pool's fan-out futures: it runs first once, then — while the call is
-// retryable (idempotent or tokened), the error transient, the attempt
-// budget unspent, and the deadline unmet — runs again after a jittered
-// exponential backoff. The first/again split lets an async wait resume an
-// attempt already in flight (await only) and fall back to full re-sends.
-func (n *Node) withRetries(opts CallOpts, deadline time.Time, first, again func() error) error {
+// the pool's fan-out futures: it runs first once, then — while the error
+// is transient, the attempt budget unspent, and the deadline unmet — runs
+// again after a jittered exponential backoff. The first/again split lets
+// an async wait resume an attempt already in flight (await only) and fall
+// back to full re-sends.
+func (n *Node) withRetries(deadline time.Time, first, again func() error) error {
 	n.ops.calls.Add(1)
-	canRetry := (opts.Idempotent || !opts.Token.IsZero()) && n.cfg.MaxRetries > 0
 	backoff := n.cfg.RetryBackoff
 	f := first
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			n.ops.retries.Add(1)
-			if !opts.Token.IsZero() {
-				n.ops.tokenRetries.Add(1)
-			}
 		}
 		err := f()
 		if err == nil {
@@ -172,12 +171,12 @@ func (n *Node) withRetries(opts CallOpts, deadline time.Time, first, again func(
 		if !isTransient(err) {
 			return err // an application answer, not a failure of the call
 		}
-		n.ops.classify(err)
 		f = again
-		if !canRetry || attempt >= n.cfg.MaxRetries {
-			n.ops.failures.Add(1)
+		if attempt >= n.cfg.MaxRetries {
+			n.ops.fail(err)
 			return err
 		}
+		n.ops.classify(err)
 		// Full jitter on the exponential backoff so synchronized clients
 		// don't stampede a recovering server.
 		d := time.Duration(rand.Int64N(int64(backoff)) + int64(backoff)/2)
@@ -200,11 +199,12 @@ func (n *Node) withRetries(opts CallOpts, deadline time.Time, first, again func(
 
 // attempt performs one request/response exchange, bounded by the sooner
 // of the overall deadline and the per-attempt timeout.
-func (n *Node) attempt(addr string, m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, tok dmwire.Token) error {
+// seq is the call's session stamp.
+func (n *Node) attempt(addr string, m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, seq uint64) error {
 	ad := n.attemptDeadline(deadline)
 	c, err := n.peer(addr, ad)
 	if err != nil {
 		return err
 	}
-	return c.call(m, hdr, payload, cons, ad, tok)
+	return c.call(m, hdr, payload, cons, ad, seq)
 }

@@ -38,30 +38,28 @@ import (
 // Frame layout: length-prefixed messages on a TCP stream.
 //
 //	u32 payloadLen | u8 kind | u64 reqID | payload
-//	request payload:           u16 method | body
-//	tokened request payload:   16-byte dedup token | u16 method | body
-//	response payload:          u8 status  | body
+//	request payload:   u64 session | u64 seq | u16 method | body
+//	response payload:  u8 status | body
 //
-// kindRequestTok carries a dedup token (dmwire.Token) ahead of the
-// method, marking the request as a retryable non-idempotent mutation the
-// server must apply at most once (DESIGN.md §D8).
+// Every request carries its caller's session stamp, which the serving
+// node uses to run it at most once across retries (session.go, DESIGN.md
+// §D8).
 const (
 	frameHeaderSize = 4 + 1 + 8
 	kindRequest     = 1
 	kindResponse    = 2
-	kindRequestTok  = 3
 )
 
 // DefaultMaxFrameSize is the default cap on one frame's bulk payload
 // (guards against corrupt or hostile length prefixes). Tunable per
 // endpoint via NodeConfig.MaxFrameSize / ServerConfig.MaxFrameSize. The
 // frame reader grants frameOverhead on top, so a cap of N admits an
-// N-byte DM transfer despite the token/method/status/codec bytes riding
+// N-byte DM transfer despite the stamp/method/status/codec bytes riding
 // in the same frame.
 const DefaultMaxFrameSize = 16 << 20
 
 // frameOverhead is the fixed allowance added to the frame-size cap for
-// protocol bytes: dedup token (16), method (2) or status (1), and the
+// protocol bytes: session stamp (16), method (2) or status (1), and the
 // largest fixed-size codec header.
 const frameOverhead = 128
 

@@ -346,7 +346,7 @@ func testAdoptSurvivesComposerCrash(t *testing.T, r int) {
 	defer rc.Close()
 	var res []Payload
 	for {
-		res, err = rc.CallOpts(dep.Frontend, SNRead, CallOpts{Idempotent: true}, snParams(0, 1))
+		res, err = rc.Call(dep.Frontend, SNRead, snParams(0, 1))
 		if err == nil || time.Now().After(deadline) {
 			break
 		}

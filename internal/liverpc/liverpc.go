@@ -1,7 +1,7 @@
 // Package liverpc is the application-level DmRPC framework over the live
 // TCP path: named service methods dispatched on a live.Node, client
 // stubs with deadline/trace propagation reusing the transport's
-// retry/dedup machinery, and size-aware Payload arguments whose small
+// at-most-once retries, and size-aware Payload arguments whose small
 // values travel inline while large ones are staged once into the DM
 // server pool (a pool.Client session, one shard or many) and flow
 // through the rest of the call chain as a located Ref (paper §IV). It
@@ -24,7 +24,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dm"
@@ -120,42 +119,27 @@ type CallOpts struct {
 	// the envelope so callees inherit the remaining budget. 0 uses the
 	// endpoint's default; negative disables.
 	Timeout time.Duration
-	// Idempotent marks the call safe to retry without a dedup token.
-	// Non-idempotent calls are still retried, but carry a token so the
-	// serving node applies them at most once (DESIGN.md §D8).
-	Idempotent bool
 }
 
 // Caller issues service calls: the client stub side of the framework.
-// A Caller owns its live.Node (transport, retries, dedup) and borrows a
-// DM client for staging; it is safe for concurrent use.
+// A Caller owns its live.Node (transport and at-most-once retries,
+// DESIGN.md §D8) and borrows a DM client for staging; it is safe for
+// concurrent use.
 type Caller struct {
 	node *live.Node
 	dm   DM
 	cfg  Config
-
-	cid uint64
-	seq atomic.Uint64
 }
 
 // NewCaller builds a client stub endpoint. dmc may be nil when the
 // configuration never stages (ForceInline), or when the caller only
 // sends inline payloads and never materializes refs.
 func NewCaller(dmc DM, cfg Config) *Caller {
-	cid := rand.Uint64()
-	if cid == 0 {
-		cid = 1
-	}
-	return &Caller{node: live.NewNodeWith(cfg.Net), dm: dmc, cfg: cfg, cid: cid}
+	return &Caller{node: live.NewNodeWith(cfg.Net), dm: dmc, cfg: cfg}
 }
 
 // Close tears down the caller's transport (not the borrowed DM client).
 func (c *Caller) Close() error { return c.node.Close() }
-
-// token mints the dedup token for one non-idempotent call.
-func (c *Caller) token() dmwire.Token {
-	return dmwire.Token{CID: c.cid, Seq: c.seq.Add(1)}
-}
 
 // errNoDM is returned when a ref operation reaches a DM-less endpoint.
 var errNoDM = fmt.Errorf("liverpc: pass-by-reference payload reached an endpoint with no DM client")
@@ -230,10 +214,9 @@ func (c *Caller) Call(addr, method string, args ...Payload) ([]Payload, error) {
 }
 
 // CallOpts invokes method at addr with args. The call is bounded by an
-// overall deadline (propagated to the callee via the envelope), retried
-// across transport failures via the node's reconnect path, and — unless
-// marked Idempotent — carries a dedup token so the serving node applies
-// it at most once. Returned inline payloads are private copies; returned
+// overall deadline (propagated to the callee via the envelope) and
+// retried across transport failures via the node's reconnect path; the
+// serving node runs it at most once. Returned inline payloads are private copies; returned
 // refs are owned per the application's protocol.
 func (c *Caller) CallOpts(addr, method string, opts CallOpts, args ...Payload) ([]Payload, error) {
 	env := dmwire.CallEnvelope{
@@ -245,9 +228,8 @@ func (c *Caller) CallOpts(addr, method string, opts CallOpts, args ...Payload) (
 }
 
 // issue resolves opts against the endpoint defaults, stamps the
-// deadline budget into the envelope, sends it with the transport options
-// (idempotent flag or a fresh dedup token) and decodes the result list;
-// shared by top-level and nested (Ctx) calls.
+// deadline budget into the envelope, sends it and decodes the result
+// list; shared by top-level and nested (Ctx) calls.
 func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]Payload, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
@@ -263,12 +245,6 @@ func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]P
 		}
 		env.DeadlineMillis = uint32(ms)
 	}
-	lopts := live.CallOpts{Timeout: timeout}
-	if opts.Idempotent {
-		lopts.Idempotent = true
-	} else {
-		lopts.Token = c.token()
-	}
 	var out []Payload
 	err := c.node.CallConsumeOpts(addr, MethodCall, env.MarshalHdr(), env.Bulk(),
 		func(resp []byte) error {
@@ -280,7 +256,7 @@ func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]P
 			// returns, so inline results must be copied out.
 			out, err = payloadsFromWire(renv.Args, true)
 			return err
-		}, lopts)
+		}, live.CallOpts{Timeout: timeout})
 	if err != nil {
 		return nil, err
 	}

@@ -326,7 +326,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 // TestCallDedupAcrossTornWrite proves app calls reuse the transport's
-// retry+dedup machinery: a torn first write retries transparently, and
+// at-most-once retries: a torn first write retries transparently, and
 // the handler still executes exactly once.
 func TestCallDedupAcrossTornWrite(t *testing.T) {
 	var runs atomic.Int32
@@ -356,6 +356,39 @@ func TestCallDedupAcrossTornWrite(t *testing.T) {
 	}
 	if got, _ := res[0].AsU64(); got != 1 {
 		t.Fatalf("handler result = %d, want 1", got)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("handler ran %d times across the retry, want 1", n)
+	}
+}
+
+// TestCallReplaysAcrossLostResponse: the service runs the call, then the
+// connection is cut mid-response. The caller's retry carries the same
+// stamp, so it gets the first run's result replayed and the handler does
+// not run again.
+func TestCallReplaysAcrossLostResponse(t *testing.T) {
+	inj := faultnet.New()
+	var runs atomic.Int32
+	s := NewService("svc", nil, Config{})
+	s.Handle("mutate", func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		inj.CutAfter(10) // the response write is the connection's next I/O
+		return []Payload{U64(uint64(runs.Add(1)))}, nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(inj.Listener(ln))
+	t.Cleanup(func() { s.Close() })
+	c := NewCaller(nil, Config{Net: live.NodeConfig{AttemptTimeout: time.Second}})
+	defer c.Close()
+
+	res, err := c.Call(ln.Addr().String(), "mutate")
+	if err != nil {
+		t.Fatalf("call did not survive a lost response: %v", err)
+	}
+	if got, _ := res[0].AsU64(); got != 1 {
+		t.Fatalf("replayed result = %d, want 1", got)
 	}
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("handler ran %d times across the retry, want 1", n)

@@ -310,7 +310,7 @@ func (c *SocialNetClient) ComposeAs(user uint64, media []byte) (uint64, error) {
 // materializes each one's media (by-ref posts read straight from the DM
 // server). The returned buffers are the caller's.
 func (c *SocialNetClient) ReadHome(start uint64, count uint16) ([][]byte, error) {
-	res, err := c.caller.CallOpts(c.frontend, SNRead, CallOpts{Idempotent: true}, snParams(start, count))
+	res, err := c.caller.Call(c.frontend, SNRead, snParams(start, count))
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func (c *SocialNetClient) ReadHome(start uint64, count uint16) ([][]byte, error)
 // ReadUser reads a page of count posts authored by user, starting at
 // the author's start-th post, and materializes each one's media.
 func (c *SocialNetClient) ReadUser(user, start uint64, count uint16) ([][]byte, error) {
-	res, err := c.caller.CallOpts(c.frontend, SNUser, CallOpts{Idempotent: true}, snUserParams(user, start, count))
+	res, err := c.caller.Call(c.frontend, SNUser, snUserParams(user, start, count))
 	if err != nil {
 		return nil, err
 	}

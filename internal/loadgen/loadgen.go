@@ -216,7 +216,6 @@ func (e *Env) SessionTotals() SessionTotals {
 		st := p.Stats()
 		t.Calls += st.Calls
 		t.Retries += st.Retries
-		t.DedupReplays += st.DedupReplays
 		t.Failures += st.Failures
 		t.Timeouts += st.Timeouts
 		t.TransportErrors += st.TransportErrors

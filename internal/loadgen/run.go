@@ -259,7 +259,6 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 	res.Counters["timeouts"] = float64(after.Timeouts - before.Timeouts)
 	res.Counters["transport-errors"] = float64(after.TransportErrors - before.TransportErrors)
 	res.Counters["failures"] = float64(after.Failures - before.Failures)
-	res.Counters["dedup-replays"] = float64(after.DedupReplays - before.DedupReplays)
 	res.Counters["failover-reads"] = float64(after.FailoverReads - before.FailoverReads)
 	res.Counters["repairs-done"] = float64(after.RepairsDone - before.RepairsDone)
 	res.Counters["under-replicated"] = float64(after.UnderReplicated)

@@ -465,7 +465,6 @@ func (p *Client) Stats() live.Stats {
 		st := s.cl.Stats()
 		sum.Calls += st.Calls
 		sum.Retries += st.Retries
-		sum.DedupReplays += st.DedupReplays
 		sum.Failures += st.Failures
 		sum.Timeouts += st.Timeouts
 		sum.TransportErrors += st.TransportErrors

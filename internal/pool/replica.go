@@ -392,9 +392,7 @@ func (p *Client) onShard(id uint32, ref dm.Ref, op func(*live.Client) (*live.Buf
 // like a read), after which every other copy is freed — never before,
 // so a consume that fails everywhere frees nothing. Like FreeRef it
 // tombstones the cache key, unless the ref was refused as out of range
-// (which frees nothing). The consume itself is not retried (see
-// live.Client.ConsumeRefLease). The caller must Release the Buf exactly
-// once.
+// (which frees nothing). The caller must Release the Buf exactly once.
 func (p *Client) ConsumeRefLeaseFrom(ref dm.Ref, hints []uint32) (*live.Buf, error) {
 	b, err := p.consume(ref, hints)
 	if !errors.Is(err, dm.ErrOutOfRange) {

@@ -3,7 +3,7 @@
 // makes refs location-aware (dmwire's located call arg, whose Server
 // field carries a cluster-wide shard ID), and multiplexes one
 // live.Client per shard so every session keeps the single-server
-// lease/heartbeat/retry/dedup machinery it already has. Per-shard
+// lease/heartbeat/retry machinery it already has. Per-shard
 // session health drives failover: a shard whose heartbeats keep failing
 // is ejected from the ring for NEW placements while refs it already
 // holds keep resolving until the server's lease reaper reclaims them.

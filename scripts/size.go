@@ -1,6 +1,6 @@
 //go:build ignore
 
-// Command size prints the two numbers ROADMAP item 2 tracks for the live
+// Command size prints the two numbers ROADMAP item 6 tracks for the live
 // stack: non-test lines (every line of every non-_test.go file) and
 // exported declarations (top-level funcs, methods on exported types,
 // types, and each const/var name) of the packages named on the command
