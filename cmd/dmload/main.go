@@ -43,7 +43,7 @@ func run() int {
 	shards := flag.String("shards", "", "comma-separated dmserverd addresses to attach to (shard ID = position)")
 	pages := flag.Int("pages", 1<<14, "pool pages per launched shard")
 	pageSize := flag.Int("pagesize", 4096, "page size per launched shard")
-	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "session lease TTL on launched shards; leasing drives the heartbeats that failure detection needs (0 disables)")
+	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "session lease TTL on launched shards: a client session idle this long is reaped; leasing drives the heartbeats that failure detection needs (0 disables)")
 	scenarios := flag.String("scenarios", "socialnet,kv,blob", "comma-separated scenarios to run in order")
 	replicas := flag.Int("replicas", 1, "replica factor R for harness sessions")
 	workers := flag.Int("workers", 8, "concurrent simulated users per scenario")

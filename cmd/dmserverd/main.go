@@ -30,7 +30,7 @@ func main() {
 	listen := flag.String("listen", ":7640", "TCP listen address")
 	pages := flag.Int("pages", 1<<16, "pool size in pages")
 	pageSize := flag.Int("pagesize", 4096, "page size in bytes")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "session lease TTL; an unrenewed session is reaped after this long (0 disables leasing)")
+	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "session lease TTL: a registered client session that sends no request (data call or heartbeat) for this long is reaped (0 disables leasing)")
 	drain := flag.Duration("drain", time.Second, "graceful drain window on shutdown before connections are cut")
 	maxFrame := flag.Uint("max-frame", live.DefaultMaxFrameSize, "maximum accepted frame payload in bytes")
 	coalesceLimit := flag.Int("coalesce-limit", 0, "largest response coalesced into batched writes, bytes (0 = default, negative disables)")

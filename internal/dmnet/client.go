@@ -31,11 +31,12 @@ func splitAddr(a dm.RemoteAddr) (server int, raw dm.RemoteAddr) {
 // implements dm.Space by issuing DM RPCs through the process's rpc.Node;
 // allocation requests are "routed in a round-robin fashion" across the
 // pool's servers (§VI-C). Request and response bodies are the shared
-// dmwire codecs, identical to the live TCP client's.
+// dmwire codecs, identical to the live TCP client's. A server knows the
+// caller by its node's address, so each Client needs an rpc.Node of its
+// own.
 type Client struct {
 	node    *rpc.Node
 	servers []simnet.Addr
-	pids    []uint32
 	ready   bool
 	rr      int
 }
@@ -54,47 +55,46 @@ func NewClient(node *rpc.Node, servers []simnet.Addr) *Client {
 	if len(servers) == 0 {
 		panic("dmnet: client needs at least one DM server")
 	}
-	return &Client{node: node, servers: servers, pids: make([]uint32, len(servers))}
+	return &Client{node: node, servers: servers}
 }
 
-// Register obtains a global PID from every DM server. It must complete
-// before any other call ("the global PID is assigned by our software
-// running on DM servers", §V-A).
+// Register registers this process with every DM server. It must
+// complete before any other call. The paper's servers assign a global PID
+// here (§V-A); ours key the process's state by its node address instead,
+// so no PID rides any later request.
 func (c *Client) Register(p *sim.Proc) error {
 	for i, srv := range c.servers {
 		resp, err := c.node.Call(p, srv, MRegister, nil)
 		if err != nil {
 			return fmt.Errorf("dmnet: register with server %d: %w", i, err)
 		}
-		r, err := dmwire.UnmarshalRegisterResp(resp)
-		if err != nil {
+		if _, err := dmwire.UnmarshalRegisterResp(resp); err != nil {
 			return err
 		}
-		c.pids[i] = r.PID
 	}
 	c.ready = true
 	return nil
 }
 
-func (c *Client) server(i int) (simnet.Addr, uint32, error) {
+func (c *Client) server(i int) (simnet.Addr, error) {
 	if !c.ready {
-		return simnet.Addr{}, 0, fmt.Errorf("dmnet: client not registered")
+		return simnet.Addr{}, fmt.Errorf("dmnet: client not registered")
 	}
 	if i < 0 || i >= len(c.servers) {
-		return simnet.Addr{}, 0, dm.ErrBadAddress
+		return simnet.Addr{}, dm.ErrBadAddress
 	}
-	return c.servers[i], c.pids[i], nil
+	return c.servers[i], nil
 }
 
 // Alloc reserves size bytes on the next server in round-robin order.
 func (c *Client) Alloc(p *sim.Proc, size int64) (dm.RemoteAddr, error) {
 	idx := c.rr
 	c.rr = (c.rr + 1) % len(c.servers)
-	srv, pid, err := c.server(idx)
+	srv, err := c.server(idx)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.node.Call(p, srv, MAlloc, dmwire.AllocReq{PID: pid, Size: size}.Marshal())
+	resp, err := c.node.Call(p, srv, MAlloc, dmwire.AllocReq{Size: size}.Marshal())
 	if err != nil {
 		return 0, fromAppError(err)
 	}
@@ -108,23 +108,23 @@ func (c *Client) Alloc(p *sim.Proc, size int64) (dm.RemoteAddr, error) {
 // Free releases the region based at addr.
 func (c *Client) Free(p *sim.Proc, addr dm.RemoteAddr) error {
 	idx, raw := splitAddr(addr)
-	srv, pid, err := c.server(idx)
+	srv, err := c.server(idx)
 	if err != nil {
 		return err
 	}
-	_, err = c.node.Call(p, srv, MFree, dmwire.FreeReq{PID: pid, Addr: raw}.Marshal())
+	_, err = c.node.Call(p, srv, MFree, dmwire.FreeReq{Addr: raw}.Marshal())
 	return fromAppError(err)
 }
 
 // CreateRef marks [addr, addr+size) shared read-only and returns its Ref.
 func (c *Client) CreateRef(p *sim.Proc, addr dm.RemoteAddr, size int64) (dm.Ref, error) {
 	idx, raw := splitAddr(addr)
-	srv, pid, err := c.server(idx)
+	srv, err := c.server(idx)
 	if err != nil {
 		return dm.Ref{}, err
 	}
 	resp, err := c.node.Call(p, srv, MCreateRef,
-		dmwire.CreateRefReq{PID: pid, Addr: raw, Size: size}.Marshal())
+		dmwire.CreateRefReq{Addr: raw, Size: size}.Marshal())
 	if err != nil {
 		return dm.Ref{}, fromAppError(err)
 	}
@@ -137,12 +137,12 @@ func (c *Client) CreateRef(p *sim.Proc, addr dm.RemoteAddr, size int64) (dm.Ref,
 
 // MapRef maps the pages named by ref into this process's DM address space.
 func (c *Client) MapRef(p *sim.Proc, ref dm.Ref) (dm.RemoteAddr, error) {
-	srv, pid, err := c.server(int(ref.Server))
+	srv, err := c.server(int(ref.Server))
 	if err != nil {
 		return 0, err
 	}
 	resp, err := c.node.Call(p, srv, MMapRef,
-		dmwire.MapRefReq{PID: pid, Key: ref.Key}.Marshal())
+		dmwire.MapRefReq{Key: ref.Key}.Marshal())
 	if err != nil {
 		return 0, fromAppError(err)
 	}
@@ -157,7 +157,7 @@ func (c *Client) MapRef(p *sim.Proc, ref dm.Ref) (dm.RemoteAddr, error) {
 // repo extension over the paper's Table II: without it the +1 taken by
 // create_ref can never be returned and pages leak (see DESIGN.md D-notes).
 func (c *Client) FreeRef(p *sim.Proc, ref dm.Ref) error {
-	srv, _, err := c.server(int(ref.Server))
+	srv, err := c.server(int(ref.Server))
 	if err != nil {
 		return err
 	}
@@ -171,11 +171,11 @@ func (c *Client) FreeRef(p *sim.Proc, ref dm.Ref) error {
 func (c *Client) StageRef(p *sim.Proc, data []byte) (dm.Ref, error) {
 	idx := c.rr
 	c.rr = (c.rr + 1) % len(c.servers)
-	srv, pid, err := c.server(idx)
+	srv, err := c.server(idx)
 	if err != nil {
 		return dm.Ref{}, err
 	}
-	resp, err := c.node.Call(p, srv, MStage, dmwire.StageReq{PID: pid, Data: data}.Marshal())
+	resp, err := c.node.Call(p, srv, MStage, dmwire.StageReq{Data: data}.Marshal())
 	if err != nil {
 		return dm.Ref{}, fromAppError(err)
 	}
@@ -189,7 +189,7 @@ func (c *Client) StageRef(p *sim.Proc, data []byte) (dm.Ref, error) {
 // ReadRef reads [off, off+len(dst)) of the ref's snapshot without mapping
 // it (see dm.RefReader).
 func (c *Client) ReadRef(p *sim.Proc, ref dm.Ref, off int64, dst []byte) error {
-	srv, _, err := c.server(int(ref.Server))
+	srv, err := c.server(int(ref.Server))
 	if err != nil {
 		return err
 	}
@@ -209,23 +209,23 @@ func (c *Client) ReadRef(p *sim.Proc, ref dm.Ref, off int64, dst []byte) error {
 // over the network to the DM server).
 func (c *Client) Write(p *sim.Proc, addr dm.RemoteAddr, src []byte) error {
 	idx, raw := splitAddr(addr)
-	srv, pid, err := c.server(idx)
+	srv, err := c.server(idx)
 	if err != nil {
 		return err
 	}
-	_, err = c.node.Call(p, srv, MWrite, dmwire.WriteReq{PID: pid, Addr: raw, Data: src}.Marshal())
+	_, err = c.node.Call(p, srv, MWrite, dmwire.WriteReq{Addr: raw, Data: src}.Marshal())
 	return fromAppError(err)
 }
 
 // Read loads len(dst) bytes from addr into dst (the paper's rread).
 func (c *Client) Read(p *sim.Proc, addr dm.RemoteAddr, dst []byte) error {
 	idx, raw := splitAddr(addr)
-	srv, pid, err := c.server(idx)
+	srv, err := c.server(idx)
 	if err != nil {
 		return err
 	}
 	resp, err := c.node.Call(p, srv, MRead,
-		dmwire.ReadReq{PID: pid, Addr: raw, Size: uint32(len(dst))}.Marshal())
+		dmwire.ReadReq{Addr: raw, Size: uint32(len(dst))}.Marshal())
 	if err != nil {
 		return fromAppError(err)
 	}

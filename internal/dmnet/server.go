@@ -60,8 +60,9 @@ type Server struct {
 	dev  *memsim.Device
 	free *memsim.FreeList
 
-	nextPID uint32
-	vas     map[uint32]*dm.VAAllocator // per-process VA allocation tree
+	// vas is each registered process's VA allocation tree, keyed by the
+	// address of the node it calls from.
+	vas map[simnet.Addr]*dm.VAAllocator
 
 	// trans is the single in-memory hash table holding all processes'
 	// translation entries (§V-A2).
@@ -76,8 +77,8 @@ type Server struct {
 }
 
 type transKey struct {
-	pid   uint32
-	vpage uint64 // DM virtual address >> page shift (byte addr / page size)
+	from  simnet.Addr // the process's node
+	vpage uint64      // DM virtual address >> page shift (byte addr / page size)
 }
 
 type refEntry struct {
@@ -94,7 +95,7 @@ func NewServer(h *simnet.Host, port int, id uint32, cfg ServerConfig) *Server {
 		cfg:   cfg,
 		dev:   memsim.New(h.Network().Engine(), fmt.Sprintf("dm%d", id), cfg.Memory),
 		free:  memsim.NewFreeList(cfg.Memory.NumPages),
-		vas:   make(map[uint32]*dm.VAAllocator),
+		vas:   make(map[simnet.Addr]*dm.VAAllocator),
 		trans: make(map[transKey]memsim.FrameID),
 		refs:  make(map[uint64]*refEntry),
 	}
@@ -142,15 +143,17 @@ func (s *Server) pageSize() int64 { return int64(s.cfg.Memory.PageSize) }
 
 // --- handlers ---
 
+// handleRegister gives the calling node a VA allocation tree, once: a
+// second register from the same node keeps the first one's.
 func (s *Server) handleRegister(ctx *rpc.Ctx, body []byte) ([]byte, error) {
-	pid := s.nextPID
-	s.nextPID++
-	s.vas[pid] = dm.NewVAAllocator(s.cfg.Memory.PageSize, s.cfg.VABase, s.cfg.VALimit)
-	return dmwire.RegisterResp{PID: pid}.Marshal(), nil
+	if _, ok := s.vas[ctx.From]; !ok {
+		s.vas[ctx.From] = dm.NewVAAllocator(s.cfg.Memory.PageSize, s.cfg.VABase, s.cfg.VALimit)
+	}
+	return dmwire.RegisterResp{}.Marshal(), nil
 }
 
-func (s *Server) va(pid uint32) (*dm.VAAllocator, error) {
-	va, ok := s.vas[pid]
+func (s *Server) va(from simnet.Addr) (*dm.VAAllocator, error) {
+	va, ok := s.vas[from]
 	if !ok {
 		return nil, dm.ErrBadAddress
 	}
@@ -162,8 +165,8 @@ func (s *Server) handleAlloc(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, size := req.PID, req.Size
-	va, err := s.va(pid)
+	from, size := ctx.From, req.Size
+	va, err := s.va(from)
 	if err != nil {
 		return nil, toAppError(err)
 	}
@@ -183,8 +186,8 @@ func (s *Server) handleFree(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, addr := req.PID, req.Addr
-	va, err := s.va(pid)
+	from, addr := ctx.From, req.Addr
+	va, err := s.va(from)
 	if err != nil {
 		return nil, toAppError(err)
 	}
@@ -199,7 +202,7 @@ func (s *Server) handleFree(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	base := uint64(addr) / uint64(s.pageSize())
 	var held []memsim.FrameID
 	for i := 0; i < pages; i++ {
-		key := transKey{pid: pid, vpage: base + uint64(i)}
+		key := transKey{from: from, vpage: base + uint64(i)}
 		f, ok := s.trans[key]
 		if !ok {
 			continue // never materialized
@@ -217,7 +220,7 @@ func (s *Server) handleFree(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// materialize returns the frame backing (pid, vpage), allocating and
+// materialize returns the frame backing (from, vpage), allocating and
 // mapping a fresh zeroed frame on first touch (the page-fault path).
 func (s *Server) materialize(p *sim.Proc, key transKey) (memsim.FrameID, error) {
 	p.Sleep(s.cfg.TranslateTime)
@@ -236,9 +239,9 @@ func (s *Server) materialize(p *sim.Proc, key transKey) (memsim.FrameID, error) 
 }
 
 // checkRange validates that [addr, addr+size) lies inside one allocated
-// region of pid's address space and returns the region's first vpage.
-func (s *Server) checkRange(pid uint32, addr dm.RemoteAddr, size int64) error {
-	va, err := s.va(pid)
+// region of from's address space and returns the region's first vpage.
+func (s *Server) checkRange(from simnet.Addr, addr dm.RemoteAddr, size int64) error {
+	va, err := s.va(from)
 	if err != nil {
 		return err
 	}
@@ -263,18 +266,18 @@ func (s *Server) handleCreateRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, addr, size := req.PID, req.Addr, req.Size
+	from, addr, size := ctx.From, req.Addr, req.Size
 	if size <= 0 {
 		return nil, toAppError(dm.ErrOutOfRange)
 	}
-	if err := s.checkRange(pid, addr, size); err != nil {
+	if err := s.checkRange(from, addr, size); err != nil {
 		return nil, toAppError(err)
 	}
 	basePage := uint64(addr) / uint64(s.pageSize())
 	pages := dm.PageCount(int64(uint64(addr)%uint64(s.pageSize()))+size, s.cfg.Memory.PageSize)
 	src := make([]memsim.FrameID, 0, pages)
 	for i := 0; i < pages; i++ {
-		key := transKey{pid: pid, vpage: basePage + uint64(i)}
+		key := transKey{from: from, vpage: basePage + uint64(i)}
 		f, err := s.materialize(ctx.P, key)
 		if err != nil {
 			return nil, toAppError(err)
@@ -318,8 +321,8 @@ func (s *Server) handleMapRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, key := req.PID, req.Key
-	va, err := s.va(pid)
+	from, key := ctx.From, req.Key
+	va, err := s.va(from)
 	if err != nil {
 		return nil, toAppError(err)
 	}
@@ -334,7 +337,7 @@ func (s *Server) handleMapRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	basePage := uint64(addr) / uint64(s.pageSize())
 	for i, f := range ref.frames {
 		ctx.P.Sleep(s.cfg.TranslateTime)
-		s.trans[transKey{pid: pid, vpage: basePage + uint64(i)}] = f
+		s.trans[transKey{from: from, vpage: basePage + uint64(i)}] = f
 	}
 	s.dev.AddRefBatch(ctx.P, ref.frames, 1)
 	return dmwire.MapRefResp{Addr: addr, Size: ref.size}.Marshal(), nil
@@ -365,8 +368,8 @@ func (s *Server) handleRead(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, addr, size := req.PID, req.Addr, int64(req.Size)
-	if err := s.checkRange(pid, addr, size); err != nil {
+	from, addr, size := ctx.From, req.Addr, int64(req.Size)
+	if err := s.checkRange(from, addr, size); err != nil {
 		return nil, toAppError(err)
 	}
 	out := make([]byte, size)
@@ -379,7 +382,7 @@ func (s *Server) handleRead(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 			n = size - off
 		}
 		ctx.P.Sleep(s.cfg.TranslateTime)
-		f, mapped := s.trans[transKey{pid: pid, vpage: vpage}]
+		f, mapped := s.trans[transKey{from: from, vpage: vpage}]
 		if mapped {
 			// "it directly returns the content in the pinned pages without
 			// checking the reference count" (§V-A2).
@@ -396,9 +399,9 @@ func (s *Server) handleWrite(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pid, addr, data := req.PID, req.Addr, req.Data
+	from, addr, data := ctx.From, req.Addr, req.Data
 	size := int64(len(data))
-	if err := s.checkRange(pid, addr, size); err != nil {
+	if err := s.checkRange(from, addr, size); err != nil {
 		return nil, toAppError(err)
 	}
 	off := int64(0)
@@ -409,7 +412,7 @@ func (s *Server) handleWrite(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 		if n > size-off {
 			n = size - off
 		}
-		f, err := s.writableFrame(ctx.P, transKey{pid: pid, vpage: vpage})
+		f, err := s.writableFrame(ctx.P, transKey{from: from, vpage: vpage})
 		if err != nil {
 			return nil, toAppError(err)
 		}
@@ -428,7 +431,7 @@ func (s *Server) handleStage(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := req.Data // staging is per-ref; the PID is accepted but unused
+	data := req.Data // staging is per-ref: no VA region is involved
 	if len(data) == 0 {
 		return nil, toAppError(dm.ErrOutOfRange)
 	}
@@ -516,7 +519,7 @@ func (s *Server) handleAdoptRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	if req.NewKey != 0 && req.NewKey&dmwire.ReplicaKeyBit == 0 {
 		return nil, toAppError(errAdoptKeySpace)
 	}
-	if _, err := s.va(req.PID); err != nil {
+	if _, err := s.va(ctx.From); err != nil {
 		return nil, toAppError(err)
 	}
 	ctx.P.Sleep(s.cfg.TranslateTime)
@@ -589,7 +592,7 @@ func (s *Server) CheckInvariants() error {
 	return nil
 }
 
-// writableFrame returns a frame the caller may write through (pid, vpage),
+// writableFrame returns a frame the caller may write through (from, vpage),
 // running the copy-on-write protocol of §V-A2: if the page is shared
 // (refcount > 1), pop a fresh page, copy, drop one reference on the old
 // page and retarget the translation entry.

@@ -30,9 +30,11 @@ const (
 	// MReadRef reads through a ref key without a mapping (read-only
 	// consumers skip the map_ref round trip).
 	MReadRef
-	// MHeartbeat renews a session lease. Servers that lease sessions
-	// return a TTL from MRegister; a client must heartbeat within the TTL
-	// or the server reclaims every resource the PID holds (DESIGN.md §D8).
+	// MHeartbeat keeps an idle session alive and carries the server's
+	// cache-invalidation epoch back. Its request body is empty: the
+	// session stamp names the caller. Servers that lease sessions return
+	// a TTL from MRegister; a session that sends no request within the
+	// TTL is reaped with everything it holds (DESIGN.md §D8).
 	MHeartbeat
 	// MStageAt is MStage with a caller-chosen ref key — the replica-
 	// placement primitive (DESIGN.md §D13): the pool client mints one
@@ -42,7 +44,7 @@ const (
 	// StatusRefExists instead of overwriting. The request may carry the
 	// ref's replica set, which the server records as the key's epoch-1
 	// directory entry together with the ref (DESIGN.md §D16) — the handoff
-	// that lets the ref survive its producer's lease reap.
+	// that lets the ref survive its producer's session reap.
 	MStageAt
 	// MRegPut merges a cluster ref's registry entry (key -> replica set,
 	// size, epoch) into the shard's directory (DESIGN.md §D16): the
@@ -68,7 +70,7 @@ const (
 	MConsumeRef
 	// MAdoptRef moves a ref to the caller in one exchange: the old key is
 	// retired and the same frames are republished under a new key owned
-	// by the caller's PID. No frame is copied and no refcount moves. The
+	// by the caller's session. No frame is copied and no refcount moves. The
 	// body is an AdoptRefReq and the response a RefKeyResp naming the new
 	// key. Of racing adopts, consumes and frees of one key exactly one
 	// wins; the losers answer StatusBadRef.
@@ -151,16 +153,19 @@ func ErrOf(status byte, msg string) error {
 var errBodyForm = errors.New("dmwire: body has the wrong length or a reserved bit set")
 
 // RegisterResp is the body of a successful MRegister response, in one
-// 21-byte form (flags bit0 = HasShard; the other bits must be 0):
+// 17-byte form (flags bit0 = HasShard; the other bits must be 0):
 //
-//	PID u32 | LeaseMillis u32 | flags u8 | Shard u32 | Epoch u64
+//	LeaseMillis u32 | flags u8 | Shard u32 | Epoch u64
 //
 // Both ends of a session are built from the same commit, so no field is
-// optional on the wire.
+// optional on the wire. MRegister has an empty request body: register
+// attaches the DM state to the session its stamp names, and every later
+// request on that session reaches it.
 //
-// LeaseMillis is the session lease TTL granted to the PID, in
-// milliseconds; 0 means the server does not lease sessions and the PID
-// lives until the server shuts down.
+// LeaseMillis is the session lease TTL, in milliseconds: a registered
+// session that sends no request for that long is reaped. 0 means the
+// server does not lease sessions and the session lives until the server
+// shuts down.
 //
 // HasShard/Shard report the server's cluster shard identity
 // (dmserverd -shard-id): a server deployed as one shard of a
@@ -172,7 +177,6 @@ var errBodyForm = errors.New("dmwire: body has the wrong length or a reserved bi
 // epoch on a heartbeat knows something it may have cached was freed,
 // overwritten, or reaped. 0 means the server has never invalidated.
 type RegisterResp struct {
-	PID         uint32
 	LeaseMillis uint32
 	HasShard    bool
 	Shard       uint32
@@ -180,7 +184,7 @@ type RegisterResp struct {
 }
 
 // registerRespSize is the one wire length of a RegisterResp.
-const registerRespSize = 4 + 4 + 1 + 4 + 8
+const registerRespSize = 4 + 1 + 4 + 8
 
 // Marshal encodes the response body.
 func (r RegisterResp) Marshal() []byte {
@@ -188,50 +192,32 @@ func (r RegisterResp) Marshal() []byte {
 	if r.HasShard {
 		flags = 1
 	}
-	return rpc.NewEnc(registerRespSize).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U64(r.Epoch).Bytes()
+	return rpc.NewEnc(registerRespSize).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U64(r.Epoch).Bytes()
 }
 
 // UnmarshalRegisterResp decodes the response body.
 func UnmarshalRegisterResp(b []byte) (RegisterResp, error) {
-	if len(b) != registerRespSize || b[8] > 1 {
+	if len(b) != registerRespSize || b[4] > 1 {
 		return RegisterResp{}, errBodyForm
 	}
 	d := rpc.NewDec(b)
-	r := RegisterResp{PID: d.U32(), LeaseMillis: d.U32(), HasShard: d.U8() == 1}
+	r := RegisterResp{LeaseMillis: d.U32(), HasShard: d.U8() == 1}
 	r.Shard, r.Epoch = d.U32(), d.U64()
 	return r, d.Err()
 }
 
-// HeartbeatReq is the body of an MHeartbeat request.
-type HeartbeatReq struct {
-	PID uint32
-}
-
-// Marshal encodes the request body.
-func (r HeartbeatReq) Marshal() []byte { return rpc.NewEnc(4).U32(r.PID).Bytes() }
-
-// UnmarshalHeartbeatReq decodes the request body.
-func UnmarshalHeartbeatReq(b []byte) (HeartbeatReq, error) {
-	d := rpc.NewDec(b)
-	r := HeartbeatReq{PID: d.U32()}
-	return r, d.Err()
-}
-
 // HeartbeatResp is the body of a successful MHeartbeat response, in one
-// 12-byte form — LeaseMillis u32 | Epoch u64: the renewed lease TTL and
-// the server's cache-invalidation epoch (DESIGN.md §D15).
+// 8-byte form — Epoch u64: the server's cache-invalidation epoch
+// (DESIGN.md §D15).
 type HeartbeatResp struct {
-	LeaseMillis uint32
-	Epoch       uint64
+	Epoch uint64
 }
 
 // heartbeatRespSize is the one wire length of a HeartbeatResp.
-const heartbeatRespSize = 4 + 8
+const heartbeatRespSize = 8
 
 // Marshal encodes the response body.
-func (r HeartbeatResp) Marshal() []byte {
-	return rpc.NewEnc(heartbeatRespSize).U32(r.LeaseMillis).U64(r.Epoch).Bytes()
-}
+func (r HeartbeatResp) Marshal() []byte { return rpc.NewEnc(heartbeatRespSize).U64(r.Epoch).Bytes() }
 
 // UnmarshalHeartbeatResp decodes the response body.
 func UnmarshalHeartbeatResp(b []byte) (HeartbeatResp, error) {
@@ -239,23 +225,22 @@ func UnmarshalHeartbeatResp(b []byte) (HeartbeatResp, error) {
 		return HeartbeatResp{}, errBodyForm
 	}
 	d := rpc.NewDec(b)
-	r := HeartbeatResp{LeaseMillis: d.U32(), Epoch: d.U64()}
+	r := HeartbeatResp{Epoch: d.U64()}
 	return r, d.Err()
 }
 
 // AllocReq is the body of an MAlloc request.
 type AllocReq struct {
-	PID  uint32
 	Size int64
 }
 
 // Marshal encodes the request body.
-func (r AllocReq) Marshal() []byte { return rpc.NewEnc(12).U32(r.PID).I64(r.Size).Bytes() }
+func (r AllocReq) Marshal() []byte { return rpc.NewEnc(8).I64(r.Size).Bytes() }
 
 // UnmarshalAllocReq decodes the request body.
 func UnmarshalAllocReq(b []byte) (AllocReq, error) {
 	d := rpc.NewDec(b)
-	r := AllocReq{PID: d.U32(), Size: d.I64()}
+	r := AllocReq{Size: d.I64()}
 	return r, d.Err()
 }
 
@@ -276,36 +261,34 @@ func UnmarshalAllocResp(b []byte) (AllocResp, error) {
 
 // FreeReq is the body of an MFree request.
 type FreeReq struct {
-	PID  uint32
 	Addr dm.RemoteAddr
 }
 
 // Marshal encodes the request body.
-func (r FreeReq) Marshal() []byte { return rpc.NewEnc(12).U32(r.PID).U64(uint64(r.Addr)).Bytes() }
+func (r FreeReq) Marshal() []byte { return rpc.NewEnc(8).U64(uint64(r.Addr)).Bytes() }
 
 // UnmarshalFreeReq decodes the request body.
 func UnmarshalFreeReq(b []byte) (FreeReq, error) {
 	d := rpc.NewDec(b)
-	r := FreeReq{PID: d.U32(), Addr: dm.RemoteAddr(d.U64())}
+	r := FreeReq{Addr: dm.RemoteAddr(d.U64())}
 	return r, d.Err()
 }
 
 // CreateRefReq is the body of an MCreateRef request.
 type CreateRefReq struct {
-	PID  uint32
 	Addr dm.RemoteAddr
 	Size int64
 }
 
 // Marshal encodes the request body.
 func (r CreateRefReq) Marshal() []byte {
-	return rpc.NewEnc(20).U32(r.PID).U64(uint64(r.Addr)).I64(r.Size).Bytes()
+	return rpc.NewEnc(16).U64(uint64(r.Addr)).I64(r.Size).Bytes()
 }
 
 // UnmarshalCreateRefReq decodes the request body.
 func UnmarshalCreateRefReq(b []byte) (CreateRefReq, error) {
 	d := rpc.NewDec(b)
-	r := CreateRefReq{PID: d.U32(), Addr: dm.RemoteAddr(d.U64()), Size: d.I64()}
+	r := CreateRefReq{Addr: dm.RemoteAddr(d.U64()), Size: d.I64()}
 	return r, d.Err()
 }
 
@@ -327,17 +310,16 @@ func UnmarshalRefKeyResp(b []byte) (RefKeyResp, error) {
 
 // MapRefReq is the body of an MMapRef request.
 type MapRefReq struct {
-	PID uint32
 	Key uint64
 }
 
 // Marshal encodes the request body.
-func (r MapRefReq) Marshal() []byte { return rpc.NewEnc(12).U32(r.PID).U64(r.Key).Bytes() }
+func (r MapRefReq) Marshal() []byte { return rpc.NewEnc(8).U64(r.Key).Bytes() }
 
 // UnmarshalMapRefReq decodes the request body.
 func UnmarshalMapRefReq(b []byte) (MapRefReq, error) {
 	d := rpc.NewDec(b)
-	r := MapRefReq{PID: d.U32(), Key: d.U64()}
+	r := MapRefReq{Key: d.U64()}
 	return r, d.Err()
 }
 
@@ -376,79 +358,62 @@ func UnmarshalFreeRefReq(b []byte) (FreeRefReq, error) {
 
 // ReadReq is the body of an MRead request.
 type ReadReq struct {
-	PID  uint32
 	Addr dm.RemoteAddr
 	Size uint32
 }
 
 // Marshal encodes the request body.
 func (r ReadReq) Marshal() []byte {
-	return rpc.NewEnc(16).U32(r.PID).U64(uint64(r.Addr)).U32(r.Size).Bytes()
+	return rpc.NewEnc(12).U64(uint64(r.Addr)).U32(r.Size).Bytes()
 }
 
 // UnmarshalReadReq decodes the request body.
 func UnmarshalReadReq(b []byte) (ReadReq, error) {
 	d := rpc.NewDec(b)
-	r := ReadReq{PID: d.U32(), Addr: dm.RemoteAddr(d.U64()), Size: d.U32()}
+	r := ReadReq{Addr: dm.RemoteAddr(d.U64()), Size: d.U32()}
 	return r, d.Err()
 }
 
 // WriteReq is the body of an MWrite request; Data aliases the message
 // buffer.
 type WriteReq struct {
-	PID  uint32
 	Addr dm.RemoteAddr
 	Data []byte
 }
 
 // Marshal encodes the request body.
 func (r WriteReq) Marshal() []byte {
-	e := rpc.NewEnc(12 + len(r.Data))
-	return e.U32(r.PID).U64(uint64(r.Addr)).Raw(r.Data).Bytes()
+	e := rpc.NewEnc(8 + len(r.Data))
+	return e.U64(uint64(r.Addr)).Raw(r.Data).Bytes()
 }
 
 // MarshalHdr encodes only the fixed-size prefix of the request body, for
 // transports that write Data as its own vectored segment (zero-copy
 // framing): Marshal() == append(MarshalHdr(), Data...).
 func (r WriteReq) MarshalHdr() []byte {
-	return rpc.NewEnc(12).U32(r.PID).U64(uint64(r.Addr)).Bytes()
+	return rpc.NewEnc(8).U64(uint64(r.Addr)).Bytes()
 }
 
 // UnmarshalWriteReq decodes the request body.
 func UnmarshalWriteReq(b []byte) (WriteReq, error) {
 	d := rpc.NewDec(b)
-	r := WriteReq{PID: d.U32(), Addr: dm.RemoteAddr(d.U64())}
+	r := WriteReq{Addr: dm.RemoteAddr(d.U64())}
 	r.Data = d.Remaining()
 	return r, d.Err()
 }
 
-// StageReq is the body of an MStage request; Data aliases the message
-// buffer.
+// StageReq is the body of an MStage request: the payload itself, with
+// no header, so a transport writes Data as the whole body. Data aliases
+// the message buffer.
 type StageReq struct {
-	PID  uint32
 	Data []byte
 }
 
 // Marshal encodes the request body.
-func (r StageReq) Marshal() []byte {
-	e := rpc.NewEnc(4 + len(r.Data))
-	return e.U32(r.PID).Raw(r.Data).Bytes()
-}
-
-// MarshalHdr encodes only the fixed-size prefix of the request body, for
-// transports that write Data as its own vectored segment (zero-copy
-// framing): Marshal() == append(MarshalHdr(), Data...).
-func (r StageReq) MarshalHdr() []byte {
-	return rpc.NewEnc(4).U32(r.PID).Bytes()
-}
+func (r StageReq) Marshal() []byte { return append([]byte(nil), r.Data...) }
 
 // UnmarshalStageReq decodes the request body.
-func UnmarshalStageReq(b []byte) (StageReq, error) {
-	d := rpc.NewDec(b)
-	r := StageReq{PID: d.U32()}
-	r.Data = d.Remaining()
-	return r, d.Err()
-}
+func UnmarshalStageReq(b []byte) (StageReq, error) { return StageReq{Data: b}, nil }
 
 // StageAtReq is the body of an MStageAt request: stage Data under the
 // caller-chosen Key (which must have ReplicaKeyBit set). A non-empty
@@ -459,25 +424,24 @@ func UnmarshalStageReq(b []byte) (StageReq, error) {
 // migration re-stages, and every stage with the registry off. Data
 // aliases the message buffer.
 //
-//	PID u32 | Key u64 | nreps u8 | Replicas u32 x n | Data
+//	Key u64 | nreps u8 | Replicas u32 x n | Data
 //
 // Lists longer than MaxRefReplicas are truncated on encode and rejected
 // on decode.
 type StageAtReq struct {
-	PID      uint32
 	Key      uint64
 	Replicas []uint32
 	Data     []byte
 }
 
 // stageAtFixed is the size of the request prefix before the replica list.
-const stageAtFixed = 4 + 8 + 1
+const stageAtFixed = 8 + 1
 
 // encodeHdr encodes everything but Data into a buffer with room for
 // extra more bytes.
 func (r StageAtReq) encodeHdr(extra int) *rpc.Enc {
 	e := rpc.NewEnc(stageAtFixed + 4*len(r.Replicas) + extra)
-	encodeReplicas(e.U32(r.PID).U64(r.Key), r.Replicas)
+	encodeReplicas(e.U64(r.Key), r.Replicas)
 	return e
 }
 
@@ -492,7 +456,7 @@ func (r StageAtReq) MarshalHdr() []byte { return r.encodeHdr(0).Bytes() }
 // UnmarshalStageAtReq decodes the request body.
 func UnmarshalStageAtReq(b []byte) (StageAtReq, error) {
 	d := rpc.NewDec(b)
-	r := StageAtReq{PID: d.U32(), Key: d.U64()}
+	r := StageAtReq{Key: d.U64()}
 	reps, err := decodeReplicas(d)
 	if err == nil {
 		err = d.Err()
@@ -524,14 +488,13 @@ func UnmarshalReadRefReq(b []byte) (ReadRefReq, error) {
 }
 
 // AdoptRefReq is the body of an MAdoptRef request: move the ref under
-// Key to PID, republishing it under NewKey. NewKey 0 lets the server
+// Key to the calling session, republishing it under NewKey. NewKey 0 lets the server
 // mint the key from its own counter; otherwise it is a pool-minted key
 // (ReplicaKeyBit set), and a non-empty Replicas list records its epoch-1
 // directory entry together with the move, as MStageAt does.
 //
-//	PID u32 | Key u64 | NewKey u64 | nreps u8 | Replicas u32 x n
+//	Key u64 | NewKey u64 | nreps u8 | Replicas u32 x n
 type AdoptRefReq struct {
-	PID      uint32
 	Key      uint64
 	NewKey   uint64
 	Replicas []uint32
@@ -539,8 +502,8 @@ type AdoptRefReq struct {
 
 // Marshal encodes the request body.
 func (r AdoptRefReq) Marshal() []byte {
-	e := rpc.NewEnc(4 + 8 + 8 + 1 + 4*len(r.Replicas))
-	encodeReplicas(e.U32(r.PID).U64(r.Key).U64(r.NewKey), r.Replicas)
+	e := rpc.NewEnc(8 + 8 + 1 + 4*len(r.Replicas))
+	encodeReplicas(e.U64(r.Key).U64(r.NewKey), r.Replicas)
 	return e.Bytes()
 }
 
@@ -548,7 +511,7 @@ func (r AdoptRefReq) Marshal() []byte {
 // rejected.
 func UnmarshalAdoptRefReq(b []byte) (AdoptRefReq, error) {
 	d := rpc.NewDec(b)
-	r := AdoptRefReq{PID: d.U32(), Key: d.U64(), NewKey: d.U64()}
+	r := AdoptRefReq{Key: d.U64(), NewKey: d.U64()}
 	reps, err := decodeReplicas(d)
 	if err == nil {
 		err = d.Err()

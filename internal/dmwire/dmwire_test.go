@@ -36,26 +36,20 @@ func TestStatusRoundTrip(t *testing.T) {
 
 func TestBodyCodecsRoundTrip(t *testing.T) {
 	{
-		r, err := UnmarshalRegisterResp(RegisterResp{PID: 7, LeaseMillis: 15000}.Marshal())
-		if err != nil || r.PID != 7 || r.LeaseMillis != 15000 {
+		r, err := UnmarshalRegisterResp(RegisterResp{LeaseMillis: 15000}.Marshal())
+		if err != nil || r.LeaseMillis != 15000 {
 			t.Errorf("RegisterResp: %+v %v", r, err)
 		}
 	}
 	{
-		r, err := UnmarshalHeartbeatReq(HeartbeatReq{PID: 11}.Marshal())
-		if err != nil || r.PID != 11 {
-			t.Errorf("HeartbeatReq: %+v %v", r, err)
-		}
-	}
-	{
-		r, err := UnmarshalHeartbeatResp(HeartbeatResp{LeaseMillis: 250}.Marshal())
-		if err != nil || r.LeaseMillis != 250 {
+		r, err := UnmarshalHeartbeatResp(HeartbeatResp{Epoch: 250}.Marshal())
+		if err != nil || r.Epoch != 250 {
 			t.Errorf("HeartbeatResp: %+v %v", r, err)
 		}
 	}
 	{
-		r, err := UnmarshalAllocReq(AllocReq{PID: 1, Size: 1 << 40}.Marshal())
-		if err != nil || r.PID != 1 || r.Size != 1<<40 {
+		r, err := UnmarshalAllocReq(AllocReq{Size: 1 << 40}.Marshal())
+		if err != nil || r.Size != 1<<40 {
 			t.Errorf("AllocReq: %+v %v", r, err)
 		}
 	}
@@ -66,14 +60,14 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		}
 	}
 	{
-		r, err := UnmarshalFreeReq(FreeReq{PID: 2, Addr: 0x1000}.Marshal())
-		if err != nil || r.PID != 2 || r.Addr != 0x1000 {
+		r, err := UnmarshalFreeReq(FreeReq{Addr: 0x1000}.Marshal())
+		if err != nil || r.Addr != 0x1000 {
 			t.Errorf("FreeReq: %+v %v", r, err)
 		}
 	}
 	{
-		r, err := UnmarshalCreateRefReq(CreateRefReq{PID: 3, Addr: 0x2000, Size: 555}.Marshal())
-		if err != nil || r.PID != 3 || r.Addr != 0x2000 || r.Size != 555 {
+		r, err := UnmarshalCreateRefReq(CreateRefReq{Addr: 0x2000, Size: 555}.Marshal())
+		if err != nil || r.Addr != 0x2000 || r.Size != 555 {
 			t.Errorf("CreateRefReq: %+v %v", r, err)
 		}
 	}
@@ -84,8 +78,8 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		}
 	}
 	{
-		r, err := UnmarshalMapRefReq(MapRefReq{PID: 4, Key: 88}.Marshal())
-		if err != nil || r.PID != 4 || r.Key != 88 {
+		r, err := UnmarshalMapRefReq(MapRefReq{Key: 88}.Marshal())
+		if err != nil || r.Key != 88 {
 			t.Errorf("MapRefReq: %+v %v", r, err)
 		}
 	}
@@ -102,20 +96,20 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		}
 	}
 	{
-		r, err := UnmarshalReadReq(ReadReq{PID: 5, Addr: 0x4000, Size: 4096}.Marshal())
-		if err != nil || r.PID != 5 || r.Addr != 0x4000 || r.Size != 4096 {
+		r, err := UnmarshalReadReq(ReadReq{Addr: 0x4000, Size: 4096}.Marshal())
+		if err != nil || r.Addr != 0x4000 || r.Size != 4096 {
 			t.Errorf("ReadReq: %+v %v", r, err)
 		}
 	}
 	{
-		r, err := UnmarshalWriteReq(WriteReq{PID: 6, Addr: 0x5000, Data: []byte("abc")}.Marshal())
-		if err != nil || r.PID != 6 || r.Addr != 0x5000 || !bytes.Equal(r.Data, []byte("abc")) {
+		r, err := UnmarshalWriteReq(WriteReq{Addr: 0x5000, Data: []byte("abc")}.Marshal())
+		if err != nil || r.Addr != 0x5000 || !bytes.Equal(r.Data, []byte("abc")) {
 			t.Errorf("WriteReq: %+v %v", r, err)
 		}
 	}
 	{
-		r, err := UnmarshalStageReq(StageReq{PID: 7, Data: []byte("xyz")}.Marshal())
-		if err != nil || r.PID != 7 || !bytes.Equal(r.Data, []byte("xyz")) {
+		r, err := UnmarshalStageReq(StageReq{Data: []byte("xyz")}.Marshal())
+		if err != nil || !bytes.Equal(r.Data, []byte("xyz")) {
 			t.Errorf("StageReq: %+v %v", r, err)
 		}
 	}
@@ -147,9 +141,9 @@ func TestShortBodiesRejected(t *testing.T) {
 }
 
 func TestWriteReqProperty(t *testing.T) {
-	prop := func(pid uint32, addr uint64, data []byte) bool {
-		r, err := UnmarshalWriteReq(WriteReq{PID: pid, Addr: dm.RemoteAddr(addr), Data: data}.Marshal())
-		return err == nil && r.PID == pid && uint64(r.Addr) == addr && bytes.Equal(r.Data, data)
+	prop := func(addr uint64, data []byte) bool {
+		r, err := UnmarshalWriteReq(WriteReq{Addr: dm.RemoteAddr(addr), Data: data}.Marshal())
+		return err == nil && uint64(r.Addr) == addr && bytes.Equal(r.Data, data)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -170,21 +164,21 @@ func TestMethodsAreDistinct(t *testing.T) {
 	}
 }
 
-// TestMarshalHdrMatchesMarshal pins the zero-copy framing contract: for
-// the two payload-carrying requests, Marshal() must equal MarshalHdr()
+// TestMarshalHdrMatchesMarshal pins the zero-copy framing contract for
+// the payload-carrying requests: WriteReq's Marshal() equals MarshalHdr()
 // followed by Data, so a transport writing (hdr, data) as separate
-// vectored segments produces the identical wire body.
+// vectored segments produces the identical wire body, and a StageReq's
+// body is its Data alone.
 func TestMarshalHdrMatchesMarshal(t *testing.T) {
-	wprop := func(pid uint32, addr uint64, data []byte) bool {
-		r := WriteReq{PID: pid, Addr: dm.RemoteAddr(addr), Data: data}
+	wprop := func(addr uint64, data []byte) bool {
+		r := WriteReq{Addr: dm.RemoteAddr(addr), Data: data}
 		return bytes.Equal(r.Marshal(), append(r.MarshalHdr(), data...))
 	}
 	if err := quick.Check(wprop, nil); err != nil {
 		t.Fatalf("WriteReq: %v", err)
 	}
-	sprop := func(pid uint32, data []byte) bool {
-		r := StageReq{PID: pid, Data: data}
-		return bytes.Equal(r.Marshal(), append(r.MarshalHdr(), data...))
+	sprop := func(data []byte) bool {
+		return bytes.Equal(StageReq{Data: data}.Marshal(), data)
 	}
 	if err := quick.Check(sprop, nil); err != nil {
 		t.Fatalf("StageReq: %v", err)
@@ -202,7 +196,7 @@ func TestStageAtReqForms(t *testing.T) {
 		for i := 0; i < n; i++ {
 			reps = append(reps, uint32(3*i+1))
 		}
-		req := StageAtReq{PID: 5, Key: ReplicaKeyBit | 77, Replicas: reps, Data: data}
+		req := StageAtReq{Key: ReplicaKeyBit | 77, Replicas: reps, Data: data}
 		b := req.Marshal()
 		if want := stageAtFixed + 4*n + len(data); len(b) != want {
 			t.Fatalf("n=%d: %d-byte body, want %d", n, len(b), want)
@@ -211,7 +205,7 @@ func TestStageAtReqForms(t *testing.T) {
 			t.Fatalf("n=%d: Marshal != MarshalHdr + Data", n)
 		}
 		got, err := UnmarshalStageAtReq(b)
-		if err != nil || got.PID != req.PID || got.Key != req.Key ||
+		if err != nil || got.Key != req.Key ||
 			!reflect.DeepEqual(got.Replicas, reps) || !bytes.Equal(got.Data, data) {
 			t.Fatalf("n=%d: round trip %+v, %v", n, got, err)
 		}
@@ -223,7 +217,7 @@ func TestStageAtReqForms(t *testing.T) {
 			}
 		}
 	}
-	over := rpc.NewEnc(0).U32(1).U64(ReplicaKeyBit | 1).U8(MaxRefReplicas + 1)
+	over := rpc.NewEnc(0).U64(ReplicaKeyBit | 1).U8(MaxRefReplicas + 1)
 	for i := 0; i <= MaxRefReplicas; i++ {
 		over.U32(uint32(i))
 	}
@@ -231,7 +225,7 @@ func TestStageAtReqForms(t *testing.T) {
 		t.Fatalf("count MaxRefReplicas+1: %v, want ErrTooManyReplicas", err)
 	}
 	// The encoder never emits such a body: over-long lists are truncated.
-	long := StageAtReq{PID: 1, Key: ReplicaKeyBit | 1, Replicas: make([]uint32, MaxRefReplicas+3)}
+	long := StageAtReq{Key: ReplicaKeyBit | 1, Replicas: make([]uint32, MaxRefReplicas+3)}
 	if got, err := UnmarshalStageAtReq(long.Marshal()); err != nil || len(got.Replicas) != MaxRefReplicas {
 		t.Fatalf("over-long list: %d replicas, %v", len(got.Replicas), err)
 	}
@@ -242,9 +236,9 @@ func TestStageAtReqForms(t *testing.T) {
 // any trailing byte is refused.
 func TestAdoptRefReqForms(t *testing.T) {
 	for _, reps := range [][]uint32{nil, {0, 2}} {
-		req := AdoptRefReq{PID: 5, Key: ReplicaKeyBit | 7, NewKey: ReplicaKeyBit | 8, Replicas: reps}
+		req := AdoptRefReq{Key: ReplicaKeyBit | 7, NewKey: ReplicaKeyBit | 8, Replicas: reps}
 		b := req.Marshal()
-		if want := 4 + 8 + 8 + 1 + 4*len(reps); len(b) != want {
+		if want := 8 + 8 + 1 + 4*len(reps); len(b) != want {
 			t.Fatalf("%d replicas: %d-byte body, want %d", len(reps), len(b), want)
 		}
 		got, err := UnmarshalAdoptRefReq(b)

@@ -14,26 +14,26 @@ import (
 // every codec's one form, zero and full-valued where fields are optional
 // or counted, so the fuzzer starts from the interesting region.
 func FuzzUnmarshal(f *testing.F) {
-	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000}.Marshal())
-	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 2, Epoch: 9}.Marshal())
-	f.Add(uint8(1), AllocReq{PID: 1, Size: 4096}.Marshal())
+	f.Add(uint8(0), RegisterResp{LeaseMillis: 15000}.Marshal())
+	f.Add(uint8(0), RegisterResp{LeaseMillis: 15000, HasShard: true, Shard: 2, Epoch: 9}.Marshal())
+	f.Add(uint8(1), AllocReq{Size: 4096}.Marshal())
 	f.Add(uint8(2), AllocResp{Addr: 0x1000}.Marshal())
-	f.Add(uint8(3), FreeReq{PID: 1, Addr: 0x1000}.Marshal())
-	f.Add(uint8(4), CreateRefReq{PID: 1, Addr: 0x1000, Size: 64}.Marshal())
+	f.Add(uint8(3), FreeReq{Addr: 0x1000}.Marshal())
+	f.Add(uint8(4), CreateRefReq{Addr: 0x1000, Size: 64}.Marshal())
 	f.Add(uint8(5), RefKeyResp{Key: 9}.Marshal())
-	f.Add(uint8(6), MapRefReq{PID: 1, Key: 9}.Marshal())
+	f.Add(uint8(6), MapRefReq{Key: 9}.Marshal())
 	f.Add(uint8(7), MapRefResp{Addr: 0x2000, Size: 64}.Marshal())
 	f.Add(uint8(8), FreeRefReq{Key: 9}.Marshal())
-	f.Add(uint8(9), ReadReq{PID: 1, Addr: 0x1000, Size: 64}.Marshal())
-	f.Add(uint8(10), WriteReq{PID: 1, Addr: 0x1000, Data: []byte("hi")}.Marshal())
-	f.Add(uint8(11), StageReq{PID: 1, Data: []byte("hi")}.Marshal())
+	f.Add(uint8(9), ReadReq{Addr: 0x1000, Size: 64}.Marshal())
+	f.Add(uint8(10), WriteReq{Addr: 0x1000, Data: []byte("hi")}.Marshal())
+	f.Add(uint8(11), StageReq{Data: []byte("hi")}.Marshal())
 	f.Add(uint8(12), ReadRefReq{Key: 9, Off: 0, Size: 2}.Marshal())
-	f.Add(uint8(13), HeartbeatReq{PID: 1}.Marshal())
-	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100}.Marshal())
-	f.Add(uint8(14), HeartbeatResp{LeaseMillis: 100, Epoch: 9}.Marshal())
-	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Data: []byte("hi")}.Marshal())
-	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: []uint32{0, 2}, Data: []byte("hi")}.Marshal())
-	f.Add(uint8(16), StageAtReq{PID: 1, Key: ReplicaKeyBit | 9, Replicas: make([]uint32, MaxRefReplicas), Data: []byte("hi")}.Marshal())
+	f.Add(uint8(14), HeartbeatResp{}.Marshal())
+	f.Add(uint8(14), HeartbeatResp{Epoch: 9}.Marshal())
+	f.Add(uint8(14), HeartbeatResp{Epoch: 1<<64 - 1}.Marshal())
+	f.Add(uint8(16), StageAtReq{Key: ReplicaKeyBit | 9, Data: []byte("hi")}.Marshal())
+	f.Add(uint8(16), StageAtReq{Key: ReplicaKeyBit | 9, Replicas: []uint32{0, 2}, Data: []byte("hi")}.Marshal())
+	f.Add(uint8(16), StageAtReq{Key: ReplicaKeyBit | 9, Replicas: make([]uint32, MaxRefReplicas), Data: []byte("hi")}.Marshal())
 	f.Add(uint8(17), RegPutReq{Entry: registry.Entry{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 1, Replicas: []uint32{0, 2}}}.Marshal())
 	f.Add(uint8(18), RegGetResp{Entry: registry.Entry{Key: ReplicaKeyBit | 9, Size: 64, Epoch: 3, Replicas: []uint32{1}}}.Marshal())
 	f.Add(uint8(19), RegSyncResp{Entries: []registry.Entry{
@@ -41,11 +41,11 @@ func FuzzUnmarshal(f *testing.F) {
 		{Key: ReplicaKeyBit | 10, Size: 32, Epoch: 2, Replicas: []uint32{1}},
 	}}.Marshal())
 	f.Add(uint8(19), RegSyncResp{}.Marshal())
-	f.Add(uint8(19), RegSyncReq{AfterKey: ReplicaKeyBit, Limit: 256}.Marshal())
-	f.Add(uint8(19), RegGetReq{Key: ReplicaKeyBit | 9}.Marshal())
-	f.Add(uint8(15), AdoptRefReq{PID: 1, Key: 9}.Marshal())
-	f.Add(uint8(15), AdoptRefReq{PID: 1, Key: 9, NewKey: ReplicaKeyBit | 11}.Marshal())
-	f.Add(uint8(15), AdoptRefReq{PID: 1, Key: ReplicaKeyBit | 9, NewKey: ReplicaKeyBit | 10, Replicas: []uint32{0, 2}}.Marshal())
+	f.Add(uint8(13), RegSyncReq{AfterKey: ReplicaKeyBit, Limit: 256}.Marshal())
+	f.Add(uint8(13), RegGetReq{Key: ReplicaKeyBit | 9}.Marshal())
+	f.Add(uint8(15), AdoptRefReq{Key: 9}.Marshal())
+	f.Add(uint8(15), AdoptRefReq{Key: 9, NewKey: ReplicaKeyBit | 11}.Marshal())
+	f.Add(uint8(15), AdoptRefReq{Key: ReplicaKeyBit | 9, NewKey: ReplicaKeyBit | 10, Replicas: []uint32{0, 2}}.Marshal())
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		check := func(name string, reenc []byte, err error) {
 			t.Helper()
@@ -97,8 +97,10 @@ func FuzzUnmarshal(f *testing.F) {
 			r, err := UnmarshalReadRefReq(body)
 			check("ReadRefReq", r.Marshal(), err)
 		case 13:
-			r, err := UnmarshalHeartbeatReq(body)
-			check("HeartbeatReq", r.Marshal(), err)
+			q, err := UnmarshalRegSyncReq(body)
+			check("RegSyncReq", q.Marshal(), err)
+			g, err := UnmarshalRegGetReq(body)
+			check("RegGetReq", g.Marshal(), err)
 		case 14:
 			r, err := UnmarshalHeartbeatResp(body)
 			check("HeartbeatResp", r.Marshal(), err)
@@ -117,10 +119,6 @@ func FuzzUnmarshal(f *testing.F) {
 		case 19:
 			r, err := UnmarshalRegSyncResp(body)
 			check("RegSyncResp", r.Marshal(), err)
-			q, err := UnmarshalRegSyncReq(body)
-			check("RegSyncReq", q.Marshal(), err)
-			g, err := UnmarshalRegGetReq(body)
-			check("RegGetReq", g.Marshal(), err)
 		}
 	})
 }

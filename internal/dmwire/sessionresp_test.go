@@ -6,23 +6,23 @@ import (
 )
 
 // TestRegisterRespForms: every combination of the optional fields —
-// shard identity, epoch — round-trips through the one 21-byte
+// shard identity, epoch — round-trips through the one 17-byte
 // register-response form.
 func TestRegisterRespForms(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		r    RegisterResp
 	}{
-		{"base", RegisterResp{PID: 7, LeaseMillis: 15000}},
-		{"shard", RegisterResp{PID: 7, LeaseMillis: 15000, HasShard: true, Shard: 3}},
-		{"epoch", RegisterResp{PID: 7, LeaseMillis: 15000, Epoch: 9}},
-		{"epoch+shard", RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Epoch: 1 << 40}},
-		{"max", RegisterResp{PID: 1<<32 - 1, LeaseMillis: 1<<32 - 1, HasShard: true, Shard: 1<<32 - 1, Epoch: 1<<64 - 1}},
+		{"base", RegisterResp{LeaseMillis: 15000}},
+		{"shard", RegisterResp{LeaseMillis: 15000, HasShard: true, Shard: 3}},
+		{"epoch", RegisterResp{LeaseMillis: 15000, Epoch: 9}},
+		{"epoch+shard", RegisterResp{LeaseMillis: 500, HasShard: true, Shard: 2, Epoch: 1 << 40}},
+		{"max", RegisterResp{LeaseMillis: 1<<32 - 1, HasShard: true, Shard: 1<<32 - 1, Epoch: 1<<64 - 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.r.Marshal()
-			if len(b) != 21 {
-				t.Fatalf("marshalled length = %d, want 21", len(b))
+			if len(b) != 17 {
+				t.Fatalf("marshalled length = %d, want 17", len(b))
 			}
 			got, err := UnmarshalRegisterResp(b)
 			if err != nil {
@@ -35,21 +35,21 @@ func TestRegisterRespForms(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRespForms: the renewed lease and the epoch ride the one
-// 12-byte heartbeat-response form, zero or not.
+// TestHeartbeatRespForms: the epoch rides the one 8-byte
+// heartbeat-response form, zero or not.
 func TestHeartbeatRespForms(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		r    HeartbeatResp
 	}{
-		{"base", HeartbeatResp{LeaseMillis: 250}},
-		{"epoch", HeartbeatResp{LeaseMillis: 250, Epoch: 7}},
-		{"max", HeartbeatResp{LeaseMillis: 1<<32 - 1, Epoch: 1<<64 - 1}},
+		{"base", HeartbeatResp{}},
+		{"epoch", HeartbeatResp{Epoch: 7}},
+		{"max", HeartbeatResp{Epoch: 1<<64 - 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.r.Marshal()
-			if len(b) != 12 {
-				t.Fatalf("marshalled length = %d, want 12", len(b))
+			if len(b) != 8 {
+				t.Fatalf("marshalled length = %d, want 8", len(b))
 			}
 			got, err := UnmarshalHeartbeatResp(b)
 			if err != nil {
@@ -67,8 +67,8 @@ func TestHeartbeatRespForms(t *testing.T) {
 // past it, and a register flags byte with any reserved bit set are all
 // rejected.
 func TestSessionRespFixedLength(t *testing.T) {
-	reg := RegisterResp{PID: 9, LeaseMillis: 500, HasShard: true, Shard: 2, Epoch: 3}.Marshal()
-	hb := HeartbeatResp{LeaseMillis: 250, Epoch: 7}.Marshal()
+	reg := RegisterResp{LeaseMillis: 500, HasShard: true, Shard: 2, Epoch: 3}.Marshal()
+	hb := HeartbeatResp{Epoch: 7}.Marshal()
 	for _, tc := range []struct {
 		name   string
 		body   []byte
@@ -88,7 +88,7 @@ func TestSessionRespFixedLength(t *testing.T) {
 	}
 	for bit := 1; bit < 8; bit++ {
 		bad := append([]byte(nil), reg...)
-		bad[8] |= 1 << bit
+		bad[4] |= 1 << bit
 		if _, err := UnmarshalRegisterResp(bad); !errors.Is(err, errBodyForm) {
 			t.Fatalf("reserved flag bit %d: %v, want errBodyForm", bit, err)
 		}

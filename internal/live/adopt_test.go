@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"errors"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -11,18 +12,37 @@ import (
 	"repro/internal/dmwire"
 )
 
-// reapNow expires cl's lease and runs the reaper's non-forced reap on it.
+// callerSessionOf returns srv's record of cl's current session.
+func callerSessionOf(srv *Server, cl *Client) *serverSession {
+	return srv.node.sessions.get(cl.node.sess.Load().id)
+}
+
+// reapNow marks cl's session idle since long ago and runs the sweep, so
+// it reaps that session and no other in use within the lease.
 func reapNow(t *testing.T, srv *Server, cl *Client) {
 	t.Helper()
-	ps, err := srv.pidState(cl.pid)
-	if err != nil {
-		t.Fatal(err)
+	sess := callerSessionOf(srv, cl)
+	sess.mu.Lock()
+	sess.seenUses, sess.activeAt = sess.uses, time.Time{} // long idle
+	sess.mu.Unlock()
+	srv.node.sessions.sweep(time.Now())
+	d := sess.dm.Load()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if !sess.gone.Load() || !d.gone {
+		t.Fatal("the sweep did not reap a session idle past its lease")
 	}
-	ps.lease.Store(1) // long expired
-	srv.reapPID(cl.pid, ps, false)
-	if _, err := srv.pidState(cl.pid); err == nil {
-		t.Fatal("non-forced reap of an expired lease did not run")
+}
+
+// registeredSession returns a caller session of srv with DM state
+// attached, as a register over the wire leaves it.
+func registeredSession(t testing.TB, srv *Server) *serverSession {
+	t.Helper()
+	sess := srv.node.sessions.get(rand.Uint64() | 1)
+	if status, resp := srv.dispatch(sess, dmwire.MRegister, nil); status != dmwire.StatusOK {
+		t.Fatalf("register: status %d %s", status, resp)
 	}
+	return sess
 }
 
 // TestAdoptRef pins adopt_ref's contract on one server: the ref moves to
@@ -151,11 +171,11 @@ func TestAdoptRefRaces(t *testing.T) {
 	const refs, pages = 64, 512
 	s := NewServer(ServerConfig{NumPages: pages, PageSize: 1024})
 	defer s.Close()
-	s.register()
+	sess := registeredSession(t, s)
 	payload := bytes.Repeat([]byte{0xa5}, 3000)
 	keys := make([]uint64, refs)
 	for i := range keys {
-		status, resp := s.dispatch(dmwire.MStage, dmwire.StageReq{PID: 0, Data: payload}.Marshal())
+		status, resp := s.dispatch(sess, dmwire.MStage, dmwire.StageReq{Data: payload}.Marshal())
 		if status != dmwire.StatusOK {
 			t.Fatalf("stage: status %d %s", status, resp)
 		}
@@ -173,13 +193,13 @@ func TestAdoptRefRaces(t *testing.T) {
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
-			if status, resp := s.dispatch(dmwire.MReadRef, read); status == dmwire.StatusOK && !bytes.Equal(resp, payload) {
+			if status, resp := s.dispatch(sess, dmwire.MReadRef, read); status == dmwire.StatusOK && !bytes.Equal(resp, payload) {
 				t.Errorf("ref %d: read returned wrong bytes", i)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			status, resp := s.dispatch(dmwire.MAdoptRef, dmwire.AdoptRefReq{PID: 0, Key: key}.Marshal())
+			status, resp := s.dispatch(sess, dmwire.MAdoptRef, dmwire.AdoptRefReq{Key: key}.Marshal())
 			if wins[i][0] = status == dmwire.StatusOK; wins[i][0] {
 				r, err := dmwire.UnmarshalRefKeyResp(resp)
 				if err != nil {
@@ -190,7 +210,7 @@ func TestAdoptRefRaces(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			status, resp := s.dispatch(dmwire.MConsumeRef, read)
+			status, resp := s.dispatch(sess, dmwire.MConsumeRef, read)
 			if status == dmwire.StatusOK && !bytes.Equal(resp, payload) {
 				t.Errorf("ref %d: consume returned wrong bytes", i)
 			}
@@ -198,7 +218,7 @@ func TestAdoptRefRaces(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			status, _ := s.dispatch(dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal())
+			status, _ := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal())
 			wins[i][2] = status == dmwire.StatusOK
 		}()
 	}
@@ -221,10 +241,10 @@ func TestAdoptRefRaces(t *testing.T) {
 		if !wins[i][0] {
 			continue
 		}
-		if status, _ := s.dispatch(dmwire.MReadRef, dmwire.ReadRefReq{Key: keys[i], Size: 1}.Marshal()); status != dmwire.StatusBadRef {
+		if status, _ := s.dispatch(sess, dmwire.MReadRef, dmwire.ReadRefReq{Key: keys[i], Size: 1}.Marshal()); status != dmwire.StatusBadRef {
 			t.Fatalf("ref %d: old key read answered status %d after adopt", i, status)
 		}
-		if status, resp := s.dispatch(dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal()); status != dmwire.StatusOK {
+		if status, resp := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal()); status != dmwire.StatusOK {
 			t.Fatalf("ref %d: free of adopted key: status %d %s", i, status, resp)
 		}
 	}

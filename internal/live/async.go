@@ -29,7 +29,8 @@ type pending struct {
 	deadline time.Time // overall, spans retries
 	attDL    time.Time // first attempt's deadline
 	start    time.Time // submission instant, for the latency histogram
-	seq      uint64    // the session stamp; 0 when no slot was free in time
+	sess     *callerSession
+	st       stamp // seq 0 when no slot was free in time
 	c        *conn
 	id       uint64
 	ch       chan response
@@ -44,7 +45,8 @@ type pending struct {
 func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte) *pending {
 	p := &pending{n: n, addr: addr, m: m, hdr: hdr, payload: payload, start: time.Now()}
 	p.deadline = n.overallDeadline(CallOpts{})
-	if p.seq, p.err = n.sess.acquire(p.deadline); p.err != nil {
+	p.sess = n.sess.Load()
+	if p.st, p.err = p.sess.acquire(p.deadline); p.err != nil {
 		return p
 	}
 	p.attDL = n.attemptDeadline(p.deadline)
@@ -54,7 +56,7 @@ func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte) *pendin
 		return p
 	}
 	p.c = c
-	p.id, p.ch, p.err = c.send(m, hdr, payload, p.attDL, p.seq, false)
+	p.id, p.ch, p.err = c.send(m, hdr, payload, p.attDL, p.st, false)
 	return p
 }
 
@@ -65,12 +67,12 @@ func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte) *pendin
 // re-sends. The call's submission-to-completion latency lands in the
 // node's histogram.
 func (p *pending) wait(consume func(resp []byte) error) error {
-	if p.seq == 0 {
+	if p.st.seq == 0 {
 		p.n.ops.calls.Add(1)
 		p.n.ops.fail(p.err)
 		return p.err
 	}
-	defer p.n.sess.release(p.seq)
+	defer p.sess.release(p.st.seq)
 	cons := consumer{fn: consume}
 	first := func() error {
 		if p.err != nil {
@@ -79,7 +81,7 @@ func (p *pending) wait(consume func(resp []byte) error) error {
 		return p.c.await(p.m, p.id, p.ch, p.attDL, cons)
 	}
 	again := func() error {
-		return p.n.attempt(p.addr, p.m, p.hdr, p.payload, cons, p.deadline, p.seq)
+		return p.n.attempt(p.addr, p.m, p.hdr, p.payload, cons, p.deadline, p.st)
 	}
 	err := p.n.withRetries(p.deadline, first, again)
 	p.n.lat.Record(time.Since(p.start).Nanoseconds())
@@ -90,17 +92,11 @@ func (p *pending) wait(consume func(resp []byte) error) error {
 // called exactly once.
 type AsyncOp struct {
 	p       *pending
-	err     error
 	consume func(resp []byte) error
 }
 
 // Wait blocks for the operation's result.
-func (op *AsyncOp) Wait() error {
-	if op.err != nil {
-		return op.err
-	}
-	return op.p.wait(op.consume)
-}
+func (op *AsyncOp) Wait() error { return op.p.wait(op.consume) }
 
 // AsyncRef is an in-flight StageRefAtAsync or AdoptRefAsync; Wait must
 // be called exactly once and yields the staged or adopted ref.
@@ -117,16 +113,12 @@ type AsyncRef struct {
 // nothing. data must stay valid and unmodified until Wait returns (it is
 // re-sent if the call retries).
 func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *AsyncRef {
-	pid, err := cl.session()
-	if err != nil {
-		return &AsyncRef{op: AsyncOp{err: err}}
-	}
 	return &AsyncRef{
 		size: int64(len(data)),
 		key:  key,
 		op: AsyncOp{
 			p: cl.node.callAsync(cl.addr, dmwire.MStageAt,
-				dmwire.StageAtReq{PID: pid, Key: key, Replicas: replicas}.MarshalHdr(), data),
+				dmwire.StageAtReq{Key: key, Replicas: replicas}.MarshalHdr(), data),
 			consume: checkRefKeyResp,
 		},
 	}
@@ -137,16 +129,12 @@ func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *A
 // adopted ref: the pool's replicated adopt issues one per copy before
 // waiting on any.
 func (cl *Client) AdoptRefAsync(ref dm.Ref, newKey uint64, replicas []uint32) *AsyncRef {
-	pid, err := cl.session()
-	if err != nil {
-		return &AsyncRef{op: AsyncOp{err: err}}
-	}
 	return &AsyncRef{
 		size: ref.Size,
 		key:  newKey,
 		op: AsyncOp{
 			p: cl.node.callAsync(cl.addr, dmwire.MAdoptRef,
-				dmwire.AdoptRefReq{PID: pid, Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil),
+				dmwire.AdoptRefReq{Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil),
 			consume: checkRefKeyResp,
 		},
 	}
@@ -155,9 +143,6 @@ func (cl *Client) AdoptRefAsync(ref dm.Ref, newKey uint64, replicas []uint32) *A
 // FreeRefAsync starts dropping the ref's own page hold and returns a
 // future.
 func (cl *Client) FreeRefAsync(ref dm.Ref) *AsyncOp {
-	if _, err := cl.session(); err != nil {
-		return &AsyncOp{err: err}
-	}
 	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MFreeRef,
 		dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil)}
 }

@@ -17,12 +17,8 @@ import (
 // writeAsync starts an rwrite of src at addr and returns its future, so
 // a test can queue several frames on one connection before waiting.
 func writeAsync(cl *Client, addr dm.RemoteAddr, src []byte) *AsyncOp {
-	pid, err := cl.session()
-	if err != nil {
-		return &AsyncOp{err: err}
-	}
 	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MWrite,
-		dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src)}
+		dmwire.WriteReq{Addr: addr}.MarshalHdr(), src)}
 }
 
 // TestCallAsyncOverlaps is the deterministic pipelining proof: one node

@@ -150,7 +150,7 @@ func BenchmarkLiveParallelStageReadRef(b *testing.B) {
 // BenchmarkLiveParallelMixed exercises the full metadata + data-plane mix
 // in parallel: per-client alloc/write/read/createref/free cycles on 8 KiB
 // regions, stressing the VA allocators, translator, and refcounts from
-// independent PIDs at once.
+// independent sessions at once.
 func BenchmarkLiveParallelMixed(b *testing.B) {
 	const size = 8192
 	for _, clients := range []int{1, 4} {

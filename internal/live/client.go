@@ -21,10 +21,12 @@ import (
 // transport knobs (deadlines, retries, frame caps, dialer).
 type ClientConfig struct {
 	Net NodeConfig
-	// HeartbeatInterval paces the lease-renewal heartbeats started after
-	// Register when the server leases sessions. 0 derives TTL/3 from the
-	// server's granted lease; negative disables heartbeats (the client
-	// then survives only one TTL — test hook for crash simulation).
+	// HeartbeatInterval paces the heartbeats started after Register when
+	// the server leases sessions: every request renews the session, and a
+	// heartbeat keeps an idle one alive and fetches the cache epoch. 0
+	// derives TTL/3 from the server's granted lease; negative disables
+	// heartbeats (an idle client then survives only one TTL — test hook
+	// for crash simulation).
 	HeartbeatInterval time.Duration
 	// OnHeartbeatFailure, when set, is invoked from the heartbeat loop
 	// after each failed lease renewal with the running count of
@@ -55,17 +57,16 @@ func DefaultClientConfig() ClientConfig {
 // Failure model (DESIGN.md §D8): every call carries a deadline and is
 // retried across transport failures, at most once in effect: the node's
 // session stamp lets the server replay a response instead of running the
-// call again. The DM session is kept alive by a background heartbeat, and
-// a client that dies is reaped by the server within one lease TTL.
+// call again. That session is also the DM session: every request renews
+// it, a background heartbeat keeps it alive while the client is idle,
+// and a client that dies is reaped by the server within one lease TTL.
 type Client struct {
 	mu    sync.Mutex
 	cfg   ClientConfig
 	node  *Node
 	addr  string
-	pid   uint32
 	lease time.Duration
 	shard int64 // shard ID the server announced at register; -1 = none
-	ready bool
 
 	hbStop   chan struct{}
 	hbOnce   sync.Once
@@ -88,7 +89,6 @@ type conn struct {
 	c        net.Conn
 	bw       *batchWriter
 	maxFrame uint32
-	session  uint64 // the dialing node's session ID, stamped on every request
 	pmu      sync.Mutex
 	pending  map[uint64]chan response
 	nextID   uint64
@@ -195,8 +195,8 @@ func (c *conn) fail(err error) {
 
 // call performs one request/response exchange bounded by deadline (zero
 // means none): send ships the request, await collects the response.
-func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, seq uint64) error {
-	id, ch, err := c.send(m, hdr, payload, deadline, seq, true)
+func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, st stamp) error {
+	id, ch, err := c.send(m, hdr, payload, deadline, st, true)
 	if err != nil {
 		return err
 	}
@@ -214,7 +214,7 @@ func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline t
 // frame may be written inline when the connection is idle (skipping the
 // flusher handoff), while async submitters always queue so their bursts
 // coalesce.
-func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, seq uint64, sync bool) (uint64, chan response, error) {
+func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, st stamp, sync bool) (uint64, chan response, error) {
 	ch := make(chan response, 1)
 	c.pmu.Lock()
 	if dead := c.dead; dead != nil {
@@ -233,7 +233,7 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, seq u
 		// One pooled buffer holds the whole frame; ownership transfers to
 		// the writer, which recycles it after the group-commit flush.
 		frame := getBuf(total)
-		c.fillRequestHead(frame, total-frameHeaderSize, id, seq, m, hdr)
+		fillRequestHead(frame, total-frameHeaderSize, id, st, m, hdr)
 		copy(frame[head:], payload)
 		if sync {
 			err = c.bw.enqueueInline(frame, deadline)
@@ -242,7 +242,7 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, seq u
 		}
 	} else {
 		scratch := getBuf(head)
-		c.fillRequestHead(scratch, total-frameHeaderSize, id, seq, m, hdr)
+		fillRequestHead(scratch, total-frameHeaderSize, id, st, m, hdr)
 		bufs := net.Buffers{scratch}
 		if len(payload) > 0 {
 			bufs = append(bufs, payload)
@@ -269,13 +269,13 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, seq u
 // fillRequestHead lays down everything ahead of the bulk payload: frame
 // header (bodyLen, kind, request id), session stamp, method, and the
 // request header bytes.
-func (c *conn) fillRequestHead(buf []byte, bodyLen int, id, seq uint64, m rpc.Method, hdr []byte) {
+func fillRequestHead(buf []byte, bodyLen int, id uint64, st stamp, m rpc.Method, hdr []byte) {
 	binary.BigEndian.PutUint32(buf, uint32(bodyLen))
 	buf[4] = kindRequest
 	binary.BigEndian.PutUint64(buf[5:], id)
 	off := frameHeaderSize
-	binary.BigEndian.PutUint64(buf[off:], c.session)
-	binary.BigEndian.PutUint64(buf[off+8:], seq)
+	binary.BigEndian.PutUint64(buf[off:], st.session)
+	binary.BigEndian.PutUint64(buf[off+8:], st.seq)
 	off += stampSize
 	binary.BigEndian.PutUint16(buf[off:], uint16(m))
 	copy(buf[off+2:], hdr)
@@ -337,21 +337,19 @@ func (c *conn) await(m rpc.Method, id uint64, ch chan response, deadline time.Ti
 	}
 }
 
-// Register obtains a PID (and lease) from the server, then starts the
-// lease-renewal heartbeat; must complete before other calls.
+// Register attaches DM state to this client's session on the server,
+// then starts the heartbeat; it must complete before other calls, which
+// an unregistered session answers with dm.ErrBadAddress.
 func (cl *Client) Register() error {
 	if err := cl.register(); err != nil {
 		return err
 	}
-	cl.mu.Lock()
-	cl.ready = true
-	cl.mu.Unlock()
 	cl.startHeartbeat()
 	return nil
 }
 
-// register obtains a PID (and lease) and records them, along with the
-// server's invalidation-epoch baseline: captured BEFORE any read can
+// register registers the session and records its lease and shard, along
+// with the server's invalidation-epoch baseline: captured BEFORE any read can
 // populate a cache above this session, so the first heartbeat's epoch
 // compares against registration time, not against whenever the
 // heartbeat loop happened to fire first (a free landing in that gap
@@ -367,7 +365,6 @@ func (cl *Client) register() error {
 	}
 	cl.epochSeen.Store(int64(r.Epoch))
 	cl.mu.Lock()
-	cl.pid = r.PID
 	cl.lease = time.Duration(r.LeaseMillis) * time.Millisecond
 	cl.shard = -1
 	if r.HasShard {
@@ -384,7 +381,7 @@ func (cl *Client) startHeartbeat() {
 		return
 	}
 	cl.mu.Lock()
-	lease, pid := cl.lease, cl.pid
+	lease := cl.lease
 	cl.mu.Unlock()
 	if lease <= 0 {
 		return // server does not lease sessions
@@ -401,20 +398,19 @@ func (cl *Client) startHeartbeat() {
 	cl.hbCancel = cancel
 	cl.mu.Unlock()
 	cl.hbWG.Add(1)
-	go cl.heartbeatLoop(pid, interval, cancel)
+	go cl.heartbeatLoop(interval, cancel)
 }
 
-// heartbeatLoop renews the lease until Close, Reregister (cancel), or
-// until the server reports the session gone (reaped), at which point
+// heartbeatLoop keeps the session alive until Close, Reregister
+// (cancel), or until the server reports the session gone (reaped), at which point
 // renewing is pointless — the hbDead latch is set so SessionReaped
 // observers (the pool rejoin poller) can re-register, and subsequent data
 // calls surface the dead session as dm.ErrBadAddress. Renewal outcomes
 // feed the consecutive failure counter behind SessionHealth and the
 // OnHeartbeatFailure hook, so an expiring session is observable before
 // data calls start failing.
-func (cl *Client) heartbeatLoop(pid uint32, interval time.Duration, cancel chan struct{}) {
+func (cl *Client) heartbeatLoop(interval time.Duration, cancel chan struct{}) {
 	defer cl.hbWG.Done()
-	req := dmwire.HeartbeatReq{PID: pid}.Marshal()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -424,7 +420,7 @@ func (cl *Client) heartbeatLoop(pid uint32, interval time.Duration, cancel chan 
 		case <-cancel:
 			return
 		case <-tick.C:
-			err := cl.node.CallConsumeOpts(cl.addr, dmwire.MHeartbeat, req, nil, func(resp []byte) error {
+			err := cl.node.CallConsumeOpts(cl.addr, dmwire.MHeartbeat, nil, nil, func(resp []byte) error {
 				r, err := dmwire.UnmarshalHeartbeatResp(resp)
 				if err != nil {
 					return err
@@ -464,14 +460,15 @@ func (cl *Client) observeEpoch(epoch uint64) {
 
 // SessionReaped reports whether the server declared this client's
 // session gone (heartbeat answered dm.ErrBadAddress — the server
-// restarted or reaped the lease). A reaped session never recovers by
-// itself; call Reregister to obtain a fresh PID.
+// restarted or reaped the session). A reaped session never recovers by
+// itself; call Reregister to start a fresh one.
 func (cl *Client) SessionReaped() bool { return cl.hbDead.Load() }
 
 // Reregister re-establishes the session after the server reaped it
 // (process restart or lease expiry): the dead heartbeat loop is stopped,
-// a fresh PID and lease are obtained, and renewal restarts. Every
-// resource the old PID held on the server is gone — callers (the pool
+// the node mints a fresh caller session and registers it, and the
+// heartbeat restarts. Every resource the old session held on the server
+// is gone — callers (the pool
 // rejoin poller) must treat the shard as empty and re-replicate.
 func (cl *Client) Reregister() error {
 	cl.mu.Lock()
@@ -482,6 +479,7 @@ func (cl *Client) Reregister() error {
 	cl.mu.Unlock()
 	// Re-baseline the epoch: the fresh server may start from 0.
 	cl.epochSeen.Store(-1)
+	cl.node.newSession()
 	if err := cl.register(); err != nil {
 		return err
 	}
@@ -572,24 +570,10 @@ func (cl *Client) Lease() time.Duration {
 	return cl.lease
 }
 
-// session returns the registered session's PID.
-func (cl *Client) session() (uint32, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if !cl.ready {
-		return 0, fmt.Errorf("live: client not registered")
-	}
-	return cl.pid, nil
-}
-
 // Alloc reserves size bytes (ralloc).
 func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return 0, err
-	}
 	var addr dm.RemoteAddr
-	err = cl.node.CallConsume(cl.addr, dmwire.MAlloc, dmwire.AllocReq{PID: pid, Size: size}.Marshal(), nil,
+	err := cl.node.CallConsume(cl.addr, dmwire.MAlloc, dmwire.AllocReq{Size: size}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalAllocResp(resp)
 			if err != nil {
@@ -603,20 +587,12 @@ func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
 
 // Free releases the region at addr (rfree).
 func (cl *Client) Free(addr dm.RemoteAddr) error {
-	pid, err := cl.session()
-	if err != nil {
-		return err
-	}
-	return cl.node.CallConsume(cl.addr, dmwire.MFree, dmwire.FreeReq{PID: pid, Addr: addr}.Marshal(), nil, nil)
+	return cl.node.CallConsume(cl.addr, dmwire.MFree, dmwire.FreeReq{Addr: addr}.Marshal(), nil, nil)
 }
 
 // CreateRef shares [addr, addr+size) read-only (create_ref).
 func (cl *Client) CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return dm.Ref{}, err
-	}
-	key, err := cl.callRefKey(dmwire.MCreateRef, dmwire.CreateRefReq{PID: pid, Addr: addr, Size: size}.Marshal(), nil)
+	key, err := cl.callRefKey(dmwire.MCreateRef, dmwire.CreateRefReq{Addr: addr, Size: size}.Marshal(), nil)
 	if err != nil {
 		return dm.Ref{}, err
 	}
@@ -639,12 +615,8 @@ func (cl *Client) callRefKey(m rpc.Method, hdr, payload []byte) (uint64, error) 
 
 // MapRef maps a ref into this process's DM address space (map_ref).
 func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return 0, err
-	}
 	var addr dm.RemoteAddr
-	err = cl.node.CallConsume(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{PID: pid, Key: ref.Key}.Marshal(), nil,
+	err := cl.node.CallConsume(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{Key: ref.Key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalMapRefResp(resp)
 			if err != nil {
@@ -658,24 +630,17 @@ func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 
 // FreeRef drops the ref's own page hold.
 func (cl *Client) FreeRef(ref dm.Ref) error {
-	if _, err := cl.session(); err != nil {
-		return err
-	}
 	return cl.node.CallConsume(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil)
 }
 
 // AdoptRef moves ref to this session in one exchange (adopt_ref): the
 // server retires ref's key and republishes the same frames under a new
-// key owned by this session's PID, which it returns in the ref. newKey 0
+// key owned by this session, which it returns in the ref. newKey 0
 // lets the server mint the key; otherwise it must carry
 // dmwire.ReplicaKeyBit, and non-empty replicas record its epoch-1
 // directory entry with the move. The old key is dead afterwards.
 func (cl *Client) AdoptRef(ref dm.Ref, newKey uint64, replicas []uint32) (dm.Ref, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return dm.Ref{}, err
-	}
-	key, err := cl.callRefKey(dmwire.MAdoptRef, dmwire.AdoptRefReq{PID: pid, Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil)
+	key, err := cl.callRefKey(dmwire.MAdoptRef, dmwire.AdoptRefReq{Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil)
 	if err != nil {
 		return dm.Ref{}, err
 	}
@@ -700,14 +665,10 @@ const maxWireU32 = int64(^uint32(0))
 // Write stores src at addr (rwrite). The payload is written to the socket
 // straight from src — no marshal copy.
 func (cl *Client) Write(addr dm.RemoteAddr, src []byte) error {
-	pid, err := cl.session()
-	if err != nil {
-		return err
-	}
 	if err := checkWireRange("write", 0, int64(len(src))); err != nil {
 		return err
 	}
-	return cl.node.CallConsume(cl.addr, dmwire.MWrite, dmwire.WriteReq{PID: pid, Addr: addr}.MarshalHdr(), src, nil)
+	return cl.node.CallConsume(cl.addr, dmwire.MWrite, dmwire.WriteReq{Addr: addr}.MarshalHdr(), src, nil)
 }
 
 // Read loads len(dst) bytes from addr (rread): ReadLease plus the one
@@ -726,14 +687,10 @@ func (cl *Client) Read(addr dm.RemoteAddr, dst []byte) error {
 // response frame itself as a Buf. The caller must Release it exactly
 // once; the bytes are invalid after.
 func (cl *Client) ReadLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return nil, err
-	}
 	if err := checkWireRange("read", 0, size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MRead, dmwire.ReadReq{PID: pid, Addr: addr, Size: uint32(size)}.Marshal(), size)
+	return cl.callLease(dmwire.MRead, dmwire.ReadReq{Addr: addr, Size: uint32(size)}.Marshal(), size)
 }
 
 // callLease runs a read whose response body must be exactly size bytes
@@ -759,11 +716,7 @@ func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64) (*Buf, error) 
 // StageRef stages data into fresh pages in one round trip; data rides the
 // socket directly (no marshal copy).
 func (cl *Client) StageRef(data []byte) (dm.Ref, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return dm.Ref{}, err
-	}
-	key, err := cl.callRefKey(dmwire.MStage, dmwire.StageReq{PID: pid}.MarshalHdr(), data)
+	key, err := cl.callRefKey(dmwire.MStage, nil, data)
 	if err != nil {
 		return dm.Ref{}, err
 	}
@@ -778,11 +731,7 @@ func (cl *Client) StageRef(data []byte) (dm.Ref, error) {
 // whose placement the executor's flip publishes (StageRefAtAsync carries
 // a first stage's entry).
 func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
-	pid, err := cl.session()
-	if err != nil {
-		return dm.Ref{}, err
-	}
-	if _, err := cl.callRefKey(dmwire.MStageAt, dmwire.StageAtReq{PID: pid, Key: key}.MarshalHdr(), data); err != nil {
+	if _, err := cl.callRefKey(dmwire.MStageAt, dmwire.StageAtReq{Key: key}.MarshalHdr(), data); err != nil {
 		return dm.Ref{}, err
 	}
 	return dm.Ref{Key: key, Size: int64(len(data))}, nil
@@ -794,18 +743,12 @@ func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
 // entry rides stage_at). The server merges higher-epoch-wins, so retries
 // and races are idempotent.
 func (cl *Client) RegPut(ent registry.Entry) error {
-	if _, err := cl.session(); err != nil {
-		return err
-	}
 	return cl.node.CallConsume(cl.addr, dmwire.MRegPut, dmwire.RegPutReq{Entry: ent}.Marshal(), nil, nil)
 }
 
 // RegGet queries the server's directory slice for one key; dm.ErrBadRef
 // when it holds no entry.
 func (cl *Client) RegGet(key uint64) (registry.Entry, error) {
-	if _, err := cl.session(); err != nil {
-		return registry.Entry{}, err
-	}
 	var ent registry.Entry
 	err := cl.node.CallConsume(cl.addr, dmwire.MRegGet,
 		dmwire.RegGetReq{Key: key}.Marshal(), nil,
@@ -824,9 +767,6 @@ func (cl *Client) RegGet(key uint64) (registry.Entry, error) {
 // limit entries with keys strictly after afterKey, ascending. A short
 // page ends the scan.
 func (cl *Client) RegSync(afterKey uint64, limit int) ([]registry.Entry, error) {
-	if _, err := cl.session(); err != nil {
-		return nil, err
-	}
 	if limit <= 0 || limit > dmwire.MaxRegSyncEntries {
 		limit = dmwire.MaxRegSyncEntries
 	}
@@ -862,9 +802,6 @@ func (cl *Client) ReadRef(ref dm.Ref, off int64, dst []byte) error {
 // the bytes recycle into the transport's frame pool and are invalid
 // after.
 func (cl *Client) ReadRefLease(ref dm.Ref, off, size int64) (*Buf, error) {
-	if _, err := cl.session(); err != nil {
-		return nil, err
-	}
 	if err := checkWireRange("readref", off, size); err != nil {
 		return nil, err
 	}
@@ -875,9 +812,6 @@ func (cl *Client) ReadRefLease(ref dm.Ref, off, size int64) (*Buf, error) {
 // same exchange (consume_ref): the last reader's fetch and free fused.
 // The caller must Release the Buf exactly once.
 func (cl *Client) ConsumeRefLease(ref dm.Ref) (*Buf, error) {
-	if _, err := cl.session(); err != nil {
-		return nil, err
-	}
 	if err := checkWireRange("consumeref", 0, ref.Size); err != nil {
 		return nil, err
 	}

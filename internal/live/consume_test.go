@@ -99,11 +99,11 @@ func TestConsumeRefRaces(t *testing.T) {
 	const refs, pages = 64, 512
 	s := NewServer(ServerConfig{NumPages: pages, PageSize: 1024})
 	defer s.Close()
-	s.register()
+	sess := registeredSession(t, s)
 	payload := bytes.Repeat([]byte{0x5a}, 3000)
 	keys := make([]uint64, refs)
 	for i := range keys {
-		status, resp := s.dispatch(dmwire.MStage, dmwire.StageReq{PID: 0, Data: payload}.Marshal())
+		status, resp := s.dispatch(sess, dmwire.MStage, dmwire.StageReq{Data: payload}.Marshal())
 		if status != dmwire.StatusOK {
 			t.Fatalf("stage: status %d %s", status, resp)
 		}
@@ -120,13 +120,13 @@ func TestConsumeRefRaces(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			if status, resp := s.dispatch(dmwire.MReadRef, read); status == dmwire.StatusOK && !bytes.Equal(resp, payload) {
+			if status, resp := s.dispatch(sess, dmwire.MReadRef, read); status == dmwire.StatusOK && !bytes.Equal(resp, payload) {
 				t.Errorf("ref %d: read returned wrong bytes", i)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			status, resp := s.dispatch(dmwire.MConsumeRef, read)
+			status, resp := s.dispatch(sess, dmwire.MConsumeRef, read)
 			if status == dmwire.StatusOK && !bytes.Equal(resp, payload) {
 				t.Errorf("ref %d: consume returned wrong bytes", i)
 			}
@@ -134,7 +134,7 @@ func TestConsumeRefRaces(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			status, _ := s.dispatch(dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal())
+			status, _ := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal())
 			wins[i][1] = status == dmwire.StatusOK
 		}()
 	}

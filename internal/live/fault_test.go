@@ -427,6 +427,123 @@ func TestHeartbeatKeepsSessionAlive(t *testing.T) {
 	}
 }
 
+// TestBusySessionOutlivesLease drives the sweep with an explicit clock:
+// a client that sends no heartbeat but keeps making DM calls keeps its
+// session across many lease TTLs, because every request renews it. Once
+// it stops, the session is reaped within a few TTLs and the pool is back
+// at its baseline.
+func TestBusySessionOutlivesLease(t *testing.T) {
+	ttl := time.Hour // the test drives the sweep by hand
+	srv, addr := startServer(t, leaseConfig(ttl))
+	baseFree, baseRefs := srv.FreePages(), srv.LiveRefs()
+	cfg := DefaultClientConfig()
+	cfg.HeartbeatInterval = -1
+	cl, err := DialConfig(cfg, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Register(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.Alloc(2 * 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cl.StageRef(bytes.Repeat([]byte("b"), 3*512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	for step := 0; step < 24; step++ { // six TTLs, one call per TTL/4
+		if err := cl.Write(a, []byte{byte(step)}); err != nil {
+			t.Fatalf("after %v of calls without a heartbeat: %v", time.Duration(step)*ttl/4, err)
+		}
+		now = now.Add(ttl / 4)
+		sweep(srv.node, now)
+	}
+	got := make([]byte, ref.Size)
+	if err := cl.ReadRef(ref, 0, got); err != nil {
+		t.Fatalf("busy session lost its ref: %v", err)
+	}
+
+	// Stopped: reaped within a few TTLs of its last call.
+	sess := callerSessionOf(srv, cl)
+	for step := 0; !sess.gone.Load(); step++ {
+		if step > 12 {
+			t.Fatal("an idle session outlived three lease TTLs")
+		}
+		now = now.Add(ttl / 4)
+		sweep(srv.node, now)
+	}
+	if free, refs := srv.FreePages(), srv.LiveRefs(); free != baseFree || refs != baseRefs {
+		t.Fatalf("after the reap: FreePages %d, LiveRefs %d (want %d, %d)", free, refs, baseFree, baseRefs)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReapedSessionStampRefused: after a reap, an op stamped with the old
+// session answers dm.ErrBadAddress and never runs; Reregister then
+// starts a fresh session, and nothing of the old one comes back.
+func TestReapedSessionStampRefused(t *testing.T) {
+	srv, addr := startServer(t, leaseConfig(time.Hour)) // reaped by hand
+	baseFree := srv.FreePages()
+	cl := dialClient(t, addr)
+	data := bytes.Repeat([]byte("r"), 2*512)
+	a, err := cl.Alloc(int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Write(a, data); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := cl.StageRef(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := cl.node.sess.Load().id
+	reapNow(t, srv, cl)
+
+	puts := srv.StagePuts()
+	key := dmwire.ReplicaKeyBit | 71
+	if _, err := cl.StageRefAt(key, data); !errors.Is(err, dm.ErrBadAddress) {
+		t.Fatalf("stage_at stamped with the reaped session: %v, want dm.ErrBadAddress", err)
+	}
+	if _, err := cl.Alloc(512); !errors.Is(err, dm.ErrBadAddress) {
+		t.Fatalf("alloc stamped with the reaped session: %v, want dm.ErrBadAddress", err)
+	}
+	if n := srv.StagePuts(); n != puts {
+		t.Fatalf("StagePuts %d, was %d: a reaped session's stage_at ran", n, puts)
+	}
+	if free, refs := srv.FreePages(), srv.LiveRefs(); free != baseFree || refs != 0 {
+		t.Fatalf("after the refused ops: FreePages %d, LiveRefs %d (want %d, 0)", free, refs, baseFree)
+	}
+
+	if err := cl.Reregister(); err != nil {
+		t.Fatal(err)
+	}
+	if cl.node.sess.Load().id == old {
+		t.Fatal("Reregister kept the reaped session's ID")
+	}
+	if err := cl.Read(a, make([]byte, len(data))); !errors.Is(err, dm.ErrBadAddress) {
+		t.Fatalf("the reaped session's region after Reregister: %v, want dm.ErrBadAddress", err)
+	}
+	if err := cl.ReadRef(ref, 0, make([]byte, ref.Size)); !errors.Is(err, dm.ErrBadRef) {
+		t.Fatalf("the reaped session's ref after Reregister: %v, want dm.ErrBadRef", err)
+	}
+	if _, err := cl.StageRefAt(key, data); err != nil {
+		t.Fatalf("stage_at on the fresh session: %v", err)
+	}
+	if n := srv.StagePuts(); n != puts+1 {
+		t.Fatalf("StagePuts %d, want %d", n, puts+1)
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosClientKilledMidBurst is the issue's acceptance scenario: client
 // A is killed mid-burst (a torn frame, then a full partition) while
 // surviving client B keeps working. The server must reclaim every frame A
@@ -550,7 +667,7 @@ func TestChaosClientKilledMidBurst(t *testing.T) {
 // session even when leases are disabled, so a server shuts down with a
 // conserved pool.
 func TestCloseForceReapsSessions(t *testing.T) {
-	srv := NewServer(ServerConfig{NumPages: 64, PageSize: 512}) // LeaseTTL 0: no reaper
+	srv := NewServer(ServerConfig{NumPages: 64, PageSize: 512}) // LeaseTTL 0: no sweeper
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -52,26 +52,24 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzServerDispatch throws arbitrary bodies at every method; the server
-// must return an error status rather than panic, and its invariants must
-// hold afterwards. PID 0 is registered, so bodies naming it get past the
-// session lookup.
+// FuzzServerDispatch throws arbitrary bodies at every method through a
+// registered session; the server must return an error status rather
+// than panic, and its invariants must hold afterwards.
 func FuzzServerDispatch(f *testing.F) {
 	f.Add(uint16(0x0100), []byte{})
 	f.Add(uint16(0x0101), []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 16})
 	f.Add(uint16(0x0109), make([]byte, 16))
 	f.Add(uint16(dmwire.MStageAt), dmwire.StageAtReq{
-		PID: 0, Key: dmwire.ReplicaKeyBit | 1, Replicas: []uint32{0, 1}, Data: []byte("hi"),
+		Key: dmwire.ReplicaKeyBit | 1, Replicas: []uint32{0, 1}, Data: []byte("hi"),
 	}.Marshal())
 	f.Add(uint16(dmwire.MConsumeRef), dmwire.ReadRefReq{Key: 0, Size: 16}.Marshal())
-	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{PID: 0, Key: 0}.Marshal())
+	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{Key: 0}.Marshal())
 	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{
-		PID: 0, Key: dmwire.ReplicaKeyBit | 1, NewKey: dmwire.ReplicaKeyBit | 2, Replicas: []uint32{0, 1},
+		Key: dmwire.ReplicaKeyBit | 1, NewKey: dmwire.ReplicaKeyBit | 2, Replicas: []uint32{0, 1},
 	}.Marshal())
 	f.Fuzz(func(t *testing.T, m uint16, body []byte) {
 		s := NewServer(ServerConfig{NumPages: 16, PageSize: 512})
-		s.register()
-		s.dispatch(methodOf(m), body)
+		s.dispatch(registeredSession(t, s), methodOf(m), body)
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("invariants broken by method %#x: %v", m, err)
 		}

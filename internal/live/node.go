@@ -19,9 +19,14 @@ import (
 // mirrors rpc.Handler for the live world (no simulation context).
 type Handler func(from net.Addr, body []byte) ([]byte, error)
 
+// handler is the one handler form a Node dispatches: a Handler that also
+// sees the caller's session, which is how the DM server reaches the DM
+// state register attached to it.
+type handler func(sess *serverSession, from net.Addr, body []byte) ([]byte, error)
+
 // handlerEntry pairs a handler with its dispatch mode.
 type handlerEntry struct {
-	h Handler
+	h handler
 	// fast handlers run to completion on the connection's read loop
 	// (eRPC-style): no goroutine spawn, and their response body — if
 	// pool-sized — is recycled right after the response is written. They
@@ -171,8 +176,8 @@ type Node struct {
 	closed   chan struct{}
 	once     sync.Once
 	conns    sync.WaitGroup
-	sess     *callerSession // this node's calls
-	sessions sessionTable   // the sessions calling this node
+	sess     atomic.Pointer[callerSession] // this node's calls
+	sessions sessionTable                  // the sessions calling this node
 	wstats   writeStats
 	ops      opStats
 	lat      stats.AtomicHistogram // per-call latency, ns, sync + async
@@ -223,22 +228,33 @@ func NewNodeWith(cfg NodeConfig) *Node {
 		peers:   make(map[string]*conn),
 		inbound: make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
-		sess:    newCallerSession(),
 	}
+	n.newSession()
 	empty := make(map[rpc.Method]handlerEntry)
 	n.handlers.Store(&empty)
 	return n
 }
 
+// newSession starts a fresh caller session: calls from now on carry its
+// stamp, and calls already holding a slot finish on the old one.
+func (n *Node) newSession() { n.sess.Store(newCallerSession()) }
+
 // Handle registers h for method m; it runs on its own goroutine per
 // request. Duplicate registration panics.
-func (n *Node) Handle(m rpc.Method, h Handler) { n.register(m, handlerEntry{h: h}) }
+func (n *Node) Handle(m rpc.Method, h Handler) { n.register(m, handlerEntry{h: adapt(h)}) }
 
 // HandleFast registers h for method m as a run-to-completion handler: it
 // executes inline on the connection's read loop with no per-request
 // goroutine. Fast handlers must be short, must not issue nested calls,
 // and must not return a response aliasing the request body.
-func (n *Node) HandleFast(m rpc.Method, h Handler) { n.register(m, handlerEntry{h: h, fast: true}) }
+func (n *Node) HandleFast(m rpc.Method, h Handler) {
+	n.register(m, handlerEntry{h: adapt(h), fast: true})
+}
+
+// adapt turns a Handler into the session-aware form the node dispatches.
+func adapt(h Handler) handler {
+	return func(_ *serverSession, from net.Addr, body []byte) ([]byte, error) { return h(from, body) }
+}
 
 // register installs a handler via copy-on-write so dispatch is lock-free.
 func (n *Node) register(m rpc.Method, e handlerEntry) {
@@ -461,7 +477,7 @@ func (n *Node) serve(c net.Conn, bw *batchWriter, busy *atomic.Int32, req reques
 	sess, run, status, resp := n.admit(req.sess, req.seq)
 	hold := req.payload
 	if run {
-		status, resp = runHandler(req.e.h, c.RemoteAddr(), req.body)
+		status, resp = runHandler(req.e.h, sess, c.RemoteAddr(), req.body)
 		if req.e.fast && capClass(cap(resp)) >= 0 {
 			hold = resp
 		}
@@ -530,11 +546,11 @@ func (n *Node) writeResponse(bw *batchWriter, reqID uint64, status byte, resp []
 var errNoSuchMethod = errors.New("live: no such method")
 
 // noSuchMethod is the handler of every unregistered method.
-func noSuchMethod(net.Addr, []byte) ([]byte, error) { return nil, errNoSuchMethod }
+func noSuchMethod(*serverSession, net.Addr, []byte) ([]byte, error) { return nil, errNoSuchMethod }
 
 // runHandler invokes h and maps its result onto a wire status.
-func runHandler(h Handler, from net.Addr, body []byte) (byte, []byte) {
-	resp, err := h(from, body)
+func runHandler(h handler, sess *serverSession, from net.Addr, body []byte) (byte, []byte) {
+	resp, err := h(sess, from, body)
 	if err != nil {
 		return dmwire.StatusOf(err), []byte(err.Error())
 	}
@@ -579,7 +595,7 @@ func (n *Node) peer(addr string, deadline time.Time) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", errConnFailed, addr, err)
 	}
-	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, session: n.sess.id, pending: make(map[uint64]chan response)}
+	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, pending: make(map[uint64]chan response)}
 	// The writer's failure hook poisons the whole conn (and closes the
 	// socket), so a flush error surfaces to every pending call, not just
 	// the frames that were in the failed batch.

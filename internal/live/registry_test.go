@@ -102,7 +102,7 @@ func TestRegistryOps(t *testing.T) {
 // session is swept as before.
 func TestRegistryHandoffSurvivesReap(t *testing.T) {
 	cfg := smallConfig()
-	cfg.LeaseTTL = 100 * time.Millisecond
+	cfg.LeaseTTL = time.Hour // the test drives the sweep by hand
 	srv, addr := startServer(t, cfg)
 
 	producer := dialClient(t, addr)
@@ -121,14 +121,14 @@ func TestRegistryHandoffSurvivesReap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the producer's heartbeats and wait for the reap.
+	// Kill the producer, then sweep once to see its last use and once
+	// more two lease TTLs later.
 	producer.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.LiveRefs() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("reap did not settle: %d live refs, want 1", srv.LiveRefs())
-		}
-		time.Sleep(5 * time.Millisecond)
+	now := time.Now()
+	sweep(srv.node, now)
+	sweep(srv.node, now.Add(2*cfg.LeaseTTL))
+	if srv.LiveRefs() != 1 {
+		t.Fatalf("reap did not settle: %d live refs, want 1", srv.LiveRefs())
 	}
 
 	// A second session reads the surviving ref byte-for-byte.
@@ -220,28 +220,25 @@ func TestStageAtCarriesDirectoryEntry(t *testing.T) {
 	}
 	check("after collision")
 
-	// Gone: the reaper has fenced the session (gone set under its lock)
-	// but not yet dropped it from the PID table, so the stage_at gets as
-	// far as copying into frames before it sees the fence.
+	// Gone: the sweep has reaped the session, fencing its DM state (gone
+	// set under its lock), while a request admitted before the reap still
+	// holds the session, so the stage_at gets as far as copying into
+	// frames before it sees the fence.
 	doomed := dialClient(t, addr)
-	srv.pidMu.RLock()
-	ps := srv.pids[doomed.pid]
-	srv.pidMu.RUnlock()
-	ps.mu.Lock()
-	ps.gone = true
-	ps.mu.Unlock()
+	sess := callerSessionOf(srv, doomed)
+	reapNow(t, srv, doomed)
 	free := srv.FreePages()
 	key := dmwire.ReplicaKeyBit | 54
-	status, _ := srv.dispatch(dmwire.MStageAt,
-		dmwire.StageAtReq{PID: doomed.pid, Key: key, Replicas: []uint32{0, 1}, Data: payload}.Marshal())
+	status, _ := srv.dispatch(sess, dmwire.MStageAt,
+		dmwire.StageAtReq{Key: key, Replicas: []uint32{0, 1}, Data: payload}.Marshal())
 	if status != dmwire.StatusBadAddr {
-		t.Fatalf("stage_at on a gone PID: status %d, want %d", status, dmwire.StatusBadAddr)
+		t.Fatalf("stage_at on a gone session: status %d, want %d", status, dmwire.StatusBadAddr)
 	}
 	if got := srv.FreePages(); got != free {
-		t.Fatalf("gone-PID stage_at kept frames: %d free, want %d", got, free)
+		t.Fatalf("gone-session stage_at kept frames: %d free, want %d", got, free)
 	}
 	if _, ok := srv.Registry().Get(key); ok {
-		t.Fatal("gone-PID stage_at recorded a directory entry")
+		t.Fatal("gone-session stage_at recorded a directory entry")
 	}
-	check("after gone-PID stage")
+	check("after gone-session stage")
 }

@@ -66,16 +66,17 @@ func (n *Node) CallConsumeOpts(addr string, m rpc.Method, hdr, payload []byte, c
 func (n *Node) callConsumer(addr string, m rpc.Method, hdr, payload []byte, cons consumer, opts CallOpts) error {
 	start := time.Now()
 	deadline := n.overallDeadline(opts)
-	seq, err := n.sess.acquire(deadline)
+	sess := n.sess.Load()
+	st, err := sess.acquire(deadline)
 	if err != nil {
 		n.ops.calls.Add(1)
 		n.ops.fail(err)
 	} else {
 		attempt := func() error {
-			return n.attempt(addr, m, hdr, payload, cons, deadline, seq)
+			return n.attempt(addr, m, hdr, payload, cons, deadline, st)
 		}
 		err = n.withRetries(deadline, attempt, attempt)
-		n.sess.release(seq)
+		sess.release(st.seq)
 	}
 	n.lat.Record(time.Since(start).Nanoseconds())
 	return err
@@ -198,13 +199,12 @@ func (n *Node) withRetries(deadline time.Time, first, again func() error) error 
 }
 
 // attempt performs one request/response exchange, bounded by the sooner
-// of the overall deadline and the per-attempt timeout.
-// seq is the call's session stamp.
-func (n *Node) attempt(addr string, m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, seq uint64) error {
+// of the overall deadline and the per-attempt timeout, stamped st.
+func (n *Node) attempt(addr string, m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, st stamp) error {
 	ad := n.attemptDeadline(deadline)
 	c, err := n.peer(addr, ad)
 	if err != nil {
 		return err
 	}
-	return c.call(m, hdr, payload, cons, ad, seq)
+	return c.call(m, hdr, payload, cons, ad, st)
 }

@@ -11,9 +11,9 @@
 // shared codecs and by cross-checked tests.
 //
 // Concurrency model (DESIGN.md §4 D7): no global lock. Metadata is
-// striped — per-PID VA allocators behind a registration table, a sharded
-// (pid, vpage) translator map, sharded ref tables — and per-frame
-// refcounts are atomics. Bulk pool copies run outside exclusive locks,
+// striped — per-session VA allocators reached through the caller's
+// session, a sharded (owner, vpage) translator map, sharded ref tables —
+// and per-frame refcounts are atomics. Bulk pool copies run outside exclusive locks,
 // made safe by pinning frames (a transient refcount hold) so a frame
 // being copied can never be reclaimed and reused mid-copy. The fused
 // MStage/MReadRef fast paths touch no allocator lock at all.
@@ -129,12 +129,13 @@ type ServerConfig struct {
 	NumPages int
 	// PageSize is the page granularity in bytes.
 	PageSize int
-	// LeaseTTL is the session lease granted to each registered PID.
-	// A PID whose lease expires without a heartbeat is presumed dead and
-	// reaped: its VA regions, translator mappings, and created refs are
-	// reclaimed (frames still held by other PIDs' mappings survive via
-	// their refcounts). 0 disables leasing — sessions live forever, as
-	// before this knob existed.
+	// LeaseTTL is how long a registered caller session lives with no
+	// request. Every request renews it, and an idle client's heartbeat
+	// keeps it alive. A session that sends nothing for longer is presumed
+	// dead and reaped: its VA regions, translator mappings, and created
+	// refs are reclaimed (frames still held by other sessions' mappings
+	// survive via their refcounts). The sweep that finds it runs every
+	// TTL/4. 0 disables leasing — registered sessions live until Close.
 	LeaseTTL time.Duration
 	// DrainTimeout bounds the graceful phase of Close: accepting stops
 	// immediately, in-flight connections get this long to finish, then
@@ -181,13 +182,13 @@ func (c ServerConfig) Validate() error {
 
 // Stripe counts. Powers of two so the index is a mask. Sized for tens of
 // concurrent clients: contention on a shard requires two clients to touch
-// the same (pid, vpage) hash bucket at the same instant.
+// the same (owner, vpage) hash bucket at the same instant.
 const (
 	transShardCount = 64
 	refShardCount   = 16
 )
 
-// transShard is one stripe of the (pid, vpage) -> frame translator.
+// transShard is one stripe of the (owner, vpage) -> frame translator.
 type transShard struct {
 	mu sync.RWMutex
 	m  map[transKey]int32
@@ -199,26 +200,24 @@ type refShard struct {
 	m  map[uint64]*refEntry
 }
 
-// pidState is one process's registration. Its lock is the outermost level
-// of the hierarchy: VA mutations (Alloc/Free) take it exclusively, while
-// VA-range-dependent data ops (rread/rwrite/create_ref) hold it shared for
-// their whole duration so a racing rfree cannot strand translator entries
-// for a region that no longer exists.
+// dmSession is the DM state register attaches to a caller's session:
+// its VA allocator, and the owner number its translator entries and refs
+// are keyed by, minted at register and never sent on the wire. Its lock
+// is the outermost level of the hierarchy: VA mutations (Alloc/Free)
+// take it exclusively, while VA-range-dependent data ops
+// (rread/rwrite/create_ref) hold it shared for their whole duration so a
+// racing rfree cannot strand translator entries for a region that no
+// longer exists.
 //
-// The lease reaper takes mu exclusively, rechecks the lease, and sets
-// gone before reclaiming anything — so every op that acquires mu (shared
-// or exclusive) checks gone first and bails with dm.ErrBadAddress,
-// guaranteeing no op publishes new state for a session being torn down.
-type pidState struct {
+// A reap takes mu exclusively and sets gone before reclaiming anything —
+// so every op that acquires mu (shared or exclusive) checks gone first
+// and bails with dm.ErrBadAddress, guaranteeing no op publishes new state
+// for a session being torn down.
+type dmSession struct {
+	owner uint32
 	mu    sync.RWMutex
 	va    *dm.VAAllocator
-	gone  bool         // set (under mu) when the session is reaped
-	lease atomic.Int64 // lease deadline, unixnano; 0 = leasing disabled
-}
-
-// renewLease extends the lease to now+ttl.
-func (ps *pidState) renewLease(ttl time.Duration) {
-	ps.lease.Store(time.Now().Add(ttl).UnixNano())
+	gone  bool // set (under mu) when the session is reaped
 }
 
 // Server is a live DM server: the paper's page manager and address
@@ -235,9 +234,7 @@ type Server struct {
 	freeMu sync.Mutex
 	free   []int32 // FIFO of free frames
 
-	pidMu   sync.RWMutex
-	pids    map[uint32]*pidState
-	nextPID atomic.Uint32
+	nextOwner atomic.Uint32
 
 	trans   [transShardCount]transShard
 	refs    [refShardCount]refShard
@@ -248,40 +245,38 @@ type Server struct {
 	// epoch is the cache-invalidation epoch (DESIGN.md §D15): bumped on
 	// any operation that could make a previously read ref payload stale
 	// — FreeRef, a write (CoW makes refs immutable, but the bump keeps
-	// the contract conservative), or a lease reap sweeping refs — and
+	// the contract conservative), or a session reap sweeping refs — and
 	// piggybacked on every heartbeat so clients drop cached payloads
 	// within one heartbeat of the change.
 	epoch atomic.Uint64
 	// reg is this shard's slice of the cluster ref directory (DESIGN.md
 	// §D16): cluster-keyed refs handed off by their staging clients (the
-	// entry rides MStageAt) so placement survives the producer's lease
+	// entry rides MStageAt) so placement survives the producer's session
 	// reap, merged higher-epoch-wins via MRegPut/MRegSync. A ref with a
-	// directory entry is registry-owned: the lease reaper skips it (only an
+	// directory entry is registry-owned: a reap skips it (only an
 	// explicit free_ref — which also drops the entry — or a migration
 	// reclaim releases its pages).
 	reg *registry.Registry
 
-	node       *Node
-	closeOnce  sync.Once
-	closeErr   error
-	reaperStop chan struct{}
-	reaperDone chan struct{}
+	node      *Node
+	closeOnce sync.Once
+	closeErr  error
 }
 
 type transKey struct {
-	pid   uint32
+	owner uint32
 	vpage uint64
 }
 
 type refEntry struct {
 	frames []int32 // immutable after publication
 	size   int64
-	owner  uint32 // creating PID, so the lease reaper can reclaim its refs
+	owner  uint32 // the owning session's number, so its reap reclaims the ref
 }
 
 // transShardOf picks the translator stripe for a key.
 func (s *Server) transShardOf(key transKey) *transShard {
-	h := (uint64(key.pid)<<32 ^ key.vpage) * 0x9E3779B97F4A7C15
+	h := (uint64(key.owner)<<32 ^ key.vpage) * 0x9E3779B97F4A7C15
 	return &s.trans[h>>(64-6)] // top 6 bits: transShardCount == 64
 }
 
@@ -300,16 +295,13 @@ func NewServer(cfg ServerConfig) *Server {
 		pool:   make([]byte, cfg.NumPages*cfg.PageSize),
 		refcnt: make([]atomic.Int32, cfg.NumPages),
 		free:   make([]int32, cfg.NumPages),
-		pids:   make(map[uint32]*pidState),
 		node: NewNodeWith(NodeConfig{
 			MaxFrameSize:       cfg.MaxFrameSize,
 			CoalesceLimit:      cfg.CoalesceLimit,
 			CoalesceBatchBytes: cfg.CoalesceBatchBytes,
 			CoalesceSpin:       cfg.CoalesceSpin,
 		}),
-		reg:        registry.New(),
-		reaperStop: make(chan struct{}),
-		reaperDone: make(chan struct{}),
+		reg: registry.New(),
 	}
 	for i := range s.free {
 		s.free[i] = int32(i)
@@ -331,16 +323,32 @@ func NewServer(cfg ServerConfig) *Server {
 		// DM operations are short and never block on other RPCs, so they
 		// run to completion on the connection's read loop (eRPC-style)
 		// instead of paying a goroutine spawn per request.
-		s.node.HandleFast(m, func(from net.Addr, body []byte) ([]byte, error) {
-			return s.handle(m, body)
-		})
+		s.node.register(m, handlerEntry{fast: true, h: func(sess *serverSession, _ net.Addr, body []byte) ([]byte, error) {
+			return s.handle(sess, m, body)
+		}})
 	}
+	s.node.sessions.lease = cfg.LeaseTTL
+	s.node.sessions.reap = func(d *dmSession) { s.reap(d, false) }
 	if cfg.LeaseTTL > 0 {
-		go s.reaper()
-	} else {
-		close(s.reaperDone)
+		s.node.conns.Add(1) // Shutdown waits for the sweeper like a connection
+		go s.sweeper()
 	}
 	return s
+}
+
+// sweeper runs the session sweep every TTL/4 until the node closes.
+func (s *Server) sweeper() {
+	defer s.node.conns.Done()
+	t := time.NewTicker(max(s.cfg.LeaseTTL/4, time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-s.node.closed:
+			return
+		case now := <-t.C:
+			s.node.sessions.sweep(now)
+		}
+	}
 }
 
 // Serve accepts connections on ln until Close. It returns nil after Close.
@@ -348,28 +356,99 @@ func (s *Server) Serve(ln net.Listener) error { return s.node.Serve(ln) }
 
 // Close gracefully drains the server: it stops accepting immediately,
 // gives in-flight connections DrainTimeout to finish, cuts stragglers,
-// stops the lease reaper, and finally force-reaps every remaining session
-// so the pool returns to a fully-free state. Idempotent.
+// stops the sweeper, and finally force-reaps every remaining session so
+// the pool returns to a fully-free state. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.node.Shutdown(s.cfg.DrainTimeout)
-		if s.cfg.LeaseTTL > 0 {
-			close(s.reaperStop)
+		// Every handler and the sweeper have finished (Shutdown waits for
+		// them), so the force-reap below races nothing.
+		t := &s.node.sessions
+		t.mu.Lock()
+		var live []*dmSession
+		for _, sess := range t.m {
+			if d := sess.dm.Load(); d != nil {
+				live = append(live, d)
+			}
 		}
-		<-s.reaperDone
-		// Every handler has finished (Shutdown waits for serving
-		// goroutines), so the force-reap below races nothing.
-		s.pidMu.RLock()
-		pids := make(map[uint32]*pidState, len(s.pids))
-		for pid, ps := range s.pids {
-			pids[pid] = ps
-		}
-		s.pidMu.RUnlock()
-		for pid, ps := range pids {
-			s.reapPID(pid, ps, true)
+		t.mu.Unlock()
+		for _, d := range live {
+			s.reap(d, true)
 		}
 	})
 	return s.closeErr
+}
+
+// reap tears down one session's DM state. Setting gone under the
+// exclusive lock fences all in-flight ops: anything acquiring d.mu
+// afterwards observes it and bails, so nothing publishes new state for
+// the session once the sweeps below begin. Frames the session shared
+// with the living survive: reaping only drops its own holds, and
+// per-frame refcounts keep any page still mapped or ref'd by another
+// session alive (invariant D6 conservation holds across a reap).
+func (s *Server) reap(d *dmSession, force bool) {
+	d.mu.Lock()
+	if d.gone {
+		d.mu.Unlock()
+		return
+	}
+	d.gone = true
+	d.mu.Unlock()
+
+	// Drop the dead session's translator mappings. decRef reclaims frames
+	// nobody else holds; shared frames (other sessions' refs or mappings)
+	// live on.
+	for i := range s.trans {
+		sh := &s.trans[i]
+		var frames []int32
+		sh.mu.Lock()
+		for key, f := range sh.m {
+			if key.owner == d.owner {
+				delete(sh.m, key)
+				frames = append(frames, f)
+			}
+		}
+		sh.mu.Unlock()
+		s.releaseFrames(frames)
+	}
+
+	// Drop the refs the dead session owns. Another session that mapped
+	// one of these refs keeps its pages: map_ref took per-frame holds of
+	// its own, so only the ref entry's holds are released here. Refs whose
+	// key the shard's directory holds are registry-owned (DESIGN.md
+	// §D16): the staging client handed placement off to the cluster, so
+	// they survive their producer's reap and are released only by an
+	// explicit free_ref or a migration reclaim. A forced reap (server
+	// shutdown) sweeps everything — the handoff outlives sessions, not
+	// the server.
+	swept := 0
+	for i := range s.refs {
+		sh := &s.refs[i]
+		var orphaned []*refEntry
+		sh.mu.Lock()
+		for key, ref := range sh.m {
+			if ref.owner == d.owner {
+				if !force {
+					if _, held := s.reg.Get(key); held {
+						continue
+					}
+				}
+				delete(sh.m, key)
+				orphaned = append(orphaned, ref)
+			}
+		}
+		sh.mu.Unlock()
+		for _, ref := range orphaned {
+			s.releaseFrames(ref.frames)
+		}
+		swept += len(orphaned)
+	}
+	if swept > 0 {
+		// Reaped refs vanished without an explicit FreeRef; advance the
+		// invalidation epoch so surviving sessions drop any cached
+		// payloads for them (DESIGN.md §D15).
+		s.epoch.Add(1)
+	}
 }
 
 // FreePages returns the number of free frames (tests, monitoring).
@@ -398,46 +477,55 @@ func (s *Server) LiveRefs() int {
 // methodOf converts a raw wire value to an rpc.Method (fuzzing hook).
 func methodOf(m uint16) rpc.Method { return rpc.Method(m) }
 
-// dispatch runs one DM operation and returns (status, response body);
-// kept as a direct entry point for fuzzing the page manager.
-func (s *Server) dispatch(m rpc.Method, body []byte) (byte, []byte) {
-	resp, err := s.handle(m, body)
+// dispatch runs one DM operation on sess and returns (status, response
+// body); kept as a direct entry point for fuzzing the page manager.
+func (s *Server) dispatch(sess *serverSession, m rpc.Method, body []byte) (byte, []byte) {
+	resp, err := s.handle(sess, m, body)
 	if err != nil {
 		return dmwire.StatusOf(err), []byte(err.Error())
 	}
 	return dmwire.StatusOK, resp
 }
 
-func (s *Server) handle(m rpc.Method, body []byte) ([]byte, error) {
+// handle runs one DM operation for the caller session sess. Every op
+// but register needs the DM state register attached: a session that
+// never registered, or a reaped one whose stamp comes back, gets
+// dm.ErrBadAddress and runs nothing.
+func (s *Server) handle(sess *serverSession, m rpc.Method, body []byte) ([]byte, error) {
+	if m == dmwire.MRegister {
+		return s.register(sess)
+	}
+	d := sess.dm.Load()
+	if d == nil {
+		return nil, dm.ErrBadAddress
+	}
 	switch m {
-	case dmwire.MRegister:
-		return s.register()
 	case dmwire.MAlloc:
-		return s.alloc(body)
+		return s.alloc(d, body)
 	case dmwire.MFree:
-		return s.freeRegion(body)
+		return s.freeRegion(d, body)
 	case dmwire.MCreateRef:
-		return s.createRef(body)
+		return s.createRef(d, body)
 	case dmwire.MMapRef:
-		return s.mapRef(body)
+		return s.mapRef(d, body)
 	case dmwire.MFreeRef:
 		return s.freeRef(body)
 	case dmwire.MRead:
-		return s.read(body)
+		return s.read(d, body)
 	case dmwire.MWrite:
-		return s.write(body)
+		return s.write(d, body)
 	case dmwire.MStage:
-		return s.stage(body)
+		return s.stage(d, body)
 	case dmwire.MStageAt:
-		return s.stageAt(body)
+		return s.stageAt(d, body)
 	case dmwire.MReadRef:
 		return s.readRef(body)
 	case dmwire.MConsumeRef:
 		return s.consumeRef(body)
 	case dmwire.MAdoptRef:
-		return s.adoptRef(body)
+		return s.adoptRef(d, body)
 	case dmwire.MHeartbeat:
-		return s.heartbeat(body)
+		return dmwire.HeartbeatResp{Epoch: s.epoch.Load()}.Marshal(), nil
 	case dmwire.MRegPut:
 		return s.regPut(body)
 	case dmwire.MRegGet:
@@ -530,23 +618,22 @@ func (s *Server) releaseFrames(frames []int32) {
 
 // --- operations ---
 
-// leaseMillis is the granted TTL on the wire (0 = leasing disabled).
-func (s *Server) leaseMillis() uint32 {
-	return uint32(s.cfg.LeaseTTL / time.Millisecond)
-}
-
-func (s *Server) register() ([]byte, error) {
-	pid := s.nextPID.Add(1) - 1
-	ps := &pidState{va: dm.NewVAAllocator(s.cfg.PageSize, 1<<16, 1<<40)}
-	if s.cfg.LeaseTTL > 0 {
-		ps.renewLease(s.cfg.LeaseTTL)
+// register attaches DM state to the caller's session, once: a second
+// register on the session answers the same way and keeps its state. A
+// session the sweep already dropped gets dm.ErrBadAddress.
+func (s *Server) register(sess *serverSession) ([]byte, error) {
+	sess.mu.Lock()
+	d := sess.dm.Load()
+	if d == nil && !sess.gone.Load() {
+		d = &dmSession{owner: s.nextOwner.Add(1), va: dm.NewVAAllocator(s.cfg.PageSize, 1<<16, 1<<40)}
+		sess.dm.Store(d)
 	}
-	s.pidMu.Lock()
-	s.pids[pid] = ps
-	s.pidMu.Unlock()
+	sess.mu.Unlock()
+	if d == nil {
+		return nil, dm.ErrBadAddress
+	}
 	return dmwire.RegisterResp{
-		PID:         pid,
-		LeaseMillis: s.leaseMillis(),
+		LeaseMillis: uint32(s.cfg.LeaseTTL / time.Millisecond),
 		HasShard:    s.cfg.HasShard,
 		Shard:       s.cfg.ShardID,
 		// The invalidation-epoch baseline (§D15): anything the client
@@ -556,82 +643,39 @@ func (s *Server) register() ([]byte, error) {
 	}.Marshal(), nil
 }
 
-// heartbeat renews pid's lease. A reaped (or never-registered) session
-// gets dm.ErrBadAddress, telling the client its state is gone for good.
-func (s *Server) heartbeat(body []byte) ([]byte, error) {
-	req, err := dmwire.UnmarshalHeartbeatReq(body)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if ps.gone {
-		return nil, dm.ErrBadAddress
-	}
-	if s.cfg.LeaseTTL > 0 {
-		ps.renewLease(s.cfg.LeaseTTL)
-	}
-	return dmwire.HeartbeatResp{
-		LeaseMillis: s.leaseMillis(),
-		Epoch:       s.epoch.Load(),
-	}.Marshal(), nil
-}
-
 // Epoch returns the current cache-invalidation epoch (0 until the
 // first free/write/reap).
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
-func (s *Server) pidState(pid uint32) (*pidState, error) {
-	s.pidMu.RLock()
-	ps, ok := s.pids[pid]
-	s.pidMu.RUnlock()
-	if !ok {
-		return nil, dm.ErrBadAddress
-	}
-	return ps, nil
-}
-
-func (s *Server) alloc(body []byte) ([]byte, error) {
+func (s *Server) alloc(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalAllocReq(body)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.Lock()
-	if ps.gone {
-		ps.mu.Unlock()
+	d.mu.Lock()
+	if d.gone {
+		d.mu.Unlock()
 		return nil, dm.ErrBadAddress
 	}
-	addr, err := ps.va.Alloc(req.Size)
-	ps.mu.Unlock()
+	addr, err := d.va.Alloc(req.Size)
+	d.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	return dmwire.AllocResp{Addr: addr}.Marshal(), nil
 }
 
-func (s *Server) freeRegion(body []byte) ([]byte, error) {
+func (s *Server) freeRegion(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalFreeReq(body)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.gone {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.gone {
 		return nil, dm.ErrBadAddress
 	}
-	size, err := ps.va.Free(req.Addr)
+	size, err := d.va.Free(req.Addr)
 	if err != nil {
 		return nil, err
 	}
@@ -641,7 +685,7 @@ func (s *Server) freeRegion(body []byte) ([]byte, error) {
 	}
 	base := uint64(req.Addr) / uint64(s.pageSize())
 	for i := 0; i < pages; i++ {
-		key := transKey{pid: req.PID, vpage: base + uint64(i)}
+		key := transKey{owner: d.owner, vpage: base + uint64(i)}
 		sh := s.transShardOf(key)
 		sh.mu.Lock()
 		f, ok := sh.m[key]
@@ -679,8 +723,8 @@ func (s *Server) materialize(key transKey) (int32, error) {
 	return f, nil
 }
 
-func (s *Server) checkRange(ps *pidState, addr dm.RemoteAddr, size int64) error {
-	base, regSize, err := ps.va.Lookup(addr)
+func (s *Server) checkRange(d *dmSession, addr dm.RemoteAddr, size int64) error {
+	base, regSize, err := d.va.Lookup(addr)
 	if err != nil {
 		return err
 	}
@@ -694,7 +738,7 @@ func (s *Server) checkRange(ps *pidState, addr dm.RemoteAddr, size int64) error 
 	return nil
 }
 
-func (s *Server) createRef(body []byte) ([]byte, error) {
+func (s *Server) createRef(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalCreateRefReq(body)
 	if err != nil {
 		return nil, err
@@ -702,23 +746,19 @@ func (s *Server) createRef(body []byte) ([]byte, error) {
 	if req.Size <= 0 {
 		return nil, dm.ErrOutOfRange
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if ps.gone {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.gone {
 		return nil, dm.ErrBadAddress
 	}
-	if err := s.checkRange(ps, req.Addr, req.Size); err != nil {
+	if err := s.checkRange(d, req.Addr, req.Size); err != nil {
 		return nil, err
 	}
 	basePage := uint64(req.Addr) / uint64(s.pageSize())
 	pages := dm.PageCount(int64(uint64(req.Addr)%uint64(s.pageSize()))+req.Size, s.cfg.PageSize)
 	frames := make([]int32, 0, pages)
 	for i := 0; i < pages; i++ {
-		f, err := s.materialize(transKey{pid: req.PID, vpage: basePage + uint64(i)})
+		f, err := s.materialize(transKey{owner: d.owner, vpage: basePage + uint64(i)})
 		if err != nil {
 			// Roll back the holds taken for earlier pages so a partial
 			// create_ref cannot leak refcounts.
@@ -731,17 +771,13 @@ func (s *Server) createRef(body []byte) ([]byte, error) {
 	key := s.nextKey.Add(1) - 1
 	sh := s.refShardOf(key)
 	sh.mu.Lock()
-	sh.m[key] = &refEntry{frames: frames, size: req.Size, owner: req.PID}
+	sh.m[key] = &refEntry{frames: frames, size: req.Size, owner: d.owner}
 	sh.mu.Unlock()
 	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
 }
 
-func (s *Server) mapRef(body []byte) ([]byte, error) {
+func (s *Server) mapRef(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalMapRefReq(body)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := s.pidState(req.PID)
 	if err != nil {
 		return nil, err
 	}
@@ -761,22 +797,22 @@ func (s *Server) mapRef(body []byte) ([]byte, error) {
 	frames, size := ref.frames, ref.size
 	rsh.mu.RUnlock()
 
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.gone {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.gone {
 		// The mapping holds taken above roll back; the ref itself (if it
-		// belonged to another live PID) is untouched.
+		// belonged to another live session) is untouched.
 		s.releaseFrames(frames)
 		return nil, dm.ErrBadAddress
 	}
-	addr, err := ps.va.Alloc(size)
+	addr, err := d.va.Alloc(size)
 	if err != nil {
 		s.releaseFrames(frames)
 		return nil, err
 	}
 	basePage := uint64(addr) / uint64(s.pageSize())
 	for i, f := range frames {
-		key := transKey{pid: req.PID, vpage: basePage + uint64(i)}
+		key := transKey{owner: d.owner, vpage: basePage + uint64(i)}
 		sh := s.transShardOf(key)
 		sh.mu.Lock()
 		sh.m[key] = f
@@ -833,22 +869,18 @@ func (s *Server) lookupPage(key transKey) (int32, bool) {
 	return f, ok
 }
 
-func (s *Server) read(body []byte) ([]byte, error) {
+func (s *Server) read(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalReadReq(body)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
 	size := int64(req.Size)
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if ps.gone {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.gone {
 		return nil, dm.ErrBadAddress
 	}
-	if err := s.checkRange(ps, req.Addr, size); err != nil {
+	if err := s.checkRange(d, req.Addr, size); err != nil {
 		return nil, err
 	}
 	// Response body from the frame pool; the serve loop recycles it after
@@ -862,7 +894,7 @@ func (s *Server) read(body []byte) ([]byte, error) {
 		if n > size-off {
 			n = size - off
 		}
-		if f, ok := s.lookupPage(transKey{pid: req.PID, vpage: vpage}); ok {
+		if f, ok := s.lookupPage(transKey{owner: d.owner, vpage: vpage}); ok {
 			copy(out[off:off+n], s.frame(f)[pageOff:])
 			s.decRef(f)
 		} else {
@@ -875,22 +907,18 @@ func (s *Server) read(body []byte) ([]byte, error) {
 	return out, nil
 }
 
-func (s *Server) write(body []byte) ([]byte, error) {
+func (s *Server) write(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalWriteReq(body)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
 	size := int64(len(req.Data))
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if ps.gone {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.gone {
 		return nil, dm.ErrBadAddress
 	}
-	if err := s.checkRange(ps, req.Addr, size); err != nil {
+	if err := s.checkRange(d, req.Addr, size); err != nil {
 		return nil, err
 	}
 	off := int64(0)
@@ -901,7 +929,7 @@ func (s *Server) write(body []byte) ([]byte, error) {
 		if n > size-off {
 			n = size - off
 		}
-		f, err := s.writableFrame(transKey{pid: req.PID, vpage: vpage})
+		f, err := s.writableFrame(transKey{owner: d.owner, vpage: vpage})
 		if err != nil {
 			return nil, err
 		}
@@ -956,7 +984,7 @@ func (s *Server) writableFrame(key transKey) (int32, error) {
 	return f, nil
 }
 
-func (s *Server) stage(body []byte) ([]byte, error) {
+func (s *Server) stage(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalStageReq(body)
 	if err != nil {
 		return nil, err
@@ -964,30 +992,26 @@ func (s *Server) stage(body []byte) ([]byte, error) {
 	if len(req.Data) == 0 {
 		return nil, dm.ErrOutOfRange
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
 	frames, err := s.fillFrames(req.Data)
 	if err != nil {
 		return nil, err
 	}
 	key := s.nextKey.Add(1) - 1
-	// Publish under the owner's shared lock: the lease reaper holds
-	// ps.mu exclusively, so either it already ran (gone — roll the frames
-	// back, nothing leaks) or the entry lands in the shard before the
-	// reaper's ref sweep can start and is reclaimed by it normally.
-	ps.mu.RLock()
-	if ps.gone {
-		ps.mu.RUnlock()
+	// Publish under the owner's shared lock: a reap holds d.mu
+	// exclusively, so either it already ran (gone — roll the frames back,
+	// nothing leaks) or the entry lands in the shard before the reap's ref
+	// sweep can start and is reclaimed by it normally.
+	d.mu.RLock()
+	if d.gone {
+		d.mu.RUnlock()
 		s.releaseFrames(frames)
 		return nil, dm.ErrBadAddress
 	}
 	sh := s.refShardOf(key)
 	sh.mu.Lock()
-	sh.m[key] = &refEntry{frames: frames, size: int64(len(req.Data)), owner: req.PID}
+	sh.m[key] = &refEntry{frames: frames, size: int64(len(req.Data)), owner: d.owner}
 	sh.mu.Unlock()
-	ps.mu.RUnlock()
+	d.mu.RUnlock()
 	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
 }
 
@@ -1003,9 +1027,9 @@ var errStageAtKeySpace = errors.New("live: stage_at key outside replica key spac
 // dm.ErrRefExists and leaves the existing ref untouched, which makes
 // repair re-stages idempotent. A request carrying replicas also records
 // the key's epoch-1 directory entry (§D16) in the same locked section
-// that publishes the ref: a racing lease reap sees both or neither, and
+// that publishes the ref: a racing session reap sees both or neither, and
 // a failed stage records nothing.
-func (s *Server) stageAt(body []byte) ([]byte, error) {
+func (s *Server) stageAt(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalStageAtReq(body)
 	if err != nil {
 		return nil, err
@@ -1015,10 +1039,6 @@ func (s *Server) stageAt(body []byte) ([]byte, error) {
 	}
 	if req.Key&dmwire.ReplicaKeyBit == 0 {
 		return nil, errStageAtKeySpace
-	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
 	}
 	sh := s.refShardOf(req.Key)
 	// Early existence probe: don't burn frames and a bulk copy on a key
@@ -1036,25 +1056,25 @@ func (s *Server) stageAt(body []byte) ([]byte, error) {
 	}
 	// Publish under the owner's shared lock exactly like stage(); on any
 	// failure past this point the frames roll back to the free list.
-	ps.mu.RLock()
-	if ps.gone {
-		ps.mu.RUnlock()
+	d.mu.RLock()
+	if d.gone {
+		d.mu.RUnlock()
 		s.releaseFrames(frames)
 		return nil, dm.ErrBadAddress
 	}
 	sh.mu.Lock()
 	if _, dup := sh.m[req.Key]; dup {
 		sh.mu.Unlock()
-		ps.mu.RUnlock()
+		d.mu.RUnlock()
 		s.releaseFrames(frames)
 		return nil, dm.ErrRefExists
 	}
 	if len(req.Replicas) > 0 {
 		s.reg.Put(registry.Entry{Key: req.Key, Size: int64(len(req.Data)), Epoch: 1, Replicas: req.Replicas})
 	}
-	sh.m[req.Key] = &refEntry{frames: frames, size: int64(len(req.Data)), owner: req.PID}
+	sh.m[req.Key] = &refEntry{frames: frames, size: int64(len(req.Data)), owner: d.owner}
 	sh.mu.Unlock()
-	ps.mu.RUnlock()
+	d.mu.RUnlock()
 	s.stagePuts.Add(1)
 	return dmwire.RefKeyResp{Key: req.Key}.Marshal(), nil
 }
@@ -1182,14 +1202,14 @@ func (s *Server) consumeRef(body []byte) ([]byte, error) {
 
 // adoptRef moves a ref to the caller in one exchange (MAdoptRef): the
 // entry leaves its old key and is republished, with the same frames and
-// holds, under a new key owned by the adopting PID, so the ref outlives
-// its producer's lease reap and dies with the adopter's. The move runs
-// under the adopter's shared ps.mu (a reaped adopter adopts nothing, as
+// holds, under a new key owned by the adopting session, so the ref
+// outlives its producer's reap and dies with the adopter's. The move runs
+// under the adopter's shared d.mu (a reaped adopter adopts nothing, as
 // in stageAt) and under both keys' ref-shard write locks, so of racing
 // adopts, consumes and frees of the old key exactly one wins. The old
 // key's directory entry is retired, and a request carrying replicas
 // records the new key's epoch-1 entry in the same locked section.
-func (s *Server) adoptRef(body []byte) ([]byte, error) {
+func (s *Server) adoptRef(d *dmSession, body []byte) ([]byte, error) {
 	req, err := dmwire.UnmarshalAdoptRefReq(body)
 	if err != nil {
 		return nil, err
@@ -1199,13 +1219,9 @@ func (s *Server) adoptRef(body []byte) ([]byte, error) {
 	if (req.NewKey != 0 || len(req.Replicas) > 0) && req.NewKey&dmwire.ReplicaKeyBit == 0 {
 		return nil, errStageAtKeySpace
 	}
-	ps, err := s.pidState(req.PID)
-	if err != nil {
-		return nil, err
-	}
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if ps.gone {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.gone {
 		return nil, dm.ErrBadAddress
 	}
 	newKey := req.NewKey
@@ -1228,9 +1244,9 @@ func (s *Server) adoptRef(body []byte) ([]byte, error) {
 	if len(req.Replicas) > 0 {
 		s.reg.Put(registry.Entry{Key: newKey, Size: ref.size, Epoch: 1, Replicas: req.Replicas})
 	}
-	// The owner is read only under the shard lock (the reaper's sweep);
+	// The owner is read only under the shard lock (a reap's sweep);
 	// readers that found the entry under the old key use frames and size.
-	ref.owner = req.PID
+	ref.owner = d.owner
 	nsh.m[newKey] = ref
 	s.unlockRefPair(req.Key, newKey)
 	s.epoch.Add(1)

@@ -10,26 +10,36 @@ import (
 	"repro/internal/dmwire"
 )
 
-// At-most-once execution, after eRPC (DESIGN.md §D8). Every Node is one
-// caller session: a random odd ID and sessionWindow slots. A call
-// takes a free slot and stamps every attempt with the session ID and one
-// seq; seq % sessionWindow names the slot, and seq grows by sessionWindow
-// each time the slot is reused. A serving node keeps, per session and
-// slot, only the last seq and its response. A higher seq runs and
-// releases that response (a caller reuses a slot only once its call is
-// over: eRPC's implicit ack), an equal seq waits for the run and replays
-// its response, and a lower one is refused with dmwire.ErrStale.
+// Sessions: at-most-once execution and liveness, after eRPC (DESIGN.md
+// §D8). Every Node is one caller session at a time: a random odd ID and
+// sessionWindow slots. A call takes a free slot and stamps every attempt
+// with the session ID and one seq; seq % sessionWindow names the slot,
+// and seq grows by sessionWindow each time the slot is reused. A serving
+// node keeps, per session and slot, only the last seq and its response.
+// A higher seq runs and releases that response (a caller reuses a slot
+// only once its call is over: eRPC's implicit ack), an equal seq waits
+// for the run and replays its response, and a lower one is refused with
+// dmwire.ErrStale.
+//
+// The serving node's session is also its only record of the caller's
+// liveness. A DM server's register attaches the caller's DM state to it
+// (dmSession), and one use-count sweep expires sessions: a registered
+// one after the server's lease TTL with no request, an unregistered one
+// after sessionIdle. Expiring a registered session reaps its DM state.
 
 const (
 	// sessionWindow is the number of slots in one caller session: the
 	// most calls one Node has in flight at once.
 	sessionWindow = 256
-	// sessionIdle is how long a serving node keeps a session nothing has
-	// used, far beyond any call's deadline.
+	// sessionIdle is how long a serving node keeps an unregistered
+	// session nothing has used, far beyond any call's deadline.
 	sessionIdle = 60 * time.Second
 	// stampSize is the wire width of a request's stamp: u64 session, u64 seq.
 	stampSize = 16
 )
+
+// stamp names one call's session and slot; every attempt carries it.
+type stamp struct{ session, seq uint64 }
 
 // callerSession is a Node's own session.
 type callerSession struct {
@@ -51,9 +61,9 @@ func newCallerSession() *callerSession {
 }
 
 // acquire takes a free slot, waiting no longer than deadline (zero:
-// unbounded), and returns the seq every attempt of the call carries. A
+// unbounded), and returns the stamp every attempt of the call carries. A
 // seq is never below sessionWindow.
-func (s *callerSession) acquire(deadline time.Time) (uint64, error) {
+func (s *callerSession) acquire(deadline time.Time) (stamp, error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -66,14 +76,14 @@ func (s *callerSession) acquire(deadline time.Time) (uint64, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-timeC:
-			return 0, fmt.Errorf("live: all %d session slots busy: %w", sessionWindow, ErrDeadline)
+			return stamp{}, fmt.Errorf("live: all %d session slots busy: %w", sessionWindow, ErrDeadline)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
-	return seq, nil
+	return stamp{s.id, seq}, nil
 }
 
 // release frees seq's slot once its call is over: done, failed or
@@ -88,7 +98,10 @@ func (s *callerSession) release(seq uint64) {
 // serverSession is a serving node's record of one caller session.
 type serverSession struct {
 	id   uint64
-	gone atomic.Bool // dropped by the idle sweep: look it up again
+	gone atomic.Bool // dropped by the sweep: look it up again
+	// dm is the DM state register attached: nil on every session that
+	// has not registered with a DM server.
+	dm   atomic.Pointer[dmSession]
 	mu   sync.Mutex
 	done sync.Cond // on mu; broadcast when a slot's run ends
 	uses uint64    // requests admitted
@@ -113,7 +126,7 @@ type serverSlot struct {
 }
 
 // admit claims seq's slot in s, or in the session that replaced s if the
-// idle sweep dropped it, and returns the session it used. run means the
+// sweep dropped it, and returns the session it used. run means the
 // caller runs the request, then publishes its response. Otherwise status
 // and resp answer it — a private copy of the slot's response, or the
 // stale refusal — and resp is the caller's to recycle.
@@ -179,36 +192,64 @@ func (s *serverSession) settle(seq uint64, hold []byte, kept bool) {
 type sessionTable struct {
 	mu sync.Mutex
 	m  map[uint64]*serverSession
+	// lease is how long a registered session lives with no request (0:
+	// until the server closes), and reap releases an expired one's DM
+	// state. A DM server sets both.
+	lease time.Duration
+	reap  func(*dmSession)
 }
 
 // get returns session id, creating it on first sight. A new session runs
-// the idle sweep first, so sessions come and go together.
+// the sweep first, so sessions come and go together.
 func (t *sessionTable) get(id uint64) *serverSession {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s := t.m[id]; s != nil {
-		return s
+	s := t.m[id]
+	var reaped []*dmSession
+	if s == nil {
+		now := time.Now()
+		reaped = t.sweepLocked(now)
+		if t.m == nil {
+			t.m = make(map[uint64]*serverSession)
+		}
+		s = &serverSession{id: id, activeAt: now}
+		s.done.L = &s.mu
+		t.m[id] = s
 	}
-	now := time.Now()
-	t.sweepLocked(now)
-	if t.m == nil {
-		t.m = make(map[uint64]*serverSession)
-	}
-	s := &serverSession{id: id, activeAt: now}
-	s.done.L = &s.mu
-	t.m[id] = s
+	t.mu.Unlock()
+	t.release(reaped)
 	return s
 }
 
+// sweep runs the sweep as if the time were now.
+func (t *sessionTable) sweep(now time.Time) {
+	t.mu.Lock()
+	reaped := t.sweepLocked(now)
+	t.mu.Unlock()
+	t.release(reaped)
+}
+
+// release reaps the DM state of expired sessions, outside the table lock.
+func (t *sessionTable) release(reaped []*dmSession) {
+	for _, d := range reaped {
+		t.reap(d)
+	}
+}
+
 // sweepLocked compares each session's use count with the last sweep's: a
-// changed count marks the session active now, and one unchanged for over
-// sessionIdle drops the session and recycles the responses it kept.
-func (t *sessionTable) sweepLocked(now time.Time) {
+// changed count marks the session active now, and one unchanged for
+// longer than its TTL drops the session, recycles the responses it kept
+// and returns its DM state for reaping.
+func (t *sessionTable) sweepLocked(now time.Time) (reaped []*dmSession) {
 	for id, s := range t.m {
 		s.mu.Lock()
+		d := s.dm.Load()
+		ttl := sessionIdle
+		if d != nil {
+			ttl = t.lease
+		}
 		if s.uses != s.seenUses {
 			s.seenUses, s.activeAt = s.uses, now
-		} else if now.Sub(s.activeAt) > sessionIdle {
+		} else if ttl > 0 && now.Sub(s.activeAt) > ttl {
 			s.gone.Store(true)
 			for i := range s.slots {
 				if !s.slots[i].lent {
@@ -217,8 +258,12 @@ func (t *sessionTable) sweepLocked(now time.Time) {
 				s.slots[i] = serverSlot{}
 			}
 			delete(t.m, id)
+			if d != nil {
+				reaped = append(reaped, d)
+			}
 		}
 		s.mu.Unlock()
 		s.done.Broadcast()
 	}
+	return reaped
 }

@@ -193,9 +193,5 @@ func hasSession(n *Node, id uint64) bool {
 	return ok
 }
 
-// sweep runs n's idle sweep as if the time were now.
-func sweep(n *Node, now time.Time) {
-	n.sessions.mu.Lock()
-	defer n.sessions.mu.Unlock()
-	n.sessions.sweepLocked(now)
-}
+// sweep runs n's session sweep as if the time were now.
+func sweep(n *Node, now time.Time) { n.sessions.sweep(now) }

@@ -13,8 +13,8 @@
 // (Caller.Release) once the call chain no longer needs it, unless a
 // consumer that is the payload's last reader takes the release over by
 // consuming it (Ctx.Consume: read and free in one exchange) or adopting
-// it (Ctx.Adopt: the ref moves under the consumer's own PID in one
-// exchange, so a crashed producer's lease reap cannot take it away) —
+// it (Ctx.Adopt: the ref moves under the consumer's own session in one
+// exchange, so a crashed producer's session reap cannot take it away) —
 // then the producer releases only if the call failed, when the consume
 // or adopt may not have run (DESIGN.md §D9).
 package liverpc
@@ -325,7 +325,7 @@ func (s *Service) Close() error { return s.caller.node.Close() }
 
 // dispatch is the transport-level handler: decode the envelope, run the
 // named method, encode the result list.
-func (s *Service) dispatch(from net.Addr, body []byte) ([]byte, error) {
+func (s *Service) dispatch(_ net.Addr, body []byte) ([]byte, error) {
 	env, err := dmwire.UnmarshalCallEnvelope(body)
 	if err != nil {
 		return nil, err
@@ -337,7 +337,7 @@ func (s *Service) dispatch(from net.Addr, body []byte) ([]byte, error) {
 		return nil, &rpc.AppError{Status: dmwire.StatusErr,
 			Msg: fmt.Sprintf("liverpc: service %q has no method %q", s.name, env.Method)}
 	}
-	ctx := &Ctx{Svc: s, From: from, TraceID: env.TraceID, Hop: env.Hop}
+	ctx := &Ctx{Svc: s, TraceID: env.TraceID, Hop: env.Hop}
 	if env.DeadlineMillis > 0 {
 		ctx.Deadline = time.Now().Add(time.Duration(env.DeadlineMillis) * time.Millisecond)
 	}
@@ -358,8 +358,6 @@ func (s *Service) dispatch(from net.Addr, body []byte) ([]byte, error) {
 type Ctx struct {
 	// Svc is the service executing the handler.
 	Svc *Service
-	// From is the transport peer that sent the call.
-	From net.Addr
 	// TraceID identifies the end-to-end request chain.
 	TraceID uint64
 	// Hop is this call's nesting depth (0 at the top-level caller).

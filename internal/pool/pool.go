@@ -30,8 +30,8 @@ type Config struct {
 	Client live.ClientConfig
 	// UnhealthyAfter is how many consecutive heartbeat failures eject a
 	// shard from the ring (<= 0 uses 3). Ejection affects NEW placements
-	// only: refs already on the shard keep resolving until its lease
-	// reaper reclaims the session.
+	// only: refs already on the shard keep resolving until its session
+	// sweep reclaims the session.
 	UnhealthyAfter int
 	// RejoinPoll paces the background check that re-adds an ejected
 	// shard once its heartbeats recover (0 uses 500ms; negative disables

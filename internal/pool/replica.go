@@ -423,8 +423,8 @@ func (p *Client) consume(ref dm.Ref, hints []uint32) (*live.Buf, error) {
 }
 
 // AdoptRefFrom moves ref to this session (adopt_ref): every copy is
-// republished under a new key owned by this session's PID on its shard,
-// so the returned ref survives the producer's lease reap and dies with
+// republished under a new key owned by this session on its shard,
+// so the returned ref survives the producer's session reap and dies with
 // this session's. ref's key is dead afterwards, and its cache key is
 // tombstoned whatever the outcome. A single-copy ref moves in one
 // exchange on its shard. A replicated one is adopted under one freshly

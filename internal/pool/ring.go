@@ -6,7 +6,7 @@
 // lease/heartbeat/retry machinery it already has. Per-shard
 // session health drives failover: a shard whose heartbeats keep failing
 // is ejected from the ring for NEW placements while refs it already
-// holds keep resolving until the server's lease reaper reclaims them.
+// holds keep resolving until the server's session sweep reclaims them.
 //
 // With ReplicaFactor R > 1 the pool also replicates: each staged payload
 // lands on the R distinct ring successors of its placement point under
