@@ -161,7 +161,7 @@ func (c *Client) FreeRef(p *sim.Proc, ref dm.Ref) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.node.Call(p, srv, MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal())
+	_, err = c.node.Call(p, srv, MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Append(nil))
 	return fromAppError(err)
 }
 
@@ -194,7 +194,7 @@ func (c *Client) ReadRef(p *sim.Proc, ref dm.Ref, off int64, dst []byte) error {
 		return err
 	}
 	resp, err := c.node.Call(p, srv, MReadRef,
-		dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(len(dst))}.Marshal())
+		dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(len(dst))}.Append(nil))
 	if err != nil {
 		return fromAppError(err)
 	}

@@ -774,7 +774,7 @@ func TestAdoptRefMovesKey(t *testing.T) {
 		staged := srv.FreePages()
 		adopt := func(key uint64) (uint64, error) {
 			resp, err := r.c2.node.Call(p, r.addrs[0], MAdoptRef,
-				dmwire.AdoptRefReq{Key: key}.Marshal())
+				dmwire.AdoptRefReq{Key: key}.Append(nil))
 			if err != nil {
 				return 0, fromAppError(err)
 			}

@@ -313,7 +313,7 @@ func (s *Server) handleCreateRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	key := s.nextRefKey
 	s.nextRefKey++
 	s.refs[key] = &refEntry{frames: frames, size: size}
-	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
+	return dmwire.RefKeyResp{Key: key}.Append(nil), nil
 }
 
 func (s *Server) handleMapRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
@@ -459,7 +459,7 @@ func (s *Server) handleStage(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	key := s.nextRefKey
 	s.nextRefKey++
 	s.refs[key] = &refEntry{frames: frames, size: int64(len(data))}
-	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
+	return dmwire.RefKeyResp{Key: key}.Append(nil), nil
 }
 
 // handleReadRef serves reads straight through a ref key: translation is a
@@ -501,7 +501,7 @@ func (s *Server) handleConsumeRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	req, _ := dmwire.UnmarshalReadRefReq(body) // handleReadRef decoded it
-	if _, err := s.handleFreeRef(ctx, dmwire.FreeRefReq{Key: req.Key}.Marshal()); err != nil {
+	if _, err := s.handleFreeRef(ctx, dmwire.FreeRefReq{Key: req.Key}.Append(nil)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -537,7 +537,7 @@ func (s *Server) handleAdoptRef(ctx *rpc.Ctx, body []byte) ([]byte, error) {
 	}
 	delete(s.refs, req.Key)
 	s.refs[key] = ref
-	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
+	return dmwire.RefKeyResp{Key: key}.Append(nil), nil
 }
 
 // errAdoptKeySpace rejects a caller-chosen adopt_ref key that could

@@ -6,6 +6,7 @@
 package dmwire
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/dm"
@@ -298,8 +299,8 @@ type RefKeyResp struct {
 	Key uint64
 }
 
-// Marshal encodes the response body.
-func (r RefKeyResp) Marshal() []byte { return rpc.NewEnc(8).U64(r.Key).Bytes() }
+// Append appends the response body to b.
+func (r RefKeyResp) Append(b []byte) []byte { return binary.BigEndian.AppendUint64(b, r.Key) }
 
 // UnmarshalRefKeyResp decodes the response body.
 func UnmarshalRefKeyResp(b []byte) (RefKeyResp, error) {
@@ -346,8 +347,8 @@ type FreeRefReq struct {
 	Key uint64
 }
 
-// Marshal encodes the request body.
-func (r FreeRefReq) Marshal() []byte { return rpc.NewEnc(8).U64(r.Key).Bytes() }
+// Append appends the request body to b.
+func (r FreeRefReq) Append(b []byte) []byte { return binary.BigEndian.AppendUint64(b, r.Key) }
 
 // UnmarshalFreeRefReq decodes the request body.
 func UnmarshalFreeRefReq(b []byte) (FreeRefReq, error) {
@@ -437,21 +438,18 @@ type StageAtReq struct {
 // stageAtFixed is the size of the request prefix before the replica list.
 const stageAtFixed = 8 + 1
 
-// encodeHdr encodes everything but Data into a buffer with room for
-// extra more bytes.
-func (r StageAtReq) encodeHdr(extra int) *rpc.Enc {
-	e := rpc.NewEnc(stageAtFixed + 4*len(r.Replicas) + extra)
-	encodeReplicas(e.U64(r.Key), r.Replicas)
-	return e
+// Marshal encodes the request body.
+func (r StageAtReq) Marshal() []byte {
+	b := make([]byte, 0, stageAtFixed+4*len(r.Replicas)+len(r.Data))
+	return append(r.AppendHdr(b), r.Data...)
 }
 
-// Marshal encodes the request body.
-func (r StageAtReq) Marshal() []byte { return r.encodeHdr(len(r.Data)).Raw(r.Data).Bytes() }
-
-// MarshalHdr encodes only the prefix of the request body, for
+// AppendHdr appends only the prefix of the request body to b, for
 // transports that write Data as its own vectored segment (zero-copy
-// framing): Marshal() == append(MarshalHdr(), Data...).
-func (r StageAtReq) MarshalHdr() []byte { return r.encodeHdr(0).Bytes() }
+// framing): Marshal() == append(AppendHdr(nil), Data...).
+func (r StageAtReq) AppendHdr(b []byte) []byte {
+	return appendReplicas(binary.BigEndian.AppendUint64(b, r.Key), r.Replicas)
+}
 
 // UnmarshalStageAtReq decodes the request body.
 func UnmarshalStageAtReq(b []byte) (StageAtReq, error) {
@@ -475,9 +473,11 @@ type ReadRefReq struct {
 	Size uint32
 }
 
-// Marshal encodes the request body.
-func (r ReadRefReq) Marshal() []byte {
-	return rpc.NewEnc(16).U64(r.Key).U32(r.Off).U32(r.Size).Bytes()
+// Append appends the request body to b.
+func (r ReadRefReq) Append(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, r.Key)
+	b = binary.BigEndian.AppendUint32(b, r.Off)
+	return binary.BigEndian.AppendUint32(b, r.Size)
 }
 
 // UnmarshalReadRefReq decodes the request body.
@@ -500,11 +500,10 @@ type AdoptRefReq struct {
 	Replicas []uint32
 }
 
-// Marshal encodes the request body.
-func (r AdoptRefReq) Marshal() []byte {
-	e := rpc.NewEnc(8 + 8 + 1 + 4*len(r.Replicas))
-	encodeReplicas(e.U64(r.Key).U64(r.NewKey), r.Replicas)
-	return e.Bytes()
+// Append appends the request body to b.
+func (r AdoptRefReq) Append(b []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, r.Key)
+	return appendReplicas(binary.BigEndian.AppendUint64(b, r.NewKey), r.Replicas)
 }
 
 // UnmarshalAdoptRefReq decodes the request body; trailing bytes are

@@ -72,7 +72,7 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		}
 	}
 	{
-		r, err := UnmarshalRefKeyResp(RefKeyResp{Key: 99}.Marshal())
+		r, err := UnmarshalRefKeyResp(RefKeyResp{Key: 99}.Append(nil))
 		if err != nil || r.Key != 99 {
 			t.Errorf("RefKeyResp: %+v %v", r, err)
 		}
@@ -90,7 +90,7 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		}
 	}
 	{
-		r, err := UnmarshalFreeRefReq(FreeRefReq{Key: 66}.Marshal())
+		r, err := UnmarshalFreeRefReq(FreeRefReq{Key: 66}.Append(nil))
 		if err != nil || r.Key != 66 {
 			t.Errorf("FreeRefReq: %+v %v", r, err)
 		}
@@ -114,7 +114,7 @@ func TestBodyCodecsRoundTrip(t *testing.T) {
 		}
 	}
 	{
-		r, err := UnmarshalReadRefReq(ReadRefReq{Key: 9, Off: 100, Size: 200}.Marshal())
+		r, err := UnmarshalReadRefReq(ReadRefReq{Key: 9, Off: 100, Size: 200}.Append(nil))
 		if err != nil || r.Key != 9 || r.Off != 100 || r.Size != 200 {
 			t.Errorf("ReadRefReq: %+v %v", r, err)
 		}
@@ -187,7 +187,7 @@ func TestMarshalHdrMatchesMarshal(t *testing.T) {
 
 // TestStageAtReqForms pins the one stage_at wire form at every replica
 // count the pool can send: the body round-trips (Marshal and
-// MarshalHdr+Data alike), every strict prefix that cuts into the
+// AppendHdr+Data alike), every strict prefix that cuts into the
 // replica list is refused, and a count past MaxRefReplicas is rejected.
 func TestStageAtReqForms(t *testing.T) {
 	data := []byte("payload")
@@ -201,8 +201,8 @@ func TestStageAtReqForms(t *testing.T) {
 		if want := stageAtFixed + 4*n + len(data); len(b) != want {
 			t.Fatalf("n=%d: %d-byte body, want %d", n, len(b), want)
 		}
-		if !bytes.Equal(b, append(req.MarshalHdr(), data...)) {
-			t.Fatalf("n=%d: Marshal != MarshalHdr + Data", n)
+		if !bytes.Equal(b, append(req.AppendHdr(nil), data...)) {
+			t.Fatalf("n=%d: Marshal != AppendHdr + Data", n)
 		}
 		got, err := UnmarshalStageAtReq(b)
 		if err != nil || got.Key != req.Key ||
@@ -237,7 +237,7 @@ func TestStageAtReqForms(t *testing.T) {
 func TestAdoptRefReqForms(t *testing.T) {
 	for _, reps := range [][]uint32{nil, {0, 2}} {
 		req := AdoptRefReq{Key: ReplicaKeyBit | 7, NewKey: ReplicaKeyBit | 8, Replicas: reps}
-		b := req.Marshal()
+		b := req.Append(nil)
 		if want := 8 + 8 + 1 + 4*len(reps); len(b) != want {
 			t.Fatalf("%d replicas: %d-byte body, want %d", len(reps), len(b), want)
 		}
@@ -252,6 +252,32 @@ func TestAdoptRefReqForms(t *testing.T) {
 		}
 		if _, err := UnmarshalAdoptRefReq(append(b, 0)); err == nil {
 			t.Fatalf("%d replicas: trailing byte accepted", len(reps))
+		}
+	}
+}
+
+// TestAppendKeepsPrefix pins the in-place encoders' contract: each
+// appends exactly its body after whatever b already holds, and with room
+// in b it writes there without reallocating.
+func TestAppendKeepsPrefix(t *testing.T) {
+	prefix := []byte("pre")
+	for _, tc := range []struct {
+		name string
+		enc  func([]byte) []byte
+	}{
+		{"RefKeyResp", RefKeyResp{Key: 7}.Append},
+		{"FreeRefReq", FreeRefReq{Key: 7}.Append},
+		{"ReadRefReq", ReadRefReq{Key: 7, Off: 1, Size: 2}.Append},
+		{"AdoptRefReq", AdoptRefReq{Key: 7, NewKey: ReplicaKeyBit | 8, Replicas: []uint32{1, 2}}.Append},
+		{"StageAtReq", StageAtReq{Key: ReplicaKeyBit | 7, Replicas: []uint32{3}}.AppendHdr},
+	} {
+		var buf [64]byte
+		b := tc.enc(append(buf[:0], prefix...))
+		if !bytes.Equal(b, append(append([]byte(nil), prefix...), tc.enc(nil)...)) {
+			t.Errorf("%s: Append(prefix) = %x, want prefix + body", tc.name, b)
+		}
+		if &b[0] != &buf[0] {
+			t.Errorf("%s: Append reallocated a buffer with room", tc.name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dmwire
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/dm"
@@ -43,13 +44,20 @@ var ErrTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas
 // encodeReplicas appends the one wire form of a replica list — u8 count,
 // then that many u32 shard IDs. Lists past MaxRefReplicas are truncated.
 func encodeReplicas(e *rpc.Enc, reps []uint32) {
+	var b [1 + 4*MaxRefReplicas]byte
+	e.Raw(appendReplicas(b[:0], reps))
+}
+
+// appendReplicas is encodeReplicas appending to b.
+func appendReplicas(b []byte, reps []uint32) []byte {
 	if len(reps) > MaxRefReplicas {
 		reps = reps[:MaxRefReplicas]
 	}
-	e.U8(uint8(len(reps)))
+	b = append(b, uint8(len(reps)))
 	for _, id := range reps {
-		e.U32(id)
+		b = binary.BigEndian.AppendUint32(b, id)
 	}
+	return b
 }
 
 // decodeReplicas reads a replica list off d (nil when the count is 0),

@@ -189,7 +189,7 @@ func TestAdoptRefRaces(t *testing.T) {
 	wins := make([][3]bool, refs) // adopt, consume, free
 	adopted := make([]uint64, refs)
 	for i, key := range keys {
-		read := dmwire.ReadRefReq{Key: key, Size: uint32(len(payload))}.Marshal()
+		read := dmwire.ReadRefReq{Key: key, Size: uint32(len(payload))}.Append(nil)
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
@@ -199,7 +199,7 @@ func TestAdoptRefRaces(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			status, resp := s.dispatch(sess, dmwire.MAdoptRef, dmwire.AdoptRefReq{Key: key}.Marshal())
+			status, resp := s.dispatch(sess, dmwire.MAdoptRef, dmwire.AdoptRefReq{Key: key}.Append(nil))
 			if wins[i][0] = status == dmwire.StatusOK; wins[i][0] {
 				r, err := dmwire.UnmarshalRefKeyResp(resp)
 				if err != nil {
@@ -218,7 +218,7 @@ func TestAdoptRefRaces(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			status, _ := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal())
+			status, _ := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Append(nil))
 			wins[i][2] = status == dmwire.StatusOK
 		}()
 	}
@@ -241,10 +241,10 @@ func TestAdoptRefRaces(t *testing.T) {
 		if !wins[i][0] {
 			continue
 		}
-		if status, _ := s.dispatch(sess, dmwire.MReadRef, dmwire.ReadRefReq{Key: keys[i], Size: 1}.Marshal()); status != dmwire.StatusBadRef {
+		if status, _ := s.dispatch(sess, dmwire.MReadRef, dmwire.ReadRefReq{Key: keys[i], Size: 1}.Append(nil)); status != dmwire.StatusBadRef {
 			t.Fatalf("ref %d: old key read answered status %d after adopt", i, status)
 		}
-		if status, resp := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal()); status != dmwire.StatusOK {
+		if status, resp := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Append(nil)); status != dmwire.StatusOK {
 			t.Fatalf("ref %d: free of adopted key: status %d %s", i, status, resp)
 		}
 	}

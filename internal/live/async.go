@@ -19,7 +19,10 @@ import (
 
 // pending is one in-flight asynchronous call. It is not safe for
 // concurrent use, and wait must be called exactly once: an abandoned
-// pending leaks its pending-table entry until the connection dies.
+// pending holds its session slot, and its pending-table entry until the
+// connection dies. The slot owns the response channel and the attempt
+// timer, so a future is one allocation: the struct that embeds it, whose
+// hb also backs the request header.
 type pending struct {
 	n        *Node
 	addr     string
@@ -30,34 +33,34 @@ type pending struct {
 	attDL    time.Time // first attempt's deadline
 	start    time.Time // submission instant, for the latency histogram
 	sess     *callerSession
-	st       stamp // seq 0 when no slot was free in time
+	sl       *callerSlot // nil when no slot was free in time
 	c        *conn
 	id       uint64
-	ch       chan response
 	err      error // submission failure, surfaced (and maybe retried) in wait
+	hb       [reqHdrMax]byte
 }
 
-// callAsync starts method m at addr and returns a future for the
-// response. The request is handed to the wire immediately; errors —
-// including submission failures — surface from wait, which also runs the
-// retry loop, so hdr and payload must stay valid and unmodified until
-// wait returns. The call takes the node's default deadline.
-func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte) *pending {
-	p := &pending{n: n, addr: addr, m: m, hdr: hdr, payload: payload, start: time.Now()}
+// reqHdrMax is the largest request header encoded in place: an
+// AdoptRefReq with a full replica list.
+const reqHdrMax = 8 + 8 + 1 + 4*dmwire.MaxRefReplicas
+
+// callAsync starts method m at addr on p and returns at once. The request
+// is handed to the wire immediately; errors — including submission
+// failures — surface from wait, which also runs the retry loop, so hdr
+// and payload must stay valid and unmodified until wait returns. The call
+// takes the node's default deadline.
+func (n *Node) callAsync(p *pending, addr string, m rpc.Method, hdr, payload []byte) {
+	p.n, p.addr, p.m, p.hdr, p.payload, p.start = n, addr, m, hdr, payload, time.Now()
 	p.deadline = n.overallDeadline(CallOpts{})
 	p.sess = n.sess.Load()
-	if p.st, p.err = p.sess.acquire(p.deadline); p.err != nil {
-		return p
+	if p.sl, p.err = p.sess.acquire(p.deadline); p.err != nil {
+		return
 	}
 	p.attDL = n.attemptDeadline(p.deadline)
-	c, err := n.peer(addr, p.attDL)
-	if err != nil {
-		p.err = err
-		return p
+	if p.c, p.err = n.peer(addr, p.attDL); p.err != nil {
+		return
 	}
-	p.c = c
-	p.id, p.ch, p.err = c.send(m, hdr, payload, p.attDL, p.st, false)
-	return p
+	p.id, p.err = p.c.send(m, hdr, payload, p.attDL, p.sl, false)
 }
 
 // wait blocks for the response and hands the pooled body to consume
@@ -65,25 +68,27 @@ func (n *Node) callAsync(addr string, m rpc.Method, hdr, payload []byte) *pendin
 // CallConsumeOpts. A transient failure of the in-flight attempt —
 // including a submission error from callAsync — is retried with full
 // re-sends. The call's submission-to-completion latency lands in the
-// node's histogram.
+// node's histogram, a call that never got a slot's included.
 func (p *pending) wait(consume func(resp []byte) error) error {
-	if p.st.seq == 0 {
+	var err error
+	if p.sl == nil {
 		p.n.ops.calls.Add(1)
 		p.n.ops.fail(p.err)
-		return p.err
-	}
-	defer p.sess.release(p.st.seq)
-	cons := consumer{fn: consume}
-	first := func() error {
-		if p.err != nil {
-			return p.err
+		err = p.err
+	} else {
+		cons := consumer{fn: consume}
+		first := func() error {
+			if p.err != nil {
+				return p.err
+			}
+			return p.c.await(p.m, p.id, p.sl, p.attDL, cons)
 		}
-		return p.c.await(p.m, p.id, p.ch, p.attDL, cons)
+		again := func() error {
+			return p.n.attempt(p.addr, p.m, p.hdr, p.payload, cons, p.deadline, p.sl)
+		}
+		err = p.n.withRetries(p.deadline, first, again)
+		p.sess.release(p.sl)
 	}
-	again := func() error {
-		return p.n.attempt(p.addr, p.m, p.hdr, p.payload, cons, p.deadline, p.st)
-	}
-	err := p.n.withRetries(p.deadline, first, again)
 	p.n.lat.Record(time.Since(p.start).Nanoseconds())
 	return err
 }
@@ -91,7 +96,7 @@ func (p *pending) wait(consume func(resp []byte) error) error {
 // AsyncOp is one in-flight asynchronous Client operation; Wait must be
 // called exactly once.
 type AsyncOp struct {
-	p       *pending
+	p       pending
 	consume func(resp []byte) error
 }
 
@@ -113,15 +118,11 @@ type AsyncRef struct {
 // nothing. data must stay valid and unmodified until Wait returns (it is
 // re-sent if the call retries).
 func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *AsyncRef {
-	return &AsyncRef{
-		size: int64(len(data)),
-		key:  key,
-		op: AsyncOp{
-			p: cl.node.callAsync(cl.addr, dmwire.MStageAt,
-				dmwire.StageAtReq{Key: key, Replicas: replicas}.MarshalHdr(), data),
-			consume: checkRefKeyResp,
-		},
-	}
+	ar := &AsyncRef{size: int64(len(data)), key: key, op: AsyncOp{consume: checkRefKeyResp}}
+	p := &ar.op.p
+	cl.node.callAsync(p, cl.addr, dmwire.MStageAt,
+		dmwire.StageAtReq{Key: key, Replicas: replicas}.AppendHdr(p.hb[:0]), data)
+	return ar
 }
 
 // AdoptRefAsync starts moving ref to this session under the
@@ -129,22 +130,19 @@ func (cl *Client) StageRefAtAsync(key uint64, replicas []uint32, data []byte) *A
 // adopted ref: the pool's replicated adopt issues one per copy before
 // waiting on any.
 func (cl *Client) AdoptRefAsync(ref dm.Ref, newKey uint64, replicas []uint32) *AsyncRef {
-	return &AsyncRef{
-		size: ref.Size,
-		key:  newKey,
-		op: AsyncOp{
-			p: cl.node.callAsync(cl.addr, dmwire.MAdoptRef,
-				dmwire.AdoptRefReq{Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil),
-			consume: checkRefKeyResp,
-		},
-	}
+	ar := &AsyncRef{size: ref.Size, key: newKey, op: AsyncOp{consume: checkRefKeyResp}}
+	p := &ar.op.p
+	cl.node.callAsync(p, cl.addr, dmwire.MAdoptRef,
+		dmwire.AdoptRefReq{Key: ref.Key, NewKey: newKey, Replicas: replicas}.Append(p.hb[:0]), nil)
+	return ar
 }
 
 // FreeRefAsync starts dropping the ref's own page hold and returns a
 // future.
 func (cl *Client) FreeRefAsync(ref dm.Ref) *AsyncOp {
-	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MFreeRef,
-		dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil)}
+	op := &AsyncOp{}
+	cl.node.callAsync(&op.p, cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Append(op.p.hb[:0]), nil)
+	return op
 }
 
 // checkRefKeyResp validates a stage_at or adopt_ref response body.

@@ -17,8 +17,9 @@ import (
 // writeAsync starts an rwrite of src at addr and returns its future, so
 // a test can queue several frames on one connection before waiting.
 func writeAsync(cl *Client, addr dm.RemoteAddr, src []byte) *AsyncOp {
-	return &AsyncOp{p: cl.node.callAsync(cl.addr, dmwire.MWrite,
-		dmwire.WriteReq{Addr: addr}.MarshalHdr(), src)}
+	op := &AsyncOp{}
+	cl.node.callAsync(&op.p, cl.addr, dmwire.MWrite, dmwire.WriteReq{Addr: addr}.MarshalHdr(), src)
+	return op
 }
 
 // TestCallAsyncOverlaps is the deterministic pipelining proof: one node
@@ -41,7 +42,8 @@ func TestCallAsyncOverlaps(t *testing.T) {
 	defer cli.Close()
 	ps := make([]*pending, n)
 	for i := range ps {
-		ps[i] = cli.callAsync(addr, 7, nil, []byte{byte(i)})
+		ps[i] = new(pending)
+		cli.callAsync(ps[i], addr, 7, nil, []byte{byte(i)})
 	}
 	for i := 0; i < n; i++ {
 		select {

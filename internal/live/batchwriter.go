@@ -121,6 +121,12 @@ type batchWriter struct {
 	// queued and direct frames is unspecified — harmless, every frame is
 	// an independent multiplexed request or response.
 	wmu sync.Mutex
+	// segs collects the segments of the next vectored write, and vec is
+	// the write in progress, both under wmu. WriteTo consumes vec, so each
+	// write rebuilds it from segs, whose backing array the writer keeps;
+	// living in the writer, neither escapes per write.
+	segs [][]byte
+	vec  net.Buffers
 
 	// spinOK gates the adaptive spin at construction time: spinning only
 	// pays when producers can run on another processor while the flusher
@@ -246,10 +252,11 @@ func (bw *batchWriter) enqueueInline(buf []byte, deadline time.Time) error {
 	return bw.enqueue(buf, deadline)
 }
 
-// writeDirect ships one frame synchronously, bypassing the queue — the
-// zero-copy path for bodies above the coalesce cutoff. The caller keeps
-// ownership of bufs' segments (they are fully written on return).
-func (bw *batchWriter) writeDirect(bufs net.Buffers, deadline time.Time) error {
+// writeDirect ships one frame, head then body, synchronously and
+// bypassing the queue — the zero-copy path for bodies above the coalesce
+// cutoff. The caller keeps ownership of both (they are fully written on
+// return).
+func (bw *batchWriter) writeDirect(head, body []byte, deadline time.Time) error {
 	bw.mu.Lock()
 	err := bw.dead
 	closing := bw.closing
@@ -260,10 +267,7 @@ func (bw *batchWriter) writeDirect(bufs net.Buffers, deadline time.Time) error {
 	if closing {
 		return errWriterClosed
 	}
-	nbytes := 0
-	for _, b := range bufs {
-		nbytes += len(b)
-	}
+	nbytes := len(head) + len(body)
 	if deadline.IsZero() && bw.cfg.writeTimeout > 0 {
 		deadline = time.Now().Add(bw.cfg.writeTimeout)
 	}
@@ -272,7 +276,11 @@ func (bw *batchWriter) writeDirect(bufs net.Buffers, deadline time.Time) error {
 	// it exactly like a failed write (a partial frame desyncs the stream).
 	err = bw.c.SetWriteDeadline(deadline)
 	if err == nil {
-		_, err = bufs.WriteTo(bw.c)
+		bw.segs = append(bw.segs, head)
+		if len(body) > 0 {
+			bw.segs = append(bw.segs, body)
+		}
+		err = bw.writeSegs()
 	}
 	bw.wmu.Unlock()
 	if err != nil {
@@ -356,10 +364,8 @@ func (bw *batchWriter) flushLoop() {
 
 		// The batch deadline is the earliest frame deadline (a frame that
 		// had to be out by T still has to be), else the write timeout.
-		vec := make(net.Buffers, len(batch))
 		var deadline time.Time
-		for i, it := range batch {
-			vec[i] = it.buf
+		for _, it := range batch {
 			if !it.deadline.IsZero() && (deadline.IsZero() || it.deadline.Before(deadline)) {
 				deadline = it.deadline
 			}
@@ -370,7 +376,10 @@ func (bw *batchWriter) flushLoop() {
 		bw.wmu.Lock()
 		err := bw.c.SetWriteDeadline(deadline)
 		if err == nil {
-			_, err = vec.WriteTo(bw.c)
+			for _, it := range batch {
+				bw.segs = append(bw.segs, it.buf)
+			}
+			err = bw.writeSegs()
 		}
 		bw.wmu.Unlock()
 		for _, it := range batch {
@@ -385,6 +394,16 @@ func (bw *batchWriter) flushLoop() {
 		bw.stats.batches.Add(1)
 		bw.stats.bytes.Add(uint64(nbytes))
 	}
+}
+
+// writeSegs writes segs as one vectored write and empties it; the caller
+// holds wmu.
+func (bw *batchWriter) writeSegs() error {
+	bw.vec = bw.segs
+	_, err := bw.vec.WriteTo(bw.c)
+	clear(bw.segs)
+	bw.segs = bw.segs[:0]
+	return err
 }
 
 // releaseLocked recycles every queued frame; the caller holds bw.mu.

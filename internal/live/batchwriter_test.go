@@ -130,7 +130,7 @@ func TestBatchWriterFailureDrain(t *testing.T) {
 	if err := bw.enqueue(getBuf(8), time.Time{}); !errors.Is(err, wantErr) {
 		t.Fatalf("enqueue after death = %v, want %v", err, wantErr)
 	}
-	if err := bw.writeDirect(net.Buffers{[]byte("x")}, time.Time{}); !errors.Is(err, wantErr) {
+	if err := bw.writeDirect([]byte("x"), nil, time.Time{}); !errors.Is(err, wantErr) {
 		t.Fatalf("writeDirect after death = %v, want %v", err, wantErr)
 	}
 }
@@ -162,7 +162,7 @@ func TestBatchWriterDeadlineArmFailure(t *testing.T) {
 
 	var stats2 writeStats
 	bw2 := newBatchWriter(&testWriteConn{sdErr: armErr}, testBatchConfig(), &stats2, nil)
-	if err := bw2.writeDirect(net.Buffers{[]byte("x")}, time.Time{}); !errors.Is(err, armErr) {
+	if err := bw2.writeDirect([]byte("x"), nil, time.Time{}); !errors.Is(err, armErr) {
 		t.Fatalf("writeDirect with failing deadline arm = %v, want %v", err, armErr)
 	}
 	bw2.close()
@@ -219,7 +219,7 @@ func TestBatchWriterDirectPath(t *testing.T) {
 		t.Fatal("coalesce cutoff off by one")
 	}
 	body := make([]byte, cfg.limit+1)
-	if err := bw.writeDirect(net.Buffers{body[:13], body[13:]}, time.Time{}); err != nil {
+	if err := bw.writeDirect(body[:13], body[13:], time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	bw.close()

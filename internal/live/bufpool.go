@@ -1,11 +1,22 @@
 package live
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+	"unsafe"
+)
 
 // Size-classed frame/payload buffer pool for the live hot path. The TCP
 // framing layer allocates one payload buffer per frame on both sides of
 // the wire; at data-plane rates that is gigabytes per second of garbage,
 // so buffers are recycled through per-class sync.Pools instead.
+//
+// A pool holds a buffer's base pointer (*byte), not its slice header:
+// storing a pointer in an interface allocates nothing, where a []byte
+// would be boxed on every putBuf. getBuf rebuilds the slice at the
+// class's capacity. That is exact because putBuf pools only a buffer
+// whose capacity is the class size, and the pointer keeps the whole
+// backing array alive while it sits in the pool.
 //
 // Ownership rules (DESIGN.md §4 D7):
 //   - readFrameBuf hands the payload to its caller, who must putBuf it
@@ -29,12 +40,14 @@ var bufPools [maxBufClassBits - minBufClassBits + 1]sync.Pool
 // bufClass returns the smallest class index whose size fits n, or -1 if n
 // is larger than every class.
 func bufClass(n int) int {
-	for c := minBufClassBits; c <= maxBufClassBits; c++ {
-		if n <= 1<<c {
-			return c - minBufClassBits
-		}
+	if n <= 1<<minBufClassBits {
+		return 0
 	}
-	return -1
+	c := bits.Len(uint(n-1)) - minBufClassBits
+	if c > maxBufClassBits-minBufClassBits {
+		return -1
+	}
+	return c
 }
 
 // getBuf returns a length-n buffer, pooled when a size class fits. The
@@ -44,10 +57,11 @@ func getBuf(n int) []byte {
 	if c < 0 {
 		return make([]byte, n)
 	}
-	if v := bufPools[c].Get(); v != nil {
-		return v.([]byte)[:n]
+	size := 1 << (c + minBufClassBits)
+	if p, _ := bufPools[c].Get().(*byte); p != nil {
+		return unsafe.Slice(p, size)[:n]
 	}
-	return make([]byte, n, 1<<(c+minBufClassBits))
+	return make([]byte, n, size)
 }
 
 // putBuf recycles a buffer obtained from getBuf. Buffers whose capacity
@@ -59,20 +73,17 @@ func putBuf(b []byte) {
 	if c < 0 {
 		return
 	}
-	bufPools[c].Put(b[:cap(b)])
+	bufPools[c].Put(unsafe.SliceData(b))
 }
 
 // capClass maps an exact power-of-two capacity to its class, or -1.
 func capClass(c int) int {
-	if c == 0 || c&(c-1) != 0 {
+	if c <= 0 || c&(c-1) != 0 {
 		return -1
 	}
-	bits := 0
-	for v := c; v > 1; v >>= 1 {
-		bits++
-	}
-	if bits < minBufClassBits || bits > maxBufClassBits {
+	k := bits.TrailingZeros(uint(c))
+	if k < minBufClassBits || k > maxBufClassBits {
 		return -1
 	}
-	return bits - minBufClassBits
+	return k - minBufClassBits
 }

@@ -90,16 +90,13 @@ type conn struct {
 	bw       *batchWriter
 	maxFrame uint32
 	pmu      sync.Mutex
-	pending  map[uint64]chan response
-	nextID   uint64
-	dead     error
-}
-
-// response carries one frame's payload (status byte + body) off the read
-// loop. The payload is a pooled buffer whose ownership transfers to the
-// receiving call.
-type response struct {
-	payload []byte
+	// pending maps a request id to the channel of the caller slot waiting
+	// for it. A frame's payload (status byte + body) is a pooled buffer
+	// whose ownership transfers to the receiving call; a nil payload
+	// means the connection died.
+	pending map[uint64]chan []byte
+	nextID  uint64
+	dead    error
 }
 
 // Dial connects to the server at addr with the default configuration.
@@ -136,9 +133,11 @@ func (cl *Client) Close() error {
 }
 
 // readLoop dispatches responses to waiting calls. The send happens under
-// pmu and every pending channel is buffered (cap 1), so a caller that
-// abandoned its call (deadline) can delete its entry and drain the
-// channel race-free, and the read loop can never block on a caller.
+// pmu together with the entry's removal, and every slot channel is
+// buffered (cap 1) and receives at most one send per registration, so a
+// caller that abandoned its call (deadline) can delete its entry and
+// drain the channel race-free, and the read loop never blocks on a
+// caller.
 func (c *conn) readLoop() {
 	br := bufio.NewReaderSize(c.c, 64<<10)
 	var hdr [frameHeaderSize]byte
@@ -158,7 +157,7 @@ func (c *conn) readLoop() {
 		if ok {
 			delete(c.pending, reqID)
 			select {
-			case ch <- response{payload: payload}:
+			case ch <- payload:
 			default:
 				// Defense in depth: the buffered channel receives exactly
 				// one send, so this arm is unreachable unless the
@@ -176,8 +175,9 @@ func (c *conn) readLoop() {
 
 // fail poisons the connection and unblocks all waiters: the coalescing
 // writer is killed (queued frames recycled, blocked enqueuers released),
-// the socket closed so the read loop exits, and every pending call's
-// channel closed. Idempotent — the read loop, the writer's failure hook,
+// the socket closed so the read loop exits, and every pending call gets a
+// nil payload — the channel belongs to a caller slot and is reused, so it
+// is never closed. Idempotent — the read loop, the writer's failure hook,
 // and failed senders may all race into it.
 func (c *conn) fail(err error) {
 	c.bw.kill(err)
@@ -189,41 +189,44 @@ func (c *conn) fail(err error) {
 	}
 	for id, ch := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		select {
+		case ch <- nil:
+		default:
+		}
 	}
 }
 
 // call performs one request/response exchange bounded by deadline (zero
-// means none): send ships the request, await collects the response.
-func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, st stamp) error {
-	id, ch, err := c.send(m, hdr, payload, deadline, st, true)
+// means none) on slot sl: send ships the request, await collects the
+// response.
+func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, sl *callerSlot) error {
+	id, err := c.send(m, hdr, payload, deadline, sl, true)
 	if err != nil {
 		return err
 	}
-	return c.await(m, id, ch, deadline, cons)
+	return c.await(m, id, sl, deadline, cons)
 }
 
-// send registers a pending entry and ships one request frame — frame
-// header, session stamp, method, hdr, payload — returning the
-// request id and the response channel for await. Small frames are copied
-// whole into the coalescing writer's queue (send returns once the frame
-// is accepted, not written — the pipelining callAsync builds on); bodies
-// above the coalesce cutoff go out synchronously as a vectored write with
-// no intermediate copy of payload — the zero-copy path large rwrite/stage
+// send registers sl's channel for a fresh request id and ships one
+// request frame — frame header, session stamp, method, hdr, payload —
+// returning the id for await. Small frames are copied whole into the
+// coalescing writer's queue (send returns once the frame is accepted, not
+// written — the pipelining callAsync builds on); bodies above the
+// coalesce cutoff go out synchronously as a vectored write with no
+// intermediate copy of payload — the zero-copy path large rwrite/stage
 // bodies ride. sync marks a caller about to block on the response: its
 // frame may be written inline when the connection is idle (skipping the
 // flusher handoff), while async submitters always queue so their bursts
-// coalesce.
-func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, st stamp, sync bool) (uint64, chan response, error) {
-	ch := make(chan response, 1)
+// coalesce. A failed send leaves sl's channel empty.
+func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, sl *callerSlot, sync bool) (uint64, error) {
 	c.pmu.Lock()
 	if dead := c.dead; dead != nil {
 		c.pmu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %v", errConnFailed, dead)
+		return 0, fmt.Errorf("%w: %v", errConnFailed, dead)
 	}
 	id := c.nextID
 	c.nextID++
-	c.pending[id] = ch
+	c.pending[id] = sl.ch
 	c.pmu.Unlock()
 
 	head := frameHeaderSize + stampSize + 2 + len(hdr)
@@ -233,7 +236,7 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, st st
 		// One pooled buffer holds the whole frame; ownership transfers to
 		// the writer, which recycles it after the group-commit flush.
 		frame := getBuf(total)
-		fillRequestHead(frame, total-frameHeaderSize, id, st, m, hdr)
+		fillRequestHead(frame, total-frameHeaderSize, id, sl.st, m, hdr)
 		copy(frame[head:], payload)
 		if sync {
 			err = c.bw.enqueueInline(frame, deadline)
@@ -242,18 +245,17 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, st st
 		}
 	} else {
 		scratch := getBuf(head)
-		fillRequestHead(scratch, total-frameHeaderSize, id, st, m, hdr)
-		bufs := net.Buffers{scratch}
-		if len(payload) > 0 {
-			bufs = append(bufs, payload)
-		}
-		err = c.bw.writeDirect(bufs, deadline)
-		putBuf(scratch[:cap(scratch)])
+		fillRequestHead(scratch, total-frameHeaderSize, id, sl.st, m, hdr)
+		err = c.bw.writeDirect(scratch, payload, deadline)
+		putBuf(scratch)
 	}
 	if err != nil {
+		// The writer's failure hook may already have answered the
+		// registration with a nil payload: drop it and drain the slot.
 		c.pmu.Lock()
 		delete(c.pending, id)
 		c.pmu.Unlock()
+		sl.drain()
 		// A failed write means the connection is gone; poison it (the
 		// writer already did for errors it detected — fail is idempotent)
 		// so the owning Node redials on the next call.
@@ -261,9 +263,9 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, st st
 		// Double-wrap so a write that died on its deadline keeps the
 		// deadline in its chain: Stats classifies it as a timeout (slow
 		// fabric), not a transport error, while isTransient still matches.
-		return 0, nil, fmt.Errorf("%w: write: %w", errConnFailed, err)
+		return 0, fmt.Errorf("%w: write: %w", errConnFailed, err)
 	}
-	return id, ch, nil
+	return id, nil
 }
 
 // fillRequestHead lays down everything ahead of the bulk payload: frame
@@ -281,37 +283,33 @@ func fillRequestHead(buf []byte, bodyLen int, id uint64, st stamp, m rpc.Method,
 	copy(buf[off+2:], hdr)
 }
 
-// await collects the response for a request id registered by send. A
-// borrowing consumer (fn) gets the pooled response body, which is
+// await collects the response for a request id that send registered on
+// sl. A borrowing consumer (fn) gets the pooled response body, which is
 // recycled before await returns; an owning consumer (own) gets the whole
 // frame and, by returning nil, keeps it — the zero-copy lease path. On
 // deadline the call is abandoned: the pending entry is removed so the
 // read loop drops the late response, and anything that raced in is
 // drained and recycled.
-func (c *conn) await(m rpc.Method, id uint64, ch chan response, deadline time.Time, cons consumer) error {
-	var timeC <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeC = t.C
-	}
+func (c *conn) await(m rpc.Method, id uint64, sl *callerSlot, deadline time.Time, cons consumer) error {
+	timeC := sl.arm(deadline)
 	select {
-	case resp, ok := <-ch:
-		if !ok {
+	case payload := <-sl.ch:
+		sl.disarm(timeC)
+		if payload == nil {
 			c.pmu.Lock()
 			err := c.dead
 			c.pmu.Unlock()
 			return fmt.Errorf("%w: %v", errConnFailed, err)
 		}
-		status, body := resp.payload[0], resp.payload[1:]
+		status, body := payload[0], payload[1:]
 		if status != dmwire.StatusOK {
 			err := dmwire.ErrOf(status, string(body))
-			putBuf(resp.payload)
+			putBuf(payload)
 			return err
 		}
 		if cons.own != nil {
-			if cerr := cons.own(resp.payload, body); cerr != nil {
-				putBuf(resp.payload)
+			if cerr := cons.own(payload, body); cerr != nil {
+				putBuf(payload)
 				return cerr
 			}
 			return nil // frame ownership transferred to the consumer
@@ -320,19 +318,13 @@ func (c *conn) await(m rpc.Method, id uint64, ch chan response, deadline time.Ti
 		if cons.fn != nil {
 			cerr = cons.fn(body)
 		}
-		putBuf(resp.payload)
+		putBuf(payload)
 		return cerr
 	case <-timeC:
 		c.pmu.Lock()
 		delete(c.pending, id)
 		c.pmu.Unlock()
-		select {
-		case resp, ok := <-ch:
-			if ok {
-				putBuf(resp.payload)
-			}
-		default:
-		}
+		sl.drain()
 		return fmt.Errorf("live: call %#x timed out: %w", uint16(m), ErrDeadline)
 	}
 }
@@ -630,7 +622,8 @@ func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 
 // FreeRef drops the ref's own page hold.
 func (cl *Client) FreeRef(ref dm.Ref) error {
-	return cl.node.CallConsume(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Marshal(), nil, nil)
+	var hb [8]byte
+	return cl.node.CallConsume(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Append(hb[:0]), nil, nil)
 }
 
 // AdoptRef moves ref to this session in one exchange (adopt_ref): the
@@ -640,7 +633,8 @@ func (cl *Client) FreeRef(ref dm.Ref) error {
 // dmwire.ReplicaKeyBit, and non-empty replicas record its epoch-1
 // directory entry with the move. The old key is dead afterwards.
 func (cl *Client) AdoptRef(ref dm.Ref, newKey uint64, replicas []uint32) (dm.Ref, error) {
-	key, err := cl.callRefKey(dmwire.MAdoptRef, dmwire.AdoptRefReq{Key: ref.Key, NewKey: newKey, Replicas: replicas}.Marshal(), nil)
+	var hb [reqHdrMax]byte
+	key, err := cl.callRefKey(dmwire.MAdoptRef, dmwire.AdoptRefReq{Key: ref.Key, NewKey: newKey, Replicas: replicas}.Append(hb[:0]), nil)
 	if err != nil {
 		return dm.Ref{}, err
 	}
@@ -731,7 +725,8 @@ func (cl *Client) StageRef(data []byte) (dm.Ref, error) {
 // whose placement the executor's flip publishes (StageRefAtAsync carries
 // a first stage's entry).
 func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
-	if _, err := cl.callRefKey(dmwire.MStageAt, dmwire.StageAtReq{Key: key}.MarshalHdr(), data); err != nil {
+	var hb [16]byte
+	if _, err := cl.callRefKey(dmwire.MStageAt, dmwire.StageAtReq{Key: key}.AppendHdr(hb[:0]), data); err != nil {
 		return dm.Ref{}, err
 	}
 	return dm.Ref{Key: key, Size: int64(len(data))}, nil
@@ -805,7 +800,8 @@ func (cl *Client) ReadRefLease(ref dm.Ref, off, size int64) (*Buf, error) {
 	if err := checkWireRange("readref", off, size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Marshal(), size)
+	var hb [16]byte
+	return cl.callLease(dmwire.MReadRef, dmwire.ReadRefReq{Key: ref.Key, Off: uint32(off), Size: uint32(size)}.Append(hb[:0]), size)
 }
 
 // ConsumeRefLease reads the whole ref as a leased Buf and frees it in the
@@ -815,5 +811,6 @@ func (cl *Client) ConsumeRefLease(ref dm.Ref) (*Buf, error) {
 	if err := checkWireRange("consumeref", 0, ref.Size); err != nil {
 		return nil, err
 	}
-	return cl.callLease(dmwire.MConsumeRef, dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Marshal(), ref.Size)
+	var hb [16]byte
+	return cl.callLease(dmwire.MConsumeRef, dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Append(hb[:0]), ref.Size)
 }

@@ -116,7 +116,7 @@ func TestConsumeRefRaces(t *testing.T) {
 	var wg sync.WaitGroup
 	wins := make([][2]bool, refs) // consume won, free won
 	for i, key := range keys {
-		read := dmwire.ReadRefReq{Key: key, Size: uint32(len(payload))}.Marshal()
+		read := dmwire.ReadRefReq{Key: key, Size: uint32(len(payload))}.Append(nil)
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
@@ -134,7 +134,7 @@ func TestConsumeRefRaces(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			status, _ := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Marshal())
+			status, _ := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Append(nil))
 			wins[i][1] = status == dmwire.StatusOK
 		}()
 	}
@@ -185,7 +185,7 @@ func TestConsumeRefRetriesAcrossCut(t *testing.T) {
 	}
 	// The server reads the whole request, then its response write is cut
 	// 100 bytes in.
-	req := dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Marshal()
+	req := dmwire.ReadRefReq{Key: ref.Key, Size: uint32(ref.Size)}.Append(nil)
 	inj.CutAfter(int64(frameHeaderSize + stampSize + 2 + len(req) + 100))
 	retries := cl.Stats().Retries
 	b, err := cl.ConsumeRefLease(ref)

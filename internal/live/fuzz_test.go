@@ -17,7 +17,7 @@ func FuzzReadFrame(f *testing.F) {
 	_ = writeFrame(&good, kindRequest, 42, []byte("hello"))
 	f.Add(good.Bytes())
 	_ = writeFrame(&stamped, kindRequest, 43, stampedRequest(7, sessionWindow+3, dmwire.MReadRef,
-		dmwire.ReadRefReq{Key: 9, Size: 16}.Marshal()))
+		dmwire.ReadRefReq{Key: 9, Size: 16}.Append(nil)))
 	f.Add(stamped.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, reqID, payload, err := readFrame(bytes.NewReader(data), DefaultMaxFrameSize)
@@ -62,11 +62,11 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(uint16(dmwire.MStageAt), dmwire.StageAtReq{
 		Key: dmwire.ReplicaKeyBit | 1, Replicas: []uint32{0, 1}, Data: []byte("hi"),
 	}.Marshal())
-	f.Add(uint16(dmwire.MConsumeRef), dmwire.ReadRefReq{Key: 0, Size: 16}.Marshal())
-	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{Key: 0}.Marshal())
+	f.Add(uint16(dmwire.MConsumeRef), dmwire.ReadRefReq{Key: 0, Size: 16}.Append(nil))
+	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{Key: 0}.Append(nil))
 	f.Add(uint16(dmwire.MAdoptRef), dmwire.AdoptRefReq{
 		Key: dmwire.ReplicaKeyBit | 1, NewKey: dmwire.ReplicaKeyBit | 2, Replicas: []uint32{0, 1},
-	}.Marshal())
+	}.Append(nil))
 	f.Fuzz(func(t *testing.T, m uint16, body []byte) {
 		s := NewServer(ServerConfig{NumPages: 16, PageSize: 512})
 		s.dispatch(registeredSession(t, s), methodOf(m), body)

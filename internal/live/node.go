@@ -530,12 +530,8 @@ func (n *Node) writeResponse(bw *batchWriter, reqID uint64, status byte, resp []
 	fh[4] = kindResponse
 	binary.BigEndian.PutUint64(fh[5:], reqID)
 	fh[frameHeaderSize] = status
-	bufs := net.Buffers{fh}
-	if len(resp) > 0 {
-		bufs = append(bufs, resp)
-	}
-	err := bw.writeDirect(bufs, time.Time{})
-	putBuf(fh[:cap(fh)])
+	err := bw.writeDirect(fh, resp, time.Time{})
+	putBuf(fh)
 	if own {
 		putBuf(resp)
 	}
@@ -595,7 +591,7 @@ func (n *Node) peer(addr string, deadline time.Time) (*conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", errConnFailed, addr, err)
 	}
-	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, pending: make(map[uint64]chan response)}
+	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, pending: make(map[uint64]chan []byte)}
 	// The writer's failure hook poisons the whole conn (and closes the
 	// socket), so a flush error surfaces to every pending call, not just
 	// the frames that were in the failed batch.

@@ -67,16 +67,16 @@ func (n *Node) callConsumer(addr string, m rpc.Method, hdr, payload []byte, cons
 	start := time.Now()
 	deadline := n.overallDeadline(opts)
 	sess := n.sess.Load()
-	st, err := sess.acquire(deadline)
+	sl, err := sess.acquire(deadline)
 	if err != nil {
 		n.ops.calls.Add(1)
 		n.ops.fail(err)
 	} else {
 		attempt := func() error {
-			return n.attempt(addr, m, hdr, payload, cons, deadline, st)
+			return n.attempt(addr, m, hdr, payload, cons, deadline, sl)
 		}
 		err = n.withRetries(deadline, attempt, attempt)
-		sess.release(st.seq)
+		sess.release(sl)
 	}
 	n.lat.Record(time.Since(start).Nanoseconds())
 	return err
@@ -198,13 +198,13 @@ func (n *Node) withRetries(deadline time.Time, first, again func() error) error 
 	}
 }
 
-// attempt performs one request/response exchange, bounded by the sooner
-// of the overall deadline and the per-attempt timeout, stamped st.
-func (n *Node) attempt(addr string, m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, st stamp) error {
+// attempt performs one request/response exchange on slot sl, bounded by
+// the sooner of the overall deadline and the per-attempt timeout.
+func (n *Node) attempt(addr string, m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, sl *callerSlot) error {
 	ad := n.attemptDeadline(deadline)
 	c, err := n.peer(addr, ad)
 	if err != nil {
 		return err
 	}
-	return c.call(m, hdr, payload, cons, ad, st)
+	return c.call(m, hdr, payload, cons, ad, sl)
 }

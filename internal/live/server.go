@@ -773,7 +773,7 @@ func (s *Server) createRef(d *dmSession, body []byte) ([]byte, error) {
 	sh.mu.Lock()
 	sh.m[key] = &refEntry{frames: frames, size: req.Size, owner: d.owner}
 	sh.mu.Unlock()
-	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
+	return refKeyResp(key), nil
 }
 
 func (s *Server) mapRef(d *dmSession, body []byte) ([]byte, error) {
@@ -1012,7 +1012,7 @@ func (s *Server) stage(d *dmSession, body []byte) ([]byte, error) {
 	sh.m[key] = &refEntry{frames: frames, size: int64(len(req.Data)), owner: d.owner}
 	sh.mu.Unlock()
 	d.mu.RUnlock()
-	return dmwire.RefKeyResp{Key: key}.Marshal(), nil
+	return refKeyResp(key), nil
 }
 
 // errStageAtKeySpace rejects stage_at keys outside the pool-minted half
@@ -1076,7 +1076,7 @@ func (s *Server) stageAt(d *dmSession, body []byte) ([]byte, error) {
 	sh.mu.Unlock()
 	d.mu.RUnlock()
 	s.stagePuts.Add(1)
-	return dmwire.RefKeyResp{Key: req.Key}.Marshal(), nil
+	return refKeyResp(req.Key), nil
 }
 
 // StagePuts returns the number of caller-keyed stages (MStageAt) this
@@ -1250,7 +1250,13 @@ func (s *Server) adoptRef(d *dmSession, body []byte) ([]byte, error) {
 	nsh.m[newKey] = ref
 	s.unlockRefPair(req.Key, newKey)
 	s.epoch.Add(1)
-	return dmwire.RefKeyResp{Key: newKey}.Marshal(), nil
+	return refKeyResp(newKey), nil
+}
+
+// refKeyResp encodes a RefKeyResp into a pooled buffer, which the
+// request's session slot keeps and recycles like any fast response.
+func refKeyResp(key uint64) []byte {
+	return dmwire.RefKeyResp{Key: key}.Append(getBuf(8)[:0])
 }
 
 // lockRefPair write-locks the ref stripes of keys a and b (once when

@@ -49,7 +49,22 @@ type callerSession struct {
 	// free holds each free slot's next seq. It is a stack: a session with
 	// few calls in flight keeps reusing the same few slots, so the server
 	// releases their responses promptly.
-	free []uint64
+	free  []uint64
+	slots [sessionWindow]callerSlot
+}
+
+// callerSlot is one slot's call state, owned by the call holding the slot
+// from acquire to release and reused by every later call on it, so a call
+// allocates none of it (eRPC preallocates per-slot buffers the same way).
+// ch receives the response of the attempt in flight; a nil payload means
+// its connection died. Whatever drops a registration — a timed-out await,
+// a failed send — drains ch before the slot moves on, so the next call
+// never receives a stale answer. timer bounds one attempt's wait; an
+// await that returns before it fires stops it and takes its tick.
+type callerSlot struct {
+	st    stamp
+	ch    chan []byte
+	timer *time.Timer
 }
 
 func newCallerSession() *callerSession {
@@ -61,9 +76,9 @@ func newCallerSession() *callerSession {
 }
 
 // acquire takes a free slot, waiting no longer than deadline (zero:
-// unbounded), and returns the stamp every attempt of the call carries. A
-// seq is never below sessionWindow.
-func (s *callerSession) acquire(deadline time.Time) (stamp, error) {
+// unbounded), and stamps it for the call. A seq is never below
+// sessionWindow.
+func (s *callerSession) acquire(deadline time.Time) (*callerSlot, error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -76,23 +91,63 @@ func (s *callerSession) acquire(deadline time.Time) (stamp, error) {
 		select {
 		case s.sem <- struct{}{}:
 		case <-timeC:
-			return stamp{}, fmt.Errorf("live: all %d session slots busy: %w", sessionWindow, ErrDeadline)
+			return nil, fmt.Errorf("live: all %d session slots busy: %w", sessionWindow, ErrDeadline)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
-	return stamp{s.id, seq}, nil
+	sl := &s.slots[seq%sessionWindow]
+	sl.st = stamp{s.id, seq}
+	if sl.ch == nil {
+		sl.ch = make(chan []byte, 1)
+	}
+	return sl, nil
 }
 
-// release frees seq's slot once its call is over: done, failed or
-// abandoned.
-func (s *callerSession) release(seq uint64) {
+// release frees sl once its call is over: done, failed or abandoned.
+func (s *callerSession) release(sl *callerSlot) {
 	s.mu.Lock()
-	s.free = append(s.free, seq+sessionWindow)
+	s.free = append(s.free, sl.st.seq+sessionWindow)
 	s.mu.Unlock()
 	<-s.sem
+}
+
+// arm starts the slot's timer for one attempt and returns its channel:
+// nil, which never fires, when deadline is zero.
+func (sl *callerSlot) arm(deadline time.Time) <-chan time.Time {
+	if deadline.IsZero() {
+		return nil
+	}
+	if sl.timer == nil {
+		sl.timer = time.NewTimer(time.Until(deadline))
+	} else {
+		sl.timer.Reset(time.Until(deadline))
+	}
+	return sl.timer.C
+}
+
+// disarm stops the timer of an attempt whose tick was not received, and
+// takes the tick if it fired anyway, so the next arm starts clean. Under
+// the pre-Go 1.23 timer semantics go.mod selects, a Stop that reports
+// false leaves the tick in C or on its way there, so the receive blocks
+// until it lands. timeC is what arm returned: nil means no timer ran.
+func (sl *callerSlot) disarm(timeC <-chan time.Time) {
+	if timeC != nil && !sl.timer.Stop() {
+		<-timeC
+	}
+}
+
+// drain recycles a response that raced into ch before its registration
+// was dropped. The caller has already removed the registration under the
+// connection's lock, so nothing more can arrive.
+func (sl *callerSlot) drain() {
+	select {
+	case payload := <-sl.ch:
+		putBuf(payload)
+	default:
+	}
 }
 
 // serverSession is a serving node's record of one caller session.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dmwire"
+	"repro/internal/faultnet"
 	"repro/internal/rpc"
 )
 
@@ -195,3 +196,107 @@ func hasSession(n *Node, id uint64) bool {
 
 // sweep runs n's session sweep as if the time were now.
 func sweep(n *Node, now time.Time) { n.sessions.sweep(now) }
+
+// nextSlot reports the slot the session's next call will take.
+func nextSlot(s *callerSession) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.free[len(s.free)-1] % sessionWindow
+}
+
+// TestSlotReuseAfterFailedSend: a send whose write fails drops its
+// registration, and the writer's failure hook may already have answered
+// it with the dead connection's nil payload. The next call on the same
+// slot must get its own response, not that stale answer.
+func TestSlotReuseAfterFailedSend(t *testing.T) {
+	srv := NewNode()
+	srv.HandleFast(0x0305, func(_ net.Addr, body []byte) ([]byte, error) {
+		return append([]byte("r:"), body...), nil
+	})
+	addr := startNode(t, srv)
+	inj := faultnet.New()
+	cl := NewNodeWith(NodeConfig{MaxRetries: -1, Dialer: injectedDialer(inj)})
+	defer cl.Close()
+	if _, err := cl.Call(addr, 0x0305, []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+
+	sess := cl.sess.Load()
+	slot := nextSlot(sess)
+	inj.TruncateNextWrite()
+	if _, err := cl.Call(addr, 0x0305, []byte("1")); !errors.Is(err, errConnFailed) {
+		t.Fatalf("call over a torn write = %v, want a connection failure", err)
+	}
+	if got := nextSlot(sess); got != slot {
+		t.Fatalf("next call takes slot %d, want the failed call's slot %d", got, slot)
+	}
+	resp, err := cl.Call(addr, 0x0305, []byte("2"))
+	if err != nil || string(resp) != "r:2" {
+		t.Fatalf("call on the reused slot = %q, %v; want \"r:2\"", resp, err)
+	}
+}
+
+// TestLateResponseSkipsNextCall: an attempt that timed out leaves no
+// registration behind, so its response, arriving after the slot has been
+// reused, is dropped by the read loop and never answers the next call.
+func TestLateResponseSkipsNextCall(t *testing.T) {
+	srv := NewNode()
+	gate := make(chan struct{})
+	srv.Handle(0x0306, func(_ net.Addr, body []byte) ([]byte, error) {
+		if string(body) == "1" {
+			<-gate
+		}
+		return append([]byte("r:"), body...), nil
+	})
+	addr := startNode(t, srv)
+	cl := NewNodeWith(NodeConfig{MaxRetries: -1, CallTimeout: 100 * time.Millisecond})
+	defer cl.Close()
+	if _, err := cl.Call(addr, 0x0306, []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+
+	sess := cl.sess.Load()
+	slot := nextSlot(sess)
+	if _, err := cl.Call(addr, 0x0306, []byte("1")); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("held call = %v, want ErrDeadline", err)
+	}
+	// Let the held call answer, and wait until its response is on the
+	// wire: it then reaches the caller ahead of the next call's.
+	frames := srv.WriteStats().Frames
+	close(gate)
+	waitFor(t, 5*time.Second, "the late response to be written", func() bool {
+		return srv.WriteStats().Frames > frames
+	})
+	if got := nextSlot(sess); got != slot {
+		t.Fatalf("next call takes slot %d, want the timed-out call's slot %d", got, slot)
+	}
+	resp, err := cl.Call(addr, 0x0306, []byte("2"))
+	if err != nil || string(resp) != "r:2" {
+		t.Fatalf("call on the reused slot = %q, %v; want \"r:2\"", resp, err)
+	}
+}
+
+// TestLatencyCountsSlotlessCalls: an async call that never got a session
+// slot fails fast in wait, and still lands in the node's latency
+// histogram, as a synchronous call that fails the same way does.
+func TestLatencyCountsSlotlessCalls(t *testing.T) {
+	cl := NewNodeWith(NodeConfig{CallTimeout: 10 * time.Millisecond})
+	defer cl.Close()
+	sess := cl.sess.Load()
+	for i := 0; i < sessionWindow; i++ {
+		if _, err := sess.acquire(time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var p pending
+	cl.callAsync(&p, "127.0.0.1:1", 0x0307, nil, nil)
+	if err := p.wait(nil); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("slotless async call = %v, want ErrDeadline", err)
+	}
+	if _, err := cl.Call("127.0.0.1:1", 0x0307, nil); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("slotless call = %v, want ErrDeadline", err)
+	}
+	if got := cl.LatencyHistogram().Count(); got != 2 {
+		t.Fatalf("latency histogram holds %d calls, want 2", got)
+	}
+}

@@ -196,17 +196,18 @@ func (p *Client) Replicas(ref dm.Ref) []uint32 {
 	return p.successors(ref.Key)
 }
 
-// candidates builds the read-failover order for ref: the ref's own
-// Server field, then the tracked replica set (the ring successors when
-// this session does not track the ref), then any wire hints (a located
-// call arg's shard list, possibly stale), then the current ring
-// successors — deduplicated, healthy shards first. Unhealthy candidates stay at the
-// tail: an ejected shard may still answer (ejection is a heartbeat
-// verdict, not proof of death), and trying it last costs nothing when
-// everything else failed.
-func (p *Client) candidates(ref dm.Ref, hints []uint32) []uint32 {
-	ids := make([]uint32, 0, 8)
-	ids = append(ids, ref.Server)
+// candidates appends to dst the read-failover order for ref: the ref's
+// own Server field, then the tracked replica set (the ring successors
+// when this session does not track the ref), then any wire hints (a
+// located call arg's shard list, possibly stale), then the current ring
+// successors — deduplicated, healthy shards first. Unhealthy candidates
+// stay at the tail: an ejected shard may still answer (ejection is a
+// heartbeat verdict, not proof of death), and trying it last costs
+// nothing when everything else failed. With dst on the caller's stack, a
+// single-copy ref's candidates allocate nothing.
+func (p *Client) candidates(dst []uint32, ref dm.Ref, hints []uint32) []uint32 {
+	var idBuf, sickBuf [candidatesInline]uint32
+	ids := append(idBuf[:0], ref.Server)
 	var succ []uint32
 	if ref.Key&dmwire.ReplicaKeyBit != 0 {
 		succ = p.successors(ref.Key)
@@ -217,25 +218,26 @@ func (p *Client) candidates(ref dm.Ref, hints []uint32) []uint32 {
 	}
 	ids = append(ids, hints...)
 	ids = append(ids, succ...) // repeats fall to the dedup below
-	seen := make(map[uint32]struct{}, len(ids))
-	healthy := make([]uint32, 0, len(ids))
-	var sick []uint32
+	sick := sickBuf[:0]
 	shards := p.shardList()
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
+	for i, id := range ids {
+		if slices.Contains(ids[:i], id) {
 			continue
 		}
-		seen[id] = struct{}{}
 		// Out-of-cluster IDs stay in the list (classified unhealthy) so
 		// byID can surface dm.ErrBadAddress instead of silently skipping.
 		if int(id) < len(shards) && shards[id].healthy.Load() {
-			healthy = append(healthy, id)
+			dst = append(dst, id)
 		} else {
 			sick = append(sick, id)
 		}
 	}
-	return append(healthy, sick...)
+	return append(dst, sick...)
 }
+
+// candidatesInline is the candidate count the callers' and candidates'
+// own stack buffers hold before spilling to the heap.
+const candidatesInline = 8
 
 // failoverWorthy reports whether err on one replica justifies trying the
 // next: range violations are deterministic (every replica holds the same
@@ -331,7 +333,8 @@ func (p *Client) readLease(ref dm.Ref, hints []uint32, off, size int64) (*live.B
 // readFailover is readLease's wire path (also the cache loader, which is
 // why it must not consult the cache itself).
 func (p *Client) readFailover(ref dm.Ref, hints []uint32, off, size int64) (*live.Buf, error) {
-	b, _, err := p.failover(ref, p.candidates(ref, hints), func(cl *live.Client) (*live.Buf, error) {
+	var cb [candidatesInline]uint32
+	b, _, err := p.failover(ref, p.candidates(cb[:0], ref, hints), func(cl *live.Client) (*live.Buf, error) {
 		return cl.ReadRefLease(ref, off, size)
 	})
 	return b, err
@@ -409,7 +412,8 @@ func (p *Client) consume(ref dm.Ref, hints []uint32) (*live.Buf, error) {
 		}
 		return s.cl.ConsumeRefLease(ref)
 	}
-	cands := p.candidates(ref, hints)
+	var cb [candidatesInline]uint32
+	cands := p.candidates(cb[:0], ref, hints)
 	b, served, err := p.failover(ref, cands, func(cl *live.Client) (*live.Buf, error) {
 		return cl.ConsumeRefLease(ref)
 	})
@@ -451,7 +455,8 @@ func (p *Client) AdoptRefFrom(ref dm.Ref, hints []uint32) (dm.Ref, error) {
 }
 
 func (p *Client) adoptReplicated(ref dm.Ref, hints []uint32) (dm.Ref, error) {
-	cands := p.candidates(ref, hints)
+	var cb [candidatesInline]uint32
+	cands := p.candidates(cb[:0], ref, hints)
 	key := p.mintKey()
 	var entry []uint32
 	if p.cfg.RegistryHandoff {
@@ -524,7 +529,8 @@ func (p *Client) Forget(ref dm.Ref) {
 // and are ignored; the free succeeds when at least one copy was
 // released.
 func (p *Client) freeReplicated(ref dm.Ref) error {
-	cands := p.candidates(ref, nil)
+	var cb [candidatesInline]uint32
+	cands := p.candidates(cb[:0], ref, nil)
 	p.untrack(ref.Key)
 	return p.freeOn(cands, ref)
 }
