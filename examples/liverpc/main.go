@@ -32,7 +32,9 @@ func main() {
 	// Terminal service: materializes the payload and aggregates it.
 	agg := newService("aggregate", dmAddr)
 	agg.Handle("sum", func(ctx *liverpc.Ctx, args []liverpc.Payload) ([]liverpc.Payload, error) {
-		buf, err := ctx.Fetch(args[0]) // by-ref payloads read from the DM server here
+		// By-ref payloads are read from the DM server here; an inline one
+		// aliases the request and is used only before the handler returns.
+		buf, err := ctx.Fetch(args[0])
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +43,9 @@ func main() {
 	aggAddr := serve(agg)
 
 	// Front service: a pure data mover — with pass-by-reference it never
-	// touches the payload bytes at all.
+	// touches the payload bytes at all. It returns the nested call's
+	// results as its own, which the service encodes before it recycles
+	// their call-scoped storage.
 	front := newService("front", dmAddr)
 	front.Handle("sum", func(ctx *liverpc.Ctx, args []liverpc.Payload) ([]liverpc.Payload, error) {
 		return ctx.Call(aggAddr, "sum", args...)

@@ -13,8 +13,15 @@ import (
 // the target method name, trace/deadline propagation fields, and the
 // argument list, where each argument is either inline bytes (small
 // values) or a Ref descriptor into disaggregated memory (large values
-// staged once by the producer). The response body is a ReturnEnvelope
-// carrying the result list in the same argument codec.
+// staged once by the producer). The response body, a return envelope,
+// carries the result list in the same argument codec.
+//
+// The codec has one encoder and one decoder per envelope, both free of
+// allocation: AppendCall and AppendReturn write straight from an
+// argument list into a caller buffer, and DecodeCall and DecodeReturn
+// fill caller-provided argument storage, aliasing the body.
+// CallEnvelope's Marshal, MarshalHdr and UnmarshalCallEnvelope are thin
+// wrappers over them.
 
 // Envelope decoding limits. These are defensive caps applied before any
 // per-item allocation, mirroring MaxFrameSize at the frame layer: a
@@ -23,10 +30,11 @@ const (
 	// MaxMethodLen caps a method name's wire length in bytes.
 	MaxMethodLen = 255
 	// MaxCallArgs caps the number of arguments (or results) per envelope.
+	// The encoders refuse a longer list, so none is truncated on the wire.
 	MaxCallArgs = 64
 )
 
-// Envelope decode errors.
+// Envelope codec errors.
 var (
 	ErrMethodTooLong = errors.New("dmwire: method name exceeds MaxMethodLen")
 	ErrTooManyArgs   = errors.New("dmwire: envelope exceeds MaxCallArgs arguments")
@@ -96,12 +104,21 @@ type CallArg struct {
 	Located bool
 	// Replicas is a located ref's replica-hint list (shard IDs believed
 	// to hold a copy of the payload, primary included). A non-empty list
-	// implies Located.
+	// implies Located. A decoded list is freshly allocated, never part
+	// of the caller's argument storage.
 	Replicas []uint32
-	// Inline is the in-message payload (valid when !IsRef). Unmarshal
+	// Inline is the in-message payload (valid when !IsRef). Decoding
 	// aliases the envelope buffer; callers that retain it must copy.
 	Inline []byte
 }
+
+// Arg is an argument the envelope encoders write: a CallArg, or an
+// application type that describes itself as one (liverpc.Payload), so a
+// caller encodes its own argument list without building a []CallArg.
+type Arg interface{ Wire() CallArg }
+
+// Wire returns a itself, making CallArg an Arg.
+func (a CallArg) Wire() CallArg { return a }
 
 // Size returns the argument's logical payload length.
 func (a CallArg) Size() int64 {
@@ -127,21 +144,28 @@ func (a CallArg) WireSize() int {
 	}
 }
 
-// encode appends the argument. When skipInlineBytes is set the inline
-// length prefix is written but the raw bytes are omitted (the bulk-arg
-// vectored-write path).
-func (a CallArg) encode(e *rpc.Enc, skipInlineBytes bool) {
+// appendTo appends the argument's encoding to b. With bulk set an inline
+// argument's length prefix is written but its bytes are left out (the
+// bulk-arg vectored-write path).
+func (a *CallArg) appendTo(b []byte, bulk bool) []byte {
 	switch {
 	case a.located():
-		a.Ref.Encode(e.U8(2))
-		encodeReplicas(e, a.Replicas)
+		return appendReplicas(appendRef(append(b, 2), a.Ref), a.Replicas)
 	case a.IsRef:
-		a.Ref.Encode(e.U8(1))
-	case skipInlineBytes:
-		e.U8(0).U32(uint32(len(a.Inline)))
-	default:
-		e.U8(0).Blob(a.Inline)
+		return appendRef(append(b, 1), a.Ref)
 	}
+	b = binary.BigEndian.AppendUint32(append(b, 0), uint32(len(a.Inline)))
+	if bulk {
+		return b
+	}
+	return append(b, a.Inline...)
+}
+
+// appendRef appends dm.Ref's 20-byte wire form.
+func appendRef(b []byte, r dm.Ref) []byte {
+	b = binary.BigEndian.AppendUint32(b, r.Server)
+	b = binary.BigEndian.AppendUint64(b, r.Key)
+	return binary.BigEndian.AppendUint64(b, uint64(r.Size))
 }
 
 // decodeCallArg reads one argument, aliasing d's buffer for inline data.
@@ -162,6 +186,50 @@ func decodeCallArg(d *rpc.Dec) (CallArg, error) {
 	}
 }
 
+// appendArgs appends a U8-counted argument list to b, refusing one past
+// MaxCallArgs. With split set and the final argument inline, that
+// argument's bytes are left out of b and returned as bulk.
+func appendArgs[A Arg](b []byte, args []A, split bool) (_, bulk []byte, err error) {
+	if len(args) > MaxCallArgs {
+		return b, nil, ErrTooManyArgs
+	}
+	b = append(b, uint8(len(args)))
+	for i := range args {
+		a := args[i].Wire()
+		if split && i == len(args)-1 && !a.IsRef {
+			bulk = a.Inline
+			return a.appendTo(b, true), bulk, nil
+		}
+		b = a.appendTo(b, false)
+	}
+	return b, nil, nil
+}
+
+// decodeArgs reads a U8-counted argument list into args' storage,
+// enforcing MaxCallArgs, and refuses bytes after it: the list ends both
+// envelopes. A list that does not fit args' capacity gets fresh storage.
+func decodeArgs(d *rpc.Dec, args []CallArg) ([]CallArg, error) {
+	n := int(d.U8())
+	if n > MaxCallArgs {
+		return nil, ErrTooManyArgs
+	}
+	args = args[:0]
+	if cap(args) < n {
+		args = make([]CallArg, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		a, err := decodeCallArg(d)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, a)
+	}
+	if d.Err() != nil || len(d.Remaining()) != 0 {
+		return nil, ErrBadEnvelope
+	}
+	return args, nil
+}
+
 // CallEnvelope is the request body of one liverpc service call.
 type CallEnvelope struct {
 	// Method is the registered service method name.
@@ -180,47 +248,74 @@ type CallEnvelope struct {
 	Args []CallArg
 }
 
-// marshal encodes the envelope; when hdrOnly is set the final argument
-// (inline, as MarshalHdr guarantees) has its raw bytes omitted so they
-// can ride the socket as their own iovec, and the buffer is sized
-// without them.
-func (env CallEnvelope) marshal(hdrOnly bool) []byte {
+// AppendCall appends the call envelope of env's method and fixed fields
+// with args as its argument list (env.Args is not read) to b. A final
+// inline argument's bytes are left out and returned as bulk, to ride
+// the socket as their own iovec: the body is append(hdr, bulk...). More
+// than MaxCallArgs arguments are refused with ErrTooManyArgs.
+func AppendCall[A Arg](b []byte, env *CallEnvelope, args []A) (hdr, bulk []byte, err error) {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(env.Method)))
+	b = append(b, env.Method...)
+	b = binary.BigEndian.AppendUint64(b, env.TraceID)
+	b = append(b, env.Hop)
+	b = binary.BigEndian.AppendUint32(b, env.DeadlineMillis)
+	return appendArgs(b, args, true)
+}
+
+// DecodeCall decodes a call envelope, filling args' storage with its
+// argument list (env.Args): inline argument bytes and the returned
+// method name alias b, and env.Method is left empty, so a caller that
+// reuses its storage decodes without allocating. Bytes after the
+// argument list are refused.
+func DecodeCall(b []byte, args []CallArg) (method []byte, env CallEnvelope, err error) {
+	d := rpc.NewDec(b)
+	method = d.Blob()
+	if len(method) > MaxMethodLen {
+		return nil, CallEnvelope{}, ErrMethodTooLong
+	}
+	env.TraceID = d.U64()
+	env.Hop = d.U8()
+	env.DeadlineMillis = d.U32()
+	if env.Args, err = decodeArgs(d, args); err != nil {
+		return nil, CallEnvelope{}, err
+	}
+	return method, env, nil
+}
+
+// marshal encodes env into one exactly sized buffer, its bulk bytes
+// included when full is set. Marshal has no error to return, so a list
+// AppendCall refuses encodes as the header and a count past the cap,
+// which every decoder refuses with ErrTooManyArgs.
+func (env *CallEnvelope) marshal(full bool) []byte {
 	n := 4 + len(env.Method) + 8 + 1 + 4 + 1
-	for _, a := range env.Args {
-		n += a.WireSize()
+	for i := range env.Args {
+		n += env.Args[i].WireSize()
 	}
-	if hdrOnly {
-		n -= len(env.Args[len(env.Args)-1].Inline)
+	if !full {
+		n -= len(env.Bulk())
 	}
-	e := rpc.NewEnc(n)
-	e.Str(env.Method)
-	e.U64(env.TraceID)
-	e.U8(env.Hop)
-	e.U32(env.DeadlineMillis)
-	e.U8(uint8(len(env.Args)))
-	for i, a := range env.Args {
-		a.encode(e, hdrOnly && i == len(env.Args)-1)
+	hdr, bulk, err := AppendCall(make([]byte, 0, n), env, env.Args)
+	if err != nil {
+		return append(hdr, MaxCallArgs+1)
 	}
-	return e.Bytes()
+	if full {
+		return append(hdr, bulk...)
+	}
+	return hdr
 }
 
 // Marshal encodes the full envelope, inline bytes included.
-func (env CallEnvelope) Marshal() []byte { return env.marshal(false) }
+func (env CallEnvelope) Marshal() []byte { return env.marshal(true) }
 
 // MarshalHdr encodes the envelope with the final argument's inline bytes
 // omitted (its length prefix stays), for transports that write those
 // bytes as their own vectored segment:
 //
-//	Marshal() == append(MarshalHdr(), lastArg.Inline...)
+//	Marshal() == append(MarshalHdr(), Bulk()...)
 //
-// Valid only when the final argument is inline; envelopes whose last
-// argument is a Ref (or that have no arguments) get the full encoding.
-func (env CallEnvelope) MarshalHdr() []byte {
-	if n := len(env.Args); n == 0 || env.Args[n-1].IsRef {
-		return env.marshal(false)
-	}
-	return env.marshal(true)
-}
+// Envelopes whose last argument is a Ref (or that have no arguments) get
+// the full encoding.
+func (env CallEnvelope) MarshalHdr() []byte { return env.marshal(false) }
 
 // Bulk returns the bytes MarshalHdr omitted (nil when MarshalHdr is the
 // full encoding).
@@ -231,82 +326,30 @@ func (env CallEnvelope) Bulk() []byte {
 	return nil
 }
 
-// UnmarshalCallEnvelope decodes a call envelope. Inline argument bytes
-// alias b.
+// UnmarshalCallEnvelope decodes a call envelope into fresh storage.
+// Inline argument bytes alias b.
 func UnmarshalCallEnvelope(b []byte) (CallEnvelope, error) {
-	d := rpc.NewDec(b)
-	method := d.Blob()
-	if len(method) > MaxMethodLen {
-		return CallEnvelope{}, ErrMethodTooLong
-	}
-	env := CallEnvelope{
-		Method:  string(method),
-		TraceID: d.U64(),
-		Hop:     d.U8(),
-	}
-	env.DeadlineMillis = d.U32()
-	args, err := decodeArgs(d)
+	method, env, err := DecodeCall(b, nil)
 	if err != nil {
 		return CallEnvelope{}, err
 	}
-	env.Args = args
-	if d.Err() != nil {
-		return CallEnvelope{}, ErrBadEnvelope
-	}
+	env.Method = string(method)
 	return env, nil
 }
 
-// ReturnEnvelope is the successful response body of one liverpc call:
-// the result list in the same size-aware argument codec. Errors travel
-// as non-OK frame statuses, not in the envelope.
-type ReturnEnvelope struct {
-	Args []CallArg
+// AppendReturn appends the return envelope of args to b: the successful
+// response body of one liverpc call, its result list in the same
+// size-aware argument codec (errors travel as non-OK frame statuses, not
+// in an envelope). More than MaxCallArgs results are refused with
+// ErrTooManyArgs.
+func AppendReturn[A Arg](b []byte, args []A) ([]byte, error) {
+	b, _, err := appendArgs(b, args, false)
+	return b, err
 }
 
-// Marshal encodes the response body.
-func (env ReturnEnvelope) Marshal() []byte {
-	n := 1
-	for _, a := range env.Args {
-		n += a.WireSize()
-	}
-	e := rpc.NewEnc(n)
-	e.U8(uint8(len(env.Args)))
-	for _, a := range env.Args {
-		a.encode(e, false)
-	}
-	return e.Bytes()
-}
-
-// UnmarshalReturnEnvelope decodes a response body. Inline result bytes
-// alias b.
-func UnmarshalReturnEnvelope(b []byte) (ReturnEnvelope, error) {
-	d := rpc.NewDec(b)
-	args, err := decodeArgs(d)
-	if err != nil {
-		return ReturnEnvelope{}, err
-	}
-	if d.Err() != nil {
-		return ReturnEnvelope{}, ErrBadEnvelope
-	}
-	return ReturnEnvelope{Args: args}, nil
-}
-
-// decodeArgs reads a U8-counted argument list, enforcing MaxCallArgs.
-func decodeArgs(d *rpc.Dec) ([]CallArg, error) {
-	n := int(d.U8())
-	if n > MaxCallArgs {
-		return nil, ErrTooManyArgs
-	}
-	if n == 0 || d.Err() != nil {
-		return nil, nil
-	}
-	args := make([]CallArg, 0, n)
-	for i := 0; i < n; i++ {
-		a, err := decodeCallArg(d)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, a)
-	}
-	return args, nil
+// DecodeReturn decodes a return envelope's result list into args'
+// storage, inline result bytes aliasing b. Bytes after the list are
+// refused.
+func DecodeReturn(b []byte, args []CallArg) ([]CallArg, error) {
+	return decodeArgs(rpc.NewDec(b), args)
 }

@@ -76,22 +76,31 @@ func TestCallEnvelopeMarshalHdrSized(t *testing.T) {
 	}
 }
 
+// marshalReturn encodes a return envelope the tests know fits the cap.
+func marshalReturn(args []CallArg) []byte {
+	b, err := AppendReturn(nil, args)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestReturnEnvelopeRoundTrip(t *testing.T) {
-	env := ReturnEnvelope{Args: []CallArg{
+	args := []CallArg{
 		{Inline: []byte{1, 2, 3}},
 		{IsRef: true, Ref: dm.Ref{Server: 0, Key: 7, Size: 4096}},
-	}}
-	got, err := UnmarshalReturnEnvelope(env.Marshal())
+	}
+	got, err := DecodeReturn(marshalReturn(args), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Args) != 2 || !bytes.Equal(got.Args[0].Inline, []byte{1, 2, 3}) ||
-		got.Args[1].Ref != env.Args[1].Ref {
-		t.Fatalf("round trip: got %+v", got.Args)
+	if len(got) != 2 || !bytes.Equal(got[0].Inline, []byte{1, 2, 3}) ||
+		got[1].Ref != args[1].Ref {
+		t.Fatalf("round trip: got %+v", got)
 	}
 	// Empty result list round-trips too.
-	empty, err := UnmarshalReturnEnvelope(ReturnEnvelope{}.Marshal())
-	if err != nil || len(empty.Args) != 0 {
+	empty, err := DecodeReturn(marshalReturn(nil), nil)
+	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty return: %+v, %v", empty, err)
 	}
 }
@@ -127,22 +136,22 @@ func TestCallEnvelopeMalformed(t *testing.T) {
 			t.Fatalf("%s: decode accepted malformed envelope", tc.name)
 		}
 	}
-	if _, err := UnmarshalReturnEnvelope([]byte{2, 0, 0xff}); err == nil {
+	if _, err := DecodeReturn([]byte{2, 0, 0xff}, nil); err == nil {
 		t.Fatal("truncated return envelope accepted")
 	}
 }
 
 // argWire returns a's encoding on its own: a one-arg return envelope
 // minus the leading count byte.
-func argWire(a CallArg) []byte { return ReturnEnvelope{Args: []CallArg{a}}.Marshal()[1:] }
+func argWire(a CallArg) []byte { return marshalReturn([]CallArg{a})[1:] }
 
 // decodeArg decodes one argument encoding.
 func decodeArg(b []byte) (CallArg, error) {
-	env, err := UnmarshalReturnEnvelope(append([]byte{1}, b...))
+	args, err := DecodeReturn(append([]byte{1}, b...), nil)
 	if err != nil {
 		return CallArg{}, err
 	}
-	return env.Args[0], nil
+	return args[0], nil
 }
 
 // TestLocatedRefRoundTrip pins the located arg with a replica count of
@@ -237,13 +246,12 @@ func TestEnvelopeReplicatedArg(t *testing.T) {
 		t.Fatalf("2-replica arg is %d bytes", n)
 	}
 
-	ret := ReturnEnvelope{Args: []CallArg{a}}
-	rdec, err := UnmarshalReturnEnvelope(ret.Marshal())
+	rdec, err := DecodeReturn(marshalReturn([]CallArg{a}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rdec.Args[0], a) {
-		t.Fatalf("return envelope lost replicas: %+v", rdec.Args[0])
+	if !reflect.DeepEqual(rdec[0], a) {
+		t.Fatalf("return envelope lost replicas: %+v", rdec[0])
 	}
 }
 
@@ -273,5 +281,48 @@ func TestEnvelopeLocatedArg(t *testing.T) {
 	}
 	if !bytes.Equal(dec.Marshal(), env.Marshal()) {
 		t.Fatal("envelope with located arg does not round-trip")
+	}
+}
+
+// TestEnvelopeTrailingBytesRefused: both envelopes end with their
+// argument list, so a byte after it is refused, as UnmarshalAdoptRefReq
+// refuses one — otherwise a count that wrapped on the wire could pass
+// with its tail ignored.
+func TestEnvelopeTrailingBytesRefused(t *testing.T) {
+	call := append(sampleEnvelope().Marshal(), 0)
+	if _, err := UnmarshalCallEnvelope(call); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("call envelope with a trailing byte: %v, want ErrBadEnvelope", err)
+	}
+	ret := append(marshalReturn(sampleEnvelope().Args), 0)
+	if _, err := DecodeReturn(ret, nil); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("return envelope with a trailing byte: %v, want ErrBadEnvelope", err)
+	}
+}
+
+// TestEnvelopeEncodersRefuseOversized: the encoders refuse more than
+// MaxCallArgs arguments instead of writing a wrapped count, and
+// CallEnvelope.Marshal's encoding of such a list is refused by the
+// decoder.
+func TestEnvelopeEncodersRefuseOversized(t *testing.T) {
+	for _, n := range []int{MaxCallArgs + 1, 256, 300} {
+		args := make([]CallArg, n)
+		env := CallEnvelope{Method: "m"}
+		if _, _, err := AppendCall(nil, &env, args); !errors.Is(err, ErrTooManyArgs) {
+			t.Fatalf("AppendCall of %d args: %v, want ErrTooManyArgs", n, err)
+		}
+		if _, err := AppendReturn(nil, args); !errors.Is(err, ErrTooManyArgs) {
+			t.Fatalf("AppendReturn of %d args: %v, want ErrTooManyArgs", n, err)
+		}
+		env.Args = args
+		if _, err := UnmarshalCallEnvelope(env.Marshal()); !errors.Is(err, ErrTooManyArgs) {
+			t.Fatalf("Marshal of %d args decodes with %v, want ErrTooManyArgs", n, err)
+		}
+	}
+	hdr, _, err := AppendCall(nil, &CallEnvelope{Method: "m"}, make([]CallArg, MaxCallArgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env, err := UnmarshalCallEnvelope(hdr); err != nil || len(env.Args) != MaxCallArgs {
+		t.Fatalf("%d args at the cap: %d decoded, %v", MaxCallArgs, len(env.Args), err)
 	}
 }

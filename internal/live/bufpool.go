@@ -23,10 +23,12 @@ import (
 //     after the last use of the payload and anything aliasing it.
 //   - A buffer sent over a channel (client response dispatch) transfers
 //     ownership to the receiver.
-//   - Fast (run-to-completion) handlers may return pooled response
-//     bodies; the request's session slot keeps one until the slot is
-//     reused, then putBufs it (session.go). A fast handler's response
-//     must therefore never alias its request.
+//   - A handler's response whose capacity is a size class is the
+//     serving slot's: the slot keeps it for replay until the slot is
+//     reused, then putBufs it (Node.serve, session.go). A handler builds
+//     such a response in a GetBuf buffer and must not keep or alias it.
+//     Any other response may alias the request frame, which the slot
+//     keeps instead; a fast handler's response must never alias it.
 //   - putBuf on a buffer that did not come from getBuf is safe: only
 //     slices whose capacity matches a size class are pooled.
 
@@ -63,6 +65,11 @@ func getBuf(n int) []byte {
 	}
 	return make([]byte, n, size)
 }
+
+// GetBuf returns a length-n buffer from the frame pool. A handler that
+// returns one as its response hands it to the serving slot, which
+// recycles it once the slot moves on.
+func GetBuf(n int) []byte { return getBuf(n) }
 
 // putBuf recycles a buffer obtained from getBuf. Buffers whose capacity
 // does not exactly match a size class (handler-allocated responses, tiny

@@ -28,10 +28,10 @@ type handler func(sess *serverSession, from net.Addr, body []byte) ([]byte, erro
 type handlerEntry struct {
 	h handler
 	// fast handlers run to completion on the connection's read loop
-	// (eRPC-style): no goroutine spawn, and their response body — if
-	// pool-sized — is recycled right after the response is written. They
-	// must be short, must not call back into the network, and must not
-	// return a body aliasing the request.
+	// (eRPC-style): no goroutine spawn, and the read loop recycles the
+	// request frame right after serve. They must be short, must not call
+	// back into the network, and must not return a body aliasing the
+	// request.
 	fast bool
 }
 
@@ -239,8 +239,10 @@ func NewNodeWith(cfg NodeConfig) *Node {
 // stamp, and calls already holding a slot finish on the old one.
 func (n *Node) newSession() { n.sess.Store(newCallerSession()) }
 
-// Handle registers h for method m; it runs on its own goroutine per
-// request. Duplicate registration panics.
+// Handle registers h for method m; it runs on one of the connection's
+// worker goroutines. Its response may alias the request body, or be a
+// GetBuf buffer it gives up to the serving slot. Duplicate registration
+// panics.
 func (n *Node) Handle(m rpc.Method, h Handler) { n.register(m, handlerEntry{h: adapt(h)}) }
 
 // HandleFast registers h for method m as a run-to-completion handler: it
@@ -469,16 +471,19 @@ func (n *Node) slowWorker(c net.Conn, bw *batchWriter, busy *atomic.Int32, work 
 
 // serve answers one request: it runs the handler unless the request's
 // slot answers for it (a replay or the stale refusal), records the
-// response in the slot and writes it. The slot keeps a buffer until it
-// moves on: a fast handler's pooled response, or a slow request's frame,
-// which the response may alias; serve recycles that frame otherwise, and
-// drops a slow request's busy count once the handler has returned.
+// response in the slot and writes it. The slot keeps one buffer until it
+// moves on, by one rule for fast and slow handlers alike: a response in
+// a pooled buffer (size-class capacity) is the slot's, and the request
+// frame is recycled at once; any other response may alias a slow
+// request's frame, which the slot keeps instead. serve drops a slow
+// request's busy count once the handler has returned.
 func (n *Node) serve(c net.Conn, bw *batchWriter, busy *atomic.Int32, req request, idle bool) (*serverSession, error) {
 	sess, run, status, resp := n.admit(req.sess, req.seq)
 	hold := req.payload
 	if run {
 		status, resp = runHandler(req.e.h, sess, c.RemoteAddr(), req.body)
-		if req.e.fast && capClass(cap(resp)) >= 0 {
+		if capClass(cap(resp)) >= 0 {
+			putBuf(hold)
 			hold = resp
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -216,21 +217,27 @@ func (c *Caller) Call(addr, method string, args ...Payload) ([]Payload, error) {
 // CallOpts invokes method at addr with args. The call is bounded by an
 // overall deadline (propagated to the callee via the envelope) and
 // retried across transport failures via the node's reconnect path; the
-// serving node runs it at most once. Returned inline payloads are private copies; returned
-// refs are owned per the application's protocol.
+// serving node runs it at most once. More than dmwire.MaxCallArgs
+// arguments fail before anything is sent. Returned inline payloads are
+// the caller's own memory; returned refs are owned per the
+// application's protocol.
 func (c *Caller) CallOpts(addr, method string, opts CallOpts, args ...Payload) ([]Payload, error) {
-	env := dmwire.CallEnvelope{
-		Method:  method,
-		TraceID: rand.Uint64(),
-		Args:    payloadsToWire(args),
-	}
-	return c.issue(addr, env, opts)
+	env := dmwire.CallEnvelope{Method: method, TraceID: rand.Uint64()}
+	return c.issue(addr, &env, args, opts, nil)
 }
 
+// callHdrCap sizes the stack buffer a call's envelope header is encoded
+// into; a header that outgrows it (inline arguments ahead of the last)
+// moves to the heap.
+const callHdrCap = 256
+
 // issue resolves opts against the endpoint defaults, stamps the
-// deadline budget into the envelope, sends it and decodes the result
-// list; shared by top-level and nested (Ctx) calls.
-func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]Payload, error) {
+// deadline budget into the envelope, sends it with args and decodes the
+// result list; shared by top-level and nested (Ctx) calls. The header
+// is encoded on the stack and a final inline argument rides as its own
+// iovec. A nested call's results land in ctx's call-scoped storage, a
+// top-level call's (ctx nil) in memory the caller owns.
+func (c *Caller) issue(addr string, env *dmwire.CallEnvelope, args []Payload, opts CallOpts, ctx *Ctx) ([]Payload, error) {
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = c.cfg.callTimeout()
@@ -245,16 +252,15 @@ func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]P
 		}
 		env.DeadlineMillis = uint32(ms)
 	}
+	var hb [callHdrCap]byte
+	hdr, bulk, err := dmwire.AppendCall(hb[:0], env, args)
+	if err != nil {
+		return nil, fmt.Errorf("liverpc: %s: %w", env.Method, err)
+	}
 	var out []Payload
-	err := c.node.CallConsumeOpts(addr, MethodCall, env.MarshalHdr(), env.Bulk(),
-		func(resp []byte) error {
-			renv, err := dmwire.UnmarshalReturnEnvelope(resp)
-			if err != nil {
-				return err
-			}
-			// The response buffer is pooled and recycled after consume
-			// returns, so inline results must be copied out.
-			out, err = payloadsFromWire(renv.Args, true)
+	err = c.node.CallConsumeOpts(addr, MethodCall, hdr, bulk,
+		func(resp []byte) (err error) {
+			out, err = results(resp, ctx)
 			return err
 		}, live.CallOpts{Timeout: timeout})
 	if err != nil {
@@ -263,11 +269,66 @@ func (c *Caller) issue(addr string, env dmwire.CallEnvelope, opts CallOpts) ([]P
 	return out, nil
 }
 
-// Handler processes one service call. args alias transport buffers:
-// inline payload bytes are valid only until the handler returns —
-// handlers that retain them must copy (Fetch on a ref payload returns a
-// fresh buffer; FetchLease and Consume lease a pooled one until its
-// Release). Handlers may issue nested calls via ctx.
+// resultScratch is how many decoded results results keeps on its stack.
+const resultScratch = 8
+
+// results decodes a response's result list. The response buffer is
+// pooled and recycled once the call returns, so inline results are
+// copied out, all of them into one buffer: for a nested call into ctx's
+// call-scoped storage, valid until its handler returns; for a top-level
+// call (ctx nil) into one fresh payload slice and one fresh buffer the
+// caller owns. A ref result that is not located is refused.
+func results(resp []byte, ctx *Ctx) ([]Payload, error) {
+	var scratch [resultScratch]dmwire.CallArg
+	wire, err := dmwire.DecodeReturn(resp, scratch[:0])
+	if err != nil || len(wire) == 0 {
+		return nil, err
+	}
+	inl := 0
+	for _, a := range wire {
+		inl += len(a.Inline)
+	}
+	var ps []Payload
+	var buf []byte
+	if ctx == nil {
+		ps, buf = make([]Payload, 0, len(wire)), make([]byte, 0, inl)
+	} else {
+		ctx.mu.Lock()
+		defer ctx.mu.Unlock()
+		// Grown room, so the appends below never move what earlier
+		// nested calls' results alias.
+		ps, buf = slices.Grow(ctx.res, len(wire)), slices.Grow(ctx.inl, inl)
+	}
+	start := len(ps)
+	for _, a := range wire {
+		p, err := fromWire(a)
+		if err != nil {
+			return nil, err
+		}
+		if !p.isRef {
+			off := len(buf)
+			buf = append(buf, a.Inline...)
+			p.inline = buf[off:len(buf):len(buf)]
+		}
+		ps = append(ps, p)
+	}
+	if ctx != nil {
+		ctx.res, ctx.inl = ps, buf
+	}
+	return ps[start:len(ps):len(ps)], nil
+}
+
+// Handler processes one service call. The args slice, ctx and every
+// inline byte the handler sees (its args', its nested calls' results')
+// are call-scoped: valid only until the handler returns, when the
+// service recycles them — a handler that retains inline bytes must copy
+// them (Fetch on a ref payload returns a fresh buffer; FetchLease and
+// Consume lease a pooled one until its Release). A ref payload is a
+// value and may be kept past the return. The handler may return its
+// args or its nested calls' results as its own: the service encodes the
+// results before it recycles anything. Handlers may issue nested calls
+// via ctx, from several goroutines too, as long as all of them end
+// before the handler returns.
 type Handler func(ctx *Ctx, args []Payload) ([]Payload, error)
 
 // Service is one liverpc endpoint serving named methods over TCP — the
@@ -323,38 +384,52 @@ func (s *Service) Serve(ln net.Listener) error { return s.caller.node.Serve(ln) 
 // borrowed DM client).
 func (s *Service) Close() error { return s.caller.node.Close() }
 
-// dispatch is the transport-level handler: decode the envelope, run the
-// named method, encode the result list.
+// dispatch is the transport-level handler: decode the envelope into a
+// pooled Ctx's storage, run the named method, encode the result list
+// into a pooled buffer that the serving slot keeps for replay and then
+// recycles (live.GetBuf). Inline args alias the request frame, which
+// outlives the handler. The Ctx goes back to the pool only after the
+// results are encoded, since they may alias its storage.
 func (s *Service) dispatch(_ net.Addr, body []byte) ([]byte, error) {
-	env, err := dmwire.UnmarshalCallEnvelope(body)
+	ctx := ctxPool.Get().(*Ctx)
+	defer ctx.recycle()
+	method, env, err := dmwire.DecodeCall(body, ctx.wire)
 	if err != nil {
 		return nil, err
 	}
+	ctx.wire = env.Args
 	s.mu.RLock()
-	h, ok := s.meths[env.Method]
+	h, ok := s.meths[string(method)]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, &rpc.AppError{Status: dmwire.StatusErr,
-			Msg: fmt.Sprintf("liverpc: service %q has no method %q", s.name, env.Method)}
+			Msg: fmt.Sprintf("liverpc: service %q has no method %q", s.name, method)}
 	}
-	ctx := &Ctx{Svc: s, TraceID: env.TraceID, Hop: env.Hop}
+	ctx.Svc, ctx.TraceID, ctx.Hop = s, env.TraceID, env.Hop
 	if env.DeadlineMillis > 0 {
 		ctx.Deadline = time.Now().Add(time.Duration(env.DeadlineMillis) * time.Millisecond)
 	}
-	// Inline args alias the request buffer, which outlives the handler
-	// (recycled only after the response is written) — no copy here.
-	args, err := payloadsFromWire(env.Args, false)
+	for _, a := range env.Args {
+		p, err := fromWire(a)
+		if err != nil {
+			return nil, err
+		}
+		ctx.args = append(ctx.args, p)
+	}
+	out, err := h(ctx, ctx.args[:len(ctx.args):len(ctx.args)])
 	if err != nil {
 		return nil, err
 	}
-	out, err := h(ctx, args)
-	if err != nil {
-		return nil, err
+	n := 1
+	for _, p := range out {
+		n += p.WireSize()
 	}
-	return dmwire.ReturnEnvelope{Args: payloadsToWire(out)}.Marshal(), nil
+	return dmwire.AppendReturn(live.GetBuf(n)[:0], out)
 }
 
-// Ctx carries one in-flight call's propagation state into its handler.
+// Ctx carries one in-flight call's propagation state into its handler,
+// and the call-scoped storage behind its args and its nested calls'
+// results. It is pooled: valid only until the handler returns.
 type Ctx struct {
 	// Svc is the service executing the handler.
 	Svc *Service
@@ -365,6 +440,40 @@ type Ctx struct {
 	// Deadline is the propagated absolute deadline (zero when the caller
 	// set none).
 	Deadline time.Time
+
+	wire []dmwire.CallArg // the request's decoded arguments
+	args []Payload        // the handler's args
+	mu   sync.Mutex       // guards res and inl against concurrent nested calls
+	res  []Payload        // nested calls' results
+	inl  []byte           // their inline bytes
+}
+
+// ctxPool recycles dispatch's per-call state.
+var ctxPool = sync.Pool{New: func() any { return new(Ctx) }}
+
+// ctxKeepBytes and ctxKeepResults cap the result storage a pooled Ctx
+// keeps, so one call with large by-value results or many nested calls
+// does not pin that memory in the pool.
+const (
+	ctxKeepBytes   = 256 << 10
+	ctxKeepResults = 256
+)
+
+// recycle drops the call's references and returns c to the pool with its
+// storage emptied for the next call.
+func (c *Ctx) recycle() {
+	clear(c.wire)
+	clear(c.args)
+	clear(c.res)
+	c.Svc, c.TraceID, c.Hop, c.Deadline = nil, 0, 0, time.Time{}
+	c.wire, c.args, c.res, c.inl = c.wire[:0], c.args[:0], c.res[:0], c.inl[:0]
+	if cap(c.inl) > ctxKeepBytes {
+		c.inl = nil
+	}
+	if cap(c.res) > ctxKeepResults {
+		c.res = nil
+	}
+	ctxPool.Put(c)
 }
 
 // Remaining returns the budget left before the propagated deadline
@@ -396,13 +505,8 @@ func (c *Ctx) CallOpts(addr, method string, opts CallOpts, args ...Payload) ([]P
 			opts.Timeout = rem
 		}
 	}
-	env := dmwire.CallEnvelope{
-		Method:  method,
-		TraceID: c.TraceID,
-		Hop:     c.Hop + 1,
-		Args:    payloadsToWire(args),
-	}
-	return c.Svc.caller.issue(addr, env, opts)
+	env := dmwire.CallEnvelope{Method: method, TraceID: c.TraceID, Hop: c.Hop + 1}
+	return c.Svc.caller.issue(addr, &env, args, opts, c)
 }
 
 // Stage builds a size-aware payload using the service's threshold and DM

@@ -473,7 +473,7 @@ func TestUnlocatedRefRefused(t *testing.T) {
 	peer := live.NewNodeWith(live.NodeConfig{})
 	defer peer.Close()
 	peer.Handle(MethodCall, func(net.Addr, []byte) ([]byte, error) {
-		return dmwire.ReturnEnvelope{Args: unlocated}.Marshal(), nil
+		return dmwire.AppendReturn(nil, unlocated)
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -484,5 +484,64 @@ func TestUnlocatedRefRefused(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Call(ln.Addr().String(), "read"); !errors.Is(err, errUnlocatedRef) {
 		t.Fatalf("unlocated ref result: %v, want errUnlocatedRef", err)
+	}
+}
+
+// TestOversizedResultListRefused: an envelope's argument count is one
+// byte, capped at dmwire.MaxCallArgs. A result list past the cap is
+// refused with an error status, never wrapped to a shorter list, and an
+// argument list past it fails before it is sent.
+func TestOversizedResultListRefused(t *testing.T) {
+	s := NewService("wide", nil, Config{})
+	s.Handle("many", func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		n, err := args[0].AsU64()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]Payload, n)
+		for i := range out {
+			out[i] = U64(uint64(i))
+		}
+		return out, nil
+	})
+	var counts atomic.Int32
+	s.Handle("count", func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		counts.Add(1)
+		return []Payload{U64(uint64(len(args)))}, nil
+	})
+	addr := serveService(t, s)
+	c := NewCaller(nil, Config{})
+	defer c.Close()
+
+	res, err := c.Call(addr, "many", U64(dmwire.MaxCallArgs))
+	if err != nil || len(res) != dmwire.MaxCallArgs {
+		t.Fatalf("%d results: got %d, %v", dmwire.MaxCallArgs, len(res), err)
+	}
+	for i, p := range res {
+		if v, err := p.AsU64(); err != nil || v != uint64(i) {
+			t.Fatalf("result %d = %d, %v", i, v, err)
+		}
+	}
+	for _, n := range []uint64{dmwire.MaxCallArgs + 1, 256, 300} {
+		res, err := c.Call(addr, "many", U64(n))
+		if err == nil || !strings.Contains(err.Error(), dmwire.ErrTooManyArgs.Error()) {
+			t.Fatalf("%d results: got %d results, err %v; want the MaxCallArgs refusal", n, len(res), err)
+		}
+	}
+
+	args := make([]Payload, dmwire.MaxCallArgs+1)
+	for i := range args {
+		args[i] = U64(uint64(i))
+	}
+	if res, err := c.Call(addr, "count", args[:dmwire.MaxCallArgs]...); err != nil || len(res) != 1 {
+		t.Fatalf("%d args: %v, %v", dmwire.MaxCallArgs, res, err)
+	} else if v, _ := res[0].AsU64(); v != dmwire.MaxCallArgs {
+		t.Fatalf("%d args arrived as %d", dmwire.MaxCallArgs, v)
+	}
+	if _, err := c.Call(addr, "count", args...); !errors.Is(err, dmwire.ErrTooManyArgs) {
+		t.Fatalf("%d args: %v, want ErrTooManyArgs", len(args), err)
+	}
+	if n := counts.Load(); n != 1 {
+		t.Fatalf("count ran %d times, want 1: an oversized argument list reached it", n)
 	}
 }

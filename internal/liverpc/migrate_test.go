@@ -64,7 +64,11 @@ func TestStaleHintsResolveAfterMigration(t *testing.T) {
 		}
 		// Round-trip through the wire form, exactly as a call envelope
 		// would carry it between services.
-		got, err := payloadsFromWire([]dmwire.CallArg{ByRef(ref, reps).wireArg()}, true)
+		resp, err := dmwire.AppendReturn(nil, []Payload{ByRef(ref, reps)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := results(resp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func (p Payload) Size() int64 {
 
 // WireSize returns how many bytes the payload occupies inside a call
 // envelope (dmwire.CallArg.WireSize).
-func (p Payload) WireSize() int { return p.wireArg().WireSize() }
+func (p Payload) WireSize() int { return p.Wire().WireSize() }
 
 func (p Payload) String() string {
 	if len(p.replicas) > 0 {
@@ -103,8 +103,10 @@ func (p Payload) String() string {
 	return fmt.Sprintf("payload(inline %dB)", len(p.inline))
 }
 
-// wireArg converts to the envelope codec's descriptor.
-func (p Payload) wireArg() dmwire.CallArg {
+// Wire converts to the envelope codec's descriptor, making Payload a
+// dmwire.Arg: the encoders write a []Payload without an intermediate
+// []dmwire.CallArg.
+func (p Payload) Wire() dmwire.CallArg {
 	if p.isRef {
 		return dmwire.CallArg{IsRef: true, Located: true, Ref: p.ref, Replicas: p.replicas}
 	}
@@ -116,38 +118,15 @@ func (p Payload) wireArg() dmwire.CallArg {
 // cluster backend, so resolving it could read another shard's pages.
 var errUnlocatedRef = errors.New("liverpc: unlocated ref payload refused")
 
-// payloadsToWire converts an argument list for marshalling.
-func payloadsToWire(ps []Payload) []dmwire.CallArg {
-	if len(ps) == 0 {
-		return nil
+// fromWire converts a decoded argument, aliasing its inline bytes and
+// taking over its replica list, which the decoder allocated afresh. A
+// ref argument that is not located is refused.
+func fromWire(a dmwire.CallArg) (Payload, error) {
+	switch {
+	case a.IsRef && !a.Located:
+		return Payload{}, errUnlocatedRef
+	case a.IsRef:
+		return Payload{isRef: true, ref: a.Ref, replicas: a.Replicas}, nil
 	}
-	args := make([]dmwire.CallArg, len(ps))
-	for i, p := range ps {
-		args[i] = p.wireArg()
-	}
-	return args
-}
-
-// payloadsFromWire converts a decoded list, aliasing inline bytes unless
-// copyInline is set, in which case they are copied out of the
-// (transport-owned, soon-recycled) envelope buffer so the payloads may
-// outlive it. A ref argument that is not located is refused.
-func payloadsFromWire(args []dmwire.CallArg, copyInline bool) ([]Payload, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	ps := make([]Payload, len(args))
-	for i, a := range args {
-		switch {
-		case a.IsRef && !a.Located:
-			return nil, errUnlocatedRef
-		case a.IsRef:
-			ps[i] = Payload{isRef: true, ref: a.Ref, replicas: a.Replicas}
-		case copyInline:
-			ps[i] = Inline(append([]byte(nil), a.Inline...))
-		default:
-			ps[i] = Inline(a.Inline)
-		}
-	}
-	return ps, nil
+	return Inline(a.Inline), nil
 }
