@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", ":7640", "TCP listen address")
+	listen := flag.String("listen", ":7640", "TCP listen address; a loopback IP (127.0.0.1:7640) also serves same-host clients that dial that literal address over a Unix-socket companion (Linux)")
 	pages := flag.Int("pages", 1<<16, "pool size in pages")
 	pageSize := flag.Int("pagesize", 4096, "page size in bytes")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "session lease TTL: a registered client session that sends no request (data call or heartbeat) for this long is reaped (0 disables leasing)")

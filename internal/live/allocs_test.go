@@ -29,6 +29,29 @@ func TestBufPoolAllocs(t *testing.T) {
 	}
 }
 
+// TestFreeFramesAllocs: taking frames off the free FIFO and freeing them
+// allocates nothing, however often they cycle (a slice FIFO re-allocated
+// all of itself every few hundred frees here).
+func TestFreeFramesAllocs(t *testing.T) {
+	srv := NewServer(ServerConfig{NumPages: 1024, PageSize: 4096})
+	defer srv.Close()
+	cycle := func() {
+		for i := 0; i < 1000; i++ {
+			f, ok := srv.popFrame()
+			if !ok {
+				t.Fatal("no free frame")
+			}
+			srv.pushFrames(f)
+		}
+	}
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Fatalf("1000 frame take/free cycles: %v allocs, want 0", got)
+	}
+	if got := srv.FreePages(); got != 1024 {
+		t.Fatalf("%d free pages after the cycles, want 1024", got)
+	}
+}
+
 // TestNodeCallAllocs: a loopback CallConsume with a nil consumer and an
 // empty fast response costs at most one allocation, so the caller slot,
 // the frame pool and the writers allocate nothing per call.

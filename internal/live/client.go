@@ -47,8 +47,9 @@ func DefaultClientConfig() ClientConfig {
 }
 
 // Client is a process's live session on one DM server: the Table II API
-// over a real TCP connection. A cluster of servers is a pool.Client,
-// which holds one Client per shard. Methods are safe for concurrent use.
+// over a real connection (TCP, or Unix to a same-host server). A cluster
+// of servers is a pool.Client, which holds one Client per shard. Methods
+// are safe for concurrent use.
 //
 // Refs minted here carry Server 0 and the Server field of a ref passed in
 // is not interpreted — the session has exactly one server to ask — so a
@@ -81,7 +82,7 @@ type Client struct {
 	epochSeen atomic.Int64
 }
 
-// conn is one multiplexed TCP connection to a peer node. All request
+// conn is one multiplexed connection to a peer node. All request
 // frames leave through bw, the connection's coalescing writer
 // (batchwriter.go): small frames are copied whole into its submission
 // queue and group-committed, large ones ride its direct zero-copy path.

@@ -64,8 +64,9 @@ type NodeConfig struct {
 	// (with jitter) up to RetryBackoffMax. Defaults 5ms / 500ms.
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
-	// Dialer replaces net.DialTimeout, letting tests route connections
-	// through fault injectors (internal/faultnet). Nil uses TCP.
+	// Dialer replaces the default dial, letting tests route connections
+	// through fault injectors (internal/faultnet). Nil dials TCP, or the
+	// same-host companion of a loopback listener (Node.Serve).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 	// CoalesceLimit is the frame-size cutoff (total bytes, header
 	// included) at or below which frames are copied into the
@@ -162,8 +163,9 @@ func (c NodeConfig) batchConfig() batchWriterConfig {
 	}
 }
 
-// Node is a live RPC endpoint: it serves registered methods over TCP and
-// issues calls to other nodes, multiplexing concurrent requests per
+// Node is a live RPC endpoint: it serves registered methods over TCP
+// (and over a Unix socket to same-host peers, see Serve) and issues
+// calls to other nodes, multiplexing concurrent requests per
 // connection — the real-network counterpart of the simulator's rpc.Node,
 // speaking the same frame format the DM protocol uses.
 type Node struct {
@@ -173,6 +175,7 @@ type Node struct {
 	peers    map[string]*conn      // lazily dialed, keyed by address
 	inbound  map[net.Conn]struct{} // accepted connections, for Close
 	ln       net.Listener
+	local    net.Listener // ln's same-host companion, or nil
 	closed   chan struct{}
 	once     sync.Once
 	conns    sync.WaitGroup
@@ -281,6 +284,9 @@ func (n *Node) lookup(m rpc.Method) (handlerEntry, bool) {
 }
 
 // Serve accepts connections on ln until Close; it returns nil after Close.
+// A plain loopback TCP listener also gets a same-host companion
+// (local_linux.go), served until Serve returns or its own accept loop
+// ends.
 func (n *Node) Serve(ln net.Listener) error {
 	n.mu.Lock()
 	select {
@@ -291,8 +297,25 @@ func (n *Node) Serve(ln net.Listener) error {
 		return nil
 	default:
 	}
-	n.ln = ln
+	n.ln, n.local = ln, listenLocal(ln)
+	if local := n.local; local != nil {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			n.accept(local)
+			local.Close() // dials fall back to TCP rather than queue unserved
+		}()
+		defer func() {
+			local.Close()
+			<-done
+		}()
+	}
 	n.mu.Unlock()
+	return n.accept(ln)
+}
+
+// accept serves every connection ln accepts until ln closes.
+func (n *Node) accept(ln net.Listener) error {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -304,9 +327,16 @@ func (n *Node) Serve(ln net.Listener) error {
 			}
 		}
 		n.mu.Lock()
+		select {
+		case <-n.closed: // Shutdown may already be waiting on conns
+			n.mu.Unlock()
+			c.Close()
+			return nil
+		default:
+		}
 		n.inbound[c] = struct{}{}
-		n.mu.Unlock()
 		n.conns.Add(1)
+		n.mu.Unlock()
 		go func() {
 			defer n.conns.Done()
 			defer func() {
@@ -332,6 +362,11 @@ func (n *Node) Shutdown(grace time.Duration) error {
 	n.once.Do(func() {
 		n.mu.Lock()
 		close(n.closed)
+		if n.local != nil {
+			// First, before Serve's own close can start and make this
+			// one return before the name is released.
+			n.local.Close()
+		}
 		if n.ln != nil {
 			err = n.ln.Close()
 		}
@@ -586,13 +621,7 @@ func (n *Node) peer(addr string, deadline time.Time) (*conn, error) {
 			timeout = rem
 		}
 	}
-	var nc net.Conn
-	var err error
-	if n.cfg.Dialer != nil {
-		nc, err = n.cfg.Dialer(addr, timeout)
-	} else {
-		nc, err = net.DialTimeout("tcp", addr, timeout)
-	}
+	nc, err := n.dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", errConnFailed, addr, err)
 	}
@@ -619,6 +648,36 @@ func (n *Node) peer(addr string, deadline time.Time) (*conn, error) {
 	n.peers[addr] = c
 	n.mu.Unlock()
 	return c, nil
+}
+
+// dial connects to addr with cfg.Dialer if set, else over the companion
+// of a same-host listener if it answers, else over TCP.
+func (n *Node) dial(addr string, timeout time.Duration) (net.Conn, error) {
+	if n.cfg.Dialer != nil {
+		return n.cfg.Dialer(addr, timeout)
+	}
+	var d net.Dialer
+	if timeout != 0 {
+		d.Deadline = time.Now().Add(timeout)
+	}
+	name := localName(addr)
+	if name == "" {
+		return d.Dial("tcp", addr)
+	}
+	c, refused := dialLocal(&d, name)
+	if c != nil {
+		return c, nil
+	}
+	tc, err := d.Dial("tcp", addr)
+	if err == nil && refused {
+		// A just-started Serve may not have bound the companion; the
+		// connect let it run. Nothing has been sent on tc yet.
+		if c, _ = dialLocal(&d, name); c != nil {
+			tc.Close()
+			return c, nil
+		}
+	}
+	return tc, err
 }
 
 // Call invokes method m at addr with body and returns the response body

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 	"repro/internal/rpc"
 )
 
-// startNode serves a node on loopback and returns its address.
+// startNode serves a node on loopback and returns its address once the
+// node is serving, its same-host companion's accept loop included.
 func startNode(t *testing.T, n *Node) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -30,7 +32,26 @@ func startNode(t *testing.T, n *Node) string {
 		n.Close()
 		<-done
 	})
+	waitServing(n, done)
 	return ln.Addr().String()
+}
+
+// waitServing returns once Serve has installed its listeners (or ended).
+func waitServing(n *Node, done <-chan struct{}) {
+	for {
+		n.mu.Lock()
+		up := n.ln != nil
+		n.mu.Unlock()
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if up {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 func TestNodeCallRoundTrip(t *testing.T) {

@@ -232,7 +232,7 @@ type Server struct {
 	refcnt []atomic.Int32
 
 	freeMu sync.Mutex
-	free   []int32 // FIFO of free frames
+	free   frameFIFO
 
 	nextOwner atomic.Uint32
 
@@ -294,7 +294,7 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg:    cfg,
 		pool:   make([]byte, cfg.NumPages*cfg.PageSize),
 		refcnt: make([]atomic.Int32, cfg.NumPages),
-		free:   make([]int32, cfg.NumPages),
+		free:   frameFIFO{ring: make([]int32, cfg.NumPages), n: cfg.NumPages},
 		node: NewNodeWith(NodeConfig{
 			MaxFrameSize:       cfg.MaxFrameSize,
 			CoalesceLimit:      cfg.CoalesceLimit,
@@ -303,8 +303,8 @@ func NewServer(cfg ServerConfig) *Server {
 		}),
 		reg: registry.New(),
 	}
-	for i := range s.free {
-		s.free[i] = int32(i)
+	for i := range s.free.ring {
+		s.free.ring[i] = int32(i)
 	}
 	for i := range s.trans {
 		s.trans[i].m = make(map[transKey]int32)
@@ -455,7 +455,7 @@ func (s *Server) reap(d *dmSession, force bool) {
 func (s *Server) FreePages() int {
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
-	return len(s.free)
+	return s.free.n
 }
 
 // WriteStats snapshots the server's wire-write counters (frames, batches,
@@ -548,32 +548,64 @@ func (s *Server) frame(f int32) []byte {
 func (s *Server) popFrame() (int32, bool) {
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
-	if len(s.free) == 0 {
+	if s.free.n == 0 {
 		return -1, false
 	}
-	f := s.free[0]
-	s.free = s.free[1:]
-	return f, true
+	var f [1]int32
+	s.free.take(f[:])
+	return f[0], true
 }
 
 // popFrames takes n frames in one lock acquisition, or none at all.
 func (s *Server) popFrames(n int) []int32 {
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
-	if len(s.free) < n {
+	if s.free.n < n {
 		return nil
 	}
 	out := make([]int32, n)
-	copy(out, s.free[:n])
-	s.free = s.free[n:]
+	s.free.take(out)
 	return out
 }
 
 // pushFrames returns frames to the free FIFO.
 func (s *Server) pushFrames(frames ...int32) {
 	s.freeMu.Lock()
-	s.free = append(s.free, frames...)
+	s.free.put(frames)
 	s.freeMu.Unlock()
+}
+
+// frameFIFO is the free-frame FIFO: a ring with room for every frame, so
+// taking and freeing frames never allocates (a slice FIFO copies all of
+// itself to a new array whenever its tail runs out of room).
+type frameFIFO struct {
+	ring    []int32
+	head, n int
+}
+
+// at returns the i-th oldest free frame.
+func (q *frameFIFO) at(i int) int32 { return q.ring[(q.head+i)%len(q.ring)] }
+
+// take moves the len(out) oldest free frames into out; the caller has
+// checked that there are that many.
+func (q *frameFIFO) take(out []int32) {
+	for i := range out {
+		out[i] = q.at(i)
+	}
+	q.head = (q.head + len(out)) % len(q.ring)
+	q.n -= len(out)
+}
+
+// put appends frames. The ring holds every frame, so only a frame freed
+// twice can overflow it.
+func (q *frameFIFO) put(frames []int32) {
+	if q.n+len(frames) > len(q.ring) {
+		panic("live: free-frame FIFO overflow: a frame was freed twice")
+	}
+	for _, f := range frames {
+		q.ring[(q.head+q.n)%len(q.ring)] = f
+		q.n++
+	}
 }
 
 // pin takes a transient hold on f so it cannot be reclaimed (and its
@@ -1327,8 +1359,9 @@ func (s *Server) CheckInvariants() error {
 			return fmt.Errorf("frame %d refcount %d, want %d", f, got, want)
 		}
 	}
-	freeSet := make(map[int32]bool, len(s.free))
-	for _, f := range s.free {
+	freeSet := make(map[int32]bool, s.free.n)
+	for i := 0; i < s.free.n; i++ {
+		f := s.free.at(i)
 		if freeSet[f] {
 			return fmt.Errorf("frame %d free twice", f)
 		}
