@@ -33,22 +33,16 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "session lease TTL: a registered client session that sends no request (data call or heartbeat) for this long is reaped (0 disables leasing)")
 	drain := flag.Duration("drain", time.Second, "graceful drain window on shutdown before connections are cut")
 	maxFrame := flag.Uint("max-frame", live.DefaultMaxFrameSize, "maximum accepted frame payload in bytes")
-	coalesceLimit := flag.Int("coalesce-limit", 0, "largest response coalesced into batched writes, bytes (0 = default, negative disables)")
-	coalesceBatch := flag.Int("coalesce-batch", 0, "max bytes per group-commit flush (0 = default)")
-	coalesceSpin := flag.Duration("coalesce-spin", 0, "adaptive spin-then-flush window cap (0 = default, negative disables)")
 	statsEvery := flag.Duration("stats", 0, "print free-page/live-ref/writer counters at this interval (0 disables)")
 	shardID := flag.Int("shard-id", -1, "cluster-wide shard ID announced to pool clients (-1 = single-server, no shard)")
 	flag.Parse()
 
 	cfg := live.ServerConfig{
-		NumPages:           *pages,
-		PageSize:           *pageSize,
-		LeaseTTL:           *leaseTTL,
-		DrainTimeout:       *drain,
-		MaxFrameSize:       uint32(*maxFrame),
-		CoalesceLimit:      *coalesceLimit,
-		CoalesceBatchBytes: *coalesceBatch,
-		CoalesceSpin:       *coalesceSpin,
+		NumPages:     *pages,
+		PageSize:     *pageSize,
+		LeaseTTL:     *leaseTTL,
+		DrainTimeout: *drain,
+		MaxFrameSize: uint32(*maxFrame),
 	}
 	if *shardID >= 0 {
 		cfg.HasShard = true
@@ -77,10 +71,9 @@ func main() {
 				// (live.LeasedBufs); epoch is the §D15 cache-invalidation
 				// epoch piggybacked on heartbeats. leased_bufs should
 				// return to zero when in-process clients go idle.
-				fmt.Printf("dmserverd: free_pages=%d live_refs=%d stage_puts=%d leased_bufs=%d epoch=%d tx_frames=%d tx_batches=%d tx_inline=%d group_commit=%.1f spin_batches=%d queue_frames=%d queue_bytes=%d tx_bytes=%d\n",
+				fmt.Printf("dmserverd: free_pages=%d live_refs=%d stage_puts=%d leased_bufs=%d epoch=%d tx_frames=%d tx_bytes=%d tx_dropped=%d\n",
 					srv.FreePages(), srv.LiveRefs(), srv.StagePuts(), live.LeasedBufs(), srv.Epoch(),
-					ws.Frames, ws.Batches, ws.InlineFrames,
-					ws.GroupCommitFactor, ws.SpinBatches, ws.QueueFrames, ws.QueueBytes, ws.Bytes)
+					ws.Frames, ws.Bytes, ws.DroppedFrames)
 			}
 		}()
 	}

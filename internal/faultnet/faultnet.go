@@ -9,11 +9,15 @@
 // An Injector is shared by every connection it wraps; its zero value is
 // transparent. All knobs are safe for concurrent use and take effect on
 // the next I/O operation, so tests can flip faults while traffic is in
-// flight.
+// flight. A wrapped connection honours its read and write deadlines in
+// the injected delays and stalls too: an I/O held there past its
+// deadline fails with os.ErrDeadlineExceeded, as a real socket's does
+// when the peer stops reading.
 package faultnet
 
 import (
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -161,6 +165,36 @@ type Conn struct {
 	inj    *Injector
 	once   sync.Once
 	closed chan struct{}
+
+	dmu    sync.Mutex
+	rdline time.Time // read deadline, as last set
+	wdline time.Time // write deadline, as last set
+}
+
+// SetDeadline sets both deadlines on c and on the wrapped connection.
+func (c *Conn) SetDeadline(t time.Time) error {
+	c.dmu.Lock()
+	c.rdline, c.wdline = t, t
+	c.dmu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+// SetReadDeadline sets the read deadline on c and on the wrapped
+// connection.
+func (c *Conn) SetReadDeadline(t time.Time) error {
+	c.dmu.Lock()
+	c.rdline = t
+	c.dmu.Unlock()
+	return c.Conn.SetReadDeadline(t)
+}
+
+// SetWriteDeadline sets the write deadline on c and on the wrapped
+// connection.
+func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.dmu.Lock()
+	c.wdline = t
+	c.dmu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
 }
 
 // Close closes the underlying connection and unblocks stalled I/O.
@@ -175,30 +209,53 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// gate applies delay and stall; it returns false if the conn closed while
-// blocked.
-func (c *Conn) gate(delay time.Duration, stallCh chan struct{}) bool {
+// gate applies one I/O's delay and stall. It fails with net.ErrClosed if
+// the conn closes while blocked, and with os.ErrDeadlineExceeded if the
+// I/O's deadline passes first.
+func (c *Conn) gate(write bool) error {
+	delay, stallCh, deadline := c.faults(write)
+	if delay <= 0 && stallCh == nil {
+		return nil
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
 	if delay > 0 {
 		t := time.NewTimer(delay)
 		defer t.Stop()
 		select {
 		case <-t.C:
 		case <-c.closed:
-			return false
+			return net.ErrClosed
+		case <-expired:
+			return os.ErrDeadlineExceeded
 		}
 	}
 	if stallCh != nil {
 		select {
 		case <-stallCh:
 		case <-c.closed:
-			return false
+			return net.ErrClosed
+		case <-expired:
+			return os.ErrDeadlineExceeded
 		}
 	}
-	return true
+	return nil
 }
 
-// faults snapshots the injector state relevant to one I/O.
-func (c *Conn) faults(write bool) (delay time.Duration, stallCh chan struct{}) {
+// faults snapshots the injector state and the deadline relevant to one
+// I/O.
+func (c *Conn) faults(write bool) (delay time.Duration, stallCh chan struct{}, deadline time.Time) {
+	c.dmu.Lock()
+	if write {
+		deadline = c.wdline
+	} else {
+		deadline = c.rdline
+	}
+	c.dmu.Unlock()
 	c.inj.mu.Lock()
 	defer c.inj.mu.Unlock()
 	if write {
@@ -209,7 +266,7 @@ func (c *Conn) faults(write bool) (delay time.Duration, stallCh chan struct{}) {
 	if c.inj.stalled {
 		stallCh = c.inj.unstall
 	}
-	return delay, stallCh
+	return delay, stallCh, deadline
 }
 
 // spend consumes n bytes of the cut budget; it reports whether the budget
@@ -229,9 +286,8 @@ func (c *Conn) spend(n int) bool {
 }
 
 func (c *Conn) Read(b []byte) (int, error) {
-	delay, stallCh := c.faults(false)
-	if !c.gate(delay, stallCh) {
-		return 0, net.ErrClosed
+	if err := c.gate(false); err != nil {
+		return 0, err
 	}
 	n, err := c.Conn.Read(b)
 	if n > 0 && c.spend(n) {
@@ -242,9 +298,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 }
 
 func (c *Conn) Write(b []byte) (int, error) {
-	delay, stallCh := c.faults(true)
-	if !c.gate(delay, stallCh) {
-		return 0, net.ErrClosed
+	if err := c.gate(true); err != nil {
+		return 0, err
 	}
 	c.inj.mu.Lock()
 	trunc := c.inj.truncNext

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -125,6 +126,60 @@ func TestHealClearsStall(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("read on healed link still stalled: Heal did not clear the stall gate")
+	}
+}
+
+// TestStallHonoursWriteDeadline pins the deadline semantics of the
+// injected faults: a write held by a stall or by a write delay fails
+// with os.ErrDeadlineExceeded once its deadline passes, as a write to a
+// real socket whose peer stopped reading does, and a read held by a
+// stall does the same with its read deadline.
+func TestStallHonoursWriteDeadline(t *testing.T) {
+	inj := New()
+	client, _ := pipePair(t, inj)
+	// within runs op in the background and returns its error, failing
+	// the test if op is still blocked after 2 s.
+	within := func(what string, op func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() { done <- op() }()
+		select {
+		case err := <-done:
+			if d := time.Since(start); d < 40*time.Millisecond {
+				t.Errorf("%s returned after %v, before its 50ms deadline", what, d)
+			}
+			return err
+		case <-time.After(2 * time.Second):
+			client.Close() // release the blocked I/O
+			<-done
+			t.Fatalf("%s still blocked 2s past its deadline", what)
+			return nil
+		}
+	}
+	write := func() error {
+		_, err := client.Write([]byte("w"))
+		return err
+	}
+
+	inj.Stall()
+	client.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+	if err := within("stalled write", write); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled write = %v, want os.ErrDeadlineExceeded", err)
+	}
+	client.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if err := within("stalled read", func() error {
+		_, err := client.Read(make([]byte, 1))
+		return err
+	}); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled read = %v, want os.ErrDeadlineExceeded", err)
+	}
+	inj.Unstall()
+
+	inj.SetWriteDelay(time.Minute)
+	client.SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if err := within("delayed write", write); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("delayed write = %v, want os.ErrDeadlineExceeded", err)
 	}
 }
 

@@ -8,14 +8,13 @@ import (
 	"repro/internal/rpc"
 )
 
-// Asynchronous calls, for the pool's fan-outs only: callAsync ships the
-// request immediately (through the connection's coalescing writer, so a
-// burst of futures issued back-to-back group-commits into few vectored
-// writes) and returns a future; wait collects the response later, with
-// the same deadline, retry and at-most-once semantics as the synchronous
-// path: the future holds one session slot from callAsync until wait
-// returns. Every caller waits on each future it starts, so the in-flight
-// calls stay bounded by callers × fan-out width.
+// Asynchronous calls, for the pool's fan-outs only: callAsync writes the
+// request and returns a future without waiting for the response, so a
+// caller can have several calls in flight; wait collects the response
+// later, with the same deadline, retry and at-most-once semantics as the
+// synchronous path: the future holds one session slot from callAsync
+// until wait returns. Every caller waits on each future it starts, so
+// the in-flight calls stay bounded by callers × fan-out width.
 
 // pending is one in-flight asynchronous call. It is not safe for
 // concurrent use, and wait must be called exactly once: an abandoned
@@ -44,14 +43,14 @@ type pending struct {
 // AdoptRefReq with a full replica list.
 const reqHdrMax = 8 + 8 + 1 + 4*dmwire.MaxRefReplicas
 
-// callAsync starts method m at addr on p and returns at once. The request
-// is handed to the wire immediately; errors — including submission
-// failures — surface from wait, which also runs the retry loop, so hdr
-// and payload must stay valid and unmodified until wait returns. The call
-// takes the node's default deadline.
+// callAsync starts method m at addr on p and returns once the request is
+// written; errors — including submission failures — surface from wait,
+// which also runs the retry loop, so hdr and payload must stay valid and
+// unmodified until wait returns. The call takes the node's default
+// deadline.
 func (n *Node) callAsync(p *pending, addr string, m rpc.Method, hdr, payload []byte) {
 	p.n, p.addr, p.m, p.hdr, p.payload, p.start = n, addr, m, hdr, payload, time.Now()
-	p.deadline = n.overallDeadline(CallOpts{})
+	p.deadline = n.overallDeadline(0)
 	p.sess = n.sess.Load()
 	if p.sl, p.err = p.sess.acquire(p.deadline); p.err != nil {
 		return
@@ -60,12 +59,12 @@ func (n *Node) callAsync(p *pending, addr string, m rpc.Method, hdr, payload []b
 	if p.c, p.err = n.peer(addr, p.attDL); p.err != nil {
 		return
 	}
-	p.id, p.err = p.c.send(m, hdr, payload, p.attDL, p.sl, false)
+	p.id, p.err = p.c.send(m, hdr, payload, p.attDL, p.sl)
 }
 
 // wait blocks for the response and hands the pooled body to consume
 // (which must not retain it; nil ignores the body), exactly like
-// CallConsumeOpts. A transient failure of the in-flight attempt —
+// CallConsume. A transient failure of the in-flight attempt —
 // including a submission error from callAsync — is retried with full
 // re-sends. The call's submission-to-completion latency lands in the
 // node's histogram, a call that never got a slot's included.

@@ -140,8 +140,7 @@ func TestLateResponseAfterTimeoutNoLeak(t *testing.T) {
 
 	cli := NewNodeWith(NodeConfig{MaxRetries: -1})
 	defer cli.Close()
-	err := cli.CallConsumeOpts(addr, 9, nil, nil, nil,
-		CallOpts{Timeout: 100 * time.Millisecond})
+	err := cli.CallConsumeWithin(addr, 9, nil, nil, 100*time.Millisecond, nil)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("slow call returned %v, want ErrDeadline", err)
 	}
@@ -177,12 +176,13 @@ func TestLateResponseAfterTimeoutNoLeak(t *testing.T) {
 	}
 }
 
-// TestBatchWriterFailureUnderFaultnet exercises the coalescing writer's
-// poison path on a real connection: with the link stalled, a burst of
-// async writes queues up; a partition then kills the connection
-// mid-flush, every future must fail (no hangs, no successes), the
-// dropped-frame counter must account for the queued frames, and after
-// healing a fresh call must redial and succeed.
+// TestBatchWriterFailureUnderFaultnet exercises the writer's poison
+// path on a real connection: with the link stalled, a burst of async
+// writes blocks in the writer, one frame in the stalled write and the
+// rest on the write lock; a partition then kills the connection, every
+// future must fail (no hangs, no successes), the dropped-frame counter
+// must count the frames that never went out, and after healing a fresh
+// call must redial and succeed.
 func TestBatchWriterFailureUnderFaultnet(t *testing.T) {
 	srv, addr := startServer(t, smallConfig())
 	inj := faultnet.New()
@@ -205,21 +205,31 @@ func TestBatchWriterFailureUnderFaultnet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	inj.Stall() // writes block in flight; the submission queue builds
+	inj.Stall() // writes block in the stall gate
+	// Each submission blocks until its frame is written or fails, so the
+	// burst is issued from goroutines; the attempt deadline bounds every
+	// one of them even if the partition below missed it.
 	const burst = 8
 	ops := make([]*AsyncOp, burst)
 	src := bytes.Repeat([]byte{0xCD}, 512)
+	var issued sync.WaitGroup
 	for i := range ops {
-		ops[i] = writeAsync(cl, a, src)
+		issued.Add(1)
+		go func(i int) {
+			defer issued.Done()
+			ops[i] = writeAsync(cl, a, src)
+		}(i)
 	}
-	inj.Partition() // cut mid-flush: the blocked write fails
+	waitWriteHeld(t, cl.node, cl.addr) // a frame is in the stalled write
+	inj.Partition()                    // which fails
+	issued.Wait()
 	for i, op := range ops {
 		if err := op.Wait(); err == nil {
 			t.Fatalf("write %d succeeded across a partition with retries disabled", i)
 		}
 	}
 	if dropped := cl.node.WriteStats().DroppedFrames; dropped == 0 {
-		t.Fatal("partition mid-flush dropped no queued frames")
+		t.Fatal("the partition dropped no frames")
 	}
 
 	inj.Heal() // also clears the stall gate for the fresh dial below

@@ -244,83 +244,59 @@ func BenchmarkLiveCoWWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveSmallOpThroughput is the tentpole's figure of merit:
-// aggregate small-op throughput with N workers multiplexing 4 KiB
-// StageRef+ReadRef+FreeRef cycles over ONE shared connection, with the coalescing
-// writer on versus off (CoalesceLimit=-1 on both ends). With several
-// requests in flight per conn, group commit turns the per-frame write()
-// storm into few vectored writes; the frames/batch and batches/s extra
-// metrics (from the server's writer counters: responses to a pipelined
-// request stream pile up behind the in-flight flush and group-commit)
-// show it happening.
+// BenchmarkLiveSmallOpThroughput is aggregate small-op throughput with
+// N workers multiplexing 4 KiB StageRef+ReadRef+FreeRef cycles over ONE
+// shared connection, whose writer they take turns at.
 func BenchmarkLiveSmallOpThroughput(b *testing.B) {
 	const size = 4096
-	for _, batch := range []string{"on", "off"} {
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("batch=%s/clients=%d", batch, workers), func(b *testing.B) {
-				scfg := ServerConfig{NumPages: 1 << 15, PageSize: 4096}
-				ccfg := DefaultClientConfig()
-				if batch == "off" {
-					scfg.CoalesceLimit = -1
-					ccfg.Net.CoalesceLimit = -1
-				}
-				srv, addr := benchServer(b, scfg)
-				cl, err := DialConfig(ccfg, addr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := cl.Register(); err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { cl.Close() })
-				payload := make([]byte, size)
-				// Each iteration stages 4 KiB and reads it back.
-				b.SetBytes(2 * size)
-				before := srv.WriteStats()
-				var iters atomic.Int64
-				iters.Store(int64(b.N))
-				var wg sync.WaitGroup
-				errs := make(chan error, workers)
-				b.ResetTimer()
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						buf := make([]byte, size)
-						for iters.Add(-1) >= 0 {
-							ref, err := cl.StageRef(payload)
-							if err != nil {
-								errs <- err
-								return
-							}
-							if err := cl.ReadRef(ref, 0, buf); err != nil {
-								errs <- err
-								return
-							}
-							if err := cl.FreeRef(ref); err != nil {
-								errs <- err
-								return
-							}
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("clients=%d", workers), func(b *testing.B) {
+			_, addr := benchServer(b, ServerConfig{NumPages: 1 << 15, PageSize: 4096})
+			cl, err := DialConfig(DefaultClientConfig(), addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cl.Register(); err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { cl.Close() })
+			payload := make([]byte, size)
+			// Each iteration stages 4 KiB and reads it back.
+			b.SetBytes(2 * size)
+			var iters atomic.Int64
+			iters.Store(int64(b.N))
+			var wg sync.WaitGroup
+			errs := make(chan error, workers)
+			b.ResetTimer()
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]byte, size)
+					for iters.Add(-1) >= 0 {
+						ref, err := cl.StageRef(payload)
+						if err != nil {
+							errs <- err
+							return
 						}
-					}()
-				}
-				wg.Wait()
-				elapsed := b.Elapsed()
-				b.StopTimer()
-				close(errs)
-				for err := range errs {
-					b.Fatal(err)
-				}
-				after := srv.WriteStats()
-				batches := after.Batches - before.Batches
-				coalesced := (after.Frames - before.Frames) -
-					(after.DirectFrames - before.DirectFrames) -
-					(after.InlineFrames - before.InlineFrames)
-				if batches > 0 {
-					b.ReportMetric(float64(coalesced)/float64(batches), "frames/batch")
-					b.ReportMetric(float64(batches)/elapsed.Seconds(), "batches/s")
-				}
-			})
-		}
+						if err := cl.ReadRef(ref, 0, buf); err != nil {
+							errs <- err
+							return
+						}
+						if err := cl.FreeRef(ref); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			close(errs)
+			for err := range errs {
+				b.Fatal(err)
+			}
+		})
+
 	}
 }

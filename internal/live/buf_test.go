@@ -159,7 +159,7 @@ func TestLeaseNotLeakedOnDeadline(t *testing.T) {
 			newLeasedBuf(frame, body) // deliberately never released
 			return nil
 		},
-	}, CallOpts{})
+	}, 0)
 	if err == nil {
 		t.Fatal("call against the slow handler beat its deadline")
 	}

@@ -82,13 +82,12 @@ type Client struct {
 	epochSeen atomic.Int64
 }
 
-// conn is one multiplexed connection to a peer node. All request
-// frames leave through bw, the connection's coalescing writer
-// (batchwriter.go): small frames are copied whole into its submission
-// queue and group-committed, large ones ride its direct zero-copy path.
+// conn is one multiplexed connection to a peer node. Every request
+// frame leaves through w, the connection's writer (writer.go), written
+// by the goroutine that issues the call.
 type conn struct {
 	c        net.Conn
-	bw       *batchWriter
+	w        *connWriter
 	maxFrame uint32
 	pmu      sync.Mutex
 	// pending maps a request id to the channel of the caller slot waiting
@@ -174,14 +173,14 @@ func (c *conn) readLoop() {
 	}
 }
 
-// fail poisons the connection and unblocks all waiters: the coalescing
-// writer is killed (queued frames recycled, blocked enqueuers released),
-// the socket closed so the read loop exits, and every pending call gets a
-// nil payload — the channel belongs to a caller slot and is reused, so it
-// is never closed. Idempotent — the read loop, the writer's failure hook,
-// and failed senders may all race into it.
+// fail poisons the connection and unblocks all waiters: the writer is
+// killed (later writes fail), the socket closed so the read loop and any
+// blocked write return, and every pending call gets a nil payload — the
+// channel belongs to a caller slot and is reused, so it is never closed.
+// Idempotent — the read loop, the writer's failure hook, and failed
+// senders may all race into it.
 func (c *conn) fail(err error) {
-	c.bw.kill(err)
+	c.w.kill(err)
 	c.c.Close()
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
@@ -201,25 +200,19 @@ func (c *conn) fail(err error) {
 // means none) on slot sl: send ships the request, await collects the
 // response.
 func (c *conn) call(m rpc.Method, hdr, payload []byte, cons consumer, deadline time.Time, sl *callerSlot) error {
-	id, err := c.send(m, hdr, payload, deadline, sl, true)
+	id, err := c.send(m, hdr, payload, deadline, sl)
 	if err != nil {
 		return err
 	}
 	return c.await(m, id, sl, deadline, cons)
 }
 
-// send registers sl's channel for a fresh request id and ships one
+// send registers sl's channel for a fresh request id and writes one
 // request frame — frame header, session stamp, method, hdr, payload —
-// returning the id for await. Small frames are copied whole into the
-// coalescing writer's queue (send returns once the frame is accepted, not
-// written — the pipelining callAsync builds on); bodies above the
-// coalesce cutoff go out synchronously as a vectored write with no
-// intermediate copy of payload — the zero-copy path large rwrite/stage
-// bodies ride. sync marks a caller about to block on the response: its
-// frame may be written inline when the connection is idle (skipping the
-// flusher handoff), while async submitters always queue so their bursts
-// coalesce. A failed send leaves sl's channel empty.
-func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, sl *callerSlot, sync bool) (uint64, error) {
+// returning the id for await. The head goes in a pooled buffer and
+// payload rides as its own segment of the vectored write, with no
+// intermediate copy. A failed send leaves sl's channel empty.
+func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, sl *callerSlot) (uint64, error) {
 	c.pmu.Lock()
 	if dead := c.dead; dead != nil {
 		c.pmu.Unlock()
@@ -230,26 +223,11 @@ func (c *conn) send(m rpc.Method, hdr, payload []byte, deadline time.Time, sl *c
 	c.pending[id] = sl.ch
 	c.pmu.Unlock()
 
-	head := frameHeaderSize + stampSize + 2 + len(hdr)
-	total := head + len(payload)
-	var err error
-	if c.bw.coalesce(total) {
-		// One pooled buffer holds the whole frame; ownership transfers to
-		// the writer, which recycles it after the group-commit flush.
-		frame := getBuf(total)
-		fillRequestHead(frame, total-frameHeaderSize, id, sl.st, m, hdr)
-		copy(frame[head:], payload)
-		if sync {
-			err = c.bw.enqueueInline(frame, deadline)
-		} else {
-			err = c.bw.enqueue(frame, deadline)
-		}
-	} else {
-		scratch := getBuf(head)
-		fillRequestHead(scratch, total-frameHeaderSize, id, sl.st, m, hdr)
-		err = c.bw.writeDirect(scratch, payload, deadline)
-		putBuf(scratch)
-	}
+	n := frameHeaderSize + stampSize + 2 + len(hdr)
+	head := getBuf(n)
+	fillRequestHead(head, n+len(payload)-frameHeaderSize, id, sl.st, m, hdr)
+	err := c.w.write(head, payload, deadline)
+	putBuf(head)
 	if err != nil {
 		// The writer's failure hook may already have answered the
 		// registration with a nil payload: drop it and drain the slot.
@@ -413,14 +391,14 @@ func (cl *Client) heartbeatLoop(interval time.Duration, cancel chan struct{}) {
 		case <-cancel:
 			return
 		case <-tick.C:
-			err := cl.node.CallConsumeOpts(cl.addr, dmwire.MHeartbeat, nil, nil, func(resp []byte) error {
+			err := cl.node.CallConsumeWithin(cl.addr, dmwire.MHeartbeat, nil, nil, interval, func(resp []byte) error {
 				r, err := dmwire.UnmarshalHeartbeatResp(resp)
 				if err != nil {
 					return err
 				}
 				cl.observeEpoch(r.Epoch)
 				return nil
-			}, CallOpts{Timeout: interval})
+			})
 			if err == nil {
 				cl.hbFails.Store(0)
 				continue
@@ -701,7 +679,7 @@ func (cl *Client) callLease(m rpc.Method, hdr []byte, size int64) (*Buf, error) 
 			}
 			out = newLeasedBuf(frame, body)
 			return nil
-		}}, CallOpts{})
+		}}, 0)
 	if err != nil {
 		return nil, err
 	}

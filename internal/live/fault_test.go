@@ -757,11 +757,10 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 	}
 	inj.SetWriteDelay(0)
 
-	// Timeout class, submission path: a full write stall holds queued
-	// async frames in the coalescing writer; the future's pending-wait
-	// expires and must be attributed to Timeouts too. Retries are off on
-	// this client — a sync re-send would write on the caller's goroutine
-	// and park in the stall gate instead of reaching a deadline.
+	// Timeout class, submission path: a full write stall holds an async
+	// frame's write until its attempt deadline fails it, and that failure
+	// must be attributed to Timeouts too. Retries are off on this client,
+	// so the one failed write is the whole story.
 	acfg := DefaultClientConfig()
 	acfg.HeartbeatInterval = -1
 	acfg.Net.Dialer = injectedDialer(inj)

@@ -68,27 +68,6 @@ type NodeConfig struct {
 	// through fault injectors (internal/faultnet). Nil dials TCP, or the
 	// same-host companion of a loopback listener (Node.Serve).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
-	// CoalesceLimit is the frame-size cutoff (total bytes, header
-	// included) at or below which frames are copied into the
-	// per-connection coalescing queue and group-committed in one vectored
-	// write (DESIGN.md §D10); larger frames take the synchronous zero-copy
-	// path. 0 uses DefaultCoalesceLimit; negative disables coalescing
-	// entirely (every frame writes directly — the per-frame-syscall
-	// baseline the batching benchmarks compare against).
-	CoalesceLimit int
-	// CoalesceBatchBytes caps how many queued bytes one coalesced flush
-	// may drain into a single vectored write; the submission queue admits
-	// up to four times this before enqueuers block (backpressure).
-	// 0 uses DefaultCoalesceBatchBytes.
-	CoalesceBatchBytes int
-	// CoalesceSpin caps the adaptive spin-then-flush window: when the
-	// observed submission rate is high (EWMA of the inter-enqueue gap at
-	// or below this value), the flusher lingers up to min(8×gap, this)
-	// before committing, letting a burst coalesce into one vectored
-	// write. Idle and low-rate connections never spin, preserving the
-	// inline fast path. 0 uses DefaultCoalesceSpin; negative disables the
-	// spin (flush-immediately, the pre-adaptive behaviour).
-	CoalesceSpin time.Duration
 }
 
 // writeTimeout bounds one response write, so a peer that stops reading
@@ -98,17 +77,14 @@ const writeTimeout = 30 * time.Second
 // DefaultNodeConfig returns the production defaults described per field.
 func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
-		MaxFrameSize:       DefaultMaxFrameSize,
-		MaxSlowPerConn:     64,
-		CallTimeout:        15 * time.Second,
-		AttemptTimeout:     3 * time.Second,
-		DialTimeout:        3 * time.Second,
-		MaxRetries:         3,
-		RetryBackoff:       5 * time.Millisecond,
-		RetryBackoffMax:    500 * time.Millisecond,
-		CoalesceLimit:      DefaultCoalesceLimit,
-		CoalesceBatchBytes: DefaultCoalesceBatchBytes,
-		CoalesceSpin:       DefaultCoalesceSpin,
+		MaxFrameSize:    DefaultMaxFrameSize,
+		MaxSlowPerConn:  64,
+		CallTimeout:     15 * time.Second,
+		AttemptTimeout:  3 * time.Second,
+		DialTimeout:     3 * time.Second,
+		MaxRetries:      3,
+		RetryBackoff:    5 * time.Millisecond,
+		RetryBackoffMax: 500 * time.Millisecond,
 	}
 }
 
@@ -139,28 +115,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.RetryBackoffMax == 0 {
 		c.RetryBackoffMax = d.RetryBackoffMax
 	}
-	if c.CoalesceLimit == 0 {
-		c.CoalesceLimit = d.CoalesceLimit
-	}
-	if c.CoalesceBatchBytes == 0 {
-		c.CoalesceBatchBytes = d.CoalesceBatchBytes
-	}
-	if c.CoalesceSpin == 0 {
-		c.CoalesceSpin = d.CoalesceSpin
-	}
 	return c
-}
-
-// batchConfig derives one connection's coalescing-writer sizing from the
-// node configuration.
-func (c NodeConfig) batchConfig() batchWriterConfig {
-	return batchWriterConfig{
-		limit:        c.CoalesceLimit,
-		batchBytes:   c.CoalesceBatchBytes,
-		queueBytes:   4 * c.CoalesceBatchBytes,
-		writeTimeout: writeTimeout,
-		spin:         c.CoalesceSpin,
-	}
 }
 
 // Node is a live RPC endpoint: it serves registered methods over TCP
@@ -190,26 +145,16 @@ type Node struct {
 }
 
 // WriteStats snapshots the node's wire-write counters, aggregated across
-// every connection (outbound and serving) it has owned. The group-commit
-// derivatives (CoalescedFrames, GroupCommitFactor) are computed here so
-// readers get them consistently instead of re-deriving them.
+// every connection (outbound and serving) it has owned.
 func (n *Node) WriteStats() WriteStats {
-	ws := WriteStats{
-		Frames:        n.wstats.frames.Load(),
-		Batches:       n.wstats.batches.Load(),
-		InlineFrames:  n.wstats.inline.Load(),
-		DirectFrames:  n.wstats.direct.Load(),
-		Bytes:         n.wstats.bytes.Load(),
-		DroppedFrames: n.wstats.dropped.Load(),
-		SpinBatches:   n.wstats.spins.Load(),
-		QueueFrames:   n.wstats.qframes.Load(),
-		QueueBytes:    n.wstats.qbytes.Load(),
+	frames := n.wstats.frames.Load()
+	return WriteStats{
+		Frames:          frames,
+		Bytes:           n.wstats.bytes.Load(),
+		DroppedFrames:   n.wstats.dropped.Load(),
+		Batches:         frames,
+		CoalescedFrames: frames,
 	}
-	ws.CoalescedFrames = ws.Frames - ws.InlineFrames - ws.DirectFrames
-	if ws.Batches > 0 {
-		ws.GroupCommitFactor = float64(ws.CoalescedFrames) / float64(ws.Batches)
-	}
-	return ws
 }
 
 // Latency summarizes the node's per-call latency distribution
@@ -413,18 +358,14 @@ type request struct {
 // serveConn handles one inbound connection. Fast handlers run to
 // completion on this goroutine; slow handlers run on the connection's
 // persistent workers, at most MaxSlowPerConn of them, so a worker's
-// grown stack is reused rather than grown again for every request. All
-// responses go out through the connection's coalescing writer
-// (batchwriter.go): small ones are copied into the submission queue and
-// group-committed, large ones take the direct zero-copy path.
+// grown stack is reused rather than grown again for every request.
+// Whichever goroutine answers a request writes its response, through the
+// connection's writer (writer.go).
 func (n *Node) serveConn(c net.Conn) {
 	defer c.Close()
 	// On a write failure the writer closes the socket so this read loop
-	// unblocks; teardown then drains the writer (close flushes whatever
-	// was accepted before the socket dies — LIFO defers: close runs
-	// before c.Close).
-	bw := newBatchWriter(c, n.cfg.batchConfig(), &n.wstats, func(error) { c.Close() })
-	defer bw.close()
+	// unblocks.
+	w := &connWriter{c: c, stats: &n.wstats, onFail: func(error) { c.Close() }}
 	br := bufio.NewReaderSize(c, 64<<10)
 	// A slow request goes to an idle worker over work, else to a new
 	// worker while fewer than MaxSlowPerConn exist, else the send blocks
@@ -461,11 +402,8 @@ func (n *Node) serveConn(c net.Conn) {
 		}
 		if e.fast {
 			// fast contract: the response never aliases the request, so
-			// the request buffer recycles right after. The response may
-			// write inline only when no further request is already
-			// buffered: with a pipeline behind this request, it queues
-			// instead so reading overlaps the flusher's writes.
-			sess, err = n.serve(c, bw, nil, request{e: e, sess: sess, seq: seq, reqID: reqID, body: reqBody}, br.Buffered() == 0)
+			// the request buffer recycles right after.
+			sess, err = n.serve(c, w, nil, request{e: e, sess: sess, seq: seq, reqID: reqID, body: reqBody})
 			putBuf(payload)
 			if err != nil {
 				return
@@ -476,7 +414,7 @@ func (n *Node) serveConn(c net.Conn) {
 		if int(busy.Add(1)) > workers && (n.cfg.MaxSlowPerConn <= 0 || workers < n.cfg.MaxSlowPerConn) {
 			workers++
 			n.slowWorkers.Add(1)
-			go n.slowWorker(c, bw, &busy, work, req)
+			go n.slowWorker(c, w, &busy, work, req)
 			continue
 		}
 		work <- req
@@ -497,10 +435,10 @@ func parseRequest(payload []byte) (session, seq uint64, m rpc.Method, body []byt
 
 // slowWorker serves req, then whatever its connection's read loop hands
 // it, until the loop closes work.
-func (n *Node) slowWorker(c net.Conn, bw *batchWriter, busy *atomic.Int32, work <-chan request, req request) {
-	n.serve(c, bw, busy, req, false)
+func (n *Node) slowWorker(c net.Conn, w *connWriter, busy *atomic.Int32, work <-chan request, req request) {
+	n.serve(c, w, busy, req)
 	for req := range work {
-		n.serve(c, bw, busy, req, false)
+		n.serve(c, w, busy, req)
 	}
 }
 
@@ -512,7 +450,7 @@ func (n *Node) slowWorker(c net.Conn, bw *batchWriter, busy *atomic.Int32, work 
 // frame is recycled at once; any other response may alias a slow
 // request's frame, which the slot keeps instead. serve drops a slow
 // request's busy count once the handler has returned.
-func (n *Node) serve(c net.Conn, bw *batchWriter, busy *atomic.Int32, req request, idle bool) (*serverSession, error) {
+func (n *Node) serve(c net.Conn, w *connWriter, busy *atomic.Int32, req request) (*serverSession, error) {
 	sess, run, status, resp := n.admit(req.sess, req.seq)
 	hold := req.payload
 	if run {
@@ -526,51 +464,28 @@ func (n *Node) serve(c net.Conn, bw *batchWriter, busy *atomic.Int32, req reques
 		busy.Add(-1)
 	}
 	if !run {
-		err := n.writeResponse(bw, req.reqID, status, resp, true, idle)
+		err := writeResponse(w, req.reqID, status, resp, true)
 		putBuf(hold)
 		return sess, err
 	}
 	kept := sess.publish(req.seq, status, resp, hold)
-	err := n.writeResponse(bw, req.reqID, status, resp, false, idle)
+	err := writeResponse(w, req.reqID, status, resp, false)
 	sess.settle(req.seq, hold, kept)
 	return sess, err
 }
 
-// writeResponse ships one response frame through the connection's
-// coalescing writer: frames at or below the coalesce cutoff are copied
-// into a single pooled buffer (header + status + body) and enqueued for
-// group commit; larger ones are written synchronously as a zero-copy
-// vectored write. resp is consumed before return either way. own marks
-// resp as pool-recyclable once consumed (a replay's private copy). idle
-// marks a connection with nothing further buffered to read — only then
-// may the response write inline from this goroutine instead of riding
-// the queue.
-func (n *Node) writeResponse(bw *batchWriter, reqID uint64, status byte, resp []byte, own, idle bool) error {
-	total := frameHeaderSize + 1 + len(resp)
-	if bw.coalesce(total) {
-		frame := getBuf(total)
-		binary.BigEndian.PutUint32(frame, uint32(1+len(resp)))
-		frame[4] = kindResponse
-		binary.BigEndian.PutUint64(frame[5:], reqID)
-		frame[frameHeaderSize] = status
-		copy(frame[frameHeaderSize+1:], resp)
-		if own {
-			putBuf(resp)
-		}
-		// Responses carry no per-frame deadline: the writer's write
-		// timeout bounds the flush (same bound armWriteDeadline used to
-		// provide per write).
-		if idle {
-			return bw.enqueueInline(frame, time.Time{})
-		}
-		return bw.enqueue(frame, time.Time{})
-	}
+// writeResponse writes one response frame: a pooled header (frame
+// header + status) and resp, in one vectored write. resp is consumed
+// before return; own marks it pool-recyclable once consumed (a replay's
+// private copy). Responses carry no deadline of their own: the writer's
+// write timeout bounds them.
+func writeResponse(w *connWriter, reqID uint64, status byte, resp []byte, own bool) error {
 	fh := getBuf(frameHeaderSize + 1)
 	binary.BigEndian.PutUint32(fh, uint32(1+len(resp)))
 	fh[4] = kindResponse
 	binary.BigEndian.PutUint64(fh[5:], reqID)
 	fh[frameHeaderSize] = status
-	err := bw.writeDirect(fh, resp, time.Time{})
+	err := w.write(fh, resp, time.Time{})
 	putBuf(fh)
 	if own {
 		putBuf(resp)
@@ -627,9 +542,9 @@ func (n *Node) peer(addr string, deadline time.Time) (*conn, error) {
 	}
 	c = &conn{c: nc, maxFrame: n.cfg.MaxFrameSize, pending: make(map[uint64]chan []byte)}
 	// The writer's failure hook poisons the whole conn (and closes the
-	// socket), so a flush error surfaces to every pending call, not just
-	// the frames that were in the failed batch.
-	c.bw = newBatchWriter(nc, n.cfg.batchConfig(), &n.wstats, c.fail)
+	// socket), so a write error surfaces to every pending call, not just
+	// the one whose frame failed.
+	c.w = &connWriter{c: nc, stats: &n.wstats, onFail: c.fail}
 	go c.readLoop()
 	n.mu.Lock()
 	select {
@@ -700,5 +615,5 @@ func (n *Node) Call(addr string, m rpc.Method, body []byte) ([]byte, error) {
 // the pooled response body to consume before recycling it. consume may be
 // nil when the response body is irrelevant; it must not retain the slice.
 func (n *Node) CallConsume(addr string, m rpc.Method, hdr, payload []byte, consume func(resp []byte) error) error {
-	return n.CallConsumeOpts(addr, m, hdr, payload, consume, CallOpts{})
+	return n.CallConsumeWithin(addr, m, hdr, payload, 0, consume)
 }

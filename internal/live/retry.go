@@ -21,13 +21,6 @@ var ErrDeadline = errors.New("live: deadline exceeded")
 // session stamp, so the server runs it at most once.
 var errConnFailed = errors.New("live: connection failed")
 
-// CallOpts tunes one call's failure behaviour.
-type CallOpts struct {
-	// Timeout bounds the whole call: the wait for a session slot and every
-	// attempt. 0 uses NodeConfig.CallTimeout; negative disables it.
-	Timeout time.Duration
-}
-
 // isTransient reports whether err is a transport-level failure that a
 // retry on a (possibly fresh) connection could cure. Application errors
 // — the dm sentinels and AppError statuses — are never transient.
@@ -50,22 +43,24 @@ type consumer struct {
 	own func(raw, body []byte) error
 }
 
-// CallConsumeOpts is CallConsume with explicit failure-behaviour options:
-// an overall deadline spanning every attempt, per-attempt timeouts so a
-// stalled server cannot absorb the whole budget, and exponential-backoff
-// retries over the node's reconnect path. consume runs at most once, on
-// the successful attempt.
-func (n *Node) CallConsumeOpts(addr string, m rpc.Method, hdr, payload []byte, consume func(resp []byte) error, opts CallOpts) error {
-	return n.callConsumer(addr, m, hdr, payload, consumer{fn: consume}, opts)
+// CallConsumeWithin is CallConsume bounded by timeout: the whole call —
+// the wait for a session slot and every attempt — must finish within it.
+// 0 uses NodeConfig.CallTimeout; negative disables the bound. Each
+// attempt is also capped by NodeConfig.AttemptTimeout, so a stalled
+// server cannot absorb the whole budget, and transient failures are
+// retried with exponential backoff over the node's reconnect path.
+// consume runs at most once, on the successful attempt.
+func (n *Node) CallConsumeWithin(addr string, m rpc.Method, hdr, payload []byte, timeout time.Duration, consume func(resp []byte) error) error {
+	return n.callConsumer(addr, m, hdr, payload, consumer{fn: consume}, timeout)
 }
 
-// callConsumer is the consumer-typed core of CallConsumeOpts; the lease
+// callConsumer is the consumer-typed core of CallConsumeWithin; the lease
 // paths reach it directly with an owning consumer. Every attempt carries
 // the stamp of the one session slot the call holds. Every synchronous
 // call's latency (retries included) lands in the node's histogram here.
-func (n *Node) callConsumer(addr string, m rpc.Method, hdr, payload []byte, cons consumer, opts CallOpts) error {
+func (n *Node) callConsumer(addr string, m rpc.Method, hdr, payload []byte, cons consumer, timeout time.Duration) error {
 	start := time.Now()
-	deadline := n.overallDeadline(opts)
+	deadline := n.overallDeadline(timeout)
 	sess := n.sess.Load()
 	sl, err := sess.acquire(deadline)
 	if err != nil {
@@ -82,10 +77,9 @@ func (n *Node) callConsumer(addr string, m rpc.Method, hdr, payload []byte, cons
 	return err
 }
 
-// overallDeadline resolves opts into the deadline spanning every attempt
-// of one call (zero = unbounded).
-func (n *Node) overallDeadline(opts CallOpts) time.Time {
-	timeout := opts.Timeout
+// overallDeadline resolves a call's timeout into the deadline spanning
+// every attempt of it (zero = unbounded).
+func (n *Node) overallDeadline(timeout time.Duration) time.Time {
 	if timeout == 0 {
 		timeout = n.cfg.CallTimeout
 	}

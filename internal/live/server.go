@@ -143,16 +143,6 @@ type ServerConfig struct {
 	DrainTimeout time.Duration
 	// MaxFrameSize caps one request frame's payload (0 = 16 MiB default).
 	MaxFrameSize uint32
-	// CoalesceLimit / CoalesceBatchBytes / CoalesceSpin tune the
-	// per-connection response coalescing writer (NodeConfig fields of the
-	// same names): frames up to CoalesceLimit bytes are group-committed
-	// in vectored writes capped at CoalesceBatchBytes, with an adaptive
-	// spin-then-flush window capped at CoalesceSpin. 0 = defaults;
-	// negative CoalesceLimit disables coalescing (per-frame writes, the
-	// pre-batching behaviour); negative CoalesceSpin disables the spin.
-	CoalesceLimit      int
-	CoalesceBatchBytes int
-	CoalesceSpin       time.Duration
 	// HasShard / ShardID announce this server's cluster-wide shard identity
 	// in every register response, so pool clients can verify that the server
 	// they dialed is the shard their ring expects. Unset (the zero value)
@@ -295,13 +285,8 @@ func NewServer(cfg ServerConfig) *Server {
 		pool:   make([]byte, cfg.NumPages*cfg.PageSize),
 		refcnt: make([]atomic.Int32, cfg.NumPages),
 		free:   frameFIFO{ring: make([]int32, cfg.NumPages), n: cfg.NumPages},
-		node: NewNodeWith(NodeConfig{
-			MaxFrameSize:       cfg.MaxFrameSize,
-			CoalesceLimit:      cfg.CoalesceLimit,
-			CoalesceBatchBytes: cfg.CoalesceBatchBytes,
-			CoalesceSpin:       cfg.CoalesceSpin,
-		}),
-		reg: registry.New(),
+		node:   NewNodeWith(NodeConfig{MaxFrameSize: cfg.MaxFrameSize}),
+		reg:    registry.New(),
 	}
 	for i := range s.free.ring {
 		s.free.ring[i] = int32(i)
@@ -458,8 +443,8 @@ func (s *Server) FreePages() int {
 	return s.free.n
 }
 
-// WriteStats snapshots the server's wire-write counters (frames, batches,
-// direct writes, bytes, drops) aggregated across its connections.
+// WriteStats snapshots the server's wire-write counters (frames, bytes,
+// drops) aggregated across its connections.
 func (s *Server) WriteStats() WriteStats { return s.node.WriteStats() }
 
 // LiveRefs returns the number of outstanding refs.

@@ -138,12 +138,11 @@ func stressRound(cl *Client, rng *rand.Rand) error {
 }
 
 // TestBatchedWriterStress hammers ONE shared client — so every worker's
-// frames funnel through the same connection's coalescing writer — with a
-// mix of synchronous small ops, pipelined async bursts, and payloads
-// above the coalesce cutoff (direct zero-copy path), interleaving the
-// queued and direct paths under -race. Afterwards the D6/D7 conservation
-// invariants must hold exactly: every page free, every ref released, and
-// the write counters consistent (no frame both flushed and dropped).
+// frames funnel through the same connection's writer — with a mix of
+// synchronous small ops, pipelined async bursts, and payloads of tens of
+// KiB, under -race. Afterwards the D6/D7 conservation invariants must
+// hold exactly: every page free, every ref released, every byte read
+// back as written, and no frame dropped.
 func TestBatchedWriterStress(t *testing.T) {
 	const (
 		numPages = 1 << 12
@@ -152,9 +151,9 @@ func TestBatchedWriterStress(t *testing.T) {
 		rounds   = 25
 	)
 	srv, addr := startServer(t, ServerConfig{NumPages: numPages, PageSize: pageSize})
-	cl := dialClient(t, addr) // one client: one conn, one batch writer
+	cl := dialClient(t, addr) // one client: one conn, one writer
 
-	big := bytes.Repeat([]byte{0x5A}, DefaultCoalesceLimit+4096) // forces the direct path
+	big := bytes.Repeat([]byte{0x5A}, 20<<10)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -164,7 +163,7 @@ func TestBatchedWriterStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < rounds; i++ {
-				// Pipelined burst of small stages (coalesced frames).
+				// Pipelined burst of small stages.
 				const burst = 4
 				stages := make([]*AsyncRef, burst)
 				small := make([][]byte, burst)
@@ -185,7 +184,7 @@ func TestBatchedWriterStress(t *testing.T) {
 						return
 					}
 					if !bytes.Equal(got, small[j]) {
-						errs <- errors.New("coalesced stage corrupted")
+						errs <- errors.New("pipelined stage corrupted")
 						return
 					}
 					if err := cl.FreeRef(ref); err != nil {
@@ -193,7 +192,7 @@ func TestBatchedWriterStress(t *testing.T) {
 						return
 					}
 				}
-				// Large op riding the direct path between the bursts.
+				// A large op between the bursts.
 				ref, err := cl.StageRef(big)
 				if err != nil {
 					errs <- err
@@ -227,14 +226,11 @@ func TestBatchedWriterStress(t *testing.T) {
 		t.Fatalf("%d refs leaked", got)
 	}
 	ws := cl.node.WriteStats()
-	if ws.Frames == 0 || ws.Batches == 0 {
-		t.Fatalf("client writer never batched: %+v", ws)
+	if ws.Frames == 0 {
+		t.Fatalf("client writer wrote no frames: %+v", ws)
 	}
 	if ws.DroppedFrames != 0 {
 		t.Fatalf("%d frames dropped on a healthy connection", ws.DroppedFrames)
-	}
-	if ws.DirectFrames == 0 {
-		t.Fatalf("large payloads never took the direct path: %+v", ws)
 	}
 }
 

@@ -43,7 +43,8 @@ func reportLatency(b *testing.B, cl *Client) {
 // `workers` goroutines share one connection, each running a synchronous
 // 4 KiB StageRef+ReadRef+FreeRef cycle and never holding more than one
 // request in flight. Tail percentiles here expose head-of-line blocking
-// in the coalescing writer and dispatch path rather than queueing delay.
+// at the connection's writer and in the dispatch path rather than
+// queueing delay.
 func BenchmarkTransportSmallOpClosedLoop(b *testing.B) {
 	const size = 4096
 	for _, workers := range []int{1, 4} {
@@ -91,8 +92,8 @@ func BenchmarkTransportSmallOpClosedLoop(b *testing.B) {
 
 // BenchmarkTransportAsyncOpenLoop is the open-loop counterpart: a single
 // caller keeps a deep ring of rwrite futures in flight, so submission
-// outruns completion and ops queue behind the coalescing writer. The
-// p99/p999 spread versus the closed-loop probe is that queueing delay.
+// outruns completion and ops queue at the server. The p99/p999 spread
+// versus the closed-loop probe is that queueing delay.
 func BenchmarkTransportAsyncOpenLoop(b *testing.B) {
 	const size = 4096
 	for _, depth := range []int{16, 64} {

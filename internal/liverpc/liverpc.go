@@ -114,14 +114,6 @@ func (c Config) callTimeout() time.Duration {
 	return live.DefaultNodeConfig().CallTimeout
 }
 
-// CallOpts tunes one service call.
-type CallOpts struct {
-	// Timeout is the overall deadline including retries; it also rides
-	// the envelope so callees inherit the remaining budget. 0 uses the
-	// endpoint's default; negative disables.
-	Timeout time.Duration
-}
-
 // Caller issues service calls: the client stub side of the framework.
 // A Caller owns its live.Node (transport and at-most-once retries,
 // DESIGN.md §D8) and borrows a DM client for staging; it is safe for
@@ -209,21 +201,23 @@ func (c *Caller) handOff(addr, method string, data []byte, extra ...Payload) ([]
 	return res, nil
 }
 
-// Call invokes method at addr with args and default options.
+// Call invokes method at addr with args and the endpoint's default
+// timeout.
 func (c *Caller) Call(addr, method string, args ...Payload) ([]Payload, error) {
-	return c.CallOpts(addr, method, CallOpts{}, args...)
+	return c.CallWithin(addr, method, 0, args...)
 }
 
-// CallOpts invokes method at addr with args. The call is bounded by an
-// overall deadline (propagated to the callee via the envelope) and
-// retried across transport failures via the node's reconnect path; the
-// serving node runs it at most once. More than dmwire.MaxCallArgs
-// arguments fail before anything is sent. Returned inline payloads are
-// the caller's own memory; returned refs are owned per the
-// application's protocol.
-func (c *Caller) CallOpts(addr, method string, opts CallOpts, args ...Payload) ([]Payload, error) {
+// CallWithin invokes method at addr with args. The call is bounded by
+// timeout, retries included; the deadline rides the envelope, so callees
+// inherit the remaining budget. 0 uses the endpoint's default; negative
+// disables the bound. The call is retried across transport failures via
+// the node's reconnect path; the serving node runs it at most once. More
+// than dmwire.MaxCallArgs arguments fail before anything is sent.
+// Returned inline payloads are the caller's own memory; returned refs are
+// owned per the application's protocol.
+func (c *Caller) CallWithin(addr, method string, timeout time.Duration, args ...Payload) ([]Payload, error) {
 	env := dmwire.CallEnvelope{Method: method, TraceID: rand.Uint64()}
-	return c.issue(addr, &env, args, opts, nil)
+	return c.issue(addr, &env, args, timeout, nil)
 }
 
 // callHdrCap sizes the stack buffer a call's envelope header is encoded
@@ -231,14 +225,13 @@ func (c *Caller) CallOpts(addr, method string, opts CallOpts, args ...Payload) (
 // moves to the heap.
 const callHdrCap = 256
 
-// issue resolves opts against the endpoint defaults, stamps the
+// issue resolves timeout against the endpoint default, stamps the
 // deadline budget into the envelope, sends it with args and decodes the
 // result list; shared by top-level and nested (Ctx) calls. The header
 // is encoded on the stack and a final inline argument rides as its own
 // iovec. A nested call's results land in ctx's call-scoped storage, a
 // top-level call's (ctx nil) in memory the caller owns.
-func (c *Caller) issue(addr string, env *dmwire.CallEnvelope, args []Payload, opts CallOpts, ctx *Ctx) ([]Payload, error) {
-	timeout := opts.Timeout
+func (c *Caller) issue(addr string, env *dmwire.CallEnvelope, args []Payload, timeout time.Duration, ctx *Ctx) ([]Payload, error) {
 	if timeout == 0 {
 		timeout = c.cfg.callTimeout()
 	}
@@ -258,11 +251,11 @@ func (c *Caller) issue(addr string, env *dmwire.CallEnvelope, args []Payload, op
 		return nil, fmt.Errorf("liverpc: %s: %w", env.Method, err)
 	}
 	var out []Payload
-	err = c.node.CallConsumeOpts(addr, MethodCall, hdr, bulk,
+	err = c.node.CallConsumeWithin(addr, MethodCall, hdr, bulk, timeout,
 		func(resp []byte) (err error) {
 			out, err = results(resp, ctx)
 			return err
-		}, live.CallOpts{Timeout: timeout})
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -490,23 +483,23 @@ func (c *Ctx) Remaining() time.Duration {
 // remaining budget — so a chain's total latency is bounded by the
 // top-level caller's single timeout.
 func (c *Ctx) Call(addr, method string, args ...Payload) ([]Payload, error) {
-	return c.CallOpts(addr, method, CallOpts{}, args...)
+	return c.CallWithin(addr, method, 0, args...)
 }
 
-// CallOpts is Call with explicit options; opts.Timeout is still capped
-// by the propagated remaining budget.
-func (c *Ctx) CallOpts(addr, method string, opts CallOpts, args ...Payload) ([]Payload, error) {
+// CallWithin is Call bounded by timeout as well; the propagated remaining
+// budget still caps it.
+func (c *Ctx) CallWithin(addr, method string, timeout time.Duration, args ...Payload) ([]Payload, error) {
 	if !c.Deadline.IsZero() {
 		rem := time.Until(c.Deadline)
 		if rem <= 0 {
 			return nil, fmt.Errorf("liverpc: %s: %w", method, live.ErrDeadline)
 		}
-		if opts.Timeout <= 0 || rem < opts.Timeout {
-			opts.Timeout = rem
+		if timeout <= 0 || rem < timeout {
+			timeout = rem
 		}
 	}
 	env := dmwire.CallEnvelope{Method: method, TraceID: c.TraceID, Hop: c.Hop + 1}
-	return c.Svc.caller.issue(addr, &env, args, opts, c)
+	return c.Svc.caller.issue(addr, &env, args, timeout, c)
 }
 
 // Stage builds a size-aware payload using the service's threshold and DM

@@ -257,7 +257,7 @@ func TestDeadlinePropagation(t *testing.T) {
 
 	c := NewCaller(nil, Config{})
 	defer c.Close()
-	res, err := c.CallOpts(midAddr, "probe", CallOpts{Timeout: 2 * time.Second})
+	res, err := c.CallWithin(midAddr, "probe", 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestExpiredDeadlineFailsFast(t *testing.T) {
 	cfg.Net.MaxRetries = -1
 	c := NewCaller(nil, cfg)
 	defer c.Close()
-	_, err := c.CallOpts(midAddr, "slow", CallOpts{Timeout: 80 * time.Millisecond})
+	_, err := c.CallWithin(midAddr, "slow", 80*time.Millisecond)
 	if !errors.Is(err, live.ErrDeadline) {
 		t.Fatalf("expired call = %v, want ErrDeadline", err)
 	}

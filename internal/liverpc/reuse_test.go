@@ -3,6 +3,7 @@ package liverpc
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -22,9 +23,16 @@ import (
 // results after each later call, so a result that aliased recycled
 // memory shows as another call's bytes.
 func TestConcurrentCallsKeepOwnResults(t *testing.T) {
+	// The relay calls its own service, so its address is fixed before
+	// any handler can run: the socket that carries a call is no
+	// happens-before edge the race detector sees.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
 	s := NewService("relay", nil, Config{})
 	s.Handle("echo", func(ctx *Ctx, args []Payload) ([]Payload, error) { return args, nil })
-	var addr string
 	s.Handle("relay", func(ctx *Ctx, args []Payload) ([]Payload, error) {
 		res, err := ctx.Call(addr, "echo", args...)
 		if err != nil {
@@ -32,7 +40,8 @@ func TestConcurrentCallsKeepOwnResults(t *testing.T) {
 		}
 		return append(res, args...), nil
 	})
-	addr = serveService(t, s)
+	go s.Serve(ln)
+	t.Cleanup(func() { s.Close() })
 	c := NewCaller(nil, Config{})
 	defer c.Close()
 
