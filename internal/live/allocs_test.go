@@ -29,9 +29,10 @@ func TestBufPoolAllocs(t *testing.T) {
 	}
 }
 
-// TestFreeFramesAllocs: taking frames off the free FIFO and freeing them
-// allocates nothing, however often they cycle (a slice FIFO re-allocated
-// all of itself every few hundred frees here).
+// TestFreeFramesAllocs: popping frames off the free stack and pushing them
+// back allocates nothing, however often they cycle: the stack's array has
+// room for every frame (a slice FIFO re-allocated all of itself every few
+// hundred frees here).
 func TestFreeFramesAllocs(t *testing.T) {
 	srv := NewServer(ServerConfig{NumPages: 1024, PageSize: 4096})
 	defer srv.Close()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -192,6 +193,81 @@ func TestStageAndReadRef(t *testing.T) {
 	}
 	if err := cl.FreeRef(ref); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refFrames returns the frames the server holds for a ref key.
+func refFrames(t *testing.T, srv *Server, key uint64) []int32 {
+	t.Helper()
+	sh := srv.refShardOf(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e, ok := sh.m[key]
+	if !ok {
+		t.Fatalf("no ref %d on the server", key)
+	}
+	return append([]int32(nil), e.frames...)
+}
+
+// A stage right after a free gets the frames just freed, in the order they
+// were freed, so it writes into memory that is still warm in cache.
+func TestFreedFramesReusedFirst(t *testing.T) {
+	srv, addr := startServer(t, smallConfig())
+	cl := dialClient(t, addr)
+	data := make([]byte, 8*4096)
+	first, err := cl.StageRef(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := refFrames(t, srv, first.Key)
+	if err := cl.FreeRef(first); err != nil {
+		t.Fatal(err)
+	}
+	second, err := cl.StageRef(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := refFrames(t, srv, second.Key); !slices.Equal(got, freed) {
+		t.Fatalf("second stage got frames %v, want the freed %v", got, freed)
+	}
+}
+
+// A reused frame is zeroed past its new payload: nothing of the ref that
+// freed it can be read through the whole page.
+func TestReusedFrameTailZeroed(t *testing.T) {
+	srv, addr := startServer(t, smallConfig())
+	cl := dialClient(t, addr)
+	full, err := cl.StageRef(bytes.Repeat([]byte{0xAB}, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := refFrames(t, srv, full.Key)[0]
+	if err := cl.FreeRef(full); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5C}, 100)
+	short, err := cl.StageRef(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := refFrames(t, srv, short.Key)[0]; got != frame {
+		t.Fatalf("short ref got frame %d, want the freed %d", got, frame)
+	}
+	a, err := cl.MapRef(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 4096)
+	if err := cl.Read(a, page); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(page[:len(payload)], payload) {
+		t.Fatal("payload corrupted")
+	}
+	for i := len(payload); i < len(page); i++ {
+		if page[i] != 0 {
+			t.Fatalf("byte %d past the payload reads %#x, want 0", i, page[i])
+		}
 	}
 }
 

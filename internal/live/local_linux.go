@@ -50,5 +50,6 @@ func dialLocal(d *net.Dialer, name string) (c net.Conn, refused bool) {
 		c.Close()
 		return nil, false
 	}
+	c.(*net.UnixConn).SetWriteBuffer(localSendBuffer) // best effort
 	return c, false
 }

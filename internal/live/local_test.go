@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -84,6 +87,50 @@ func TestLoopbackDialUsesCompanion(t *testing.T) {
 	for c := range srv.inbound {
 		if _, ok := c.(*net.UnixConn); !ok {
 			t.Fatalf("serving node accepted a %T, want *net.UnixConn", c)
+		}
+	}
+}
+
+// Both ends of a companion connection ask for localSendBuffer, so a
+// 256 KiB vectored write fits one writev rather than the Unix default's
+// two.
+func TestCompanionSendBuffer(t *testing.T) {
+	srv := echoNode()
+	addr := startNode(t, srv)
+	cli := NewNode()
+	defer cli.Close()
+	callEcho(t, cli, addr)
+	want := localSendBuffer
+	if b, err := os.ReadFile("/proc/sys/net/core/wmem_max"); err == nil {
+		if limit, err := strconv.Atoi(strings.TrimSpace(string(b))); err == nil && limit < want {
+			want = limit
+		}
+	}
+	want *= 2 // the kernel doubles what is asked for
+	conns := []net.Conn{peerConn(t, cli, addr)}
+	srv.mu.Lock()
+	for c := range srv.inbound {
+		conns = append(conns, c)
+	}
+	srv.mu.Unlock()
+	for i, c := range conns {
+		uc, ok := c.(*net.UnixConn)
+		if !ok {
+			t.Fatalf("end %d is a %T, want *net.UnixConn", i, c)
+		}
+		raw, err := uc.SyscallConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got int
+		raw.Control(func(fd uintptr) {
+			got, err = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("end %d: SO_SNDBUF %d, want %d", i, got, want)
 		}
 	}
 }

@@ -259,6 +259,15 @@ func (n *Node) Serve(ln net.Listener) error {
 	return n.accept(ln)
 }
 
+// localSendBuffer is the send buffer both ends of a same-host companion
+// connection (local_linux.go) ask for. A Unix socket's default
+// (net.core.wmem_default, 208 KiB on a stock kernel) is smaller than
+// loopback TCP's autotuned one, so a 256 KiB vectored write took two
+// writev calls instead of one. The kernel caps the value at
+// net.core.wmem_max and doubles it. Setting it is best effort: a failure
+// keeps the connection.
+const localSendBuffer = 1 << 20
+
 // accept serves every connection ln accepts until ln closes.
 func (n *Node) accept(ln net.Listener) error {
 	for {
@@ -282,6 +291,9 @@ func (n *Node) accept(ln net.Listener) error {
 		n.inbound[c] = struct{}{}
 		n.conns.Add(1)
 		n.mu.Unlock()
+		if uc, ok := c.(*net.UnixConn); ok {
+			uc.SetWriteBuffer(localSendBuffer) // best effort, as in dialLocal
+		}
 		go func() {
 			defer n.conns.Done()
 			defer func() {

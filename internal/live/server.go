@@ -222,7 +222,7 @@ type Server struct {
 	refcnt []atomic.Int32
 
 	freeMu sync.Mutex
-	free   frameFIFO
+	free   frameStack
 
 	nextOwner atomic.Uint32
 
@@ -284,12 +284,12 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg:    cfg,
 		pool:   make([]byte, cfg.NumPages*cfg.PageSize),
 		refcnt: make([]atomic.Int32, cfg.NumPages),
-		free:   frameFIFO{ring: make([]int32, cfg.NumPages), n: cfg.NumPages},
+		free:   frameStack{frames: make([]int32, cfg.NumPages), n: cfg.NumPages},
 		node:   NewNodeWith(NodeConfig{MaxFrameSize: cfg.MaxFrameSize}),
 		reg:    registry.New(),
 	}
-	for i := range s.free.ring {
-		s.free.ring[i] = int32(i)
+	for i := range s.free.frames {
+		s.free.frames[i] = int32(i)
 	}
 	for i := range s.trans {
 		s.trans[i].m = make(map[transKey]int32)
@@ -529,7 +529,7 @@ func (s *Server) frame(f int32) []byte {
 	return s.pool[off : off+s.cfg.PageSize : off+s.cfg.PageSize]
 }
 
-// popFrame takes one frame off the free FIFO.
+// popFrame takes one frame off the free stack.
 func (s *Server) popFrame() (int32, bool) {
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
@@ -553,44 +553,37 @@ func (s *Server) popFrames(n int) []int32 {
 	return out
 }
 
-// pushFrames returns frames to the free FIFO.
+// pushFrames returns frames to the free stack.
 func (s *Server) pushFrames(frames ...int32) {
 	s.freeMu.Lock()
 	s.free.put(frames)
 	s.freeMu.Unlock()
 }
 
-// frameFIFO is the free-frame FIFO: a ring with room for every frame, so
-// taking and freeing frames never allocates (a slice FIFO copies all of
-// itself to a new array whenever its tail runs out of room).
-type frameFIFO struct {
-	ring    []int32
-	head, n int
+// frameStack is the free-frame stack: take pops the most recently freed
+// frames, so a stage that follows a free writes into frames still warm in
+// cache rather than ones freed a whole pool ago, and a run touches only
+// its working set of the pool. Its array has room for every frame, so
+// taking and freeing frames never allocates.
+type frameStack struct {
+	frames []int32
+	n      int
 }
 
-// at returns the i-th oldest free frame.
-func (q *frameFIFO) at(i int) int32 { return q.ring[(q.head+i)%len(q.ring)] }
-
-// take moves the len(out) oldest free frames into out; the caller has
-// checked that there are that many.
-func (q *frameFIFO) take(out []int32) {
-	for i := range out {
-		out[i] = q.at(i)
-	}
-	q.head = (q.head + len(out)) % len(q.ring)
+// take pops the top len(out) frames into out, in the order they were
+// pushed; the caller has checked that there are that many.
+func (q *frameStack) take(out []int32) {
 	q.n -= len(out)
+	copy(out, q.frames[q.n:q.n+len(out)])
 }
 
-// put appends frames. The ring holds every frame, so only a frame freed
+// put pushes frames. The array holds every frame, so only a frame freed
 // twice can overflow it.
-func (q *frameFIFO) put(frames []int32) {
-	if q.n+len(frames) > len(q.ring) {
-		panic("live: free-frame FIFO overflow: a frame was freed twice")
+func (q *frameStack) put(frames []int32) {
+	if q.n+len(frames) > len(q.frames) {
+		panic("live: free-frame stack overflow: a frame was freed twice")
 	}
-	for _, f := range frames {
-		q.ring[(q.head+q.n)%len(q.ring)] = f
-		q.n++
-	}
+	q.n += copy(q.frames[q.n:], frames)
 }
 
 // pin takes a transient hold on f so it cannot be reclaimed (and its
@@ -1345,8 +1338,7 @@ func (s *Server) CheckInvariants() error {
 		}
 	}
 	freeSet := make(map[int32]bool, s.free.n)
-	for i := 0; i < s.free.n; i++ {
-		f := s.free.at(i)
+	for _, f := range s.free.frames[:s.free.n] {
 		if freeSet[f] {
 			return fmt.Errorf("frame %d free twice", f)
 		}

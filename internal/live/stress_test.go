@@ -60,7 +60,7 @@ func TestStripedServerStress(t *testing.T) {
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatalf("D6 invariants violated after stress: %v", err)
 	}
-	// Conservation: every page freed by the workers is back on the FIFO.
+	// Conservation: every page freed by the workers is back on the free stack.
 	if got := srv.FreePages(); got != numPages {
 		t.Fatalf("free + mapped != total: %d free of %d after full teardown", got, numPages)
 	}

@@ -26,7 +26,13 @@ func TestWriteStatsComputedFieldsQuiesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, s0 := cl.node.WriteStats(), srv.WriteStats()
+	// The server counts a frame only after its write returns, which may
+	// trail the client's read of it: wait until it has counted its answer
+	// to every request so far, so its baseline holds no frame of the
+	// burst's setup.
+	c0 := cl.node.WriteStats()
+	waitFrames(t, srv, c0.Frames)
+	s0 := srv.WriteStats()
 	src := make([]byte, 512)
 	const ops, depth = 400, 16
 	ring := make([]*AsyncOp, 0, depth)
@@ -48,15 +54,8 @@ func TestWriteStatsComputedFieldsQuiesce(t *testing.T) {
 	if got := cl.node.WriteStats().Frames - c0.Frames; got != ops {
 		t.Fatalf("client wrote %d frames for %d requests", got, ops)
 	}
-	// Every response is in, but the server counts a frame only after its
-	// write returns, which may trail the client's read: poll.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.WriteStats().Frames-s0.Frames != ops {
-		if time.Now().After(deadline) {
-			t.Fatalf("server wrote %d frames for %d responses", srv.WriteStats().Frames-s0.Frames, ops)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Every response is in, but the server may not have counted them all.
+	waitFrames(t, srv, s0.Frames+ops)
 	for _, side := range []struct {
 		name string
 		ws   WriteStats
@@ -79,5 +78,18 @@ func TestWriteStatsComputedFieldsQuiesce(t *testing.T) {
 	}
 	if b := cl.node.WriteStats().Bytes - c0.Bytes; b < ops*uint64(len(src)) {
 		t.Fatalf("client wrote %d bytes for %d requests of %d bytes", b, ops, len(src))
+	}
+}
+
+// waitFrames waits until srv has counted want written frames, and fails
+// if it counts another way.
+func waitFrames(t *testing.T, srv *Server, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.WriteStats().Frames != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("server wrote %d frames, want %d", srv.WriteStats().Frames, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
