@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check depguard size test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
+.PHONY: all build vet check depguard surface size test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -16,19 +16,27 @@ vet:
 # and fault-injection packages under the race detector (the striped DM
 # server's concurrency — and the chaos/lease-reaping tests — are only
 # trustworthy raced).
-check: vet depguard
+check: vet depguard surface
 	$(GO) test -race ./internal/live/... ./internal/liverpc/... ./internal/dmwire/... ./internal/faultnet/... ./internal/pool/... ./internal/loadgen/... ./internal/registry/... ./internal/migrate/... ./internal/refcache/...
 
 # Dependency guard: the DM server binary must not link the simulated
 # stack's argument layer. internal/live imported internal/core only for a
 # superseded Arg shim; this keeps it from coming back. (sim, simnet,
-# transport and rpc still ride in through internal/dm — ROADMAP item 7a.)
+# transport and rpc still ride in through internal/dm — ROADMAP's "one DM
+# server, two hosts" item.)
 depguard:
 	@if $(GO) list -deps ./cmd/dmserverd | grep -qx 'repro/internal/core'; then \
 		echo 'depguard: cmd/dmserverd links repro/internal/core' >&2; exit 1; fi
 
-# The two size numbers ROADMAP item 6 tracks (and every CHANGES.md line
-# records): non-test lines and exported declarations of the live stack.
+# Exported-surface lint: every exported name of the live stack has a
+# caller outside its package, or an allowlist entry naming the caller it
+# is kept for (surface_test.go).
+surface:
+	$(GO) test -count=1 -run '^TestExportedSurface$$' .
+
+# The two size numbers ROADMAP's "exported surface" aim tracks (and every
+# CHANGES.md line records): non-test lines and exported declarations of
+# the live stack.
 size:
 	@$(GO) run scripts/size.go internal/live internal/pool internal/liverpc internal/dmwire
 

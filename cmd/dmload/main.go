@@ -56,7 +56,7 @@ func run() int {
 	users := flag.Int("users", 64, "simulated-user population (socialnet authors)")
 	keys := flag.Int("keys", 1024, "kv key-space size")
 	zipfS := flag.Float64("zipf-s", 0.99, "Zipf skew parameter (0 = uniform)")
-	mix := flag.String("mix", "60/30/10", "socialnet compose/read-home/read-user mix, percent")
+	mix := flag.String("mix", "10/60/30", "socialnet compose/read-home/read-user mix, percent (default: the paper's)")
 	mediaSize := flag.Int("media-size", 8<<10, "socialnet post-media bytes")
 	frontends := flag.Int("frontends", 2, "socialnet frontend movers")
 	valueSize := flag.Int("value-size", 4<<10, "kv value bytes")
@@ -304,7 +304,7 @@ func scheduleJoin(c *loadgen.Cluster, env *loadgen.Env, joinAt time.Duration) fu
 func printResult(res loadgen.RunResult) {
 	fmt.Fprintf(os.Stderr, "%s: %d ops in %s (%.0f ops/s", res.Scenario, res.Ops, res.Measure, res.Achieved)
 	if res.Offered > 0 {
-		fmt.Fprintf(os.Stderr, ", offered %.0f, drops %d", res.Offered, res.Drops)
+		fmt.Fprintf(os.Stderr, ", offered %.0f, arrivals %.0f/s (%d late), drops %d", res.Offered, res.Arrivals, res.Late, res.Drops)
 	}
 	fmt.Fprintf(os.Stderr, ") errors=%d\n", res.Errors)
 	classes := make([]string, 0, len(res.Classes))

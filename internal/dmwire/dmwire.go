@@ -42,7 +42,7 @@ const (
 	// cluster-wide key (ReplicaKeyBit set) and stages the same payload
 	// under it on every replica shard, so a single 8-byte key resolves the
 	// data on any of them. Staging an already-present key fails with
-	// StatusRefExists instead of overwriting. The request may carry the
+	// statusRefExists instead of overwriting. The request may carry the
 	// ref's replica set, which the server records as the key's epoch-1
 	// directory entry together with the ref (DESIGN.md §D16) — the handoff
 	// that lets the ref survive its producer's session reap.
@@ -54,7 +54,7 @@ const (
 	// entry at epoch 2. The server merges higher-epoch-wins and always
 	// answers StatusOK.
 	MRegPut
-	// MRegGet queries one registry entry by key; StatusBadRef when the
+	// MRegGet queries one registry entry by key; statusBadRef when the
 	// shard's directory has no entry. Last-resort located-ref resolution:
 	// a reader whose candidate shards all miss asks the key's ring
 	// successors where the payload lives now.
@@ -74,7 +74,7 @@ const (
 	// by the caller's session. No frame is copied and no refcount moves. The
 	// body is an AdoptRefReq and the response a RefKeyResp naming the new
 	// key. Of racing adopts, consumes and frees of one key exactly one
-	// wins; the losers answer StatusBadRef.
+	// wins; the losers answer statusBadRef.
 	MAdoptRef
 )
 
@@ -89,13 +89,13 @@ const ReplicaKeyBit = uint64(1) << 63
 const (
 	StatusOK      = 0
 	StatusErr     = 1
-	StatusOOM     = 2
-	StatusBadAddr = 3
-	StatusBadRef  = 4
-	StatusRange   = 5
-	// StatusRefExists reports an MStageAt key collision: the server
+	statusOOM     = 2
+	statusBadAddr = 3
+	statusBadRef  = 4
+	statusRange   = 5
+	// statusRefExists reports an MStageAt key collision: the server
 	// already holds a ref under the requested key.
-	StatusRefExists = 6
+	statusRefExists = 6
 	// StatusStale refuses a late duplicate whose session stamp is below
 	// its slot's last one; it is never run again.
 	StatusStale = 7
@@ -110,15 +110,15 @@ func StatusOf(err error) byte {
 	case nil:
 		return StatusOK
 	case dm.ErrOutOfMemory:
-		return StatusOOM
+		return statusOOM
 	case dm.ErrBadAddress:
-		return StatusBadAddr
+		return statusBadAddr
 	case dm.ErrBadRef:
-		return StatusBadRef
+		return statusBadRef
 	case dm.ErrOutOfRange:
-		return StatusRange
+		return statusRange
 	case dm.ErrRefExists:
-		return StatusRefExists
+		return statusRefExists
 	case ErrStale:
 		return StatusStale
 	default:
@@ -132,15 +132,15 @@ func ErrOf(status byte, msg string) error {
 	switch status {
 	case StatusOK:
 		return nil
-	case StatusOOM:
+	case statusOOM:
 		return dm.ErrOutOfMemory
-	case StatusBadAddr:
+	case statusBadAddr:
 		return dm.ErrBadAddress
-	case StatusBadRef:
+	case statusBadRef:
 		return dm.ErrBadRef
-	case StatusRange:
+	case statusRange:
 		return dm.ErrOutOfRange
-	case StatusRefExists:
+	case statusRefExists:
 		return dm.ErrRefExists
 	case StatusStale:
 		return ErrStale

@@ -221,8 +221,8 @@ func TestStageAtReqForms(t *testing.T) {
 	for i := 0; i <= MaxRefReplicas; i++ {
 		over.U32(uint32(i))
 	}
-	if _, err := UnmarshalStageAtReq(over.Raw(data).Bytes()); !errors.Is(err, ErrTooManyReplicas) {
-		t.Fatalf("count MaxRefReplicas+1: %v, want ErrTooManyReplicas", err)
+	if _, err := UnmarshalStageAtReq(over.Raw(data).Bytes()); !errors.Is(err, errTooManyReplicas) {
+		t.Fatalf("count MaxRefReplicas+1: %v, want errTooManyReplicas", err)
 	}
 	// The encoder never emits such a body: over-long lists are truncated.
 	long := StageAtReq{Key: ReplicaKeyBit | 1, Replicas: make([]uint32, MaxRefReplicas+3)}

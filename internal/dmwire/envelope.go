@@ -36,9 +36,9 @@ const (
 
 // Envelope codec errors.
 var (
-	ErrMethodTooLong = errors.New("dmwire: method name exceeds MaxMethodLen")
+	errMethodTooLong = errors.New("dmwire: method name exceeds MaxMethodLen")
 	ErrTooManyArgs   = errors.New("dmwire: envelope exceeds MaxCallArgs arguments")
-	ErrBadEnvelope   = errors.New("dmwire: malformed call envelope")
+	errBadEnvelope   = errors.New("dmwire: malformed call envelope")
 )
 
 // MaxRefReplicas caps every replica list on the wire (located call args,
@@ -46,8 +46,8 @@ var (
 // count can balloon memory, and far above any sane replication factor.
 const MaxRefReplicas = 16
 
-// ErrTooManyReplicas reports a replica list that exceeds MaxRefReplicas.
-var ErrTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas")
+// errTooManyReplicas reports a replica list that exceeds MaxRefReplicas.
+var errTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas")
 
 // encodeReplicas appends the one wire form of a replica list — u8 count,
 // then that many u32 shard IDs. Lists past MaxRefReplicas are truncated.
@@ -73,7 +73,7 @@ func appendReplicas(b []byte, reps []uint32) []byte {
 func decodeReplicas(d *rpc.Dec) ([]uint32, error) {
 	n := int(d.U8())
 	if n > MaxRefReplicas {
-		return nil, ErrTooManyReplicas
+		return nil, errTooManyReplicas
 	}
 	if n == 0 {
 		return nil, nil
@@ -182,7 +182,7 @@ func decodeCallArg(d *rpc.Dec) (CallArg, error) {
 		a.Replicas = reps
 		return a, err
 	default:
-		return CallArg{}, ErrBadEnvelope
+		return CallArg{}, errBadEnvelope
 	}
 }
 
@@ -225,7 +225,7 @@ func decodeArgs(d *rpc.Dec, args []CallArg) ([]CallArg, error) {
 		args = append(args, a)
 	}
 	if d.Err() != nil || len(d.Remaining()) != 0 {
-		return nil, ErrBadEnvelope
+		return nil, errBadEnvelope
 	}
 	return args, nil
 }
@@ -271,7 +271,7 @@ func DecodeCall(b []byte, args []CallArg) (method []byte, env CallEnvelope, err 
 	d := rpc.NewDec(b)
 	method = d.Blob()
 	if len(method) > MaxMethodLen {
-		return nil, CallEnvelope{}, ErrMethodTooLong
+		return nil, CallEnvelope{}, errMethodTooLong
 	}
 	env.TraceID = d.U64()
 	env.Hop = d.U8()
@@ -292,7 +292,7 @@ func (env *CallEnvelope) marshal(full bool) []byte {
 		n += env.Args[i].WireSize()
 	}
 	if !full {
-		n -= len(env.Bulk())
+		n -= len(env.bulk())
 	}
 	hdr, bulk, err := AppendCall(make([]byte, 0, n), env, env.Args)
 	if err != nil {
@@ -309,17 +309,14 @@ func (env CallEnvelope) Marshal() []byte { return env.marshal(true) }
 
 // MarshalHdr encodes the envelope with the final argument's inline bytes
 // omitted (its length prefix stays), for transports that write those
-// bytes as their own vectored segment:
-//
-//	Marshal() == append(MarshalHdr(), Bulk()...)
-//
-// Envelopes whose last argument is a Ref (or that have no arguments) get
-// the full encoding.
+// bytes as their own vectored segment: Marshal() is MarshalHdr() followed
+// by the final argument's Inline bytes. Envelopes whose last argument is
+// a Ref (or that have no arguments) get the full encoding.
 func (env CallEnvelope) MarshalHdr() []byte { return env.marshal(false) }
 
-// Bulk returns the bytes MarshalHdr omitted (nil when MarshalHdr is the
+// bulk returns the bytes MarshalHdr omitted (nil when MarshalHdr is the
 // full encoding).
-func (env CallEnvelope) Bulk() []byte {
+func (env CallEnvelope) bulk() []byte {
 	if n := len(env.Args); n > 0 && !env.Args[n-1].IsRef {
 		return env.Args[n-1].Inline
 	}

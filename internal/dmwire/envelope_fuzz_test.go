@@ -49,8 +49,8 @@ func FuzzCallEnvelope(f *testing.F) {
 			if !bytes.Equal(reenc, body) {
 				t.Fatal("CallEnvelope: accepted body does not round-trip")
 			}
-			if joined := append(append([]byte(nil), e.MarshalHdr()...), e.Bulk()...); !bytes.Equal(joined, reenc) {
-				t.Fatal("CallEnvelope: MarshalHdr+Bulk diverges from Marshal")
+			if joined := append(append([]byte(nil), e.MarshalHdr()...), e.bulk()...); !bytes.Equal(joined, reenc) {
+				t.Fatal("CallEnvelope: MarshalHdr+bulk diverges from Marshal")
 			}
 			method, reused, err := DecodeCall(body, dirty())
 			if err != nil || string(method) != e.Method {

@@ -42,22 +42,22 @@ func TestCallEnvelopeRoundTrip(t *testing.T) {
 
 func TestCallEnvelopeMarshalHdrBulk(t *testing.T) {
 	env := sampleEnvelope()
-	// Last arg inline: MarshalHdr + Bulk must reassemble to Marshal.
-	joined := append(append([]byte(nil), env.MarshalHdr()...), env.Bulk()...)
+	// Last arg inline: MarshalHdr + bulk must reassemble to Marshal.
+	joined := append(append([]byte(nil), env.MarshalHdr()...), env.bulk()...)
 	if !bytes.Equal(joined, env.Marshal()) {
-		t.Fatal("MarshalHdr+Bulk != Marshal for trailing inline arg")
+		t.Fatal("MarshalHdr+bulk != Marshal for trailing inline arg")
 	}
 	// Last arg a ref: MarshalHdr degrades to the full encoding, no bulk.
 	env.Args[0], env.Args[1] = env.Args[1], env.Args[0]
-	if env.Bulk() != nil {
-		t.Fatal("Bulk non-nil with trailing ref arg")
+	if env.bulk() != nil {
+		t.Fatal("bulk non-nil with trailing ref arg")
 	}
 	if !bytes.Equal(env.MarshalHdr(), env.Marshal()) {
 		t.Fatal("MarshalHdr != Marshal for trailing ref arg")
 	}
 	// No args at all.
 	env.Args = nil
-	if env.Bulk() != nil || !bytes.Equal(env.MarshalHdr(), env.Marshal()) {
+	if env.bulk() != nil || !bytes.Equal(env.MarshalHdr(), env.Marshal()) {
 		t.Fatal("empty-args envelope mishandled")
 	}
 }
@@ -71,8 +71,8 @@ func TestCallEnvelopeMarshalHdrSized(t *testing.T) {
 	if cap(hdr) > len(hdr) {
 		t.Fatalf("MarshalHdr of a 32 KiB inline arg: len %d, cap %d", len(hdr), cap(hdr))
 	}
-	if !bytes.Equal(append(hdr, env.Bulk()...), env.Marshal()) {
-		t.Fatal("MarshalHdr+Bulk != Marshal")
+	if !bytes.Equal(append(hdr, env.bulk()...), env.Marshal()) {
+		t.Fatal("MarshalHdr+bulk != Marshal")
 	}
 }
 
@@ -107,8 +107,8 @@ func TestReturnEnvelopeRoundTrip(t *testing.T) {
 
 func TestCallEnvelopeCaps(t *testing.T) {
 	long := CallEnvelope{Method: string(make([]byte, MaxMethodLen+1))}
-	if _, err := UnmarshalCallEnvelope(long.Marshal()); !errors.Is(err, ErrMethodTooLong) {
-		t.Fatalf("oversized method = %v, want ErrMethodTooLong", err)
+	if _, err := UnmarshalCallEnvelope(long.Marshal()); !errors.Is(err, errMethodTooLong) {
+		t.Fatalf("oversized method = %v, want errMethodTooLong", err)
 	}
 	many := CallEnvelope{Method: "m", Args: make([]CallArg, MaxCallArgs+1)}
 	if _, err := UnmarshalCallEnvelope(many.Marshal()); !errors.Is(err, ErrTooManyArgs) {
@@ -183,8 +183,8 @@ func TestLocatedRefRoundTrip(t *testing.T) {
 
 	for _, flag := range []byte{3, 4, 0xff} {
 		bad := append([]byte{flag}, argWire(located)[1:]...)
-		if _, err := decodeArg(bad); !errors.Is(err, ErrBadEnvelope) {
-			t.Fatalf("flag %d: %v, want ErrBadEnvelope", flag, err)
+		if _, err := decodeArg(bad); !errors.Is(err, errBadEnvelope) {
+			t.Fatalf("flag %d: %v, want errBadEnvelope", flag, err)
 		}
 	}
 }
@@ -213,8 +213,8 @@ func TestReplicatedRefRoundTrip(t *testing.T) {
 	for i := 0; i <= MaxRefReplicas; i++ {
 		over = append(over, 0, 0, 0, byte(i))
 	}
-	if _, err := decodeArg(over); !errors.Is(err, ErrTooManyReplicas) {
-		t.Fatalf("count MaxRefReplicas+1: %v, want ErrTooManyReplicas", err)
+	if _, err := decodeArg(over); !errors.Is(err, errTooManyReplicas) {
+		t.Fatalf("count MaxRefReplicas+1: %v, want errTooManyReplicas", err)
 	}
 
 	long := CallArg{IsRef: true, Located: true, Ref: ref, Replicas: reps}
@@ -290,12 +290,12 @@ func TestEnvelopeLocatedArg(t *testing.T) {
 // with its tail ignored.
 func TestEnvelopeTrailingBytesRefused(t *testing.T) {
 	call := append(sampleEnvelope().Marshal(), 0)
-	if _, err := UnmarshalCallEnvelope(call); !errors.Is(err, ErrBadEnvelope) {
-		t.Fatalf("call envelope with a trailing byte: %v, want ErrBadEnvelope", err)
+	if _, err := UnmarshalCallEnvelope(call); !errors.Is(err, errBadEnvelope) {
+		t.Fatalf("call envelope with a trailing byte: %v, want errBadEnvelope", err)
 	}
 	ret := append(marshalReturn(sampleEnvelope().Args), 0)
-	if _, err := DecodeReturn(ret, nil); !errors.Is(err, ErrBadEnvelope) {
-		t.Fatalf("return envelope with a trailing byte: %v, want ErrBadEnvelope", err)
+	if _, err := DecodeReturn(ret, nil); !errors.Is(err, errBadEnvelope) {
+		t.Fatalf("return envelope with a trailing byte: %v, want errBadEnvelope", err)
 	}
 }
 

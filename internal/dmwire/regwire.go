@@ -21,9 +21,9 @@ import (
 // limit and the natural pacing unit for the sync loop.
 const MaxRegSyncEntries = 1024
 
-// ErrRegPage reports a sync page whose entry count exceeds
+// errRegPage reports a sync page whose entry count exceeds
 // MaxRegSyncEntries.
-var ErrRegPage = errors.New("dmwire: registry sync page exceeds MaxRegSyncEntries")
+var errRegPage = errors.New("dmwire: registry sync page exceeds MaxRegSyncEntries")
 
 // regEntrySize is the fixed prefix of one encoded entry.
 const regEntrySize = 25
@@ -158,7 +158,7 @@ func UnmarshalRegSyncResp(b []byte) (RegSyncResp, error) {
 		return RegSyncResp{}, err
 	}
 	if n > MaxRegSyncEntries {
-		return RegSyncResp{}, ErrRegPage
+		return RegSyncResp{}, errRegPage
 	}
 	r := RegSyncResp{}
 	if n > 0 {

@@ -241,7 +241,7 @@ func TestAdoptRefRaces(t *testing.T) {
 		if !wins[i][0] {
 			continue
 		}
-		if status, _ := s.dispatch(sess, dmwire.MReadRef, dmwire.ReadRefReq{Key: keys[i], Size: 1}.Append(nil)); status != dmwire.StatusBadRef {
+		if status, _ := s.dispatch(sess, dmwire.MReadRef, dmwire.ReadRefReq{Key: keys[i], Size: 1}.Append(nil)); status != dmwire.StatusOf(dm.ErrBadRef) {
 			t.Fatalf("ref %d: old key read answered status %d after adopt", i, status)
 		}
 		if status, resp := s.dispatch(sess, dmwire.MFreeRef, dmwire.FreeRefReq{Key: key}.Append(nil)); status != dmwire.StatusOK {

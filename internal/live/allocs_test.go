@@ -53,7 +53,7 @@ func TestFreeFramesAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeCallAllocs: a loopback CallConsume with a nil consumer and an
+// TestNodeCallAllocs: a loopback callConsume with a nil consumer and an
 // empty fast response costs at most one allocation, so the caller slot,
 // the frame pool and the writers allocate nothing per call.
 func TestNodeCallAllocs(t *testing.T) {
@@ -64,15 +64,15 @@ func TestNodeCallAllocs(t *testing.T) {
 	defer cli.Close()
 	body := make([]byte, 4096)
 	call := func() {
-		if err := cli.CallConsume(addr, 1, nil, body, nil); err != nil {
+		if err := cli.callConsume(addr, 1, nil, body, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	call()
 	got := testing.AllocsPerRun(200, call)
-	t.Logf("Node.CallConsume: %v allocs", got)
+	t.Logf("Node.callConsume: %v allocs", got)
 	if got > 1 {
-		t.Fatalf("Node.CallConsume: %v allocs, want <= 1", got)
+		t.Fatalf("Node.callConsume: %v allocs, want <= 1", got)
 	}
 }
 

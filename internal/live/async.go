@@ -64,7 +64,7 @@ func (n *Node) callAsync(p *pending, addr string, m rpc.Method, hdr, payload []b
 
 // wait blocks for the response and hands the pooled body to consume
 // (which must not retain it; nil ignores the body), exactly like
-// CallConsume. A transient failure of the in-flight attempt —
+// callConsume. A transient failure of the in-flight attempt —
 // including a submission error from callAsync — is retried with full
 // re-sends. The call's submission-to-completion latency lands in the
 // node's histogram, a call that never got a slot's included.

@@ -186,7 +186,7 @@ func TestLateResponseAfterTimeoutNoLeak(t *testing.T) {
 func TestBatchWriterFailureUnderFaultnet(t *testing.T) {
 	srv, addr := startServer(t, smallConfig())
 	inj := faultnet.New()
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.Net.Dialer = injectedDialer(inj)
 	ccfg.Net.MaxRetries = -1 // failures must surface, not retry away
 	ccfg.Net.CallTimeout = 2 * time.Second
@@ -253,7 +253,7 @@ func TestSessionHealthObservesFailures(t *testing.T) {
 	_, addr := startServer(t, cfg)
 	inj := faultnet.New()
 	var cbFails, cbMax atomicMax
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.Net.Dialer = injectedDialer(inj)
 	ccfg.HeartbeatInterval = 50 * time.Millisecond
 	ccfg.OnHeartbeatFailure = func(a string, consecutive int, err error) {

@@ -252,7 +252,7 @@ func BenchmarkLiveSmallOpThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("clients=%d", workers), func(b *testing.B) {
 			_, addr := benchServer(b, ServerConfig{NumPages: 1 << 15, PageSize: 4096})
-			cl, err := DialConfig(DefaultClientConfig(), addr)
+			cl, err := DialConfig(defaultClientConfig(), addr)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,7 +7,7 @@ import (
 
 // Zero-copy read delivery (DESIGN.md §D12). The copying read paths
 // (Read/ReadRef with a caller dst) pay one memcpy per read: pooled
-// response frame -> dst. The lease paths (ReadRefLease/ReadLease) hand
+// response frame -> dst. The lease paths (ReadRefLease, readLease) hand
 // the application the pooled response frame itself, wrapped in a
 // refcounted Buf — the transport's final copy disappears, at the price
 // of an explicit ownership contract: every leased Buf must be Released,
@@ -15,7 +15,7 @@ import (
 // touched.
 //
 // leasedBufs is the package-wide outstanding-lease gauge. Every Buf
-// minted (leased from the pool, wrapped, or copied) increments it; the
+// minted (leased from the pool or wrapped) increments it; the
 // final Release decrements it. Tests assert it returns to its baseline —
 // the leak detector for the zero-copy path, including the failure
 // cleanups (deadline kills, mid-frame cuts) where no Buf is ever handed
@@ -68,15 +68,6 @@ func newLeasedBuf(raw, data []byte) *Buf {
 // final Release drops the reference without recycling anything.
 func WrapBuf(data []byte) *Buf {
 	return leaseBuf(nil, data)
-}
-
-// NewBuf copies data into a pooled buffer and returns it as a leased
-// Buf — the bridge for callers that must hand out a Buf but only have
-// transient bytes.
-func NewBuf(data []byte) *Buf {
-	raw := getBuf(len(data))
-	copy(raw, data)
-	return newLeasedBuf(raw, raw)
 }
 
 // Bytes returns the leased payload. Valid only until the last Release.

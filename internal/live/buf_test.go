@@ -18,7 +18,9 @@ import (
 func TestBufLifecycle(t *testing.T) {
 	base := LeasedBufs()
 
-	b := NewBuf([]byte("hello"))
+	raw := getBuf(5)
+	copy(raw, "hello")
+	b := newLeasedBuf(raw, raw)
 	if got := LeasedBufs(); got != base+1 {
 		t.Fatalf("gauge after mint = %d, want %d", got, base+1)
 	}
@@ -65,7 +67,7 @@ func TestBufDoubleReleasePanics(t *testing.T) {
 	b.Release()
 }
 
-// TestReadLeasePaths is the zero-copy happy path: ReadLease and
+// TestReadLeasePaths is the zero-copy happy path: readLease and
 // ReadRefLease deliver the staged bytes without a caller-side copy, the
 // lease gauge tracks the outstanding buffer, and Release balances it.
 func TestReadLeasePaths(t *testing.T) {
@@ -97,12 +99,12 @@ func TestReadLeasePaths(t *testing.T) {
 	if err := cl.Write(ra, payload); err != nil {
 		t.Fatal(err)
 	}
-	lb, err := cl.ReadLease(ra, int64(len(payload)))
+	lb, err := cl.readLease(ra, int64(len(payload)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(lb.Bytes(), payload) {
-		t.Fatal("ReadLease payload mismatch")
+		t.Fatal("readLease payload mismatch")
 	}
 	lb.Release()
 	if got := LeasedBufs(); got != base {
@@ -184,7 +186,7 @@ func TestLeaseNotLeakedOnDeadline(t *testing.T) {
 func TestLeaseNotLeakedOnMidFrameCut(t *testing.T) {
 	_, addr := startServer(t, smallConfig())
 	inj := faultnet.New()
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.HeartbeatInterval = -1
 	ccfg.Net.Dialer = injectedDialer(inj)
 	ccfg.Net.AttemptTimeout = time.Second

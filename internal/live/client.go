@@ -41,8 +41,8 @@ type ClientConfig struct {
 	OnEpochAdvance func(addr string, epoch uint64)
 }
 
-// DefaultClientConfig returns the production defaults.
-func DefaultClientConfig() ClientConfig {
+// defaultClientConfig returns the production defaults.
+func defaultClientConfig() ClientConfig {
 	return ClientConfig{Net: DefaultNodeConfig()}
 }
 
@@ -101,7 +101,7 @@ type conn struct {
 
 // Dial connects to the server at addr with the default configuration.
 func Dial(addr string) (*Client, error) {
-	return DialConfig(DefaultClientConfig(), addr)
+	return DialConfig(defaultClientConfig(), addr)
 }
 
 // DialConfig is Dial with explicit configuration.
@@ -327,7 +327,7 @@ func (cl *Client) Register() error {
 // must still invalidate, §D15).
 func (cl *Client) register() error {
 	var r dmwire.RegisterResp
-	err := cl.node.CallConsume(cl.addr, dmwire.MRegister, nil, nil, func(resp []byte) (err error) {
+	err := cl.node.callConsume(cl.addr, dmwire.MRegister, nil, nil, func(resp []byte) (err error) {
 		r, err = dmwire.UnmarshalRegisterResp(resp)
 		return err
 	})
@@ -544,7 +544,7 @@ func (cl *Client) Lease() time.Duration {
 // Alloc reserves size bytes (ralloc).
 func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
 	var addr dm.RemoteAddr
-	err := cl.node.CallConsume(cl.addr, dmwire.MAlloc, dmwire.AllocReq{Size: size}.Marshal(), nil,
+	err := cl.node.callConsume(cl.addr, dmwire.MAlloc, dmwire.AllocReq{Size: size}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalAllocResp(resp)
 			if err != nil {
@@ -558,7 +558,7 @@ func (cl *Client) Alloc(size int64) (dm.RemoteAddr, error) {
 
 // Free releases the region at addr (rfree).
 func (cl *Client) Free(addr dm.RemoteAddr) error {
-	return cl.node.CallConsume(cl.addr, dmwire.MFree, dmwire.FreeReq{Addr: addr}.Marshal(), nil, nil)
+	return cl.node.callConsume(cl.addr, dmwire.MFree, dmwire.FreeReq{Addr: addr}.Marshal(), nil, nil)
 }
 
 // CreateRef shares [addr, addr+size) read-only (create_ref).
@@ -573,7 +573,7 @@ func (cl *Client) CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error) {
 // callRefKey runs a call whose successful response is a RefKeyResp.
 func (cl *Client) callRefKey(m rpc.Method, hdr, payload []byte) (uint64, error) {
 	var key uint64
-	err := cl.node.CallConsume(cl.addr, m, hdr, payload, func(resp []byte) error {
+	err := cl.node.callConsume(cl.addr, m, hdr, payload, func(resp []byte) error {
 		r, err := dmwire.UnmarshalRefKeyResp(resp)
 		if err != nil {
 			return err
@@ -587,7 +587,7 @@ func (cl *Client) callRefKey(m rpc.Method, hdr, payload []byte) (uint64, error) 
 // MapRef maps a ref into this process's DM address space (map_ref).
 func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 	var addr dm.RemoteAddr
-	err := cl.node.CallConsume(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{Key: ref.Key}.Marshal(), nil,
+	err := cl.node.callConsume(cl.addr, dmwire.MMapRef, dmwire.MapRefReq{Key: ref.Key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalMapRefResp(resp)
 			if err != nil {
@@ -602,7 +602,7 @@ func (cl *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 // FreeRef drops the ref's own page hold.
 func (cl *Client) FreeRef(ref dm.Ref) error {
 	var hb [8]byte
-	return cl.node.CallConsume(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Append(hb[:0]), nil, nil)
+	return cl.node.callConsume(cl.addr, dmwire.MFreeRef, dmwire.FreeRefReq{Key: ref.Key}.Append(hb[:0]), nil, nil)
 }
 
 // AdoptRef moves ref to this session in one exchange (adopt_ref): the
@@ -641,13 +641,13 @@ func (cl *Client) Write(addr dm.RemoteAddr, src []byte) error {
 	if err := checkWireRange("write", 0, int64(len(src))); err != nil {
 		return err
 	}
-	return cl.node.CallConsume(cl.addr, dmwire.MWrite, dmwire.WriteReq{Addr: addr}.MarshalHdr(), src, nil)
+	return cl.node.callConsume(cl.addr, dmwire.MWrite, dmwire.WriteReq{Addr: addr}.MarshalHdr(), src, nil)
 }
 
-// Read loads len(dst) bytes from addr (rread): ReadLease plus the one
+// Read loads len(dst) bytes from addr (rread): readLease plus the one
 // copy, pooled response frame to dst.
 func (cl *Client) Read(addr dm.RemoteAddr, dst []byte) error {
-	b, err := cl.ReadLease(addr, int64(len(dst)))
+	b, err := cl.readLease(addr, int64(len(dst)))
 	if err != nil {
 		return err
 	}
@@ -656,10 +656,10 @@ func (cl *Client) Read(addr dm.RemoteAddr, dst []byte) error {
 	return nil
 }
 
-// ReadLease loads size bytes from addr and leases the caller the pooled
+// readLease loads size bytes from addr and leases the caller the pooled
 // response frame itself as a Buf. The caller must Release it exactly
 // once; the bytes are invalid after.
-func (cl *Client) ReadLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
+func (cl *Client) readLease(addr dm.RemoteAddr, size int64) (*Buf, error) {
 	if err := checkWireRange("read", 0, size); err != nil {
 		return nil, err
 	}
@@ -717,14 +717,14 @@ func (cl *Client) StageRefAt(key uint64, data []byte) (dm.Ref, error) {
 // entry rides stage_at). The server merges higher-epoch-wins, so retries
 // and races are idempotent.
 func (cl *Client) RegPut(ent registry.Entry) error {
-	return cl.node.CallConsume(cl.addr, dmwire.MRegPut, dmwire.RegPutReq{Entry: ent}.Marshal(), nil, nil)
+	return cl.node.callConsume(cl.addr, dmwire.MRegPut, dmwire.RegPutReq{Entry: ent}.Marshal(), nil, nil)
 }
 
 // RegGet queries the server's directory slice for one key; dm.ErrBadRef
 // when it holds no entry.
 func (cl *Client) RegGet(key uint64) (registry.Entry, error) {
 	var ent registry.Entry
-	err := cl.node.CallConsume(cl.addr, dmwire.MRegGet,
+	err := cl.node.callConsume(cl.addr, dmwire.MRegGet,
 		dmwire.RegGetReq{Key: key}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalRegGetResp(resp)
@@ -745,7 +745,7 @@ func (cl *Client) RegSync(afterKey uint64, limit int) ([]registry.Entry, error) 
 		limit = dmwire.MaxRegSyncEntries
 	}
 	var ents []registry.Entry
-	err := cl.node.CallConsume(cl.addr, dmwire.MRegSync,
+	err := cl.node.callConsume(cl.addr, dmwire.MRegSync,
 		dmwire.RegSyncReq{AfterKey: afterKey, Limit: uint32(limit)}.Marshal(), nil,
 		func(resp []byte) error {
 			r, err := dmwire.UnmarshalRegSyncResp(resp)

@@ -165,7 +165,7 @@ func TestConsumeRefRetriesAcrossCut(t *testing.T) {
 	inj := faultnet.New()
 	go srv.Serve(inj.Listener(ln))
 	t.Cleanup(func() { srv.Close() })
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.HeartbeatInterval = -1
 	ccfg.Net.AttemptTimeout = time.Second
 	cl, err := DialConfig(ccfg, ln.Addr().String())

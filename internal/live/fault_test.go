@@ -326,7 +326,7 @@ func TestTokenedCallRetriesAcrossTornWrite(t *testing.T) {
 
 	inj.TruncateNextWrite()
 	var got string
-	err := cl.CallConsume(addr, rpc.Method(0x0302), nil, []byte("m1"), func(resp []byte) error {
+	err := cl.callConsume(addr, rpc.Method(0x0302), nil, []byte("m1"), func(resp []byte) error {
 		got = string(resp)
 		return nil
 	})
@@ -359,7 +359,7 @@ func TestLeaseExpiryReapsSession(t *testing.T) {
 	srv, addr := startServer(t, leaseConfig(ttl))
 	initial := srv.FreePages()
 
-	cfg := DefaultClientConfig()
+	cfg := defaultClientConfig()
 	cfg.HeartbeatInterval = -1 // simulate a client that dies silently
 	cl, err := DialConfig(cfg, addr)
 	if err != nil {
@@ -404,7 +404,7 @@ func TestLeaseExpiryReapsSession(t *testing.T) {
 func TestHeartbeatKeepsSessionAlive(t *testing.T) {
 	ttl := 150 * time.Millisecond
 	_, addr := startServer(t, leaseConfig(ttl))
-	cfg := DefaultClientConfig() // HeartbeatInterval 0 -> TTL/3
+	cfg := defaultClientConfig() // HeartbeatInterval 0 -> TTL/3
 	cl, err := DialConfig(cfg, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +436,7 @@ func TestBusySessionOutlivesLease(t *testing.T) {
 	ttl := time.Hour // the test drives the sweep by hand
 	srv, addr := startServer(t, leaseConfig(ttl))
 	baseFree, baseRefs := srv.FreePages(), srv.LiveRefs()
-	cfg := DefaultClientConfig()
+	cfg := defaultClientConfig()
 	cfg.HeartbeatInterval = -1
 	cl, err := DialConfig(cfg, addr)
 	if err != nil {
@@ -557,7 +557,7 @@ func TestChaosClientKilledMidBurst(t *testing.T) {
 	// Victim A: all traffic through a fault injector; fast failure knobs
 	// so the kill doesn't stall the test.
 	inj := faultnet.New()
-	acfg := DefaultClientConfig()
+	acfg := defaultClientConfig()
 	acfg.HeartbeatInterval = ttl / 5
 	acfg.Net.Dialer = injectedDialer(inj)
 	acfg.Net.CallTimeout = 500 * time.Millisecond
@@ -722,7 +722,7 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 	// after its deadline has passed and dies with ErrDeadline.
 	_, addr := startServer(t, smallConfig())
 	inj := faultnet.New()
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.HeartbeatInterval = -1 // keep lease renewals out of the counters
 	ccfg.Net.Dialer = injectedDialer(inj)
 	ccfg.Net.CallTimeout = 400 * time.Millisecond
@@ -761,7 +761,7 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 	// frame's write until its attempt deadline fails it, and that failure
 	// must be attributed to Timeouts too. Retries are off on this client,
 	// so the one failed write is the whole story.
-	acfg := DefaultClientConfig()
+	acfg := defaultClientConfig()
 	acfg.HeartbeatInterval = -1
 	acfg.Net.Dialer = injectedDialer(inj)
 	acfg.Net.CallTimeout = 400 * time.Millisecond
@@ -805,7 +805,7 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 		defer close(vdone)
 		vsrv.Serve(vln)
 	}()
-	dcfg := DefaultClientConfig()
+	dcfg := defaultClientConfig()
 	dcfg.HeartbeatInterval = -1
 	dcfg.Net.CallTimeout = 400 * time.Millisecond
 	dcfg.Net.AttemptTimeout = 100 * time.Millisecond
@@ -845,7 +845,7 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 func TestFailuresCountOnlyTransientEnds(t *testing.T) {
 	_, addr := startServer(t, smallConfig())
 	inj := faultnet.New()
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.HeartbeatInterval = -1
 	ccfg.Net.Dialer = injectedDialer(inj)
 	ccfg.Net.MaxRetries = 2

@@ -193,7 +193,7 @@ func TestRestartableListenerKeepsTCP(t *testing.T) {
 	srv := NewServer(ServerConfig{NumPages: 64, PageSize: 4096})
 	defer srv.Close()
 	go srv.Serve(ln)
-	cfg := DefaultClientConfig()
+	cfg := defaultClientConfig()
 	cfg.Net.CallTimeout = 500 * time.Millisecond
 	cfg.Net.AttemptTimeout = 100 * time.Millisecond
 	cl, err := DialConfig(cfg, rst.Addr())

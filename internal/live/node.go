@@ -612,7 +612,7 @@ func (n *Node) dial(addr string, timeout time.Duration) (net.Conn, error) {
 // dm errors or *rpc.AppError.
 func (n *Node) Call(addr string, m rpc.Method, body []byte) ([]byte, error) {
 	var out []byte
-	err := n.CallConsume(addr, m, nil, body, func(resp []byte) error {
+	err := n.callConsume(addr, m, nil, body, func(resp []byte) error {
 		out = append([]byte(nil), resp...)
 		return nil
 	})
@@ -622,10 +622,7 @@ func (n *Node) Call(addr string, m rpc.Method, body []byte) ([]byte, error) {
 	return out, nil
 }
 
-// CallConsume invokes method m at addr, writing hdr and payload as the
-// request body without an intermediate copy (vectored write), and hands
-// the pooled response body to consume before recycling it. consume may be
-// nil when the response body is irrelevant; it must not retain the slice.
-func (n *Node) CallConsume(addr string, m rpc.Method, hdr, payload []byte, consume func(resp []byte) error) error {
+// callConsume is CallConsumeWithin under NodeConfig.CallTimeout.
+func (n *Node) callConsume(addr string, m rpc.Method, hdr, payload []byte, consume func(resp []byte) error) error {
 	return n.CallConsumeWithin(addr, m, hdr, payload, 0, consume)
 }

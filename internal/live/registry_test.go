@@ -231,8 +231,8 @@ func TestStageAtCarriesDirectoryEntry(t *testing.T) {
 	key := dmwire.ReplicaKeyBit | 54
 	status, _ := srv.dispatch(sess, dmwire.MStageAt,
 		dmwire.StageAtReq{Key: key, Replicas: []uint32{0, 1}, Data: payload}.Marshal())
-	if status != dmwire.StatusBadAddr {
-		t.Fatalf("stage_at on a gone session: status %d, want %d", status, dmwire.StatusBadAddr)
+	if status != dmwire.StatusOf(dm.ErrBadAddress) {
+		t.Fatalf("stage_at on a gone session: status %d, want %d", status, dmwire.StatusOf(dm.ErrBadAddress))
 	}
 	if got := srv.FreePages(); got != free {
 		t.Fatalf("gone-session stage_at kept frames: %d free, want %d", got, free)

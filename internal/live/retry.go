@@ -43,8 +43,12 @@ type consumer struct {
 	own func(raw, body []byte) error
 }
 
-// CallConsumeWithin is CallConsume bounded by timeout: the whole call —
-// the wait for a session slot and every attempt — must finish within it.
+// CallConsumeWithin invokes method m at addr, writing hdr and payload as
+// the request body without an intermediate copy (vectored write), and
+// hands the pooled response body to consume before recycling it. consume
+// may be nil when the response body is irrelevant; it must not retain the
+// slice. The whole call — the wait for a session slot and every attempt —
+// must finish within timeout.
 // 0 uses NodeConfig.CallTimeout; negative disables the bound. Each
 // attempt is also capped by NodeConfig.AttemptTimeout, so a stalled
 // server cannot absorb the whole budget, and transient failures are

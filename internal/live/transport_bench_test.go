@@ -15,7 +15,7 @@ import (
 func transportSetup(b *testing.B, scfg ServerConfig) (*Server, *Client) {
 	b.Helper()
 	srv, addr := benchServer(b, scfg)
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.HeartbeatInterval = -1
 	cl, err := DialConfig(ccfg, addr)
 	if err != nil {

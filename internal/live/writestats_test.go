@@ -12,7 +12,7 @@ import (
 // the benchmark harness (Batches, CoalescedFrames) read as Frames.
 func TestWriteStatsComputedFieldsQuiesce(t *testing.T) {
 	srv, addr := startServer(t, smallConfig())
-	ccfg := DefaultClientConfig()
+	ccfg := defaultClientConfig()
 	ccfg.HeartbeatInterval = -1 // no frames but the burst's
 	cl, err := DialConfig(ccfg, addr)
 	if err != nil {

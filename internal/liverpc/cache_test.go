@@ -46,18 +46,18 @@ func TestFetchRepeatHitsCache(t *testing.T) {
 		t.Fatalf("3 fetches should be 1 miss + 2 hits, got %+v", cs)
 	}
 
-	// FetchLease rides the same cache: the leased Buf is a retained hold
+	// fetchLease rides the same cache: the leased Buf is a retained hold
 	// on the cached payload, released independently.
-	b, err := cc.FetchLease(p)
+	b, err := fetchLease(cc.dm, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b.Bytes(), body) {
-		t.Fatal("FetchLease returned wrong bytes")
+		t.Fatal("fetchLease returned wrong bytes")
 	}
 	b.Release()
 	if after := consumer.CacheStats(); after.Hits <= cs.Hits {
-		t.Fatalf("FetchLease did not hit the cache: %+v", after)
+		t.Fatalf("fetchLease did not hit the cache: %+v", after)
 	}
 
 	if err := pc.Release(p); err != nil {

@@ -15,16 +15,16 @@ import (
 // moves a ~21-byte Ref descriptor; in by-value mode each hop re-copies
 // the whole payload — exactly the comparison Fig 5 makes.
 
-// ChainMethod is the chain's service method name.
-const ChainMethod = "chain.do"
+// chainMethod is the chain's service method name.
+const chainMethod = "chain.do"
 
-// NewChainHop deploys one chain service. next is the downstream
+// newChainHop deploys one chain service. next is the downstream
 // service's address; empty marks the terminal aggregator. dmc may be nil
 // on pure movers running by-value (they never touch payload bytes) but
 // the terminal needs one to materialize ref payloads.
-func NewChainHop(name string, dmc DM, next string, cfg Config) *Service {
+func newChainHop(name string, dmc DM, next string, cfg Config) *Service {
 	s := NewService(name, dmc, cfg)
-	s.Handle(ChainMethod, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+	s.Handle(chainMethod, func(ctx *Ctx, args []Payload) ([]Payload, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("liverpc: chain.do wants 1 argument, got %d", len(args))
 		}
@@ -32,7 +32,7 @@ func NewChainHop(name string, dmc DM, next string, cfg Config) *Service {
 			// Pure data mover: forward the argument without touching it
 			// (the paper's ~60%-of-datacenter-traffic case). A ref payload
 			// forwards as its descriptor; an inline one re-serializes.
-			return ctx.Call(next, ChainMethod, args[0])
+			return ctx.Call(next, chainMethod, args[0])
 		}
 		// The terminal is the payload's last reader: consume it — read and
 		// free in one exchange — and aggregate over the leased bytes.
@@ -66,7 +66,7 @@ func (cc *ChainClient) Close() error { return cc.caller.Close() }
 // the terminal consumes the staged ref, so Do releases it only when the
 // call failed (see Caller.handOff).
 func (cc *ChainClient) Do(payload []byte) (uint64, error) {
-	res, err := cc.caller.handOff(cc.first, ChainMethod, payload)
+	res, err := cc.caller.handOff(cc.first, chainMethod, payload)
 	if err != nil {
 		return 0, err
 	}
@@ -132,7 +132,7 @@ func DeployChainWith(hops int, newSession func() (DM, error), cfg Config) (*Chai
 		if i < hops-1 {
 			next = d.Addrs[i+1]
 		}
-		s := NewChainHop(fmt.Sprintf("chain-svc%d", i), dmc, next, cfg)
+		s := newChainHop(fmt.Sprintf("chain-svc%d", i), dmc, next, cfg)
 		d.svcs = append(d.svcs, s)
 		go s.Serve(d.lns[i])
 	}

@@ -93,7 +93,7 @@ func TestChainFailureLeavesNothing(t *testing.T) {
 			baseFree := srv.FreePages()
 			cfg := Config{InlineThreshold: 1024}
 			term := NewService("term", dialDM(t, dmAddr), cfg)
-			term.Handle(ChainMethod, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+			term.Handle(chainMethod, func(ctx *Ctx, args []Payload) ([]Payload, error) {
 				if consumed {
 					b, err := ctx.Consume(args[0])
 					if err != nil {
@@ -103,7 +103,7 @@ func TestChainFailureLeavesNothing(t *testing.T) {
 				}
 				return nil, errors.New("terminal failed")
 			})
-			hop := NewChainHop("hop", dialDM(t, dmAddr), serveService(t, term), cfg)
+			hop := newChainHop("hop", dialDM(t, dmAddr), serveService(t, term), cfg)
 			cc := NewChainClient(dialDM(t, dmAddr), serveService(t, hop), cfg)
 			defer cc.Close()
 			if _, err := cc.Do(make([]byte, 32<<10)); err == nil {
@@ -216,14 +216,14 @@ func TestComposeFailureAfterAdopt(t *testing.T) {
 	cfg := Config{InlineThreshold: 256}
 	storage := serveService(t, newSNStorage(dialDM(t, dmAddr), cfg))
 	front := NewService("front", dialDM(t, dmAddr), cfg)
-	front.Handle(SNCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		if _, err := ctx.Call(storage, SNStore, args...); err != nil {
+	front.Handle(snCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		if _, err := ctx.Call(storage, snStore, args...); err != nil {
 			return nil, err
 		}
 		return nil, errors.New("front failed after the store")
 	})
-	front.Handle(SNRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(storage, SNFetch, args...)
+	front.Handle(snRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(storage, snFetch, args...)
 	})
 	cl := NewSocialNetClient(dialDM(t, dmAddr), serveService(t, front), cfg)
 	defer cl.Close()
@@ -332,7 +332,7 @@ func testAdoptSurvivesComposerCrash(t *testing.T, r int) {
 	if _, err := composer.Stage(media); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := composer.Call(dep.Frontend, SNCompose, arg); err != nil {
+	if _, err := composer.Call(dep.Frontend, snCompose, arg); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: drop the transport without releasing anything.
@@ -346,7 +346,7 @@ func testAdoptSurvivesComposerCrash(t *testing.T, r int) {
 	defer rc.Close()
 	var res []Payload
 	for {
-		res, err = rc.Call(dep.Frontend, SNRead, snParams(0, 1))
+		res, err = rc.Call(dep.Frontend, snRead, snParams(0, 1))
 		if err == nil || time.Now().After(deadline) {
 			break
 		}

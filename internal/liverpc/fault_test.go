@@ -83,7 +83,7 @@ func TestMidChainCrashReclaimsRefs(t *testing.T) {
 			return 0, err
 		}
 		defer c.Release(arg)
-		res, err := c.CallWithin(midAddr, "sum", 2*time.Second, arg)
+		res, err := c.callWithin(midAddr, "sum", 2*time.Second, arg)
 		if err != nil {
 			return 0, err
 		}

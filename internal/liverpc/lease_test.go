@@ -16,7 +16,7 @@ func TestFetchLeaseInlineAliases(t *testing.T) {
 	base := live.LeasedBufs()
 
 	src := []byte("inline payload")
-	b, err := c.FetchLease(Inline(src))
+	b, err := fetchLease(c.dm, Inline(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFetchLeaseZeroCopyBackend(t *testing.T) {
 		t.Fatal("payload above the threshold did not stage by ref")
 	}
 	base := live.LeasedBufs()
-	b, err := c.FetchLease(p)
+	b, err := fetchLease(c.dm, p)
 	if err != nil {
 		t.Fatal(err)
 	}

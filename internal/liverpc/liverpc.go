@@ -64,16 +64,16 @@ type (
 	BufDM        = DM
 )
 
-// MethodCall is the single transport-level method every liverpc service
+// methodCall is the single transport-level method every liverpc service
 // registers on its live.Node; application methods are dispatched by name
 // from the call envelope. Kept in its own range clear of the DM
 // (0x0100), CXL (0x0200), store (0x0300), msvc (0x04xx) and bench
 // (0x0500) method spaces.
-const MethodCall rpc.Method = 0x0600
+const methodCall rpc.Method = 0x0600
 
-// DefaultInlineThreshold is the size-aware transfer cutoff: payloads at
+// defaultInlineThreshold is the size-aware transfer cutoff: payloads at
 // or below this many bytes pass by value inside the envelope.
-const DefaultInlineThreshold = 1024
+const defaultInlineThreshold = 1024
 
 // Config tunes one liverpc endpoint (a Caller or a Service).
 type Config struct {
@@ -82,7 +82,7 @@ type Config struct {
 	// defaults.
 	Net live.NodeConfig
 	// InlineThreshold is the size-aware cutoff in bytes. Zero means
-	// DefaultInlineThreshold; negative means "always pass by reference".
+	// defaultInlineThreshold; negative means "always pass by reference".
 	InlineThreshold int
 	// ForceInline disables pass-by-reference entirely, producing the
 	// pass-by-value (eRPC-style) baseline from the same application code.
@@ -98,7 +98,7 @@ func (c Config) threshold() int {
 		return int(^uint(0) >> 1) // MaxInt: everything inlines
 	}
 	if c.InlineThreshold == 0 {
-		return DefaultInlineThreshold
+		return defaultInlineThreshold
 	}
 	if c.InlineThreshold < 0 {
 		return -1
@@ -162,16 +162,6 @@ func (c *Caller) Fetch(p Payload) ([]byte, error) {
 	return fetch(c.dm, p)
 }
 
-// FetchLease materializes a payload as a leased buffer (DESIGN.md §D12):
-// ref payloads arrive in the transport's pooled response frame (or the
-// backend's hot-ref cache) with no final copy; the caller must Release
-// the Buf exactly once. Inline payloads are wrapped without copying and
-// still alias their transport buffer — treat them with Fetch's inline
-// lifetime rules.
-func (c *Caller) FetchLease(p Payload) (*live.Buf, error) {
-	return fetchLease(c.dm, p)
-}
-
 // Release drops a staged payload's ref hold. Inline payloads are no-ops.
 func (c *Caller) Release(p Payload) error {
 	return release(c.dm, p)
@@ -201,21 +191,20 @@ func (c *Caller) handOff(addr, method string, data []byte, extra ...Payload) ([]
 	return res, nil
 }
 
-// Call invokes method at addr with args and the endpoint's default
-// timeout.
+// Call invokes method at addr with args. The call is bounded by the
+// endpoint's default timeout, retries included; the deadline rides the
+// envelope, so callees inherit the remaining budget. The call is retried
+// across transport failures via the node's reconnect path; the serving
+// node runs it at most once. More than dmwire.MaxCallArgs arguments fail
+// before anything is sent. Returned inline payloads are the caller's own
+// memory; returned refs are owned per the application's protocol.
 func (c *Caller) Call(addr, method string, args ...Payload) ([]Payload, error) {
-	return c.CallWithin(addr, method, 0, args...)
+	return c.callWithin(addr, method, 0, args...)
 }
 
-// CallWithin invokes method at addr with args. The call is bounded by
-// timeout, retries included; the deadline rides the envelope, so callees
-// inherit the remaining budget. 0 uses the endpoint's default; negative
-// disables the bound. The call is retried across transport failures via
-// the node's reconnect path; the serving node runs it at most once. More
-// than dmwire.MaxCallArgs arguments fail before anything is sent.
-// Returned inline payloads are the caller's own memory; returned refs are
-// owned per the application's protocol.
-func (c *Caller) CallWithin(addr, method string, timeout time.Duration, args ...Payload) ([]Payload, error) {
+// callWithin is Call bounded by timeout instead: 0 uses the endpoint's
+// default; negative disables the bound.
+func (c *Caller) callWithin(addr, method string, timeout time.Duration, args ...Payload) ([]Payload, error) {
 	env := dmwire.CallEnvelope{Method: method, TraceID: rand.Uint64()}
 	return c.issue(addr, &env, args, timeout, nil)
 }
@@ -251,7 +240,7 @@ func (c *Caller) issue(addr string, env *dmwire.CallEnvelope, args []Payload, ti
 		return nil, fmt.Errorf("liverpc: %s: %w", env.Method, err)
 	}
 	var out []Payload
-	err = c.node.CallConsumeWithin(addr, MethodCall, hdr, bulk, timeout,
+	err = c.node.CallConsumeWithin(addr, methodCall, hdr, bulk, timeout,
 		func(resp []byte) (err error) {
 			out, err = results(resp, ctx)
 			return err
@@ -315,8 +304,8 @@ func results(resp []byte, ctx *Ctx) ([]Payload, error) {
 // inline byte the handler sees (its args', its nested calls' results')
 // are call-scoped: valid only until the handler returns, when the
 // service recycles them — a handler that retains inline bytes must copy
-// them (Fetch on a ref payload returns a fresh buffer; FetchLease and
-// Consume lease a pooled one until its Release). A ref payload is a
+// them (Fetch on a ref payload returns a fresh buffer; Consume leases a
+// pooled one until its Release). A ref payload is a
 // value and may be kept past the return. The handler may return its
 // args or its nested calls' results as its own: the service encodes the
 // results before it recycles anything. Handlers may issue nested calls
@@ -344,7 +333,7 @@ func NewService(name string, dmc DM, cfg Config) *Service {
 		caller: NewCaller(dmc, cfg),
 		meths:  make(map[string]Handler),
 	}
-	s.caller.node.Handle(MethodCall, s.dispatch)
+	s.caller.node.Handle(methodCall, s.dispatch)
 	return s
 }
 
@@ -483,19 +472,10 @@ func (c *Ctx) Remaining() time.Duration {
 // remaining budget — so a chain's total latency is bounded by the
 // top-level caller's single timeout.
 func (c *Ctx) Call(addr, method string, args ...Payload) ([]Payload, error) {
-	return c.CallWithin(addr, method, 0, args...)
-}
-
-// CallWithin is Call bounded by timeout as well; the propagated remaining
-// budget still caps it.
-func (c *Ctx) CallWithin(addr, method string, timeout time.Duration, args ...Payload) ([]Payload, error) {
+	var timeout time.Duration
 	if !c.Deadline.IsZero() {
-		rem := time.Until(c.Deadline)
-		if rem <= 0 {
+		if timeout = time.Until(c.Deadline); timeout <= 0 {
 			return nil, fmt.Errorf("liverpc: %s: %w", method, live.ErrDeadline)
-		}
-		if timeout <= 0 || rem < timeout {
-			timeout = rem
 		}
 	}
 	env := dmwire.CallEnvelope{Method: method, TraceID: c.TraceID, Hop: c.Hop + 1}
@@ -509,15 +489,13 @@ func (c *Ctx) Stage(data []byte) (Payload, error) { return c.Svc.caller.Stage(da
 // Fetch materializes a payload at this service (see Caller.Fetch).
 func (c *Ctx) Fetch(p Payload) ([]byte, error) { return fetch(c.Svc.caller.dm, p) }
 
-// FetchLease materializes a payload at this service as a leased buffer
-// (see Caller.FetchLease); the caller must Release it exactly once.
-func (c *Ctx) FetchLease(p Payload) (*live.Buf, error) { return fetchLease(c.Svc.caller.dm, p) }
-
-// Consume materializes a payload as a leased buffer, like FetchLease, and
+// Consume materializes a payload as a leased buffer (DESIGN.md §D12) and
 // frees its ref in the same exchange (consume_ref): a handler that is the
 // payload's last reader takes over its release, and the producer must not
-// release it again. Inline payloads are wrapped as in FetchLease. The
-// caller must Release the Buf exactly once.
+// release it again. A ref payload arrives in the transport's pooled
+// response frame with no final copy; an inline payload is wrapped without
+// copying and still aliases its transport buffer. The caller must Release
+// the Buf exactly once.
 func (c *Ctx) Consume(p Payload) (*live.Buf, error) { return consume(c.Svc.caller.dm, p) }
 
 // Release drops a staged payload's ref hold (see Caller.Release).
@@ -561,9 +539,11 @@ func fetch(dmc DM, p Payload) ([]byte, error) {
 	return buf, nil
 }
 
-// fetchLease reads a payload as a leased live.Buf: inline bytes wrapped
-// as-is (aliased), refs through the backend's replica-aware zero-copy
-// read, fed the payload's replica hints.
+// fetchLease reads a payload as a leased live.Buf (DESIGN.md §D12):
+// inline bytes wrapped as-is (aliased), refs through the backend's
+// replica-aware zero-copy read, fed the payload's replica hints, arriving
+// in the transport's pooled response frame (or the backend's hot-ref
+// cache) with no final copy. The caller must Release the Buf exactly once.
 func fetchLease(dmc DM, p Payload) (*live.Buf, error) {
 	if !p.IsRef() {
 		return live.WrapBuf(p.Inline()), nil

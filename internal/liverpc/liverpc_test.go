@@ -257,7 +257,7 @@ func TestDeadlinePropagation(t *testing.T) {
 
 	c := NewCaller(nil, Config{})
 	defer c.Close()
-	res, err := c.CallWithin(midAddr, "probe", 2*time.Second)
+	res, err := c.callWithin(midAddr, "probe", 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestExpiredDeadlineFailsFast(t *testing.T) {
 	cfg.Net.MaxRetries = -1
 	c := NewCaller(nil, cfg)
 	defer c.Close()
-	_, err := c.CallWithin(midAddr, "slow", 80*time.Millisecond)
+	_, err := c.callWithin(midAddr, "slow", 80*time.Millisecond)
 	if !errors.Is(err, live.ErrDeadline) {
 		t.Fatalf("expired call = %v, want ErrDeadline", err)
 	}
@@ -458,7 +458,7 @@ func TestUnlocatedRefRefused(t *testing.T) {
 	defer node.Close()
 	calls := svcDM.Stats().Calls
 	env := dmwire.CallEnvelope{Method: "read", TraceID: 1, Args: unlocated}
-	_, err = node.Call(addr, MethodCall, env.Marshal())
+	_, err = node.Call(addr, methodCall, env.Marshal())
 	if err == nil || !strings.Contains(err.Error(), errUnlocatedRef.Error()) {
 		t.Fatalf("unlocated ref argument: %v, want the unlocated-ref refusal", err)
 	}
@@ -472,7 +472,7 @@ func TestUnlocatedRefRefused(t *testing.T) {
 	// The result direction: a peer answering with an unlocated ref.
 	peer := live.NewNodeWith(live.NodeConfig{})
 	defer peer.Close()
-	peer.Handle(MethodCall, func(net.Addr, []byte) ([]byte, error) {
+	peer.Handle(methodCall, func(net.Addr, []byte) ([]byte, error) {
 		return dmwire.AppendReturn(nil, unlocated)
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

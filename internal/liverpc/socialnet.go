@@ -24,12 +24,12 @@ import (
 
 // SocialNet method names.
 const (
-	SNCompose   = "sn.compose" // client → frontend → compose
-	SNRead      = "sn.read"    // client → frontend → home
-	SNUser      = "sn.user"    // client → frontend → user-timeline
-	SNStore     = "sn.store"   // compose → storage
-	SNFetch     = "sn.fetch"   // home → storage
-	SNFetchUser = "sn.fetchu"  // user-timeline → storage
+	snCompose   = "sn.compose" // client → frontend → compose
+	snRead      = "sn.read"    // client → frontend → home
+	snUser      = "sn.user"    // client → frontend → user-timeline
+	snStore     = "sn.store"   // compose → storage
+	snFetch     = "sn.fetch"   // home → storage
+	snFetchUser = "sn.fetchu"  // user-timeline → storage
 )
 
 // snParams encodes a timeline read's (start, count) page request.
@@ -71,7 +71,7 @@ func newSNStorage(dmc DM, cfg Config) *Service {
 	var mu sync.Mutex
 	var posts []Payload
 	byUser := make(map[uint64][]uint64) // author → post ids, compose order
-	s.Handle(SNStore, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+	s.Handle(snStore, func(ctx *Ctx, args []Payload) ([]Payload, error) {
 		if len(args) != 1 && len(args) != 2 {
 			return nil, fmt.Errorf("liverpc: sn.store wants 1 or 2 arguments, got %d", len(args))
 		}
@@ -98,7 +98,7 @@ func newSNStorage(dmc DM, cfg Config) *Service {
 		mu.Unlock()
 		return []Payload{U64(id)}, nil
 	})
-	s.Handle(SNFetch, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+	s.Handle(snFetch, func(ctx *Ctx, args []Payload) ([]Payload, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("liverpc: sn.fetch wants 1 argument, got %d", len(args))
 		}
@@ -117,7 +117,7 @@ func newSNStorage(dmc DM, cfg Config) *Service {
 		}
 		return page, nil
 	})
-	s.Handle(SNFetchUser, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+	s.Handle(snFetchUser, func(ctx *Ctx, args []Payload) ([]Payload, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("liverpc: sn.fetchu wants 1 argument, got %d", len(args))
 		}
@@ -144,8 +144,8 @@ func newSNStorage(dmc DM, cfg Config) *Service {
 // that persists the media argument in storage.
 func newSNCompose(dmc DM, storage string, cfg Config) *Service {
 	s := NewService("sn-compose", dmc, cfg)
-	s.Handle(SNCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(storage, SNStore, args...)
+	s.Handle(snCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(storage, snStore, args...)
 	})
 	return s
 }
@@ -155,8 +155,8 @@ func newSNCompose(dmc DM, storage string, cfg Config) *Service {
 // mover on the response path.
 func newSNHome(dmc DM, storage string, cfg Config) *Service {
 	s := NewService("sn-home", dmc, cfg)
-	s.Handle(SNRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(storage, SNFetch, args...)
+	s.Handle(snRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(storage, snFetch, args...)
 	})
 	return s
 }
@@ -165,8 +165,8 @@ func newSNHome(dmc DM, storage string, cfg Config) *Service {
 // shape as home, but the storage fetch filters by author.
 func newSNUserTimeline(dmc DM, storage string, cfg Config) *Service {
 	s := NewService("sn-user", dmc, cfg)
-	s.Handle(SNUser, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(storage, SNFetchUser, args...)
+	s.Handle(snUser, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(storage, snFetchUser, args...)
 	})
 	return s
 }
@@ -174,14 +174,14 @@ func newSNUserTimeline(dmc DM, storage string, cfg Config) *Service {
 // newSNFrontend deploys the frontend mover routing all three operations.
 func newSNFrontend(dmc DM, compose, home, user string, cfg Config) *Service {
 	s := NewService("sn-frontend", dmc, cfg)
-	s.Handle(SNCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(compose, SNCompose, args...)
+	s.Handle(snCompose, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(compose, snCompose, args...)
 	})
-	s.Handle(SNRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(home, SNRead, args...)
+	s.Handle(snRead, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(home, snRead, args...)
 	})
-	s.Handle(SNUser, func(ctx *Ctx, args []Payload) ([]Payload, error) {
-		return ctx.Call(user, SNUser, args...)
+	s.Handle(snUser, func(ctx *Ctx, args []Payload) ([]Payload, error) {
+		return ctx.Call(user, snUser, args...)
 	})
 	return s
 }
@@ -296,7 +296,7 @@ func (c *SocialNetClient) Compose(media []byte) (uint64, error) {
 // Large media is staged once and storage adopts the staged ref, so the
 // client releases it only when the call failed (see Caller.handOff).
 func (c *SocialNetClient) ComposeAs(user uint64, media []byte) (uint64, error) {
-	res, err := c.caller.handOff(c.frontend, SNCompose, media, U64(user))
+	res, err := c.caller.handOff(c.frontend, snCompose, media, U64(user))
 	if err != nil {
 		return 0, err
 	}
@@ -310,7 +310,7 @@ func (c *SocialNetClient) ComposeAs(user uint64, media []byte) (uint64, error) {
 // materializes each one's media (by-ref posts read straight from the DM
 // server). The returned buffers are the caller's.
 func (c *SocialNetClient) ReadHome(start uint64, count uint16) ([][]byte, error) {
-	res, err := c.caller.Call(c.frontend, SNRead, snParams(start, count))
+	res, err := c.caller.Call(c.frontend, snRead, snParams(start, count))
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +320,7 @@ func (c *SocialNetClient) ReadHome(start uint64, count uint16) ([][]byte, error)
 // ReadUser reads a page of count posts authored by user, starting at
 // the author's start-th post, and materializes each one's media.
 func (c *SocialNetClient) ReadUser(user, start uint64, count uint16) ([][]byte, error) {
-	res, err := c.caller.Call(c.frontend, SNUser, snUserParams(user, start, count))
+	res, err := c.caller.Call(c.frontend, snUser, snUserParams(user, start, count))
 	if err != nil {
 		return nil, err
 	}

@@ -257,3 +257,39 @@ func TestEndpointPick(t *testing.T) {
 		t.Fatal("single endpoint must map to 0")
 	}
 }
+
+// noopScenario's workers complete every arrival at once, so an open-loop
+// run against it measures the pacer alone.
+type noopScenario struct{}
+
+func (noopScenario) Name() string                        { return "noop" }
+func (noopScenario) Setup(*Env) error                    { return nil }
+func (noopScenario) NewWorker(*Env, int) (Worker, error) { return noopWorker{}, nil }
+func (noopScenario) Counters() map[string]float64        { return nil }
+func (noopScenario) Close() error                        { return nil }
+
+type noopWorker struct{}
+
+func (noopWorker) Do() (string, int64, error) { return "noop", 0, nil }
+func (noopWorker) Close() error               { return nil }
+
+// TestOpenLoopPacerDelivers: with nothing to wait for but the schedule,
+// the pacer issues and completes at least 95 % of the offered rate. A
+// pacer that sleeps one gap after each wake loses every oversleep and
+// falls short.
+func TestOpenLoopPacerDelivers(t *testing.T) {
+	const rate = 2000
+	res, err := Run(noopScenario{}, (&Env{}).Defaults(), RunConfig{
+		Workers: 2,
+		Rate:    rate,
+		Measure: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("offered %v, arrivals %.0f/s (%d late), achieved %.0f ops/s, drops %d",
+		res.Offered, res.Arrivals, res.Late, res.Achieved, res.Drops)
+	if res.Achieved < 0.95*rate {
+		t.Fatalf("achieved %.0f ops/s of %d offered", res.Achieved, rate)
+	}
+}

@@ -19,6 +19,8 @@ func Append(rep *benchfmt.Report, res RunResult) {
 			"workers":       float64(res.Workers),
 			"thr-ops-s":     res.Achieved,
 			"offered-ops-s": res.Offered,
+			"arrivals-s":    res.Arrivals,
+			"late-arrivals": float64(res.Late),
 			"p50-ns":        float64(res.Latency.P50),
 			"p99-ns":        float64(res.Latency.P99),
 			"p999-ns":       float64(res.Latency.P999),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +51,12 @@ type RunResult struct {
 	Workers  int
 	Measure  time.Duration
 	// Offered is the configured open-loop rate (0 for closed loop);
-	// Achieved is completed ops/s over the measure window.
+	// Arrivals is the rate the generator issued over the measure window,
+	// and Late how many of those arrivals were already due when the
+	// generator reached them; Achieved is completed ops/s.
 	Offered  float64
+	Arrivals float64
+	Late     int64
 	Achieved float64
 	Ops      int64
 	Errors   int64
@@ -132,13 +137,14 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 	start := time.Now()
 	measureFrom := start.Add(cfg.Warmup)
 	measureTo := measureFrom.Add(cfg.Measure)
-	var drops atomic.Int64
+	var drops, arrivals, late atomic.Int64
 	var wg sync.WaitGroup
 
 	if cfg.Rate > 0 {
 		// Open loop: one Poisson arrival process feeds a bounded queue;
-		// workers complete arrivals, latency runs from the arrival
-		// stamp so queueing delay is charged to the system under test.
+		// workers complete arrivals, latency runs from the arrival's due
+		// time so queueing delay, and the generator's own lateness, are
+		// charged to the run.
 		maxOut := cfg.MaxOutstanding
 		if maxOut <= 0 {
 			maxOut = 4096
@@ -149,31 +155,32 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 			defer wg.Done()
 			defer close(jobs)
 			rng := rand.New(rand.NewPCG(seed, seed^0x5851f42d4c957f2d))
+			// Arrival k is due at start + the sum of the first k gaps, so
+			// an oversleep delays one arrival, not the whole schedule.
+			due := start
 			for {
-				now := time.Now()
-				if !now.Before(measureTo) {
-					return
-				}
 				rate := cfg.Rate
-				if cfg.Ramp > 0 {
-					if into := now.Sub(start); into < cfg.Ramp {
-						rate = cfg.Rate * float64(into) / float64(cfg.Ramp)
-						if rate < 1 {
-							rate = 1
-						}
-					}
+				if into := due.Sub(start); into < cfg.Ramp {
+					rate = math.Max(1, cfg.Rate*float64(into)/float64(cfg.Ramp))
 				}
 				// Exponential inter-arrival for a Poisson process.
-				gap := time.Duration(-math.Log(1-rng.Float64()) * float64(time.Second) / rate)
-				time.Sleep(gap)
-				arrive := time.Now()
-				if !arrive.Before(measureTo) {
+				due = due.Add(time.Duration(-math.Log(1-rng.Float64()) * float64(time.Second) / rate))
+				if !due.Before(measureTo) {
 					return
 				}
+				measured := !due.Before(measureFrom)
+				if time.Now().Before(due) {
+					waitUntil(due)
+				} else if measured {
+					late.Add(1) // already due: sent at once
+				}
+				if measured {
+					arrivals.Add(1)
+				}
 				select {
-				case jobs <- arrive:
+				case jobs <- due:
 				default:
-					if !arrive.Before(measureFrom) {
+					if measured {
 						drops.Add(1)
 					}
 				}
@@ -218,6 +225,8 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 		Workers:  cfg.Workers,
 		Measure:  cfg.Measure,
 		Offered:  cfg.Rate,
+		Arrivals: float64(arrivals.Load()) / cfg.Measure.Seconds(),
+		Late:     late.Load(),
 		Drops:    drops.Load(),
 		Classes:  make(map[string]ClassResult),
 		Counters: make(map[string]float64),
@@ -274,6 +283,17 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 		res.Counters[k] = v
 	}
 	return res, nil
+}
+
+// waitUntil returns at due: it sleeps to about a millisecond before, since
+// a sleep can wake that late, and yields the processor for the rest.
+func waitUntil(due time.Time) {
+	if d := time.Until(due) - time.Millisecond; d > 0 {
+		time.Sleep(d)
+	}
+	for time.Now().Before(due) {
+		runtime.Gosched()
+	}
 }
 
 // workerKeys builds worker w's private key generator over n keys with

@@ -81,7 +81,7 @@ func BenchmarkPoolStageThroughput(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			r := NewRing(0)
+			r := newHashRing(0)
 			for id := uint32(0); id < uint32(k); id++ {
 				r.Add(id)
 			}
@@ -104,7 +104,7 @@ func BenchmarkPoolReadRefThroughput(b *testing.B) {
 			for key := uint64(0); len(refs) < k && key < 1<<16; key++ {
 				id, _ := p.ring.Lookup(key)
 				if int(id) == len(refs) {
-					ref, err := p.StageRefKeyed(key, make([]byte, payload))
+					ref, err := p.stageRefKeyed(key, make([]byte, payload))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -351,7 +351,7 @@ func BenchmarkPoolRebalance(b *testing.B) {
 		readmit()
 		start := time.Now()
 		for {
-			total, off := p.AuditPlacement()
+			total, off := p.auditPlacement()
 			if total > 0 && off == 0 && p.UnderReplicated() == 0 {
 				remapFrac = float64(off) / float64(total)
 				break

@@ -92,65 +92,6 @@ func TestCacheFreeThenRefetchCoheres(t *testing.T) {
 	}
 }
 
-// TestCacheWriteThroughOwnSessionInvalidates checks the local write
-// hook: a Write through the caching session conservatively drops every
-// cached payload homed on the written shard, immediately — no heartbeat
-// round trip — and the next read refetches from the wire.
-func TestCacheWriteThroughOwnSessionInvalidates(t *testing.T) {
-	_, addr := startShard(t, 0, live.ServerConfig{
-		NumPages: 256, PageSize: 4096, LeaseTTL: 2 * time.Second,
-	})
-	p := dialCachePool(t, cachePoolCfg([]string{addr}, 1<<20))
-
-	body := bytes.Repeat([]byte{0x7e}, 8192)
-	ref, err := p.StageRef(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(body))
-	for i := 0; i < 2; i++ {
-		if err := p.ReadRef(ref, 0, got); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := p.CacheStats()
-	if before.Hits == 0 {
-		t.Fatalf("cache never hit before the write: %+v", before)
-	}
-
-	// An unrelated write on the same shard: refs are CoW snapshots, so
-	// the cached bytes are actually still valid — the invalidation is
-	// deliberate conservatism, and what we assert is that it HAPPENS.
-	waddr, err := p.Alloc(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(waddr, bytes.Repeat([]byte{0x01}, 512)); err != nil {
-		t.Fatal(err)
-	}
-	after := p.CacheStats()
-	if after.Invalidations <= before.Invalidations {
-		t.Fatalf("write did not invalidate locally: before %+v after %+v", before, after)
-	}
-
-	// The refetch misses, goes to the wire, and returns the same bytes.
-	if err := p.ReadRef(ref, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatal("post-invalidation refetch returned wrong bytes")
-	}
-	if cs := p.CacheStats(); cs.Misses <= after.Misses {
-		t.Fatalf("post-invalidation read did not go to the wire: %+v", cs)
-	}
-	if err := p.FreeRef(ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Free(waddr); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCacheAdmitsRestagedRef: a rewrite mints a fresh ref key, and the
 // reader's cache must hold it from its first read even though the dead
 // keys it replaces were read far more often. Heartbeats are off, so no

@@ -323,7 +323,7 @@ func TestChaosPartitionOneShard(t *testing.T) {
 		if id == victim {
 			continue
 		}
-		ref, err := p.StageRefKeyed(key, body)
+		ref, err := p.stageRefKeyed(key, body)
 		if err != nil {
 			t.Fatal(err)
 		}

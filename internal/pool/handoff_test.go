@@ -170,7 +170,7 @@ func TestPartialPlacementCorrectsDirectory(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	full := NewRing(0) // the membership every stage above was placed on
+	full := newHashRing(0) // the membership every stage above was placed on
 	for i := 0; i < shards; i++ {
 		full.Add(uint32(i))
 	}

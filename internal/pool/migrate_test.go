@@ -125,7 +125,7 @@ func TestChaosJoinShardRebalance(t *testing.T) {
 	// Migration convergence: every tracked ref sits on exactly its ring
 	// successors, nothing under-replicated, and the newcomer took load.
 	waitFor(t, 15*time.Second, "placement convergence after join", func() bool {
-		total, off := p.AuditPlacement()
+		total, off := p.auditPlacement()
 		return total > 0 && off == 0 && p.UnderReplicated() == 0 && srv3.LiveRefs() > 0
 	})
 	if p.MigratedRefs() == 0 {

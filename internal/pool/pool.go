@@ -22,7 +22,7 @@ type Config struct {
 	// started with -shard-id verify it at registration).
 	Shards []string
 	// Vnodes is the consistent-hash ring's virtual-node count per shard
-	// (<= 0 uses DefaultVnodes).
+	// (<= 0 uses 128).
 	Vnodes int
 	// Client is the per-shard live client configuration; its
 	// OnHeartbeatFailure hook still fires (before the pool's own
@@ -43,9 +43,7 @@ type Config struct {
 	// ReplicaFactor R places each staged payload on the R distinct ring
 	// successors of its placement point (DESIGN.md §D13), so one shard
 	// death loses nothing. <= 1 disables replication (the pre-replica
-	// behaviour); values above dmwire.MaxRefReplicas are clamped. At R>1
-	// StageRefKeyed ignores the caller's co-location key — replicated
-	// placement must be recomputable from the ref key alone.
+	// behaviour); values above dmwire.MaxRefReplicas are clamped.
 	ReplicaFactor int
 	// RepairBytesPerSec bounds the background repairer's copy bandwidth
 	// so repair never starves foreground traffic. 0 uses 32 MiB/s;
@@ -73,14 +71,14 @@ type Config struct {
 	// (DESIGN.md §D15): whole-object by-ref reads are served from
 	// memory — checked before shard routing and before replica failover
 	// — up to this budget, invalidated by per-shard epoch advances,
-	// local frees/writes, ejection and session reap, and bounded by the
+	// local frees, ejection and session reap, and bounded by the
 	// shard lease TTL. 0 disables. This is the stack's only cache: a
 	// cached single server is a one-shard pool.
 	CacheBytes int64
 }
 
-// ErrNoShards is returned when every shard has been ejected.
-var ErrNoShards = errors.New("pool: no healthy shards in ring")
+// errNoShards is returned when every shard has been ejected.
+var errNoShards = errors.New("pool: no healthy shards in ring")
 
 // shard is one member server and its dedicated live client session.
 type shard struct {
@@ -96,10 +94,11 @@ type shard struct {
 	repairsIn atomic.Int64
 }
 
-// Client is a process's handle on the shard cluster: the full
-// live.Client surface, with placements routed through
-// the ring and refs/addresses made location-aware — Ref.Server and the
-// address tag byte carry the shard ID.
+// Client is a process's handle on the shard cluster: live.Client's ref
+// calls (stage, read, consume, adopt, free, map), with placements routed
+// through the ring and refs made location-aware — Ref.Server carries the
+// shard ID. The Table II region calls stay on live.Client, one server's
+// session.
 // Methods are safe for concurrent use.
 type Client struct {
 	cfg Config
@@ -110,8 +109,8 @@ type Client struct {
 	shards   []*shard
 	// addMu serializes AddShard (dial + register happen outside shardsMu).
 	addMu  sync.Mutex
-	ring   *Ring
-	cursor atomic.Uint64 // placement key for unkeyed StageRef/Alloc
+	ring   *hashRing
+	cursor atomic.Uint64 // placement key for unreplicated StageRef
 
 	// Tracked replicated refs staged by this client (replica.go): the
 	// repairer's work list, in the Kademlia republisher model — each
@@ -150,17 +149,14 @@ type Client struct {
 }
 
 // Address tagging: as in dmnet, the routing identity rides the top byte
-// of a dm.RemoteAddr — here the cluster-wide shard ID. A live.Client
-// hands out the server's raw addresses, whose top byte is always 0, so
-// the pool's tag byte is free to claim.
+// of a dm.RemoteAddr — here the cluster-wide shard ID, so a mapped
+// address says which shard's session it belongs to. A live.Client hands
+// out the server's raw addresses, whose top byte is always 0, so the
+// pool's tag byte is free to claim.
 const shardShift = 56
 
 func tagShard(id uint32, a dm.RemoteAddr) dm.RemoteAddr {
 	return dm.RemoteAddr(uint64(id)<<shardShift | uint64(a))
-}
-
-func splitShard(a dm.RemoteAddr) (uint32, dm.RemoteAddr) {
-	return uint32(uint64(a) >> shardShift), dm.RemoteAddr(uint64(a) & (1<<shardShift - 1))
 }
 
 // Dial connects one live client per shard. The returned pool is not
@@ -180,7 +176,7 @@ func Dial(cfg Config) (*Client, error) {
 	}
 	p := &Client{
 		cfg:         cfg,
-		ring:        NewRing(cfg.Vnodes),
+		ring:        newHashRing(cfg.Vnodes),
 		refs:        make(map[uint64]*refMeta),
 		syncCursors: make(map[uint32]uint64),
 		repairKick:  make(chan struct{}, 1),
@@ -419,11 +415,11 @@ func (p *Client) rejoinLoop() {
 func (p *Client) route(key uint64) (*shard, error) {
 	id, ok := p.ring.Lookup(key)
 	if !ok {
-		return nil, ErrNoShards
+		return nil, errNoShards
 	}
 	shards := p.shardList()
 	if int(id) >= len(shards) {
-		return nil, ErrNoShards // ring raced ahead of the shard list
+		return nil, errNoShards // ring raced ahead of the shard list
 	}
 	return shards[id], nil
 }
@@ -519,73 +515,10 @@ func (p *Client) ShardLatency() []stats.Summary {
 	return out
 }
 
-// --- Table II surface, routed ---
-
-// Alloc reserves size bytes on a ring-chosen shard; the returned address
-// carries the shard ID in its tag byte.
-func (p *Client) Alloc(size int64) (dm.RemoteAddr, error) {
-	s, err := p.route(p.cursor.Add(1))
-	if err != nil {
-		return 0, err
-	}
-	addr, err := s.cl.Alloc(size)
-	if err != nil {
-		return 0, err
-	}
-	return tagShard(s.id, addr), nil
-}
-
-// Free releases the region at addr on its shard.
-func (p *Client) Free(addr dm.RemoteAddr) error {
-	id, raw := splitShard(addr)
-	s, err := p.byID(id)
-	if err != nil {
-		return err
-	}
-	return s.cl.Free(raw)
-}
-
-// Write stores src at addr on its shard. The shard's pool-cached
-// payloads are invalidated whether or not the write reports success —
-// a timed-out write may still have landed (§D15).
-func (p *Client) Write(addr dm.RemoteAddr, src []byte) error {
-	id, raw := splitShard(addr)
-	s, err := p.byID(id)
-	if err != nil {
-		return err
-	}
-	defer p.cache.InvalidateServer(id)
-	return s.cl.Write(raw, src)
-}
-
-// Read loads len(dst) bytes from addr on its shard.
-func (p *Client) Read(addr dm.RemoteAddr, dst []byte) error {
-	id, raw := splitShard(addr)
-	s, err := p.byID(id)
-	if err != nil {
-		return err
-	}
-	return s.cl.Read(raw, dst)
-}
-
-// CreateRef shares [addr, addr+size) and returns a located ref
-// (Server = shard ID).
-func (p *Client) CreateRef(addr dm.RemoteAddr, size int64) (dm.Ref, error) {
-	id, raw := splitShard(addr)
-	s, err := p.byID(id)
-	if err != nil {
-		return dm.Ref{}, err
-	}
-	ref, err := s.cl.CreateRef(raw, size)
-	if err != nil {
-		return dm.Ref{}, err
-	}
-	ref.Server = s.id
-	return ref, nil
-}
-
 // MapRef maps a located ref on its shard; the returned address carries
-// the shard ID.
+// the shard ID in its top byte. The pool has no region calls: the mapped
+// pages are read, written and freed through a live.Client on that shard
+// (DESIGN.md §D13).
 func (p *Client) MapRef(ref dm.Ref) (dm.RemoteAddr, error) {
 	s, err := p.byID(ref.Server)
 	if err != nil {
@@ -621,7 +554,7 @@ func (p *Client) FreeRef(ref dm.Ref) error {
 
 // StageRef stages data onto a ring-chosen shard and returns a located
 // ref. Placement uses an internal cursor, spreading unkeyed stages
-// uniformly; use StageRefKeyed to co-locate related data. At
+// uniformly; use stageRefKeyed to co-locate related data. At
 // ReplicaFactor > 1 the payload is staged on the R ring successors of a
 // pool-minted cluster key (replica.go) and the stage succeeds once at
 // least one copy lands.
@@ -629,16 +562,16 @@ func (p *Client) StageRef(data []byte) (dm.Ref, error) {
 	if p.replicaFactor() > 1 {
 		return p.stageReplicated(p.mintKey(), data, 0)
 	}
-	return p.StageRefKeyed(p.cursor.Add(1), data)
+	return p.stageRefKeyed(p.cursor.Add(1), data)
 }
 
-// StageRefKeyed stages data onto the shard owning key — the same key
+// stageRefKeyed stages data onto the shard owning key — the same key
 // always lands on the same shard (until the ring changes), which is how
 // an application co-locates the pieces of one logical object. At
 // ReplicaFactor > 1 the co-location key is ignored: replicated placement
 // must be derivable from the ref key alone, so every stage follows its
 // own minted cluster key instead.
-func (p *Client) StageRefKeyed(key uint64, data []byte) (dm.Ref, error) {
+func (p *Client) stageRefKeyed(key uint64, data []byte) (dm.Ref, error) {
 	if p.replicaFactor() > 1 {
 		return p.stageReplicated(p.mintKey(), data, 0)
 	}

@@ -116,14 +116,14 @@ func TestPoolStageReadAcrossShards(t *testing.T) {
 	checkAllInvariants(t, srvs)
 }
 
-// TestPoolKeyedPlacement pins StageRefKeyed determinism: the same key
+// TestPoolKeyedPlacement pins stageRefKeyed determinism: the same key
 // lands on the same shard every time, and agrees with the ring.
 func TestPoolKeyedPlacement(t *testing.T) {
 	_, p := startCluster(t, 3, smallShard(), Config{})
 	for key := uint64(0); key < 32; key++ {
 		want, _ := p.ring.Lookup(key)
 		for round := 0; round < 2; round++ {
-			ref, err := p.StageRefKeyed(key, []byte("keyed"))
+			ref, err := p.stageRefKeyed(key, []byte("keyed"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,25 +137,13 @@ func TestPoolKeyedPlacement(t *testing.T) {
 	}
 }
 
-// TestPoolAllocWriteReadFree drives the address-based surface: the tag
-// byte routes Write/Read/Free back to the owning shard, and CreateRef
-// mints located refs readable by a second pool client sharing the map.
-func TestPoolAllocWriteReadFree(t *testing.T) {
+// TestPoolMapRefTagsShard pins MapRef's address tag: a second pool
+// client sharing the shard map maps the first one's located refs, the
+// address's top byte names the shard whose session holds the mapping,
+// and the rest is that shard's own address, which its live client reads
+// and frees.
+func TestPoolMapRefTagsShard(t *testing.T) {
 	srvs, p := startCluster(t, 3, smallShard(), Config{})
-	body := bytes.Repeat([]byte{0xab}, 16384)
-	addrs := make([]dm.RemoteAddr, 6)
-	for i := range addrs {
-		addr, err := p.Alloc(int64(len(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = addr
-		if err := p.Write(addr, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Second client over the same cluster resolves located refs made by
-	// the first — the cross-process sharing the shard map enables.
 	p2, err := Dial(Config{Shards: p.cfg.Shards})
 	if err != nil {
 		t.Fatal(err)
@@ -164,36 +152,39 @@ func TestPoolAllocWriteReadFree(t *testing.T) {
 	if err := p2.Register(); err != nil {
 		t.Fatal(err)
 	}
-	for _, addr := range addrs {
-		got := make([]byte, len(body))
-		if err := p.Read(addr, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, body) {
-			t.Fatal("read back wrong bytes")
-		}
-		ref, err := p.CreateRef(addr, int64(len(body)))
+	body := bytes.Repeat([]byte{0xab}, 16384)
+	mapped := map[uint32]bool{}
+	for key := uint64(0); len(mapped) < 3; key++ {
+		ref, err := p.stageRefKeyed(key, body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := p2.MapRef(ref)
-		if err != nil {
-			t.Fatal(err)
+		if !mapped[ref.Server] {
+			mapped[ref.Server] = true
+			addr, err := p2.MapRef(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id := uint32(uint64(addr) >> shardShift); id != ref.Server {
+				t.Fatalf("ref on shard %d mapped to an address tagged %d", ref.Server, id)
+			}
+			s, err := p2.byID(ref.Server)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := dm.RemoteAddr(uint64(addr) & (1<<shardShift - 1))
+			got := make([]byte, len(body))
+			if err := s.cl.Read(raw, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, body) {
+				t.Fatal("cross-client mapped read wrong bytes")
+			}
+			if err := s.cl.Free(raw); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got2 := make([]byte, len(body))
-		if err := p2.Read(mapped, got2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got2, body) {
-			t.Fatal("cross-client mapped read wrong bytes")
-		}
-		if err := p2.Free(mapped); err != nil {
-			t.Fatal(err)
-		}
-		if err := p2.FreeRef(ref); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Free(addr); err != nil {
+		if err := p.FreeRef(ref); err != nil {
 			t.Fatal(err)
 		}
 	}

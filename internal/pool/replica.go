@@ -585,7 +585,7 @@ const maxStageAttempts = 3
 func (p *Client) stageReplicated(key uint64, data []byte, attempt int) (dm.Ref, error) {
 	targets := p.ring.Successors(key, p.replicaFactor())
 	if len(targets) == 0 {
-		return dm.Ref{}, ErrNoShards
+		return dm.Ref{}, errNoShards
 	}
 	var entry []uint32
 	if p.cfg.RegistryHandoff {
@@ -628,7 +628,7 @@ func (p *Client) stageReplicated(key uint64, data []byte, attempt int) (dm.Ref, 
 	}
 	if len(placed) == 0 {
 		if lastErr == nil {
-			lastErr = ErrNoShards
+			lastErr = errNoShards
 		}
 		return dm.Ref{}, lastErr
 	}
@@ -907,7 +907,7 @@ func (p *Client) Rebalance() RebalanceResult {
 		RepairsDone:       p.repairsDone.Load() - before.RepairsDone,
 		Errors:            p.repairErrors.Load() - before.Errors,
 	}
-	res.TrackedRefs, res.OffPlacement = p.AuditPlacement()
+	res.TrackedRefs, res.OffPlacement = p.auditPlacement()
 	return res
 }
 
@@ -922,11 +922,11 @@ type RebalanceResult struct {
 	OffPlacement      int   `json:"off_placement"`
 }
 
-// AuditPlacement counts tracked refs whose believed replica set is not
+// auditPlacement counts tracked refs whose believed replica set is not
 // exactly the ring's wanted placement (the off-ring fraction dmload and
 // BenchmarkPoolRebalance report). Zero off-placement means migration
 // has fully converged.
-func (p *Client) AuditPlacement() (total, offPlacement int) {
+func (p *Client) auditPlacement() (total, offPlacement int) {
 	r := p.replicaFactor()
 	for _, pl := range p.placements() {
 		total++

@@ -75,9 +75,9 @@ func TestReplicatedStagePlacement(t *testing.T) {
 			prim, reps, objects, 2*objects)
 	}
 
-	// StageRefKeyed's co-location key is documented as ignored at R > 1:
+	// stageRefKeyed's co-location key is documented as ignored at R > 1:
 	// the ref still gets a minted cluster key.
-	kr, err := p.StageRefKeyed(42, body)
+	kr, err := p.stageRefKeyed(42, body)
 	if err != nil {
 		t.Fatal(err)
 	}

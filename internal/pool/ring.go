@@ -13,8 +13,8 @@
 // one pool-minted cluster key, reads fail over across replicas, and a
 // background repairer re-replicates under-replicated refs after an
 // ejection and re-homes them when a shard rejoins (replica.go,
-// DESIGN.md §D13). Page migration for Alloc'd regions remains out of
-// scope — a region's pages live on the shard that allocated them.
+// DESIGN.md §D13). The pool routes refs only: region calls (alloc,
+// write, read, free) go to one server's live.Client.
 package pool
 
 import (
@@ -22,10 +22,10 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is the virtual-node count per shard. More vnodes smooth
+// defaultVnodes is the virtual-node count per shard. More vnodes smooth
 // the key distribution (imbalance shrinks roughly with 1/sqrt(vnodes))
 // at the cost of a longer sorted point array.
-const DefaultVnodes = 128
+const defaultVnodes = 128
 
 // mix is the splitmix64 finalizer: a fast, deterministic 64-bit mixer
 // with full avalanche, used for both ring points and op keys so ring
@@ -45,25 +45,25 @@ type ringPoint struct {
 	shard uint32
 }
 
-// Ring is a consistent-hash ring over shard IDs. Lookups walk clockwise
+// hashRing is a consistent-hash ring over shard IDs. Lookups walk clockwise
 // from the key's hash to the next virtual node; adding or removing one
 // shard remaps only the key ranges adjacent to its vnodes (~1/K of the
 // keyspace), which is the property that keeps existing placements stable
 // as the cluster changes. Safe for concurrent use.
-type Ring struct {
+type hashRing struct {
 	vnodes int
 	mu     sync.RWMutex
 	points []ringPoint // sorted by (hash, shard)
 	member map[uint32]struct{}
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// shard (<= 0 uses DefaultVnodes).
-func NewRing(vnodes int) *Ring {
+// newHashRing returns an empty ring with the given virtual-node count per
+// shard (<= 0 uses defaultVnodes).
+func newHashRing(vnodes int) *hashRing {
 	if vnodes <= 0 {
-		vnodes = DefaultVnodes
+		vnodes = defaultVnodes
 	}
-	return &Ring{vnodes: vnodes, member: make(map[uint32]struct{})}
+	return &hashRing{vnodes: vnodes, member: make(map[uint32]struct{})}
 }
 
 // pointSalt domain-separates vnode hashes from key hashes. Without it,
@@ -74,7 +74,7 @@ const pointSalt = 0x7B9F2D4E8C1A6E35
 
 // pointsOf derives shard's vnode positions. Purely a function of
 // (shard, vnode index), so the ring's layout is deterministic.
-func (r *Ring) pointsOf(shard uint32) []ringPoint {
+func (r *hashRing) pointsOf(shard uint32) []ringPoint {
 	pts := make([]ringPoint, r.vnodes)
 	for v := 0; v < r.vnodes; v++ {
 		pts[v] = ringPoint{hash: mix((uint64(shard)<<32 | uint64(v)) ^ pointSalt), shard: shard}
@@ -83,7 +83,7 @@ func (r *Ring) pointsOf(shard uint32) []ringPoint {
 }
 
 // Add joins shard to the ring; adding a member again is a no-op.
-func (r *Ring) Add(shard uint32) {
+func (r *hashRing) Add(shard uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.member[shard]; ok {
@@ -100,7 +100,7 @@ func (r *Ring) Add(shard uint32) {
 }
 
 // Remove ejects shard from the ring; removing a non-member is a no-op.
-func (r *Ring) Remove(shard uint32) {
+func (r *hashRing) Remove(shard uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.member[shard]; !ok {
@@ -118,7 +118,7 @@ func (r *Ring) Remove(shard uint32) {
 
 // Lookup maps a key to its owning shard (false when the ring is empty).
 // The key is mixed first, so sequential keys spread uniformly.
-func (r *Ring) Lookup(key uint64) (uint32, bool) {
+func (r *hashRing) Lookup(key uint64) (uint32, bool) {
 	h := mix(key)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -138,7 +138,7 @@ func (r *Ring) Lookup(key uint64) (uint32, bool) {
 // function of (key, membership, vnodes), so any client sharing the
 // cluster map recomputes the same placement from a bare ref key. When
 // the ring has fewer than n members every member is returned.
-func (r *Ring) Successors(key uint64, n int) []uint32 {
+func (r *hashRing) Successors(key uint64, n int) []uint32 {
 	if n <= 0 {
 		return nil
 	}
@@ -166,7 +166,7 @@ func (r *Ring) Successors(key uint64, n int) []uint32 {
 }
 
 // Contains reports ring membership.
-func (r *Ring) Contains(shard uint32) bool {
+func (r *hashRing) Contains(shard uint32) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	_, ok := r.member[shard]
@@ -174,7 +174,7 @@ func (r *Ring) Contains(shard uint32) bool {
 }
 
 // Members returns the member shard IDs, sorted.
-func (r *Ring) Members() []uint32 {
+func (r *hashRing) Members() []uint32 {
 	r.mu.RLock()
 	out := make([]uint32, 0, len(r.member))
 	for s := range r.member {
@@ -186,7 +186,7 @@ func (r *Ring) Members() []uint32 {
 }
 
 // Size returns the member count.
-func (r *Ring) Size() int {
+func (r *hashRing) Size() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.member)

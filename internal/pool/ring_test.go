@@ -7,7 +7,7 @@ import "testing"
 // key, which is what lets separate processes resolve the same located
 // refs.
 func TestRingDeterministic(t *testing.T) {
-	a, b := NewRing(64), NewRing(64)
+	a, b := newHashRing(64), newHashRing(64)
 	for id := uint32(0); id < 5; id++ {
 		a.Add(id)
 	}
@@ -29,7 +29,7 @@ func TestRingDeterministic(t *testing.T) {
 // (fixed hash, no seed), so a pass here is a pass everywhere.
 func TestRingDistribution(t *testing.T) {
 	const keys, shards = 100_000, 4
-	r := NewRing(0) // DefaultVnodes
+	r := newHashRing(0) // defaultVnodes
 	for id := uint32(0); id < shards; id++ {
 		r.Add(id)
 	}
@@ -52,7 +52,7 @@ func TestRingDistribution(t *testing.T) {
 
 // remapFraction measures how many of n keys move when mutate changes the
 // ring.
-func remapFraction(r *Ring, n uint64, mutate func()) float64 {
+func remapFraction(r *hashRing, n uint64, mutate func()) float64 {
 	before := make([]uint32, n)
 	for key := uint64(0); key < n; key++ {
 		before[key], _ = r.Lookup(key)
@@ -74,7 +74,7 @@ func remapFraction(r *Ring, n uint64, mutate func()) float64 {
 // fraction for vnode-sampling noise.
 func TestRingRemapFraction(t *testing.T) {
 	const keys = 50_000
-	r := NewRing(0)
+	r := newHashRing(0)
 	for id := uint32(0); id < 3; id++ {
 		r.Add(id)
 	}
@@ -105,7 +105,7 @@ func TestRingRemapFraction(t *testing.T) {
 // recompute a replicated ref's placement from its bare key.
 func TestRingSuccessors(t *testing.T) {
 	const shards = 5
-	a, b := NewRing(0), NewRing(0)
+	a, b := newHashRing(0), newHashRing(0)
 	for id := uint32(0); id < shards; id++ {
 		a.Add(id)
 		b.Add(shards - 1 - id) // reverse insertion order
@@ -137,14 +137,14 @@ func TestRingSuccessors(t *testing.T) {
 	if a.Successors(1, 0) != nil {
 		t.Fatal("Successors(key, 0) != nil")
 	}
-	if NewRing(8).Successors(1, 2) != nil {
+	if newHashRing(8).Successors(1, 2) != nil {
 		t.Fatal("Successors on empty ring != nil")
 	}
 }
 
 // successorRemapFraction measures how many of n keys change their R-way
 // successor SET when mutate changes the ring.
-func successorRemapFraction(r *Ring, n uint64, rf int, mutate func()) float64 {
+func successorRemapFraction(r *hashRing, n uint64, rf int, mutate func()) float64 {
 	before := make([][]uint32, n)
 	for key := uint64(0); key < n; key++ {
 		before[key] = r.Successors(key, rf)
@@ -171,7 +171,7 @@ func successorRemapFraction(r *Ring, n uint64, rf int, mutate func()) float64 {
 // Bounds allow 1.5x the ideal fraction for vnode-sampling noise.
 func TestRingSuccessorSetRemap(t *testing.T) {
 	const keys, rf = 50_000, 2
-	r := NewRing(0)
+	r := newHashRing(0)
 	for id := uint32(0); id < 4; id++ {
 		r.Add(id)
 	}
@@ -188,7 +188,7 @@ func TestRingSuccessorSetRemap(t *testing.T) {
 // TestRingEmptyAndRejoin covers the edges: empty ring lookups fail,
 // and remove-then-add restores the exact prior layout.
 func TestRingEmptyAndRejoin(t *testing.T) {
-	r := NewRing(32)
+	r := newHashRing(32)
 	if _, ok := r.Lookup(1); ok {
 		t.Fatal("lookup on empty ring succeeded")
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # dmload-demo.sh K BASE_PORT — launch a local K-shard DM cluster as real
 # dmserverd processes and drive it with the dmload harness in ATTACH
-# mode: the socialnet mix (60/30/10), YCSB-style kv, and the blob sweep,
+# mode: the paper's socialnet mix (10/60/30 compose/read-home/read-user),
+# YCSB-style kv, and the blob sweep,
 # each for a few seconds, with the JSON report printed at the end. The
 # in-process fault-schedule path (-kill-shard) is exercised separately
 # in a -launch'ed run, since attached processes are outside the
