@@ -2,15 +2,14 @@
 // dmserverd cluster — launched in-process or attached over the network —
 // with open-loop (Poisson) or closed-loop load through the paper's
 // application scenarios (socialnet, kv, blob) at Zipf-skewed popularity,
-// optionally crashing and reviving a shard mid-run, and emits a benchfmt
-// JSON report (per-scenario and per-class throughput, p50/p99/p999,
-// error/retry/failover counters) diffable across PRs next to the
-// BENCH_*.json records.
+// optionally crashing and reviving a shard mid-run, and writes a JSON
+// report of every run: achieved and offered rate, arrivals, per-class
+// latency percentiles, errors, drops and the pool counters.
 //
 // Usage:
 //
 //	dmload -launch 4 -replicas 2 -scenarios socialnet,kv,blob \
-//	       -workers 16 -rate 2000 -duration 10s -out BENCH_load.json
+//	       -workers 16 -rate 2000 -duration 10s -out load.json
 //	dmload -shards host1:7640,host2:7640 -scenarios kv -workers 8
 //	dmload -launch 3 -replicas 2 -scenarios kv -kill-shard 1 \
 //	       -kill-at 2s -restart-after 3s
@@ -29,12 +28,19 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/live"
 	"repro/internal/loadgen"
 )
 
 func main() { os.Exit(run()) }
+
+// report is what -out receives: when and how the harness ran, then one
+// result per scenario.
+type report struct {
+	Date string              `json:"date"`
+	Env  []string            `json:"env"`
+	Runs []loadgen.RunResult `json:"runs"`
+}
 
 // run drives every scenario, writes the report, and returns the exit
 // status: 1 when an operation failed in a run with no fault armed.
@@ -153,7 +159,7 @@ func run() int {
 		log.Fatal("dmload: -join-shard needs a -launch'ed cluster")
 	}
 
-	rep := benchfmt.NewReport()
+	rep := report{Date: time.Now().UTC().Format(time.RFC3339)}
 	rep.Env = []string{
 		fmt.Sprintf("goos: %s", runtime.GOOS),
 		fmt.Sprintf("goarch: %s", runtime.GOARCH),
@@ -208,18 +214,19 @@ func run() int {
 			log.Fatalf("dmload: %s run: %v", name, err)
 		}
 		printResult(res)
-		loadgen.Append(&rep, res)
+		rep.Runs = append(rep.Runs, res)
 		failed += res.Errors
 	}
 
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	b = append(b, '\n')
 	if *out == "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(append(b, '\n'))
+		os.Stdout.Write(b)
 	} else {
-		if err := rep.WriteFile(*out); err != nil {
+		if err := os.WriteFile(*out, b, 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "dmload: wrote %s\n", *out)

@@ -6,23 +6,17 @@
 //	dmrpc-bench -list
 //	dmrpc-bench -experiment fig5a
 //	dmrpc-bench -experiment all -scale full
-//	dmrpc-bench -experiment all -json BENCH_figures.json
 //
 // Every experiment prints rows in the same shape the paper plots: systems
 // down the side, the swept parameter across, throughput/latency/traffic as
 // the measured quantity. EXPERIMENTS.md records the paper-vs-measured
-// comparison for each. With -json, the same rows are also written as
-// machine-readable records (internal/bench.Record) for perf-trajectory
-// tracking across PRs.
+// comparison for each.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -32,7 +26,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	exp := flag.String("experiment", "all", "experiment id (see -list) or 'all'")
 	scaleFlag := flag.String("scale", "quick", "measurement windows: quick | full")
-	jsonPath := flag.String("json", "", "also write experiment rows as JSON records to this file (e.g. BENCH_figures.json)")
 	flag.Parse()
 
 	if *list {
@@ -53,26 +46,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var records []bench.Record
 	run := func(e bench.Experiment) {
 		start := time.Now()
-		var out io.Writer = os.Stdout
-		var capture bytes.Buffer
-		if *jsonPath != "" {
-			out = io.MultiWriter(os.Stdout, &capture)
-		}
-		e.Run(out, scale)
-		elapsed := time.Since(start)
-		fmt.Printf("[%s finished in %v wall time]\n", e.ID, elapsed.Round(time.Millisecond))
-		if *jsonPath != "" {
-			records = append(records, bench.Record{
-				ID:          e.ID,
-				Title:       e.Title,
-				Scale:       *scaleFlag,
-				WallSeconds: elapsed.Seconds(),
-				Output:      strings.Split(strings.TrimRight(capture.String(), "\n"), "\n"),
-			})
-		}
+		e.Run(os.Stdout, scale)
+		fmt.Printf("[%s finished in %v wall time]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *exp == "all" {
@@ -86,13 +63,5 @@ func main() {
 			os.Exit(2)
 		}
 		run(e)
-	}
-
-	if *jsonPath != "" {
-		if err := bench.WriteRecords(*jsonPath, records); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %d records to %s]\n", len(records), *jsonPath)
 	}
 }

@@ -115,13 +115,11 @@ func TestMalformedFrameClosesConn(t *testing.T) {
 }
 
 // TestSlowHandlerSemaphore verifies the per-connection cap on slow-handler
-// fan-out: with MaxSlowPerConn=2, at most two handler goroutines run at
-// once no matter how many requests are multiplexed on the connection.
+// fan-out: at most maxSlowPerConn handler goroutines run at once no
+// matter how many requests are multiplexed on the connection.
 func TestSlowHandlerSemaphore(t *testing.T) {
-	const cap = 2
-	scfg := DefaultNodeConfig()
-	scfg.MaxSlowPerConn = cap
-	srv := NewNodeWith(scfg)
+	const cap = maxSlowPerConn
+	srv := NewNode()
 	var cur, maxSeen atomic.Int32
 	release := make(chan struct{})
 	srv.Handle(rpc.Method(0x0300), func(net.Addr, []byte) ([]byte, error) {
@@ -140,7 +138,7 @@ func TestSlowHandlerSemaphore(t *testing.T) {
 
 	cl := NewNode()
 	defer cl.Close()
-	const calls = 6
+	const calls = cap + 4
 	var wg sync.WaitGroup
 	errs := make(chan error, calls)
 	for i := 0; i < calls; i++ {
@@ -728,7 +726,6 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 	ccfg.Net.CallTimeout = 400 * time.Millisecond
 	ccfg.Net.AttemptTimeout = 100 * time.Millisecond
 	ccfg.Net.MaxRetries = 2
-	ccfg.Net.RetryBackoff = 5 * time.Millisecond
 	cl, err := DialConfig(ccfg, addr)
 	if err != nil {
 		t.Fatal(err)
@@ -811,7 +808,6 @@ func TestStatsTimeoutVsTransportSplit(t *testing.T) {
 	dcfg.Net.AttemptTimeout = 100 * time.Millisecond
 	dcfg.Net.DialTimeout = 100 * time.Millisecond
 	dcfg.Net.MaxRetries = 1
-	dcfg.Net.RetryBackoff = 5 * time.Millisecond
 	dead, err := DialConfig(dcfg, vln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -849,7 +845,6 @@ func TestFailuresCountOnlyTransientEnds(t *testing.T) {
 	ccfg.HeartbeatInterval = -1
 	ccfg.Net.Dialer = injectedDialer(inj)
 	ccfg.Net.MaxRetries = 2
-	ccfg.Net.RetryBackoff = time.Millisecond
 	cl, err := DialConfig(ccfg, addr)
 	if err != nil {
 		t.Fatal(err)

@@ -42,12 +42,6 @@ type NodeConfig struct {
 	// rejected before any allocation, so a corrupt or hostile length
 	// prefix cannot balloon memory. Default 16 MiB.
 	MaxFrameSize uint32
-	// MaxSlowPerConn caps the persistent workers that run one
-	// connection's slow (Handle-registered) handlers; with every worker
-	// busy at the cap the connection's read loop blocks, backpressuring
-	// the peer instead of exhausting server memory. Default 64; negative
-	// removes the cap.
-	MaxSlowPerConn int
 	// CallTimeout is the default overall deadline for one Call,
 	// including every retry. Default 15s. Negative disables.
 	CallTimeout time.Duration
@@ -60,31 +54,35 @@ type NodeConfig struct {
 	// the first attempt). Every call retries: its session stamp keeps it
 	// at-most-once (session.go). Default 3. Negative disables retries.
 	MaxRetries int
-	// RetryBackoff is the first retry's backoff; it doubles per attempt
-	// (with jitter) up to RetryBackoffMax. Defaults 5ms / 500ms.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// Dialer replaces the default dial, letting tests route connections
 	// through fault injectors (internal/faultnet). Nil dials TCP, or the
 	// same-host companion of a loopback listener (Node.Serve).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// writeTimeout bounds one response write, so a peer that stops reading
-// cannot wedge a serving loop forever.
-const writeTimeout = 30 * time.Second
+const (
+	// writeTimeout bounds one response write, so a peer that stops
+	// reading cannot wedge a serving loop forever.
+	writeTimeout = 30 * time.Second
+	// maxSlowPerConn caps the persistent workers that run one
+	// connection's slow (Handle-registered) handlers; with every worker
+	// busy at the cap the connection's read loop blocks, backpressuring
+	// the peer instead of exhausting server memory.
+	maxSlowPerConn = 64
+	// retryBackoff is the first retry's backoff; it doubles per attempt
+	// (with jitter) up to retryBackoffMax.
+	retryBackoff    = 5 * time.Millisecond
+	retryBackoffMax = 500 * time.Millisecond
+)
 
 // DefaultNodeConfig returns the production defaults described per field.
 func DefaultNodeConfig() NodeConfig {
 	return NodeConfig{
-		MaxFrameSize:    DefaultMaxFrameSize,
-		MaxSlowPerConn:  64,
-		CallTimeout:     15 * time.Second,
-		AttemptTimeout:  3 * time.Second,
-		DialTimeout:     3 * time.Second,
-		MaxRetries:      3,
-		RetryBackoff:    5 * time.Millisecond,
-		RetryBackoffMax: 500 * time.Millisecond,
+		MaxFrameSize:   DefaultMaxFrameSize,
+		CallTimeout:    15 * time.Second,
+		AttemptTimeout: 3 * time.Second,
+		DialTimeout:    3 * time.Second,
+		MaxRetries:     3,
 	}
 }
 
@@ -93,9 +91,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	d := DefaultNodeConfig()
 	if c.MaxFrameSize == 0 {
 		c.MaxFrameSize = d.MaxFrameSize
-	}
-	if c.MaxSlowPerConn == 0 {
-		c.MaxSlowPerConn = d.MaxSlowPerConn
 	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = d.CallTimeout
@@ -108,12 +103,6 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = d.MaxRetries
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = d.RetryBackoff
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = d.RetryBackoffMax
 	}
 	return c
 }
@@ -369,7 +358,7 @@ type request struct {
 
 // serveConn handles one inbound connection. Fast handlers run to
 // completion on this goroutine; slow handlers run on the connection's
-// persistent workers, at most MaxSlowPerConn of them, so a worker's
+// persistent workers, at most maxSlowPerConn of them, so a worker's
 // grown stack is reused rather than grown again for every request.
 // Whichever goroutine answers a request writes its response, through the
 // connection's writer (writer.go).
@@ -380,7 +369,7 @@ func (n *Node) serveConn(c net.Conn) {
 	w := &connWriter{c: c, stats: &n.wstats, onFail: func(error) { c.Close() }}
 	br := bufio.NewReaderSize(c, 64<<10)
 	// A slow request goes to an idle worker over work, else to a new
-	// worker while fewer than MaxSlowPerConn exist, else the send blocks
+	// worker while fewer than maxSlowPerConn exist, else the send blocks
 	// until a worker frees up — backpressure on this read loop. busy
 	// counts requests whose handler has not returned: a worker past its
 	// handler counts as idle, since all it has left is to queue the
@@ -423,7 +412,7 @@ func (n *Node) serveConn(c net.Conn) {
 			continue
 		}
 		req := request{e: e, sess: sess, seq: seq, reqID: reqID, payload: payload, body: reqBody}
-		if int(busy.Add(1)) > workers && (n.cfg.MaxSlowPerConn <= 0 || workers < n.cfg.MaxSlowPerConn) {
+		if int(busy.Add(1)) > workers && workers < maxSlowPerConn {
 			workers++
 			n.slowWorkers.Add(1)
 			go n.slowWorker(c, w, &busy, work, req)

@@ -157,7 +157,7 @@ func (o *opStats) snapshot() Stats {
 // back to full re-sends.
 func (n *Node) withRetries(deadline time.Time, first, again func() error) error {
 	n.ops.calls.Add(1)
-	backoff := n.cfg.RetryBackoff
+	backoff := retryBackoff
 	f := first
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -179,8 +179,8 @@ func (n *Node) withRetries(deadline time.Time, first, again func() error) error 
 		// Full jitter on the exponential backoff so synchronized clients
 		// don't stampede a recovering server.
 		d := time.Duration(rand.Int64N(int64(backoff)) + int64(backoff)/2)
-		if backoff *= 2; backoff > n.cfg.RetryBackoffMax {
-			backoff = n.cfg.RetryBackoffMax
+		if backoff *= 2; backoff > retryBackoffMax {
+			backoff = retryBackoffMax
 		}
 		if !deadline.IsZero() {
 			rem := time.Until(deadline)

@@ -29,8 +29,7 @@ func transportSetup(b *testing.B, scfg ServerConfig) (*Server, *Client) {
 }
 
 // reportLatency attaches the client's per-op latency percentiles to the
-// benchmark result. The p50-ns/p99-ns/p999-ns units land in benchjson's
-// Extra map; `make bench-transport` requires all three on every result.
+// benchmark result as the p50-ns, p99-ns and p999-ns units.
 func reportLatency(b *testing.B, cl *Client) {
 	b.Helper()
 	s := cl.Latency()

@@ -387,7 +387,7 @@ func (s *Service) dispatch(_ net.Addr, body []byte) ([]byte, error) {
 		return nil, &rpc.AppError{Status: dmwire.StatusErr,
 			Msg: fmt.Sprintf("liverpc: service %q has no method %q", s.name, method)}
 	}
-	ctx.Svc, ctx.TraceID, ctx.Hop = s, env.TraceID, env.Hop
+	ctx.svc, ctx.TraceID, ctx.Hop = s, env.TraceID, env.Hop
 	if env.DeadlineMillis > 0 {
 		ctx.Deadline = time.Now().Add(time.Duration(env.DeadlineMillis) * time.Millisecond)
 	}
@@ -413,8 +413,8 @@ func (s *Service) dispatch(_ net.Addr, body []byte) ([]byte, error) {
 // and the call-scoped storage behind its args and its nested calls'
 // results. It is pooled: valid only until the handler returns.
 type Ctx struct {
-	// Svc is the service executing the handler.
-	Svc *Service
+	// svc is the service executing the handler.
+	svc *Service
 	// TraceID identifies the end-to-end request chain.
 	TraceID uint64
 	// Hop is this call's nesting depth (0 at the top-level caller).
@@ -447,7 +447,7 @@ func (c *Ctx) recycle() {
 	clear(c.wire)
 	clear(c.args)
 	clear(c.res)
-	c.Svc, c.TraceID, c.Hop, c.Deadline = nil, 0, 0, time.Time{}
+	c.svc, c.TraceID, c.Hop, c.Deadline = nil, 0, 0, time.Time{}
 	c.wire, c.args, c.res, c.inl = c.wire[:0], c.args[:0], c.res[:0], c.inl[:0]
 	if cap(c.inl) > ctxKeepBytes {
 		c.inl = nil
@@ -479,15 +479,15 @@ func (c *Ctx) Call(addr, method string, args ...Payload) ([]Payload, error) {
 		}
 	}
 	env := dmwire.CallEnvelope{Method: method, TraceID: c.TraceID, Hop: c.Hop + 1}
-	return c.Svc.caller.issue(addr, &env, args, timeout, c)
+	return c.svc.caller.issue(addr, &env, args, timeout, c)
 }
 
 // Stage builds a size-aware payload using the service's threshold and DM
 // client (for handlers producing large results).
-func (c *Ctx) Stage(data []byte) (Payload, error) { return c.Svc.caller.Stage(data) }
+func (c *Ctx) Stage(data []byte) (Payload, error) { return c.svc.caller.Stage(data) }
 
 // Fetch materializes a payload at this service (see Caller.Fetch).
-func (c *Ctx) Fetch(p Payload) ([]byte, error) { return fetch(c.Svc.caller.dm, p) }
+func (c *Ctx) Fetch(p Payload) ([]byte, error) { return fetch(c.svc.caller.dm, p) }
 
 // Consume materializes a payload as a leased buffer (DESIGN.md §D12) and
 // frees its ref in the same exchange (consume_ref): a handler that is the
@@ -496,10 +496,10 @@ func (c *Ctx) Fetch(p Payload) ([]byte, error) { return fetch(c.Svc.caller.dm, p
 // response frame with no final copy; an inline payload is wrapped without
 // copying and still aliases its transport buffer. The caller must Release
 // the Buf exactly once.
-func (c *Ctx) Consume(p Payload) (*live.Buf, error) { return consume(c.Svc.caller.dm, p) }
+func (c *Ctx) Consume(p Payload) (*live.Buf, error) { return consume(c.svc.caller.dm, p) }
 
 // Release drops a staged payload's ref hold (see Caller.Release).
-func (c *Ctx) Release(p Payload) error { return release(c.Svc.caller.dm, p) }
+func (c *Ctx) Release(p Payload) error { return release(c.svc.caller.dm, p) }
 
 // Adopt moves a ref payload under this service's session in one
 // exchange (adopt_ref) and returns it under its new key: the ownership
@@ -512,7 +512,7 @@ func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	if !p.IsRef() {
 		return Inline(append([]byte(nil), p.Inline()...)), nil
 	}
-	dmc := c.Svc.caller.dm
+	dmc := c.svc.caller.dm
 	if dmc == nil {
 		return Payload{}, errNoDM
 	}

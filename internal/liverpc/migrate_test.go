@@ -33,11 +33,10 @@ func TestStaleHintsResolveAfterMigration(t *testing.T) {
 	dialShards := func(shards []string) *pool.Client {
 		t.Helper()
 		return dialPool(t, pool.Config{
-			Shards:            shards,
-			ReplicaFactor:     2,
-			RegistryHandoff:   true,
-			RepairInterval:    -1, // no background pass; migration is explicit below
-			RepairBytesPerSec: -1,
+			Shards:          shards,
+			ReplicaFactor:   2,
+			RegistryHandoff: true,
+			RepairInterval:  -1, // no background pass; migration is explicit below
 		})
 	}
 

@@ -5,8 +5,8 @@
 // a Zipfian popularity skew, through pluggable application scenarios
 // (socialnet, kv, blob) built on the same internal/liverpc services the
 // micro-benchmarks use. Results aggregate per-worker AtomicHistograms
-// and the transport/pool failure counters into a benchfmt JSON report
-// that diffs across PRs next to the BENCH_*.json records.
+// and the transport/pool failure counters into a RunResult, which
+// cmd/dmload writes as its JSON report.
 //
 // The open-loop machinery generalizes internal/workload's sim-only
 // RunOpen (warmup, offered rate, drop accounting) to real sockets and

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/live"
 	"repro/internal/pool"
 )
@@ -84,18 +83,6 @@ func TestClosedLoopSocialNet(t *testing.T) {
 	}
 	if cr.Latency.P50 <= 0 || cr.Latency.P99 < cr.Latency.P50 {
 		t.Fatalf("implausible compose latency summary %+v", cr.Latency)
-	}
-
-	rep := benchfmt.NewReport()
-	Append(&rep, res)
-	if len(rep.Results) < 2 {
-		t.Fatalf("report got %d results, want headline + classes", len(rep.Results))
-	}
-	if rep.Results[0].Name != "dmload/socialnet" {
-		t.Fatalf("headline result name %q", rep.Results[0].Name)
-	}
-	if rep.Results[0].Extra["thr-ops-s"] <= 0 {
-		t.Fatalf("headline throughput %v", rep.Results[0].Extra["thr-ops-s"])
 	}
 }
 
@@ -291,5 +278,48 @@ func TestOpenLoopPacerDelivers(t *testing.T) {
 		res.Offered, res.Arrivals, res.Late, res.Achieved, res.Drops)
 	if res.Achieved < 0.95*rate {
 		t.Fatalf("achieved %.0f ops/s of %d offered", res.Achieved, rate)
+	}
+}
+
+// TestOpenLoopRampOffers: a ramp offers arrivals from its first instant.
+// A 200 ms ramp to 2000 ops/s offers about 200 arrivals, rate·ramp/2, in
+// a window that ends with it; a ramp that paces its first arrival at its
+// floor rate waits a second for it and delivers none.
+func TestOpenLoopRampOffers(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		res, err := Run(noopScenario{}, (&Env{}).Defaults(), RunConfig{
+			Workers: 2,
+			Rate:    2000,
+			Ramp:    200 * time.Millisecond,
+			Measure: 200 * time.Millisecond,
+			Seed:    seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ops < 100 {
+			t.Fatalf("seed %d: a 200 ms ramp to 2000 ops/s delivered %d ops, want >= 100 of ~200 offered", seed, res.Ops)
+		}
+	}
+}
+
+func TestRampInverse(t *testing.T) {
+	const rate, ramp = 2000.0, 0.2
+	for _, c := range []struct {
+		work float64
+		want time.Duration
+	}{
+		{0, 0},
+		{50, 100 * time.Millisecond}, // a quarter of the ramp's 200 arrivals by its midpoint
+		{200, 200 * time.Millisecond},
+		{2200, 1200 * time.Millisecond},
+	} {
+		got := rampInverse(c.work, rate, ramp)
+		if d := got - c.want; d < -time.Microsecond || d > time.Microsecond {
+			t.Errorf("rampInverse(%v) = %v, want %v", c.work, got, c.want)
+		}
+	}
+	if got := rampInverse(500, rate, 0); got != 250*time.Millisecond {
+		t.Errorf("no ramp: rampInverse(500) = %v, want 250ms", got)
 	}
 }

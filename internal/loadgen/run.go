@@ -25,7 +25,7 @@ type RunConfig struct {
 	Warmup time.Duration
 	// Measure is the recorded window.
 	Measure time.Duration
-	// Ramp linearly grows the offered rate from ~0 to Rate over this
+	// Ramp linearly grows the offered rate from 0 to Rate over this
 	// span at run start (open loop only), so connection setup and cold
 	// caches don't register as a latency cliff.
 	Ramp time.Duration
@@ -37,36 +37,38 @@ type RunConfig struct {
 	Seed uint64
 }
 
-// ClassResult is one request class's measured aggregate.
+// ClassResult is one request class's measured aggregate. Latencies are
+// in nanoseconds.
 type ClassResult struct {
-	Ops     int64
-	Errors  int64
-	Bytes   int64
-	Latency stats.Summary
+	Ops     int64         `json:"ops"`
+	Errors  int64         `json:"errors"`
+	Bytes   int64         `json:"bytes"`
+	Latency stats.Summary `json:"latency_ns"`
 }
 
-// RunResult is one scenario run's aggregate, ready for reporting.
+// RunResult is one scenario run's aggregate, and one entry of
+// cmd/dmload's JSON report.
 type RunResult struct {
-	Scenario string
-	Workers  int
-	Measure  time.Duration
+	Scenario string        `json:"scenario"`
+	Workers  int           `json:"workers"`
+	Measure  time.Duration `json:"measure_ns"`
 	// Offered is the configured open-loop rate (0 for closed loop);
 	// Arrivals is the rate the generator issued over the measure window,
 	// and Late how many of those arrivals were already due when the
 	// generator reached them; Achieved is completed ops/s.
-	Offered  float64
-	Arrivals float64
-	Late     int64
-	Achieved float64
-	Ops      int64
-	Errors   int64
-	Drops    int64
-	Bytes    int64
-	Latency  stats.Summary
-	Classes  map[string]ClassResult
+	Offered  float64                `json:"offered_ops_s"`
+	Arrivals float64                `json:"arrivals_s"`
+	Late     int64                  `json:"late_arrivals"`
+	Achieved float64                `json:"achieved_ops_s"`
+	Ops      int64                  `json:"ops"`
+	Errors   int64                  `json:"errors"`
+	Drops    int64                  `json:"drops"`
+	Bytes    int64                  `json:"bytes"`
+	Latency  stats.Summary          `json:"latency_ns"`
+	Classes  map[string]ClassResult `json:"classes"`
 	// Counters merges the scenario's own counters with the session
 	// counter deltas across the run (retries, timeouts, failover...).
-	Counters map[string]float64
+	Counters map[string]float64 `json:"counters"`
 }
 
 // workerRec accumulates one worker's measurements without locks; the
@@ -155,16 +157,14 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 			defer wg.Done()
 			defer close(jobs)
 			rng := rand.New(rand.NewPCG(seed, seed^0x5851f42d4c957f2d))
-			// Arrival k is due at start + the sum of the first k gaps, so
-			// an oversleep delays one arrival, not the whole schedule.
-			due := start
+			// Arrival k is due where the offered rate's integral from start
+			// reaches the sum of k unit exponential draws, so an oversleep
+			// delays one arrival, not the whole schedule, and the ramp
+			// offers arrivals from its first instant.
+			var work float64 // expected arrivals offered by arrival k
 			for {
-				rate := cfg.Rate
-				if into := due.Sub(start); into < cfg.Ramp {
-					rate = math.Max(1, cfg.Rate*float64(into)/float64(cfg.Ramp))
-				}
-				// Exponential inter-arrival for a Poisson process.
-				due = due.Add(time.Duration(-math.Log(1-rng.Float64()) * float64(time.Second) / rate))
+				work -= math.Log(1 - rng.Float64())
+				due := start.Add(rampInverse(work, cfg.Rate, cfg.Ramp.Seconds()))
 				if !due.Before(measureTo) {
 					return
 				}
@@ -283,6 +283,18 @@ func Run(s Scenario, env *Env, cfg RunConfig) (RunResult, error) {
 		res.Counters[k] = v
 	}
 	return res, nil
+}
+
+// rampInverse returns when an offered rate that grows linearly from 0 to
+// rate over ramp seconds, and holds there, has offered work arrivals
+// in expectation: the inverse of its integral, rate·t²/2ramp on the
+// ramp and rate·(t − ramp/2) after it.
+func rampInverse(work, rate, ramp float64) time.Duration {
+	t := work/rate + ramp/2
+	if onRamp := rate * ramp / 2; work < onRamp {
+		t = math.Sqrt(2 * ramp * work / rate)
+	}
+	return time.Duration(t * float64(time.Second))
 }
 
 // waitUntil returns at due: it sleeps to about a millisecond before, since

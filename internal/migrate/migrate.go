@@ -22,7 +22,9 @@
 //	        skipped (surplus is a leak, loss is forever)
 //	FLIP    publish the new placement to the wanted shards' registry
 //	        slices at a bumped epoch, so the directory points at the
-//	        new copies before the old ones disappear
+//	        new copies before the old ones disappear; a move with
+//	        nothing to drop (a repair) publishes the shards that hold a
+//	        copy, so each new copy is registry-owned like a staged one
 //	DROP    free the surplus replicas; each free also retires that
 //	        shard's directory entry
 //
@@ -32,6 +34,7 @@ package migrate
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/dm"
@@ -66,23 +69,11 @@ type Move struct {
 	DropFrom []uint32
 }
 
-// Limits bounds one plan so a migration can be chunked across passes;
-// zero values mean unbounded.
-type Limits struct {
-	// MaxMoves caps the number of moves emitted.
-	MaxMoves int
-	// MaxBytes caps the planned copy volume (size x new copies).
-	MaxBytes int64
-}
-
 // Plan diffs each placement against want(key) and emits the moves that
-// would converge them, bounded by lim. Refs already on their wanted
-// shards (and nothing else) produce no move. The input order is
-// preserved, so a caller that sorts by key gets deterministic chunking
-// across passes.
-func Plan(cur []Placement, want func(key uint64) []uint32, lim Limits) []Move {
+// would converge them. Refs already on their wanted shards (and nothing
+// else) produce no move. The input order is preserved.
+func Plan(cur []Placement, want func(key uint64) []uint32) []Move {
 	var moves []Move
-	var plannedBytes int64
 	for _, pl := range cur {
 		w := want(pl.Key)
 		if len(w) == 0 {
@@ -118,13 +109,6 @@ func Plan(cur []Placement, want func(key uint64) []uint32, lim Limits) []Move {
 			CopyTo:   copyTo,
 			DropFrom: dropFrom,
 		})
-		plannedBytes += pl.Size * int64(len(copyTo))
-		if lim.MaxMoves > 0 && len(moves) >= lim.MaxMoves {
-			break
-		}
-		if lim.MaxBytes > 0 && plannedBytes >= lim.MaxBytes {
-			break
-		}
 	}
 	return moves
 }
@@ -308,6 +292,18 @@ func (e *Executor) runMove(mv Move, res *Result) int64 {
 		}
 	}
 	if len(mv.DropFrom) == 0 {
+		// A repair: nothing to reclaim, but each new copy's shard still
+		// needs the ref's directory entry, or its lease reap sweeps the
+		// copy together with the session that staged it.
+		if e.Registry && len(confirmed) > 0 {
+			held := make([]uint32, 0, len(mv.Want))
+			for _, id := range mv.Want {
+				if confirmed[id] || slices.Contains(mv.Sources, id) {
+					held = append(held, id)
+				}
+			}
+			e.flip(mv, held, res)
+		}
 		return staged
 	}
 
@@ -363,22 +359,7 @@ func (e *Executor) runMove(mv Move, res *Result) int64 {
 	// FLIP: point the directory at the new placement before the old
 	// copies disappear — a reader racing the drop resolves either the
 	// old location (copy still there) or the new one (already staged).
-	epoch := mv.Epoch + 1
-	if e.Registry {
-		for _, id := range mv.Want {
-			if !e.Ops.Healthy(id) {
-				continue
-			}
-			if err := e.Ops.RegPut(id, registry.Entry{
-				Key: mv.Key, Size: mv.Size, Epoch: epoch, Replicas: mv.Want,
-			}); err != nil {
-				res.Errors++
-			}
-		}
-	}
-	if e.OnFlip != nil {
-		e.OnFlip(mv.Key, epoch, mv.Want)
-	}
+	e.flip(mv, mv.Want, res)
 
 	// DROP: reclaim the surplus. A copy already gone (ErrBadRef) still
 	// counts as reclaimed — someone beat us to it.
@@ -404,6 +385,27 @@ func (e *Executor) runMove(mv Move, res *Result) int64 {
 		res.MovedBytes += staged
 	}
 	return staged
+}
+
+// flip publishes replicas as key's placement at the move's next epoch to
+// every healthy shard it names (under Registry) and reports it to OnFlip.
+func (e *Executor) flip(mv Move, replicas []uint32, res *Result) {
+	epoch := mv.Epoch + 1
+	if e.Registry {
+		for _, id := range replicas {
+			if !e.Ops.Healthy(id) {
+				continue
+			}
+			if err := e.Ops.RegPut(id, registry.Entry{
+				Key: mv.Key, Size: mv.Size, Epoch: epoch, Replicas: replicas,
+			}); err != nil {
+				res.Errors++
+			}
+		}
+	}
+	if e.OnFlip != nil {
+		e.OnFlip(mv.Key, epoch, replicas)
+	}
 }
 
 // healthyFirst orders ids healthy-first, preserving relative order

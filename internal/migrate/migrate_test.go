@@ -117,7 +117,7 @@ func TestPlanDiffs(t *testing.T) {
 	want := wantFixed(map[uint64][]uint32{
 		K | 1: {0, 1}, K | 2: {0, 1}, K | 3: {0, 1}, K | 4: {0, 1},
 	})
-	moves := Plan(cur, want, Limits{})
+	moves := Plan(cur, want)
 	if len(moves) != 3 {
 		t.Fatalf("planned %d moves, want 3: %+v", len(moves), moves)
 	}
@@ -133,20 +133,6 @@ func TestPlanDiffs(t *testing.T) {
 	}
 }
 
-func TestPlanBounded(t *testing.T) {
-	var cur []Placement
-	for i := 0; i < 100; i++ {
-		cur = append(cur, Placement{Key: K | uint64(i), Size: 1000, Have: []uint32{0}})
-	}
-	want := func(uint64) []uint32 { return []uint32{0, 1} }
-	if got := len(Plan(cur, want, Limits{MaxMoves: 7})); got != 7 {
-		t.Fatalf("MaxMoves: planned %d, want 7", got)
-	}
-	if got := len(Plan(cur, want, Limits{MaxBytes: 4500})); got != 5 {
-		t.Fatalf("MaxBytes: planned %d, want 5", got)
-	}
-}
-
 // TestExecutorMigrates runs the full copy -> verify -> flip -> drop
 // machine and checks the payload lands intact, the surplus is freed,
 // and the registry flip is published at a bumped epoch.
@@ -159,7 +145,7 @@ func TestExecutorMigrates(t *testing.T) {
 
 	moves := Plan(
 		[]Placement{{Key: key, Size: int64(len(payload)), Epoch: 3, Have: []uint32{0, 2}}},
-		wantFixed(map[uint64][]uint32{key: {0, 1}}), Limits{})
+		wantFixed(map[uint64][]uint32{key: {0, 1}}))
 	var flips int
 	ex := &Executor{Ops: f, Registry: true, OnFlip: func(k, ep uint64, w []uint32) {
 		flips++
@@ -334,7 +320,7 @@ func TestExecutorStopAborts(t *testing.T) {
 		f.put(0, key, []byte("x"))
 		cur = append(cur, Placement{Key: key, Size: 1, Have: []uint32{0}})
 	}
-	moves := Plan(cur, func(uint64) []uint32 { return []uint32{1} }, Limits{})
+	moves := Plan(cur, func(uint64) []uint32 { return []uint32{1} })
 	stop := make(chan struct{})
 	close(stop)
 	res := (&Executor{Ops: f, Stop: stop}).Run(moves)

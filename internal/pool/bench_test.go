@@ -81,7 +81,7 @@ func BenchmarkPoolStageThroughput(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			r := newHashRing(0)
+			r := newHashRing()
 			for id := uint32(0); id < uint32(k); id++ {
 				r.Add(id)
 			}
@@ -148,8 +148,8 @@ func BenchmarkPoolReadRefThroughput(b *testing.B) {
 // static and nothing is rewritten — the shape a frequency filter would
 // favour, which this cache does not have. The cache=off run is the wire
 // baseline; cache=on must beat it on throughput by serving the head
-// from memory, and both runs report hit-rate / p50-ns / p99-ns extras
-// so BENCH_pool.json records the speedup AND the tail it comes from.
+// from memory, and both runs report hit-rate / p50-ns / p99-ns extras,
+// so a run shows the speedup AND the tail it comes from.
 func BenchmarkPoolZipfRead(b *testing.B) {
 	const payload = 8 << 10
 	const objects = 512 // 4 MiB working set
@@ -244,18 +244,16 @@ func BenchmarkPoolReplicatedStage(b *testing.B) {
 
 // BenchmarkPoolRepair measures self-healing: each iteration stages a
 // population of replicated refs on 3 shards, ejects one shard, and times
-// the repairer restoring full R=2 replication on the survivors. The
-// repair-secs extra is the convergence time of the last iteration and
-// under-replicated-max the gauge's peak right after the ejection (the
-// backlog size) — both recorded to BENCH_pool.json, where a repair-path
-// regression shows up as a perf regression, not a silent behavior change.
+// the repairer restoring full R=2 replication on the survivors, paced by
+// the repairer's 32 MiB/s bandwidth bound. The repair-secs extra is the
+// convergence time of the last iteration and under-replicated-max the
+// gauge's peak right after the ejection (the backlog size).
 func BenchmarkPoolRepair(b *testing.B) {
 	const payload, objects = 8 << 10, 32
 	const victim = 2
 	_, p := benchClusterCfg(b, 3, Config{
-		ReplicaFactor:     2,
-		RepairInterval:    5 * time.Millisecond,
-		RepairBytesPerSec: -1, // measure the mechanism, not the throttle
+		ReplicaFactor:  2,
+		RepairInterval: 5 * time.Millisecond,
 	})
 	body := make([]byte, payload)
 	var repairSecs, underMax float64
@@ -307,20 +305,19 @@ func BenchmarkPoolRepair(b *testing.B) {
 // population is staged at R=2 while shard 3 sits outside the ring, then
 // the shard is readmitted — the join — and the timed section is the
 // rebalancer converging every remapped ref onto its new ring placement:
-// copy to the newcomer, registry flip, surplus reclaim. migrate-secs is
-// the last iteration's convergence time, moved-bytes the payload volume
-// it staged, and remap-frac-after the off-placement fraction left when
-// the audit settles (~0 — the acceptance gate for the zero-leak,
-// zero-loss join). All three land in BENCH_pool.json, so a migration
-// regression shows up as a perf regression.
+// copy to the newcomer, registry flip, surplus reclaim, paced by the
+// repairer's 32 MiB/s bandwidth bound. migrate-secs is the last
+// iteration's convergence time, moved-bytes the payload volume it
+// staged, and remap-frac-after the off-placement fraction left when the
+// audit settles (~0 — the acceptance gate for the zero-leak, zero-loss
+// join).
 func BenchmarkPoolRebalance(b *testing.B) {
 	const payload, objects = 8 << 10, 64
 	const joiner = 3
 	_, p := benchClusterCfg(b, 4, Config{
-		ReplicaFactor:     2,
-		RepairInterval:    5 * time.Millisecond,
-		RepairBytesPerSec: -1, // measure the mechanism, not the throttle
-		RegistryHandoff:   true,
+		ReplicaFactor:   2,
+		RepairInterval:  5 * time.Millisecond,
+		RegistryHandoff: true,
 	})
 	eject := func() {
 		p.shardList()[joiner].healthy.Store(false)

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"reflect"
 	"slices"
@@ -104,36 +105,48 @@ func TestReplicatedWriteWireShape(t *testing.T) {
 	checkAllInvariants(t, srvs)
 }
 
-// TestPartialPlacementCorrectsDirectory: a stage that lands fewer copies
-// than it targeted leaves, on the shard that took one, a stage-time
-// directory entry naming a target that holds nothing. The stage replaces
-// it with a corrected epoch-2 entry naming only the placed copies, and
-// once the missing target is back the repairer converges the ref: two
-// live replicas, both directories naming both at epoch >= 3, no payload
-// lost.
-func TestPartialPlacementCorrectsDirectory(t *testing.T) {
-	const shards, victim = 3, 1
-	const leaseTTL = 400 * time.Millisecond
-	scfg := live.ServerConfig{NumPages: 1024, PageSize: 4096, LeaseTTL: leaseTTL}
-	srvs := make([]*live.Server, shards)
-	addrs := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		if i != victim {
-			srvs[i], addrs[i] = startShard(t, uint32(i), scfg)
+// partialRun is a three-shard R=2 cluster under the registry handoff
+// whose shard 1 died just before a burst of stages (partialStage).
+type partialRun struct {
+	srvs  []*live.Server // srvs[partialVictim] is the crashed server
+	addrs []string
+	rst   *faultnet.Restartable // the victim's listener
+	vcfg  live.ServerConfig     // the victim's config, for a restart
+	p     *Client
+	refs  []dm.Ref // refs[i] holds partialBody(i)
+	// partial lists the refs whose placement named the victim.
+	partial []int
+}
+
+const partialShards, partialVictim = 3, 1
+
+func partialBody(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 8192) }
+
+// partialStage starts the cluster, crashes the victim, and stages a
+// burst before its heartbeats can eject it: each stage targets the
+// victim with probability 2/3, so (short of a 3^-16 fluke) some come
+// back with one copy.
+func partialStage(t *testing.T) *partialRun {
+	t.Helper()
+	scfg := live.ServerConfig{NumPages: 1024, PageSize: 4096, LeaseTTL: 400 * time.Millisecond}
+	r := &partialRun{srvs: make([]*live.Server, partialShards), addrs: make([]string, partialShards)}
+	for i := 0; i < partialShards; i++ {
+		if i != partialVictim {
+			r.srvs[i], r.addrs[i] = startShard(t, uint32(i), scfg)
 		}
 	}
-	vcfg := scfg
-	vcfg.HasShard, vcfg.ShardID = true, victim
-	srv1 := live.NewServer(vcfg)
+	r.vcfg = scfg
+	r.vcfg.HasShard, r.vcfg.ShardID = true, partialVictim
+	srv1 := live.NewServer(r.vcfg)
 	rst, vln, err := faultnet.NewRestartable("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv1.Serve(vln) // returns an accept error after Crash
-	srvs[victim], addrs[victim] = srv1, rst.Addr()
+	r.srvs[partialVictim], r.addrs[partialVictim], r.rst = srv1, rst.Addr(), rst
 
 	pcfg := Config{
-		Shards:          addrs,
+		Shards:          r.addrs,
 		UnhealthyAfter:  2,
 		RejoinPoll:      100 * time.Millisecond,
 		ReplicaFactor:   2,
@@ -144,64 +157,76 @@ func TestPartialPlacementCorrectsDirectory(t *testing.T) {
 	pcfg.Client.Net.CallTimeout = 500 * time.Millisecond
 	pcfg.Client.Net.AttemptTimeout = 100 * time.Millisecond
 	pcfg.Client.Net.DialTimeout = 100 * time.Millisecond
-	p, err := Dial(pcfg)
-	if err != nil {
+	if r.p, err = Dial(pcfg); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.Close() })
-	if err := p.Register(); err != nil {
+	t.Cleanup(func() { r.p.Close() })
+	if err := r.p.Register(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Kill the victim, then stage a burst before its heartbeats can eject
-	// it: each stage targets the victim with probability 2/3, so (short of
-	// a 3^-16 fluke) some come back with one copy.
 	rst.Crash()
 	srv1.Close()
-	bodyOf := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 8192) }
-	refs := make([]dm.Ref, 16)
-	errs := make([]error, len(refs))
+	r.refs = make([]dm.Ref, 16)
+	errs := make([]error, len(r.refs))
 	var wg sync.WaitGroup
-	for i := range refs {
+	for i := range r.refs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			refs[i], errs[i] = p.StageRef(bodyOf(i))
+			r.refs[i], errs[i] = r.p.StageRef(partialBody(i))
 		}(i)
 	}
 	wg.Wait()
-	full := newHashRing(0) // the membership every stage above was placed on
-	for i := 0; i < shards; i++ {
+	full := newHashRing() // the membership every stage above was placed on
+	for i := 0; i < partialShards; i++ {
 		full.Add(uint32(i))
 	}
-	var partial []int
-	for i, ref := range refs {
+	for i, ref := range r.refs {
 		if errs[i] != nil {
 			t.Fatalf("stage %d with one target dead: %v", i, errs[i])
 		}
+		if slices.Contains(full.Successors(ref.Key, 2), partialVictim) {
+			r.partial = append(r.partial, i)
+		}
+	}
+	if len(r.partial) == 0 {
+		t.Fatal("no stage targeted the dead shard")
+	}
+	return r
+}
+
+// TestPartialPlacementCorrectsDirectory: a stage that lands fewer copies
+// than it targeted leaves, on the shard that took one, a stage-time
+// directory entry naming a target that holds nothing. The stage replaces
+// it with a corrected epoch-2 entry naming only the placed copies, and
+// once the missing target is back the repairer converges the ref: two
+// live replicas, both directories naming both at epoch >= 3, no payload
+// lost.
+func TestPartialPlacementCorrectsDirectory(t *testing.T) {
+	const shards, victim = partialShards, partialVictim
+	r := partialStage(t)
+	srvs, p, refs, partial := r.srvs, r.p, r.refs, r.partial
+	for i, ref := range refs {
 		p.refMu.Lock()
 		m := p.refs[ref.Key]
 		placed, epoch := slices.Clone(m.replicas), m.epoch
 		p.refMu.Unlock()
-		if !slices.Contains(full.Successors(ref.Key, 2), victim) {
+		if !slices.Contains(partial, i) {
 			if epoch != 1 {
 				t.Fatalf("fully placed ref %d tracked at epoch %d, want 1", i, epoch)
 			}
 			continue
 		}
-		partial = append(partial, i)
-		// The repairer may already have added the third shard's copy;
-		// it never bumps the epoch without a flip.
-		if epoch != 2 || slices.Contains(placed, victim) {
-			t.Fatalf("ref %d tracked at epoch %d on %v, want epoch 2 without shard %d", i, epoch, placed, victim)
+		// Once the victim is ejected, the repairer may already have added
+		// the third shard's copy and published it at epoch 3.
+		if epoch < 2 || slices.Contains(placed, victim) {
+			t.Fatalf("ref %d tracked at epoch %d on %v, want epoch >= 2 without shard %d", i, epoch, placed, victim)
 		}
 		ent, err := p.RegistryLookup(ref.Server, ref.Key)
-		if err != nil || ent.Epoch != 2 || !reflect.DeepEqual(ent.Replicas, []uint32{ref.Server}) {
+		if err != nil || ent.Epoch < 2 || ent.Epoch == 2 && !reflect.DeepEqual(ent.Replicas, []uint32{ref.Server}) {
 			t.Fatalf("ref %d survivor %d directory: %+v, %v; want epoch 2 naming only itself", i, ref.Server, ent, err)
 		}
-	}
-	if len(partial) == 0 {
-		t.Fatal("no stage targeted the dead shard")
 	}
 
 	// Survivors first (repair onto the third shard while the victim is
@@ -210,8 +235,8 @@ func TestPartialPlacementCorrectsDirectory(t *testing.T) {
 	waitFor(t, 10*time.Second, "repair on survivors", func() bool {
 		return len(p.Healthy()) == shards-1 && p.UnderReplicated() == 0
 	})
-	srv2 := live.NewServer(vcfg)
-	ln2, err := rst.Restart()
+	srv2 := live.NewServer(r.vcfg)
+	ln2, err := r.rst.Restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +280,7 @@ func TestPartialPlacementCorrectsDirectory(t *testing.T) {
 
 	for i, ref := range refs {
 		got := make([]byte, ref.Size)
-		if err := p.ReadRef(ref, 0, got); err != nil || !bytes.Equal(got, bodyOf(i)) {
+		if err := p.ReadRef(ref, 0, got); err != nil || !bytes.Equal(got, partialBody(i)) {
 			t.Fatalf("ref %d after convergence: %v", i, err)
 		}
 	}
@@ -272,5 +297,132 @@ func TestPartialPlacementCorrectsDirectory(t *testing.T) {
 		}
 		return true
 	})
+	checkAllInvariants(t, srvs)
+}
+
+// TestRepairCopyOutlivesRepairer: a copy the repairer lands for a
+// partially placed ref is published with its directory entry, so it is
+// registry-owned like a staged copy. It survives the lease reap of the
+// session that staged it, and the entry on its shard names it.
+func TestRepairCopyOutlivesRepairer(t *testing.T) {
+	r := partialStage(t)
+	srvs, addrs, p, refs := r.srvs, r.addrs, r.p, r.refs
+	waitFor(t, 10*time.Second, "repair on survivors", func() bool {
+		return len(p.Healthy()) == partialShards-1 && p.UnderReplicated() == 0
+	})
+
+	// Close the repairer. A canary session opened after it on each
+	// survivor is reaped no earlier than the repairer's own session, so
+	// once both canaries are gone, so is every session-owned copy.
+	p.Close()
+	survivors := []int{0, 2}
+	observers := make([]*live.Client, partialShards)
+	canaries := make([]dm.Ref, partialShards)
+	for _, id := range survivors {
+		canary, err := live.Dial(addrs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := canary.Register(); err != nil {
+			t.Fatal(err)
+		}
+		if canaries[id], err = canary.StageRef([]byte("canary")); err != nil {
+			t.Fatal(err)
+		}
+		canary.Close()
+		if observers[id], err = live.Dial(addrs[id]); err != nil {
+			t.Fatal(err)
+		}
+		defer observers[id].Close()
+		if err := observers[id].Register(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "the repairer's sessions reaped", func() bool {
+		for _, id := range survivors {
+			if err := observers[id].ReadRef(canaries[id], 0, make([]byte, 1)); !errors.Is(err, dm.ErrBadRef) {
+				return false
+			}
+		}
+		return true
+	})
+	for i, ref := range refs {
+		for _, id := range survivors {
+			got := make([]byte, ref.Size)
+			if err := observers[id].ReadRef(dm.Ref{Key: ref.Key, Size: ref.Size}, 0, got); err != nil || !bytes.Equal(got, partialBody(i)) {
+				t.Fatalf("ref %d: shard %d's copy after the repairer's reap: %v", i, id, err)
+			}
+			ent, ok := srvs[id].Registry().Get(ref.Key)
+			if !ok || !slices.Contains(ent.Replicas, uint32(id)) {
+				t.Fatalf("ref %d: shard %d's directory entry %+v (held %v) does not name it", i, id, ent, ok)
+			}
+		}
+	}
+	checkAllInvariants(t, []*live.Server{srvs[0], srvs[2]})
+}
+
+// TestMirrorForgetsFreedRefs: a session mirroring the directory forgets
+// the refs another session frees. B adopts A's refs from the directory
+// pages, A frees most of them, and B's next sync pass leaves it tracking
+// only the live ones. After a fourth shard joins, B's rebalance moves
+// what is live and chases no ghost.
+func TestMirrorForgetsFreedRefs(t *testing.T) {
+	const staged, kept = 300, 10
+	scfg := live.ServerConfig{NumPages: 1024, PageSize: 4096}
+	pcfg := Config{ReplicaFactor: 2, RegistryHandoff: true, RepairInterval: -1, RejoinPoll: -1}
+	srvs := make([]*live.Server, 4)
+	for i := range srvs {
+		var addr string
+		srvs[i], addr = startShard(t, uint32(i), scfg)
+		pcfg.Shards = append(pcfg.Shards, addr)
+	}
+	joiner := pcfg.Shards[3]
+	pcfg.Shards = pcfg.Shards[:3]
+	dial := func() *Client {
+		p, err := Dial(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		if err := p.Register(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	a, b := dial(), dial()
+
+	refs := make([]dm.Ref, staged)
+	for i := range refs {
+		var err error
+		if refs[i], err = a.StageRef([]byte{byte(i), byte(i >> 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.syncPass()
+	if n := b.TrackedRefs(); n != staged {
+		t.Fatalf("B mirrors %d refs after the first sync, want %d", n, staged)
+	}
+	for _, ref := range refs[kept:] {
+		if err := a.FreeRef(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.syncPass()
+	if n := b.TrackedRefs(); n != kept {
+		t.Fatalf("B mirrors %d refs after A freed all but %d", n, kept)
+	}
+
+	if _, err := b.AddShard(joiner); err != nil {
+		t.Fatal(err)
+	}
+	if res := b.Rebalance(); res.Errors != 0 || res.TrackedRefs != kept || res.OffPlacement != 0 {
+		t.Fatalf("rebalance after the join: %+v, want 0 errors and %d refs on placement", res, kept)
+	}
+	for i, ref := range refs[:kept] {
+		got := make([]byte, ref.Size)
+		if err := b.ReadRef(ref, 0, got); err != nil || got[0] != byte(i) {
+			t.Fatalf("kept ref %d after the rebalance: %v", i, err)
+		}
+	}
 	checkAllInvariants(t, srvs)
 }

@@ -21,9 +21,6 @@ type Config struct {
 	// every process sharing refs must use the same ordering (servers
 	// started with -shard-id verify it at registration).
 	Shards []string
-	// Vnodes is the consistent-hash ring's virtual-node count per shard
-	// (<= 0 uses 128).
-	Vnodes int
 	// Client is the per-shard live client configuration; its
 	// OnHeartbeatFailure hook still fires (before the pool's own
 	// failover accounting).
@@ -45,10 +42,6 @@ type Config struct {
 	// death loses nothing. <= 1 disables replication (the pre-replica
 	// behaviour); values above dmwire.MaxRefReplicas are clamped.
 	ReplicaFactor int
-	// RepairBytesPerSec bounds the background repairer's copy bandwidth
-	// so repair never starves foreground traffic. 0 uses 32 MiB/s;
-	// negative removes the bound.
-	RepairBytesPerSec int64
 	// RepairInterval paces the periodic repair scan over tracked refs
 	// (0 uses 2s; negative disables the periodic scan — topology changes
 	// still kick an immediate pass).
@@ -176,7 +169,7 @@ func Dial(cfg Config) (*Client, error) {
 	}
 	p := &Client{
 		cfg:         cfg,
-		ring:        newHashRing(cfg.Vnodes),
+		ring:        newHashRing(),
 		refs:        make(map[uint64]*refMeta),
 		syncCursors: make(map[uint32]uint64),
 		repairKick:  make(chan struct{}, 1),

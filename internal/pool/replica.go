@@ -1,10 +1,11 @@
 package pool
 
 import (
+	"cmp"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/dm"
@@ -39,6 +40,10 @@ type refMeta struct {
 	// bumped by each migration flip so directory merges are
 	// last-writer-wins.
 	epoch uint64
+	// mirrored marks a ref learned from a directory page rather than
+	// staged or adopted here; syncPass forgets it when the pages prove
+	// it gone.
+	mirrored bool
 }
 
 // replicaFactor returns the effective R (>= 1).
@@ -74,21 +79,40 @@ func (p *Client) track(key uint64, size int64, replicas []uint32, epoch uint64) 
 }
 
 // adopt merges a directory entry learned via anti-entropy sync into the
-// tracked set (§D16): unknown refs are added, and a higher placement
-// epoch overrides the local belief. Reports whether anything changed.
-func (p *Client) adopt(ent registry.Entry) bool {
+// tracked set (§D16): unknown refs are added as mirrored, and a higher
+// placement epoch overrides the local belief.
+func (p *Client) adopt(ent registry.Entry) {
 	p.refMu.Lock()
 	defer p.refMu.Unlock()
 	m, ok := p.refs[ent.Key]
 	if ok && ent.Epoch <= m.epoch {
-		return false
+		return
 	}
 	p.refs[ent.Key] = &refMeta{
 		size:     ent.Size,
 		replicas: append([]uint32(nil), ent.Replicas...),
 		epoch:    ent.Epoch,
+		mirrored: !ok || m.mirrored,
 	}
-	return true
+}
+
+// forgetMissing untracks every mirrored ref in the key range (after,
+// last] that names shard id but is missing from page, id's directory
+// page over that range. A live ref's entry is on every shard it names,
+// so the ref was freed or moved away; if it lives on, another page
+// teaches it again. Dropping only id instead would leave a freed ref
+// half-placed until the repairer failed to copy it. Callers hold refMu.
+func (p *Client) forgetMissing(id uint32, page []registry.Entry, after, last uint64) {
+	for key, m := range p.refs {
+		if !m.mirrored || key <= after || key > last || !slices.Contains(m.replicas, id) {
+			continue
+		}
+		if _, found := slices.BinarySearchFunc(page, key, func(e registry.Entry, k uint64) int {
+			return cmp.Compare(e.Key, k)
+		}); !found {
+			delete(p.refs, key)
+		}
+	}
 }
 
 // dropReplica forgets shard id's copy of key (a migration reclaim).
@@ -672,18 +696,9 @@ func (p *Client) kickRepair() {
 	}
 }
 
-// repairBPS returns the effective repair bandwidth bound in bytes/sec
-// (0 = unlimited).
-func (p *Client) repairBPS() int64 {
-	switch b := p.cfg.RepairBytesPerSec; {
-	case b == 0:
-		return 32 << 20
-	case b < 0:
-		return 0
-	default:
-		return b
-	}
-}
+// repairBytesPerSec bounds the background repairer's copy bandwidth so
+// repair never starves foreground traffic.
+const repairBytesPerSec = 32 << 20
 
 // repairLoop is the background repairer: woken by topology changes
 // (ejection and rejoin kick it) and by the periodic scan, it walks the
@@ -758,8 +773,7 @@ func (o poolShardOps) RegPut(id uint32, ent registry.Entry) error {
 	return s.cl.RegPut(ent)
 }
 
-// placements snapshots the tracked refs as planner input, sorted by key
-// for deterministic chunking.
+// placements snapshots the tracked refs as planner input.
 func (p *Client) placements() []migrate.Placement {
 	p.refMu.Lock()
 	out := make([]migrate.Placement, 0, len(p.refs))
@@ -772,7 +786,6 @@ func (p *Client) placements() []migrate.Placement {
 		})
 	}
 	p.refMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -794,14 +807,14 @@ func (p *Client) repairPass() {
 	}
 	moves := migrate.Plan(p.placements(), func(key uint64) []uint32 {
 		return p.ring.Successors(key, r)
-	}, migrate.Limits{})
+	})
 	if len(moves) == 0 {
 		return
 	}
 	movedKeys := make(map[uint64]struct{}, len(moves))
 	ex := &migrate.Executor{
 		Ops:         poolShardOps{p},
-		BytesPerSec: p.repairBPS(),
+		BytesPerSec: repairBytesPerSec,
 		Stop:        p.stop,
 		Registry:    p.cfg.RegistryHandoff,
 		// The plan is a snapshot; a ref freed since planning must not be
@@ -851,7 +864,9 @@ func (p *Client) repairPass() {
 // cursor) and adopts entries this client does not track — refs staged
 // by clients that have since departed. Adoption puts them on this
 // client's repair work list, so the cluster keeps them replicated and
-// migrates them like its own.
+// migrates them like its own. The page also covers a key range, and an
+// adopted ref in that range that names the shard but is missing from the
+// page is forgotten, so the mirror forgets what other clients free.
 func (p *Client) syncPass() {
 	const pageLimit = dmwire.MaxRegSyncEntries
 	for _, s := range p.shardList() {
@@ -875,9 +890,12 @@ func (p *Client) syncPass() {
 		}
 		p.refMu.Lock()
 		if len(page) < pageLimit {
+			p.forgetMissing(s.id, page, after, math.MaxUint64)
 			p.syncCursors[s.id] = 0 // wrapped: restart from the top next pass
 		} else {
-			p.syncCursors[s.id] = page[len(page)-1].Key
+			last := page[len(page)-1].Key
+			p.forgetMissing(s.id, page, after, last)
+			p.syncCursors[s.id] = last
 		}
 		p.refMu.Unlock()
 	}

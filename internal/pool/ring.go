@@ -22,10 +22,10 @@ import (
 	"sync"
 )
 
-// defaultVnodes is the virtual-node count per shard. More vnodes smooth
-// the key distribution (imbalance shrinks roughly with 1/sqrt(vnodes))
-// at the cost of a longer sorted point array.
-const defaultVnodes = 128
+// vnodes is the virtual-node count per shard. More vnodes smooth the key
+// distribution (imbalance shrinks roughly with 1/sqrt(vnodes)) at the
+// cost of a longer sorted point array.
+const vnodes = 128
 
 // mix is the splitmix64 finalizer: a fast, deterministic 64-bit mixer
 // with full avalanche, used for both ring points and op keys so ring
@@ -51,19 +51,14 @@ type ringPoint struct {
 // keyspace), which is the property that keeps existing placements stable
 // as the cluster changes. Safe for concurrent use.
 type hashRing struct {
-	vnodes int
 	mu     sync.RWMutex
 	points []ringPoint // sorted by (hash, shard)
 	member map[uint32]struct{}
 }
 
-// newHashRing returns an empty ring with the given virtual-node count per
-// shard (<= 0 uses defaultVnodes).
-func newHashRing(vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	return &hashRing{vnodes: vnodes, member: make(map[uint32]struct{})}
+// newHashRing returns an empty ring.
+func newHashRing() *hashRing {
+	return &hashRing{member: make(map[uint32]struct{})}
 }
 
 // pointSalt domain-separates vnode hashes from key hashes. Without it,
@@ -75,8 +70,8 @@ const pointSalt = 0x7B9F2D4E8C1A6E35
 // pointsOf derives shard's vnode positions. Purely a function of
 // (shard, vnode index), so the ring's layout is deterministic.
 func (r *hashRing) pointsOf(shard uint32) []ringPoint {
-	pts := make([]ringPoint, r.vnodes)
-	for v := 0; v < r.vnodes; v++ {
+	pts := make([]ringPoint, vnodes)
+	for v := 0; v < vnodes; v++ {
 		pts[v] = ringPoint{hash: mix((uint64(shard)<<32 | uint64(v)) ^ pointSalt), shard: shard}
 	}
 	return pts

@@ -7,7 +7,7 @@ import "testing"
 // key, which is what lets separate processes resolve the same located
 // refs.
 func TestRingDeterministic(t *testing.T) {
-	a, b := newHashRing(64), newHashRing(64)
+	a, b := newHashRing(), newHashRing()
 	for id := uint32(0); id < 5; id++ {
 		a.Add(id)
 	}
@@ -29,7 +29,7 @@ func TestRingDeterministic(t *testing.T) {
 // (fixed hash, no seed), so a pass here is a pass everywhere.
 func TestRingDistribution(t *testing.T) {
 	const keys, shards = 100_000, 4
-	r := newHashRing(0) // defaultVnodes
+	r := newHashRing()
 	for id := uint32(0); id < shards; id++ {
 		r.Add(id)
 	}
@@ -74,7 +74,7 @@ func remapFraction(r *hashRing, n uint64, mutate func()) float64 {
 // fraction for vnode-sampling noise.
 func TestRingRemapFraction(t *testing.T) {
 	const keys = 50_000
-	r := newHashRing(0)
+	r := newHashRing()
 	for id := uint32(0); id < 3; id++ {
 		r.Add(id)
 	}
@@ -105,7 +105,7 @@ func TestRingRemapFraction(t *testing.T) {
 // recompute a replicated ref's placement from its bare key.
 func TestRingSuccessors(t *testing.T) {
 	const shards = 5
-	a, b := newHashRing(0), newHashRing(0)
+	a, b := newHashRing(), newHashRing()
 	for id := uint32(0); id < shards; id++ {
 		a.Add(id)
 		b.Add(shards - 1 - id) // reverse insertion order
@@ -137,7 +137,7 @@ func TestRingSuccessors(t *testing.T) {
 	if a.Successors(1, 0) != nil {
 		t.Fatal("Successors(key, 0) != nil")
 	}
-	if newHashRing(8).Successors(1, 2) != nil {
+	if newHashRing().Successors(1, 2) != nil {
 		t.Fatal("Successors on empty ring != nil")
 	}
 }
@@ -171,7 +171,7 @@ func successorRemapFraction(r *hashRing, n uint64, rf int, mutate func()) float6
 // Bounds allow 1.5x the ideal fraction for vnode-sampling noise.
 func TestRingSuccessorSetRemap(t *testing.T) {
 	const keys, rf = 50_000, 2
-	r := newHashRing(0)
+	r := newHashRing()
 	for id := uint32(0); id < 4; id++ {
 		r.Add(id)
 	}
@@ -188,7 +188,7 @@ func TestRingSuccessorSetRemap(t *testing.T) {
 // TestRingEmptyAndRejoin covers the edges: empty ring lookups fail,
 // and remove-then-add restores the exact prior layout.
 func TestRingEmptyAndRejoin(t *testing.T) {
-	r := newHashRing(32)
+	r := newHashRing()
 	if _, ok := r.Lookup(1); ok {
 		t.Fatal("lookup on empty ring succeeded")
 	}

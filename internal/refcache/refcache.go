@@ -48,15 +48,12 @@ type Config struct {
 	// MaxBytes bounds the sum of cached payload sizes. <= 0 disables
 	// admission entirely (every GetOrLoad runs its loader).
 	MaxBytes int64
-	// DefaultTTL caps entry lifetime when the caller passes ttl <= 0
-	// (for example, a session with leasing disabled). 0 means
-	// DefaultTTL below.
-	DefaultTTL time.Duration
 }
 
-// DefaultTTL bounds staleness when no session lease is available to
-// derive a tighter cap from.
-const DefaultTTL = 30 * time.Second
+// defaultTTL caps entry lifetime when the caller passes ttl <= 0 (for
+// example, a session with leasing disabled): it bounds staleness when no
+// session lease is available to derive a tighter cap from.
+const defaultTTL = 30 * time.Second
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
@@ -132,9 +129,6 @@ type Cache[V Value] struct {
 // New builds a cache. A nil *Cache is valid and always misses, so
 // callers can hold one unconditionally.
 func New[V Value](cfg Config) *Cache[V] {
-	if cfg.DefaultTTL <= 0 {
-		cfg.DefaultTTL = DefaultTTL
-	}
 	c := &Cache[V]{
 		cfg:     cfg,
 		table:   make(map[Key]*entry[V]),
@@ -223,7 +217,7 @@ func (c *Cache[V]) Deny(k Key, ttl time.Duration) {
 		c.st.Invalidations++
 	}
 	if ttl <= 0 {
-		ttl = c.cfg.DefaultTTL
+		ttl = defaultTTL
 	}
 	e := c.neg[k]
 	if e != nil {
@@ -358,7 +352,7 @@ func (c *Cache[V]) admit(k Key, val V, size int64, ttl time.Duration) {
 		c.st.Evictions++
 	}
 	if ttl <= 0 {
-		ttl = c.cfg.DefaultTTL
+		ttl = defaultTTL
 	}
 	val.Retain()
 	e := c.alloc()

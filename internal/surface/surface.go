@@ -1,9 +1,10 @@
 // Package surface measures the exported surface of Go packages in this
 // module: the non-test lines of each package, its exported declarations
 // (top-level funcs, methods on exported types, types, and each const/var
-// name), and which of those declarations no non-test file outside the
-// package mentions. `make size` prints the first two; the root package's
-// surface test fails on the third.
+// name), and which of those declarations, or of the exported fields of
+// its exported struct types, no non-test file outside the package
+// mentions. `make size` prints the first two; the root package's surface
+// test fails on the third.
 package surface
 
 import (
@@ -16,6 +17,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,14 +25,15 @@ import (
 
 // Package is one measured package directory.
 type Package struct {
-	Dir   string // slash-separated, relative to the module root
-	Lines int    // lines of every non-_test.go file
-	Decls []Decl // exported declarations
+	Dir    string // slash-separated, relative to the module root
+	Lines  int    // lines of every non-_test.go file
+	Decls  []Decl // exported declarations
+	Fields []Decl // exported fields of exported struct types
 }
 
-// Decl is one exported declaration.
+// Decl is one exported declaration or struct field.
 type Decl struct {
-	Recv string // receiver type name for a method, else ""
+	Recv string // receiver type name for a method, struct type name for a field, else ""
 	Name string
 }
 
@@ -58,15 +61,17 @@ func Load(root, dir string) (Package, error) {
 		}
 		p.Lines += bytes.Count(src, []byte("\n"))
 		p.Decls = append(p.Decls, exported(f)...)
+		p.Fields = append(p.Fields, fields(f)...)
 	}
 	return p, nil
 }
 
-// Unused returns the exported declarations of pkgs that no non-test file
-// under root outside their own package mentions, as "pkg.Decl" strings in
-// sorted order. A top-level name counts as mentioned when a file that
-// imports its package qualifies it (live.Dial). A method counts when any
-// selector or interface method outside the package has its name, since
+// Unused returns the exported declarations and fields of pkgs that no
+// non-test file under root outside their own package mentions, as
+// "pkg.Decl" strings in sorted order. A top-level name counts as
+// mentioned when a file that imports its package qualifies it
+// (live.Dial). A method or field counts when any selector, interface
+// method or composite-literal key outside the package has its name, since
 // the files are parsed without type information.
 func Unused(root string, pkgs []Package) ([]string, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
@@ -80,7 +85,7 @@ func Unused(root string, pkgs []Package) ([]string, error) {
 		}
 	}
 	qualified := map[string]map[string]bool{} // import path -> names used as pkg.Name
-	selectors := map[string]map[string]bool{} // file dir -> selector and interface method names
+	members := map[string]map[string]bool{}   // file dir -> selector, interface method and literal key names
 	err = filepath.WalkDir(root, func(name string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -102,7 +107,7 @@ func Unused(root string, pkgs []Package) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		mentions(f, filepath.ToSlash(rel), qualified, selectors)
+		mentions(f, filepath.ToSlash(rel), qualified, members)
 		return nil
 	})
 	if err != nil {
@@ -110,10 +115,10 @@ func Unused(root string, pkgs []Package) ([]string, error) {
 	}
 	var unused []string
 	for _, p := range pkgs {
-		for _, d := range p.Decls {
+		for _, d := range slices.Concat(p.Decls, p.Fields) {
 			used := qualified[module+"/"+p.Dir][d.Name]
 			if d.Recv != "" {
-				for dir, names := range selectors {
+				for dir, names := range members {
 					used = used || dir != p.Dir && names[d.Name]
 				}
 			}
@@ -127,9 +132,9 @@ func Unused(root string, pkgs []Package) ([]string, error) {
 }
 
 // mentions records what file f, in directory dir, names: each
-// package-qualified identifier under its import path, and each selector
-// and interface method name under dir.
-func mentions(f *ast.File, dir string, qualified, selectors map[string]map[string]bool) {
+// package-qualified identifier under its import path, and each selector,
+// interface method and composite-literal key name under dir.
+func mentions(f *ast.File, dir string, qualified, members map[string]map[string]bool) {
 	imports := map[string]string{} // local name -> import path
 	for _, imp := range f.Imports {
 		p, _ := strconv.Unquote(imp.Path.Value)
@@ -148,15 +153,19 @@ func mentions(f *ast.File, dir string, qualified, selectors map[string]map[strin
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			add(selectors, dir, n.Sel.Name)
+			add(members, dir, n.Sel.Name)
 			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 				add(qualified, imports[x.Name], n.Sel.Name)
 			}
 		case *ast.InterfaceType:
 			for _, m := range n.Methods.List {
 				for _, name := range m.Names {
-					add(selectors, dir, name.Name)
+					add(members, dir, name.Name)
 				}
+			}
+		case *ast.KeyValueExpr:
+			if key, ok := n.Key.(*ast.Ident); ok {
+				add(members, dir, key.Name)
 			}
 		}
 		return true
@@ -217,6 +226,36 @@ func exported(f *ast.File) []Decl {
 						if name.IsExported() {
 							out = append(out, Decl{Name: name.Name})
 						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fields lists the exported fields of a file's exported struct types;
+// embedded fields have no name of their own and are left out.
+func fields(f *ast.File) []Decl {
+	var out []Decl
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, s := range g.Specs {
+			t, ok := s.(*ast.TypeSpec)
+			if !ok || !t.Name.IsExported() {
+				continue
+			}
+			st, ok := t.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			for _, fl := range st.Fields.List {
+				for _, name := range fl.Names {
+					if name.IsExported() {
+						out = append(out, Decl{Recv: t.Name.Name, Name: name.Name})
 					}
 				}
 			}
